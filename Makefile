@@ -88,7 +88,9 @@ suite:
 # ci is the one-command gate: gofmt, build, vet, race-test the whole module
 # with -short (skips the ~15-min whole-suite parallel-determinism sweep; the
 # res-* determinism fence still runs — the full-suite `race` target stays
-# the deep pre-commit gate), enforce per-package coverage floors, regenerate
+# the deep pre-commit gate), run the bench/ module's correctness fence (a
+# separate module, so the root `go test ./...` never reaches it), enforce
+# per-package coverage floors, regenerate
 # everything — paper artifacts, ablations and the chaos res-* suite — at
 # quick fidelity across all cores, then smoke-check the telemetry export
 # pipeline and the simulation fuzzer, and finally gate the event-core hot
@@ -97,6 +99,7 @@ ci: fmt
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test -race -short -timeout 20m ./...
+	cd bench && $(GO) test ./...
 	$(MAKE) cover
 	$(GO) run ./cmd/nadino-bench -quick -parallel 0 -run everything
 	$(MAKE) telemetry
@@ -113,9 +116,13 @@ svc-smoke:
 	$(GO) run ./cmd/nadino-svc -smoke
 
 # Coverage floors for the correctness-critical packages: the simulation
-# engine, the ownership-checked mempool, the RDMA transport and the DNE.
+# engine, the ownership-checked mempool, the RDMA transport, the DNE, the
+# gateway fabric, speculation, ingress and the cluster core, plus the
+# observability pipeline (telemetry, trace, flight recorder, nadino-svc).
 COVER_FLOOR := 70
-COVER_PKGS  := ./internal/sim/ ./internal/mempool/ ./internal/rdma/ ./internal/dne/
+COVER_PKGS  := ./internal/sim/ ./internal/mempool/ ./internal/rdma/ ./internal/dne/ \
+	./internal/gateway/ ./internal/speculate/ ./internal/ingress/ ./internal/core/ \
+	./internal/telemetry/ ./internal/trace/ ./internal/flightrec/ ./internal/svc/
 
 # cover runs the floor packages with -cover and fails if any falls below
 # $(COVER_FLOOR)% statement coverage.
@@ -164,7 +171,7 @@ telemetry:
 	@grep -q '^series,t_us,value' telemetry/res-storm-storm.series.csv
 	@test $$(wc -l < telemetry/res-storm-storm.series.csv) -gt 1
 	@grep -q '"key"' telemetry/res-storm-storm.series.json
-	@grep -q '^# TYPE nadino_tenant_goodput gauge' telemetry/res-storm-storm.prom
+	@grep -q '^# TYPE nadino_tenant_goodput_total counter' telemetry/res-storm-storm.prom
 	@grep -q '"profile"' telemetry/summary.json
 	@grep -q '"ph":"C"' telemetry/counters.trace.json
 	@grep -q '<svg' telemetry/dashboard.html

@@ -165,7 +165,7 @@ func main() {
 				fmt.Fprintln(os.Stderr, "nadino-bench:", err)
 				os.Exit(1)
 			}
-			if err := trace.WriteChromeWithCounters(f, profiles, counters); err == nil {
+			if err := trace.WriteChrome(f, profiles, counters); err == nil {
 				err = f.Close()
 			} else {
 				f.Close()

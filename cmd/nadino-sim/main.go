@@ -234,7 +234,7 @@ func runCluster(cfg core.Config, r runOpts, w io.Writer) (*telemetry.Scraper, er
 		if sc != nil {
 			counters = telemetry.CounterTracks(name+"/", sc)
 		}
-		if err := trace.WriteChromeWithCounters(f, []trace.Profile{{Name: name, Tracer: tracer}}, counters); err == nil {
+		if err := trace.WriteChrome(f, []trace.Profile{{Name: name, Tracer: tracer}}, counters); err == nil {
 			err = f.Close()
 		} else {
 			f.Close()

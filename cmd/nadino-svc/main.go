@@ -200,7 +200,7 @@ func runSmoke(cfg core.Config, opts svc.Options) int {
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != telemetry.LiveContentType {
+	if ct := resp.Header.Get("Content-Type"); ct != telemetry.ContentType {
 		return fail("/metrics content type %q", ct)
 	}
 	for _, want := range []string{"nadino_build_info", "nadino_cluster_goodput_total", "# TYPE"} {

@@ -49,6 +49,12 @@ type wireSchedule struct {
 	Events []wireEvent `json:"events"`
 }
 
+// wireHorizon bounds every wire time: events must end (at_ms + for_ms)
+// within it, and link-jitter delays may not exceed it. Larger values are
+// hostile or corrupt, and past ~292 years the float-to-Duration conversion
+// overflows into negative times the engine cannot schedule.
+const wireHorizon = 24 * time.Hour
+
 func ms(v float64) time.Duration { return time.Duration(v * float64(time.Millisecond)) }
 
 func ids(ss []string) []fabric.NodeID {
@@ -89,6 +95,10 @@ func decodeFault(w wireFault) (Fault, error) {
 		if w.From == "" || w.To == "" {
 			return nil, fmt.Errorf("chaos: link-jitter needs from and to")
 		}
+		maxUS := float64(wireHorizon / time.Microsecond)
+		if w.ExtraUS < 0 || w.ExtraUS > maxUS || w.JitterUS < 0 || w.JitterUS > maxUS {
+			return nil, fmt.Errorf("chaos: link-jitter extra_us %v / jitter_us %v outside [0, %v]", w.ExtraUS, w.JitterUS, wireHorizon)
+		}
 		return LinkJitter{
 			From: fabric.NodeID(w.From), To: fabric.NodeID(w.To),
 			Extra:  time.Duration(w.ExtraUS * float64(time.Microsecond)),
@@ -116,6 +126,9 @@ func decodeFault(w wireFault) (Fault, error) {
 		if w.Target == "" {
 			return nil, fmt.Errorf("chaos: qp-error needs target")
 		}
+		if w.Count < 0 {
+			return nil, fmt.Errorf("chaos: qp-error count %d is negative", w.Count)
+		}
 		return QPError{Target: w.Target, Count: w.Count}, nil
 	case "gateway-restart":
 		if w.Target == "" {
@@ -128,6 +141,7 @@ func decodeFault(w wireFault) (Fault, error) {
 
 // ParseSchedule decodes the JSON wire format into a Schedule. Event times
 // are relative to the document's zero; pair with Shift for hot installs.
+// Every event must end within wireHorizon of that zero.
 func ParseSchedule(data []byte) (Schedule, error) {
 	var doc wireSchedule
 	if err := json.Unmarshal(data, &doc); err != nil {
@@ -140,6 +154,9 @@ func ParseSchedule(data []byte) (Schedule, error) {
 	for i, ev := range doc.Events {
 		if ev.AtMS < 0 || ev.ForMS < 0 {
 			return nil, fmt.Errorf("chaos: event %d has negative time", i)
+		}
+		if ev.AtMS+ev.ForMS > float64(wireHorizon/time.Millisecond) {
+			return nil, fmt.Errorf("chaos: event %d ends past the %v schedule horizon", i, wireHorizon)
 		}
 		f, err := decodeFault(ev.Fault)
 		if err != nil {

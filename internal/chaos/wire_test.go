@@ -61,11 +61,69 @@ func TestParseScheduleRejects(t *testing.T) {
 		"missing-node": `{"events": [{"at_ms": 1, "fault": {"kind": "node-down"}}]}`,
 		"negative":     `{"events": [{"at_ms": -1, "fault": {"kind": "node-down", "node": "a"}}]}`,
 		"not-json":     `{`,
+		"past-horizon": horizonOverflow,
+		"long-window":  `{"events": [{"at_ms": 1, "for_ms": 86400000, "fault": {"kind": "node-down", "node": "a"}}]}`,
+		"neg-extra":    negExtra,
+		"neg-jitter":   `{"events": [{"at_ms": 1, "fault": {"kind": "link-jitter", "from": "a", "to": "b", "jitter_us": -1}}]}`,
+		"huge-extra":   `{"events": [{"at_ms": 1, "fault": {"kind": "link-jitter", "from": "a", "to": "b", "extra_us": 1e300}}]}`,
+		"neg-count":    `{"events": [{"at_ms": 1, "fault": {"kind": "qp-error", "target": "qp@a", "count": -3}}]}`,
 	} {
 		if _, err := ParseSchedule([]byte(doc)); err == nil {
 			t.Errorf("%s: parse accepted invalid schedule", name)
 		}
 	}
+}
+
+// Hostile documents the parser must reject: an at_ms whose Duration
+// conversion overflows to a negative time (Install would panic in the
+// engine), and a negative link latency.
+const (
+	horizonOverflow = `{"events":[{"at_ms":1e13,"fault":{"kind":"node-down","node":"nodeA"}}]}`
+	negExtra        = `{"events":[{"at_ms":1,"fault":{"kind":"link-jitter","from":"nodeA","to":"nodeB","extra_us":-500}}]}`
+)
+
+// FuzzParseSchedule checks every schedule the parser accepts is one Install
+// can schedule: non-negative times whose sum does not overflow, and
+// non-negative fault parameters.
+func FuzzParseSchedule(f *testing.F) {
+	for _, doc := range []string{
+		`{"events": [{"at_ms": 10, "for_ms": 5, "fault": {"kind": "link-down", "from": "nodeA", "to": "nodeB"}}]}`,
+		`{"events": [{"at_ms": 30, "for_ms": 1, "fault": {"kind": "partition", "a": ["nodeA"], "b": ["nodeB"], "one_way": true}}]}`,
+		`{"events": [{"at_ms": 40, "for_ms": 2, "fault": {"kind": "link-loss", "from": "nodeA", "to": "nodeB", "prob": 0.25}}]}`,
+		`{"events": [{"at_ms": 50, "for_ms": 2, "fault": {"kind": "link-jitter", "from": "nodeA", "to": "nodeB", "extra_us": 100, "jitter_us": 50}}]}`,
+		`{"events": [{"at_ms": 80, "for_ms": 5, "fault": {"kind": "slow-cores", "target": "cores@nodeA", "factor": 0.5}}]}`,
+		`{"events": [{"at_ms": 90, "fault": {"kind": "qp-error", "target": "qp@nodeA", "count": 2}}]}`,
+		`{"events": [{"at_ms": -1, "fault": {"kind": "node-down", "node": "a"}}]}`,
+		horizonOverflow,
+		negExtra,
+	} {
+		f.Add([]byte(doc))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := ParseSchedule(data)
+		if err != nil {
+			return
+		}
+		for i, ev := range s {
+			if ev.At < 0 || ev.For < 0 || ev.At+ev.For < ev.At {
+				t.Fatalf("event %d: accepted times at=%v for=%v", i, ev.At, ev.For)
+			}
+			bad := false
+			switch fl := ev.Fault.(type) {
+			case LinkJitter:
+				bad = fl.Extra < 0 || fl.Jitter < 0
+			case LinkLoss:
+				bad = fl.Prob < 0 || fl.Prob > 1
+			case SlowCores:
+				bad = fl.Factor <= 0
+			case QPError:
+				bad = fl.Count < 0
+			}
+			if bad {
+				t.Fatalf("event %d: accepted fault parameters %#v", i, ev.Fault)
+			}
+		}
+	})
 }
 
 // TestShiftInstall checks a relative wire schedule shifted to "now"

@@ -121,9 +121,9 @@ type StormResult struct {
 	Series *metrics.Series
 	Total  time.Duration
 
-	// Violations holds the SLO watchdog verdict for this point: the
-	// goodput-recovery contract evaluated declaratively over the sampled
-	// series (empty = all rules held).
+	// Violations holds the SLO verdict for this point: the goodput-recovery
+	// contract checked by metrics.RecoveryDetector over the sampled series
+	// (empty = the contract held).
 	Violations []telemetry.Violation
 	// Telem is the run's metric scraper (nil unless Opts.Telemetry).
 	Telem *telemetry.Scraper
@@ -190,23 +190,22 @@ func runResStorm(o Opts, faulted bool) *StormResult {
 	if res.Baseline > 0 {
 		res.Ratio = res.Recovery / res.Baseline
 	}
-	// The recovery contract, stated declaratively: after the storm window
-	// closes, goodput must make a sustained (2-window) return to within 5%
-	// of its own pre-storm baseline inside the remaining quarter of the
-	// run. This SLO rule replaces the hand-rolled ratio assertion the
-	// resilience test used to carry.
-	wd := telemetry.NewWatchdog()
-	wd.AddRecovery(telemetry.RecoveryRule{
-		Name:         "goodput-recovers",
-		Series:       tenant,
-		BaselineFrom: base + total/24,
-		BaselineTo:   base + stormLo,
-		ClearAt:      base + stormHi,
-		Within:       total / 4,
-		Tolerance:    0.05,
-		Sustain:      2,
-	})
-	res.Violations = wd.Evaluate(func(key string) *metrics.Series { return series[key] })
+	// The recovery contract: after the storm window closes, goodput must
+	// make a sustained (2-window) return to within 5% of its own pre-storm
+	// baseline inside the remaining quarter of the run.
+	clearAt, budget := base+stormHi, total/4
+	det := metrics.RecoveryDetector{Baseline: res.Baseline, Tolerance: 0.05, Sustain: 2}
+	if rt, ok := det.Detect(s, clearAt); !ok {
+		res.Violations = []telemetry.Violation{{
+			Rule: "goodput-recovers", Series: tenant, At: clearAt, Value: res.Baseline,
+			Detail: fmt.Sprintf("no sustained return to within 5%% of baseline %g after fault clear", res.Baseline),
+		}}
+	} else if rt > budget {
+		res.Violations = []telemetry.Violation{{
+			Rule: "goodput-recovers", Series: tenant, At: clearAt + rt, Value: rt.Seconds(),
+			Detail: fmt.Sprintf("recovered in %v, budget %v", rt, budget),
+		}}
+	}
 	res.Telem = sc
 	res.RTT = stats[tenant].rtt.Snapshot()
 	_, _, _, _, serrA := r.ea.Stats()

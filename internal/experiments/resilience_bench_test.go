@@ -24,7 +24,8 @@ func BenchmarkResStorm(b *testing.B) {
 
 // BenchmarkResStormTelemetry is BenchmarkResStorm with the virtual-time
 // scraper attached to both runs; the ns/op delta against BenchmarkResStorm
-// is the scraper-on overhead (recorded in bench_results.txt).
+// is the scraper-on overhead (`make bench-res` archives both in
+// BENCH_res.json).
 func BenchmarkResStormTelemetry(b *testing.B) {
 	o := resOpts
 	o.Telemetry = true

@@ -31,9 +31,9 @@ func TestResStormShape(t *testing.T) {
 	if storm.Storm >= storm.Baseline {
 		t.Fatalf("no goodput dip during the storm: %.0f >= %.0f", storm.Storm, storm.Baseline)
 	}
-	// The recovery contract is the declarative SLO watchdog rule evaluated
-	// inside runResStorm (sustained return to within 5% of baseline in the
-	// final quarter) — the verdict replaces the old hand-rolled Ratio check.
+	// The recovery contract is checked inside runResStorm (sustained return
+	// to within 5% of baseline in the final quarter) — the verdict replaces
+	// the old hand-rolled Ratio check.
 	for _, r := range res {
 		if len(r.Violations) != 0 {
 			t.Fatalf("SLO violations (faulted=%v): %v", r.Faulted, r.Violations)

@@ -8,8 +8,8 @@ import (
 )
 
 // renderTelemetry runs res-storm with telemetry on and renders every sunk
-// scraper's full export (CSV + Prometheus) into one byte stream, in sink
-// order.
+// scraper's full export (CSV + the registry's Prometheus exposition) into
+// one byte stream, in sink order.
 func renderTelemetry(t *testing.T, o Opts) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -19,7 +19,7 @@ func renderTelemetry(t *testing.T, o Opts) []byte {
 		if err := telemetry.WriteCSV(&buf, sc); err != nil {
 			t.Fatal(err)
 		}
-		if err := telemetry.WritePrometheus(&buf, sc); err != nil {
+		if err := telemetry.WritePrometheus(&buf, sc.Registry()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -40,7 +40,7 @@ func TestTelemetryCaptures(t *testing.T) {
 		"dne.worker_util{node=nodeA}",
 		"rdma.icm_hit_rate{node=nodeB}",
 		"tenant.rtt.p99{tenant=tenant1}",
-		"nadino_tenant_goodput{",
+		"nadino_tenant_goodput_total{",
 		"echo RTT merged across runs",
 	} {
 		if !bytes.Contains(out, []byte(want)) {

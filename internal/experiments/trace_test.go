@@ -109,7 +109,7 @@ func TestFig06TraceExport(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := trace.WriteChrome(&buf, profiles); err != nil {
+	if err := trace.WriteChrome(&buf, profiles, nil); err != nil {
 		t.Fatalf("WriteChrome: %v", err)
 	}
 	var doc struct {

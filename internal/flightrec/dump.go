@@ -2,62 +2,37 @@ package flightrec
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
+
+	"nadino/internal/trace"
 )
-
-// chromeEvent mirrors the Chrome trace-event JSON shape used by
-// internal/trace; the flight dump is a standalone file, so the small struct
-// is duplicated here rather than exporting trace internals.
-type chromeEvent struct {
-	Name  string         `json:"name"`
-	Phase string         `json:"ph"`
-	TS    float64        `json:"ts"` // microseconds
-	PID   int            `json:"pid"`
-	TID   int            `json:"tid"`
-	Scope string         `json:"s,omitempty"`
-	Args  map[string]any `json:"args,omitempty"`
-}
-
-type chromeFile struct {
-	TraceEvents     []chromeEvent `json:"traceEvents"`
-	DisplayTimeUnit string        `json:"displayTimeUnit"`
-}
 
 // WriteChrome renders the retained events as a Chrome trace-event JSON file
 // (chrome://tracing or ui.perfetto.dev): one instant event per record, one
 // thread row per actor, under a single "flightrec" process. Output order
 // and ids are deterministic (ring order and first-appearance order).
 func WriteChrome(w io.Writer, r *Recorder) error {
-	file := chromeFile{TraceEvents: []chromeEvent{}, DisplayTimeUnit: "ms"}
-	file.TraceEvents = append(file.TraceEvents, chromeEvent{
-		Name: "process_name", Phase: "M", PID: 0,
-		Args: map[string]any{"name": "flightrec"},
-	})
+	events := []trace.ChromeEvent{trace.ChromeMeta(0, 0, "flightrec")}
 	tids := make(map[uint16]int)
 	for _, e := range r.Snapshot() {
 		tid, ok := tids[e.Actor]
 		if !ok {
 			tid = len(tids) + 1
 			tids[e.Actor] = tid
-			file.TraceEvents = append(file.TraceEvents, chromeEvent{
-				Name: "thread_name", Phase: "M", PID: 0, TID: tid,
-				Args: map[string]any{"name": r.ActorName(e.Actor)},
-			})
+			events = append(events, trace.ChromeMeta(0, tid, r.ActorName(e.Actor)))
 		}
-		file.TraceEvents = append(file.TraceEvents, chromeEvent{
+		events = append(events, trace.ChromeEvent{
 			Name:  e.Kind.String(),
 			Phase: "i",
 			Scope: "t",
 			TS:    float64(e.At.Nanoseconds()) / 1e3,
-			PID:   0,
 			TID:   tid,
 			Args:  map[string]any{"a": e.A, "b": e.B},
 		})
 	}
-	return json.NewEncoder(w).Encode(file)
+	return trace.EncodeChrome(w, events)
 }
 
 // WriteText renders the newest lastN retained events (all with lastN <= 0)

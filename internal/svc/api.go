@@ -183,21 +183,6 @@ type wireRule struct {
 	ToMS    float64 `json:"to_ms,omitempty"`
 }
 
-// parseOp maps the wire operator onto telemetry.Op.
-func parseOp(s string) (telemetry.Op, error) {
-	switch s {
-	case "<":
-		return telemetry.OpLT, nil
-	case "<=":
-		return telemetry.OpLE, nil
-	case ">":
-		return telemetry.OpGT, nil
-	case ">=":
-		return telemetry.OpGE, nil
-	}
-	return 0, fmt.Errorf("unknown op %q (want <, <=, >, >=)", s)
-}
-
 // handleWatchdog lists rules and violations (GET) or hot-adds a rule
 // (POST wireRule). Rule From/To default to "from now on".
 func (s *Server) handleWatchdog(w http.ResponseWriter, r *http.Request) {
@@ -226,7 +211,7 @@ func (s *Server) handleWatchdog(w http.ResponseWriter, r *http.Request) {
 			apiError(w, http.StatusBadRequest, "rule needs name and series")
 			return
 		}
-		op, err := parseOp(req.Op)
+		op, err := telemetry.ParseOp(req.Op)
 		if err != nil {
 			apiError(w, http.StatusBadRequest, "%v", err)
 			return

@@ -46,6 +46,17 @@ type Options struct {
 	ChaosSeed int64
 }
 
+// HTTP timeouts bound how long one client can hold a connection, so a slow
+// or stalled client cannot pin server goroutines and file descriptors.
+// writeTimeout must exceed pprof's default 30s CPU profile, which writes
+// its response only when the profile ends.
+const (
+	readHeaderTimeout = 2 * time.Second
+	readTimeout       = 10 * time.Second
+	writeTimeout      = 60 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
 // Server is the nadino-svc daemon: one cluster, one pacer, one HTTP plane.
 type Server struct {
 	opts  Options
@@ -53,7 +64,7 @@ type Server struct {
 	pacer *Pacer
 	reg   *telemetry.Registry
 	sc    *telemetry.Scraper
-	dog   *telemetry.LiveWatchdog
+	dog   *telemetry.Watchdog
 	rec   *flightrec.Recorder
 	inj   *chaos.Injector
 
@@ -90,7 +101,7 @@ func New(clu *core.Cluster, opts Options) *Server {
 	s.rec = flightrec.New(opts.FlightRecSize, eng.Now)
 	s.breachActor = s.rec.Actor("watchdog")
 	s.markActor = s.rec.Actor("api")
-	s.dog = telemetry.NewLiveWatchdog()
+	s.dog = telemetry.NewWatchdog()
 	s.dog.OnBreach = s.onBreach
 
 	s.pacer = NewPacer(eng, opts.Dilation, opts.Slice, 0)
@@ -125,7 +136,7 @@ func New(clu *core.Cluster, opts Options) *Server {
 	return s
 }
 
-// onBreach runs in engine context the moment the live watchdog fires: mark
+// onBreach runs in engine context the moment the watchdog fires: mark
 // the ring, then (if configured) dump it to disk next to the breach.
 func (s *Server) onBreach(v telemetry.Violation) {
 	s.rec.Record(flightrec.KindSLOBreach, s.breachActor, int64(v.At), int64(len(s.dog.Violations())))
@@ -160,8 +171,8 @@ func (s *Server) attachRecorderIfReady() {
 // Registry exposes the server's telemetry registry (tests).
 func (s *Server) Registry() *telemetry.Registry { return s.reg }
 
-// Watchdog exposes the live watchdog (rule pre-loading before Start).
-func (s *Server) Watchdog() *telemetry.LiveWatchdog { return s.dog }
+// Watchdog exposes the SLO watchdog (rule pre-loading before Start).
+func (s *Server) Watchdog() *telemetry.Watchdog { return s.dog }
 
 // Recorder exposes the flight recorder (tests; engine-lock rules apply).
 func (s *Server) Recorder() *flightrec.Recorder { return s.rec }
@@ -190,7 +201,13 @@ func (s *Server) Start() error {
 		return fmt.Errorf("svc: listen %s: %w", s.opts.Addr, err)
 	}
 	s.listener = ln
-	s.http = &http.Server{Handler: s.routes()}
+	s.http = &http.Server{
+		Handler:           s.routes(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	s.pacer.Start()
 	go func() {
 		if err := s.http.Serve(ln); err != nil && err != http.ErrServerClosed {
@@ -242,12 +259,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.attachRecorderIfReady()
 	var buf bytes.Buffer
 	var err error
-	s.pacer.Do(func() { err = telemetry.WriteLivePrometheus(&buf, s.reg) })
+	s.pacer.Do(func() { err = telemetry.WritePrometheus(&buf, s.reg) })
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	w.Header().Set("Content-Type", telemetry.LiveContentType)
+	w.Header().Set("Content-Type", telemetry.ContentType)
 	w.Write(buf.Bytes())
 }
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -141,8 +142,8 @@ func TestServerEndToEnd(t *testing.T) {
 	// Live Prometheus exposition: right content type, HELP/TYPE pairs,
 	// counter and histogram families, build_info and both uptime clocks.
 	resp, body := getBody(t, base+"/metrics")
-	if got := resp.Header.Get("Content-Type"); got != telemetry.LiveContentType {
-		t.Fatalf("metrics content type %q, want %q", got, telemetry.LiveContentType)
+	if got := resp.Header.Get("Content-Type"); got != telemetry.ContentType {
+		t.Fatalf("metrics content type %q, want %q", got, telemetry.ContentType)
 	}
 	text := string(body)
 	for _, want := range []string{
@@ -170,6 +171,12 @@ func TestServerEndToEnd(t *testing.T) {
 	]}`
 	if resp, out := postJSON(t, base+"/api/v1/chaos", sched); resp.StatusCode != http.StatusOK {
 		t.Fatalf("/api/v1/chaos: %d: %s", resp.StatusCode, out)
+	}
+	// An at_ms whose Duration conversion would overflow must be refused
+	// before it reaches the engine.
+	if resp, out := postJSON(t, base+"/api/v1/chaos",
+		`{"events":[{"at_ms":1e13,"fault":{"kind":"node-down","node":"node1"}}]}`); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("/api/v1/chaos past-horizon schedule: %d: %s", resp.StatusCode, out)
 	}
 	if resp, out := postJSON(t, base+"/api/v1/chaos", `{"events": []}`); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty chaos schedule accepted: %d: %s", resp.StatusCode, out)
@@ -281,6 +288,42 @@ func TestWatchdogBreachDumps(t *testing.T) {
 	}
 	if len(view.Rules) != 1 || len(view.Violations) == 0 {
 		t.Fatalf("watchdog view: %d rules, %d violations", len(view.Rules), len(view.Violations))
+	}
+}
+
+// TestSlowClientDisconnected holds a connection open with half a request
+// header: the server must drop it after readHeaderTimeout while /healthz
+// keeps answering other clients meanwhile.
+func TestSlowClientDisconnected(t *testing.T) {
+	s := startServer(t, Options{})
+	base := "http://" + s.Addr()
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET /healthz HTTP/1.1\r\nHost: x\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan error, 1)
+	start := time.Now()
+	go func() {
+		_, err := conn.Read(make([]byte, 1))
+		closed <- err
+	}()
+	for time.Since(start) < readHeaderTimeout/2 {
+		if resp, body := getBody(t, base+"/healthz"); resp.StatusCode != http.StatusOK || string(body) != "ok\n" {
+			t.Fatalf("/healthz while a slow client holds a connection: %d %q", resp.StatusCode, body)
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+	select {
+	case <-closed:
+		if held := time.Since(start); held < readHeaderTimeout/2 {
+			t.Fatalf("slow client dropped after %v, before the header timeout", held)
+		}
+	case <-time.After(readHeaderTimeout + 5*time.Second):
+		t.Fatal("server never disconnected a client that sent half a header")
 	}
 }
 

@@ -62,67 +62,9 @@ func WriteJSON(w io.Writer, sc *Scraper) error {
 	return enc.Encode(out)
 }
 
-// promName maps a metric name onto the Prometheus exposition charset,
-// prefixed with the repository namespace.
-func promName(name string) string {
-	var b strings.Builder
-	b.WriteString("nadino_")
-	for _, r := range name {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '_':
-			b.WriteRune(r)
-		default:
-			b.WriteByte('_')
-		}
-	}
-	return b.String()
-}
-
-// WritePrometheus renders an end-of-run snapshot in the Prometheus text
-// exposition format 0.0.4: every series' final sample as a gauge with its
-// labels, grouped by family (the format forbids interleaving a family's
-// series with another's) with # HELP and # TYPE lines per family. For the
-// live full-fidelity exposition (counter totals, histogram buckets), see
-// WriteLivePrometheus.
-func WritePrometheus(w io.Writer, sc *Scraper) error {
-	bw := bufio.NewWriter(w)
-	// Family-group the tracks in first-appearance order: registration
-	// interleaves labeled variants (per-node loops register families
-	// round-robin).
-	order := make([]string, 0, len(sc.tracks))
-	byName := make(map[string][]track)
-	for _, t := range sc.tracks {
-		if _, ok := byName[t.meta.Name]; !ok {
-			order = append(order, t.meta.Name)
-		}
-		byName[t.meta.Name] = append(byName[t.meta.Name], t)
-	}
-	for _, fam := range order {
-		name := promName(fam)
-		fmt.Fprintf(bw, "# HELP %s %s\n", name, escapeHelp(sc.reg.helpFor(fam)))
-		fmt.Fprintf(bw, "# TYPE %s gauge\n", name)
-		for _, t := range byName[fam] {
-			var last float64
-			if n := len(t.series.Points); n > 0 {
-				last = t.series.Points[n-1].V
-			}
-			if len(t.meta.Labels) == 0 {
-				fmt.Fprintf(bw, "%s %s\n", name, fnum(last))
-				continue
-			}
-			parts := make([]string, len(t.meta.Labels))
-			for i, l := range t.meta.Labels {
-				parts[i] = fmt.Sprintf("%s=%q", l.Key, l.Value)
-			}
-			fmt.Fprintf(bw, "%s{%s} %s\n", name, strings.Join(parts, ","), fnum(last))
-		}
-	}
-	return bw.Flush()
-}
-
 // CounterTracks converts the scraped series into Chrome counter timelines
-// for trace.WriteChromeWithCounters, prefixing each with the profile name
-// so several runs coexist in one trace file.
+// for trace.WriteChrome, prefixing each with the profile name so several
+// runs coexist in one trace file.
 func CounterTracks(prefix string, sc *Scraper) []trace.CounterTrack {
 	out := make([]trace.CounterTrack, 0, len(sc.tracks))
 	for _, t := range sc.tracks {
@@ -176,53 +118,45 @@ func fileSafe(name string) string {
 // missing): per profile `<name>.series.csv`, `<name>.series.json` and
 // `<name>.prom`, plus the cross-profile `summary.json`, a standalone
 // Chrome counter trace `counters.trace.json`, and the static
-// `dashboard.html`. It returns the written paths in a fixed order.
+// `dashboard.html`. It returns the written paths in a fixed order. The
+// `.prom` file is the profile registry's exposition at export time — what
+// /metrics would serve at the end of the run.
 func ExportDir(dir string, profiles []Profile) ([]string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	var written []string
-	emit := func(name string, render func(io.Writer) error) error {
-		path := filepath.Join(dir, name)
-		f, err := os.Create(path)
+	var err error
+	// emit writes one file; after the first failure it does nothing, so
+	// ExportDir returns the files written before the error.
+	emit := func(name string, render func(io.Writer) error) {
 		if err != nil {
-			return err
+			return
 		}
-		if err := render(f); err != nil {
+		path := filepath.Join(dir, name)
+		var f *os.File
+		if f, err = os.Create(path); err != nil {
+			return
+		}
+		if err = render(f); err != nil {
 			f.Close()
-			return err
+			return
 		}
-		if err := f.Close(); err != nil {
-			return err
+		if err = f.Close(); err == nil {
+			written = append(written, path)
 		}
-		written = append(written, path)
-		return nil
 	}
 	var counters []trace.CounterTrack
 	for _, p := range profiles {
 		p := p
 		stem := fileSafe(p.Name)
-		if err := emit(stem+".series.csv", func(w io.Writer) error { return WriteCSV(w, p.Scraper) }); err != nil {
-			return written, err
-		}
-		if err := emit(stem+".series.json", func(w io.Writer) error { return WriteJSON(w, p.Scraper) }); err != nil {
-			return written, err
-		}
-		if err := emit(stem+".prom", func(w io.Writer) error { return WritePrometheus(w, p.Scraper) }); err != nil {
-			return written, err
-		}
+		emit(stem+".series.csv", func(w io.Writer) error { return WriteCSV(w, p.Scraper) })
+		emit(stem+".series.json", func(w io.Writer) error { return WriteJSON(w, p.Scraper) })
+		emit(stem+".prom", func(w io.Writer) error { return WritePrometheus(w, p.Scraper.Registry()) })
 		counters = append(counters, CounterTracks(p.Name+"/", p.Scraper)...)
 	}
-	if err := emit("summary.json", func(w io.Writer) error { return WriteSummary(w, profiles) }); err != nil {
-		return written, err
-	}
-	if err := emit("counters.trace.json", func(w io.Writer) error {
-		return trace.WriteChromeWithCounters(w, nil, counters)
-	}); err != nil {
-		return written, err
-	}
-	if err := emit("dashboard.html", func(w io.Writer) error { return WriteDashboard(w, profiles) }); err != nil {
-		return written, err
-	}
-	return written, nil
+	emit("summary.json", func(w io.Writer) error { return WriteSummary(w, profiles) })
+	emit("counters.trace.json", func(w io.Writer) error { return trace.WriteChrome(w, nil, counters) })
+	emit("dashboard.html", func(w io.Writer) error { return WriteDashboard(w, profiles) })
+	return written, err
 }

@@ -77,22 +77,13 @@ func TestGoldenCSV(t *testing.T) {
 	checkGolden(t, "golden.series.csv", buf.Bytes())
 }
 
-// TestGoldenPrometheus pins the Prometheus text exposition byte-for-byte.
-func TestGoldenPrometheus(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WritePrometheus(&buf, goldenScraper(t)); err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "golden.prom", buf.Bytes())
-}
-
-// TestGoldenLivePrometheus pins the live full-fidelity exposition (counter
-// totals, histogram bucket ladder) byte-for-byte — the bytes nadino-svc
-// serves from /metrics for this registry state.
+// TestGoldenLivePrometheus pins the Prometheus exposition (counter totals,
+// histogram bucket ladder) byte-for-byte — the bytes nadino-svc serves from
+// /metrics and ExportDir writes as `.prom` for this registry state.
 func TestGoldenLivePrometheus(t *testing.T) {
 	var buf bytes.Buffer
 	sc := goldenScraper(t)
-	if err := WriteLivePrometheus(&buf, sc.reg); err != nil {
+	if err := WritePrometheus(&buf, sc.Registry()); err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "golden.live.prom", buf.Bytes())
@@ -103,7 +94,7 @@ func TestGoldenLivePrometheus(t *testing.T) {
 func TestGoldenChromeCounters(t *testing.T) {
 	var buf bytes.Buffer
 	counters := CounterTracks("golden/", goldenScraper(t))
-	if err := trace.WriteChromeWithCounters(&buf, nil, counters); err != nil {
+	if err := trace.WriteChrome(&buf, nil, counters); err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "golden.counters.trace.json", buf.Bytes())

@@ -8,22 +8,22 @@ import (
 	"time"
 )
 
-// This file is the *live* Prometheus exposition: it renders the registry's
-// current state directly (counter totals, gauge callbacks, full histogram
-// bucket/sum/count), unlike export.go's WritePrometheus which snapshots the
-// scraper's end-of-run series. nadino-svc serves this from /metrics on
-// every scrape, so the output follows the text exposition format 0.0.4
-// fully: # HELP and # TYPE per family, families contiguous (never
-// interleaved), counters suffixed _total, histograms as cumulative
-// _bucket{le=...} plus _sum and _count.
+// This file is the repository's one Prometheus text writer: it renders the
+// registry's current state directly (counter totals, gauge callbacks, full
+// histogram bucket/sum/count). nadino-svc serves it from /metrics on every
+// scrape, and ExportDir writes it as each profile's end-of-run `.prom`
+// file, so both follow the text exposition format 0.0.4 fully: # HELP and
+// # TYPE per family, families contiguous (never interleaved), counters
+// suffixed _total, histograms as cumulative _bucket{le=...} plus _sum and
+// _count.
 //
 // Gauge, rate and histogram probes read engine-owned state; callers off the
 // engine goroutine must hold the engine paused (nadino-svc renders under
 // its pacer lock). Counter reads are atomic and safe at any time.
 
-// LiveContentType is the Content-Type a conforming scrape endpoint must
-// send with this exposition.
-const LiveContentType = "text/plain; version=0.0.4; charset=utf-8"
+// ContentType is the Content-Type a conforming scrape endpoint must send
+// with this exposition.
+const ContentType = "text/plain; version=0.0.4; charset=utf-8"
 
 // promBuckets are the upper bounds (seconds) used to expose the internal
 // 1024-bucket log-spaced histogram as a conventional Prometheus bucket
@@ -36,6 +36,22 @@ var promBuckets = []time.Duration{
 	5 * time.Millisecond, 10 * time.Millisecond, 25 * time.Millisecond, 50 * time.Millisecond,
 	100 * time.Millisecond, 250 * time.Millisecond, 500 * time.Millisecond, 1 * time.Second,
 	2500 * time.Millisecond, 5 * time.Second, 10 * time.Second,
+}
+
+// promName maps a metric name onto the Prometheus exposition charset,
+// prefixed with the repository namespace.
+func promName(name string) string {
+	var b strings.Builder
+	b.WriteString("nadino_")
+	for _, r := range name {
+		switch {
+		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '_':
+			b.WriteRune(r)
+		default:
+			b.WriteByte('_')
+		}
+	}
+	return b.String()
 }
 
 // promLabels renders a label set (no braces); extra appends k=v pairs after
@@ -66,10 +82,10 @@ func escapeHelp(s string) string {
 	return strings.ReplaceAll(s, "\n", `\n`)
 }
 
-// WriteLivePrometheus renders the registry's current state in the
-// Prometheus text exposition format 0.0.4. Output order is registration
+// WritePrometheus renders the registry's current state in the Prometheus
+// text exposition format 0.0.4. Output order is registration
 // order grouped by family, so it is deterministic for a fixed registry.
-func WriteLivePrometheus(w io.Writer, r *Registry) error {
+func WritePrometheus(w io.Writer, r *Registry) error {
 	bw := bufio.NewWriter(w)
 	probes := r.snapshot()
 

@@ -60,8 +60,8 @@ func TestConcurrentScrapeWhileUpdate(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for i := 0; i < iters/10; i++ {
-				if err := WriteLivePrometheus(io.Discard, reg); err != nil {
-					t.Errorf("live exposition failed: %v", err)
+				if err := WritePrometheus(io.Discard, reg); err != nil {
+					t.Errorf("exposition failed: %v", err)
 					return
 				}
 				for _, c := range counters {

@@ -125,6 +125,10 @@ func (sc *Scraper) OnSample(fn func(now time.Duration)) {
 // Stop detaches the scraper from the engine clock.
 func (sc *Scraper) Stop() { sc.stop() }
 
+// Registry returns the registry the scraper samples; WritePrometheus
+// renders its current state.
+func (sc *Scraper) Registry() *Registry { return sc.reg }
+
 // Period reports the scrape period.
 func (sc *Scraper) Period() time.Duration { return sc.period }
 

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"nadino/internal/metrics"
 	"nadino/internal/sim"
 )
 
@@ -140,7 +139,7 @@ func TestExportDeterminism(t *testing.T) {
 		if err := WriteJSON(&b2, sc); err != nil {
 			t.Fatal(err)
 		}
-		if err := WritePrometheus(&b3, sc); err != nil {
+		if err := WritePrometheus(&b3, sc.Registry()); err != nil {
 			t.Fatal(err)
 		}
 		if err := WriteDashboard(&b4, []Profile{{Name: "run", Scraper: sc}}); err != nil {
@@ -187,18 +186,21 @@ func TestExportFormats(t *testing.T) {
 	}
 
 	var prom bytes.Buffer
-	if err := WritePrometheus(&prom, sc); err != nil {
+	if err := WritePrometheus(&prom, sc.Registry()); err != nil {
 		t.Fatal(err)
 	}
 	ps := prom.String()
-	if !strings.Contains(ps, "# TYPE nadino_events gauge") {
-		t.Fatalf("prom output missing TYPE line:\n%s", ps)
-	}
-	if !strings.Contains(ps, `nadino_events{node="a"} 4000`) {
-		t.Fatalf("prom output missing labeled sample:\n%s", ps)
-	}
-	if !strings.Contains(ps, "nadino_rtt_p99{") {
-		t.Fatalf("prom output missing sanitized hist name:\n%s", ps)
+	// Counters expose their running total (4 events/ms for 10ms) and
+	// histograms their full bucket ladder, not scraper rates.
+	for _, want := range []string{
+		"# TYPE nadino_events_total counter",
+		`nadino_events_total{node="a"} 40`,
+		"# TYPE nadino_rtt_seconds histogram",
+		`nadino_rtt_seconds_bucket{tenant="t1",le="+Inf"} 40`,
+	} {
+		if !strings.Contains(ps, want) {
+			t.Fatalf("prom output missing %q:\n%s", want, ps)
+		}
 	}
 
 	tracks := CounterTracks("run/", sc)
@@ -236,135 +238,26 @@ func TestExportDir(t *testing.T) {
 	}
 }
 
-func TestWatchdogThreshold(t *testing.T) {
-	s := metrics.NewSeries("goodput")
-	for i := 0; i < 10; i++ {
-		v := 100.0
-		if i >= 3 && i <= 5 {
-			v = 40 // one three-sample dip
+// TestBuildInfo checks the conventional build_info and uptime gauges land
+// in the exposition with both clocks.
+func TestBuildInfo(t *testing.T) {
+	eng := sim.NewEngine(1)
+	reg := NewRegistry()
+	reg.BuildInfo(eng.Now, time.Now())
+	eng.RunUntil(3 * time.Second)
+	var buf strings.Builder
+	if err := WritePrometheus(&buf, reg); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	for _, want := range []string{
+		"# TYPE nadino_build_info gauge",
+		`nadino_build_info{version="dev",goversion="go`,
+		`nadino_process_uptime_seconds{clock="virtual"} 3`,
+		`nadino_process_uptime_seconds{clock="wall"}`,
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("exposition missing %q:\n%s", want, out)
 		}
-		s.Add(time.Duration(i)*time.Millisecond, v)
-	}
-	lookup := func(key string) *metrics.Series {
-		if key == "goodput" {
-			return s
-		}
-		return nil
-	}
-
-	wd := NewWatchdog()
-	wd.Add(Rule{Name: "floor", Series: "goodput", Op: OpGE, Bound: 50, Sustain: 2})
-	vs := wd.Evaluate(lookup)
-	if len(vs) != 1 {
-		t.Fatalf("got %d violations, want 1: %v", len(vs), vs)
-	}
-	if vs[0].At != 3*time.Millisecond || vs[0].Value != 40 {
-		t.Fatalf("violation anchored wrong: %+v", vs[0])
-	}
-
-	// Sustain larger than the dip: no violation.
-	wd2 := NewWatchdog()
-	wd2.Add(Rule{Name: "floor", Series: "goodput", Op: OpGE, Bound: 50, Sustain: 4})
-	if vs := wd2.Evaluate(lookup); len(vs) != 0 {
-		t.Fatalf("sustain=4 should tolerate a 3-sample dip: %v", vs)
-	}
-
-	// Window excludes the dip: no violation.
-	wd3 := NewWatchdog()
-	wd3.Add(Rule{Name: "floor", Series: "goodput", From: 6 * time.Millisecond, Op: OpGE, Bound: 50})
-	if vs := wd3.Evaluate(lookup); len(vs) != 0 {
-		t.Fatalf("windowed rule should pass: %v", vs)
-	}
-
-	// Missing series is itself a violation.
-	wd4 := NewWatchdog()
-	wd4.Add(Rule{Name: "ghost", Series: "nope", Op: OpLT, Bound: 1})
-	if vs := wd4.Evaluate(lookup); len(vs) != 1 || vs[0].Detail != "series not found" {
-		t.Fatalf("missing series not flagged: %v", vs)
-	}
-}
-
-func TestWatchdogThresholdEpisodes(t *testing.T) {
-	s := metrics.NewSeries("x")
-	vals := []float64{1, 9, 9, 1, 1, 9, 9, 9, 1}
-	for i, v := range vals {
-		s.Add(time.Duration(i)*time.Millisecond, v)
-	}
-	wd := NewWatchdog()
-	wd.Add(Rule{Name: "ceil", Series: "x", Op: OpLT, Bound: 5, Sustain: 2})
-	vs := wd.Evaluate(func(string) *metrics.Series { return s })
-	if len(vs) != 2 {
-		t.Fatalf("want one violation per breach episode, got %d: %v", len(vs), vs)
-	}
-}
-
-func TestWatchdogRecovery(t *testing.T) {
-	s := metrics.NewSeries("goodput")
-	// Baseline 100 for 5ms, dip to 20 for 3ms, back to 100.
-	for i := 0; i < 20; i++ {
-		v := 100.0
-		if i >= 5 && i < 8 {
-			v = 20
-		}
-		s.Add(time.Duration(i)*time.Millisecond, v)
-	}
-	lookup := func(string) *metrics.Series { return s }
-
-	wd := NewWatchdog()
-	wd.AddRecovery(RecoveryRule{
-		Name: "recovers", Series: "goodput",
-		BaselineFrom: 0, BaselineTo: 4 * time.Millisecond,
-		ClearAt: 7 * time.Millisecond, Within: 5 * time.Millisecond,
-		Tolerance: 0.05, Sustain: 2,
-	})
-	if vs := wd.Evaluate(lookup); len(vs) != 0 {
-		t.Fatalf("healthy recovery flagged: %v", vs)
-	}
-
-	// Impossible budget: recovery at 8ms is 1ms after clear, so Within
-	// shorter than that must fire.
-	wd2 := NewWatchdog()
-	wd2.AddRecovery(RecoveryRule{
-		Name: "tight", Series: "goodput",
-		BaselineFrom: 0, BaselineTo: 4 * time.Millisecond,
-		ClearAt: 7 * time.Millisecond, Within: 500 * time.Microsecond,
-		Tolerance: 0.05, Sustain: 2,
-	})
-	if vs := wd2.Evaluate(lookup); len(vs) != 1 {
-		t.Fatalf("budget overrun not flagged: %v", vs)
-	}
-
-	// Never recovers.
-	flat := metrics.NewSeries("dead")
-	for i := 0; i < 10; i++ {
-		flat.Add(time.Duration(i)*time.Millisecond, 10)
-	}
-	wd3 := NewWatchdog()
-	wd3.AddRecovery(RecoveryRule{
-		Name: "dead", Series: "dead",
-		BaselineFrom: 0, BaselineTo: 2 * time.Millisecond,
-		ClearAt: 3 * time.Millisecond, Within: 5 * time.Millisecond,
-		Tolerance: 0.05, Sustain: 2,
-	})
-	// Baseline is 10 and the series stays at 10, so it "recovers"
-	// immediately — use a real collapse instead.
-	collapse := metrics.NewSeries("collapse")
-	for i := 0; i < 10; i++ {
-		v := 100.0
-		if i >= 3 {
-			v = 10
-		}
-		collapse.Add(time.Duration(i)*time.Millisecond, v)
-	}
-	wd4 := NewWatchdog()
-	wd4.AddRecovery(RecoveryRule{
-		Name: "never", Series: "collapse",
-		BaselineFrom: 0, BaselineTo: 2 * time.Millisecond,
-		ClearAt:   4 * time.Millisecond,
-		Tolerance: 0.05, Sustain: 2,
-	})
-	vs := wd4.Evaluate(func(string) *metrics.Series { return collapse })
-	if len(vs) != 1 || !strings.Contains(vs[0].Detail, "no sustained return") {
-		t.Fatalf("permanent collapse not flagged: %v", vs)
 	}
 }

@@ -2,9 +2,8 @@ package telemetry
 
 import (
 	"fmt"
+	"sync"
 	"time"
-
-	"nadino/internal/metrics"
 )
 
 // Op is a threshold-rule comparison: the assertion every sample must
@@ -19,18 +18,24 @@ const (
 	OpGE           // value >= Bound
 )
 
+// opNames renders and parses Ops; indexed by Op.
+var opNames = [...]string{OpLT: "<", OpLE: "<=", OpGT: ">", OpGE: ">="}
+
 func (o Op) String() string {
-	switch o {
-	case OpLT:
-		return "<"
-	case OpLE:
-		return "<="
-	case OpGT:
-		return ">"
-	case OpGE:
-		return ">="
+	if o < 0 || int(o) >= len(opNames) {
+		return "?"
 	}
-	return "?"
+	return opNames[o]
+}
+
+// ParseOp maps an operator's text ("<", "<=", ">", ">=") onto its Op.
+func ParseOp(s string) (Op, error) {
+	for o, name := range opNames {
+		if name == s {
+			return Op(o), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown op %q (want <, <=, >, >=)", s)
 }
 
 func (o Op) holds(v, bound float64) bool {
@@ -63,22 +68,6 @@ type Rule struct {
 	Sustain int
 }
 
-// RecoveryRule is a declarative recovery SLO: after the fault clears at
-// ClearAt, the series must make a sustained return to within Tolerance of
-// its own baseline (measured over [BaselineFrom, BaselineTo]) in at most
-// Within of virtual time. It wraps metrics.RecoveryDetector, replacing the
-// hand-rolled recovery assertions in the resilience experiments.
-type RecoveryRule struct {
-	Name         string
-	Series       string
-	BaselineFrom time.Duration
-	BaselineTo   time.Duration
-	ClearAt      time.Duration
-	Within       time.Duration
-	Tolerance    float64 // fraction below baseline still counted recovered
-	Sustain      int     // consecutive recovered samples required (min 1)
-}
-
 // Violation is one structured SLO breach record.
 type Violation struct {
 	Rule   string        `json:"rule"`
@@ -92,92 +81,126 @@ func (v Violation) String() string {
 	return fmt.Sprintf("%s: %s at %v (value %g): %s", v.Rule, v.Series, v.At, v.Value, v.Detail)
 }
 
-// Watchdog evaluates a set of declarative rules over collected series.
-// Rules are checked in the order added; evaluation is a pure function of
-// the series, so watchdog verdicts inherit the simulation's determinism.
+// Watchdog evaluates threshold Rules continuously as a scraper samples. It
+// attaches to a Scraper's OnSample hook and checks each rule against the
+// newest window only, carrying the sustain run across windows — so a breach
+// fires the moment its Sustain-th consecutive bad sample lands, in engine
+// context, while the system is still running. That is what lets nadino-svc
+// dump the flight recorder *at* the breach rather than post-mortem.
+//
+// One violation fires per breach episode; a conforming sample closes the
+// episode and re-arms the rule. A rule whose series is missing is itself a
+// violation, reported once — a silently absent SLO is worse than a failing
+// one. Rule.From/To bound evaluation in virtual time (To == 0 means
+// forever). Verdicts are a pure function of the sampled series, so they
+// inherit the simulation's determinism. Recorded violations are guarded by
+// a mutex so the HTTP plane can list them while the engine appends.
 type Watchdog struct {
-	rules    []Rule
-	recovery []RecoveryRule
+	rules []Rule
+	state []ruleState
+
+	// OnBreach, if set, runs in engine context the moment a violation is
+	// recorded. nadino-svc hooks the flight-recorder dump here.
+	OnBreach func(Violation)
+
+	mu         sync.Mutex
+	violations []Violation
+}
+
+// ruleState is the per-rule episode accumulator.
+type ruleState struct {
+	run      int
+	runStart time.Duration
+	runValue float64
+	fired    bool
+	missing  bool // series-not-found already reported
 }
 
 // NewWatchdog returns an empty watchdog.
 func NewWatchdog() *Watchdog { return &Watchdog{} }
 
-// Add registers a threshold rule.
-func (w *Watchdog) Add(r Rule) { w.rules = append(w.rules, r) }
-
-// AddRecovery registers a recovery rule.
-func (w *Watchdog) AddRecovery(r RecoveryRule) { w.recovery = append(w.recovery, r) }
-
-// Evaluate runs every rule against the series returned by lookup (a
-// Scraper's Lookup, or any map over metrics.Series) and returns the
-// violations in rule order. A rule whose series is missing is itself a
-// violation — a silently absent SLO is worse than a failing one.
-func (w *Watchdog) Evaluate(lookup func(key string) *metrics.Series) []Violation {
-	var out []Violation
-	for _, r := range w.rules {
-		out = append(out, evalThreshold(r, lookup(r.Series))...)
-	}
-	for _, r := range w.recovery {
-		out = append(out, evalRecovery(r, lookup(r.Series))...)
-	}
-	return out
+// Add registers a threshold rule. Once attached, call it in engine context
+// or with the engine paused (nadino-svc hot-adds rules under its pacer).
+func (w *Watchdog) Add(r Rule) {
+	w.rules = append(w.rules, r)
+	w.state = append(w.state, ruleState{})
 }
 
-func evalThreshold(r Rule, s *metrics.Series) []Violation {
-	if s == nil {
-		return []Violation{{Rule: r.Name, Series: r.Series, Detail: "series not found"}}
-	}
-	need := r.Sustain
-	if need < 1 {
-		need = 1
-	}
-	var out []Violation
-	run := 0
-	var runStart time.Duration
-	var runValue float64
-	fired := false
-	for _, p := range s.Points {
-		if p.T < r.From || (r.To > 0 && p.T > r.To) {
+// Attach hooks the watchdog to sc: every scrape window is evaluated as it
+// closes. One watchdog attaches to one scraper.
+func (w *Watchdog) Attach(sc *Scraper) {
+	sc.OnSample(func(now time.Duration) { w.step(sc, now) })
+}
+
+// step evaluates every rule against the sample that just landed at now.
+// Engine context.
+func (w *Watchdog) step(sc *Scraper, now time.Duration) {
+	for i := range w.rules {
+		r := &w.rules[i]
+		st := &w.state[i]
+		if now < r.From || (r.To > 0 && now > r.To) {
 			continue
+		}
+		s := sc.Lookup(r.Series)
+		if s == nil {
+			if !st.missing {
+				st.missing = true
+				w.record(Violation{Rule: r.Name, Series: r.Series, At: now, Detail: "series not found"})
+			}
+			continue
+		}
+		n := s.Len()
+		if n == 0 {
+			continue
+		}
+		p := s.Points[n-1]
+		if p.T != now {
+			continue // this series did not sample this window
 		}
 		if r.Op.holds(p.V, r.Bound) {
-			run, fired = 0, false
+			st.run, st.fired = 0, false
 			continue
 		}
-		if run == 0 {
-			runStart, runValue = p.T, p.V
+		if st.run == 0 {
+			st.runStart, st.runValue = p.T, p.V
 		}
-		run++
-		if run >= need && !fired {
-			out = append(out, Violation{
-				Rule: r.Name, Series: r.Series, At: runStart, Value: runValue,
-				Detail: fmt.Sprintf("want %s %g, got %g for %d consecutive samples", r.Op, r.Bound, runValue, run),
+		st.run++
+		need := r.Sustain
+		if need < 1 {
+			need = 1
+		}
+		if st.run >= need && !st.fired {
+			st.fired = true
+			w.record(Violation{
+				Rule: r.Name, Series: r.Series, At: st.runStart, Value: st.runValue,
+				Detail: fmt.Sprintf("want %s %g, got %g for %d consecutive samples", r.Op, r.Bound, st.runValue, st.run),
 			})
-			fired = true // one violation per breach episode
 		}
 	}
+}
+
+func (w *Watchdog) record(v Violation) {
+	w.mu.Lock()
+	w.violations = append(w.violations, v)
+	w.mu.Unlock()
+	if w.OnBreach != nil {
+		w.OnBreach(v)
+	}
+}
+
+// Violations returns a copy of every violation recorded so far, in firing
+// order. Safe to call from any goroutine.
+func (w *Watchdog) Violations() []Violation {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	out := make([]Violation, len(w.violations))
+	copy(out, w.violations)
 	return out
 }
 
-func evalRecovery(r RecoveryRule, s *metrics.Series) []Violation {
-	if s == nil {
-		return []Violation{{Rule: r.Name, Series: r.Series, Detail: "series not found"}}
-	}
-	baseline := s.MeanBetween(r.BaselineFrom, r.BaselineTo)
-	det := metrics.RecoveryDetector{Baseline: baseline, Tolerance: r.Tolerance, Sustain: r.Sustain}
-	rt, ok := det.Detect(s, r.ClearAt)
-	if !ok {
-		return []Violation{{
-			Rule: r.Name, Series: r.Series, At: r.ClearAt, Value: baseline,
-			Detail: fmt.Sprintf("no sustained return to within %.0f%% of baseline %g after fault clear", 100*r.Tolerance, baseline),
-		}}
-	}
-	if r.Within > 0 && rt > r.Within {
-		return []Violation{{
-			Rule: r.Name, Series: r.Series, At: r.ClearAt + rt, Value: rt.Seconds(),
-			Detail: fmt.Sprintf("recovered in %v, budget %v", rt, r.Within),
-		}}
-	}
-	return nil
+// Rules returns the registered rules in order (for the management API).
+func (w *Watchdog) Rules() []Rule {
+	out := make([]Rule, len(w.rules))
+	copy(out, w.rules)
+	return out
 }

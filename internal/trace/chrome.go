@@ -18,9 +18,11 @@ type Profile struct {
 // is for eyeballing individual timelines, so a head sample keeps it small.
 const chromeRequestCap = 100
 
-// chromeEvent is one entry of the Chrome trace-event JSON format
+// ChromeEvent is one entry of the Chrome trace-event JSON format
 // (https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU).
-type chromeEvent struct {
+// It is the single event shape every Chrome export in the repository
+// encodes: span timelines, telemetry counters and flight-recorder dumps.
+type ChromeEvent struct {
 	Name  string         `json:"name"`
 	Phase string         `json:"ph"`
 	TS    float64        `json:"ts"` // microseconds
@@ -32,8 +34,27 @@ type chromeEvent struct {
 }
 
 type chromeFile struct {
-	TraceEvents     []chromeEvent `json:"traceEvents"`
+	TraceEvents     []ChromeEvent `json:"traceEvents"`
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
+}
+
+// ChromeMeta returns the metadata event naming a process (tid 0) or one of
+// its threads.
+func ChromeMeta(pid, tid int, name string) ChromeEvent {
+	kind := "process_name"
+	if tid != 0 {
+		kind = "thread_name"
+	}
+	return ChromeEvent{Name: kind, Phase: "M", PID: pid, TID: tid, Args: map[string]any{"name": name}}
+}
+
+// EncodeChrome writes events as a Chrome trace-event JSON file (load it in
+// chrome://tracing or https://ui.perfetto.dev), in the given order.
+func EncodeChrome(w io.Writer, events []ChromeEvent) error {
+	if events == nil {
+		events = []ChromeEvent{}
+	}
+	return json.NewEncoder(w).Encode(chromeFile{TraceEvents: events, DisplayTimeUnit: "ms"})
 }
 
 // CounterPoint is one sample of a Chrome counter timeline.
@@ -50,23 +71,15 @@ type CounterTrack struct {
 	Points []CounterPoint
 }
 
-// WriteChrome renders the profiles as a Chrome trace-event JSON file
-// (load it in chrome://tracing or https://ui.perfetto.dev). Virtual time
-// maps directly onto the trace clock; open spans are skipped.
-func WriteChrome(w io.Writer, profiles []Profile) error {
-	return WriteChromeWithCounters(w, profiles, nil)
-}
-
-// WriteChromeWithCounters is WriteChrome plus counter timelines: each track
-// becomes a `"ph":"C"` series under a dedicated "telemetry" process, so
-// scraped gauges render as strip charts above the span rows.
-func WriteChromeWithCounters(w io.Writer, profiles []Profile, counters []CounterTrack) error {
-	file := chromeFile{TraceEvents: []chromeEvent{}, DisplayTimeUnit: "ms"}
+// WriteChrome renders the profiles' span timelines plus any counter
+// timelines as one Chrome trace file. Virtual time maps directly onto the
+// trace clock; open spans are skipped. Each counter track becomes a
+// `"ph":"C"` series under a dedicated "telemetry" process, so scraped
+// gauges render as strip charts above the span rows.
+func WriteChrome(w io.Writer, profiles []Profile, counters []CounterTrack) error {
+	var events []ChromeEvent
 	for pid, p := range profiles {
-		file.TraceEvents = append(file.TraceEvents, chromeEvent{
-			Name: "process_name", Phase: "M", PID: pid,
-			Args: map[string]any{"name": p.Name},
-		})
+		events = append(events, ChromeMeta(pid, 0, p.Name))
 		tids := make(map[string]int)
 		exported := 0
 		for _, r := range p.Tracer.Requests() {
@@ -84,12 +97,9 @@ func WriteChromeWithCounters(w io.Writer, profiles []Profile, counters []Counter
 				if !ok {
 					tid = len(tids) + 1
 					tids[sp.Actor] = tid
-					file.TraceEvents = append(file.TraceEvents, chromeEvent{
-						Name: "thread_name", Phase: "M", PID: pid, TID: tid,
-						Args: map[string]any{"name": sp.Actor},
-					})
+					events = append(events, ChromeMeta(pid, tid, sp.Actor))
 				}
-				ev := chromeEvent{
+				ev := ChromeEvent{
 					Name:  sp.Stage,
 					Phase: "X",
 					TS:    float64(sp.Start.Nanoseconds()) / 1e3,
@@ -105,19 +115,16 @@ func WriteChromeWithCounters(w io.Writer, profiles []Profile, counters []Counter
 					ev.Dur = 0
 					ev.Scope = "t"
 				}
-				file.TraceEvents = append(file.TraceEvents, ev)
+				events = append(events, ev)
 			}
 		}
 	}
 	if len(counters) > 0 {
 		pid := len(profiles)
-		file.TraceEvents = append(file.TraceEvents, chromeEvent{
-			Name: "process_name", Phase: "M", PID: pid,
-			Args: map[string]any{"name": "telemetry"},
-		})
+		events = append(events, ChromeMeta(pid, 0, "telemetry"))
 		for _, tr := range counters {
 			for _, p := range tr.Points {
-				file.TraceEvents = append(file.TraceEvents, chromeEvent{
+				events = append(events, ChromeEvent{
 					Name:  tr.Name,
 					Phase: "C",
 					TS:    float64(p.T.Nanoseconds()) / 1e3,
@@ -127,6 +134,5 @@ func WriteChromeWithCounters(w io.Writer, profiles []Profile, counters []Counter
 			}
 		}
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(file)
+	return EncodeChrome(w, events)
 }

@@ -180,7 +180,7 @@ func TestWriteChrome(t *testing.T) {
 	r.Finish()
 
 	var buf bytes.Buffer
-	if err := WriteChrome(&buf, []Profile{{Name: "p0", Tracer: tr}}); err != nil {
+	if err := WriteChrome(&buf, []Profile{{Name: "p0", Tracer: tr}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	var file struct {
