@@ -117,12 +117,14 @@ svc-smoke:
 
 # Coverage floors for the correctness-critical packages: the simulation
 # engine, the ownership-checked mempool, the RDMA transport, the DNE, the
-# gateway fabric, speculation, ingress and the cluster core, plus the
-# observability pipeline (telemetry, trace, flight recorder, nadino-svc).
+# gateway fabric, speculation, ingress and the cluster core, the
+# observability pipeline (telemetry, trace, flight recorder, nadino-svc),
+# and the simulation fuzzer itself.
 COVER_FLOOR := 70
 COVER_PKGS  := ./internal/sim/ ./internal/mempool/ ./internal/rdma/ ./internal/dne/ \
 	./internal/gateway/ ./internal/speculate/ ./internal/ingress/ ./internal/core/ \
-	./internal/telemetry/ ./internal/trace/ ./internal/flightrec/ ./internal/svc/
+	./internal/telemetry/ ./internal/trace/ ./internal/flightrec/ ./internal/svc/ \
+	./internal/simtest/
 
 # cover runs the floor packages with -cover and fails if any falls below
 # $(COVER_FLOOR)% statement coverage.

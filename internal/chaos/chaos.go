@@ -83,9 +83,6 @@ func NewInjector(eng *sim.Engine, net *fabric.Network, seed int64) *Injector {
 	}
 }
 
-// Network returns the fabric the injector drives link faults on.
-func (in *Injector) Network() *fabric.Network { return in.net }
-
 // RegisterStaller names a stallable component (e.g. "dma@nodeA").
 func (in *Injector) RegisterStaller(name string, s Staller) { in.stallers[name] = s }
 

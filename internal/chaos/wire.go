@@ -49,11 +49,13 @@ type wireSchedule struct {
 	Events []wireEvent `json:"events"`
 }
 
-// wireHorizon bounds every wire time: events must end (at_ms + for_ms)
+// WireHorizon bounds every wire time: events must end (at_ms + for_ms)
 // within it, and link-jitter delays may not exceed it. Larger values are
 // hostile or corrupt, and past ~292 years the float-to-Duration conversion
-// overflows into negative times the engine cannot schedule.
-const wireHorizon = 24 * time.Hour
+// overflows into negative times the engine cannot schedule. Other wire
+// formats that carry relative times (the management API's watchdog rule
+// windows) share the bound.
+const WireHorizon = 24 * time.Hour
 
 func ms(v float64) time.Duration { return time.Duration(v * float64(time.Millisecond)) }
 
@@ -95,9 +97,9 @@ func decodeFault(w wireFault) (Fault, error) {
 		if w.From == "" || w.To == "" {
 			return nil, fmt.Errorf("chaos: link-jitter needs from and to")
 		}
-		maxUS := float64(wireHorizon / time.Microsecond)
+		maxUS := float64(WireHorizon / time.Microsecond)
 		if w.ExtraUS < 0 || w.ExtraUS > maxUS || w.JitterUS < 0 || w.JitterUS > maxUS {
-			return nil, fmt.Errorf("chaos: link-jitter extra_us %v / jitter_us %v outside [0, %v]", w.ExtraUS, w.JitterUS, wireHorizon)
+			return nil, fmt.Errorf("chaos: link-jitter extra_us %v / jitter_us %v outside [0, %v]", w.ExtraUS, w.JitterUS, WireHorizon)
 		}
 		return LinkJitter{
 			From: fabric.NodeID(w.From), To: fabric.NodeID(w.To),
@@ -141,7 +143,7 @@ func decodeFault(w wireFault) (Fault, error) {
 
 // ParseSchedule decodes the JSON wire format into a Schedule. Event times
 // are relative to the document's zero; pair with Shift for hot installs.
-// Every event must end within wireHorizon of that zero.
+// Every event must end within WireHorizon of that zero.
 func ParseSchedule(data []byte) (Schedule, error) {
 	var doc wireSchedule
 	if err := json.Unmarshal(data, &doc); err != nil {
@@ -155,8 +157,8 @@ func ParseSchedule(data []byte) (Schedule, error) {
 		if ev.AtMS < 0 || ev.ForMS < 0 {
 			return nil, fmt.Errorf("chaos: event %d has negative time", i)
 		}
-		if ev.AtMS+ev.ForMS > float64(wireHorizon/time.Millisecond) {
-			return nil, fmt.Errorf("chaos: event %d ends past the %v schedule horizon", i, wireHorizon)
+		if ev.AtMS+ev.ForMS > float64(WireHorizon/time.Millisecond) {
+			return nil, fmt.Errorf("chaos: event %d ends past the %v schedule horizon", i, WireHorizon)
 		}
 		f, err := decodeFault(ev.Fault)
 		if err != nil {

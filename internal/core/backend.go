@@ -19,6 +19,13 @@ func ingressResponse(bytes int, stamp time.Duration) ingress.Response {
 // rqOwner is the owner tag for buffers posted to the ingress backend's SRQ.
 const rqOwner mempool.Owner = "igw-rq"
 
+// ingressRing is how many receive buffers the ingress backend keeps posted
+// per tenant.
+const ingressRing = 1024
+
+// ingressRepairEvery is the period of the ingress backend's QP repair pass.
+const ingressRepairEvery = time.Millisecond
+
 // beTenant is the ingress backend's per-tenant slice: its own pool on the
 // ingress node, a shared receive queue, and RC pools toward each worker.
 type beTenant struct {
@@ -75,12 +82,24 @@ func (b *rdmaBackend) tenant(name string) *beTenant {
 	return t
 }
 
-// start posts the initial receive rings and spawns the completion poller.
+// start posts the initial receive rings, spawns the completion poller and
+// arms the QP repair pass.
 func (b *rdmaBackend) start() {
 	for _, t := range b.tenantSeq {
-		b.post(t, 1024)
+		b.post(t, ingressRing)
 	}
 	b.c.Eng.Spawn("ingress-rdma-poller", b.pollLoop)
+	// The ingress has no keeper thread, so it re-handshakes errored
+	// connections on a fixed cadence, as the DNE and gateway keepers do for
+	// theirs. Repairing only on error completions is not enough: a pool
+	// errored by a crash may carry no traffic afterwards.
+	b.c.Eng.Ticker(ingressRepairEvery, func(time.Duration) {
+		for _, t := range b.tenantSeq {
+			for _, n := range b.c.nodeSeq {
+				t.conns[string(n.name)].Repair()
+			}
+		}
+	})
 }
 
 // post posts n receive buffers to a tenant's ingress SRQ, batching the

@@ -180,12 +180,12 @@ func NewCluster(cfg Config) *Cluster {
 	}
 	tenants := []TenantSpec{{Name: cfg.Tenant, Weight: 1}}
 	for _, ts := range cfg.Tenants {
+		if ts.Weight <= 0 {
+			ts.Weight = 1
+		}
 		if ts.Name == cfg.Tenant {
 			tenants[0].Weight = ts.Weight
 			continue
-		}
-		if ts.Weight <= 0 {
-			ts.Weight = 1
 		}
 		tenants = append(tenants, ts)
 	}
@@ -295,6 +295,7 @@ func (c *Cluster) addNode(name string) {
 		for _, ts := range c.tenants {
 			n.engine.AddTenant(ts.Name, n.pools[ts.Name], ts.Weight)
 		}
+		n.engine.SetDropHook(c.dropped)
 	}
 	if n.engine != nil && c.cfg.Gateways {
 		n.gw = gateway.New(c.Eng, c.P, n.name, c.net, n.dpu.RNIC(), c.cfg.GatewayWindow)
@@ -302,6 +303,7 @@ func (c *Cluster) addNode(name string) {
 			n.gw.AddTenant(ts.Name, n.pools[ts.Name])
 		}
 		n.gw.SetEgress(n.engine)
+		n.gw.SetDropHook(c.dropped)
 		n.engine.SetForwarder(n.gw, n.gw.Owner())
 	}
 	c.nodes[name] = n
@@ -446,9 +448,6 @@ func (c *Cluster) Gateway() *ingress.Gateway { return c.gw }
 // Engine returns node's network engine (NADINO systems).
 func (c *Cluster) Engine(node string) *dne.Engine { return c.nodes[node].engine }
 
-// NodeGateway returns node's gateway tier (nil unless Config.Gateways).
-func (c *Cluster) NodeGateway(node string) *gateway.Gateway { return c.nodes[node].gw }
-
 // Gateways returns every node gateway in node order (empty unless
 // Config.Gateways).
 func (c *Cluster) Gateways() []*gateway.Gateway {
@@ -466,10 +465,11 @@ func (c *Cluster) Net() *fabric.Network { return c.net }
 
 // NewChaos builds a fault injector over the whole cluster with every
 // standard target registered: the gateway as "ingress", and per node the
-// SoC DMA as "dma@<node>", the DPU ARM cores as "cores@<node>", and the
-// node engine's RC connection pools as "qp@<node>" (a lazy provider —
-// pools only exist once setup completes). Non-NADINO systems register no
-// QP targets for nodes without an engine.
+// SoC DMA as "dma@<node>", the DPU ARM cores as "cores@<node>", the node
+// engine's RC connection pools as "qp@<node>", and the node's crash set as
+// "crash@<node>" (QP targets are lazy providers — pools only exist once
+// setup completes). Non-NADINO systems register no QP targets for nodes
+// without an engine.
 func (c *Cluster) NewChaos(seed int64) *chaos.Injector {
 	in := chaos.NewInjector(c.Eng, c.net, seed)
 	in.RegisterGateway("ingress", c.gw)
@@ -486,6 +486,9 @@ func (c *Cluster) NewChaos(seed int64) *chaos.Injector {
 				}
 				return ts
 			})
+			in.RegisterQPs("crash@"+string(node.name), func() []chaos.QPErrorTarget {
+				return c.crashSet(node)
+			})
 		}
 		if node.gw != nil {
 			g := node.gw
@@ -501,6 +504,44 @@ func (c *Cluster) NewChaos(seed int64) *chaos.Injector {
 		}
 	}
 	return in
+}
+
+// crashSet is every RC pool that loses its QP state when node n reboots
+// (chaos.NodeCrash on "crash@<node>"): the node's own engine and gateway
+// pools, and both ends' view of every connection toward it — each other
+// node's engine and gateway pools toward n, and the ingress backend's pools
+// toward n.
+func (c *Cluster) crashSet(n *Node) []chaos.QPErrorTarget {
+	var ts []chaos.QPErrorTarget
+	for _, cp := range n.engine.ConnPools() {
+		ts = append(ts, cp)
+	}
+	if n.gw != nil {
+		for _, cp := range n.gw.Links() {
+			ts = append(ts, cp)
+		}
+	}
+	for _, other := range c.nodeSeq {
+		if other == n {
+			continue
+		}
+		for _, tn := range c.tenants {
+			if cp := other.engine.ConnPool(n.name, tn.Name); cp != nil {
+				ts = append(ts, cp)
+			}
+		}
+		if other.gw != nil {
+			if cp := other.gw.Link(n.name); cp != nil {
+				ts = append(ts, cp)
+			}
+		}
+	}
+	for _, t := range c.rdmaBE.tenantSeq {
+		if cp := t.conns[string(n.name)]; cp != nil {
+			ts = append(ts, cp)
+		}
+	}
+	return ts
 }
 
 // setup establishes RC connections, starts engines, backends and function

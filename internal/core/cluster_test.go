@@ -30,12 +30,8 @@ func testConfig(sys System) Config {
 	}
 }
 
-// runChainLoad drives n closed-loop clients for dur (after setup) and
-// returns completed requests and the cluster.
-func runChainLoad(t *testing.T, sys System, n int, dur time.Duration) (*Cluster, uint64) {
-	t.Helper()
-	c := NewCluster(testConfig(sys))
-	t.Cleanup(c.Eng.Stop)
+// closedLoop runs n closed-loop clients of chain "mix" from setup on.
+func closedLoop(c *Cluster, n int) {
 	for i := 0; i < n; i++ {
 		id := i
 		c.Eng.Spawn("client", func(pr *sim.Proc) {
@@ -47,6 +43,15 @@ func runChainLoad(t *testing.T, sys System, n int, dur time.Duration) (*Cluster,
 			}
 		})
 	}
+}
+
+// runChainLoad drives n closed-loop clients for dur (after setup) and
+// returns completed requests and the cluster.
+func runChainLoad(t *testing.T, sys System, n int, dur time.Duration) (*Cluster, uint64) {
+	t.Helper()
+	c := NewCluster(testConfig(sys))
+	t.Cleanup(c.Eng.Stop)
+	closedLoop(c, n)
 	c.Eng.RunUntil(dur)
 	return c, c.Completed.Total()
 }
@@ -204,17 +209,7 @@ func runHeavyLoad(t *testing.T, sys System, n int, dur time.Duration) uint64 {
 	t.Helper()
 	c := NewCluster(engineHeavyConfig(sys))
 	t.Cleanup(c.Eng.Stop)
-	for i := 0; i < n; i++ {
-		id := i
-		c.Eng.Spawn("client", func(pr *sim.Proc) {
-			c.WaitReady(pr)
-			respQ := sim.NewQueue[ingress.Response](c.Eng, 0)
-			for {
-				c.SubmitChain("mix", id, func(r ingress.Response) { respQ.TryPut(r) })
-				respQ.Get(pr)
-			}
-		})
-	}
+	closedLoop(c, n)
 	c.Eng.RunUntil(dur)
 	return c.Completed.Total()
 }

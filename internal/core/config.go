@@ -171,12 +171,31 @@ func LoadConfig(r io.Reader) (Config, error) {
 	return cfg, cfg.Validate()
 }
 
+// MaxTenantWeight bounds a tenant's DWRR weight. The scheduler's quantum is
+// weight times the per-unit byte quantum: far larger weights overflow it to
+// zero and wedge the engine, and no sane share ratio needs them.
+const MaxTenantWeight = 1 << 16
+
+// checkWeight rejects weights outside [0, MaxTenantWeight] (0 means the
+// default weight of 1).
+func checkWeight(w int) error {
+	if w < 0 || w > MaxTenantWeight {
+		return fmt.Errorf("weight %d outside [0, %d]", w, MaxTenantWeight)
+	}
+	return nil
+}
+
 // Validate checks a configuration for structural errors before it is used
 // to build a cluster (NewCluster panics on malformed input; Validate turns
 // the common mistakes into errors first).
 func (c Config) Validate() error {
 	if len(c.Nodes) == 0 {
 		return fmt.Errorf("core: config has no nodes")
+	}
+	for _, ts := range c.Tenants {
+		if err := checkWeight(ts.Weight); err != nil {
+			return fmt.Errorf("core: tenant %q: %w", ts.Name, err)
+		}
 	}
 	if len(c.Functions) == 0 {
 		return fmt.Errorf("core: config has no functions")

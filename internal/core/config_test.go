@@ -135,3 +135,46 @@ func TestLoadConfigRejectsBadDuration(t *testing.T) {
 		t.Fatal("bad duration accepted")
 	}
 }
+
+// weightConfig is a one-node config whose default tenant carries weight.
+func weightConfig(weight string) string {
+	return `{"system":"nadino-dne","tenant":"t","tenants":[{"name":"t","weight":` + weight + `}],` +
+		`"nodes":["n1"],"functions":[{"name":"f","node":"n1"}],` +
+		`"chains":[{"name":"c","entry":"f","req_bytes":64,"resp_bytes":64}]}`
+}
+
+// TestTenantWeightBounds: weights cross two trust boundaries — config JSON
+// and the management API — and both refuse negatives (which panicked
+// NewCluster on the default tenant) and weights past MaxTenantWeight (2^53
+// overflowed the DWRR quantum to zero and spun the engine forever). Weight
+// 0 means the default weight of 1 for every tenant, the default included.
+func TestTenantWeightBounds(t *testing.T) {
+	for _, w := range []string{"-1", "9007199254740992", "65537"} {
+		if _, err := LoadConfig(strings.NewReader(weightConfig(w))); err == nil {
+			t.Errorf("LoadConfig accepted tenant weight %s", w)
+		}
+	}
+	cfg, err := LoadConfig(strings.NewReader(weightConfig("0")))
+	if err != nil {
+		t.Fatalf("weight 0 rejected: %v", err)
+	}
+	c := NewCluster(cfg)
+	t.Cleanup(c.Eng.Stop)
+	if w := c.TenantWeights()[0].Weight; w != 1 {
+		t.Fatalf("default tenant weight 0 normalised to %d, want 1", w)
+	}
+	for _, w := range []int{-1, 0, MaxTenantWeight + 1, 1 << 53} {
+		if c.SetTenantWeight("t", w) {
+			t.Errorf("SetTenantWeight accepted %d", w)
+		}
+	}
+	if !c.SetTenantWeight("t", MaxTenantWeight) {
+		t.Fatal("SetTenantWeight refused MaxTenantWeight")
+	}
+	// The largest weight still schedules: the engine keeps serving.
+	c.Eng.Ticker(100*time.Microsecond, func(time.Duration) { c.SubmitChain("c", 0, nil) })
+	c.Eng.RunUntil(c.P.QPSetupTime + 20*time.Millisecond)
+	if c.Completed.Total() == 0 {
+		t.Fatal("nothing completed at MaxTenantWeight")
+	}
+}

@@ -46,9 +46,10 @@ func (c *Cluster) AttachFlightRecorder(rec *flightrec.Recorder) {
 
 // SetTenantWeight re-weights a tenant's scheduler share on every node
 // engine at runtime — the hot-reload path behind the management API's
-// tenant update. Reports whether any engine knew the tenant.
+// tenant update. Reports whether any engine knew the tenant; weights
+// outside [1, MaxTenantWeight] are refused.
 func (c *Cluster) SetTenantWeight(tenant string, weight int) bool {
-	if weight <= 0 {
+	if weight < 1 || weight > MaxTenantWeight {
 		return false
 	}
 	found := false

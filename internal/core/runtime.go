@@ -131,6 +131,9 @@ func (c *Cluster) invoke(pr *sim.Proc, f *Function, call Call, chain string, tr 
 		return err
 	}
 	resp := cc.q.Get(pr)
+	if cc.failed {
+		return fmt.Errorf("core: %s call to %s dropped in the data plane", f.name, call.Callee)
+	}
 	// Consume and recycle the response buffer (the sidecar has already
 	// normalized cross-tenant responses into f's own pool).
 	if err := f.node.pool(f.tenant).Put(resp.Buf, f.owner); err != nil {
@@ -342,9 +345,39 @@ func (c *Cluster) deliver(pr *sim.Proc, f *Function, d mempool.Descriptor) {
 		d.Trace.BeginStage(trace.StageFnQueue, f.name)
 		f.inbox.TryPut(d)
 	case kindResponse:
-		if mc.Call == nil {
+		cc := mc.Call
+		if cc == nil {
 			panic(fmt.Sprintf("core: %s received response with no caller", f.name))
 		}
-		mc.Call.q.TryPut(d)
+		if cc.done {
+			// A duplicate reply, or one to a call already failed by a drop:
+			// nobody waits for it.
+			if err := f.node.pool(f.tenant).Put(d.Buf, f.owner); err != nil {
+				panic(fmt.Sprintf("core: %s late response recycle: %v", f.name, err))
+			}
+			return
+		}
+		cc.done = true
+		cc.q.TryPut(d)
+	}
+}
+
+// dropped is the data plane's drop hook (engines and gateways): ctx rode a
+// descriptor lost for good. If it is the request or the reply of a nested
+// call, fail that call so the parked caller moves on — otherwise the
+// worker would block forever. Requests and replies of ingress-originated
+// invocations have no waiter in the cluster; they stay lost, accounted to
+// the drop counter that fired.
+func (c *Cluster) dropped(ctx any) {
+	mc, ok := ctx.(*msgCtx)
+	if !ok {
+		return
+	}
+	cc := mc.Call
+	if mc.Kind == kindRequest && mc.Req != nil {
+		cc = mc.Req.Call
+	}
+	if cc != nil {
+		cc.fail()
 	}
 }

@@ -154,9 +154,23 @@ const (
 	kindResponse
 )
 
-// callCtx is a caller's rendezvous for one outstanding invocation.
+// callCtx is a caller's rendezvous for one outstanding invocation. The
+// first of its reply or a drop notice for its request or reply settles it
+// (done); failed marks the drop. Whatever arrives after that — a duplicate
+// reply, or the reply to a call already failed — is recycled by the
+// receiver instead of parked.
 type callCtx struct {
-	q *sim.Queue[mempool.Descriptor]
+	q            *sim.Queue[mempool.Descriptor]
+	done, failed bool
+}
+
+// fail settles the call as lost and wakes its caller.
+func (cc *callCtx) fail() {
+	if cc.done {
+		return
+	}
+	cc.done, cc.failed = true, true
+	cc.q.TryPut(mempool.Descriptor{})
 }
 
 // reqCtx travels with a request descriptor and tells the invoked function

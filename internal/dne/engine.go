@@ -180,6 +180,10 @@ type Engine struct {
 	rec      *flightrec.Recorder
 	recActor uint16
 
+	// onDrop, when set, learns the context of every descriptor the engine
+	// loses for good (SetDropHook).
+	onDrop func(ctx any)
+
 	// LoopIters and LoopWaits count worker-loop iterations and idle waits
 	// (diagnostics).
 	LoopIters, LoopWaits uint64
@@ -372,6 +376,22 @@ func (e *Engine) frDrop(k flightrec.Kind, d *mempool.Descriptor) {
 	e.rec.Record(k, e.recActor, tid, int64(d.Len))
 }
 
+// SetDropHook installs fn to receive the Ctx of every descriptor the engine
+// drops for good — no route, no port, or the transport retry budget spent —
+// so the layer that issued it can fail whatever waits on it. Losing
+// speculative clones killed at the TX gate are kills, not drops, and are
+// not reported. fn runs in engine context.
+func (e *Engine) SetDropHook(fn func(ctx any)) { e.onDrop = fn }
+
+// lost hands a dropped descriptor's context to the drop hook. It takes only
+// the context, never the descriptor, so drop sites keep their descriptors
+// on the stack.
+func (e *Engine) lost(ctx any) {
+	if e.onDrop != nil {
+		e.onDrop(ctx)
+	}
+}
+
 // Tenant returns a tenant's meters for experiment plumbing.
 func (e *Engine) Tenant(tenant string) (tx, rx *metrics.Meter) {
 	ts := e.tenants[tenant]
@@ -383,6 +403,10 @@ func (e *Engine) Tenant(tenant string) (tx, rx *metrics.Meter) {
 
 // SRQ returns a tenant's shared receive queue.
 func (e *Engine) SRQ(tenant string) *rdma.SRQ { return e.tenants[tenant].srq }
+
+// RQTarget reports how many receive buffers the keeper keeps posted per
+// tenant (Config.InitialRQ after defaulting).
+func (e *Engine) RQTarget() int { return e.cfg.InitialRQ }
 
 // internFn returns fn's dense ID, assigning one on first use.
 func (e *Engine) internFn(fn string) int32 {
@@ -648,6 +672,7 @@ func (e *Engine) txOne(pr *sim.Proc, d mempool.Descriptor) {
 	if nodeIdx < 0 {
 		e.dropNoRoute++
 		e.frDrop(flightrec.KindDropNoRoute, &d)
+		e.lost(d.Ctx)
 		e.releaseBuffer(d)
 		sp.End()
 		return
@@ -676,6 +701,7 @@ func (e *Engine) txOne(pr *sim.Proc, d mempool.Descriptor) {
 	if cp == nil {
 		e.dropNoRoute++
 		e.frDrop(flightrec.KindDropNoRoute, &d)
+		e.lost(d.Ctx)
 		e.releaseBuffer(d)
 		sp.End()
 		return
@@ -716,6 +742,7 @@ func (e *Engine) handleCQE(pr *sim.Proc, cqe rdma.CQE) {
 			}
 			e.dropRetryBudget++
 			e.frDrop(flightrec.KindDropRetry, &d)
+			e.lost(d.Ctx)
 		}
 		e.releaseBuffer(cqe.Desc)
 	case rdma.OpRecv:
@@ -731,6 +758,7 @@ func (e *Engine) handleCQE(pr *sim.Proc, cqe rdma.CQE) {
 		if !ok {
 			e.dropNoPort++
 			e.frDrop(flightrec.KindDropNoPort, &d)
+			e.lost(d.Ctx)
 			e.releaseRQBuffer(d)
 			sp.End()
 			return
@@ -763,6 +791,7 @@ func (e *Engine) gwDeliver(pr *sim.Proc, d mempool.Descriptor) {
 	if !ok {
 		e.dropNoPort++
 		e.frDrop(flightrec.KindDropNoPort, &d)
+		e.lost(d.Ctx)
 		if ts := e.tenantOf(&d); ts != nil {
 			if err := ts.pool.Put(d.Buf, e.gwOwner); err != nil {
 				panic(fmt.Sprintf("dne: gateway buffer recycle failed: %v", err))

@@ -49,12 +49,11 @@ func RunFuzz(o Opts) []*Table {
 	})
 
 	var failed []*simtest.Result
-	var issued, completed, shed, drops uint64
+	var issued, completed, drops uint64
 	var faults, audits int
 	for _, res := range results {
 		issued += res.Issued
 		completed += res.Completed
-		shed += res.Shed
 		drops += res.Drops
 		faults += res.FaultsApplied
 		audits += res.AuditOps
@@ -65,10 +64,10 @@ func RunFuzz(o Opts) []*Table {
 
 	summary := &Table{
 		Title:   "Fuzz sweep summary",
-		Columns: []string{"scenarios", "passed", "failed", "issued", "completed", "shed", "drops", "faults", "audit ops"},
+		Columns: []string{"scenarios", "passed", "failed", "issued", "completed", "drops", "faults", "audit ops"},
 		Rows: [][]string{{
 			fmt.Sprint(n), fmt.Sprint(n - len(failed)), fmt.Sprint(len(failed)),
-			fmt.Sprint(issued), fmt.Sprint(completed), fmt.Sprint(shed),
+			fmt.Sprint(issued), fmt.Sprint(completed),
 			fmt.Sprint(drops), fmt.Sprint(faults), fmt.Sprint(audits),
 		}},
 	}

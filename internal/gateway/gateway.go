@@ -139,7 +139,17 @@ type Gateway struct {
 	// land in the ring under this gateway's interned actor id.
 	rec      *flightrec.Recorder
 	recActor uint16
+
+	// onDrop, when set, learns the context of every descriptor the gateway
+	// drops (SetDropHook).
+	onDrop func(ctx any)
 }
+
+// SetDropHook installs fn to receive the Ctx of every descriptor the
+// gateway drops — unroutable tenant, retry budget spent, unknown
+// destination or TTL expired — so the layer that issued it can fail
+// whatever waits on it. fn runs in engine context.
+func (g *Gateway) SetDropHook(fn func(ctx any)) { g.onDrop = fn }
 
 // SetFlightRecorder routes drop and route-update events into r (nil
 // detaches). The actor id is interned once so record paths stay
@@ -154,6 +164,14 @@ func (g *Gateway) SetFlightRecorder(r *flightrec.Recorder) {
 func (g *Gateway) frDrop(d *mempool.Descriptor) {
 	if g.rec != nil {
 		g.rec.Record(flightrec.KindGwDrop, g.recActor, int64(d.Hops), int64(d.Len))
+	}
+}
+
+// lost hands a dropped descriptor's context to the drop hook (the context
+// only, so drop sites keep their descriptors on the stack).
+func (g *Gateway) lost(ctx any) {
+	if g.onDrop != nil {
+		g.onDrop(ctx)
 	}
 }
 
@@ -373,6 +391,7 @@ func (g *Gateway) pump(pr *sim.Proc) bool {
 		d.Trace.EndStage(trace.StageGwQueue)
 		g.dropped++
 		g.frDrop(&d)
+		g.lost(d.Ctx)
 		g.releaseSource(d)
 		return true
 	}
@@ -426,6 +445,7 @@ func (g *Gateway) handleCQE(pr *sim.Proc, e rdma.CQE) {
 	}
 	g.dropped++
 	g.frDrop(&d)
+	g.lost(d.Ctx)
 	g.releaseSource(d)
 }
 
@@ -449,6 +469,7 @@ func (g *Gateway) ingest(pr *sim.Proc, tr *tenantReg, l rdma.Landed) {
 	if !ok {
 		g.dropped++
 		g.frDrop(&d)
+		g.lost(d.Ctx)
 		tr.pool.Put(d.Buf, g.owner)
 		return
 	}
@@ -462,6 +483,7 @@ func (g *Gateway) ingest(pr *sim.Proc, tr *tenantReg, l rdma.Landed) {
 	if int(d.Hops)+1 > g.p.GwMaxHops {
 		g.dropped++
 		g.frDrop(&d)
+		g.lost(d.Ctx)
 		tr.pool.Put(d.Buf, g.owner)
 		return
 	}
@@ -551,15 +573,6 @@ func (g *Gateway) SlotsHeld(tenant string) int {
 		return 0
 	}
 	return tr.slots.Len()
-}
-
-// StarvedSlots reports deferred restocks for tenant.
-func (g *Gateway) StarvedSlots(tenant string) int {
-	tr := g.tenants[tenant]
-	if tr == nil {
-		return 0
-	}
-	return tr.starved
 }
 
 // BusyTime reports forwarding-core busy time (telemetry).

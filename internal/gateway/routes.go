@@ -38,9 +38,6 @@ func (rt *RouteTable) AddPeer(n fabric.NodeID) {
 	rt.hops[n] = n
 }
 
-// Peers returns the registered peer nodes in wiring order.
-func (rt *RouteTable) Peers() []fabric.NodeID { return rt.peers }
-
 // Set records that fn lives on node, bumping the version on change.
 func (rt *RouteTable) Set(fn string, node fabric.NodeID) {
 	if cur, ok := rt.fns[fn]; ok {

@@ -230,6 +230,16 @@ func (g *Gateway) QueueDepth() int {
 	return depth
 }
 
+// Cores returns every worker core ever started, in creation order; retired
+// workers stay listed, since their busy time stays on the books.
+func (g *Gateway) Cores() []*sim.Processor {
+	out := make([]*sim.Processor, len(g.workers))
+	for i, w := range g.workers {
+		out[i] = w.core
+	}
+	return out
+}
+
 // ScaleEvents reports how many scale-up/-down transitions happened.
 func (g *Gateway) ScaleEvents() int { return g.scaleEvents }
 

@@ -127,6 +127,11 @@ func TestAutoscalerShrinksWhenIdle(t *testing.T) {
 	if gw.ActiveWorkers() != 1 {
 		t.Fatalf("autoscaler kept %d workers for an idle load", gw.ActiveWorkers())
 	}
+	// Retired workers stay listed: their busy time stays on the books.
+	cores := gw.Cores()
+	if len(cores) != 4 || cores[3].Name() != "ingress-w3" || cores[0].BusyTime() == 0 {
+		t.Fatalf("Cores() lost workers: %d cores", len(cores))
+	}
 }
 
 func TestKIngressOverloadDropsRequests(t *testing.T) {

@@ -2,11 +2,12 @@ package mempool_test
 
 // Property tests that push the pool's ownership rules through the whole
 // simulated system: cross-tenant Transfer chains interleaved with chaos
-// NodeCrash/QPError faults, checked by the simulation fuzzer's invariant
-// registry (which audits every pool's accounting at event boundaries and
-// requires every buffer home after recovery). The in-package tests cover
-// the pool in isolation; these cover it under concurrent data-plane load,
-// keeper replenishment and fault recovery.
+// NodeCrash/QPError faults on a full core.Cluster, checked by the
+// simulation fuzzer's invariant registry (which audits every worker and
+// ingress pool at event boundaries and requires every buffer home after
+// recovery). The in-package tests cover the pool in isolation; these cover
+// it under concurrent data-plane load, keeper replenishment, dropped-call
+// recovery and QP repair on both ends of every crashed link.
 
 import (
 	"testing"
@@ -18,7 +19,9 @@ import (
 
 // chaosScenario derives a fuzz scenario from a quick-generated seed and
 // forces the ingredients this property needs: an ownership auditor running
-// cross-tenant transfers, plus a NodeCrash and a QPError landing mid-window.
+// cross-tenant transfers, plus a NodeCrash (the crash@<node> set: both ends
+// of every QP the node takes down, ingress included) and a QPError on every
+// engine QP of a node, landing mid-window.
 func chaosScenario(seed int64) simtest.Scenario {
 	sc := simtest.Generate(seed)
 	if sc.Transfers < 16 {
@@ -66,7 +69,8 @@ func TestOwnershipThroughChaosProperty(t *testing.T) {
 }
 
 // TestOwnershipChaosDetectsPlantedLeak keeps the property honest: the same
-// chaos scenario with the harness's planted leak must fail, and on
+// chaos scenario with the harness's planted leak (one tenant-pool buffer
+// taken at load start, never returned) must fail, and on
 // buffer-conservation specifically — proving the invariant (not luck) is
 // what passes the clean runs.
 func TestOwnershipChaosDetectsPlantedLeak(t *testing.T) {

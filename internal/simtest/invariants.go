@@ -2,11 +2,14 @@ package simtest
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
-	"nadino/internal/dne"
+	"nadino/internal/core"
 	"nadino/internal/fabric"
+	"nadino/internal/mempool"
+	"nadino/internal/rdma"
 	"nadino/internal/sim"
 )
 
@@ -22,17 +25,27 @@ func (v Violation) String() string {
 	return fmt.Sprintf("[%v] %s: %s", v.At, v.Invariant, v.Detail)
 }
 
-// Invariant is one registered system-wide property. Periodic runs at every
-// check tick (the event-boundary approximation: the checker ticker
-// interleaves with all simulation events at a fixed virtual period) and
-// returns a non-empty detail on violation; Final runs once after the drain,
-// when the world must have quiesced, and may report several findings.
-// Either hook may be nil.
+// Invariant is one registered system-wide property. Check runs at every
+// check tick with final false (the event-boundary approximation: the
+// checker ticker interleaves with all simulation events at a fixed virtual
+// period; the first finding is reported and the invariant stops ticking),
+// and once after the drain with final true, when the world must have
+// quiesced (every finding is reported). A property that only holds at one
+// of the two returns nil at the other.
 type Invariant struct {
-	Name     string
-	Desc     string
-	Periodic func(r *Rig, now time.Duration) string
-	Final    func(r *Rig) []string
+	Name  string
+	Desc  string
+	Check func(r *Rig, final bool) []string
+}
+
+// atQuiesce adapts an end-of-run-only check.
+func atQuiesce(check func(r *Rig) []string) func(*Rig, bool) []string {
+	return func(r *Rig, final bool) []string {
+		if !final {
+			return nil
+		}
+		return check(r)
+	}
 }
 
 // Invariants returns the global registry, in evaluation order. Every fuzz
@@ -42,301 +55,280 @@ func Invariants() []Invariant {
 		{
 			Name: "clock-monotonic",
 			Desc: "virtual time never moves backwards between check ticks",
-			Periodic: func(r *Rig, now time.Duration) string {
+			Check: func(r *Rig, final bool) []string {
+				now := r.eng.Now()
 				if now < r.lastNow {
-					return fmt.Sprintf("clock moved %v -> %v", r.lastNow, now)
+					return []string{fmt.Sprintf("clock moved %v -> %v", r.lastNow, now)}
 				}
 				r.lastNow = now
-				return ""
+				return nil
 			},
 		},
 		{
-			Name: "busy-accounting",
-			Desc: "every processor's busy time is monotone and bounded by wall time",
-			Periodic: func(r *Rig, now time.Duration) string {
-				for i, c := range r.cores {
-					b := c.proc.BusyTime()
-					if b > now {
-						return fmt.Sprintf("%s busy %v exceeds elapsed %v", c.label, b, now)
-					}
-					if b < r.lastBusy[i] {
-						return fmt.Sprintf("%s busy time shrank %v -> %v", c.label, r.lastBusy[i], b)
-					}
-					r.lastBusy[i] = b
-				}
-				return ""
-			},
+			Name:  "busy-accounting",
+			Desc:  "every processor's busy time is monotone and bounded by wall time",
+			Check: checkBusy,
 		},
 		{
-			Name:     "buffer-conservation",
-			Desc:     "pool accounting audits clean; no buffer leaks past quiesce",
-			Periodic: checkBuffersPeriodic,
-			Final:    checkBuffersFinal,
+			Name:  "buffer-conservation",
+			Desc:  "pool accounting audits clean; no buffer leaks past quiesce",
+			Check: checkBuffers,
 		},
 		{
-			Name:     "request-conservation",
-			Desc:     "issued = completed + in-flight; in-flight bounded by engine drops",
-			Periodic: checkRequestsPeriodic,
-			Final:    checkRequestsFinal,
+			Name:  "request-conservation",
+			Desc:  "issued = completed + in-flight, one reply per request; in-flight bounded by data-plane drops",
+			Check: checkRequests,
 		},
 		{
-			Name:     "qp-legality",
-			Desc:     "QP state machine legal; pools repaired and CQs drained at quiesce",
-			Periodic: checkQPsPeriodic,
-			Final:    checkQPsFinal,
+			Name:  "qp-legality",
+			Desc:  "QP state machine legal; pools repaired and CQs drained at quiesce",
+			Check: checkQPs,
 		},
 		{
-			Name:     "srq-accounting",
-			Desc:     "receive rings never overfill and are fully replenished at quiesce",
-			Periodic: checkSRQPeriodic,
-			Final:    checkSRQFinal,
+			Name:  "srq-accounting",
+			Desc:  "receive rings never overfill and are fully replenished at quiesce",
+			Check: checkSRQs,
 		},
 		{
 			Name:  "dwrr-fairness",
 			Desc:  "symmetric DWRR tenants complete within bounded skew",
-			Final: checkFairness,
+			Check: atQuiesce(checkFairness),
 		},
 		{
 			Name:  "telemetry-consistency",
 			Desc:  "scraped series are well-timed and reconcile with the ledger",
-			Final: checkTelemetry,
+			Check: atQuiesce(checkTelemetry),
 		},
 		{
 			Name:  "trace-consistency",
 			Desc:  "tracer totals reconcile with the request ledger",
-			Final: checkTraces,
+			Check: atQuiesce(checkTraces),
 		},
 		{
 			Name: "ownership-audit",
 			Desc: "cross-tenant transfer chains obey the exclusive-ownership rules",
-			Final: func(r *Rig) []string {
+			Check: atQuiesce(func(r *Rig) []string {
 				return append([]string(nil), r.auditErrs...)
-			},
+			}),
 		},
 		{
 			Name:  "route-consistency",
 			Desc:  "gateway fabric: no forwarding loops, healed tables route direct, forwarded messages conserved",
-			Final: checkRoutes,
+			Check: atQuiesce(checkRoutes),
 		},
 		{
-			Name:     "speculation-safety",
-			Desc:     "speculated requests complete exactly once at the ingress boundary; losers return their buffers and in-flight state; no cancel touches a recycled generation",
-			Periodic: checkSpecPeriodic,
-			Final:    checkSpecFinal,
+			Name:  "speculation-safety",
+			Desc:  "speculated requests win at most once and resolve no more arms than fired; no hedge timer outlives quiesce",
+			Check: checkSpec,
 		},
 		{
 			Name: "sched-equivalence",
 			Desc: "timing-wheel engine fires in the same order and at the same times as a pure-heap reference",
-			Final: func(r *Rig) []string {
+			Check: atQuiesce(func(r *Rig) []string {
 				// Seeded from the scenario so every fuzz case probes a distinct
 				// schedule/cancel/re-arm script across all wheel levels.
 				if err := sim.CheckEquivalence(r.sc.Seed, 400); err != nil {
 					return []string{err.Error()}
 				}
 				return nil
-			},
+			}),
 		},
 	}
 }
 
-// checkBuffersPeriodic audits every tenant pool's internal accounting and
-// cross-checks it against the receive ring it backs.
-func checkBuffersPeriodic(r *Rig, now time.Duration) string {
-	for _, tr := range r.tenants {
-		cli, srv := r.nodes[tr.sc.CliNode], r.nodes[tr.sc.SrvNode]
-		for _, side := range []struct {
-			label string
-			pool  interface {
-				Audit() error
-				InUse() int
-			}
-			posted int
-		}{
-			{"cli@" + string(cli.name), tr.cliPool, cli.eng.SRQ(tr.sc.Name).Posted()},
-			{"srv@" + string(srv.name), tr.srvPool, srv.eng.SRQ(tr.sc.Name).Posted()},
-		} {
-			if err := side.pool.Audit(); err != nil {
-				return fmt.Sprintf("tenant %s %s: %v", tr.sc.Name, side.label, err)
-			}
-			if side.pool.InUse() < side.posted {
-				return fmt.Sprintf("tenant %s %s: %d buffers in use but %d posted to SRQ",
-					tr.sc.Name, side.label, side.pool.InUse(), side.posted)
-			}
-		}
+// checkBusy requires every processor's busy time to grow monotonically and
+// never exceed elapsed time, at every tick.
+func checkBusy(r *Rig, final bool) []string {
+	if final {
+		return nil
 	}
-	return ""
+	now := r.eng.Now()
+	for _, c := range r.c.Processors() {
+		b := c.BusyTime()
+		if b > now {
+			return []string{fmt.Sprintf("%s busy %v exceeds elapsed %v", c.Name(), b, now)}
+		}
+		if last := r.lastBusy[c]; b < last {
+			return []string{fmt.Sprintf("%s busy time shrank %v -> %v", c.Name(), last, b)}
+		}
+		r.lastBusy[c] = b
+	}
+	return nil
 }
 
-// checkBuffersFinal requires every buffer home at quiesce: the only live
-// allocations are the pre-posted receive rings. A harness leak (the planted
-// defect) or an engine leak surfaces here as a per-pool surplus.
-func checkBuffersFinal(r *Rig) []string {
+// checkBuffers audits every tenant pool — each worker node's and the
+// ingress backend's — against the buffers it lends out for good: a worker
+// pool backs its engine's receive ring and the gateway's landing window, an
+// ingress pool its receive ring and its cache. Mid-run a pool holds at
+// least those; at quiesce exactly those, so a harness leak (the planted
+// defect) or a data-plane leak surfaces as a per-pool surplus.
+func checkBuffers(r *Rig, final bool) []string {
 	var out []string
-	for _, tr := range r.tenants {
-		cli, srv := r.nodes[tr.sc.CliNode], r.nodes[tr.sc.SrvNode]
-		for _, side := range []struct {
-			label  string
-			inUse  int
-			posted int
-			err    error
-		}{
-			{"cli@" + string(cli.name), tr.cliPool.InUse(),
-				cli.eng.SRQ(tr.sc.Name).Posted() + gwSlots(cli, tr.sc.Name), tr.cliPool.Audit()},
-			{"srv@" + string(srv.name), tr.srvPool.InUse(),
-				srv.eng.SRQ(tr.sc.Name).Posted() + gwSlots(srv, tr.sc.Name), tr.srvPool.Audit()},
-		} {
-			if side.err != nil {
-				out = append(out, fmt.Sprintf("tenant %s %s: %v", tr.sc.Name, side.label, side.err))
-				continue
-			}
-			if side.inUse != side.posted {
-				out = append(out, fmt.Sprintf(
-					"tenant %s %s: %d buffers in use at quiesce, expected only the %d held by the receive ring and gateway window (leak of %d)",
-					tr.sc.Name, side.label, side.inUse, side.posted, side.inUse-side.posted))
-			}
+	check := func(label string, pool *mempool.Pool, held int, holders string) {
+		if err := pool.Audit(); err != nil {
+			out = append(out, fmt.Sprintf("%s: %v", label, err))
+		} else if n := pool.InUse(); n < held {
+			out = append(out, fmt.Sprintf("%s: %d buffers in use but %d held by %s", label, n, held, holders))
+		} else if final && n != held {
+			out = append(out, fmt.Sprintf(
+				"%s: %d buffers in use at quiesce, expected only the %d held by %s (leak of %d)",
+				label, n, held, holders, n-held))
 		}
+	}
+	for _, n := range r.c.Nodes() {
+		for i, pool := range n.Pools {
+			tenant := r.tenants[i].sc.Name
+			held := n.Engine.SRQ(tenant).Posted()
+			if n.Gateway != nil {
+				held += n.Gateway.SlotsHeld(tenant)
+			}
+			check("tenant "+tenant+" pool on "+n.Name, pool, held, "the receive ring and gateway window")
+		}
+	}
+	ing, _ := r.c.Ingress()
+	for _, t := range ing.Tenants {
+		check("tenant "+t.Name+" ingress pool", t.Pool, t.SRQ.Posted()+t.Cache.Len(), "the receive ring and cache")
 	}
 	return out
 }
 
-// checkRequestsPeriodic enforces the always-true half of the ledger.
-func checkRequestsPeriodic(r *Rig, now time.Duration) string {
-	for _, tr := range r.tenants {
-		if tr.completed > tr.issued {
-			return fmt.Sprintf("tenant %s: completed %d > issued %d",
-				tr.sc.Name, tr.completed, tr.issued)
-		}
-		if tr.issued != tr.completed+uint64(tr.inFlight()) {
-			return fmt.Sprintf("tenant %s: issued %d != completed %d + in-flight %d",
-				tr.sc.Name, tr.issued, tr.completed, tr.inFlight())
+// drops sums every counted data-plane loss: engine no-route, no-port and
+// retry-budget drops, gateway drops, and requests the ingress dropped at
+// admission or lost to a send error.
+func (r *Rig) drops() uint64 {
+	var total uint64
+	for _, n := range r.c.Nodes() {
+		_, _, noRoute, noPort, _ := n.Engine.Stats()
+		_, retry := n.Engine.RetryStats()
+		total += noRoute + noPort + retry
+		if n.Gateway != nil {
+			total += n.Gateway.Stats().Dropped
 		}
 	}
-	return ""
+	ing, _ := r.c.Ingress()
+	return total + ing.Drops + ing.SendErrors
 }
 
-// checkRequestsFinal closes the ledger: at quiesce every issued request is
-// either completed or accounted to an engine drop counter; fault-free
-// scenarios may not lose anything at all.
-func checkRequestsFinal(r *Rig) []string {
+// checkRequests checks the SubmitChain-boundary ledger: it balances and no
+// request is answered twice, always; at quiesce every unanswered request is
+// accounted to a drop counter, and fault-free scenarios lose nothing.
+func checkRequests(r *Rig, final bool) []string {
 	var out []string
-	var drops uint64
-	for _, nr := range r.nodes {
-		_, _, noRoute, noPort, _ := nr.eng.Stats()
-		_, retryDropped := nr.eng.RetryStats()
-		drops += noRoute + noPort + retryDropped
-		if nr.gw != nil {
-			drops += nr.gw.Stats().Dropped
-		}
-	}
 	var inFlight uint64
 	for _, tr := range r.tenants {
-		if tr.issued != tr.completed+uint64(tr.inFlight()) {
+		if tr.issued != tr.completed+tr.inFlight {
 			out = append(out, fmt.Sprintf("tenant %s: issued %d != completed %d + in-flight %d",
-				tr.sc.Name, tr.issued, tr.completed, tr.inFlight()))
+				tr.sc.Name, tr.issued, tr.completed, tr.inFlight))
 		}
-		inFlight += uint64(tr.inFlight())
+		if tr.doubles > 0 {
+			out = append(out, fmt.Sprintf("tenant %s: %d replies to requests already answered",
+				tr.sc.Name, tr.doubles))
+		}
+		inFlight += tr.inFlight
 	}
-	if inFlight > drops {
+	if !final {
+		return out
+	}
+	if drops := r.drops(); inFlight > drops {
 		out = append(out, fmt.Sprintf(
-			"%d requests still in flight at quiesce but engines only dropped %d", inFlight, drops))
+			"%d requests still in flight at quiesce but the data plane only dropped %d", inFlight, drops))
 	}
 	if len(r.sc.Faults) == 0 && inFlight > 0 {
-		out = append(out, fmt.Sprintf(
-			"fault-free run left %d requests unfinished at quiesce", inFlight))
+		out = append(out, fmt.Sprintf("fault-free run left %d requests unfinished at quiesce", inFlight))
 	}
 	return out
 }
 
-// checkQPsPeriodic rejects impossible QP states mid-run.
-func checkQPsPeriodic(r *Rig, now time.Duration) string {
-	for _, nr := range r.nodes {
-		for _, cp := range nr.eng.ConnPools() {
-			for _, qp := range cp.Conns() {
-				if qp.Outstanding() < 0 {
-					return fmt.Sprintf("node %s qp%d: negative outstanding %d",
-						nr.name, qp.ID(), qp.Outstanding())
-				}
-			}
-		}
-	}
-	return ""
-}
-
-// checkQPsFinal requires full recovery: the keeper must have repaired every
-// errored QP, drained every CQ, and emptied the scheduler by quiesce.
-func checkQPsFinal(r *Rig) []string {
+// checkQPs rejects impossible QP states — a negative outstanding count —
+// and at quiesce requires full recovery: every errored QP repaired (the
+// engines', the gateways' and the ingress's), no WR outstanding, every CQ
+// drained and every engine scheduler empty.
+func checkQPs(r *Rig, final bool) []string {
 	var out []string
-	for _, nr := range r.nodes {
-		for _, cp := range nr.eng.ConnPools() {
-			if n := cp.ErroredCount(); n > 0 {
-				out = append(out, fmt.Sprintf("node %s: %d QPs still errored at quiesce", nr.name, n))
+	pools := func(owner string, cps []*rdma.ConnPool) {
+		for _, cp := range cps {
+			if n := cp.ErroredCount(); final && n > 0 {
+				out = append(out, fmt.Sprintf("%s: %d %s QPs still errored at quiesce", owner, n, cp.Tenant))
 			}
 			for _, qp := range cp.Conns() {
-				if qp.Outstanding() != 0 {
-					out = append(out, fmt.Sprintf("node %s qp%d: %d WRs outstanding at quiesce",
-						nr.name, qp.ID(), qp.Outstanding()))
+				if o := qp.Outstanding(); o < 0 || final && o != 0 {
+					out = append(out, fmt.Sprintf("%s qp%d: %d WRs outstanding", owner, qp.ID(), o))
 				}
 			}
-		}
-		if n := nr.eng.CQ().Len(); n > 0 {
-			out = append(out, fmt.Sprintf("node %s: %d CQEs unpolled at quiesce", nr.name, n))
-		}
-		if n := nr.eng.SchedPending(); n > 0 {
-			out = append(out, fmt.Sprintf("node %s: %d descriptors stuck in scheduler", nr.name, n))
-		}
-		if nr.gw == nil {
-			continue
-		}
-		for _, cp := range nr.gw.Links() {
-			if n := cp.ErroredCount(); n > 0 {
-				out = append(out, fmt.Sprintf("gateway %s: %d QPs still errored at quiesce", nr.name, n))
-			}
-			for _, qp := range cp.Conns() {
-				if qp.Outstanding() != 0 {
-					out = append(out, fmt.Sprintf("gateway %s qp%d: %d WRs outstanding at quiesce",
-						nr.name, qp.ID(), qp.Outstanding()))
-				}
-			}
-		}
-		if n := nr.gw.CQ().Len(); n > 0 {
-			out = append(out, fmt.Sprintf("gateway %s: %d CQEs unpolled at quiesce", nr.name, n))
 		}
 	}
+	cq := func(owner string, cq *rdma.CQ) {
+		if n := cq.Len(); final && n > 0 {
+			out = append(out, fmt.Sprintf("%s: %d CQEs unpolled at quiesce", owner, n))
+		}
+	}
+	for _, n := range r.c.Nodes() {
+		pools("node "+n.Name, n.Engine.ConnPools())
+		cq("node "+n.Name, n.Engine.CQ())
+		if p := n.Engine.SchedPending(); final && p > 0 {
+			out = append(out, fmt.Sprintf("node %s: %d descriptors stuck in scheduler", n.Name, p))
+		}
+		if n.Gateway != nil {
+			pools("gateway "+n.Name, n.Gateway.Links())
+			cq("gateway "+n.Name, n.Gateway.CQ())
+		}
+	}
+	ing, _ := r.c.Ingress()
+	for _, t := range ing.Tenants {
+		pools("ingress", t.Conns)
+	}
+	cq("ingress", ing.CQ)
 	return out
 }
 
-// gwSlots is the landing-window share the node's gateway holds from the
-// tenant's pool (zero when the scenario runs without the gateway tier).
-func gwSlots(nr *nodeRig, tenant string) int {
-	if nr.gw == nil {
-		return 0
+// checkSRQs bounds the receive rings: no engine keeper or ingress backend
+// may post past its per-tenant target, and at quiesce every ring must be
+// fully replenished.
+func checkSRQs(r *Rig, final bool) []string {
+	var out []string
+	check := func(where string, posted, target int) {
+		if posted > target || final && posted != target {
+			out = append(out, fmt.Sprintf("%s: ring at %d/%d", where, posted, target))
+		}
 	}
-	return nr.gw.SlotsHeld(tenant)
+	for _, n := range r.c.Nodes() {
+		for _, tr := range r.tenants {
+			check("node "+n.Name+" tenant "+tr.sc.Name, n.Engine.SRQ(tr.sc.Name).Posted(), n.Engine.RQTarget())
+		}
+	}
+	ing, _ := r.c.Ingress()
+	for _, t := range ing.Tenants {
+		check("ingress tenant "+t.Name, t.SRQ.Posted(), t.Ring)
+	}
+	return out
 }
 
 // checkRoutes is the gateway-fabric invariant (route-consistency): the
 // forwarded-message ledger closes, a healed fabric converges back to direct
-// next hops, hop-by-hop walks never loop, and relay landing pools come home.
+// next hops, and hop-by-hop walks never loop. Every node hosts every
+// tenant's pool, so detour legs land in pools buffer-conservation audits.
 func checkRoutes(r *Rig) []string {
 	if !r.sc.Gateways {
 		return nil
 	}
 	var out []string
+	nodes := r.c.Nodes()
+	net := r.c.Net()
 
 	// Conservation: transit re-entries are internal to the tier, so the
 	// descriptors accepted from engines equal deliveries plus drops, with
 	// nothing queued or on the wire at quiesce.
 	var in, delivered, dropped uint64
-	for _, nr := range r.nodes {
-		s := nr.gw.Stats()
+	for _, n := range nodes {
+		s := n.Gateway.Stats()
 		in += s.AcceptIn
 		delivered += s.Delivered
 		dropped += s.Dropped
-		if n := nr.gw.Pending(); n > 0 {
-			out = append(out, fmt.Sprintf("gateway %s: %d forwards still queued at quiesce", nr.name, n))
+		if p := n.Gateway.Pending(); p > 0 {
+			out = append(out, fmt.Sprintf("gateway %s: %d forwards still queued at quiesce", n.Name, p))
 		}
-		if n := nr.gw.InflightWrites(); n > 0 {
-			out = append(out, fmt.Sprintf("gateway %s: %d writes still in flight at quiesce", nr.name, n))
+		if w := n.Gateway.InflightWrites(); w > 0 {
+			out = append(out, fmt.Sprintf("gateway %s: %d writes still in flight at quiesce", n.Name, w))
 		}
 	}
 	if in != delivered+dropped {
@@ -345,15 +337,16 @@ func checkRoutes(r *Rig) []string {
 			in, delivered, dropped))
 	}
 
-	byName := make(map[fabric.NodeID]*nodeRig, len(r.nodes))
+	byName := make(map[fabric.NodeID]core.NodeView, len(nodes))
 	healed := true
-	for i, a := range r.nodes {
-		byName[a.name] = a
-		if r.net.Down(a.name) {
+	for i, a := range nodes {
+		id := fabric.NodeID(a.Name)
+		byName[id] = a
+		if net.Down(id) {
 			healed = false
 		}
-		for _, b := range r.nodes[i+1:] {
-			if r.net.LinkDown(a.name, b.name) || r.net.LinkDown(b.name, a.name) {
+		for _, b := range nodes[i+1:] {
+			if net.LinkDown(id, fabric.NodeID(b.Name)) || net.LinkDown(fabric.NodeID(b.Name), id) {
 				healed = false
 			}
 		}
@@ -363,196 +356,97 @@ func checkRoutes(r *Rig) []string {
 	// fabric has healed (all faults expire before the drain ends, and the
 	// keeper refreshes every GwFailoverInterval) it must also be live and
 	// every next hop must be direct again.
-	for _, nr := range r.nodes {
-		for _, fn := range nr.gw.Routes().Functions() {
-			node, ok := nr.gw.Routes().NodeOf(fn)
-			if !ok || byName[node] == nil {
+	for _, n := range nodes {
+		rt := n.Gateway.Routes()
+		for _, fn := range rt.Functions() {
+			node, _ := rt.NodeOf(fn)
+			if _, known := byName[node]; !known {
 				out = append(out, fmt.Sprintf("gateway %s: function %s routed to unknown node %q",
-					nr.name, fn, node))
-				continue
-			}
-			if healed && r.net.Down(node) {
+					n.Name, fn, node))
+			} else if healed && net.Down(node) {
 				out = append(out, fmt.Sprintf("gateway %s: function %s routed to down node %s after heal",
-					nr.name, fn, node))
+					n.Name, fn, node))
 			}
 		}
-		if !healed {
-			continue
-		}
-		for _, peer := range r.nodes {
-			if peer == nr {
+		for _, peer := range nodes {
+			id := fabric.NodeID(peer.Name)
+			if !healed || peer.Name == n.Name {
 				continue
 			}
-			if hop := nr.gw.Routes().NextHop(peer.name); hop != peer.name {
+			if hop := rt.NextHop(id); hop != id {
 				out = append(out, fmt.Sprintf(
-					"gateway %s: next hop for %s still detours via %s after heal", nr.name, peer.name, hop))
+					"gateway %s: next hop for %s still detours via %s after heal", n.Name, peer.Name, hop))
 			}
 		}
 	}
 
 	// No forwarding loops: walking next hops toward any destination reaches
 	// it without revisiting a node, whatever state the tables are in.
-	for _, src := range r.nodes {
-		for _, dst := range r.nodes {
-			if src == dst {
-				continue
-			}
+	for _, src := range nodes {
+		for _, dst := range nodes {
 			cur := src
-			visited := map[fabric.NodeID]bool{src.name: true}
-			for cur.name != dst.name {
-				hop := cur.gw.Routes().NextHop(dst.name)
-				if visited[hop] {
-					out = append(out, fmt.Sprintf("forwarding loop toward %s: gateway %s bounces back to %s",
-						dst.name, cur.name, hop))
+			visited := map[string]bool{src.Name: true}
+			for cur.Name != dst.Name {
+				hop := cur.Gateway.Routes().NextHop(fabric.NodeID(dst.Name))
+				next, known := byName[hop]
+				if visited[string(hop)] || !known {
+					out = append(out, fmt.Sprintf("forwarding toward %s: gateway %s hands off to %q, already visited or unknown",
+						dst.Name, cur.Name, hop))
 					break
 				}
-				next := byName[hop]
-				if next == nil {
-					out = append(out, fmt.Sprintf("gateway %s: next hop for %s is unknown node %q",
-						cur.name, dst.name, hop))
-					break
-				}
-				visited[hop] = true
+				visited[string(hop)] = true
 				cur = next
 			}
 		}
 	}
-
-	// Relay landing pools (non-resident nodes) hold exactly the gateway's
-	// window slots at quiesce — a transit leg that never came home is a leak.
-	for _, tr := range r.tenants {
-		for _, rel := range tr.relays {
-			if err := rel.pool.Audit(); err != nil {
-				out = append(out, fmt.Sprintf("tenant %s relay pool on %s: %v", tr.sc.Name, rel.node, err))
-				continue
-			}
-			if held := rel.gw.SlotsHeld(tr.sc.Name); rel.pool.InUse() != held {
-				out = append(out, fmt.Sprintf(
-					"tenant %s relay pool on %s: %d buffers in use but the gateway holds only %d slots (leak of %d)",
-					tr.sc.Name, rel.node, rel.pool.InUse(), held, rel.pool.InUse()-held))
-			}
-		}
-	}
 	return out
 }
 
-// checkSpecPeriodic enforces the always-true half of the speculation ledger
-// on every speculative tenant: a group wins at most once, arm resolutions
-// never exceed arms fired, and every win the controller records was observed
-// exactly once at the rig's ingress boundary.
-func checkSpecPeriodic(r *Rig, now time.Duration) string {
-	for _, tr := range r.tenants {
-		if tr.spec == nil {
-			continue
-		}
-		st := tr.spec.Stats()
-		if st.Wins() > st.Launched {
-			return fmt.Sprintf("tenant %s: %d wins for %d launches: %+v",
-				tr.sc.Name, st.Wins(), st.Launched, st)
-		}
-		if st.Cancels+st.Kills+st.Wins() > st.Arms {
-			return fmt.Sprintf("tenant %s: %d resolutions exceed %d arms fired: %+v",
-				tr.sc.Name, st.Cancels+st.Kills+st.Wins(), st.Arms, st)
-		}
-		if tr.specWinsSeen != st.Wins() {
-			return fmt.Sprintf("tenant %s: boundary observed %d winners but controller recorded %d",
-				tr.sc.Name, tr.specWinsSeen, st.Wins())
-		}
+// checkSpec is the speculation ledger of the ingress controller: a group
+// wins at most once and arm resolutions (wins, boundary cancels, mid-plane
+// kills) never exceed arms fired. At quiesce no hedge timer may still be
+// armed, and when no fault or planted defect could strand arms in the data
+// plane every launched group completed at the client boundary and every
+// fired arm resolved. Loser buffer return is covered by
+// buffer-conservation, and generation safety by the pool audits: a cancel
+// that touched a recycled buffer would trip both.
+func checkSpec(r *Rig, final bool) []string {
+	sp := r.c.Gateway().Spec()
+	if sp == nil {
+		return nil
 	}
-	return ""
-}
-
-// checkSpecFinal closes the speculation ledger at quiesce. Exactly-once and
-// hedge-timer hygiene hold unconditionally; the full arm ledger (every arm
-// won, was suppressed at the boundary, was killed mid-plane, or was shed
-// before firing) closes with equality only when no faults or planted defects
-// could strand arms inside the engines — mirroring request-conservation,
-// faulted runs get the <= bound against engine drops instead. Loser buffer
-// return is covered by buffer-conservation, and generation safety by the
-// pool's ownership audit: a cancel that touched a recycled buffer would fire
-// both.
-func checkSpecFinal(r *Rig) []string {
 	var out []string
-	strict := len(r.sc.Faults) == 0 && r.sc.Defect == ""
+	st := sp.Stats()
+	resolved := st.Wins() + st.Cancels + st.Kills
+	if st.Wins() > st.Launched {
+		out = append(out, fmt.Sprintf("%d wins for %d launches: %+v", st.Wins(), st.Launched, st))
+	}
+	if resolved > st.Arms {
+		out = append(out, fmt.Sprintf("%d resolutions exceed %d arms fired: %+v", resolved, st.Arms, st))
+	}
+	if !final {
+		return out
+	}
+	if n := sp.PendingHedges(); n != 0 {
+		out = append(out, fmt.Sprintf("%d hedge timers still armed at quiesce", n))
+	}
+	if len(r.sc.Faults) > 0 || r.sc.Defect != "" {
+		return out
+	}
+	var completed uint64
 	for _, tr := range r.tenants {
-		if tr.spec == nil {
-			continue
-		}
-		st := tr.spec.Stats()
-		if tr.specWinsSeen != st.Wins() {
-			out = append(out, fmt.Sprintf(
-				"tenant %s: boundary observed %d winners at quiesce but controller recorded %d",
-				tr.sc.Name, tr.specWinsSeen, st.Wins()))
-		}
-		if n := tr.spec.PendingHedges(); n != 0 {
-			out = append(out, fmt.Sprintf(
-				"tenant %s: %d hedge timers still armed at quiesce", tr.sc.Name, n))
-		}
-		resolved := st.Wins() + st.Cancels + st.Kills + tr.specUnfired
-		if resolved > st.Arms {
-			out = append(out, fmt.Sprintf(
-				"tenant %s: %d arm resolutions exceed %d arms fired: %+v",
-				tr.sc.Name, resolved, st.Arms, st))
-		}
-		if !strict {
-			continue
-		}
-		if st.Launched != tr.specWinsSeen+tr.specNoArm {
-			out = append(out, fmt.Sprintf(
-				"tenant %s: fault-free run launched %d groups but saw %d winners + %d no-arm launches",
-				tr.sc.Name, st.Launched, tr.specWinsSeen, tr.specNoArm))
-		}
-		if resolved != st.Arms {
-			out = append(out, fmt.Sprintf(
-				"tenant %s: fault-free run fired %d arms but resolved only %d (wins=%d cancels=%d kills=%d unfired=%d)",
-				tr.sc.Name, st.Arms, resolved, st.Wins(), st.Cancels, st.Kills, tr.specUnfired))
-		}
+		completed += tr.completed
+	}
+	if st.Launched != completed {
+		out = append(out, fmt.Sprintf(
+			"fault-free run launched %d groups but completed %d requests", st.Launched, completed))
+	}
+	if resolved != st.Arms {
+		out = append(out, fmt.Sprintf(
+			"fault-free run fired %d arms but resolved only %d (wins=%d cancels=%d kills=%d)",
+			st.Arms, resolved, st.Wins(), st.Cancels, st.Kills))
 	}
 	return out
-}
-
-// checkSRQPeriodic bounds the receive rings: the keeper may never post past
-// its per-tenant target.
-func checkSRQPeriodic(r *Rig, now time.Duration) string {
-	for _, nr := range r.nodes {
-		for _, tr := range r.tenants {
-			if tr.sc.CliNode != nodeIndex(r, nr) && tr.sc.SrvNode != nodeIndex(r, nr) {
-				continue
-			}
-			if p := nr.eng.SRQ(tr.sc.Name).Posted(); p > nr.rqInit {
-				return fmt.Sprintf("node %s tenant %s: %d posted > ring target %d",
-					nr.name, tr.sc.Name, p, nr.rqInit)
-			}
-		}
-	}
-	return ""
-}
-
-// checkSRQFinal requires the keeper to have fully replenished every ring.
-func checkSRQFinal(r *Rig) []string {
-	var out []string
-	for _, nr := range r.nodes {
-		for _, tr := range r.tenants {
-			if tr.sc.CliNode != nodeIndex(r, nr) && tr.sc.SrvNode != nodeIndex(r, nr) {
-				continue
-			}
-			if p := nr.eng.SRQ(tr.sc.Name).Posted(); p != nr.rqInit {
-				out = append(out, fmt.Sprintf("node %s tenant %s: ring at %d/%d after drain",
-					nr.name, tr.sc.Name, p, nr.rqInit))
-			}
-		}
-	}
-	return out
-}
-
-// nodeIndex maps a nodeRig back to its scenario index.
-func nodeIndex(r *Rig, nr *nodeRig) int {
-	for i, n := range r.nodes {
-		if n == nr {
-			return i
-		}
-	}
-	return -1
 }
 
 // fairnessFloor is the minimum share of the per-tenant mean any symmetric
@@ -565,10 +459,10 @@ const fairnessFloor = 0.55
 const fairnessMinTotal = 300
 
 // checkFairness bounds goodput skew for fairness-eligible scenarios:
-// identical closed-loop tenants under DWRR with no faults must split the
-// window's completions near-evenly.
+// identical closed-loop tenants under the engines' DWRR scheduler with no
+// faults must split the window's completions near-evenly.
 func checkFairness(r *Rig) []string {
-	if !r.sc.Symmetric() || r.sc.Sched != dne.SchedDWRR || len(r.sc.Faults) > 0 || r.sc.Defect != "" {
+	if !r.sc.Symmetric() || len(r.sc.Faults) > 0 || r.sc.Defect != "" {
 		return nil
 	}
 	var total uint64
@@ -595,79 +489,70 @@ func checkFairness(r *Rig) []string {
 	return nil
 }
 
-// checkTelemetry validates the scraper output against the clock and the
-// ledger: samples land at exact period multiples in strict order, windowed
-// rates are non-negative, pool gauges stay inside the pool, and the
-// completion-rate series integrates back to at most the ledger's count.
+// checkTelemetry validates the series Cluster.Instrument registers against
+// the clock and the ledger: samples land at exact period multiples in
+// strict order; every value is finite and non-negative; utilizations stay
+// within [0,1]; engine receive rings never read above their target; and the
+// cluster goodput series integrates back to at most the ledger's
+// completions.
 func checkTelemetry(r *Rig) []string {
 	var out []string
-	maxPool := 0
-	var completedTotal uint64
+	var completed uint64
 	for _, tr := range r.tenants {
-		if tr.sc.PoolBufs > maxPool {
-			maxPool = tr.sc.PoolBufs
-		}
-		completedTotal += tr.completed
+		completed += tr.completed
 	}
-	var rateSum float64
+	ring := float64(r.c.Nodes()[0].Engine.RQTarget())
+	period := r.scraper.Period()
+	var goodput float64
 	for _, s := range r.scraper.Series() {
 		last := time.Duration(0)
 		for i, pt := range s.Points {
-			if pt.T <= last && i > 0 {
-				out = append(out, fmt.Sprintf("series %s: non-increasing timestamp %v after %v",
-					s.Name, pt.T, last))
-				break
+			var bad string
+			switch {
+			case pt.T <= last && i > 0:
+				bad = fmt.Sprintf("non-increasing timestamp after %v", last)
+			case pt.T%period != 0:
+				bad = fmt.Sprintf("off the %v grid", period)
+			case pt.V < 0 || math.IsNaN(pt.V) || math.IsInf(pt.V, 0):
+				bad = fmt.Sprintf("value %g", pt.V)
+			case strings.Contains(s.Name, "_util") && pt.V > 1+1e-9:
+				bad = fmt.Sprintf("utilization %g above 1", pt.V)
+			case strings.HasPrefix(s.Name, "dne.srq_posted") && pt.V > ring:
+				bad = fmt.Sprintf("%g posted above the %g ring", pt.V, ring)
 			}
-			if pt.T%r.scraper.Period() != 0 {
-				out = append(out, fmt.Sprintf("series %s: sample at %v off the %v grid",
-					s.Name, pt.T, r.scraper.Period()))
+			if bad != "" {
+				out = append(out, fmt.Sprintf("series %s at %v: %s", s.Name, pt.T, bad))
 				break
 			}
 			last = pt.T
-			switch {
-			case strings.HasPrefix(s.Name, "fuzz.completed"):
-				if pt.V < 0 {
-					out = append(out, fmt.Sprintf("series %s: negative rate %g at %v", s.Name, pt.V, pt.T))
-				}
-				rateSum += pt.V * r.scraper.Period().Seconds()
-			case strings.HasPrefix(s.Name, "fuzz.pool_in_use"):
-				if pt.V < 0 || pt.V > float64(maxPool) {
-					out = append(out, fmt.Sprintf("series %s: gauge %g outside [0,%d] at %v",
-						s.Name, pt.V, maxPool, pt.T))
-				}
-			case strings.HasPrefix(s.Name, "fuzz.worker_busy"):
-				if pt.V < 0 || pt.V > 1+1e-9 {
-					out = append(out, fmt.Sprintf("series %s: utilization %g outside [0,1] at %v",
-						s.Name, pt.V, pt.T))
-				}
+			if strings.HasPrefix(s.Name, "cluster.goodput") {
+				goodput += pt.V * period.Seconds()
 			}
 		}
 	}
-	if rateSum > float64(completedTotal)+0.5 {
+	if goodput > float64(completed)+0.5 {
 		out = append(out, fmt.Sprintf(
-			"completion-rate series integrate to %.1f but ledger completed only %d",
-			rateSum, completedTotal))
+			"cluster goodput series integrates to %.1f but the ledger completed only %d", goodput, completed))
 	}
 	return out
 }
 
 // checkTraces reconciles the tracer with the request ledger: every finished
-// request was completed, every unfinished one is still on the in-flight
-// ledger, and nothing was dropped (the rig runs unlimited).
+// request was completed, every unfinished one is still in flight, and
+// nothing was dropped (the rig traces without a limit).
 func checkTraces(r *Rig) []string {
 	rep := r.tracer.Report()
-	var completed uint64
-	var inFlight int
+	var completed, inFlight uint64
 	for _, tr := range r.tenants {
 		completed += tr.completed
-		inFlight += tr.inFlight()
+		inFlight += tr.inFlight
 	}
 	var out []string
 	if uint64(rep.Requests) != completed {
 		out = append(out, fmt.Sprintf("tracer finished %d requests but ledger completed %d",
 			rep.Requests, completed))
 	}
-	if rep.Unfinished != inFlight {
+	if uint64(rep.Unfinished) != inFlight {
 		out = append(out, fmt.Sprintf("tracer has %d unfinished requests but ledger has %d in flight",
 			rep.Unfinished, inFlight))
 	}

@@ -6,121 +6,45 @@ import (
 	"time"
 
 	"nadino/internal/chaos"
-	"nadino/internal/dne"
-	"nadino/internal/dpu"
+	"nadino/internal/core"
 	"nadino/internal/fabric"
 	"nadino/internal/flightrec"
-	"nadino/internal/gateway"
+	"nadino/internal/ingress"
 	"nadino/internal/mempool"
-	"nadino/internal/params"
-	"nadino/internal/rdma"
 	"nadino/internal/sim"
-	"nadino/internal/speculate"
 	"nadino/internal/telemetry"
 	"nadino/internal/trace"
 	"nadino/internal/workload"
 )
 
-// nodeNames map scenario node indices onto the repository's conventional
-// fabric IDs.
-var nodeNames = []fabric.NodeID{"nodeA", "nodeB", "nodeC"}
-
-// nodeRig is one worker node: a DPU (cores, SoC DMA, RNIC) plus its DNE and
-// (when the scenario enables the tier) its gateway.
-type nodeRig struct {
-	name   fabric.NodeID
-	dpu    *dpu.DPU
-	eng    *dne.Engine
-	gw     *gateway.Gateway
-	rqInit int // receive-ring target the keeper pre-posts per tenant
-}
-
-// gwRelay is a landing pool created for a gateway on a node where the
-// tenant is not resident, so transit legs can land there during failover
-// detours. The route-consistency invariant checks its quiesce accounting.
-type gwRelay struct {
-	node fabric.NodeID
-	gw   *gateway.Gateway
-	pool *mempool.Pool
-}
-
-// waiter is one in-flight arm's ledger entry: the queue its winner delivery
-// unblocks (nil for open-loop arms nobody waits on) plus, for speculated
-// arms, the group and arm index the demux resolves at the boundary.
-type waiter struct {
-	q   *sim.Queue[mempool.Descriptor]
-	g   *speculate.Group
-	arm int
-}
-
-// hedgeFire relays a hedge arm from its timer context to the tenant's pump
-// proc, which owns the proc context FnPort.Send needs.
-type hedgeFire struct {
-	g   *speculate.Group
-	arm int
-	q   *sim.Queue[mempool.Descriptor]
-}
-
-// tenantRig is one tenant's runtime state: pools on its two nodes, function
-// ports, and the request-conservation ledger.
+// tenantRig is one tenant's request ledger, kept at the SubmitChain
+// boundary: issued counts submissions, completed first replies and
+// inFlight the requests still unanswered; doubles counts replies to
+// requests that had already been answered (a violation).
 type tenantRig struct {
-	sc               TenantScenario
-	cliPool, srvPool *mempool.Pool
-	cliPort, srvPort *dne.FnPort
-	cliCore          *sim.Processor
-	relays           []gwRelay
+	sc    TenantScenario
+	idx   int // position in the cluster's tenant order
+	chain string
 
-	// Speculation state (Scenario.CloneN/HedgeAfter): the per-tenant
-	// controller, the hedge relay queue, and the arm-resolution counters
-	// the speculation-safety invariant closes its ledger with.
-	spec         *speculate.Spec
-	hedgeQ       *sim.Queue[hedgeFire]
-	specWinsSeen uint64 // winner deliveries observed at the boundary
-	specLosers   uint64 // loser completions suppressed at the boundary
-	specKills    uint64 // arms killed mid-plane via the cancellation probe
-	specUnfired  uint64 // hedge arms counted by the controller but shed by the pump
-	specNoArm    uint64 // launches where every arm shed (pool exhausted)
+	issued, completed, inFlight, doubles uint64
 
-	// Ledger: issued counts arms handed to the engine, completed counts
-	// arms that terminated (winner deliveries, suppressed losers, and
-	// mid-plane kills), shed counts sends skipped on pool exhaustion.
-	// waiters holds the in-flight arms by sequence number.
-	issued, completed, shed uint64
-	waiters                 map[uint64]waiter
-	seq                     uint64
-
-	// windowCompleted is the completion count inside the measured load
-	// window (captured for the fairness invariant).
-	windowBase, windowCompleted uint64
-
-	// compCounter feeds the telemetry-consistency invariant.
-	compCounter *telemetry.Counter
+	// windowCompleted is the completion count at the end of the load
+	// window (fairness invariant).
+	windowCompleted uint64
 }
 
-// inFlight reports requests issued but not yet completed.
-func (tr *tenantRig) inFlight() int { return len(tr.waiters) }
-
-// coreRef names a processor for the busy-time invariant.
-type coreRef struct {
-	label string
-	proc  *sim.Processor
-}
-
-// Rig is one built scenario world. It owns every component the invariant
-// registry inspects.
+// Rig is one built scenario world: the cluster plus the harness state the
+// invariant registry reads.
 type Rig struct {
 	sc  Scenario
+	c   *core.Cluster
 	eng *sim.Engine
-	p   *params.Params
-	net *fabric.Network
+	inj *chaos.Injector
 
-	nodes   []*nodeRig
 	tenants []*tenantRig
-	inj     *chaos.Injector
-	ready   *sim.Queue[struct{}]
+	clients int // client ids handed out (the ingress RSS key)
 
 	tracer  *trace.Tracer
-	reg     *telemetry.Registry
 	scraper *telemetry.Scraper
 
 	// Flight recorder: always on, ring-buffered, kept out of Report so
@@ -128,20 +52,15 @@ type Rig struct {
 	rec      *flightrec.Recorder
 	invActor uint16
 
-	cores []coreRef
-
 	warm, loadEnd, endAt time.Duration
 
 	// Ownership-auditor results (Transfers > 0).
 	auditOps  int
 	auditErrs []string
 
-	// Planted-defect bookkeeping.
-	leaked int
-
 	// Invariant checker state.
 	lastNow    time.Duration
-	lastBusy   []time.Duration
+	lastBusy   map[*sim.Processor]time.Duration
 	violations []Violation
 	tripped    map[string]bool
 }
@@ -149,278 +68,73 @@ type Rig struct {
 // scrapePeriod samples telemetry often enough for ~100 points per run.
 const scrapePeriod = 2 * time.Millisecond
 
-// gwWindow is the landing-slot window per (gateway, tenant). Small enough
-// that tenant pools (>= 128 spare buffers by construction) never starve the
-// data plane, big enough to exercise the credit protocol under load.
-const gwWindow = 8
-
-// NewRig builds the scenario's world on a fresh engine. Nothing runs until
-// Run (or a caller-driven RunUntil) advances the clock.
+// NewRig builds the scenario's cluster on a fresh engine and arms its load,
+// faults and telemetry. Nothing runs until Run (or a caller-driven
+// RunUntil) advances the clock.
 func NewRig(sc Scenario) *Rig {
-	p := params.Default()
-	if sc.ExtraPerMsg > 0 {
-		p.DNEExtraPerMsg = sc.ExtraPerMsg
-	}
-	eng := sim.NewEngine(sc.Seed)
+	tracer := trace.New(nil)
+	tracer.SetLimit(0)
+	cfg := sc.Config()
+	cfg.Tracer = tracer
+	c := core.NewCluster(cfg)
 	r := &Rig{
-		sc:      sc,
-		eng:     eng,
-		p:       p,
-		net:     fabric.New(eng, p),
-		ready:   sim.NewQueue[struct{}](eng, 0),
-		tracer:  trace.New(eng.Now),
-		reg:     telemetry.NewRegistry(),
-		tripped: make(map[string]bool),
+		sc:       sc,
+		c:        c,
+		eng:      c.Eng,
+		tracer:   tracer,
+		rec:      flightrec.New(4096, c.Eng.Now),
+		lastBusy: make(map[*sim.Processor]time.Duration),
+		tripped:  make(map[string]bool),
 	}
-	r.tracer.SetLimit(0)
-	r.rec = flightrec.New(4096, eng.Now)
 	r.invActor = r.rec.Actor("invariant")
-	r.warm = p.QPSetupTime + 2*time.Millisecond
+	r.warm = c.P.QPSetupTime + 2*time.Millisecond
 	r.loadEnd = r.warm + sc.Load
 	r.endAt = r.loadEnd + sc.Drain
-
-	// Nodes: the engine's receive ring is the smallest ring any resident
-	// tenant asked for, so no tenant pool is undersized for its ring.
-	for i := 0; i < sc.Nodes; i++ {
-		rqInit := 0
-		for _, ts := range sc.Tenants {
-			if ts.CliNode == i || ts.SrvNode == i {
-				if rqInit == 0 || ts.InitialRQ < rqInit {
-					rqInit = ts.InitialRQ
-				}
-			}
-		}
-		if rqInit == 0 {
-			rqInit = 64 // node hosts no tenant; keep the engine well-formed
-		}
-		name := nodeNames[i]
-		d := dpu.New(eng, p, name, r.net, 2)
-		cfg := dne.Config{Node: name, Mode: sc.Mode, Sched: sc.Sched,
-			Channel: dpu.ComchE, InitialRQ: rqInit}
-		nr := &nodeRig{name: name, dpu: d, eng: dne.New(eng, p, cfg, d, nil, nil), rqInit: rqInit}
-		nr.eng.SetFlightRecorder(r.rec)
-		if sc.Gateways {
-			nr.gw = gateway.New(eng, p, name, r.net, d.RNIC(), gwWindow)
-			nr.gw.SetEgress(nr.eng)
-			nr.eng.SetForwarder(nr.gw, nr.gw.Owner())
-			nr.gw.SetFlightRecorder(r.rec)
-		}
-		r.nodes = append(r.nodes, nr)
-		r.cores = append(r.cores,
-			coreRef{string(name) + "/dne-worker", nr.eng.WorkerCore()},
-			coreRef{string(name) + "/dne-keeper", nr.eng.KeeperCore()})
-		if nr.gw != nil {
-			r.cores = append(r.cores, coreRef{string(name) + "/gw", nr.gw.Core()})
-		}
-		for ci, c := range d.Cores() {
-			r.cores = append(r.cores, coreRef{fmt.Sprintf("%s/dpu-core%d", name, ci), c})
-		}
+	for i, ts := range sc.Tenants {
+		r.tenants = append(r.tenants, &tenantRig{sc: ts, idx: i, chain: "echo-" + ts.Name})
 	}
 
-	// Tenants: pool + SRQ on both resident nodes, routes, function ports.
-	for _, ts := range sc.Tenants {
-		ts := ts
-		cli, srv := r.nodes[ts.CliNode], r.nodes[ts.SrvNode]
-		tr := &tenantRig{
-			sc:      ts,
-			cliPool: mempool.NewPool(ts.Name, ts.BufSize, ts.PoolBufs, p.HugepageSize),
-			srvPool: mempool.NewPool(ts.Name, ts.BufSize, ts.PoolBufs, p.HugepageSize),
-			waiters: make(map[uint64]waiter),
-		}
-		if sc.Speculative() {
-			tr.spec = speculate.New(eng, speculate.Policy{
-				CloneN:   sc.CloneN,
-				Hedge:    sc.HedgeAfter > 0,
-				HedgeMin: sc.HedgeAfter,
-			})
-			tr.hedgeQ = sim.NewQueue[hedgeFire](eng, 0)
-		}
-		cli.eng.AddTenant(ts.Name, tr.cliPool, ts.Weight)
-		srv.eng.AddTenant(ts.Name, tr.srvPool, ts.Weight)
-		cli.eng.SetRoute("srv-"+ts.Name, srv.name)
-		srv.eng.SetRoute("cli-"+ts.Name, cli.name)
-		if sc.Gateways {
-			// Every gateway hosts the tenant's landing window (non-resident
-			// nodes get a dedicated relay pool, so failover detours can land
-			// transit legs) and learns both placements: relays resolve the
-			// final owner from their own table.
-			for i, nr := range r.nodes {
-				var pool *mempool.Pool
-				switch i {
-				case ts.CliNode:
-					pool = tr.cliPool
-				case ts.SrvNode:
-					pool = tr.srvPool
-				default:
-					pool = mempool.NewPool(ts.Name, ts.BufSize, gwWindow+8, p.HugepageSize)
-					tr.relays = append(tr.relays, gwRelay{node: nr.name, gw: nr.gw, pool: pool})
-				}
-				nr.gw.AddTenant(ts.Name, pool)
-				nr.gw.Routes().Set("srv-"+ts.Name, srv.name)
-				nr.gw.Routes().Set("cli-"+ts.Name, cli.name)
-			}
-		}
-		tr.cliPort = cli.eng.AttachFunction("cli-"+ts.Name, ts.Name)
-		tr.srvPort = srv.eng.AttachFunction("srv-"+ts.Name, ts.Name)
-		tr.compCounter = r.reg.Counter("fuzz.completed", "tenant", ts.Name)
-		r.reg.Gauge("fuzz.pool_in_use",
-			func() float64 { return float64(tr.cliPool.InUse()) },
-			"tenant", ts.Name, "node", string(cli.name))
-		r.tenants = append(r.tenants, tr)
-	}
-	for _, nr := range r.nodes {
-		nr := nr
-		r.reg.Rate("fuzz.worker_busy",
-			func() float64 { return nr.eng.WorkerCore().BusyTime().Seconds() },
-			"node", string(nr.name))
-	}
-
-	// Connection pools are established concurrently per tenant (one pooled
-	// QPSetupTime handshake each); engines start once every pool is in.
-	eng.Spawn("simtest-setup", func(pr *sim.Proc) {
-		done := sim.NewQueue[struct{}](eng, 0)
-		for _, tr := range r.tenants {
-			tr := tr
-			eng.Spawn("simtest-setup-"+tr.sc.Name, func(spr *sim.Proc) {
-				cli, srv := r.nodes[tr.sc.CliNode], r.nodes[tr.sc.SrvNode]
-				cpC, cpS := rdma.EstablishPair(spr, p, tr.sc.Name,
-					cli.dpu.RNIC(), srv.dpu.RNIC(), sc.QPs,
-					cli.eng.SRQ(tr.sc.Name), srv.eng.SRQ(tr.sc.Name),
-					cli.eng.CQ(), srv.eng.CQ())
-				cli.eng.AddConnPool(srv.name, tr.sc.Name, cpC)
-				srv.eng.AddConnPool(cli.name, tr.sc.Name, cpS)
-				cpC.SetFlightRecorder(r.rec, "qp:"+tr.sc.Name+"@"+string(cli.name))
-				cpS.SetFlightRecorder(r.rec, "qp:"+tr.sc.Name+"@"+string(srv.name))
-				done.TryPut(struct{}{})
-			})
-		}
-		gwPairs := 0
-		if sc.Gateways {
-			for i := range r.nodes {
-				for j := i + 1; j < len(r.nodes); j++ {
-					a, b := r.nodes[i], r.nodes[j]
-					gwPairs++
-					eng.Spawn("simtest-setup-gw", func(spr *sim.Proc) {
-						gateway.Connect(spr, a.gw, b.gw, 2)
-						done.TryPut(struct{}{})
-					})
-				}
-			}
-		}
-		for i := 0; i < len(r.tenants)+gwPairs; i++ {
-			done.Get(pr)
-		}
-		for _, nr := range r.nodes {
-			nr.eng.Start()
-			if nr.gw != nil {
-				nr.gw.Start()
-				for _, cp := range nr.gw.Links() {
-					cp.SetFlightRecorder(r.rec, "gw-qp:"+cp.Tenant+"@"+string(nr.name))
-				}
-			}
-		}
-		r.ready.TryPut(struct{}{})
-	})
-
-	r.inj = r.buildInjector()
+	r.inj = c.NewChaos(sc.Seed)
+	r.inj.SetFlightRecorder(r.rec)
 	r.installFaults()
-	r.spawnWorkloads()
-	if sc.Transfers > 0 {
-		r.spawnAuditor()
-	}
-	r.scraper = r.reg.Scrape(eng, scrapePeriod)
 
-	// Fairness window bounds.
-	eng.At(r.warm, func() {
+	reg := telemetry.NewRegistry()
+	c.Instrument(reg)
+	r.scraper = reg.Scrape(r.eng, scrapePeriod)
+
+	r.eng.At(r.warm, r.startLoad)
+	r.eng.At(r.loadEnd, func() {
 		for _, tr := range r.tenants {
-			tr.windowBase = tr.completed
-		}
-	})
-	eng.At(r.loadEnd, func() {
-		for _, tr := range r.tenants {
-			tr.windowCompleted = tr.completed - tr.windowBase
+			tr.windowCompleted = tr.completed
 		}
 	})
 	return r
 }
 
-// buildInjector registers the standard chaos targets: per node the SoC DMA
-// ("dma@<node>"), the DPU cores ("cores@<node>"), the node's own conn pools
-// ("qp@<node>") and the crash set ("crash@<node>": the node's pools plus
-// every peer pool pointing at it — a rebooted node loses all QP state on
-// both ends).
-func (r *Rig) buildInjector() *chaos.Injector {
-	in := chaos.NewInjector(r.eng, r.net, r.sc.Seed)
-	in.SetFlightRecorder(r.rec)
-	for _, nr := range r.nodes {
-		nr := nr
-		in.RegisterStaller("dma@"+string(nr.name), nr.dpu.SoCDMA())
-		in.RegisterCores("cores@"+string(nr.name), nr.dpu.Cores()...)
-		in.RegisterQPs("qp@"+string(nr.name), func() []chaos.QPErrorTarget {
-			var ts []chaos.QPErrorTarget
-			for _, cp := range nr.eng.ConnPools() {
-				ts = append(ts, cp)
-			}
-			if nr.gw != nil {
-				for _, cp := range nr.gw.Links() {
-					ts = append(ts, cp)
-				}
-			}
-			return ts
-		})
-		in.RegisterQPs("crash@"+string(nr.name), func() []chaos.QPErrorTarget {
-			var ts []chaos.QPErrorTarget
-			for _, cp := range nr.eng.ConnPools() {
-				ts = append(ts, cp)
-			}
-			if nr.gw != nil {
-				for _, cp := range nr.gw.Links() {
-					ts = append(ts, cp)
-				}
-			}
-			for _, other := range r.nodes {
-				if other == nr {
-					continue
-				}
-				for _, tr := range r.tenants {
-					if cp := other.eng.ConnPool(nr.name, tr.sc.Name); cp != nil {
-						ts = append(ts, cp)
-					}
-				}
-				if other.gw != nil {
-					if cp := other.gw.Link(nr.name); cp != nil {
-						ts = append(ts, cp)
-					}
-				}
-			}
-			return ts
-		})
-		if nr.gw != nil {
-			in.RegisterCores("gw-cores@"+string(nr.name), nr.gw.Core())
-		}
-	}
-	return in
-}
-
-// installFaults maps the scenario's FaultSpecs onto chaos events. Spec
-// times are relative to the start of the load window.
+// installFaults maps the scenario's FaultSpecs onto chaos events against
+// the cluster's standard targets. Spec times are relative to the start of
+// the load window.
 func (r *Rig) installFaults() {
 	var sched chaos.Schedule
-	nodeIDs := make([]fabric.NodeID, r.sc.Nodes)
-	for i := range nodeIDs {
-		nodeIDs[i] = nodeNames[i]
+	nodes := make([]fabric.NodeID, r.sc.Nodes)
+	for i := range nodes {
+		nodes[i] = fabric.NodeID(nodeNames[i])
 	}
 	for _, f := range r.sc.Faults {
 		at := r.warm + f.At
-		node := nodeNames[f.Node%r.sc.Nodes]
+		node := nodes[f.Node%r.sc.Nodes]
 		switch f.Kind {
 		case FaultLinkStorm:
 			// Outages are capped well inside the transport-retry horizon
 			// so a storm degrades but never strands traffic.
-			sched = append(sched, r.inj.LinkStorm(nodeIDs, at, f.For, f.Count, 2*time.Millisecond)...)
+			sched = append(sched, r.inj.LinkStorm(nodes, at, f.For, f.Count, 2*time.Millisecond)...)
 		case FaultQPError:
 			sched = append(sched, chaos.Event{At: at,
 				Fault: chaos.QPError{Target: "qp@" + string(node), Count: f.Count}})
+			if r.sc.Gateways {
+				sched = append(sched, chaos.Event{At: at,
+					Fault: chaos.QPError{Target: "gw-qp@" + string(node), Count: f.Count}})
+			}
 		case FaultNodeCrash:
 			sched = append(sched, chaos.Event{At: at, For: f.For,
 				Fault: chaos.NodeCrash{Node: node, QPs: "crash@" + string(node)}})
@@ -432,7 +146,7 @@ func (r *Rig) installFaults() {
 				Fault: chaos.SlowCores{Target: "cores@" + string(node), Factor: f.Factor}})
 		case FaultPartition:
 			var rest []fabric.NodeID
-			for _, id := range nodeIDs {
+			for _, id := range nodes {
 				if id != node {
 					rest = append(rest, id)
 				}
@@ -446,328 +160,129 @@ func (r *Rig) installFaults() {
 	r.inj.Install(sched)
 }
 
-// waitReady parks pr until QP establishment completes.
-func (r *Rig) waitReady(pr *sim.Proc) {
-	r.ready.Get(pr)
-	r.ready.TryPut(struct{}{})
+// pool is tr's memory pool on its client node.
+func (r *Rig) pool(tr *tenantRig) *mempool.Pool {
+	return r.c.Nodes()[tr.sc.CliNode].Pools[tr.idx]
 }
 
-// takeLeak consumes the planted leak-buffer defect: the first caller that
-// would recycle a completed response keeps it instead.
-func (r *Rig) takeLeak() bool {
-	if r.sc.Defect == DefectLeakBuffer && r.leaked == 0 {
-		r.leaked++
-		return true
+// startLoad opens the load window: the flight recorder goes onto the
+// established QP pools, the planted defect strikes, and every tenant's
+// driver starts.
+func (r *Rig) startLoad() {
+	if !r.c.Ready() {
+		panic("simtest: cluster still setting up at load start")
 	}
-	return false
-}
-
-// serveCore builds a serve-side processor honoring the scenario's serving
-// discipline (PSServe runs the tenant cores processor-sharing).
-func (r *Rig) serveCore(name string) *sim.Processor {
-	disc := sim.FCFS
-	if r.sc.PSServe {
-		disc = sim.PS
-	}
-	return sim.NewProcessorDisc(r.eng, name, r.p.HostCoreSpeed, disc)
-}
-
-// spawnWorkloads starts the echo server and the tenant's driver (closed
-// loop, open loop or Poisson trace).
-func (r *Rig) spawnWorkloads() {
-	for _, tr := range r.tenants {
-		r.spawnServer(tr)
-		r.spawnDemux(tr)
-		if tr.spec != nil {
-			r.spawnHedgePump(tr)
+	r.c.AttachFlightRecorder(r.rec)
+	if r.sc.Defect == DefectLeakBuffer {
+		if _, err := r.pool(r.tenants[0]).Get("leak"); err != nil {
+			panic(err)
 		}
+	}
+	for _, tr := range r.tenants {
 		switch tr.sc.Load {
 		case LoadClosed:
-			r.spawnClosedClients(tr)
+			for i := 0; i < tr.sc.Clients; i++ {
+				r.closedClient(tr)
+			}
 		case LoadOpen:
-			r.spawnOpenLoop(tr)
+			r.openLoop(tr)
 		case LoadPoisson:
-			r.spawnPoisson(tr)
+			r.poisson(tr)
 		default:
 			panic(fmt.Sprintf("simtest: unknown load kind %q", tr.sc.Load))
 		}
 	}
-}
-
-// spawnServer answers every request with a same-size reply, backpressuring
-// on pool exhaustion exactly like the benchmark rigs.
-func (r *Rig) spawnServer(tr *tenantRig) {
-	core := r.serveCore("srv-core-" + tr.sc.Name)
-	r.cores = append(r.cores, coreRef{"srv-core-" + tr.sc.Name, core})
-	srv := mempool.Owner("srv-" + tr.sc.Name)
-	r.eng.Spawn("srv-"+tr.sc.Name, func(pr *sim.Proc) {
-		for {
-			d := tr.srvPort.Recv(pr, core)
-			if d.Spec != nil && d.Spec() {
-				// Losing clone killed at the serve boundary: recycle the
-				// landed request buffer, never burn serve time on it.
-				if err := tr.srvPool.Put(d.Buf, srv); err != nil {
-					panic(err)
-				}
-				continue
-			}
-			reply, err := tr.srvPool.Get(srv)
-			for err != nil {
-				pr.Sleep(20 * time.Microsecond)
-				reply, err = tr.srvPool.Get(srv)
-			}
-			if err := tr.srvPool.Put(d.Buf, srv); err != nil {
-				panic(err)
-			}
-			out := mempool.Descriptor{
-				Tenant: tr.sc.Name, Buf: reply, Len: d.Len,
-				Src: "srv-" + tr.sc.Name, Dst: d.Src, Seq: d.Seq, Stamp: d.Stamp,
-				Trace: d.Trace,
-				// The probe rides the response leg too, so a loser's reply
-				// dies at the serve-side TX gate instead of crossing back.
-				Spec: d.Spec,
-			}
-			if err := tr.srvPort.Send(pr, core, out); err != nil {
-				panic(err)
-			}
-		}
-	})
-}
-
-// spawnDemux routes responses back to waiters. Open-loop requests (nil
-// waiter queue) are counted complete and recycled here; deliveries with no
-// ledger entry are at-least-once duplicates and recycled. Speculated arms
-// resolve here at the boundary: the first completion wins its group, every
-// later one is a suppressed loser whose buffer is recycled in place.
-func (r *Rig) spawnDemux(tr *tenantRig) {
-	core := r.serveCore("cli-core-" + tr.sc.Name)
-	r.cores = append(r.cores, coreRef{"cli-core-" + tr.sc.Name, core})
-	tr.cliCore = core
-	cli := mempool.Owner("cli-" + tr.sc.Name)
-	r.eng.Spawn("cli-demux-"+tr.sc.Name, func(pr *sim.Proc) {
-		for {
-			d := tr.cliPort.Recv(pr, core)
-			w, ok := tr.waiters[d.Seq]
-			if !ok {
-				// Duplicate delivery from the retry path: recycle or leak.
-				if err := tr.cliPool.Put(d.Buf, cli); err != nil {
-					panic(err)
-				}
-				continue
-			}
-			delete(tr.waiters, d.Seq)
-			if w.g != nil {
-				if !w.g.Finish(w.arm) {
-					// Loser reached the boundary: suppress, close its arm's
-					// ledger entry, recycle its buffer.
-					tr.specLosers++
-					tr.completed++
-					tr.compCounter.Add(1)
-					d.Trace.Finish()
-					if err := tr.cliPool.Put(d.Buf, cli); err != nil {
-						panic(err)
-					}
-					continue
-				}
-				tr.specWinsSeen++
-			}
-			if w.q == nil {
-				// Open-loop completion.
-				tr.completed++
-				tr.compCounter.Add(1)
-				d.Trace.Finish()
-				if !r.takeLeak() {
-					if err := tr.cliPool.Put(d.Buf, cli); err != nil {
-						panic(err)
-					}
-				}
-				continue
-			}
-			w.q.TryPut(d)
-		}
-	})
-}
-
-// fireArm issues one arm of a request for tr (proc context); g is nil for
-// unspeculated requests. Returns false when the tenant pool is exhausted
-// (the caller sheds or retries).
-func (r *Rig) fireArm(tr *tenantRig, pr *sim.Proc, q *sim.Queue[mempool.Descriptor], g *speculate.Group, arm int) bool {
-	cli := mempool.Owner("cli-" + tr.sc.Name)
-	buf, err := tr.cliPool.Get(cli)
-	if err != nil {
-		if errors.Is(err, mempool.ErrExhausted) {
-			tr.shed++
-			return false
-		}
-		panic(err)
+	if r.sc.Transfers > 0 {
+		r.audit()
 	}
-	tr.seq++
-	id := tr.seq
-	tr.waiters[id] = waiter{q: q, g: g, arm: arm}
+}
+
+// submit issues one request for tr through the cluster's front door and
+// books it on the ledger; then, if set, runs on its first reply.
+func (r *Rig) submit(tr *tenantRig, client int, then func()) {
 	tr.issued++
-	req := r.tracer.StartRequest("echo/" + tr.sc.Name)
-	d := mempool.Descriptor{
-		Tenant: tr.sc.Name, Buf: buf, Len: tr.sc.Payload,
-		Src: "cli-" + tr.sc.Name, Dst: "srv-" + tr.sc.Name, Seq: id, Stamp: pr.Now(),
-		Trace: req,
-	}
-	if g != nil {
-		d.Spec = r.armProbe(tr, g, id, req)
-	}
-	if err := tr.cliPort.Send(pr, tr.cliCore, d); err != nil {
-		panic(err)
-	}
-	return true
-}
-
-// armProbe wraps the group's cancellation probe (mempool.Descriptor.Spec)
-// with the rig's ledger: the first true verdict closes the arm's in-flight
-// entry — the carrier at the kill site (DNE TX gate, serve boundary)
-// returns the buffer itself; retry duplicates of an already-dead arm get
-// the kill verdict without double-accounting, and the mempool's generation
-// fence makes their buffer release a no-op.
-func (r *Rig) armProbe(tr *tenantRig, g *speculate.Group, id uint64, req *trace.Req) func() bool {
-	dead := false
-	return func() bool {
-		if !g.Won() {
-			return false
+	tr.inFlight++
+	answered := false
+	r.c.SubmitChain(tr.chain, client, func(ingress.Response) {
+		if answered {
+			tr.doubles++
+			return
 		}
-		if !dead {
-			dead = true
-			g.Killed()
-			delete(tr.waiters, id)
-			tr.completed++
-			tr.compCounter.Add(1)
-			tr.specKills++
-			req.Finish()
-		}
-		return true
-	}
-}
-
-// launchReq fires one speculated request through the tenant's controller:
-// launch-time arms fire synchronously in the caller's proc context, the
-// hedge arm (firing later, in timer context) relays through the tenant's
-// hedge pump.
-func (r *Rig) launchReq(tr *tenantRig, pr *sim.Proc, q *sim.Queue[mempool.Descriptor]) *speculate.Group {
-	sync := true
-	g := tr.spec.Launch(tr.sc.Name, 0, 0, func(g *speculate.Group, arm int) bool {
-		if sync {
-			return r.fireArm(tr, pr, q, g, arm)
-		}
-		// Counted optimistically; the pump sheds on pool exhaustion and
-		// accounts the unfired arm (specUnfired) for the safety invariant.
-		tr.hedgeQ.TryPut(hedgeFire{g: g, arm: arm, q: q})
-		return true
-	})
-	sync = false
-	return g
-}
-
-// spawnHedgePump drains the tenant's hedge relay: each entry is a hedge arm
-// fired from its timer context, sent here from a proc that can pay the
-// port-send cost.
-func (r *Rig) spawnHedgePump(tr *tenantRig) {
-	r.eng.Spawn("hedge-pump-"+tr.sc.Name, func(pr *sim.Proc) {
-		for {
-			hf := tr.hedgeQ.Get(pr)
-			if !r.fireArm(tr, pr, hf.q, hf.g, hf.arm) {
-				tr.specUnfired++
-			}
+		answered = true
+		tr.inFlight--
+		tr.completed++
+		if then != nil {
+			then()
 		}
 	})
 }
 
-// issueReq fires one logical request: unspeculated tenants send a single
-// arm, speculative tenants launch a clone group. Returns false when nothing
-// went out (pool exhausted on every arm).
-func (r *Rig) issueReq(tr *tenantRig, pr *sim.Proc, q *sim.Queue[mempool.Descriptor]) bool {
-	if tr.spec == nil {
-		return r.fireArm(tr, pr, q, nil, 0)
-	}
-	g := r.launchReq(tr, pr, q)
-	if g.Arms() == 0 {
-		tr.specNoArm++
-		return false
-	}
-	return true
+// client hands out the next client id.
+func (r *Rig) client() int {
+	r.clients++
+	return r.clients
 }
 
-// spawnClosedClients runs the tenant's closed-loop echo clients.
-func (r *Rig) spawnClosedClients(tr *tenantRig) {
-	cli := mempool.Owner("cli-" + tr.sc.Name)
-	for i := 0; i < tr.sc.Clients; i++ {
-		r.eng.Spawn(fmt.Sprintf("cli-%s-%d", tr.sc.Name, i), func(pr *sim.Proc) {
-			r.waitReady(pr)
-			respQ := sim.NewQueue[mempool.Descriptor](r.eng, 0)
-			for pr.Now() < r.loadEnd {
-				// Think-time jitter decorrelates the lockstep clients.
-				pr.Sleep(time.Duration(r.eng.Rand().Intn(3000)) * time.Nanosecond)
-				if !r.issueReq(tr, pr, respQ) {
-					pr.Sleep(50 * time.Microsecond)
-					continue
-				}
-				resp := respQ.Get(pr)
-				resp.Trace.Finish()
-				tr.completed++
-				tr.compCounter.Add(1)
-				if r.takeLeak() {
-					continue
-				}
-				if err := tr.cliPool.Put(resp.Buf, cli); err != nil {
-					panic(err)
-				}
-			}
-		})
-	}
+// jitter is a closed-loop client's think time: 0-3 µs decorrelates the
+// lockstep clients.
+func (r *Rig) jitter() time.Duration {
+	return time.Duration(r.eng.Rand().Intn(3000)) * time.Nanosecond
 }
 
-// spawnOpenLoop issues one request every Every until the load window ends.
-func (r *Rig) spawnOpenLoop(tr *tenantRig) {
-	r.eng.Spawn("open-"+tr.sc.Name, func(pr *sim.Proc) {
-		r.waitReady(pr)
-		for pr.Now() < r.loadEnd {
-			pr.Sleep(tr.sc.Every)
-			if pr.Now() >= r.loadEnd {
-				break
-			}
-			r.issueReq(tr, pr, nil)
+// closedClient runs one closed-loop client: each reply issues the next
+// request after the think-time jitter, until the load window ends.
+func (r *Rig) closedClient(tr *tenantRig) {
+	id := r.client()
+	var issue func()
+	next := func() { r.eng.After(r.jitter(), issue) }
+	issue = func() {
+		if r.eng.Now() < r.loadEnd {
+			r.submit(tr, id, next)
 		}
-	})
+	}
+	next()
 }
 
-// spawnPoisson drives the tenant from a workload.TraceGen arrival process
-// (Poisson with a mild diurnal swing) through a relay queue, since the
-// generator's submit hook runs in the generator's own process.
-func (r *Rig) spawnPoisson(tr *tenantRig) {
+// openLoop issues one request every Every until the load window ends.
+func (r *Rig) openLoop(tr *tenantRig) {
+	id := r.client()
+	var tick func()
+	tick = func() {
+		if r.eng.Now() < r.loadEnd {
+			r.submit(tr, id, nil)
+			r.eng.After(tr.sc.Every, tick)
+		}
+	}
+	r.eng.After(tr.sc.Every, tick)
+}
+
+// poisson drives the tenant from a workload.TraceGen arrival process
+// (Poisson with a mild diurnal swing); arrivals after the load window are
+// discarded.
+func (r *Rig) poisson(tr *tenantRig) {
+	id := r.client()
 	gen := &workload.TraceGen{
-		Chains:           []string{tr.sc.Name},
+		Chains:           []string{tr.chain},
 		ZipfS:            1.0,
 		BaseRPS:          tr.sc.RPS,
 		DiurnalAmplitude: 0.3,
 		Period:           r.sc.Load,
 	}
 	_, hook := gen.Start(r.eng)
-	arrivals := sim.NewQueue[struct{}](r.eng, 0)
-	hook(func(string) { arrivals.TryPut(struct{}{}) })
-	r.eng.Spawn("poisson-"+tr.sc.Name, func(pr *sim.Proc) {
-		r.waitReady(pr)
-		for {
-			arrivals.Get(pr)
-			if pr.Now() >= r.loadEnd {
-				continue // generator never stops; discard post-window arrivals
-			}
-			r.issueReq(tr, pr, nil)
+	hook(func(string) {
+		if r.eng.Now() < r.loadEnd {
+			r.submit(tr, id, nil)
 		}
 	})
 }
 
-// spawnAuditor interleaves cross-tenant ownership transfers with the load:
-// each chain moves a buffer from the first tenant's client actor to a
+// audit interleaves cross-tenant ownership transfers with the load: each
+// chain moves a buffer of the first tenant's pool from the auditor to a
 // foreign tenant's actor and back, checking every access rule along the
 // way. Unexpected outcomes are recorded as ownership-audit findings.
-func (r *Rig) spawnAuditor() {
+func (r *Rig) audit() {
 	tr := r.tenants[0]
+	pool := r.pool(tr)
 	ownerA := mempool.Owner("aud-" + tr.sc.Name)
 	foreign := "ghost"
 	if len(r.tenants) > 1 {
@@ -779,33 +294,38 @@ func (r *Rig) spawnAuditor() {
 			r.auditErrs = append(r.auditErrs, fmt.Sprintf(format, args...))
 		}
 	}
-	r.eng.Spawn("auditor", func(pr *sim.Proc) {
-		r.waitReady(pr)
-		for i := 0; i < r.sc.Transfers && pr.Now() < r.loadEnd; i++ {
-			pr.Sleep(time.Duration(50+r.eng.Rand().Intn(200)) * time.Microsecond)
-			b, err := tr.cliPool.Get(ownerA)
-			if err != nil {
-				continue // pool squeezed by the data plane; not a finding
-			}
-			if err := tr.cliPool.Transfer(b, ownerA, ownerB); err != nil {
-				fail("transfer %v->%v: %v", ownerA, ownerB, err)
-			}
-			if err := tr.cliPool.Access(b, ownerB); err != nil {
-				fail("new owner denied access: %v", err)
-			}
-			if err := tr.cliPool.Access(b, ownerA); !errors.Is(err, mempool.ErrNotOwner) {
-				fail("stale owner retained access: err=%v", err)
-			}
-			if err := tr.cliPool.Transfer(b, ownerB, ownerA); err != nil {
-				fail("transfer back: %v", err)
-			}
-			if err := tr.cliPool.Put(b, ownerA); err != nil {
-				fail("put: %v", err)
-			}
-			if err := tr.cliPool.Access(b, ownerA); !errors.Is(err, mempool.ErrStaleBuffer) {
-				fail("use after free not detected: err=%v", err)
-			}
-			r.auditOps++
+	gap := func() time.Duration { return time.Duration(50+r.eng.Rand().Intn(200)) * time.Microsecond }
+	chains := 0
+	var step func()
+	step = func() {
+		if chains >= r.sc.Transfers || r.eng.Now() >= r.loadEnd {
+			return
 		}
-	})
+		chains++
+		r.eng.After(gap(), step)
+		b, err := pool.Get(ownerA)
+		if err != nil {
+			return // pool squeezed by the data plane; not a finding
+		}
+		if err := pool.Transfer(b, ownerA, ownerB); err != nil {
+			fail("transfer %v->%v: %v", ownerA, ownerB, err)
+		}
+		if err := pool.Access(b, ownerB); err != nil {
+			fail("new owner denied access: %v", err)
+		}
+		if err := pool.Access(b, ownerA); !errors.Is(err, mempool.ErrNotOwner) {
+			fail("stale owner retained access: err=%v", err)
+		}
+		if err := pool.Transfer(b, ownerB, ownerA); err != nil {
+			fail("transfer back: %v", err)
+		}
+		if err := pool.Put(b, ownerA); err != nil {
+			fail("put: %v", err)
+		}
+		if err := pool.Access(b, ownerA); !errors.Is(err, mempool.ErrStaleBuffer) {
+			fail("use after free not detected: err=%v", err)
+		}
+		r.auditOps++
+	}
+	r.eng.After(gap(), step)
 }

@@ -20,20 +20,19 @@ const checkPeriod = 500 * time.Microsecond
 type Result struct {
 	Scenario Scenario
 
-	Issued, Completed, Shed uint64
-	InFlight                int
-	Drops                   uint64 // engine- and gateway-side losses (route/port/retry budget)
-	Retried                 uint64
-	Forwarded               uint64 // gateway writes posted (gateway scenarios only)
-	FaultsApplied           int
-	FaultsReverted          int
-	AuditOps                int
+	Issued, Completed, InFlight uint64
+	Drops                       uint64 // counted data-plane losses: engines, gateways, ingress
+	Retried                     uint64
+	Forwarded                   uint64 // gateway writes posted (gateway scenarios only)
+	FaultsApplied               int
+	FaultsReverted              int
+	AuditOps                    int
 
-	// Speculation ledger totals, summed across speculative tenants (all
-	// zero when the scenario runs without cloning or hedging).
+	// Speculation ledger of the ingress controller (all zero when the
+	// scenario runs without cloning or hedging).
 	SpecLaunched, SpecArms uint64
 	SpecWins, SpecCancels  uint64
-	SpecKills, SpecUnfired uint64
+	SpecKills              uint64
 
 	Violations []Violation
 
@@ -60,9 +59,9 @@ func (res *Result) ReproCommand() string {
 }
 
 // Run builds the scenario's world, drives it to quiesce under the periodic
-// checkers, then runs the final checkers. Panics anywhere inside the
-// simulation are converted into a "panic" violation so a sweep survives a
-// crashing seed and still reports it.
+// checkers, then runs the final checkers. Panics in engine context are
+// converted into a "panic" violation so a sweep survives a crashing seed
+// and still reports it.
 func Run(sc Scenario) *Result {
 	res := &Result{Scenario: sc}
 	var r *Rig
@@ -74,17 +73,15 @@ func Run(sc Scenario) *Result {
 			}
 		}()
 		r = NewRig(sc)
-		r.lastBusy = make([]time.Duration, len(r.cores))
 		invs := Invariants()
-		stop := r.eng.Ticker(checkPeriod, func(now time.Duration) {
+		stop := r.eng.Ticker(checkPeriod, func(time.Duration) {
 			for _, inv := range invs {
-				if inv.Periodic == nil || r.tripped[inv.Name] {
+				if r.tripped[inv.Name] {
 					continue
 				}
-				if msg := inv.Periodic(r, now); msg != "" {
+				if msgs := inv.Check(r, false); len(msgs) > 0 {
 					r.tripped[inv.Name] = true
-					r.rec.Record(flightrec.KindInvariant, r.invActor, int64(len(r.violations)), 0)
-					r.violations = append(r.violations, Violation{At: now, Invariant: inv.Name, Detail: msg})
+					r.violate(inv.Name, msgs[0])
 				}
 			}
 		})
@@ -92,47 +89,14 @@ func Run(sc Scenario) *Result {
 		stop()
 		r.scraper.Stop()
 		for _, inv := range invs {
-			if inv.Final == nil {
-				continue
-			}
-			for _, msg := range inv.Final(r) {
-				r.rec.Record(flightrec.KindInvariant, r.invActor, int64(len(r.violations)), 0)
-				r.violations = append(r.violations,
-					Violation{At: r.eng.Now(), Invariant: inv.Name, Detail: msg})
+			for _, msg := range inv.Check(r, true) {
+				r.violate(inv.Name, msg)
 			}
 		}
 	}()
 	if r != nil {
-		res.Violations = append(res.Violations, r.violations...)
-		for _, tr := range r.tenants {
-			res.Issued += tr.issued
-			res.Completed += tr.completed
-			res.Shed += tr.shed
-			res.InFlight += tr.inFlight()
-			if tr.spec != nil {
-				st := tr.spec.Stats()
-				res.SpecLaunched += st.Launched
-				res.SpecArms += st.Arms
-				res.SpecWins += st.Wins()
-				res.SpecCancels += st.Cancels
-				res.SpecKills += st.Kills
-				res.SpecUnfired += tr.specUnfired
-			}
-		}
-		for _, nr := range r.nodes {
-			_, _, noRoute, noPort, _ := nr.eng.Stats()
-			retried, dropped := nr.eng.RetryStats()
-			res.Drops += noRoute + noPort + dropped
-			res.Retried += retried
-			if nr.gw != nil {
-				s := nr.gw.Stats()
-				res.Drops += s.Dropped
-				res.Forwarded += s.Forwarded
-			}
-		}
-		res.FaultsApplied = r.inj.Applied()
-		res.FaultsReverted = r.inj.Reverted()
-		res.AuditOps = r.auditOps
+		res.collect(r)
+		defer r.eng.Stop()
 	}
 	if panicDetail != "" {
 		at := time.Duration(0)
@@ -149,21 +113,51 @@ func Run(sc Scenario) *Result {
 	return res
 }
 
+// violate records one finding, marking it in the flight recorder too.
+func (r *Rig) violate(invariant, detail string) {
+	r.rec.Record(flightrec.KindInvariant, r.invActor, int64(len(r.violations)), 0)
+	r.violations = append(r.violations, Violation{At: r.eng.Now(), Invariant: invariant, Detail: detail})
+}
+
+// collect copies the rig's ledger and the cluster's counters into res.
+func (res *Result) collect(r *Rig) {
+	res.Violations = append(res.Violations, r.violations...)
+	for _, tr := range r.tenants {
+		res.Issued += tr.issued
+		res.Completed += tr.completed
+		res.InFlight += tr.inFlight
+	}
+	if sp := r.c.Gateway().Spec(); sp != nil {
+		st := sp.Stats()
+		res.SpecLaunched, res.SpecArms = st.Launched, st.Arms
+		res.SpecWins, res.SpecCancels, res.SpecKills = st.Wins(), st.Cancels, st.Kills
+	}
+	res.Drops = r.drops()
+	for _, n := range r.c.Nodes() {
+		retried, _ := n.Engine.RetryStats()
+		res.Retried += retried
+		if n.Gateway != nil {
+			res.Forwarded += n.Gateway.Stats().Forwarded
+		}
+	}
+	res.FaultsApplied = r.inj.Applied()
+	res.FaultsReverted = r.inj.Reverted()
+	res.AuditOps = r.auditOps
+}
+
 // render builds the canonical report text. Everything in it is derived from
 // deterministic simulation state, so it is byte-stable per scenario.
 func (res *Result) render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "scenario: %s\n", res.Scenario)
-	fmt.Fprintf(&b, "issued=%d completed=%d shed=%d in_flight=%d drops=%d retried=%d\n",
-		res.Issued, res.Completed, res.Shed, res.InFlight, res.Drops, res.Retried)
+	fmt.Fprintf(&b, "issued=%d completed=%d in_flight=%d drops=%d retried=%d\n",
+		res.Issued, res.Completed, res.InFlight, res.Drops, res.Retried)
 	if res.Scenario.Gateways {
 		fmt.Fprintf(&b, "gateway forwarded=%d\n", res.Forwarded)
 	}
-	// Emitted only for speculative scenarios so every historical seed's
-	// report — and fingerprint — stays byte-identical.
 	if res.Scenario.Speculative() {
-		fmt.Fprintf(&b, "spec launched=%d arms=%d wins=%d cancels=%d kills=%d unfired=%d\n",
-			res.SpecLaunched, res.SpecArms, res.SpecWins, res.SpecCancels, res.SpecKills, res.SpecUnfired)
+		fmt.Fprintf(&b, "spec launched=%d arms=%d wins=%d cancels=%d kills=%d\n",
+			res.SpecLaunched, res.SpecArms, res.SpecWins, res.SpecCancels, res.SpecKills)
 	}
 	fmt.Fprintf(&b, "faults applied=%d reverted=%d audit_ops=%d\n",
 		res.FaultsApplied, res.FaultsReverted, res.AuditOps)

@@ -1,11 +1,14 @@
 // Package simtest is the repository's deterministic-simulation fuzzer, in
 // the FoundationDB tradition: a seeded scenario generator composes random
-// topologies, tenant mixes, workloads and chaos schedules; a global
-// invariant registry checks system-wide properties (buffer conservation,
-// request conservation, QP legality, fairness, clock monotonicity,
-// telemetry/trace consistency) at event boundaries and at end of run; and a
-// shrinker reduces failing scenarios to minimal counterexamples by
-// bisecting the fault schedule and the workload duration.
+// topologies, tenant mixes, workloads and chaos schedules; each scenario is
+// built as a core.Cluster — the assembly nadino-svc, the benchmark and the
+// experiments run — loaded only through SubmitChain and faulted only
+// through Cluster.NewChaos; a global invariant registry checks system-wide
+// properties (buffer conservation, request conservation, QP legality,
+// fairness, clock monotonicity, telemetry/trace consistency) over the
+// cluster's read-only inspection surface at event boundaries and at end of
+// run; and a shrinker reduces failing scenarios to minimal counterexamples
+// by bisecting the fault schedule and the workload duration.
 //
 // Everything is a pure function of the scenario seed: a failing seed
 // reported by the sweep (`nadino-bench -run fuzz`) reproduces
@@ -18,7 +21,8 @@ import (
 	"strings"
 	"time"
 
-	"nadino/internal/dne"
+	"nadino/internal/core"
+	"nadino/internal/speculate"
 )
 
 // genSalt decorrelates the generator's RNG from the engine and chaos RNGs
@@ -36,15 +40,14 @@ const (
 	LoadPoisson = "poisson"
 )
 
-// TenantScenario is one tenant's slice of a generated scenario.
+// TenantScenario is one tenant's slice of a generated scenario: function
+// cli-<name> on CliNode calls srv-<name> on SrvNode, and chain echo-<name>
+// enters at the client with Payload bytes each way.
 type TenantScenario struct {
 	Name   string
 	Weight int
 	// CliNode hosts the tenant's client function, SrvNode its echo server.
 	CliNode, SrvNode int
-	// PoolBufs/BufSize size the tenant's per-node buffer pool; InitialRQ
-	// is the engine's pre-posted receive ring.
-	PoolBufs, BufSize, InitialRQ int
 
 	Load    string        // LoadClosed, LoadOpen or LoadPoisson
 	Clients int           // closed-loop client count (LoadClosed)
@@ -92,18 +95,14 @@ func (f FaultSpec) String() string {
 // Scenario is one fully-specified fuzz case: everything the runner needs to
 // rebuild the same world, derived from Seed by Generate. The fields are
 // plain values so the shrinker can perturb them and tests can construct
-// scenarios directly.
+// scenarios directly; Config turns one into the core.Config that builds it.
 type Scenario struct {
 	Seed  int64
-	Nodes int // worker nodes (2 or 3), one DNE each
+	Nodes int // worker nodes (2 or 3)
 
-	Mode  dne.Mode
-	Sched dne.SchedulerKind
-	// QPs is the RC connection-pool size per tenant link.
-	QPs int
-	// ExtraPerMsg caps engine throughput (params.DNEExtraPerMsg); 0 leaves
-	// the calibrated default.
-	ExtraPerMsg time.Duration
+	// System is the data plane under test: core.NadinoDNE, or
+	// core.NadinoCNE with the engine on a host core.
+	System core.System
 
 	// Load is the driven window after warmup; Drain keeps the engines
 	// alive afterwards so retries, repairs and buffers come home before
@@ -118,28 +117,28 @@ type Scenario struct {
 	// cross-tenant mempool.Transfer chains with the data-plane load.
 	Transfers int
 
-	// Defect plants a deliberate bug in the harness's test doubles so the
-	// invariant registry has something to catch (tests and demos):
-	// "leak-buffer" makes one client keep a response buffer forever.
+	// Defect plants a deliberate bug in the harness so the invariant
+	// registry has something to catch (tests and demos): "leak-buffer"
+	// makes the rig take one tenant-pool buffer at load start and never
+	// return it.
 	Defect string
 
-	// Gateways routes cross-node hops through a per-node gateway tier
+	// Gateways routes cross-node hops through the per-node gateway tier
 	// (internal/gateway) instead of the engines' direct per-tenant QPs,
 	// putting route-table failover and the landing-window credit protocol
 	// under the invariant registry (route-consistency).
 	Gateways bool
 
-	// CloneN > 1 fires that many arms per request through a per-tenant
-	// speculation controller (internal/speculate): first completion wins,
-	// losers are killed mid-plane via the descriptor cancellation probe or
-	// suppressed at the client boundary (speculation-safety invariant).
+	// CloneN > 1 makes the ingress fire that many arms per request
+	// (internal/speculate): first completion wins, losers are killed
+	// mid-plane via the descriptor cancellation probe or suppressed at the
+	// ingress boundary (speculation-safety invariant).
 	CloneN int
 	// HedgeAfter > 0 arms a hedged retry per request with that deadline
 	// floor (the rolling P95 takes over once the window warms).
 	HedgeAfter time.Duration
-	// PSServe runs the tenants' serve and demux cores processor-sharing
-	// instead of FCFS (sim.PS), putting the PS quantum re-arm path under
-	// the fuzzer.
+	// PSServe runs every function core processor-sharing instead of FCFS
+	// (sim.PS), putting the PS quantum re-arm path under the fuzzer.
 	PSServe bool
 }
 
@@ -151,6 +150,63 @@ func (sc Scenario) Speculative() bool { return sc.CloneN > 1 || sc.HedgeAfter > 
 // catches (and shrinks) invariant violations.
 const DefectLeakBuffer = "leak-buffer"
 
+// nodeNames map scenario node indices onto the repository's conventional
+// node names.
+var nodeNames = []string{"nodeA", "nodeB", "nodeC"}
+
+// gwWindow is the landing-slot window per (gateway, tenant): small enough
+// to exercise the credit protocol under load.
+const gwWindow = 8
+
+// srvService is the echo server's application work per request: enough
+// that PS serving has concurrent jobs to share a core between.
+const srvService = 2 * time.Microsecond
+
+// poolBuffers sizes every tenant pool at a quarter of core's default: the
+// invariants audit each pool every check tick, in time linear in its size,
+// and sweeps peak near 600 buffers per worker pool and 1,100 per ingress
+// pool (1,024 of them the posted receive ring).
+const poolBuffers = 4096
+
+// Config is the cluster that runs the scenario — the same assembly path
+// nadino-svc, the benchmark and the experiments use. Every tenant gets
+// functions cli-<t> and srv-<t> and the chain echo-<t>; the first tenant is
+// the cluster's default tenant.
+func (sc Scenario) Config() core.Config {
+	cfg := core.Config{
+		System:      sc.System,
+		Nodes:       nodeNames[:sc.Nodes],
+		PoolBuffers: poolBuffers,
+		Gateways:    sc.Gateways,
+		PSCores:     sc.PSServe,
+		Speculate: speculate.Policy{
+			CloneN:   sc.CloneN,
+			Hedge:    sc.HedgeAfter > 0,
+			HedgeMin: sc.HedgeAfter,
+		},
+		Seed: sc.Seed,
+	}
+	if sc.Gateways {
+		cfg.GatewayWindow = gwWindow
+	}
+	for i, t := range sc.Tenants {
+		if i == 0 {
+			cfg.Tenant = t.Name
+		}
+		cfg.Tenants = append(cfg.Tenants, core.TenantSpec{Name: t.Name, Weight: t.Weight})
+		cfg.Functions = append(cfg.Functions,
+			core.FunctionSpec{Name: "cli-" + t.Name, Tenant: t.Name, Node: nodeNames[t.CliNode]},
+			core.FunctionSpec{Name: "srv-" + t.Name, Tenant: t.Name, Node: nodeNames[t.SrvNode],
+				Service: srvService})
+		cfg.Chains = append(cfg.Chains, core.ChainSpec{
+			Name: "echo-" + t.Name, Tenant: t.Name, Entry: "cli-" + t.Name,
+			ReqBytes: t.Payload, RespBytes: t.Payload,
+			Calls: []core.Call{{Callee: "srv-" + t.Name, ReqBytes: t.Payload, RespBytes: t.Payload}},
+		})
+	}
+	return cfg
+}
+
 // tenantNames label generated tenants.
 var tenantNames = []string{"amber", "basil", "coral"}
 
@@ -159,26 +215,14 @@ var tenantNames = []string{"amber", "basil", "coral"}
 func Generate(seed int64) Scenario {
 	rng := rand.New(rand.NewSource(seed ^ genSalt))
 	sc := Scenario{
-		Seed:  seed,
-		Nodes: 2 + rng.Intn(2),
-		Mode:  dne.OffPath,
-		QPs:   2 + rng.Intn(7),
-		Load:  8*time.Millisecond + time.Duration(rng.Intn(22))*time.Millisecond,
-		Drain: 200 * time.Millisecond,
+		Seed:   seed,
+		Nodes:  2 + rng.Intn(2),
+		System: core.NadinoDNE,
+		Load:   8*time.Millisecond + time.Duration(rng.Intn(22))*time.Millisecond,
+		Drain:  200 * time.Millisecond,
 	}
 	if rng.Intn(4) == 0 {
-		sc.Mode = dne.OnPath
-	}
-	switch rng.Intn(3) {
-	case 0:
-		sc.Sched = dne.SchedDWRR
-	case 1:
-		sc.Sched = dne.SchedFCFS
-	default:
-		sc.Sched = dne.SchedPriority
-	}
-	if rng.Intn(2) == 0 {
-		sc.ExtraPerMsg = time.Duration(1+rng.Intn(8)) * time.Microsecond
+		sc.System = core.NadinoCNE
 	}
 
 	// Symmetric scenarios share one node pair with identical tenants —
@@ -193,15 +237,13 @@ func Generate(seed int64) Scenario {
 	clients := 4 + rng.Intn(13)
 	for i := 0; i < nTenants; i++ {
 		ts := TenantScenario{
-			Name:      tenantNames[i],
-			Weight:    weight,
-			CliNode:   0,
-			SrvNode:   1,
-			BufSize:   8192,
-			InitialRQ: 64 + rng.Intn(129),
-			Load:      LoadClosed,
-			Clients:   clients,
-			Payload:   payload,
+			Name:    tenantNames[i],
+			Weight:  weight,
+			CliNode: 0,
+			SrvNode: 1,
+			Load:    LoadClosed,
+			Clients: clients,
+			Payload: payload,
 		}
 		if !symmetric {
 			ts.Weight = 1 + rng.Intn(4)
@@ -221,12 +263,6 @@ func Generate(seed int64) Scenario {
 				ts.Clients = 1 + rng.Intn(16)
 			}
 		}
-		if ts.Payload > ts.BufSize {
-			ts.BufSize = ts.Payload
-		}
-		// Size the pool so the receive ring plus every plausible in-flight
-		// buffer fits with headroom; open-loop senders shed on exhaustion.
-		ts.PoolBufs = ts.InitialRQ + 4*ts.Clients + 128 + rng.Intn(128)
 		sc.Tenants = append(sc.Tenants, ts)
 	}
 
@@ -247,7 +283,7 @@ func Generate(seed int64) Scenario {
 				f.For = 2*time.Millisecond + time.Duration(rng.Intn(4))*time.Millisecond
 			case 1:
 				f.Kind = FaultQPError
-				f.Count = rng.Intn(sc.QPs + 1) // 0 = all
+				f.Count = rng.Intn(coreQPs + 1) // 0 = all
 			case 2:
 				f.Kind = FaultNodeCrash
 				f.For = time.Duration(500+rng.Intn(4500)) * time.Microsecond
@@ -268,11 +304,7 @@ func Generate(seed int64) Scenario {
 	if rng.Intn(2) == 0 {
 		sc.Transfers = 8 + rng.Intn(56)
 	}
-	// Drawn last so earlier draws (and thus the non-gateway shape of every
-	// historical seed) stay stable.
 	sc.Gateways = rng.Intn(2) == 0
-	// Speculation and serving-discipline bits: drawn after everything else,
-	// again so every historical seed keeps its earlier draws.
 	if rng.Intn(3) == 0 {
 		sc.CloneN = 2 + rng.Intn(2)
 	}
@@ -282,6 +314,9 @@ func Generate(seed int64) Scenario {
 	sc.PSServe = rng.Intn(4) == 0
 	return sc
 }
+
+// coreQPs is the RC pool size core.Cluster establishes per link.
+const coreQPs = 8
 
 // Symmetric reports whether the scenario is fairness-eligible: every tenant
 // closed-loop on the same node pair with the same weight, client count and
@@ -300,34 +335,14 @@ func (sc Scenario) Symmetric() bool {
 	return true
 }
 
-// schedName renders the scheduler kind.
-func schedName(k dne.SchedulerKind) string {
-	switch k {
-	case dne.SchedDWRR:
-		return "dwrr"
-	case dne.SchedPriority:
-		return "prio"
-	default:
-		return "fcfs"
-	}
-}
-
-// modeName renders the engine mode.
-func modeName(m dne.Mode) string {
-	if m == dne.OnPath {
-		return "on-path"
-	}
-	return "off-path"
-}
-
 // String renders a compact, deterministic description used in fuzz reports.
 func (sc Scenario) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "seed=%d nodes=%d %s/%s qps=%d load=%v", sc.Seed, sc.Nodes,
-		modeName(sc.Mode), schedName(sc.Sched), sc.QPs, sc.Load)
-	if sc.ExtraPerMsg > 0 {
-		fmt.Fprintf(&b, " extra=%v", sc.ExtraPerMsg)
+	sys := "nadino-dne"
+	if sc.System == core.NadinoCNE {
+		sys = "nadino-cne"
 	}
+	fmt.Fprintf(&b, "seed=%d nodes=%d %s load=%v", sc.Seed, sc.Nodes, sys, sc.Load)
 	for _, t := range sc.Tenants {
 		fmt.Fprintf(&b, " %s[n%d>n%d w%d %s", t.Name, t.CliNode, t.SrvNode, t.Weight, t.Load)
 		switch t.Load {

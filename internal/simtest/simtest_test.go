@@ -6,7 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"nadino/internal/dne"
+	"nadino/internal/core"
 )
 
 // TestGenerateDeterministic pins the generator as a pure function of seed.
@@ -23,7 +23,7 @@ func TestGenerateDeterministic(t *testing.T) {
 }
 
 // TestGenerateShape sanity-checks generated scenarios: indices in range,
-// pools big enough for their rings, loads fully specified.
+// loads fully specified, and a config core accepts.
 func TestGenerateShape(t *testing.T) {
 	for seed := int64(0); seed < 500; seed++ {
 		sc := Generate(seed)
@@ -33,15 +33,15 @@ func TestGenerateShape(t *testing.T) {
 		if len(sc.Tenants) == 0 {
 			t.Fatalf("seed %d: no tenants", seed)
 		}
+		if sc.System != core.NadinoDNE && sc.System != core.NadinoCNE {
+			t.Fatalf("seed %d: system %v", seed, sc.System)
+		}
+		if err := sc.Config().Validate(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
 		for _, ts := range sc.Tenants {
 			if ts.CliNode >= sc.Nodes || ts.SrvNode >= sc.Nodes || ts.CliNode == ts.SrvNode {
 				t.Fatalf("seed %d tenant %s: nodes %d->%d of %d", seed, ts.Name, ts.CliNode, ts.SrvNode, sc.Nodes)
-			}
-			if ts.PoolBufs < ts.InitialRQ {
-				t.Fatalf("seed %d tenant %s: pool %d < ring %d", seed, ts.Name, ts.PoolBufs, ts.InitialRQ)
-			}
-			if ts.Payload > ts.BufSize {
-				t.Fatalf("seed %d tenant %s: payload %d > buf %d", seed, ts.Name, ts.Payload, ts.BufSize)
 			}
 			switch ts.Load {
 			case LoadClosed:
@@ -146,15 +146,13 @@ func TestSpeculationSweepClean(t *testing.T) {
 // byte-identical rerun.
 func TestSpeculationDeterministic(t *testing.T) {
 	sc := Scenario{
-		Seed: 77, Nodes: 2, Mode: dne.OffPath, Sched: dne.SchedDWRR,
-		QPs: 2, Load: 8 * time.Millisecond, Drain: 200 * time.Millisecond,
+		Seed: 77, Nodes: 2, System: core.NadinoDNE,
+		Load: 8 * time.Millisecond, Drain: 200 * time.Millisecond,
 		CloneN: 3, HedgeAfter: 250 * time.Microsecond, PSServe: true,
 		Tenants: []TenantScenario{
 			{Name: "amber", Weight: 1, CliNode: 0, SrvNode: 1,
-				PoolBufs: 300, BufSize: 4096, InitialRQ: 64,
 				Load: LoadClosed, Clients: 6, Payload: 512},
 			{Name: "basil", Weight: 1, CliNode: 0, SrvNode: 1,
-				PoolBufs: 300, BufSize: 4096, InitialRQ: 64,
 				Load: LoadClosed, Clients: 6, Payload: 512},
 		},
 		Faults: []FaultSpec{{Kind: FaultSlowCores, At: 2 * time.Millisecond,
@@ -182,12 +180,11 @@ func TestSpeculationDeterministic(t *testing.T) {
 // route-consistency — byte-identically across reruns.
 func TestGatewayScenarioForwards(t *testing.T) {
 	sc := Scenario{
-		Seed: 42, Nodes: 3, Mode: dne.OffPath, Sched: dne.SchedFCFS,
-		QPs: 2, Load: 10 * time.Millisecond, Drain: 200 * time.Millisecond,
+		Seed: 42, Nodes: 3, System: core.NadinoDNE,
+		Load: 10 * time.Millisecond, Drain: 200 * time.Millisecond,
 		Gateways: true,
 		Tenants: []TenantScenario{{
 			Name: "amber", Weight: 1, CliNode: 0, SrvNode: 2,
-			PoolBufs: 300, BufSize: 8192, InitialRQ: 64,
 			Load: LoadClosed, Clients: 8, Payload: 1024,
 		}},
 		Faults: []FaultSpec{{Kind: FaultPartition, At: 2 * time.Millisecond,

@@ -152,9 +152,6 @@ func New(eng *sim.Engine, pol Policy) *Spec {
 	return &Spec{eng: eng, pol: pol, trackers: make(map[string]*Tracker)}
 }
 
-// Policy returns the controller's policy.
-func (s *Spec) Policy() Policy { return s.pol }
-
 // Stats returns a snapshot of the spec.* counters.
 func (s *Spec) Stats() Stats { return s.stats }
 
@@ -261,19 +258,10 @@ func (s *Spec) Launch(chain string, cloneOverride int, hedgeOverride time.Durati
 // Arms reports how many arms the group has fired so far.
 func (g *Group) Arms() int { return g.arms }
 
-// Chain reports the group's chain name.
-func (g *Group) Chain() string { return g.chain }
-
-// HedgeArm reports the arm index a hedge fires as (== launch-time arms).
-func (g *Group) HedgeArm() int { return g.arms }
-
 // Won reports whether some arm already completed. Descriptor cancellation
 // probes call this from any stage of the data plane: true means the carrier
 // should kill the clone and return its resources.
 func (g *Group) Won() bool { return g != nil && g.won }
-
-// WonAt reports the win instant (meaningful only once Won).
-func (g *Group) WonAt() time.Duration { return g.wonAt }
 
 // Killed is the descriptor cancellation probe (mempool.Descriptor.Spec):
 // carriers call it at drop-decision points, and a true return means the

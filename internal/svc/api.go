@@ -216,6 +216,13 @@ func (s *Server) handleWatchdog(w http.ResponseWriter, r *http.Request) {
 			apiError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
+		// Past the horizon the float-to-Duration conversion overflows, and
+		// a window meant to open far in the future would be live at once.
+		horizon := float64(chaos.WireHorizon / time.Millisecond)
+		if req.FromMS < 0 || req.FromMS > horizon || req.ToMS < 0 || req.ToMS > horizon {
+			apiError(w, http.StatusBadRequest, "from_ms/to_ms must lie in [0, %v]", chaos.WireHorizon)
+			return
+		}
 		s.pacer.Do(func() {
 			rule := telemetry.Rule{
 				Name: req.Name, Series: req.Series, Op: op, Bound: req.Bound,
