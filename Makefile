@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet fmt race check bench bench-gate bench-res suite ci trace telemetry fuzz fuzz-smoke cover profile svc-smoke
+.PHONY: build test vet fmt race check bench bench-gate bench-res suite ci trace telemetry fuzz fuzz-smoke cover profile svc-smoke parity
 
 build:
 	$(GO) build ./...
@@ -158,6 +158,36 @@ fuzz:
 	$(GO) run ./cmd/nadino-bench -run fuzz -parallel 0 -fuzz-seeds 500 | tee fuzz.out
 	@grep -q 'verdict: CLEAN' fuzz.out
 	@rm -f fuzz.out
+
+# parity is the check behind "tables byte-identical" claims. It checks BASE
+# (default HEAD) out into a temporary git worktree, runs the quick suite and
+# the 50-seed fuzz smoke on that tree and on the working tree, drops the
+# "[... completed in ...]" timing lines, prints the first difference and
+# fails on any. The worktree is always removed.
+#   make parity BASE=<commit>
+BASE ?= HEAD
+parity:
+	@tmp=$$(mktemp -d); \
+	trap 'git worktree remove --force "$$tmp/base" >/dev/null 2>&1; git worktree prune; rm -rf "$$tmp"' EXIT; \
+	git worktree add --detach --quiet "$$tmp/base" $(BASE) || exit 1; \
+	for tree in base work; do \
+		dir="$$tmp/base"; [ $$tree = work ] && dir="$(CURDIR)"; \
+		bin="$$tmp/nadino-bench-$$tree"; \
+		(cd "$$dir" && $(GO) build -o "$$bin" ./cmd/nadino-bench && \
+		 "$$bin" -quick -parallel 0 -run everything > "$$tmp/$$tree.suite.raw" && \
+		 "$$bin" -run fuzz -quick -parallel 0 -fuzz-seeds 50 > "$$tmp/$$tree.fuzz.raw") || exit 1; \
+		for out in suite fuzz; do \
+			grep -v 'completed in' "$$tmp/$$tree.$$out.raw" > "$$tmp/$$tree.$$out"; \
+		done; \
+	done; \
+	for out in suite fuzz; do \
+		if ! cmp -s "$$tmp/base.$$out" "$$tmp/work.$$out"; then \
+			echo "parity: $$out output differs from $(BASE); first difference (< base, > working tree):"; \
+			diff "$$tmp/base.$$out" "$$tmp/work.$$out" | awk '/^[0-9]/ { if (++h > 1) exit } { print }'; \
+			exit 1; \
+		fi; \
+	done; \
+	echo "parity: quick suite and 50-seed fuzz report byte-identical to $(BASE)"
 
 # trace reproduces the Fig. 6 per-stage latency attribution and writes a
 # Chrome trace-event file (load in chrome://tracing or ui.perfetto.dev).

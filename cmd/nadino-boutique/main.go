@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"nadino/internal/boutique"
@@ -20,27 +21,17 @@ import (
 	"nadino/internal/sim"
 )
 
-var systems = map[string]core.System{
-	"nadino-dne": core.NadinoDNE,
-	"nadino-cne": core.NadinoCNE,
-	"fuyao-f":    core.FuyaoF,
-	"fuyao-k":    core.FuyaoK,
-	"spright":    core.Spright,
-	"nightcore":  core.NightCore,
-	"junction":   core.Junction,
-}
-
 func main() {
-	sysName := flag.String("system", "nadino-dne", "data plane: nadino-dne, nadino-cne, fuyao-f, fuyao-k, spright, nightcore, junction")
+	sysName := flag.String("system", "nadino-dne", "data plane: "+strings.Join(core.SystemNames(), ", "))
 	chain := flag.String("chain", boutique.HomeQuery, "chain: home-query, view-cart, product-query, place-order")
 	clients := flag.Int("clients", 20, "closed-loop clients")
 	dur := flag.Duration("dur", 300*time.Millisecond, "measurement window (simulated time)")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	flag.Parse()
 
-	sys, ok := systems[*sysName]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "nadino-boutique: unknown system %q\n", *sysName)
+	sys, err := core.ParseSystem(*sysName)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "nadino-boutique: %v\n", err)
 		os.Exit(2)
 	}
 

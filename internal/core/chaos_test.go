@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"nadino/internal/chaos"
+	"nadino/internal/fabric"
 	"nadino/internal/ingress"
 	"nadino/internal/rdma"
 )
@@ -75,19 +76,18 @@ func TestClusterChaosTargets(t *testing.T) {
 	}
 }
 
-// TestDroppedCallFreesCaller: a 1 ms crash of node2 under 16 closed-loop
-// clients makes the DNE drop frontend->backend calls after their retry
-// budget. Each drop must fail the call its caller waits on: the frontend's
-// workers then keep serving, so requests issued well after the crash are
-// answered.
-func TestDroppedCallFreesCaller(t *testing.T) {
-	c := NewCluster(testConfig(NadinoDNE))
+// probeAfterCrash crashes node (and errors its QPs) for 1 ms under 16
+// closed-loop clients of chain "mix", then issues one probe request per ms
+// from 30 ms to 100 ms after the crash. It reports the probes, how many were
+// answered, and the descriptors the DNEs dropped after their retry budget.
+func probeAfterCrash(t *testing.T, cfg Config, node string) (probes, answered int, drops uint64) {
+	t.Helper()
+	c := NewCluster(cfg)
 	t.Cleanup(c.Eng.Stop)
 	crash := c.P.QPSetupTime + 10*time.Millisecond
 	c.NewChaos(1).Install(chaos.Schedule{{At: crash, For: time.Millisecond,
-		Fault: chaos.NodeCrash{Node: "node2", QPs: "qp@node2"}}})
+		Fault: chaos.NodeCrash{Node: fabric.NodeID(node), QPs: "qp@" + node}}})
 	closedLoop(c, 16)
-	var probes, answered int
 	c.Eng.At(crash+30*time.Millisecond, func() {
 		c.Eng.Ticker(time.Millisecond, func(time.Duration) {
 			probes++
@@ -96,7 +96,6 @@ func TestDroppedCallFreesCaller(t *testing.T) {
 	})
 
 	c.Eng.RunUntil(crash + 100*time.Millisecond)
-	var drops uint64
 	for _, n := range c.Nodes() {
 		_, d := n.Engine.RetryStats()
 		drops += d
@@ -104,8 +103,44 @@ func TestDroppedCallFreesCaller(t *testing.T) {
 	if drops == 0 {
 		t.Fatal("the crash dropped no descriptor; the scenario lost its teeth")
 	}
+	return probes, answered, drops
+}
+
+// TestDroppedCallFreesCaller: a 1 ms crash of node2 under 16 closed-loop
+// clients makes the DNE drop frontend->backend calls after their retry
+// budget. Each drop must fail the call its caller waits on: the frontend's
+// workers then keep serving, so requests issued well after the crash are
+// answered.
+func TestDroppedCallFreesCaller(t *testing.T) {
+	probes, answered, drops := probeAfterCrash(t, testConfig(NadinoDNE), "node2")
 	if answered == 0 {
 		t.Fatalf("none of %d requests issued after the crash was answered (%d drops)", probes, drops)
+	}
+}
+
+// TestNestedDropFreesEveryCaller: in a chain two calls deep (front@node1 ->
+// mid@node2 -> back@node3), a crash of node3 drops mid->back calls. mid's
+// failed call must fail the call front waits on in turn; otherwise front's
+// workers park forever and no later request is answered.
+func TestNestedDropFreesEveryCaller(t *testing.T) {
+	cfg := Config{
+		System: NadinoDNE,
+		Nodes:  []string{"node1", "node2", "node3"},
+		Functions: []FunctionSpec{
+			{Name: "front", Node: "node1", Service: 20 * time.Microsecond},
+			{Name: "mid", Node: "node2", Service: 15 * time.Microsecond},
+			{Name: "back", Node: "node3", Service: 10 * time.Microsecond},
+		},
+		Chains: []ChainSpec{{
+			Name: "mix", Entry: "front", ReqBytes: 512, RespBytes: 1024,
+			Calls: []Call{{Callee: "mid", ReqBytes: 1024, RespBytes: 1024,
+				Calls: []Call{{Callee: "back", ReqBytes: 512, RespBytes: 512}}}},
+		}},
+		Seed: 1,
+	}
+	probes, answered, drops := probeAfterCrash(t, cfg, "node3")
+	if answered < probes/2 {
+		t.Fatalf("only %d of %d requests issued after the crash were answered (%d drops)", answered, probes, drops)
 	}
 }
 

@@ -73,7 +73,13 @@ func (c *Cluster) functionWorker(pr *sim.Proc, f *Function) {
 			calls = calls[group:]
 		}
 		lastServed = pr.Now()
-		if !failed {
+		if failed {
+			// No reply will come: fail the call our own caller waits on, or
+			// it parks forever one level up the chain.
+			if rc.Call != nil {
+				rc.Call.fail()
+			}
+		} else {
 			c.respond(pr, f, rc, tr)
 		}
 		f.inflight--

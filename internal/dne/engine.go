@@ -9,7 +9,6 @@ import (
 	"nadino/internal/flightrec"
 	"nadino/internal/ipc"
 	"nadino/internal/mempool"
-	"nadino/internal/metrics"
 	"nadino/internal/params"
 	"nadino/internal/rdma"
 	"nadino/internal/ring"
@@ -82,20 +81,15 @@ type Config struct {
 
 // tenantState is per-tenant engine state.
 type tenantState struct {
-	name   string
-	id     int32 // dense index into Engine.tenantSeq (interned at AddTenant)
-	weight int
-	pool   *mempool.Pool
-	mr     *rdma.MR
-	srq    *rdma.SRQ
+	name string
+	id   int32 // dense index into Engine.tenantSeq (interned at AddTenant)
+	pool *mempool.Pool
+	srq  *rdma.SRQ
 	// rqDebt is the replenishment shortfall carried across keeper rounds:
 	// consumed RQ slots the keeper could not repost because the tenant pool
 	// was squeezed. Without it, ConsumedReset's count is lost on pool
 	// pressure and the ring starves permanently once buffers come back.
 	rqDebt int
-	// meters drive the Fig. 15 per-tenant bandwidth plots.
-	TxMeter *metrics.Meter
-	RxMeter *metrics.Meter
 }
 
 // Engine is the DPU network engine (or its CPU-hosted twin).
@@ -121,20 +115,19 @@ type Engine struct {
 	tenantSeq []*tenantState
 	ports     map[string]*FnPort
 	portSeq   []*FnPort
-	pools     map[fabric.NodeID]map[string]*rdma.ConnPool
 	poolSeq   []*rdma.ConnPool
 
-	// Interned routing state (§3.2, fast path): tenant and function names
-	// resolve to dense IDs at registration time, so the per-request TX/RX
-	// path does slice indexing instead of string-map lookups. Descriptors
-	// carry the IDs as +1-offset hints (zero = unresolved, fall back to the
-	// maps above). IDs are engine-local and never cross the wire.
+	// Interned routing state (§3.2): tenant, function and node names resolve
+	// to dense IDs once, so the per-request TX/RX path does slice indexing
+	// instead of string-map lookups. Every descriptor the engine handles
+	// carries its tenant and destination IDs as +1-offset hints, stamped at
+	// the boundary it entered through (FnPort.Send, RQ posting,
+	// GatewayDeliver). IDs are engine-local and never cross the wire.
 	fnIDs     map[string]int32
 	routeByFn []int32 // fn ID -> node index, -1 = no route
 	nodeIDs   map[fabric.NodeID]int32
 	nodeNames []fabric.NodeID
 	poolByNT  [][]*rdma.ConnPool // [node index][tenant ID]
-	limitByID []*tokenBucket     // tenant ID -> rate limit (nil = none)
 
 	// Precomputed owner/actor strings (these were per-message concats).
 	rqOwner    mempool.Owner
@@ -159,12 +152,6 @@ type Engine struct {
 
 	sched     Scheduler
 	dwrrSched *DWRR
-	prioSched *Priority
-
-	// limits holds optional per-tenant token-bucket rate limits enforced
-	// in the TX stage (the kind of workload-specific policy §4.2 says
-	// operators can drop into the DNE).
-	limits map[string]*tokenBucket
 
 	txCount, rxCount uint64
 	dropNoRoute      uint64
@@ -172,7 +159,6 @@ type Engine struct {
 	sendErrors       uint64
 	retriedSends     uint64
 	dropRetryBudget  uint64
-	rateDeferred     uint64
 	specDrops        uint64 // losing clones killed at the TX gate
 
 	// Flight recorder hook (optional): drop events land in the ring with
@@ -183,12 +169,6 @@ type Engine struct {
 	// onDrop, when set, learns the context of every descriptor the engine
 	// loses for good (SetDropHook).
 	onDrop func(ctx any)
-
-	// LoopIters and LoopWaits count worker-loop iterations and idle waits
-	// (diagnostics).
-	LoopIters, LoopWaits uint64
-	// Stage wall-time accounting (diagnostics).
-	IngestWall, TxWall, RxWall time.Duration
 
 	started bool
 }
@@ -215,9 +195,7 @@ func New(eng *sim.Engine, p *params.Params, cfg Config, d *dpu.DPU, hostCore, ho
 		cq:         rdma.NewCQ(eng),
 		work:       sim.NewSignal(eng),
 		tenants:    make(map[string]*tenantState),
-		limits:     make(map[string]*tokenBucket),
 		ports:      make(map[string]*FnPort),
-		pools:      make(map[fabric.NodeID]map[string]*rdma.ConnPool),
 		fnIDs:      make(map[string]int32),
 		nodeIDs:    make(map[fabric.NodeID]int32),
 		rqOwner:    ownerRQ(cfg.Node),
@@ -237,14 +215,10 @@ func New(eng *sim.Engine, p *params.Params, cfg Config, d *dpu.DPU, hostCore, ho
 		e.worker = hostCore
 		e.keeper = hostKeeper
 	}
-	switch cfg.Sched {
-	case SchedDWRR:
+	if cfg.Sched == SchedDWRR {
 		e.dwrrSched = NewDWRR(cfg.QuantumUnit)
 		e.sched = e.dwrrSched
-	case SchedPriority:
-		e.prioSched = NewPriority()
-		e.sched = e.prioSched
-	default:
+	} else {
 		e.sched = NewFCFS()
 	}
 	e.cq.SetNotify(func() { e.work.Pulse() })
@@ -271,9 +245,15 @@ func (e *Engine) SetForwarder(f Forwarder, gwOwner mempool.Owner) {
 
 // GatewayDeliver implements gateway.Egress: accept a descriptor the gateway
 // tier landed for a local function. The buffer is owned by the gateway;
-// the worker loop transfers it to the destination function. Engine context;
-// never blocks.
+// the worker loop transfers it to the destination function. The gateway
+// clears the sender engine's IDs, so the tenant is stamped here, once.
+// Engine context; never blocks.
 func (e *Engine) GatewayDeliver(d mempool.Descriptor) {
+	ts := e.tenants[d.Tenant]
+	if ts == nil {
+		panic(fmt.Sprintf("dne: gateway landed a buffer of unregistered tenant %q", d.Tenant))
+	}
+	d.TenantID = ts.id + 1
 	e.gwIn.PushBack(d)
 	e.work.Pulse()
 }
@@ -309,27 +289,20 @@ func (e *Engine) AddTenant(tenant string, pool *mempool.Pool, weight int) *rdma.
 	if _, ok := e.tenants[tenant]; ok {
 		panic(fmt.Sprintf("dne: tenant %q already added", tenant))
 	}
+	e.rnic.RegisterMR(pool) // doca_mmap_create_from_export
 	ts := &tenantState{
-		name:    tenant,
-		id:      int32(len(e.tenantSeq)),
-		weight:  weight,
-		pool:    pool,
-		mr:      e.rnic.RegisterMR(pool), // doca_mmap_create_from_export
-		srq:     rdma.NewSRQ(tenant),
-		TxMeter: metrics.NewMeter(),
-		RxMeter: metrics.NewMeter(),
+		name: tenant,
+		id:   int32(len(e.tenantSeq)),
+		pool: pool,
+		srq:  rdma.NewSRQ(tenant),
 	}
 	e.tenants[tenant] = ts
 	e.tenantSeq = append(e.tenantSeq, ts)
-	e.limitByID = append(e.limitByID, nil)
 	for i := range e.poolByNT {
 		e.poolByNT[i] = append(e.poolByNT[i], nil)
 	}
 	if e.dwrrSched != nil {
 		e.dwrrSched.SetWeight(tenant, weight)
-	}
-	if e.prioSched != nil {
-		e.prioSched.SetWeight(tenant, weight)
 	}
 	return ts.srq
 }
@@ -337,18 +310,13 @@ func (e *Engine) AddTenant(tenant string, pool *mempool.Pool, weight int) *rdma.
 // SetTenantWeight re-weights a tenant's scheduler share at runtime — the
 // management-plane hot-reload path (weights are otherwise fixed at
 // AddTenant). Reports whether the tenant exists; engines without a weighted
-// scheduler accept the call as a recorded no-op.
+// scheduler accept the call as a no-op.
 func (e *Engine) SetTenantWeight(tenant string, weight int) bool {
-	ts, ok := e.tenants[tenant]
-	if !ok {
+	if e.tenants[tenant] == nil {
 		return false
 	}
-	ts.weight = weight
 	if e.dwrrSched != nil {
 		e.dwrrSched.SetWeight(tenant, weight)
-	}
-	if e.prioSched != nil {
-		e.prioSched.SetWeight(tenant, weight)
 	}
 	return true
 }
@@ -362,18 +330,12 @@ func (e *Engine) SetFlightRecorder(r *flightrec.Recorder) {
 }
 
 // frDrop records one dropped descriptor in the flight recorder: A is the
-// tenant's dense id (-1 when unknown), B the payload bytes. Drop paths are
-// rare by construction, so the extra tenant resolve costs nothing in
-// steady state.
+// tenant's dense id, B the payload bytes.
 func (e *Engine) frDrop(k flightrec.Kind, d *mempool.Descriptor) {
 	if e.rec == nil {
 		return
 	}
-	var tid int64 = -1
-	if ts := e.tenantOf(d); ts != nil {
-		tid = int64(ts.id)
-	}
-	e.rec.Record(k, e.recActor, tid, int64(d.Len))
+	e.rec.Record(k, e.recActor, int64(d.TenantID-1), int64(d.Len))
 }
 
 // SetDropHook installs fn to receive the Ctx of every descriptor the engine
@@ -390,15 +352,6 @@ func (e *Engine) lost(ctx any) {
 	if e.onDrop != nil {
 		e.onDrop(ctx)
 	}
-}
-
-// Tenant returns a tenant's meters for experiment plumbing.
-func (e *Engine) Tenant(tenant string) (tx, rx *metrics.Meter) {
-	ts := e.tenants[tenant]
-	if ts == nil {
-		return nil, nil
-	}
-	return ts.TxMeter, ts.RxMeter
 }
 
 // SRQ returns a tenant's shared receive queue.
@@ -438,23 +391,24 @@ func (e *Engine) SetRoute(fn string, node fabric.NodeID) {
 }
 
 // AddConnPool installs an established RC connection pool toward remote for
-// tenant.
+// tenant, which must already be added.
 func (e *Engine) AddConnPool(remote fabric.NodeID, tenant string, cp *rdma.ConnPool) {
-	m, ok := e.pools[remote]
-	if !ok {
-		m = make(map[string]*rdma.ConnPool)
-		e.pools[remote] = m
+	ts := e.tenants[tenant]
+	if ts == nil {
+		panic(fmt.Sprintf("dne: connection pool for unregistered tenant %q", tenant))
 	}
-	m[tenant] = cp
 	e.poolSeq = append(e.poolSeq, cp)
-	if ts := e.tenants[tenant]; ts != nil {
-		e.poolByNT[e.internNode(remote)][ts.id] = cp
-	}
+	e.poolByNT[e.internNode(remote)][ts.id] = cp
 }
 
 // ConnPool returns the pool toward remote for tenant (nil if absent).
 func (e *Engine) ConnPool(remote fabric.NodeID, tenant string) *rdma.ConnPool {
-	return e.pools[remote][tenant]
+	idx, ok := e.nodeIDs[remote]
+	ts := e.tenants[tenant]
+	if !ok || ts == nil {
+		return nil
+	}
+	return e.poolByNT[idx][ts.id]
 }
 
 // ConnPools exposes every installed pool in insertion order (chaos hooks
@@ -468,7 +422,6 @@ func (e *Engine) AttachFunction(fn, tenant string) *FnPort {
 	if _, ok := e.ports[fn]; ok {
 		panic(fmt.Sprintf("dne: function %q already attached", fn))
 	}
-	e.internFn(fn)
 	fp := &FnPort{fn: fn, tenant: tenant, engine: e}
 	if e.cfg.Loc == OnDPU {
 		fp.comch = dpu.NewEndpoint(e.eng, e.p, e.cfg.Channel, len(e.ports), fn, tenant, e.work)
@@ -522,12 +475,6 @@ func (e *Engine) Start() {
 	e.eng.Spawn(fmt.Sprintf("dne-keeper@%s", e.cfg.Node), e.keeperLoop)
 }
 
-// perMsgExtra is the artificial per-message load experiments use to cap the
-// engine's throughput (Fig. 15's ~110K RPS configuration). It is charged in
-// the TX stage only, behind the tenant scheduler, so the capped capacity is
-// the resource DWRR arbitrates.
-func (e *Engine) perMsgExtra() time.Duration { return e.p.DNEExtraPerMsg }
-
 // workerLoop is the non-blocking run-to-completion event loop (§3.2): it
 // ingests descriptors from function channels, runs the TX stage through the
 // tenant scheduler, and drains the CQ for the RX stage. When there is no
@@ -537,10 +484,8 @@ func (e *Engine) perMsgExtra() time.Duration { return e.p.DNEExtraPerMsg }
 func (e *Engine) workerLoop(pr *sim.Proc) {
 	const batch = 16
 	for {
-		e.LoopIters++
 		did := false
 
-		t0 := e.eng.Now()
 		// RX stage first: drain all completions so received descriptors
 		// reach their functions (and, via their replies, the scheduler)
 		// promptly. Completions are mandatory work; leaving them queued
@@ -557,15 +502,13 @@ func (e *Engine) workerLoop(pr *sim.Proc) {
 			did = true
 		}
 
-		// Gateway-landed descriptors: same RX treatment as OpRecv, but the
-		// buffer arrives owned by the gateway tier instead of the RQ.
+		// Gateway-landed descriptors: same RX stage as an RDMA receive,
+		// but the buffer arrives owned by the gateway tier instead of the RQ.
 		for e.gwIn.Len() > 0 {
-			e.gwDeliver(pr, e.gwIn.PopFront())
+			e.rx(pr, e.gwIn.PopFront(), e.gwOwner)
 			did = true
 		}
 
-		t1 := e.eng.Now()
-		e.RxWall += t1 - t0
 		// Ingest host -> engine descriptors into the tenant scheduler.
 		for _, fp := range e.portSeq {
 			for {
@@ -583,8 +526,6 @@ func (e *Engine) workerLoop(pr *sim.Proc) {
 			}
 		}
 
-		t2 := e.eng.Now()
-		e.IngestWall += t2 - t1
 		// TX stage: the tenant scheduler (DWRR/FCFS) arbitrates the
 		// engine's transmit capacity — this is where backlog stands under
 		// overload, so per-tenant weights govern it (§3.3).
@@ -597,44 +538,20 @@ func (e *Engine) workerLoop(pr *sim.Proc) {
 			e.txOne(pr, d)
 			did = true
 		}
-		e.TxWall += e.eng.Now() - t2
 
 		if !did {
-			e.LoopWaits++
 			e.work.Wait(pr)
 		}
 	}
 }
 
-// tenantOf resolves a descriptor's tenant state: slice indexing via the
-// interned hint when present, map fallback otherwise.
+// tenantOf resolves a descriptor's tenant state from its interned hint.
 func (e *Engine) tenantOf(d *mempool.Descriptor) *tenantState {
-	if d.TenantID > 0 {
-		return e.tenantSeq[d.TenantID-1]
-	}
-	return e.tenants[d.Tenant]
+	return e.tenantSeq[d.TenantID-1]
 }
 
-// deferRateLimited holds a descriptor that exceeded its tenant's rate limit
-// until the bucket refills, then feeds it back through the scheduler. Kept
-// out of txOne so its closure (which captures d) only heap-allocates the
-// descriptor on the rate-limited slow path.
-func (e *Engine) deferRateLimited(b *tokenBucket, d mempool.Descriptor) {
-	e.rateDeferred++
-	wait := b.eta(e.eng.Now())
-	// The rate-limit hold reads as scheduler time: open the span now,
-	// before the timed re-enqueue, so the wait is attributed.
-	d.Trace.BeginStage(trace.StageDNESched, e.actorLabel)
-	e.eng.After(wait, func() {
-		e.sched.Enqueue(d.Tenant, d)
-		e.work.Pulse()
-	})
-}
-
-// txOne runs one descriptor through the TX stage. Routing runs on the
-// interned fast path: tenant and destination resolve by dense ID (slice
-// indexing) when the descriptor carries hints, with the string maps as the
-// slow-path fallback for hintless callers.
+// txOne runs one descriptor through the TX stage. Tenant and destination
+// resolve by their interned IDs (slice indexing).
 func (e *Engine) txOne(pr *sim.Proc, d mempool.Descriptor) {
 	if d.Spec != nil && d.Spec() {
 		// A speculative clone whose group already completed elsewhere:
@@ -648,27 +565,12 @@ func (e *Engine) txOne(pr *sim.Proc, d mempool.Descriptor) {
 		e.releaseBuffer(d)
 		return
 	}
-	ts := e.tenantOf(&d)
-	var b *tokenBucket
-	if ts != nil {
-		b = e.limitByID[ts.id]
-	} else {
-		b = e.limits[d.Tenant]
-	}
-	if b != nil && !b.take(e.eng.Now()) {
-		// Out-of-line so the re-enqueue closure doesn't force d to escape
-		// to the heap on the (closure-free) fast path below.
-		e.deferRateLimited(b, d)
-		return
-	}
 	sp := d.Trace.Begin(trace.StageDNETx, e.actorLabel)
-	e.worker.Exec(pr, e.p.DNETxCost+e.perMsgExtra())
-	nodeIdx := int32(-1)
-	if d.DstID > 0 {
-		nodeIdx = e.routeByFn[d.DstID-1]
-	} else if id, ok := e.fnIDs[d.Dst]; ok {
-		nodeIdx = e.routeByFn[id]
-	}
+	// DNEExtraPerMsg, the artificial load experiments use to cap the engine
+	// (Fig. 15's ~110K RPS), is charged here only, behind the tenant
+	// scheduler, so the capped capacity is the resource DWRR arbitrates.
+	e.worker.Exec(pr, e.p.DNETxCost+e.p.DNEExtraPerMsg)
+	nodeIdx := e.routeByFn[d.DstID-1]
 	if nodeIdx < 0 {
 		e.dropNoRoute++
 		e.frDrop(flightrec.KindDropNoRoute, &d)
@@ -686,18 +588,10 @@ func (e *Engine) txOne(pr *sim.Proc, d mempool.Descriptor) {
 			sp.End()
 			e.txCount++
 			e.fwdOut++
-			if ts != nil {
-				ts.TxMeter.Inc(1)
-			}
 			return
 		}
 	}
-	var cp *rdma.ConnPool
-	if ts != nil {
-		cp = e.poolByNT[nodeIdx][ts.id]
-	} else {
-		cp = e.pools[e.nodeNames[nodeIdx]][d.Tenant]
-	}
+	cp := e.poolByNT[nodeIdx][d.TenantID-1]
 	if cp == nil {
 		e.dropNoRoute++
 		e.frDrop(flightrec.KindDropNoRoute, &d)
@@ -716,9 +610,6 @@ func (e *Engine) txOne(pr *sim.Proc, d mempool.Descriptor) {
 	qp.PostSend(d)
 	sp.End()
 	e.txCount++
-	if ts != nil {
-		ts.TxMeter.Inc(1)
-	}
 }
 
 // handleCQE runs the RX stage for one completion.
@@ -734,7 +625,7 @@ func (e *Engine) handleCQE(pr *sim.Proc, cqe rdma.CQE) {
 			// descriptor through the scheduler for at-least-once delivery,
 			// up to a bounded budget.
 			d := cqe.Desc
-			if d.Tenant != "" && d.Retries < 5 {
+			if d.Retries < 5 {
 				d.Retries++
 				e.retriedSends++
 				e.enqueue(d)
@@ -747,65 +638,36 @@ func (e *Engine) handleCQE(pr *sim.Proc, cqe rdma.CQE) {
 		e.releaseBuffer(cqe.Desc)
 	case rdma.OpRecv:
 		cqe.Desc.Trace.EndStage(trace.StageRDMACQ)
-		sp := cqe.Desc.Trace.Begin(trace.StageDNERx, e.actorLabel)
-		e.worker.Exec(pr, e.p.DNERxCost)
-		if e.cfg.Mode == OnPath {
-			// Data was staged in SoC memory; push it to the host pool.
-			e.socDMA.TransferBlocking(pr, cqe.Bytes)
-		}
-		d := cqe.Desc
-		fp, ok := e.ports[d.Dst]
-		if !ok {
-			e.dropNoPort++
-			e.frDrop(flightrec.KindDropNoPort, &d)
-			e.lost(d.Ctx)
-			e.releaseRQBuffer(d)
-			sp.End()
-			return
-		}
-		ts := e.tenantOf(&d)
-		if ts != nil {
-			// Hand the landed buffer from the RQ owner to the function.
-			if err := ts.pool.Transfer(d.Buf, e.rqOwner, mempool.Owner(d.Dst)); err != nil {
-				panic(fmt.Sprintf("dne: RX ownership handoff failed: %v", err))
-			}
-			ts.RxMeter.Inc(1)
-		}
-		e.rxCount++
-		cost := fp.engineSidePushCost()
-		if cost > 0 {
-			e.worker.Exec(pr, cost)
-		}
-		sp.End()
-		fp.engineSidePush(d)
+		e.rx(pr, cqe.Desc, e.rqOwner)
 	}
 }
 
-// gwDeliver ingests a gateway-landed descriptor for a local function: the
-// twin of the OpRecv path, with the buffer arriving under the gateway's
-// owner instead of the RQ's.
-func (e *Engine) gwDeliver(pr *sim.Proc, d mempool.Descriptor) {
+// rx runs the RX stage for one landed descriptor whose buffer arrived under
+// from: the RQ owner for an RDMA receive, the gateway owner for a gateway
+// landing. The buffer moves to the destination function, or — with no such
+// function attached — the descriptor drops and the buffer returns to the
+// pool under from.
+func (e *Engine) rx(pr *sim.Proc, d mempool.Descriptor, from mempool.Owner) {
 	sp := d.Trace.Begin(trace.StageDNERx, e.actorLabel)
 	e.worker.Exec(pr, e.p.DNERxCost)
+	if e.cfg.Mode == OnPath && from == e.rqOwner {
+		// The receive was staged in SoC memory; push it to the host pool.
+		e.socDMA.TransferBlocking(pr, d.Len)
+	}
+	pool := e.tenantOf(&d).pool
 	fp, ok := e.ports[d.Dst]
 	if !ok {
 		e.dropNoPort++
 		e.frDrop(flightrec.KindDropNoPort, &d)
 		e.lost(d.Ctx)
-		if ts := e.tenantOf(&d); ts != nil {
-			if err := ts.pool.Put(d.Buf, e.gwOwner); err != nil {
-				panic(fmt.Sprintf("dne: gateway buffer recycle failed: %v", err))
-			}
+		if err := pool.Put(d.Buf, from); err != nil {
+			panic(fmt.Sprintf("dne: landed buffer recycle failed: %v", err))
 		}
 		sp.End()
 		return
 	}
-	ts := e.tenantOf(&d)
-	if ts != nil {
-		if err := ts.pool.Transfer(d.Buf, e.gwOwner, mempool.Owner(d.Dst)); err != nil {
-			panic(fmt.Sprintf("dne: gateway RX ownership handoff failed: %v", err))
-		}
-		ts.RxMeter.Inc(1)
+	if err := pool.Transfer(d.Buf, from, mempool.Owner(d.Dst)); err != nil {
+		panic(fmt.Sprintf("dne: RX ownership handoff failed: %v", err))
 	}
 	e.rxCount++
 	if cost := fp.engineSidePushCost(); cost > 0 {
@@ -815,9 +677,6 @@ func (e *Engine) gwDeliver(pr *sim.Proc, d mempool.Descriptor) {
 	fp.engineSidePush(d)
 }
 
-// actor labels this engine's spans.
-func (e *Engine) actor() string { return e.actorLabel }
-
 // enqueue feeds a descriptor to the tenant scheduler, opening its
 // scheduler-wait span (closed when the TX stage pops it).
 func (e *Engine) enqueue(d mempool.Descriptor) {
@@ -825,34 +684,16 @@ func (e *Engine) enqueue(d mempool.Descriptor) {
 	e.sched.Enqueue(d.Tenant, d)
 }
 
-// releaseBuffer recycles a buffer the engine owns after a send completes or
-// a drop occurs. Send CQEs carry no descriptor in this model, so TX-side
-// recycling happens here at post time bookkeeping: the engine owns the
-// buffer from ingest until the send completes; we recycle on the send CQE
-// via pendingTx tracking below.
+// releaseBuffer recycles a TX-side buffer once the engine is done with it:
+// on its send completion, on a drop, or when the gateway tier releases a
+// forwarded source. The engine owns the buffer from ingest until then; a
+// buffer it no longer owns is left alone.
 func (e *Engine) releaseBuffer(d mempool.Descriptor) {
-	if d.Tenant == "" {
-		return
-	}
-	ts := e.tenantOf(&d)
-	if ts == nil {
-		return
-	}
-	if cur, err := ts.pool.OwnerOf(d.Buf); err == nil && cur == e.engOwner {
-		if err := ts.pool.Put(d.Buf, e.engOwner); err != nil {
+	pool := e.tenantOf(&d).pool
+	if cur, err := pool.OwnerOf(d.Buf); err == nil && cur == e.engOwner {
+		if err := pool.Put(d.Buf, e.engOwner); err != nil {
 			panic(fmt.Sprintf("dne: buffer recycle failed: %v", err))
 		}
-	}
-}
-
-// releaseRQBuffer recycles an RQ-owned landed buffer on drops.
-func (e *Engine) releaseRQBuffer(d mempool.Descriptor) {
-	ts := e.tenantOf(&d)
-	if ts == nil {
-		return
-	}
-	if err := ts.pool.Put(d.Buf, e.rqOwner); err != nil {
-		panic(fmt.Sprintf("dne: RQ buffer recycle failed: %v", err))
 	}
 }
 
@@ -923,81 +764,3 @@ func (e *Engine) replenish(pr *sim.Proc, ts *tenantState, n int) int {
 // SchedPending reports descriptors queued in the tenant scheduler (TX
 // backlog) — diagnostic for fairness experiments.
 func (e *Engine) SchedPending() int { return e.sched.Pending() }
-
-// PortBacklog reports descriptors delivered to a function's channel but not
-// yet ingested by the engine loop.
-func (e *Engine) PortBacklog(fn string) int {
-	fp := e.ports[fn]
-	if fp == nil {
-		return 0
-	}
-	if fp.comch != nil {
-		return fp.comch.PendingFromHost()
-	}
-	return fp.toEngine.Pending()
-}
-
-// tokenBucket is a standard rate limiter: rate tokens/second, capped burst.
-type tokenBucket struct {
-	rate   float64 // tokens per second
-	burst  float64
-	tokens float64
-	last   time.Duration
-}
-
-func (b *tokenBucket) refill(now time.Duration) {
-	if now > b.last {
-		b.tokens += b.rate * (now - b.last).Seconds()
-		if b.tokens > b.burst {
-			b.tokens = b.burst
-		}
-		b.last = now
-	}
-}
-
-// take consumes one token if available (with an epsilon so floating-point
-// refill rounding cannot wedge the bucket just below a whole token).
-func (b *tokenBucket) take(now time.Duration) bool {
-	b.refill(now)
-	if b.tokens >= 1-1e-9 {
-		b.tokens--
-		return true
-	}
-	return false
-}
-
-// eta reports how long until one token accrues, floored at 1us so deferred
-// descriptors always make wall-clock progress.
-func (b *tokenBucket) eta(now time.Duration) time.Duration {
-	b.refill(now)
-	if b.tokens >= 1-1e-9 {
-		return 0
-	}
-	d := time.Duration((1 - b.tokens) / b.rate * float64(time.Second))
-	if d < time.Microsecond {
-		d = time.Microsecond
-	}
-	return d
-}
-
-// SetRateLimit caps a tenant's transmit rate at rps (0 removes the cap).
-// Enforcement happens in the TX stage, after scheduling — a per-tenant
-// policy plugged into the engine, as §4.2 envisions.
-func (e *Engine) SetRateLimit(tenant string, rps float64) {
-	var b *tokenBucket
-	if rps > 0 {
-		b = &tokenBucket{rate: rps, burst: rps / 100 * 2, tokens: rps / 100, last: e.eng.Now()}
-	}
-	if ts := e.tenants[tenant]; ts != nil {
-		e.limitByID[ts.id] = b
-		return
-	}
-	if b == nil {
-		delete(e.limits, tenant)
-		return
-	}
-	e.limits[tenant] = b
-}
-
-// RateDeferred reports descriptors delayed by rate limits.
-func (e *Engine) RateDeferred() uint64 { return e.rateDeferred }

@@ -353,70 +353,77 @@ func TestEngineAccessors(t *testing.T) {
 	if r.ea.WorkerCore() == nil || r.ea.KeeperCore() == nil {
 		t.Fatal("core accessors wrong")
 	}
-	tx, rx := r.ea.Tenant(rigTenant)
-	if tx == nil || rx == nil {
-		t.Fatal("tenant meters missing")
-	}
-	if txm, rxm := r.ea.Tenant("ghost"); txm != nil || rxm != nil {
-		t.Fatal("ghost tenant returned meters")
-	}
-	if r.ea.SchedPending() != 0 || r.ea.PortBacklog("cli") != 0 {
+	if r.ea.SchedPending() != 0 {
 		t.Fatal("fresh engine reports backlog")
 	}
-	if r.ea.PortBacklog("ghost") != 0 {
-		t.Fatal("unknown port backlog not zero")
+	r.eng.RunUntil(r.p.QPSetupTime + time.Millisecond)
+	if r.ea.ConnPool("nodeB", rigTenant) == nil {
+		t.Fatal("installed connection pool not found")
+	}
+	if r.ea.ConnPool("ghost", rigTenant) != nil || r.ea.ConnPool("nodeB", "ghost") != nil {
+		t.Fatal("connection pool reported for an unknown node or tenant")
 	}
 }
 
-// TestRateLimitCapsTenant checks the per-tenant token bucket: a burst far
-// above the cap drains at the capped rate, the excess is deferred rather
-// than dropped, and every deferred descriptor is still delivered.
-func TestRateLimitCapsTenant(t *testing.T) {
-	const rps, n = 10000.0, 300
-	r := newPairRig(t, 23, params.Default())
-	// Limits set before a tenant exists are held by name; 0 clears them.
-	r.ea.SetRateLimit("later", rps)
-	r.ea.SetRateLimit("later", 0)
-	r.ea.SetRateLimit(rigTenant, rps)
-	r.spawnEchoServer(t)
-	var start, last time.Duration
-	got := 0
-	r.eng.Spawn("cli-recv", func(pr *sim.Proc) {
+// refuseAll is a gateway tier that never forwards, so the engine keeps its
+// own QPs for TX while GatewayDeliver feeds its RX stage.
+type refuseAll struct{}
+
+func (refuseAll) ForwardRemote(mempool.Descriptor, fabric.NodeID) bool { return false }
+
+// TestGatewayLandedDelivery drives the RX stage's gateway branch. A landed
+// descriptor for an attached function reaches its port, its buffer handed
+// from the gateway owner to the function. One for an unattached function
+// counts a no-port drop, returns its buffer to the pool under the gateway
+// owner and reports its Ctx to the drop hook.
+func TestGatewayLandedDelivery(t *testing.T) {
+	const gwOwner = mempool.Owner("gw@nodeB")
+	r := newPairRig(t, 24, params.Default())
+	r.eb.SetForwarder(refuseAll{}, gwOwner)
+	var lost []any
+	r.eb.SetDropHook(func(ctx any) { lost = append(lost, ctx) })
+	var got []mempool.Descriptor
+	r.eng.Spawn("srv", func(pr *sim.Proc) {
 		for {
-			d := r.portCli.Recv(pr, r.coreA)
-			got, last = got+1, pr.Now()
-			if err := r.poolA.Put(d.Buf, "cli"); err != nil {
-				t.Error(err)
-				return
-			}
+			got = append(got, r.portSrv.Recv(pr, r.coreB))
 		}
 	})
-	r.eng.Spawn("cli", func(pr *sim.Proc) {
-		r.ready.Get(pr)
-		start = pr.Now()
-		for i := 0; i < n; i++ {
-			buf, err := r.poolA.Get("cli")
+
+	at := r.p.QPSetupTime + time.Millisecond
+	r.eng.RunUntil(at)
+	inUse := r.poolB.InUse()
+	var landed mempool.Buffer
+	r.eng.At(at, func() {
+		for _, dst := range []string{"srv", "ghost"} {
+			buf, err := r.poolB.Get(gwOwner)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			d := mempool.Descriptor{Tenant: rigTenant, Buf: buf, Len: 64, Src: "cli", Dst: "srv", Seq: uint64(i)}
-			if err := r.portCli.Send(pr, r.coreA, d); err != nil {
-				t.Error(err)
-				return
+			if dst == "srv" {
+				landed = buf
 			}
+			r.eb.GatewayDeliver(mempool.Descriptor{
+				Tenant: rigTenant, Buf: buf, Len: 256, Src: "cli", Dst: dst, Ctx: dst,
+			})
 		}
 	})
-	r.eng.RunUntil(time.Second)
-	if got != n {
-		t.Fatalf("delivered %d of %d rate-limited echoes", got, n)
+	r.eng.RunUntil(at + time.Millisecond)
+
+	if len(got) != 1 || got[0].Dst != "srv" || got[0].Buf != landed {
+		t.Fatalf("port received %+v, want the one landing for srv", got)
 	}
-	if r.ea.RateDeferred() == 0 {
-		t.Fatal("a burst above the cap deferred nothing")
+	if own, err := r.poolB.OwnerOf(landed); err != nil || own != "srv" {
+		t.Fatalf("landed buffer owned by %q (%v), want srv", own, err)
 	}
-	// The bucket refills to its rps/50 burst during setup; everything past
-	// that is paced at rps.
-	if span, floor := last-start, time.Duration((n-rps/50-1)/rps*float64(time.Second)); span < floor {
-		t.Fatalf("burst of %d drained in %v, faster than the %v the cap allows", n, span, floor)
+	if _, rx, _, dnp, _ := r.eb.Stats(); rx != 1 || dnp != 1 {
+		t.Fatalf("rx=%d dropNoPort=%d, want 1 and 1", rx, dnp)
+	}
+	if len(lost) != 1 || lost[0] != "ghost" {
+		t.Fatalf("drop hook saw %v, want [ghost]", lost)
+	}
+	// Only the delivered buffer is still out; the dropped one came home.
+	if n := r.poolB.InUse(); n != inUse+1 {
+		t.Fatalf("pool B in use = %d, want %d", n, inUse+1)
 	}
 }

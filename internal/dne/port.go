@@ -33,7 +33,7 @@ type FnPort struct {
 	// tenants may register after AttachFunction), the function's owner
 	// string, and a single-entry destination-ID memo — echo-style traffic
 	// sends to one destination, so the memo turns the per-request fn-ID
-	// lookup into two comparisons.
+	// lookup into two comparisons. memoDstID is zero until the first Send.
 	ts        *tenantState
 	fnOwner   mempool.Owner
 	memoDst   string
@@ -46,7 +46,9 @@ func (fp *FnPort) Fn() string { return fp.fn }
 // Send hands a descriptor (and the buffer it owns) to the engine for
 // inter-node transmission. The calling function must own d.Buf; ownership
 // moves to the engine. core is the function's core, charged the channel
-// send cost.
+// send cost. Send stamps the descriptor's interned tenant and destination
+// IDs; a destination the engine has not seen is interned without a route,
+// so it drops at TX unless a route is installed first.
 func (fp *FnPort) Send(pr *sim.Proc, core Execer, d mempool.Descriptor) error {
 	d.Tenant = fp.tenant
 	ts := fp.ts
@@ -59,14 +61,10 @@ func (fp *FnPort) Send(pr *sim.Proc, core Execer, d mempool.Descriptor) error {
 		fp.fnOwner = mempool.Owner(fp.fn)
 	}
 	d.TenantID = ts.id + 1
-	if d.Dst == fp.memoDst {
-		d.DstID = fp.memoDstID
-	} else if id, ok := fp.engine.fnIDs[d.Dst]; ok {
-		d.DstID = id + 1
-		fp.memoDst, fp.memoDstID = d.Dst, id+1
-	} else {
-		d.DstID = 0
+	if fp.memoDstID == 0 || d.Dst != fp.memoDst {
+		fp.memoDst, fp.memoDstID = d.Dst, fp.engine.internFn(d.Dst)+1
 	}
+	d.DstID = fp.memoDstID
 	if err := ts.pool.Transfer(d.Buf, fp.fnOwner, fp.engine.engOwner); err != nil {
 		return err
 	}

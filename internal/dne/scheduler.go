@@ -64,10 +64,10 @@ type dwrrQueue struct {
 	q       ring.Deque[mempool.Descriptor]
 }
 
-// dwrr implements Shreedhar-Varghese deficit weighted round robin over
+// DWRR implements Shreedhar-Varghese deficit weighted round robin over
 // tenant queues, with byte-based quanta so large payloads don't let a
 // tenant exceed its share.
-type dwrr struct {
+type DWRR struct {
 	quantumUnit int // bytes of quantum per unit weight per round
 	queues      map[string]*dwrrQueue
 	active      ring.Deque[*dwrrQueue] // round-robin ring of backlogged tenants
@@ -84,13 +84,7 @@ type dwrr struct {
 // the largest message size divided by the smallest weight to keep per-round
 // progress positive.
 func NewDWRR(quantumUnit int) *DWRR {
-	return &DWRR{dwrr{quantumUnit: quantumUnit, queues: make(map[string]*dwrrQueue)}}
-}
-
-// DWRR is the exported handle for the weighted scheduler (so callers can
-// set weights).
-type DWRR struct {
-	dwrr
+	return &DWRR{quantumUnit: quantumUnit, queues: make(map[string]*dwrrQueue)}
 }
 
 // SetWeight registers or updates a tenant's weight (default 1).
@@ -102,7 +96,7 @@ func (s *DWRR) SetWeight(tenant string, weight int) {
 	q.weight = weight
 }
 
-func (s *dwrr) queue(tenant string) *dwrrQueue {
+func (s *DWRR) queue(tenant string) *dwrrQueue {
 	q, ok := s.queues[tenant]
 	if !ok {
 		q = &dwrrQueue{tenant: tenant, weight: 1}
@@ -112,7 +106,7 @@ func (s *dwrr) queue(tenant string) *dwrrQueue {
 }
 
 // Enqueue implements Scheduler.
-func (s *dwrr) Enqueue(tenant string, d mempool.Descriptor) {
+func (s *DWRR) Enqueue(tenant string, d mempool.Descriptor) {
 	q := s.memoQ
 	if q == nil || tenant != s.memoTenant {
 		q = s.queue(tenant)
@@ -140,7 +134,7 @@ func msgBytes(d mempool.Descriptor) int {
 // backlogged tenant's turn grants one quantum; when the deficit can't cover
 // the head-of-line message the turn ends and the tenant rotates to the back
 // keeping its deficit (Shreedhar-Varghese).
-func (s *dwrr) Next() (mempool.Descriptor, bool) {
+func (s *DWRR) Next() (mempool.Descriptor, bool) {
 	for s.active.Len() > 0 {
 		q := s.active.Front()
 		if q.q.Len() == 0 {
@@ -175,88 +169,4 @@ func (s *dwrr) Next() (mempool.Descriptor, bool) {
 }
 
 // Pending implements Scheduler.
-func (s *dwrr) Pending() int { return s.pending }
-
-// SchedPriority is a strict-priority scheduler: the backlogged tenant with
-// the highest weight always transmits first (starvation by design — the
-// paper notes DNE policies are user-customizable, §4.2; this is the
-// latency-tier policy a platform might pair with DWRR).
-const SchedPriority SchedulerKind = 2
-
-// priority implements strict-priority scheduling across tenant queues.
-type priority struct {
-	weights map[string]int
-	queues  map[string]*ring.Deque[mempool.Descriptor]
-	order   []string                          // tenants sorted by descending weight, stable
-	ordered []*ring.Deque[mempool.Descriptor] // queues in order[] sequence
-	pending int
-}
-
-// NewPriority returns a strict-priority scheduler.
-func NewPriority() *Priority {
-	return &Priority{priority{
-		weights: make(map[string]int),
-		queues:  make(map[string]*ring.Deque[mempool.Descriptor]),
-	}}
-}
-
-// Priority is the exported handle for the strict-priority scheduler.
-type Priority struct {
-	priority
-}
-
-// SetWeight registers a tenant's priority (higher serves first).
-func (s *Priority) SetWeight(tenant string, weight int) {
-	if _, ok := s.weights[tenant]; !ok {
-		// Insert keeping descending weight order; FIFO among equals.
-		idx := len(s.order)
-		for i, name := range s.order {
-			if s.weights[name] < weight {
-				idx = i
-				break
-			}
-		}
-		s.order = append(s.order, "")
-		copy(s.order[idx+1:], s.order[idx:])
-		s.order[idx] = tenant
-		s.ordered = append(s.ordered, nil)
-		copy(s.ordered[idx+1:], s.ordered[idx:])
-		s.ordered[idx] = s.tenantQueue(tenant)
-	}
-	s.weights[tenant] = weight
-}
-
-func (s *priority) tenantQueue(tenant string) *ring.Deque[mempool.Descriptor] {
-	q, ok := s.queues[tenant]
-	if !ok {
-		q = &ring.Deque[mempool.Descriptor]{}
-		s.queues[tenant] = q
-	}
-	return q
-}
-
-// Enqueue implements Scheduler.
-func (s *priority) Enqueue(tenant string, d mempool.Descriptor) {
-	if _, ok := s.weights[tenant]; !ok {
-		s.weights[tenant] = 0
-		s.order = append(s.order, tenant)
-		s.ordered = append(s.ordered, s.tenantQueue(tenant))
-	}
-	s.tenantQueue(tenant).PushBack(d)
-	s.pending++
-}
-
-// Next implements Scheduler: drain the highest-priority backlog first.
-func (s *priority) Next() (mempool.Descriptor, bool) {
-	for _, q := range s.ordered {
-		if q.Len() == 0 {
-			continue
-		}
-		s.pending--
-		return q.PopFront(), true
-	}
-	return mempool.Descriptor{}, false
-}
-
-// Pending implements Scheduler.
-func (s *priority) Pending() int { return s.pending }
+func (s *DWRR) Pending() int { return s.pending }

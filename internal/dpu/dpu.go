@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"nadino/internal/fabric"
-	"nadino/internal/mempool"
 	"nadino/internal/params"
 	"nadino/internal/rdma"
 	"nadino/internal/sim"
@@ -119,24 +118,3 @@ func (d *DMAEngine) BusyTime() time.Duration { return d.busyTime }
 
 // Ops reports completed transfers.
 func (d *DMAEngine) Ops() uint64 { return d.ops }
-
-// ExportDesc is DOCA's mmap export descriptor: the host shared-memory agent
-// exports a tenant pool so the DPU can (a) address it from its ARM cores
-// and (b) register it with the integrated RNIC (§3.4.2).
-type ExportDesc struct {
-	Prefix string
-	Pool   *mempool.Pool
-}
-
-// Export is doca_mmap_export_pci + doca_mmap_export_rdma on the host agent.
-func Export(pool *mempool.Pool) ExportDesc {
-	return ExportDesc{Prefix: pool.Tenant(), Pool: pool}
-}
-
-// CreateFromExport is doca_mmap_create_from_export on the DPU: it yields an
-// RNIC memory region that points at *host* memory, enabling off-path
-// zero-copy — the RNIC DMAs straight into the host pool while the DPU only
-// handles descriptors.
-func (d *DPU) CreateFromExport(ed ExportDesc) *rdma.MR {
-	return d.rnic.RegisterMR(ed.Pool)
-}

@@ -82,7 +82,8 @@ func TestSoCDMAQueuesUnderConcurrency(t *testing.T) {
 func TestMMapExportRegistersHostMemory(t *testing.T) {
 	_, p, d := newDPU(t)
 	pool := mempool.NewPool("tenant_1", 4096, 512, p.HugepageSize)
-	mr := d.CreateFromExport(Export(pool))
+	// doca_mmap_create_from_export: the DPU's RNIC registers the host pool.
+	mr := d.RNIC().RegisterMR(pool)
 	if mr.Pool != pool {
 		t.Fatal("MR does not reference the host pool")
 	}

@@ -44,15 +44,9 @@ func runTenancy(o Opts, sched dne.SchedulerKind, tenants []TenantLoad, total tim
 	r := newDNERig(p, o.Seed, dne.OffPath, sched, specs)
 	defer r.eng.Stop()
 
-	res := &TenancyResult{
-		Sched:     sched,
-		Total:     total,
-		Tenants:   tenants,
-		Series:    make(map[string]*metrics.Series),
-		Aggregate: metrics.NewSeries("aggregate"),
-	}
+	names := make([]string, len(tenants))
 	stats := make(map[string]*echoClientStats)
-	for _, t := range tenants {
+	for i, t := range tenants {
 		t := t
 		cliPort := r.ea.AttachFunction("cli-"+t.Name, t.Name)
 		srvPort := r.eb.AttachFunction("srv-"+t.Name, t.Name)
@@ -67,33 +61,23 @@ func runTenancy(o Opts, sched dne.SchedulerKind, tenants []TenantLoad, total tim
 			return true
 		}
 		stats[t.Name] = r.spawnEchoClients(t.Name, cliPort, t.Clients, 1024, active)
-		res.Series[t.Name] = metrics.NewSeries(t.Name)
+		names[i] = t.Name
 	}
 	// Sample per-tenant completion rates, starting once setup finished so
 	// the first window is not polluted by connection establishment.
-	window := total / 48
-	last := make(map[string]uint64)
-	r.eng.At(r.p.QPSetupTime, func() {
-		// Walk the tenant slice, not the stats map: float addition is not
-		// associative, so a map-ordered sum would make Aggregate
-		// nondeterministic across runs.
-		for _, t := range tenants {
-			last[t.Name] = stats[t.Name].count
-		}
-		r.eng.Ticker(window, func(now time.Duration) {
-			var sum float64
-			for _, t := range tenants {
-				s := stats[t.Name]
-				rate := float64(s.count-last[t.Name]) / window.Seconds()
-				last[t.Name] = s.count
-				res.Series[t.Name].Add(now, rate)
-				sum += rate
-			}
-			res.Aggregate.Add(now, sum)
-		})
-	})
+	series := sampleRate(r, names, stats, total/48)
 	r.eng.RunUntil(r.p.QPSetupTime + total)
-	return res
+	// Sum the aggregate in tenant order: float addition is not associative,
+	// so a map-ordered sum would make it nondeterministic across runs.
+	agg := metrics.NewSeries("aggregate")
+	for i, pt := range series[names[0]].Points {
+		var sum float64
+		for _, n := range names {
+			sum += series[n].Points[i].V
+		}
+		agg.Add(pt.T, sum)
+	}
+	return &TenancyResult{Sched: sched, Total: total, Tenants: tenants, Series: series, Aggregate: agg}
 }
 
 // SharesBetween reports each tenant's mean rate within [lo, hi] (offsets

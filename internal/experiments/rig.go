@@ -221,13 +221,6 @@ func (r *dneRig) spawnEchoClients(tenant string, port *dne.FnPort, n, payload in
 	return stats
 }
 
-func (s *echoClientStats) meanRTT() time.Duration {
-	if s.count == 0 {
-		return 0
-	}
-	return s.rttSum / time.Duration(s.count)
-}
-
 // measureEcho runs the rig for dur (after setup) and returns RPS and mean
 // RTT for the tenant stats.
 func measureEcho(r *dneRig, stats *echoClientStats, dur time.Duration) (float64, time.Duration) {

@@ -454,8 +454,8 @@ func (g *Gateway) handleCQE(pr *sim.Proc, e rdma.CQE) {
 func (g *Gateway) ingest(pr *sim.Proc, tr *tenantReg, l rdma.Landed) {
 	d := l.Desc
 	d.Buf = l.Buf
-	// The sender engine's interned IDs are engine-local; clear them so the
-	// local engine re-resolves by name.
+	// The sender engine's interned IDs are engine-local; clear them (the
+	// local engine stamps its own at GatewayDeliver).
 	d.TenantID, d.DstID = 0, 0
 	d.Trace.EndStage(trace.StageGwHop)
 	g.core.Exec(pr, g.p.GwDeliverCost)

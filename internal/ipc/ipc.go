@@ -1,7 +1,7 @@
-// Package ipc models NADINO's intra-node communication primitives: eBPF
-// SK_MSG descriptor handoff between local sockets (§3.5.3) and the
-// semaphore-based token passing that transfers buffer ownership along a
-// function chain (§3.5.1).
+// Package ipc models NADINO's intra-node descriptor channel: eBPF SK_MSG
+// handoff between local sockets (§3.5.3). The semaphore token that moves
+// buffer ownership along a function chain (§3.5.1) rides with each
+// descriptor; senders charge it as params.SemTokenCost.
 package ipc
 
 import (
@@ -115,29 +115,3 @@ func (c *SKMsg) Pending() int { return c.q.Len() }
 
 // Delivered reports lifetime deliveries.
 func (c *SKMsg) Delivered() uint64 { return c.delivered }
-
-// Token is the ownership-transfer semaphore between a producer and a
-// consumer in a chain (§3.5.1): the producer posts after handing the buffer
-// descriptor over; the consumer waits before touching the buffer. It
-// emulates a single-producer single-consumer ring: no locks, strict order.
-type Token struct {
-	p   *params.Params
-	sem *sim.Semaphore
-}
-
-// NewToken returns a token initialized to 0 (consumer blocked).
-func NewToken(eng *sim.Engine, p *params.Params) *Token {
-	return &Token{p: p, sem: sim.NewSemaphore(eng, 0)}
-}
-
-// Cost is the CPU cost of a post or wait operation.
-func (t *Token) Cost() time.Duration { return t.p.SemTokenCost }
-
-// Post hands ownership downstream (sem_post).
-func (t *Token) Post() { t.sem.Release(1) }
-
-// Wait blocks the consumer until ownership arrives (sem_wait).
-func (t *Token) Wait(pr *sim.Proc) { t.sem.Acquire(pr, 1) }
-
-// Pending reports posted-but-unconsumed tokens.
-func (t *Token) Pending() int { return t.sem.Available() }

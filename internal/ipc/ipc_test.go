@@ -81,13 +81,14 @@ func TestSKMsgWorkSignalWakesLoop(t *testing.T) {
 }
 
 func TestTokenPassingChain(t *testing.T) {
-	// A -> B -> C: ownership strictly follows the call graph (§3.5.1).
+	// A -> B -> C: ownership strictly follows the call graph (§3.5.1). Each
+	// hop transfers the buffer, then hands its descriptor over SK_MSG.
 	p := params.Default()
 	eng := sim.NewEngine(1)
 	defer eng.Stop()
 	pool := mempool.NewPool("t", 1024, 4, p.HugepageSize)
-	ab := NewToken(eng, p)
-	bc := NewToken(eng, p)
+	ab := NewSKMsg(eng, p, nil)
+	bc := NewSKMsg(eng, p, nil)
 	buf, _ := pool.Get("A")
 	var order []string
 	eng.Spawn("A", func(pr *sim.Proc) {
@@ -96,26 +97,26 @@ func TestTokenPassingChain(t *testing.T) {
 		if err := pool.Transfer(buf, "A", "B"); err != nil {
 			t.Error(err)
 		}
-		ab.Post()
+		ab.Send(mempool.Descriptor{Buf: buf})
 	})
 	eng.Spawn("B", func(pr *sim.Proc) {
-		ab.Wait(pr)
-		if err := pool.Access(buf, "B"); err != nil {
+		d := ab.Recv(pr)
+		if err := pool.Access(d.Buf, "B"); err != nil {
 			t.Error(err)
 		}
 		order = append(order, "B")
-		if err := pool.Transfer(buf, "B", "C"); err != nil {
+		if err := pool.Transfer(d.Buf, "B", "C"); err != nil {
 			t.Error(err)
 		}
-		bc.Post()
+		bc.Send(d)
 	})
 	eng.Spawn("C", func(pr *sim.Proc) {
-		bc.Wait(pr)
-		if err := pool.Access(buf, "C"); err != nil {
+		d := bc.Recv(pr)
+		if err := pool.Access(d.Buf, "C"); err != nil {
 			t.Error(err)
 		}
 		order = append(order, "C")
-		if err := pool.Put(buf, "C"); err != nil {
+		if err := pool.Put(d.Buf, "C"); err != nil {
 			t.Error(err)
 		}
 	})
@@ -140,13 +141,5 @@ func TestCostAccessors(t *testing.T) {
 	eng.Run()
 	if ch.Pending() != 1 {
 		t.Fatalf("pending = %d", ch.Pending())
-	}
-	tok := NewToken(eng, p)
-	if tok.Cost() != p.SemTokenCost {
-		t.Fatal("token cost accessor wrong")
-	}
-	tok.Post()
-	if tok.Pending() != 1 {
-		t.Fatalf("token pending = %d", tok.Pending())
 	}
 }

@@ -22,12 +22,13 @@ type Descriptor struct {
 	Seq    uint64 // per-flow sequence number
 
 	// TenantID and DstID are interned routing hints: the stamping engine's
-	// dense tenant/function IDs plus one, with zero meaning "unresolved —
-	// fall back to the string fields". They are engine-local (assigned at
-	// registration time, never carried across the wire: the receiver
-	// re-stamps TenantID when it posts the landing buffer), and exist so
-	// the per-request data path does slice indexing instead of string-map
-	// lookups. Simulation bookkeeping, not part of the modeled 16 bytes.
+	// dense tenant/function IDs plus one, set on every descriptor the engine
+	// handles (zero means "not stamped yet"). They are engine-local and
+	// never carried across the wire: the receiving engine re-stamps TenantID
+	// when it posts the landing buffer or accepts a gateway landing. They
+	// exist so the per-request data path does slice indexing instead of
+	// string-map lookups. Simulation bookkeeping, not part of the modeled
+	// 16 bytes.
 	TenantID int32
 	DstID    int32
 

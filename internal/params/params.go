@@ -198,9 +198,6 @@ type Params struct {
 	// experiments that cap DNE throughput (Fig. 15 configures the DNE "to
 	// sustain a maximum throughput of approximately 110K RPS").
 	DNEExtraPerMsg time.Duration
-	// RQReplenishBatch is how many receive buffers the core thread posts
-	// per replenish round (§3.5.2).
-	RQReplenishBatch int
 
 	// ---- Ingress gateway ----
 
@@ -237,13 +234,6 @@ type Params struct {
 	// GwMaxHops bounds transit forwarding (TTL): a descriptor relayed more
 	// than this many times is dropped, fencing transient routing loops.
 	GwMaxHops int
-
-	// ---- Misc ----
-
-	// DescriptorBytes: "16B buffer descriptors" (§3.5.4).
-	DescriptorBytes int
-	// PayloadDefault is the default message payload.
-	PayloadDefault int
 }
 
 // Default returns the calibrated baseline parameter set.
@@ -311,10 +301,9 @@ func Default() *Params {
 		ProxyUpstreamOverhead: 14 * time.Microsecond,
 		ExtNetOneWay:          8 * time.Microsecond,
 
-		DNETxCost:        1100 * time.Nanosecond,
-		DNERxCost:        900 * time.Nanosecond,
-		DNEExtraPerMsg:   0,
-		RQReplenishBatch: 32,
+		DNETxCost:      1100 * time.Nanosecond,
+		DNERxCost:      900 * time.Nanosecond,
+		DNEExtraPerMsg: 0,
 
 		IngressScaleUpUtil:     0.60,
 		IngressScaleDownUtil:   0.30,
@@ -327,9 +316,6 @@ func Default() *Params {
 		GwFailoverInterval: 200 * time.Microsecond,
 		GwWindow:           64,
 		GwMaxHops:          8,
-
-		DescriptorBytes: 16,
-		PayloadDefault:  1024,
 	}
 }
 

@@ -42,7 +42,6 @@ type QP struct {
 	sweepFn     func() // bound once: the seenLog sweeper
 	sweepArmed  bool
 	retransmits uint64
-	dupsDropped uint64
 }
 
 // seenEntry records when a wrID entered the receiver's dedup set.
@@ -105,10 +104,6 @@ func (qp *QP) Errored() bool { return qp.errored }
 // Retransmits reports transport-level retransmissions on this QP.
 func (qp *QP) Retransmits() uint64 { return qp.retransmits }
 
-// DupsDropped reports retransmitted deliveries discarded by the receiver's
-// PSN check.
-func (qp *QP) DupsDropped() uint64 { return qp.dupsDropped }
-
 // ForceError drives the QP into the error state immediately, as an RNIC
 // firmware fault or peer reboot would: the cache slot is evicted and new
 // posts flush with StatusQPError until Reset (ConnPool.Repair recovers it).
@@ -141,9 +136,6 @@ func (qp *QP) Outstanding() int { return qp.outstanding }
 
 // RNIC returns the local RNIC.
 func (qp *QP) RNIC() *RNIC { return qp.rnic }
-
-// Peer returns the remote end.
-func (qp *QP) Peer() *QP { return qp.peer }
 
 // allocWR takes a slab slot for a newly posted WR and indexes it.
 func (qp *QP) allocWR(id uint64, d mempool.Descriptor) *wrState {
@@ -352,7 +344,6 @@ func (f *recvFlow) start() {
 	if dst.seen.has(f.wrID) {
 		// Duplicate of a retransmitted WR (PSN already consumed): drop it
 		// and re-ack so the sender stops retransmitting.
-		dst.dupsDropped++
 		r.eng.After(p.FabricPropagation, f.dupFn)
 		return
 	}
@@ -481,9 +472,7 @@ func (st *wrState) wDone() {
 	qp := st.qp
 	peer := qp.peer
 	rr := peer.rnic
-	if peer.seen.has(st.id) {
-		peer.dupsDropped++
-	} else {
+	if !peer.seen.has(st.id) {
 		peer.markSeen(st.id)
 		st.remote.MR.land(Landed{Buf: st.remote.Buf, Bytes: st.d.Len, Desc: st.d, At: rr.eng.Now()})
 	}

@@ -433,9 +433,6 @@ func (r *RNIC) RegisterMR(pool *mempool.Pool) *MR {
 	return &MR{id: r.nextMR, Pool: pool, node: r.node}
 }
 
-// MTTPages reports translation entries pinned by registered regions.
-func (r *RNIC) MTTPages() int { return r.mttPages }
-
 // mttPenalty is the expected per-WR translation-miss cost once registered
 // pages overflow the MTT cache: the miss probability approaches the
 // overflow fraction under uniform buffer access.

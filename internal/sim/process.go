@@ -18,7 +18,7 @@ import (
 // kept past its body's return observes the recycled state — treat it like a
 // closed handle.
 //
-// Proc methods that block (Sleep, WaitQueue.Wait, Semaphore.Acquire, ...)
+// Proc methods that block (Sleep, WaitQueue.Wait, Queue.Get, ...)
 // must only be called from the Proc's own body.
 type Proc struct {
 	eng  *Engine

@@ -51,71 +51,6 @@ func (w *WaitQueue) WakeAll() {
 // Len reports the number of blocked processes.
 func (w *WaitQueue) Len() int { return w.waiters.Len() }
 
-// Semaphore is a counting semaphore for processes. The zero value is not
-// usable; construct with NewSemaphore.
-type Semaphore struct {
-	eng     *Engine
-	avail   int
-	waiters ring.Deque[semWaiter]
-}
-
-type semWaiter struct {
-	p *Proc
-	n int
-}
-
-// NewSemaphore returns a semaphore with count initial permits.
-func NewSemaphore(e *Engine, count int) *Semaphore {
-	return &Semaphore{eng: e, avail: count}
-}
-
-// Acquire takes n permits, blocking p until they are available. Waiters are
-// served strictly FIFO (no barging), so a large request cannot be starved.
-func (s *Semaphore) Acquire(p *Proc, n int) {
-	if n <= 0 {
-		panic("sim: semaphore acquire of non-positive count")
-	}
-	if s.waiters.Len() == 0 && s.avail >= n {
-		s.avail -= n
-		return
-	}
-	s.waiters.PushBack(semWaiter{p: p, n: n})
-	p.block()
-}
-
-// TryAcquire takes n permits without blocking, reporting success.
-func (s *Semaphore) TryAcquire(n int) bool {
-	if s.waiters.Len() == 0 && s.avail >= n {
-		s.avail -= n
-		return true
-	}
-	return false
-}
-
-// Release returns n permits and wakes any waiters that now fit, in FIFO
-// order as one batched delivery (a single timer-queue event regardless of
-// how many waiters the permits satisfy).
-func (s *Semaphore) Release(n int) {
-	if n <= 0 {
-		panic("sim: semaphore release of non-positive count")
-	}
-	s.avail += n
-	woken := 0
-	for s.waiters.Len() > 0 && s.avail >= s.waiters.Front().n {
-		w := s.waiters.PopFront()
-		s.avail -= w.n
-		s.eng.queueWake(w.p)
-		woken++
-	}
-	s.eng.flushWakes(woken)
-}
-
-// Available reports the current free permit count.
-func (s *Semaphore) Available() int { return s.avail }
-
-// Waiting reports the number of blocked acquirers.
-func (s *Semaphore) Waiting() int { return s.waiters.Len() }
-
 // Queue is a FIFO message queue between processes. With cap == 0 the queue
 // is unbounded; otherwise Put blocks when full.
 type Queue[T any] struct {
@@ -188,14 +123,6 @@ func (q *Queue[T]) Peek() (T, bool) {
 
 // Len reports the number of queued items.
 func (q *Queue[T]) Len() int { return q.items.Len() }
-
-// WaitNonEmpty blocks p until the queue holds at least one item. Unlike Get
-// it does not consume; use it to build poll-style loops over many queues.
-func (q *Queue[T]) WaitNonEmpty(p *Proc) {
-	for q.items.Len() == 0 {
-		q.getters.Wait(p)
-	}
-}
 
 // Signal is a broadcast condition: processes wait on it and any code can
 // pulse it. Unlike WaitQueue it is level-safe for the common "check

@@ -6,58 +6,6 @@ import (
 	"time"
 )
 
-func TestSemaphoreFIFO(t *testing.T) {
-	e := NewEngine(1)
-	defer e.Stop()
-	s := NewSemaphore(e, 2)
-	var order []int
-	for i := 0; i < 4; i++ {
-		i := i
-		e.Spawn("w", func(p *Proc) {
-			s.Acquire(p, 1)
-			order = append(order, i)
-			p.Sleep(time.Duration(10+i) * time.Millisecond)
-			s.Release(1)
-		})
-	}
-	e.Run()
-	if len(order) != 4 {
-		t.Fatalf("acquired %d times, want 4", len(order))
-	}
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("non-FIFO semaphore order: %v", order)
-		}
-	}
-}
-
-func TestSemaphoreNoBarging(t *testing.T) {
-	e := NewEngine(1)
-	defer e.Stop()
-	s := NewSemaphore(e, 2)
-	var got []string
-	// First, a big request that cannot be satisfied yet.
-	e.Spawn("big", func(p *Proc) {
-		p.Sleep(time.Millisecond)
-		s.Acquire(p, 3)
-		got = append(got, "big")
-	})
-	// Then a small request that *could* be satisfied but must queue behind.
-	e.Spawn("small", func(p *Proc) {
-		p.Sleep(2 * time.Millisecond)
-		s.Acquire(p, 1)
-		got = append(got, "small")
-	})
-	e.Spawn("releaser", func(p *Proc) {
-		p.Sleep(5 * time.Millisecond)
-		s.Release(2)
-	})
-	e.Run()
-	if len(got) != 2 || got[0] != "big" || got[1] != "small" {
-		t.Fatalf("barging occurred: %v", got)
-	}
-}
-
 func TestQueueBlockingAndCapacity(t *testing.T) {
 	e := NewEngine(1)
 	defer e.Stop()
@@ -224,39 +172,6 @@ func TestQueueFIFOProperty(t *testing.T) {
 			}
 		}
 		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: semaphore never goes negative and all acquirers eventually run
-// when permits cycle.
-func TestSemaphoreConservationProperty(t *testing.T) {
-	f := func(seed int64, workersRaw, permitsRaw uint8) bool {
-		workers := int(workersRaw%8) + 1
-		permits := int(permitsRaw%3) + 1
-		e := NewEngine(seed)
-		defer e.Stop()
-		s := NewSemaphore(e, permits)
-		inside, maxInside, completed := 0, 0, 0
-		for i := 0; i < workers; i++ {
-			e.Spawn("w", func(p *Proc) {
-				for j := 0; j < 3; j++ {
-					s.Acquire(p, 1)
-					inside++
-					if inside > maxInside {
-						maxInside = inside
-					}
-					p.Sleep(time.Duration(1+e.Rand().Intn(50)) * time.Microsecond)
-					inside--
-					s.Release(1)
-				}
-				completed++
-			})
-		}
-		e.Run()
-		return completed == workers && maxInside <= permits && s.Available() == permits
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

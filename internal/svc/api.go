@@ -172,6 +172,14 @@ func (s *Server) handleReroute(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"fn": req.Fn, "node": req.Node})
 }
 
+// Watchdog rule bounds. Every scrape evaluates each rule with one series
+// lookup, so a client may grow neither the rule list nor its keys without
+// limit.
+const (
+	maxWatchdogRules = 64
+	maxRuleKeyLen    = 256 // bytes, for name and series each
+)
+
 // wireRule is the watchdog rule wire shape.
 type wireRule struct {
 	Name    string  `json:"name"`
@@ -211,6 +219,10 @@ func (s *Server) handleWatchdog(w http.ResponseWriter, r *http.Request) {
 			apiError(w, http.StatusBadRequest, "rule needs name and series")
 			return
 		}
+		if len(req.Name) > maxRuleKeyLen || len(req.Series) > maxRuleKeyLen {
+			apiError(w, http.StatusBadRequest, "name and series must be at most %d bytes", maxRuleKeyLen)
+			return
+		}
 		op, err := telemetry.ParseOp(req.Op)
 		if err != nil {
 			apiError(w, http.StatusBadRequest, "%v", err)
@@ -223,7 +235,12 @@ func (s *Server) handleWatchdog(w http.ResponseWriter, r *http.Request) {
 			apiError(w, http.StatusBadRequest, "from_ms/to_ms must lie in [0, %v]", chaos.WireHorizon)
 			return
 		}
+		full := false
 		s.pacer.Do(func() {
+			if len(s.dog.Rules()) >= maxWatchdogRules {
+				full = true
+				return
+			}
 			rule := telemetry.Rule{
 				Name: req.Name, Series: req.Series, Op: op, Bound: req.Bound,
 				Sustain: req.Sustain,
@@ -235,6 +252,10 @@ func (s *Server) handleWatchdog(w http.ResponseWriter, r *http.Request) {
 			s.dog.Add(rule)
 			s.rec.Record(flightrec.KindMark, s.markActor, int64(rule.Bound), 0)
 		})
+		if full {
+			apiError(w, http.StatusBadRequest, "watchdog already holds the maximum of %d rules", maxWatchdogRules)
+			return
+		}
 		writeJSON(w, http.StatusOK, map[string]string{"added": req.Name})
 	default:
 		apiError(w, http.StatusMethodNotAllowed, "GET or POST")

@@ -78,6 +78,7 @@ func FuzzManagementAPI(f *testing.F) {
 	f.Add(uint8(2), []byte(`{"name":"neg","series":"cluster.goodput","op":">","bound":1,"to_ms":-5}`))
 	f.Add(uint8(2), []byte(`{"name":"bad","series":"x","op":"!="}`))
 	f.Add(uint8(2), []byte(`not json`))
+	f.Add(uint8(2), []byte(`{"name":"`+strings.Repeat("n", maxRuleKeyLen+1)+`","series":"cluster.goodput","op":"<","bound":1}`))
 
 	s := fuzzServer()
 	f.Cleanup(s.clu.Eng.Stop)
@@ -129,5 +130,40 @@ func TestWatchdogWindowBounds(t *testing.T) {
 	ok := `{"name":"day","series":"cluster.goodput","op":"<","bound":1,"from_ms":0,"to_ms":86400000}`
 	if rr := s.post("/api/v1/watchdog", []byte(ok)); rr.Code != http.StatusOK {
 		t.Fatalf("%s: got %d, want 200: %s", ok, rr.Code, rr.Body)
+	}
+}
+
+// TestWatchdogRuleBounds: names and series past maxRuleKeyLen bytes are
+// refused, and so is any rule past maxWatchdogRules; a refused rule leaves
+// the list as it was.
+func TestWatchdogRuleBounds(t *testing.T) {
+	s := fuzzServer()
+	t.Cleanup(s.clu.Eng.Stop)
+	long := strings.Repeat("x", maxRuleKeyLen+1)
+	for _, body := range []string{
+		`{"name":"` + long + `","series":"cluster.goodput","op":"<","bound":1}`,
+		`{"name":"long-series","series":"` + long + `","op":"<","bound":1}`,
+	} {
+		if rr := s.post("/api/v1/watchdog", []byte(body)); rr.Code != http.StatusBadRequest {
+			t.Errorf("%.40s...: got %d, want 400", body, rr.Code)
+		}
+	}
+	// A name of exactly maxRuleKeyLen bytes is accepted.
+	for i := 0; i < maxWatchdogRules; i++ {
+		name := fmt.Sprintf("r%d", i)
+		if i == 0 {
+			name = strings.Repeat("x", maxRuleKeyLen)
+		}
+		body := `{"name":"` + name + `","series":"cluster.goodput","op":"<","bound":1}`
+		if rr := s.post("/api/v1/watchdog", []byte(body)); rr.Code != http.StatusOK {
+			t.Fatalf("rule %d: got %d, want 200: %s", i, rr.Code, rr.Body)
+		}
+	}
+	over := `{"name":"one-too-many","series":"cluster.goodput","op":"<","bound":1}`
+	if rr := s.post("/api/v1/watchdog", []byte(over)); rr.Code != http.StatusBadRequest {
+		t.Fatalf("rule %d: got %d, want 400", maxWatchdogRules+1, rr.Code)
+	}
+	if n := len(s.dog.Rules()); n != maxWatchdogRules {
+		t.Fatalf("watchdog holds %d rules, want %d", n, maxWatchdogRules)
 	}
 }
