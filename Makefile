@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet fmt race check bench bench-gate bench-res suite ci trace telemetry fuzz fuzz-smoke cover profile svc-smoke parity
+.PHONY: build test vet fmt race check bench bench-gate bench-res bench-e2e bench-e2e-gate suite ci trace telemetry fuzz fuzz-smoke cover profile svc-smoke parity
 
 build:
 	$(GO) build ./...
@@ -34,13 +34,14 @@ race:
 check: vet race
 
 # bench runs the simulator-core microbenchmarks (event scheduling, cancel,
-# spawn/yield; events/sec and allocs/op) plus the cluster-scale sweep
+# spawn/yield, the Run/Notify continuation forms; events/sec and allocs/op)
+# plus the cluster-scale sweep
 # (BenchmarkScaleSweep: 100k-1M concurrent clients per point, wall-clock
 # ns/op and events/sec) and archives everything as BENCH_sim.json for
 # cross-commit comparison. The human-readable output goes to stderr. Each
 # scale point is deterministic for the fixed seed, so -benchtime 1x is exact.
 bench:
-	( $(GO) test -run '^$$' -bench 'BenchmarkEngine|BenchmarkProc|BenchmarkPSQuantum$$' -benchmem ./internal/sim/ ; \
+	( $(GO) test -run '^$$' -bench 'BenchmarkEngine|BenchmarkProc|BenchmarkSignalNotify$$|BenchmarkPSQuantum$$' -benchmem ./internal/sim/ ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkQPPostSend$$|BenchmarkCQPollInto$$' -benchmem ./internal/rdma/ ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkMempoolCachedGetPut$$' -benchmem ./internal/mempool/ ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkGatewayForward$$|BenchmarkChainCrossNode$$' -benchmem ./internal/gateway/ ; \
@@ -50,18 +51,40 @@ bench:
 	  $(GO) test -run '^$$' -bench 'BenchmarkScaleSweep' -benchtime 1x -timeout 30m ./internal/experiments/ ) | $(GO) run ./cmd/benchjson > BENCH_sim.json
 
 # bench-gate re-runs the headline microbenchmarks — event-core schedule hot
-# path and pooled spawn, plus the data-plane fast path (QP send, CQ ring
+# path, pooled spawn and the Run/Notify continuation forms (pinned at 0
+# allocs/op), plus the data-plane fast path (QP send, CQ ring
 # drain, cached mempool Get/Put), the gateway forwarding path and the
 # flight-recorder record path (pinned at 0 allocs/op) — and fails if any
 # regressed more than 25% in ns/op, or allocates more per op, against the
 # archived BENCH_sim.json.
 bench-gate:
-	( $(GO) test -run '^$$' -bench 'BenchmarkEngineSchedule$$|BenchmarkProcSpawn$$|BenchmarkPSQuantum$$' -benchmem ./internal/sim/ ; \
+	( $(GO) test -run '^$$' -bench 'BenchmarkEngineSchedule$$|BenchmarkProcSpawn$$|BenchmarkProcessorRun$$|BenchmarkSignalNotify$$|BenchmarkPSQuantum$$' -benchmem ./internal/sim/ ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkQPPostSend$$|BenchmarkCQPollInto$$' -benchmem ./internal/rdma/ ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkMempoolCachedGetPut$$' -benchmem ./internal/mempool/ ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkGatewayForward$$|BenchmarkChainCrossNode$$' -benchmem ./internal/gateway/ ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkFlightRecord$$' -benchmem ./internal/flightrec/ ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkCloneFanout$$' -benchmem ./internal/speculate/ ) | $(GO) run ./cmd/benchjson -gate BENCH_sim.json
+
+# bench-e2e runs the repository benchmark (bench/, declared by
+# BENCHMARK.json) once per workload at seed 1 with a 1 s budget — each run
+# does its minimum of 9 replicas, so the modeled metrics are exact for the
+# seed — and archives the four result lines as BENCH_e2e.json.
+E2E_WORKLOADS := boutique-closed ingress-echo fabric-mt scale-open
+E2E_RUN = out=$$(mktemp); trap 'rm -f "$$out"' EXIT; \
+	for w in $(E2E_WORKLOADS); do \
+		python3 bench/run.py --workload $$w --seed 1 --seconds 1 --trace 0 >> "$$out" || exit 1; \
+	done
+bench-e2e:
+	@$(E2E_RUN); $(GO) run ./cmd/benchjson -e2e < "$$out" > BENCH_e2e.json
+
+# bench-e2e-gate re-runs those four workloads and fails if any modeled
+# metric (vrps, vlat_mean_us, vlat_p999_us, dp_cores) differs from
+# BENCH_e2e.json, if any request fails, or if any host metric
+# (wall_ns_per_req, setup_s, allocs_per_req, live_heap_mb) is worse than
+# archived by more than its bound in BENCHMARK.json. A change that means to
+# move a modeled metric re-archives with `make bench-e2e` and says why.
+bench-e2e-gate:
+	@$(E2E_RUN); $(GO) run ./cmd/benchjson -e2e -gate BENCH_e2e.json < "$$out"
 
 # profile captures pprof CPU and heap profiles of a representative slice of
 # the suite (fig15 exercises the full DNE data path at quick fidelity).
@@ -94,7 +117,8 @@ suite:
 # everything — paper artifacts, ablations and the chaos res-* suite — at
 # quick fidelity across all cores, then smoke-check the telemetry export
 # pipeline and the simulation fuzzer, and finally gate the event-core hot
-# paths against the archived benchmark numbers.
+# paths and the repository benchmark's end-to-end numbers against their
+# archives.
 ci: fmt
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -106,6 +130,7 @@ ci: fmt
 	$(MAKE) fuzz-smoke
 	$(MAKE) svc-smoke
 	$(MAKE) bench-gate
+	$(MAKE) bench-e2e-gate
 
 # svc-smoke is the live-daemon end-to-end check: boot nadino-svc on an
 # ephemeral port with the built-in template config, poll /readyz, scrape

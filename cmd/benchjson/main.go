@@ -18,6 +18,17 @@
 // allocs/op grew at all. Fresh benchmarks with no archived counterpart are
 // reported but do not fail. Exit status 1 on any failure (see
 // `make bench-gate`, wired into `make ci`).
+//
+// -e2e switches the input to the repository benchmark's output
+// (`python3 bench/run.py --workload <w> ...`, any number of runs
+// concatenated): each run's JSON result line is archived under the workload
+// named in its "== <w> (timed run)" header (see `make bench-e2e`, which
+// writes BENCH_e2e.json). With -gate as well, fresh runs are compared
+// against that archive: a modeled metric (vrps, vlat_mean_us,
+// vlat_p999_us, dp_cores — exact for a seed) must not change at all, and a
+// host metric must not be worse than archived by more than its bound in
+// BENCHMARK.json's end_to_end list, read from the working directory (see
+// `make bench-e2e-gate`).
 package main
 
 import (
@@ -101,14 +112,8 @@ func parseLine(line string) (Result, bool) {
 // gate compares fresh results against an archived report and returns the
 // number of regressions, printing one verdict line per fresh benchmark.
 func gate(fresh []Result, archivedPath string, threshold float64) int {
-	raw, err := os.ReadFile(archivedPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		return 1
-	}
 	var archived Report
-	if err := json.Unmarshal(raw, &archived); err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: %s: %v\n", archivedPath, err)
+	if !readJSON(archivedPath, &archived) {
 		return 1
 	}
 	base := make(map[string]Result, len(archived.Results))
@@ -144,11 +149,170 @@ func gate(fresh []Result, archivedPath string, threshold float64) int {
 	return failures
 }
 
+// E2EMetric is one metric of a benchmark result line.
+type E2EMetric struct {
+	Value float64 `json:"value"`
+	Unit  string  `json:"unit"`
+}
+
+// E2EResult is one workload's result line from the repository benchmark.
+type E2EResult struct {
+	Workload  string               `json:"workload"`
+	Correct   bool                 `json:"correct"`
+	Attempted int                  `json:"attempted"`
+	Failed    int                  `json:"failed"`
+	Metrics   map[string]E2EMetric `json:"metrics"`
+}
+
+// E2EReport is the archived end-to-end document (BENCH_e2e.json).
+type E2EReport struct {
+	Results []E2EResult `json:"results"`
+}
+
+// modeledMetrics are the benchmark's virtual-time results. They are exact
+// for a seed, so the gate allows no change at all.
+var modeledMetrics = map[string]bool{"vrps": true, "vlat_mean_us": true, "vlat_p999_us": true, "dp_cores": true}
+
+// parseE2E reads concatenated benchmark output: a "== <workload> (timed
+// run)" header names the workload of the JSON result line that follows.
+func parseE2E(sc *bufio.Scanner) ([]E2EResult, error) {
+	var out []E2EResult
+	workload := ""
+	for sc.Scan() {
+		line := sc.Text()
+		fmt.Fprintln(os.Stderr, line)
+		switch {
+		case strings.HasPrefix(line, "== ") && strings.Contains(line, " (timed run)"):
+			workload = strings.TrimPrefix(line[:strings.Index(line, " (timed run)")], "== ")
+		case strings.HasPrefix(line, "{"):
+			if workload == "" {
+				return nil, fmt.Errorf("result line before any workload header: %s", line)
+			}
+			r := E2EResult{Workload: workload}
+			if err := json.Unmarshal([]byte(line), &r); err != nil {
+				return nil, fmt.Errorf("%s: %v", workload, err)
+			}
+			out = append(out, r)
+			workload = ""
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("no benchmark result lines on stdin")
+	}
+	return out, nil
+}
+
+// e2eBound is one end_to_end entry of BENCHMARK.json.
+type e2eBound struct {
+	Name   string  `json:"name"`
+	Better string  `json:"better"`
+	Bound  float64 `json:"bound"`
+}
+
+// gateE2E compares fresh benchmark results against the archive and returns
+// the number of failures, printing one verdict line per workload metric.
+// Every archived workload must be present, correct, and fail no more
+// requests than archived.
+func gateE2E(fresh []E2EResult, archivedPath, boundsPath string) int {
+	var archived E2EReport
+	var bench struct {
+		EndToEnd []e2eBound `json:"end_to_end"`
+	}
+	if !readJSON(archivedPath, &archived) || !readJSON(boundsPath, &bench) {
+		return 1
+	}
+	byName := make(map[string]E2EResult, len(fresh))
+	for _, r := range fresh {
+		byName[r.Workload] = r
+	}
+	failures := 0
+	for _, a := range archived.Results {
+		f, ok := byName[a.Workload]
+		switch {
+		case !ok:
+			failures++
+			fmt.Printf("FAIL  %-16s not run\n", a.Workload)
+			continue
+		case !f.Correct || f.Failed > a.Failed:
+			failures++
+			fmt.Printf("FAIL  %-16s correct=%v, %d of %d requests failed (archived %d)\n",
+				a.Workload, f.Correct, f.Failed, f.Attempted, a.Failed)
+		}
+		for _, b := range bench.EndToEnd {
+			av := a.Metrics[b.Name].Value
+			fm, measured := f.Metrics[b.Name]
+			fv := fm.Value
+			verdict := "ok  "
+			switch {
+			case !measured:
+				verdict = "FAIL"
+			case modeledMetrics[b.Name]:
+				if fv != av {
+					verdict = "FAIL"
+				}
+			case b.Better == "higher" && fv < av*(1-b.Bound),
+				b.Better != "higher" && fv > av*(1+b.Bound):
+				verdict = "FAIL"
+			}
+			if verdict == "FAIL" {
+				failures++
+			}
+			limit := "exact"
+			if !modeledMetrics[b.Name] {
+				limit = fmt.Sprintf("bound %.0f%%", 100*b.Bound)
+			}
+			fmt.Printf("%s  %-16s %-16s %14.6g vs %14.6g archived (%s)\n", verdict, a.Workload, b.Name, fv, av, limit)
+		}
+	}
+	return failures
+}
+
+// readJSON decodes the JSON file at path into v, reporting failure on
+// stderr.
+func readJSON(path string, v any) bool {
+	raw, err := os.ReadFile(path)
+	if err == nil {
+		err = json.Unmarshal(raw, v)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "benchjson: %s: %v\n", path, err)
+		return false
+	}
+	return true
+}
+
 func main() {
 	telemetryPath := flag.String("telemetry", "", "telemetry summary.json to embed in the report")
 	gatePath := flag.String("gate", "", "archived report to gate fresh results against (no JSON output)")
 	gateThreshold := flag.Float64("gate-threshold", 0.25, "allowed fractional ns/op regression in -gate mode")
+	e2e := flag.Bool("e2e", false, "read repository benchmark output (bench/run.py) instead of go test -bench output")
 	flag.Parse()
+
+	if *e2e {
+		sc := bufio.NewScanner(os.Stdin)
+		sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+		results, err := parseE2E(sc)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "benchjson:", err)
+			os.Exit(1)
+		}
+		if *gatePath != "" {
+			if gateE2E(results, *gatePath, "BENCHMARK.json") > 0 {
+				os.Exit(1)
+			}
+			return
+		}
+		enc := json.NewEncoder(os.Stdout)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(E2EReport{Results: results}); err != nil {
+			fmt.Fprintln(os.Stderr, "benchjson:", err)
+			os.Exit(1)
+		}
+		return
+	}
 
 	rep := Report{Results: []Result{}}
 	if *telemetryPath != "" {

@@ -7,7 +7,6 @@ import (
 	"nadino/internal/ingress"
 	"nadino/internal/mempool"
 	"nadino/internal/rdma"
-	"nadino/internal/sim"
 	"nadino/internal/trace"
 )
 
@@ -47,6 +46,7 @@ type rdmaBackend struct {
 	rnic      *rdma.RNIC
 	cq        *rdma.CQ
 	cqeBuf    []rdma.CQE // reusable poll buffer
+	pollFn    func()     // poll, bound once at start
 	tenants   map[string]*beTenant
 	tenantSeq []*beTenant // insertion order: map walks are nondeterministic
 
@@ -82,13 +82,16 @@ func (b *rdmaBackend) tenant(name string) *beTenant {
 	return t
 }
 
-// start posts the initial receive rings, spawns the completion poller and
-// arms the QP repair pass.
+// start posts the initial receive rings, starts the completion poller and
+// arms the QP repair pass. The poller is an engine callback, not a process:
+// it starts from one same-instant event, the one a spawn would schedule.
 func (b *rdmaBackend) start() {
 	for _, t := range b.tenantSeq {
 		b.post(t, ingressRing)
 	}
-	b.c.Eng.Spawn("ingress-rdma-poller", b.pollLoop)
+	b.cqeBuf = make([]rdma.CQE, 64)
+	b.pollFn = b.poll
+	b.c.Eng.Immediate(b.pollFn)
 	// The ingress has no keeper thread, so it re-handshakes errored
 	// connections on a fixed cadence, as the DNE and gateway keepers do for
 	// theirs. Repairing only on error completions is not enough: a pool
@@ -165,15 +168,16 @@ func (b *rdmaBackend) Forward(req ingress.Request, done func(ingress.Response)) 
 	qp.PostSend(d)
 }
 
-// pollLoop drains the ingress CQ: send completions recycle source buffers;
+// poll drains the ingress CQ: send completions recycle source buffers;
 // receive completions are worker responses heading to clients. It also
-// replenishes the SRQ to match consumption.
-func (b *rdmaBackend) pollLoop(pr *sim.Proc) {
-	if b.cqeBuf == nil {
-		b.cqeBuf = make([]rdma.CQE, 64)
-	}
+// replenishes the SRQ to match consumption. With the queue empty it parks
+// until the next completion arrives.
+func (b *rdmaBackend) poll() {
 	for {
-		b.cq.Wait(pr)
+		if b.cq.Len() == 0 {
+			b.cq.Notify(b.pollFn)
+			return
+		}
 		for {
 			n := b.cq.PollInto(b.cqeBuf)
 			if n == 0 {

@@ -150,6 +150,11 @@ type Engine struct {
 	rqBufs  []mempool.Buffer
 	rqDescs []mempool.Descriptor
 
+	// w and k are the worker loop's and the keeper's state between block
+	// points: both run as engine callbacks, not processes (see Start).
+	w workerState
+	k keeperState
+
 	sched     Scheduler
 	dwrrSched *DWRR
 
@@ -171,6 +176,56 @@ type Engine struct {
 	onDrop func(ctx any)
 
 	started bool
+}
+
+// Worker loop stages, in pass order.
+const (
+	stageRX      = iota // drain the CQ
+	stageGateway        // gateway-landed descriptors
+	stageIngest         // host -> engine channels
+	stageTX             // tenant scheduler, up to txBatch sends
+	stageEnd            // end of pass: go again, or park until work arrives
+)
+
+// txBatch caps the sends one worker pass makes before it polls again.
+const txBatch = 16
+
+// shrinkEvery is how many keeper rounds pass between connection-pool
+// shrinks.
+const shrinkEvery = 100
+
+// workerState is the run-to-completion loop's position and the descriptor
+// it has in service. The loop is one state machine: each block point — a
+// Run on the worker core, an on-path DMA, parking on the work signal —
+// schedules exactly the one event the blocking loop did, and the
+// continuation picks up from here.
+type workerState struct {
+	stage        int
+	did          bool // the pass found work
+	cqe, cqes    int  // next entry / entries polled into cqeBuf
+	port, nPorts int
+	tx           int // sends this pass
+
+	d        mempool.Descriptor // in service
+	status   rdma.Status        // d's send completion status
+	sp       trace.SpanRef      // d's open stage span
+	from     mempool.Owner      // rx: owner of d's buffer on arrival
+	fp       *FnPort            // rx: destination port
+	cp       *rdma.ConnPool     // tx: pool toward the next hop
+	afterDMA func()             // on-path DMA: where the pass resumes
+
+	// Continuations, bound once at Start.
+	passFn, sentFn, rxRanFn, rxLandFn, rxPushFn, ingestedFn, txRouteFn, txPostFn, txSentFn, dmaLandedFn func()
+}
+
+// keeperState is the core thread's position within a replenish round.
+type keeperState struct {
+	initial          bool // the first round pre-posts InitialRQ per tenant
+	ten, nTens       int  // next tenant / tenants registered when the round began
+	ts               *tenantState
+	want, posted     int // the batch waiting on the keeper core
+	round            int
+	postedFn, tickFn func()
 }
 
 // New assembles an engine. For OnDPU, d supplies the cores, SoC DMA and
@@ -462,7 +517,11 @@ func (e *Engine) RQDebt() int {
 }
 
 // Start launches the worker loop and the core thread. Call once, before
-// Engine.Run on the simulation.
+// Engine.Run on the simulation. Both are poll-mode loops (§3.2) and run as
+// engine callbacks, not processes: each starts from one same-instant event,
+// the one a spawn would schedule, and every later step continues from the
+// event its last block point scheduled, so no step costs a goroutine
+// handoff.
 func (e *Engine) Start() {
 	if e.started {
 		panic("dne: Start called twice")
@@ -471,88 +530,143 @@ func (e *Engine) Start() {
 	e.cqeBuf = make([]rdma.CQE, PollBatch)
 	e.rqBufs = make([]mempool.Buffer, ReplenishBatch)
 	e.rqDescs = make([]mempool.Descriptor, ReplenishBatch)
-	e.eng.Spawn(fmt.Sprintf("dne-worker@%s", e.cfg.Node), e.workerLoop)
-	e.eng.Spawn(fmt.Sprintf("dne-keeper@%s", e.cfg.Node), e.keeperLoop)
+	w := &e.w
+	w.passFn, w.sentFn, w.ingestedFn = e.pass, e.sent, e.ingested
+	w.rxRanFn, w.rxLandFn, w.rxPushFn = e.rxRan, e.rxLand, e.rxPush
+	w.txRouteFn, w.txPostFn, w.txSentFn = e.txRoute, e.txPost, e.txSent
+	w.dmaLandedFn = e.dmaLanded
+	k := &e.k
+	k.postedFn, k.tickFn = e.keeperPosted, e.keeperTick
+	e.eng.Immediate(w.passFn)
+	e.eng.Immediate(e.keeperStart)
 }
 
-// workerLoop is the non-blocking run-to-completion event loop (§3.2): it
-// ingests descriptors from function channels, runs the TX stage through the
-// tenant scheduler, and drains the CQ for the RX stage. When there is no
-// work it parks on the work signal (the pinned core still reports as
+// pass is the non-blocking run-to-completion event loop (§3.2): it drains
+// the CQ for the RX stage, ingests descriptors from function channels, and
+// runs the TX stage through the tenant scheduler, from wherever the last
+// block point left it until the next one. When a whole pass finds no work
+// it parks on the work signal (the pinned core still reports as
 // busy-polling; BusyTime tracks the *useful* fraction, which is what the
 // paper's refined CPU accounting measures).
-func (e *Engine) workerLoop(pr *sim.Proc) {
-	const batch = 16
+func (e *Engine) pass() {
+	w := &e.w
 	for {
-		did := false
-
-		// RX stage first: drain all completions so received descriptors
-		// reach their functions (and, via their replies, the scheduler)
-		// promptly. Completions are mandatory work; leaving them queued
-		// would turn the FIFO CQ into the standing buffer and bypass the
-		// tenant scheduler.
-		for {
-			n := e.cq.PollInto(e.cqeBuf)
-			if n == 0 {
-				break
-			}
-			for i := 0; i < n; i++ {
-				e.handleCQE(pr, e.cqeBuf[i])
-			}
-			did = true
-		}
-
-		// Gateway-landed descriptors: same RX stage as an RDMA receive,
-		// but the buffer arrives owned by the gateway tier instead of the RQ.
-		for e.gwIn.Len() > 0 {
-			e.rx(pr, e.gwIn.PopFront(), e.gwOwner)
-			did = true
-		}
-
-		// Ingest host -> engine descriptors into the tenant scheduler.
-		for _, fp := range e.portSeq {
-			for {
-				d, cost, ok := fp.engineSidePull()
-				if !ok {
-					break
+		switch w.stage {
+		case stageRX:
+			// Drain all completions first so received descriptors reach
+			// their functions (and, via their replies, the scheduler)
+			// promptly. Completions are mandatory work; leaving them queued
+			// would turn the FIFO CQ into the standing buffer and bypass the
+			// tenant scheduler.
+			if w.cqe == w.cqes {
+				w.cqe, w.cqes = 0, e.cq.PollInto(e.cqeBuf)
+				if w.cqes == 0 {
+					w.stage = stageGateway
+					continue
 				}
-				if cost > 0 {
-					sp := d.Trace.Begin(trace.StageDNEIngest, e.actorLabel)
-					e.worker.Exec(pr, cost)
-					sp.End()
-				}
-				e.enqueue(d)
-				did = true
+				w.did = true
 			}
-		}
-
-		// TX stage: the tenant scheduler (DWRR/FCFS) arbitrates the
-		// engine's transmit capacity — this is where backlog stands under
-		// overload, so per-tenant weights govern it (§3.3).
-		for i := 0; i < batch; i++ {
+			cqe := e.cqeBuf[w.cqe]
+			w.cqe++
+			if e.handleCQE(cqe) {
+				return
+			}
+		case stageGateway:
+			// Gateway-landed descriptors: same RX stage as an RDMA receive,
+			// but the buffer arrives owned by the gateway tier instead of
+			// the RQ.
+			if e.gwIn.Len() == 0 {
+				// Ingest serves the ports attached when the pass got here;
+				// one attached mid-pass waits for the next.
+				w.stage, w.port, w.nPorts = stageIngest, 0, len(e.portSeq)
+				continue
+			}
+			w.did = true
+			e.rx(e.gwIn.PopFront(), e.gwOwner)
+			return
+		case stageIngest:
+			// Host -> engine descriptors into the tenant scheduler.
+			if w.port == w.nPorts {
+				w.stage, w.tx = stageTX, 0
+				continue
+			}
+			d, cost, ok := e.portSeq[w.port].engineSidePull()
+			if !ok {
+				w.port++
+				continue
+			}
+			w.did = true
+			if cost > 0 {
+				w.d = d
+				w.sp = d.Trace.Begin(trace.StageDNEIngest, e.actorLabel)
+				e.worker.Run(cost, w.ingestedFn)
+				return
+			}
+			e.enqueue(d)
+		case stageTX:
+			// The tenant scheduler (DWRR/FCFS) arbitrates the engine's
+			// transmit capacity — this is where backlog stands under
+			// overload, so per-tenant weights govern it (§3.3).
+			if w.tx == txBatch {
+				w.stage = stageEnd
+				continue
+			}
 			d, ok := e.sched.Next()
 			if !ok {
-				break
+				w.stage = stageEnd
+				continue
 			}
+			w.tx++
+			w.did = true
 			d.Trace.EndStage(trace.StageDNESched)
-			e.txOne(pr, d)
-			did = true
-		}
-
-		if !did {
-			e.work.Wait(pr)
+			if e.txOne(d) {
+				return
+			}
+		case stageEnd:
+			did := w.did
+			w.stage, w.did = stageRX, false
+			if !did {
+				e.work.Notify(w.passFn)
+				return
+			}
 		}
 	}
 }
+
+// next clears the descriptor that just left service and resumes the pass.
+func (e *Engine) next() {
+	w := &e.w
+	w.d, w.sp, w.from, w.fp, w.cp = mempool.Descriptor{}, trace.SpanRef{}, "", nil, nil
+	e.pass()
+}
+
+// ingested finishes an ingest once the channel cost is paid.
+func (e *Engine) ingested() {
+	e.w.sp.End()
+	e.enqueue(e.w.d)
+	e.next()
+}
+
+// onPathDMA moves n bytes across the PCIe boundary on the SoC DMA engine;
+// the loop waits for the copy (§4.1.1) and resumes at then. It resumes one
+// same-instant event after the copy lands, the wake hop a blocked process
+// paid, so ties at that instant keep their order.
+func (e *Engine) onPathDMA(n int, then func()) {
+	e.w.afterDMA = then
+	e.socDMA.Transfer(n, e.w.dmaLandedFn)
+}
+
+func (e *Engine) dmaLanded() { e.eng.Immediate(e.w.afterDMA) }
 
 // tenantOf resolves a descriptor's tenant state from its interned hint.
 func (e *Engine) tenantOf(d *mempool.Descriptor) *tenantState {
 	return e.tenantSeq[d.TenantID-1]
 }
 
-// txOne runs one descriptor through the TX stage. Tenant and destination
-// resolve by their interned IDs (slice indexing).
-func (e *Engine) txOne(pr *sim.Proc, d mempool.Descriptor) {
+// txOne starts the TX stage for one descriptor and reports whether the
+// pass must wait for it; a killed speculative clone finishes at once.
+// Tenant and destination resolve by their interned IDs (slice indexing).
+func (e *Engine) txOne(d mempool.Descriptor) bool {
 	if d.Spec != nil && d.Spec() {
 		// A speculative clone whose group already completed elsewhere:
 		// kill it at the TX gate, before it spends engine work or a WR.
@@ -563,20 +677,26 @@ func (e *Engine) txOne(pr *sim.Proc, d mempool.Descriptor) {
 		e.specDrops++
 		e.frDrop(flightrec.KindSpecCancel, &d)
 		e.releaseBuffer(d)
-		return
+		return false
 	}
-	sp := d.Trace.Begin(trace.StageDNETx, e.actorLabel)
+	w := &e.w
+	w.d = d
+	w.sp = d.Trace.Begin(trace.StageDNETx, e.actorLabel)
 	// DNEExtraPerMsg, the artificial load experiments use to cap the engine
 	// (Fig. 15's ~110K RPS), is charged here only, behind the tenant
 	// scheduler, so the capped capacity is the resource DWRR arbitrates.
-	e.worker.Exec(pr, e.p.DNETxCost+e.p.DNEExtraPerMsg)
+	e.worker.Run(e.p.DNETxCost+e.p.DNEExtraPerMsg, w.txRouteFn)
+	return true
+}
+
+// txRoute resolves the next hop of the descriptor in service once its TX
+// work is done.
+func (e *Engine) txRoute() {
+	w := &e.w
+	d := &w.d
 	nodeIdx := e.routeByFn[d.DstID-1]
 	if nodeIdx < 0 {
-		e.dropNoRoute++
-		e.frDrop(flightrec.KindDropNoRoute, &d)
-		e.lost(d.Ctx)
-		e.releaseBuffer(d)
-		sp.End()
+		e.txDrop()
 		return
 	}
 	if e.fwd != nil && nodeIdx != e.selfIdx {
@@ -584,97 +704,145 @@ func (e *Engine) txOne(pr *sim.Proc, d mempool.Descriptor) {
 		// to the gateway, which owns the inter-node QPs and the route table.
 		// A refusal (destination isn't a peer gateway, e.g. the ingress
 		// backend) falls through to the engine's direct per-tenant QPs.
-		if e.fwd.ForwardRemote(d, e.nodeNames[nodeIdx]) {
-			sp.End()
+		if e.fwd.ForwardRemote(*d, e.nodeNames[nodeIdx]) {
+			w.sp.End()
 			e.txCount++
 			e.fwdOut++
+			e.next()
 			return
 		}
 	}
-	cp := e.poolByNT[nodeIdx][d.TenantID-1]
-	if cp == nil {
-		e.dropNoRoute++
-		e.frDrop(flightrec.KindDropNoRoute, &d)
-		e.lost(d.Ctx)
-		e.releaseBuffer(d)
-		sp.End()
+	w.cp = e.poolByNT[nodeIdx][d.TenantID-1]
+	if w.cp == nil {
+		e.txDrop()
 		return
 	}
 	if e.cfg.Mode == OnPath {
-		// Stage payload into SoC memory through the slow DMA engine; the
-		// run-to-completion loop waits for it (§4.1.1).
-		e.socDMA.TransferBlocking(pr, d.Len)
+		// Stage payload into SoC memory through the slow DMA engine.
+		e.onPathDMA(d.Len, w.txPostFn)
+		return
 	}
-	e.worker.Exec(pr, e.p.VerbsPostCost)
-	qp := cp.Pick()
-	qp.PostSend(d)
-	sp.End()
-	e.txCount++
+	e.txPost()
 }
 
-// handleCQE runs the RX stage for one completion.
-func (e *Engine) handleCQE(pr *sim.Proc, cqe rdma.CQE) {
+// txDrop drops the descriptor in service for want of a route.
+func (e *Engine) txDrop() {
+	w := &e.w
+	e.dropNoRoute++
+	e.frDrop(flightrec.KindDropNoRoute, &w.d)
+	e.lost(w.d.Ctx)
+	e.releaseBuffer(w.d)
+	w.sp.End()
+	e.next()
+}
+
+func (e *Engine) txPost() { e.worker.Run(e.p.VerbsPostCost, e.w.txSentFn) }
+
+// txSent posts the send once the verbs work is paid.
+func (e *Engine) txSent() {
+	w := &e.w
+	w.cp.Pick().PostSend(w.d)
+	w.sp.End()
+	e.txCount++
+	e.next()
+}
+
+// handleCQE starts the RX stage for one completion and reports whether the
+// pass must wait for it.
+func (e *Engine) handleCQE(cqe rdma.CQE) bool {
 	switch cqe.Op {
 	case rdma.OpSend:
 		// Sender-side completion: recycle the source buffer.
-		e.worker.Exec(pr, e.p.VerbsPostCost/2)
-		cqe.Desc.Trace.EndStage(trace.StageRDMAAck)
-		if cqe.Status != rdma.StatusOK {
-			e.sendErrors++
-			// Transport-level failure (link loss, errored QP): retry the
-			// descriptor through the scheduler for at-least-once delivery,
-			// up to a bounded budget.
-			d := cqe.Desc
-			if d.Retries < 5 {
-				d.Retries++
-				e.retriedSends++
-				e.enqueue(d)
-				return
-			}
-			e.dropRetryBudget++
-			e.frDrop(flightrec.KindDropRetry, &d)
-			e.lost(d.Ctx)
-		}
-		e.releaseBuffer(cqe.Desc)
+		e.w.d, e.w.status = cqe.Desc, cqe.Status
+		e.worker.Run(e.p.VerbsPostCost/2, e.w.sentFn)
+		return true
 	case rdma.OpRecv:
 		cqe.Desc.Trace.EndStage(trace.StageRDMACQ)
-		e.rx(pr, cqe.Desc, e.rqOwner)
+		e.rx(cqe.Desc, e.rqOwner)
+		return true
 	}
+	return false
 }
 
-// rx runs the RX stage for one landed descriptor whose buffer arrived under
-// from: the RQ owner for an RDMA receive, the gateway owner for a gateway
-// landing. The buffer moves to the destination function, or — with no such
-// function attached — the descriptor drops and the buffer returns to the
-// pool under from.
-func (e *Engine) rx(pr *sim.Proc, d mempool.Descriptor, from mempool.Owner) {
-	sp := d.Trace.Begin(trace.StageDNERx, e.actorLabel)
-	e.worker.Exec(pr, e.p.DNERxCost)
-	if e.cfg.Mode == OnPath && from == e.rqOwner {
-		// The receive was staged in SoC memory; push it to the host pool.
-		e.socDMA.TransferBlocking(pr, d.Len)
+// sent finishes a send completion once its cost is paid.
+func (e *Engine) sent() {
+	w := &e.w
+	w.d.Trace.EndStage(trace.StageRDMAAck)
+	if w.status != rdma.StatusOK {
+		e.sendErrors++
+		// Transport-level failure (link loss, errored QP): retry the
+		// descriptor through the scheduler for at-least-once delivery, up
+		// to a bounded budget.
+		if w.d.Retries < 5 {
+			w.d.Retries++
+			e.retriedSends++
+			e.enqueue(w.d)
+			e.next()
+			return
+		}
+		e.dropRetryBudget++
+		e.frDrop(flightrec.KindDropRetry, &w.d)
+		e.lost(w.d.Ctx)
 	}
-	pool := e.tenantOf(&d).pool
+	e.releaseBuffer(w.d)
+	e.next()
+}
+
+// rx starts the RX stage for one landed descriptor whose buffer arrived
+// under from: the RQ owner for an RDMA receive, the gateway owner for a
+// gateway landing. The buffer moves to the destination function, or — with
+// no such function attached — the descriptor drops and the buffer returns
+// to the pool under from.
+func (e *Engine) rx(d mempool.Descriptor, from mempool.Owner) {
+	w := &e.w
+	w.d, w.from = d, from
+	w.sp = d.Trace.Begin(trace.StageDNERx, e.actorLabel)
+	e.worker.Run(e.p.DNERxCost, w.rxRanFn)
+}
+
+func (e *Engine) rxRan() {
+	if e.cfg.Mode == OnPath && e.w.from == e.rqOwner {
+		// The receive was staged in SoC memory; push it to the host pool.
+		e.onPathDMA(e.w.d.Len, e.w.rxLandFn)
+		return
+	}
+	e.rxLand()
+}
+
+// rxLand hands the descriptor in service to its function.
+func (e *Engine) rxLand() {
+	w := &e.w
+	d := &w.d
+	pool := e.tenantOf(d).pool
 	fp, ok := e.ports[d.Dst]
 	if !ok {
 		e.dropNoPort++
-		e.frDrop(flightrec.KindDropNoPort, &d)
+		e.frDrop(flightrec.KindDropNoPort, d)
 		e.lost(d.Ctx)
-		if err := pool.Put(d.Buf, from); err != nil {
+		if err := pool.Put(d.Buf, w.from); err != nil {
 			panic(fmt.Sprintf("dne: landed buffer recycle failed: %v", err))
 		}
-		sp.End()
+		w.sp.End()
+		e.next()
 		return
 	}
-	if err := pool.Transfer(d.Buf, from, mempool.Owner(d.Dst)); err != nil {
+	if err := pool.Transfer(d.Buf, w.from, mempool.Owner(d.Dst)); err != nil {
 		panic(fmt.Sprintf("dne: RX ownership handoff failed: %v", err))
 	}
 	e.rxCount++
+	w.fp = fp
 	if cost := fp.engineSidePushCost(); cost > 0 {
-		e.worker.Exec(pr, cost)
+		e.worker.Run(cost, w.rxPushFn)
+		return
 	}
-	sp.End()
-	fp.engineSidePush(d)
+	e.rxPush()
+}
+
+func (e *Engine) rxPush() {
+	w := &e.w
+	w.sp.End()
+	w.fp.engineSidePush(w.d)
+	e.next()
 }
 
 // enqueue feeds a descriptor to the tenant scheduler, opening its
@@ -697,26 +865,51 @@ func (e *Engine) releaseBuffer(d mempool.Descriptor) {
 	}
 }
 
-// keeperLoop is the DNE core thread (§3.2): it pre-posts receive buffers
-// and then replenishes each tenant's SRQ to match consumed CQEs (§3.5.2),
-// and periodically shrinks idle connection pools (§3.3).
-func (e *Engine) keeperLoop(pr *sim.Proc) {
-	// Initial posting.
-	for _, ts := range e.tenantSeq {
-		e.replenish(pr, ts, e.cfg.InitialRQ)
-	}
-	shrinkEvery := 100 // replenish rounds between pool shrinks
-	round := 0
-	for {
-		pr.Sleep(e.cfg.ReplenishEvery)
-		for _, ts := range e.tenantSeq {
-			n := int(ts.srq.ConsumedReset()) + ts.rqDebt
-			if n > 0 {
-				ts.rqDebt = n - e.replenish(pr, ts, n)
+// keeperStart is the DNE core thread's first round (§3.2): it pre-posts
+// every tenant's receive buffers. Later rounds (keeperTick) replenish each
+// tenant's SRQ to match consumed CQEs (§3.5.2) every ReplenishEvery and
+// periodically shrink idle connection pools (§3.3).
+func (e *Engine) keeperStart() {
+	e.k.initial = true
+	e.keeperTick()
+}
+
+func (e *Engine) keeperTick() {
+	e.k.ten, e.k.nTens = 0, len(e.tenantSeq)
+	e.keeperStep()
+}
+
+// keeperStep walks the round's remaining tenants. A tenant whose batch
+// posted waits on the keeper core for the posting cost; the round ends by
+// shrinking and repairing pools and arming the next round.
+func (e *Engine) keeperStep() {
+	k := &e.k
+	for k.ten < k.nTens {
+		ts := e.tenantSeq[k.ten]
+		k.ten++
+		n := e.cfg.InitialRQ
+		if !k.initial {
+			n = int(ts.srq.ConsumedReset()) + ts.rqDebt
+			if n <= 0 {
+				continue
 			}
 		}
-		round++
-		if round%shrinkEvery == 0 {
+		posted := e.replenish(ts, n)
+		if posted > 0 {
+			// Batched posting cost on the core thread.
+			k.ts, k.want, k.posted = ts, n, posted
+			e.keeper.Run(time.Duration(posted)*e.p.VerbsPostCost/4, k.postedFn)
+			return
+		}
+		if !k.initial {
+			ts.rqDebt = n
+		}
+	}
+	if k.initial {
+		k.initial = false
+	} else {
+		k.round++
+		if k.round%shrinkEvery == 0 {
 			for _, cp := range e.poolSeq {
 				cp.Shrink()
 			}
@@ -726,15 +919,28 @@ func (e *Engine) keeperLoop(pr *sim.Proc) {
 			cp.Repair()
 		}
 	}
+	e.eng.After(e.cfg.ReplenishEvery, k.tickFn)
+}
+
+// keeperPosted settles a tenant's batch once its posting cost is paid. The
+// shortfall becomes debt only now, not when the batch was posted: the
+// keeper-debt gauge may read it in between.
+func (e *Engine) keeperPosted() {
+	k := &e.k
+	if !k.initial {
+		k.ts.rqDebt = k.want - k.posted
+	}
+	k.ts = nil
+	e.keeperStep()
 }
 
 // replenish posts up to n receive buffers from the tenant pool to its SRQ,
 // in batches of ReplenishBatch (doorbell-batched GetN + PostRecvN), and
-// returns how many it posted (the caller carries any shortfall forward as
-// rqDebt). Buffers come out in the same order one-at-a-time Gets would
-// deliver, and the posting cost is charged per buffer, so batch size does
-// not affect simulation output.
-func (e *Engine) replenish(pr *sim.Proc, ts *tenantState, n int) int {
+// returns how many it posted (the caller charges the posting cost and
+// carries any shortfall forward as rqDebt). Buffers come out in the same
+// order one-at-a-time Gets would deliver, and the posting cost is charged
+// per buffer, so batch size does not affect simulation output.
+func (e *Engine) replenish(ts *tenantState, n int) int {
 	posted := 0
 	for posted < n {
 		want := n - posted
@@ -753,10 +959,6 @@ func (e *Engine) replenish(pr *sim.Proc, ts *tenantState, n int) int {
 		if got < want {
 			break
 		}
-	}
-	if posted > 0 {
-		// Batched posting cost on the core thread.
-		e.keeper.Exec(pr, time.Duration(posted)*e.p.VerbsPostCost/4)
 	}
 	return posted
 }

@@ -427,3 +427,31 @@ func TestGatewayLandedDelivery(t *testing.T) {
 		t.Fatalf("pool B in use = %d, want %d", n, inUse+1)
 	}
 }
+
+// TestStartSpawnsNoProcess pins that the worker loop and the keeper run as
+// engine callbacks: Start adds no process, and running the engine — the
+// keeper's initial posting and replenish rounds included — dispatches none.
+func TestStartSpawnsNoProcess(t *testing.T) {
+	p := params.Default()
+	eng := sim.NewEngine(1)
+	t.Cleanup(eng.Stop)
+	d := dpu.New(eng, p, "nodeA", fabric.New(eng, p), 2)
+	e := New(eng, p, Config{Node: "nodeA", Channel: dpu.ComchE}, d, nil, nil)
+	pool := mempool.NewPool(rigTenant, 4096, 1024, p.HugepageSize)
+	e.AddTenant(rigTenant, pool, 1)
+	procs := eng.Procs()
+	e.Start()
+	if got := eng.Procs(); got != procs {
+		t.Fatalf("Start changed live processes from %d to %d", procs, got)
+	}
+	eng.RunFor(time.Millisecond)
+	if got := eng.Procs(); got != procs {
+		t.Fatalf("running changed live processes from %d to %d", procs, got)
+	}
+	if n := eng.Dispatches(); n != 0 {
+		t.Fatalf("engine dispatched %d processes", n)
+	}
+	if got := e.SRQ(rigTenant).Posted(); got != e.RQTarget() {
+		t.Fatalf("keeper posted %d receive buffers, want %d", got, e.RQTarget())
+	}
+}

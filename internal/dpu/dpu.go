@@ -87,13 +87,6 @@ func (d *DMAEngine) Transfer(n int, done func()) {
 	d.eng.At(d.busyUntil, done)
 }
 
-// TransferBlocking is Transfer for process context.
-func (d *DMAEngine) TransferBlocking(pr *sim.Proc, n int) {
-	q := sim.NewQueue[struct{}](d.eng, 1)
-	d.Transfer(n, func() { q.TryPut(struct{}{}) })
-	q.Get(pr)
-}
-
 // Stall blocks the DMA channel for dur: transfers already queued and any
 // issued during the stall complete only after it ends. Models a SoC DMA
 // hiccup (firmware housekeeping, PCIe backpressure); injection hook for

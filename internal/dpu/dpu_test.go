@@ -44,10 +44,7 @@ func TestDPUCoresAreWimpy(t *testing.T) {
 func TestSoCDMASmallOpLatency(t *testing.T) {
 	eng, p, d := newDPU(t)
 	var done time.Duration
-	eng.Spawn("xfer", func(pr *sim.Proc) {
-		d.SoCDMA().TransferBlocking(pr, 64)
-		done = pr.Now()
-	})
+	d.SoCDMA().Transfer(64, func() { done = eng.Now() })
 	eng.Run()
 	// "only 2.6us for 64B DMA read" — plus the tiny per-byte part.
 	if done < p.SoCDMAPerOp || done > p.SoCDMAPerOp+time.Microsecond {
@@ -59,10 +56,7 @@ func TestSoCDMAQueuesUnderConcurrency(t *testing.T) {
 	eng, _, d := newDPU(t)
 	var finishes []time.Duration
 	for i := 0; i < 4; i++ {
-		eng.Spawn("xfer", func(pr *sim.Proc) {
-			d.SoCDMA().TransferBlocking(pr, 1024)
-			finishes = append(finishes, pr.Now())
-		})
+		d.SoCDMA().Transfer(1024, func() { finishes = append(finishes, eng.Now()) })
 	}
 	eng.Run()
 	if len(finishes) != 4 {

@@ -95,6 +95,34 @@ type inflightSlot struct {
 	buf mempool.Buffer
 }
 
+// Worker loop stages, in pass order.
+const (
+	stageCQ     = iota // drain write completions
+	stageLanded        // ingest landed writes, tenant by tenant
+	stagePump          // forward the pending queue while credits allow
+	stageEnd           // end of pass: go again, or park until work arrives
+)
+
+// workerState is the forwarding loop's position and the descriptor it has
+// in service. Each block point — a Run on the forwarding core, parking on
+// the work signal — schedules exactly the one event the blocking loop did,
+// and the continuation picks up from here.
+type workerState struct {
+	stage       int
+	did         bool // the pass found work
+	cqe, cqes   int  // next entry / entries polled into cqeBuf
+	ten, nTens  int  // tenant being drained / tenants when the pass reached it
+	land, lands int  // next entry / entries polled into landBuf
+
+	d   mempool.Descriptor // in service
+	tr  *tenantReg         // landing tenant (ingest) or target tenant (forward)
+	lk  *link              // forward: the link it goes out on
+	buf mempool.Buffer     // forward: the reserved landing slot
+
+	// Continuations, bound once at Start.
+	passFn, releasedFn, ingestedFn, forwardFn func()
+}
+
 // Gateway is the per-node forwarding tier instance.
 type Gateway struct {
 	eng    *sim.Engine
@@ -124,6 +152,12 @@ type Gateway struct {
 	cqeBuf  []rdma.CQE
 	landBuf []rdma.Landed
 	started bool
+
+	// w is the worker loop's state between block points, and keeperTickFn
+	// the keeper's bound continuation: both run as engine callbacks, not
+	// processes (see Start).
+	w            workerState
+	keeperTickFn func()
 
 	// Conservation counters: acceptIn == delivered + dropped at quiesce,
 	// summed across all gateways (transit re-entries are internal).
@@ -283,7 +317,10 @@ func (g *Gateway) Links() []*rdma.ConnPool {
 	return out
 }
 
-// Start spawns the worker and keeper processes. Idempotent.
+// Start launches the worker loop and the keeper. Idempotent. Both run as
+// engine callbacks, not processes: each starts from one same-instant event,
+// the one a spawn would schedule, and continues from the event its last
+// block point scheduled, so no step costs a goroutine handoff.
 func (g *Gateway) Start() {
 	if g.started {
 		return
@@ -292,8 +329,11 @@ func (g *Gateway) Start() {
 	g.cqeBuf = make([]rdma.CQE, batch)
 	g.landBuf = make([]rdma.Landed, batch)
 	g.routes.Refresh(g.net)
-	g.eng.Spawn("gw@"+string(g.self), g.workerLoop)
-	g.eng.Spawn("gw-keeper@"+string(g.self), g.keeperLoop)
+	w := &g.w
+	w.passFn, w.releasedFn, w.ingestedFn, w.forwardFn = g.pass, g.released, g.ingested, g.forward
+	g.keeperTickFn = g.keeperTick
+	g.eng.Immediate(w.passFn)
+	g.eng.Immediate(g.keeperStart)
 }
 
 // ForwardRemote implements dne.Forwarder: accept a cross-node descriptor
@@ -325,49 +365,83 @@ func (g *Gateway) wakePeers() {
 	}
 }
 
-// workerLoop is the gateway's run-to-completion forwarding core: drain
-// write completions, ingest landed writes, then pump the pending queue
-// while next-hop credits allow.
-func (g *Gateway) workerLoop(pr *sim.Proc) {
+// pass is the gateway's run-to-completion forwarding core: drain write
+// completions, ingest landed writes, then pump the pending queue while
+// next-hop credits allow — from wherever the last block point left it until
+// the next one. A pass that finds no work parks on the work signal.
+func (g *Gateway) pass() {
+	w := &g.w
 	for {
-		did := false
-		for {
-			n := g.cq.PollInto(g.cqeBuf)
-			if n == 0 {
-				break
-			}
-			did = true
-			for i := 0; i < n; i++ {
-				g.handleCQE(pr, g.cqeBuf[i])
-			}
-		}
-		for _, tr := range g.tenantSeq {
-			for {
-				n := tr.mr.PollLandedInto(g.landBuf)
-				if n == 0 {
-					break
+		switch w.stage {
+		case stageCQ:
+			if w.cqe == w.cqes {
+				w.cqe, w.cqes = 0, g.cq.PollInto(g.cqeBuf)
+				if w.cqes == 0 {
+					// Landed writes are drained for the tenants registered
+					// when the pass got here.
+					w.stage, w.ten, w.nTens = stageLanded, 0, len(g.tenantSeq)
+					continue
 				}
-				did = true
-				for i := 0; i < n; i++ {
-					g.ingest(pr, tr, g.landBuf[i])
+				w.did = true
+			}
+			e := g.cqeBuf[w.cqe]
+			w.cqe++
+			if g.handleCQE(e) {
+				return
+			}
+		case stageLanded:
+			if w.land == w.lands {
+				if w.ten == w.nTens {
+					w.stage = stagePump
+					continue
 				}
+				w.land, w.lands = 0, g.tenantSeq[w.ten].mr.PollLandedInto(g.landBuf)
+				if w.lands == 0 {
+					w.ten++
+					continue
+				}
+				w.did = true
 			}
-		}
-		for g.pending.Len() > 0 {
-			if !g.pump(pr) {
-				break
+			l := g.landBuf[w.land]
+			w.land++
+			g.ingest(g.tenantSeq[w.ten], l)
+			return
+		case stagePump:
+			if g.pending.Len() == 0 {
+				w.stage = stageEnd
+				continue
 			}
-			did = true
-		}
-		if !did {
-			g.work.Wait(pr)
+			sent, running := g.pump()
+			if !sent {
+				w.stage = stageEnd
+				continue
+			}
+			w.did = true
+			if running {
+				return
+			}
+		case stageEnd:
+			did := w.did
+			w.stage, w.did = stageCQ, false
+			if !did {
+				g.work.Notify(w.passFn)
+				return
+			}
 		}
 	}
 }
 
-// pump forwards the head of the pending queue. False means the head is
-// blocked on a landing-slot credit — the worker parks until one returns.
-func (g *Gateway) pump(pr *sim.Proc) bool {
+// next clears the descriptor that just left service and resumes the pass.
+func (g *Gateway) next() {
+	w := &g.w
+	w.d, w.tr, w.lk, w.buf = mempool.Descriptor{}, nil, nil, mempool.Buffer{}
+	g.pass()
+}
+
+// pump forwards the head of the pending queue. sent is false when the head
+// is blocked on a landing-slot credit — the worker parks until one returns;
+// running reports that the forward waits on the core (forward finishes it).
+func (g *Gateway) pump() (sent, running bool) {
 	pf := g.pending.Front()
 	hop := g.routes.NextHop(pf.dst)
 	lk := g.links[hop]
@@ -393,29 +467,37 @@ func (g *Gateway) pump(pr *sim.Proc) bool {
 		g.frDrop(&d)
 		g.lost(d.Ctx)
 		g.releaseSource(d)
-		return true
+		return true, false
 	}
 	if tr.slots.Len() == 0 {
-		return false
+		return false, false
 	}
 	g.pending.PopFront()
-	d := pf.d
-	d.Trace.EndStage(trace.StageGwQueue)
-	buf := tr.slots.PopFront()
-	g.core.Exec(pr, g.p.GwForwardCost+g.p.VerbsPostCost)
-	d.Trace.BeginStageDetail(trace.StageGwHop, g.label)
-	qp := lk.cp.Pick()
-	id := qp.PostWrite(d, rdma.RemoteBuf{MR: tr.mr, Buf: buf})
-	g.inflight[id] = inflightSlot{tr: tr, own: lk.peer, buf: buf}
-	g.forwarded++
-	g.fwdBytes += uint64(d.Len)
-	return true
+	w := &g.w
+	w.d, w.tr, w.lk = pf.d, tr, lk
+	w.d.Trace.EndStage(trace.StageGwQueue)
+	w.buf = tr.slots.PopFront()
+	g.core.Run(g.p.GwForwardCost+g.p.VerbsPostCost, w.forwardFn)
+	return true, true
 }
 
-// handleCQE processes one write completion at the sender.
-func (g *Gateway) handleCQE(pr *sim.Proc, e rdma.CQE) {
+// forward posts the write once the forwarding work is paid.
+func (g *Gateway) forward() {
+	w := &g.w
+	w.d.Trace.BeginStageDetail(trace.StageGwHop, g.label)
+	qp := w.lk.cp.Pick()
+	id := qp.PostWrite(w.d, rdma.RemoteBuf{MR: w.tr.mr, Buf: w.buf})
+	g.inflight[id] = inflightSlot{tr: w.tr, own: w.lk.peer, buf: w.buf}
+	g.forwarded++
+	g.fwdBytes += uint64(w.d.Len)
+	g.next()
+}
+
+// handleCQE processes one write completion at the sender and reports
+// whether the pass must wait for it.
+func (g *Gateway) handleCQE(e rdma.CQE) bool {
 	if e.Op != rdma.OpWrite {
-		return
+		return false
 	}
 	sl, reserved := g.inflight[e.WRID]
 	if reserved {
@@ -423,9 +505,9 @@ func (g *Gateway) handleCQE(pr *sim.Proc, e rdma.CQE) {
 	}
 	d := e.Desc
 	if e.Status == rdma.StatusOK {
-		g.core.Exec(pr, g.p.VerbsPostCost/2)
-		g.releaseSource(d)
-		return
+		g.w.d = d
+		g.core.Run(g.p.VerbsPostCost/2, g.w.releasedFn)
+		return true
 	}
 	// Failed forward: the landing slot was never consumed — return the
 	// credit — then re-route within the budget. The destination is
@@ -440,25 +522,43 @@ func (g *Gateway) handleCQE(pr *sim.Proc, e rdma.CQE) {
 			d.Retries++
 			g.retries++
 			g.submit(d, dst)
-			return
+			return false
 		}
 	}
 	g.dropped++
 	g.frDrop(&d)
 	g.lost(d.Ctx)
 	g.releaseSource(d)
+	return false
 }
 
-// ingest consumes one landed write: restock the window, then deliver
-// locally or relay onward.
-func (g *Gateway) ingest(pr *sim.Proc, tr *tenantReg, l rdma.Landed) {
+// released recycles a completed write's source once its cost is paid.
+func (g *Gateway) released() {
+	g.releaseSource(g.w.d)
+	g.next()
+}
+
+// ingest starts consuming one landed write: the delivery work runs on the
+// forwarding core, then ingested restocks and routes it.
+func (g *Gateway) ingest(tr *tenantReg, l rdma.Landed) {
 	d := l.Desc
 	d.Buf = l.Buf
 	// The sender engine's interned IDs are engine-local; clear them (the
 	// local engine stamps its own at GatewayDeliver).
 	d.TenantID, d.DstID = 0, 0
 	d.Trace.EndStage(trace.StageGwHop)
-	g.core.Exec(pr, g.p.GwDeliverCost)
+	g.w.d, g.w.tr = d, tr
+	g.core.Run(g.p.GwDeliverCost, g.w.ingestedFn)
+}
+
+func (g *Gateway) ingested() {
+	g.land(g.w.tr, g.w.d)
+	g.next()
+}
+
+// land restocks the window a landed write consumed, then delivers it
+// locally or relays it onward.
+func (g *Gateway) land(tr *tenantReg, d mempool.Descriptor) {
 	if b, err := tr.pool.Get(g.owner); err == nil {
 		tr.slots.PushBack(b)
 		g.wakePeers()
@@ -505,33 +605,34 @@ func (g *Gateway) releaseSource(d mempool.Descriptor) {
 	g.egress.GatewayRelease(d)
 }
 
-// keeperLoop is the gateway's control loop: refresh the route table from
-// live fabric state (partition failover), repair errored inter-gateway QPs
-// and retry starved slot restocks, every params.GwFailoverInterval.
-func (g *Gateway) keeperLoop(pr *sim.Proc) {
-	for {
-		pr.Sleep(g.p.GwFailoverInterval)
-		if g.routes.Refresh(g.net) {
-			if g.rec != nil {
-				g.rec.Record(flightrec.KindGwRouteUpdate, g.recActor, int64(g.routes.Version()), 0)
-			}
-			g.work.Pulse()
+// keeperStart arms the gateway's control loop: every
+// params.GwFailoverInterval, keeperTick refreshes the route table from live
+// fabric state (partition failover), repairs errored inter-gateway QPs and
+// retries starved slot restocks.
+func (g *Gateway) keeperStart() { g.eng.After(g.p.GwFailoverInterval, g.keeperTickFn) }
+
+func (g *Gateway) keeperTick() {
+	if g.routes.Refresh(g.net) {
+		if g.rec != nil {
+			g.rec.Record(flightrec.KindGwRouteUpdate, g.recActor, int64(g.routes.Version()), 0)
 		}
-		for _, lk := range g.linkSeq {
-			lk.cp.Repair()
-		}
-		for _, tr := range g.tenantSeq {
-			for tr.starved > 0 {
-				b, err := tr.pool.Get(g.owner)
-				if err != nil {
-					break
-				}
-				tr.slots.PushBack(b)
-				tr.starved--
-				g.wakePeers()
+		g.work.Pulse()
+	}
+	for _, lk := range g.linkSeq {
+		lk.cp.Repair()
+	}
+	for _, tr := range g.tenantSeq {
+		for tr.starved > 0 {
+			b, err := tr.pool.Get(g.owner)
+			if err != nil {
+				break
 			}
+			tr.slots.PushBack(b)
+			tr.starved--
+			g.wakePeers()
 		}
 	}
+	g.eng.After(g.p.GwFailoverInterval, g.keeperTickFn)
 }
 
 // Stats is a snapshot of the gateway's conservation counters.

@@ -400,3 +400,43 @@ func BenchmarkChainCrossNode(b *testing.B) {
 	b.ReportAllocs()
 	r.eng.Run()
 }
+
+// TestStartSpawnsNoProcess pins that the forwarding loop and the keeper run
+// as engine callbacks: Start adds no process, and forwarding across the
+// mesh — credit parks included — dispatches none.
+func TestStartSpawnsNoProcess(t *testing.T) {
+	p := params.Default()
+	eng := sim.NewEngine(1)
+	t.Cleanup(eng.Stop)
+	net := fabric.New(eng, p)
+	g := New(eng, p, "solo", net, rdma.NewRNIC(eng, p, "solo", net), 0)
+	g.Start()
+	eng.RunFor(time.Millisecond)
+	if n, d := eng.Procs(), eng.Dispatches(); n != 0 || d != 0 {
+		t.Fatalf("Start left %d live processes and %d dispatches, want none", n, d)
+	}
+
+	r := newGwRig(t, 1, 3, 4)
+	r.route("fn3", "n3")
+	const sends = 20 // five windows' worth: the pump parks on credits
+	var setup uint64
+	r.ready.Notify(func() {
+		setup = r.eng.Dispatches()
+		for i := 0; i < sends; i++ {
+			src, err := r.pools[0].Get("eng")
+			if err != nil {
+				t.Errorf("source pool dry at send %d", i)
+				return
+			}
+			r.gws[0].ForwardRemote(mempool.Descriptor{Tenant: "t", Buf: src, Len: 64, Dst: "fn3"}, "n3")
+		}
+	})
+	r.eng.RunUntil(200 * time.Millisecond)
+	if got := len(r.egs[2].delivered); got != sends {
+		t.Fatalf("delivered %d of %d forwards", got, sends)
+	}
+	if n := r.eng.Dispatches() - setup; n != 0 {
+		t.Fatalf("forwarding dispatched %d processes", n)
+	}
+	r.conserve(t)
+}

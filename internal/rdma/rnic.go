@@ -207,6 +207,11 @@ func (cq *CQ) Wait(p *sim.Proc) {
 	}
 }
 
+// Notify is one round of Wait for engine context: fn runs once, from the
+// wake event of the next push to an empty queue (sim.Signal.Notify). As
+// after a wakeup in Wait, fn should check Len before polling.
+func (cq *CQ) Notify(fn func()) { cq.sig.Notify(fn) }
+
 // Len reports queued completions.
 func (cq *CQ) Len() int { return cq.n }
 

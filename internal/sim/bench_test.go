@@ -116,3 +116,47 @@ func BenchmarkProcSpawn(b *testing.B) {
 		eng.Run()
 	}
 }
+
+// BenchmarkProcessorRun measures one FCFS unit of work in continuation form:
+// Run queues the cost on a core and its completion event calls the bound
+// continuation, which issues the next — the engine-context replacement for
+// a process's Exec round trip (compare BenchmarkProcSleep).
+func BenchmarkProcessorRun(b *testing.B) {
+	b.ReportAllocs()
+	eng := NewEngine(1)
+	defer eng.Stop()
+	c := NewProcessor(eng, "core", 1)
+	n := 0
+	var again func()
+	again = func() {
+		n++
+		if n < b.N {
+			c.Run(time.Microsecond, again)
+		}
+	}
+	c.Run(time.Microsecond, again)
+	b.ResetTimer()
+	eng.Run()
+}
+
+// BenchmarkSignalNotify measures a continuation parked on a signal and
+// released by a pulse: one Notify plus its batched wake event per op — the
+// engine-context replacement for a process's Wait round trip.
+func BenchmarkSignalNotify(b *testing.B) {
+	b.ReportAllocs()
+	eng := NewEngine(1)
+	defer eng.Stop()
+	sig := NewSignal(eng)
+	n := 0
+	var again func()
+	again = func() {
+		n++
+		if n < b.N {
+			sig.Notify(again)
+			sig.Pulse()
+		}
+	}
+	eng.Immediate(again)
+	b.ResetTimer()
+	eng.Run()
+}

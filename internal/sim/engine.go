@@ -3,8 +3,13 @@
 // The engine owns a virtual clock and a two-tier timer queue. Model code
 // runs either as plain event callbacks or as coroutine-style processes
 // (Proc) that can block on virtual time and on synchronization primitives.
-// Exactly one goroutine executes at any instant — the engine hands control
-// to a process and waits for it to yield — so simulations are fully
+// Callback code has continuation forms of the two blocking primitives
+// poll-mode loops need — Processor.Run for Exec and Signal.Notify for
+// Signal.Wait — that schedule the same events a blocked process would, so
+// a loop written as a state machine fires in exactly the order its process
+// form did, without a goroutine handoff per block point. Exactly one
+// goroutine executes at any instant — the engine hands control to a
+// process and waits for it to yield — so simulations are fully
 // deterministic for a given seed and are safe to write without locks.
 //
 // The hot path is allocation-free at steady state: fired and canceled
@@ -128,11 +133,13 @@ func entryLess(a, b heapEntry) bool {
 	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
-// wakeRef is one queued process wakeup in a batched delivery, fenced by the
-// generation the process had when the wake was issued.
+// wakeRef is one queued wakeup in a batched delivery: a process, fenced by
+// the generation it had when the wake was issued, or a one-shot
+// continuation (Signal.Notify) when fn is set.
 type wakeRef struct {
 	p   *Proc
 	gen uint64
+	fn  func()
 }
 
 // Engine is a discrete-event simulator. Create one with NewEngine, schedule
@@ -146,8 +153,9 @@ type Engine struct {
 	seq   uint64
 	rng   *rand.Rand
 
-	pending int    // queued events across heap + wheel
-	fired   uint64 // events executed since construction
+	pending    int    // queued events across heap + wheel
+	fired      uint64 // events executed since construction
+	dispatches uint64 // process dispatches (goroutine handoffs) since construction
 
 	// wakeQ is the FIFO of batched process wakeups (insertion-order slice,
 	// never a map: batch delivery must be deterministic). Batch events pop
@@ -256,10 +264,14 @@ func (e *Engine) wakeProcAt(t time.Duration, p *Proc) Event {
 	return Event{ev: ev, gen: ev.gen}
 }
 
-// queueWake appends one process to the batched wake queue. The caller must
+// queueWake appends one waiter to the batched wake queue. The caller must
 // follow up with flushWakes to schedule the delivery event.
-func (e *Engine) queueWake(p *Proc) {
-	e.wakeQ = append(e.wakeQ, wakeRef{p: p, gen: p.gen})
+func (e *Engine) queueWake(w waiter) {
+	if w.fn != nil {
+		e.wakeQ = append(e.wakeQ, wakeRef{fn: w.fn})
+		return
+	}
+	e.wakeQ = append(e.wakeQ, wakeRef{p: w.p, gen: w.p.gen})
 }
 
 // flushWakes schedules a single event at the current instant that delivers
@@ -348,7 +360,10 @@ func (e *Engine) fire(ev *event) {
 				e.wakeQ = e.wakeQ[:0]
 				e.wakeHead = 0
 			}
-			if ref.p.gen == ref.gen {
+			switch {
+			case ref.fn != nil:
+				ref.fn()
+			case ref.p.gen == ref.gen:
 				ref.p.wake()
 			}
 		}
@@ -408,6 +423,12 @@ func (e *Engine) Pending() int { return e.pending }
 // Fired reports the number of events executed since construction — the
 // numerator of the engine's events/sec throughput.
 func (e *Engine) Fired() uint64 { return e.fired }
+
+// Dispatches reports the number of process dispatches since construction:
+// every time control passed to a process goroutine (its start and each
+// resume). Each one is a goroutine handoff, so this is the counter
+// continuation-form loops drive down.
+func (e *Engine) Dispatches() uint64 { return e.dispatches }
 
 // Procs reports the number of live processes.
 func (e *Engine) Procs() int { return int(e.procs.Load()) }

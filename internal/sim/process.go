@@ -122,6 +122,7 @@ func (p *Proc) run() {
 // Called from engine context (an event callback or another process that is
 // itself being dispatched).
 func (p *Proc) dispatch() {
+	p.eng.dispatches++
 	p.resume <- true
 	<-p.yield
 }

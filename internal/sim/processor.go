@@ -46,11 +46,14 @@ type Processor struct {
 	busyUntil time.Duration
 	busyTime  time.Duration
 	ops       uint64
-	// waiters tracks processes blocked in Exec with their completion events,
-	// so SetSpeed can reschedule in-service work at the new speed. The slice
-	// stays tiny (one entry per concurrently blocked process) and is
-	// swap-removed on wake, so steady state allocates nothing.
+	// waiters tracks processes blocked in Exec and continuations pending in
+	// Run with their completion events, so SetSpeed can reschedule
+	// in-service work at the new speed. The slice stays tiny (one entry per
+	// concurrent caller) and is swap-removed on completion, so steady state
+	// allocates nothing.
 	waiters []procWaiter
+	// runDoneFn is runDone bound once, the completion callback of every Run.
+	runDoneFn func()
 
 	// psJobs is the PS in-service set; rem is each job's remaining
 	// reference-cost work. psLast is the last instant the set was advanced;
@@ -59,9 +62,11 @@ type Processor struct {
 	psLast time.Duration
 }
 
-// procWaiter is one process blocked in Exec until its completion instant.
+// procWaiter is one Exec caller waiting for its completion instant: a
+// blocked process, or (then set) a Run continuation.
 type procWaiter struct {
 	proc *Proc
+	then func()
 	done time.Duration
 	ev   Event
 }
@@ -85,7 +90,9 @@ func NewProcessorDisc(e *Engine, name string, speed float64, disc Discipline) *P
 	if speed <= 0 {
 		panic(fmt.Sprintf("sim: processor %q with non-positive speed", name))
 	}
-	return &Processor{eng: e, name: name, speed: speed, disc: disc}
+	c := &Processor{eng: e, name: name, speed: speed, disc: disc}
+	c.runDoneFn = c.runDone
+	return c
 }
 
 // Scale converts a reference-core cost into this core's execution time.
@@ -104,16 +111,7 @@ func (c *Processor) Exec(p *Proc, cost time.Duration) {
 		c.execPS(p, cost)
 		return
 	}
-	now := c.eng.now
-	start := now
-	if c.busyUntil > start {
-		start = c.busyUntil
-	}
-	d := c.Scale(cost)
-	c.busyUntil = start + d
-	c.busyTime += d
-	c.ops++
-	if c.busyUntil <= now {
+	if !c.admit(cost) {
 		p.Sleep(0)
 		return
 	}
@@ -127,17 +125,76 @@ func (c *Processor) Exec(p *Proc, cost time.Duration) {
 	c.dropWaiter(p)
 }
 
+// Run is Exec for engine context on an FCFS core: it charges cost exactly
+// as Exec would and calls then at the completion instant. It schedules the
+// one event a blocked Exec would — a same-instant event when the work
+// completes at once, else a completion event SetSpeed re-arms like a
+// blocked process's — so a state machine that replaces each Exec with a
+// Run fires in the same (time, sequence) order as the process did. then is
+// only ever called from that fired event, never synchronously inside Run.
+// Pass a function value bound once (e.g. a method value stored at setup):
+// the core stores it as is, so a steady-state Run allocates nothing.
+func (c *Processor) Run(cost time.Duration, then func()) {
+	if cost < 0 {
+		panic("sim: negative exec cost")
+	}
+	if c.disc == PS {
+		panic(fmt.Sprintf("sim: Run on PS processor %q", c.name))
+	}
+	if !c.admit(cost) {
+		c.eng.Immediate(then)
+		return
+	}
+	ev := c.eng.At(c.busyUntil, c.runDoneFn)
+	c.waiters = append(c.waiters, procWaiter{then: then, done: c.busyUntil, ev: ev})
+}
+
+// admit queues cost behind the FCFS backlog and accounts it, reporting
+// whether the caller must wait for a completion instant (busyUntil) rather
+// than resume at once.
+func (c *Processor) admit(cost time.Duration) bool {
+	now := c.eng.now
+	start := now
+	if c.busyUntil > start {
+		start = c.busyUntil
+	}
+	d := c.Scale(cost)
+	c.busyUntil = start + d
+	c.busyTime += d
+	c.ops++
+	return c.busyUntil > now
+}
+
+// runDone is the completion event of a Run. The fired entry is the one
+// continuation whose event is no longer pending: each completion removes
+// its entry before its continuation runs, so at most one can be.
+func (c *Processor) runDone() {
+	for i := range c.waiters {
+		w := c.waiters[i]
+		if w.then != nil && !w.ev.Pending() {
+			c.dropWaiterAt(i)
+			w.then()
+			return
+		}
+	}
+}
+
 // dropWaiter removes p's entry after its completion event fired.
 func (c *Processor) dropWaiter(p *Proc) {
 	for i := range c.waiters {
 		if c.waiters[i].proc == p {
-			last := len(c.waiters) - 1
-			c.waiters[i] = c.waiters[last]
-			c.waiters[last] = procWaiter{}
-			c.waiters = c.waiters[:last]
+			c.dropWaiterAt(i)
 			return
 		}
 	}
+}
+
+// dropWaiterAt swap-removes waiters[i].
+func (c *Processor) dropWaiterAt(i int) {
+	last := len(c.waiters) - 1
+	c.waiters[i] = c.waiters[last]
+	c.waiters[last] = procWaiter{}
+	c.waiters = c.waiters[:last]
 }
 
 // execPS admits p into the PS service set and blocks it until its share of
@@ -255,7 +312,8 @@ func (c *Processor) Speed() float64 { return c.speed }
 // backlog so busy time is charged at the speed in effect while the work
 // actually runs: the remaining portion of every accepted request stretches
 // (slow-down) or shrinks (speed-up) by oldSpeed/newSpeed, blocked Exec
-// callers are rescheduled to their new completion instants, and busyTime is
+// callers and pending Run continuations are rescheduled to their new
+// completion instants, and busyTime is
 // adjusted by the backlog delta so BusyTime() stays continuous through the
 // transition and ends equal to realized occupied time. This is the
 // degraded-core injection hook used by internal/chaos.
@@ -292,7 +350,11 @@ func (c *Processor) SetSpeed(speed float64) {
 		}
 		w.ev.Cancel()
 		w.done = now + time.Duration(float64(w.done-now)*ratio)
-		w.ev = c.eng.wakeProcAt(w.done, w.proc)
+		if w.then != nil {
+			w.ev = c.eng.At(w.done, c.runDoneFn)
+		} else {
+			w.ev = c.eng.wakeProcAt(w.done, w.proc)
+		}
 	}
 }
 

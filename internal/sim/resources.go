@@ -8,10 +8,18 @@ import (
 
 // WaitQueue is a FIFO list of blocked processes. It is the building block
 // for the higher-level primitives in this package; model code can also use
-// it directly for ad-hoc conditions.
+// it directly for ad-hoc conditions. A Signal's queue also holds one-shot
+// continuations (Signal.Notify), which only its WakeAll delivers.
 type WaitQueue struct {
 	eng     *Engine
-	waiters ring.Deque[*Proc]
+	waiters ring.Deque[waiter]
+}
+
+// waiter is one WaitQueue entry: a blocked process, or (fn set) a
+// continuation registered by Signal.Notify.
+type waiter struct {
+	p  *Proc
+	fn func()
 }
 
 // NewWaitQueue returns an empty wait queue bound to e.
@@ -19,7 +27,7 @@ func NewWaitQueue(e *Engine) *WaitQueue { return &WaitQueue{eng: e} }
 
 // Wait blocks p until a Wake call releases it. FIFO order.
 func (w *WaitQueue) Wait(p *Proc) {
-	w.waiters.PushBack(p)
+	w.waiters.PushBack(waiter{p: p})
 	p.block()
 }
 
@@ -29,8 +37,7 @@ func (w *WaitQueue) WakeOne() bool {
 	if w.waiters.Len() == 0 {
 		return false
 	}
-	p := w.waiters.PopFront()
-	w.eng.wakeImmediate(p)
+	w.eng.wakeImmediate(w.waiters.PopFront().p)
 	return true
 }
 
@@ -48,7 +55,7 @@ func (w *WaitQueue) WakeAll() {
 	w.eng.flushWakes(n)
 }
 
-// Len reports the number of blocked processes.
+// Len reports the number of queued waiters.
 func (w *WaitQueue) Len() int { return w.waiters.Len() }
 
 // Queue is a FIFO message queue between processes. With cap == 0 the queue
@@ -136,6 +143,15 @@ func NewSignal(e *Engine) *Signal { return &Signal{wq: NewWaitQueue(e)} }
 
 // Wait blocks p until the next Pulse.
 func (s *Signal) Wait(p *Proc) { s.wq.Wait(p) }
+
+// Notify is Wait for engine context: fn runs once, at the next Pulse. It
+// takes its FIFO place beside blocked processes and rides the same batched
+// wake event, so a continuation parked here resumes exactly where a process
+// parked in Wait would. fn is only ever called from that fired event, never
+// synchronously inside Notify or Pulse. Pass a function value bound once
+// (e.g. a method value stored at setup): the queue stores it as is, so a
+// steady-state Notify allocates nothing.
+func (s *Signal) Notify(fn func()) { s.wq.waiters.PushBack(waiter{fn: fn}) }
 
 // Pulse wakes all current waiters.
 func (s *Signal) Pulse() { s.wq.WakeAll() }
