@@ -184,35 +184,46 @@ fuzz:
 	@grep -q 'verdict: CLEAN' fuzz.out
 	@rm -f fuzz.out
 
-# parity is the check behind "tables byte-identical" claims. It checks BASE
-# (default HEAD) out into a temporary git worktree, runs the quick suite and
-# the 50-seed fuzz smoke on that tree and on the working tree, drops the
-# "[... completed in ...]" timing lines, prints the first difference and
-# fails on any. The worktree is always removed.
+# parity is the check behind "byte-identical" claims. It exports BASE
+# (default HEAD) into a temporary directory with git archive, builds
+# nadino-bench, nadino-sim, nadino-boutique and the examples from that tree
+# and from the working tree, and runs both builds on: the quick suite, the
+# 50-seed fuzz smoke, nadino-sim on configs/boutique.json in each load mode
+# (closed loop, -open-clients, -trace-rps, -trace-file), nadino-boutique
+# and the five examples. Both builds read the working tree's config and
+# trace file. It drops the "[... completed in ...]" timing lines, prints
+# the first difference and fails on any. The temporary directory is always
+# removed.
 #   make parity BASE=<commit>
 BASE ?= HEAD
+PARITY_EXAMPLES := quickstart boutique multitenant ingress crosstenant
 parity:
-	@tmp=$$(mktemp -d); \
-	trap 'git worktree remove --force "$$tmp/base" >/dev/null 2>&1; git worktree prune; rm -rf "$$tmp"' EXIT; \
-	git worktree add --detach --quiet "$$tmp/base" $(BASE) || exit 1; \
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir "$$tmp/src" && git archive $(BASE) | tar -x -C "$$tmp/src" || exit 1; \
 	for tree in base work; do \
-		dir="$$tmp/base"; [ $$tree = work ] && dir="$(CURDIR)"; \
-		bin="$$tmp/nadino-bench-$$tree"; \
-		(cd "$$dir" && $(GO) build -o "$$bin" ./cmd/nadino-bench && \
-		 "$$bin" -quick -parallel 0 -run everything > "$$tmp/$$tree.suite.raw" && \
-		 "$$bin" -run fuzz -quick -parallel 0 -fuzz-seeds 50 > "$$tmp/$$tree.fuzz.raw") || exit 1; \
-		for out in suite fuzz; do \
-			grep -v 'completed in' "$$tmp/$$tree.$$out.raw" > "$$tmp/$$tree.$$out"; \
-		done; \
+		dir="$$tmp/src"; [ $$tree = work ] && dir="$(CURDIR)"; \
+		bin="$$tmp/bin-$$tree"; out="$$tmp/$$tree"; mkdir -p "$$bin" "$$out"; \
+		(cd "$$dir" && $(GO) build -o "$$bin/" ./cmd/nadino-bench ./cmd/nadino-sim ./cmd/nadino-boutique ./examples/...) || exit 1; \
+		sim="$$bin/nadino-sim -config $(CURDIR)/configs/boutique.json"; \
+		"$$bin/nadino-bench" -quick -parallel 0 -run everything > "$$out/suite" && \
+		"$$bin/nadino-bench" -run fuzz -quick -parallel 0 -fuzz-seeds 50 > "$$out/fuzz" && \
+		$$sim > "$$out/sim-closed" && \
+		$$sim -open-clients 2000 > "$$out/sim-open-clients" && \
+		$$sim -trace-rps 20000 > "$$out/sim-trace-rps" && \
+		$$sim -trace-file $(CURDIR)/configs/boutique-trace.csv > "$$out/sim-trace-file" && \
+		"$$bin/nadino-boutique" > "$$out/nadino-boutique" || exit 1; \
+		for ex in $(PARITY_EXAMPLES); do "$$bin/$$ex" > "$$out/example-$$ex" || exit 1; done; \
 	done; \
-	for out in suite fuzz; do \
-		if ! cmp -s "$$tmp/base.$$out" "$$tmp/work.$$out"; then \
+	for out in $$(ls "$$tmp/work"); do \
+		grep -v 'completed in' "$$tmp/base/$$out" > "$$tmp/base.cmp"; \
+		grep -v 'completed in' "$$tmp/work/$$out" > "$$tmp/work.cmp"; \
+		if ! cmp -s "$$tmp/base.cmp" "$$tmp/work.cmp"; then \
 			echo "parity: $$out output differs from $(BASE); first difference (< base, > working tree):"; \
-			diff "$$tmp/base.$$out" "$$tmp/work.$$out" | awk '/^[0-9]/ { if (++h > 1) exit } { print }'; \
+			diff "$$tmp/base.cmp" "$$tmp/work.cmp" | awk '/^[0-9]/ { if (++h > 1) exit } { print }'; \
 			exit 1; \
 		fi; \
 	done; \
-	echo "parity: quick suite and 50-seed fuzz report byte-identical to $(BASE)"
+	echo "parity: quick suite, 50-seed fuzz report, nadino-sim (4 load modes), nadino-boutique and examples byte-identical to $(BASE)"
 
 # trace reproduces the Fig. 6 per-stage latency attribution and writes a
 # Chrome trace-event file (load in chrome://tracing or ui.perfetto.dev).

@@ -17,8 +17,7 @@ import (
 
 	"nadino/internal/boutique"
 	"nadino/internal/core"
-	"nadino/internal/ingress"
-	"nadino/internal/sim"
+	"nadino/internal/workload"
 )
 
 func main() {
@@ -41,17 +40,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "nadino-boutique: unknown chain %q\n", *chain)
 		os.Exit(2)
 	}
-	for i := 0; i < *clients; i++ {
-		id := i
-		c.Eng.Spawn("client", func(pr *sim.Proc) {
-			c.WaitReady(pr)
-			respQ := sim.NewQueue[ingress.Response](c.Eng, 0)
-			for {
-				c.SubmitChain(*chain, id, func(r ingress.Response) { respQ.TryPut(r) })
-				respQ.Get(pr)
-			}
-		})
-	}
+	d := &workload.Driver{Chains: []string{*chain}, Clients: *clients, Ready: c.OnReady}
+	d.Start(c.Eng, c.SubmitChainSpec)
 
 	warm := c.P.QPSetupTime + 10*time.Millisecond
 	c.Eng.RunUntil(warm)

@@ -23,6 +23,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"time"
@@ -30,7 +31,6 @@ import (
 	"nadino/internal/core"
 	"nadino/internal/experiments"
 	"nadino/internal/ingress"
-	"nadino/internal/sim"
 	"nadino/internal/telemetry"
 	"nadino/internal/trace"
 	"nadino/internal/workload"
@@ -69,10 +69,8 @@ type runOpts struct {
 	replay    *workload.Replay
 	traceOut  string
 	telemetry bool
-	// openClients switches to event-driven open-loop clients: proc-free
-	// timer state machines (two events per request, no goroutine each), so
-	// -open-clients 100000 is cheap where 100k closed-loop Procs are not.
-	// openThink is their mean exponential think time.
+	// openClients switches to think-time users, each with its own random
+	// stream; openThink is their mean exponential think time.
 	openClients int
 	openThink   time.Duration
 }
@@ -96,85 +94,67 @@ func runCluster(cfg core.Config, r runOpts, w io.Writer) (*telemetry.Scraper, er
 		sc = reg.Scrape(c.Eng, r.dur/100)
 	}
 	warm := c.P.QPSetupTime + 10*time.Millisecond
-	if r.replay != nil {
+	d := &workload.Driver{Chains: []string{r.chain}}
+	submit := workload.Submit(c.SubmitChainSpec)
+	if r.replay != nil || r.traceRPS > 0 {
+		// Open-loop arrivals carry client ids 1, 2, ... for RSS steering.
+		submit = func(ch string, n, clone int, hedge time.Duration, reply func(ingress.Response)) {
+			c.SubmitChainSpec(ch, n+1, clone, hedge, reply)
+		}
+	}
+	var driven string // how the report's chain line describes the load
+	switch {
+	case r.replay != nil:
 		// Replay mode: drive the recorded arrival schedule verbatim, shifted
 		// to begin at the start of the measured window (the trace's t=0 would
-		// otherwise land in warmup and never be measured). The replay is
-		// read-only and each replica's Start spawns its own process, so
-		// replicas can share one parsed trace.
-		_, hook := r.replay.Shifted(warm).StartSpec(c.Eng)
-		n := 0
-		hook(func(ch string, clone int, hedge time.Duration) {
-			n++
-			// Recorded speculation overrides ride each arrival: clone/hedge
-			// are zero for plain trace lines, and SubmitChainSpec falls back
-			// to the cluster policy in that case.
-			c.SubmitChainSpec(ch, n, clone, hedge, nil)
-		})
+		// otherwise land in warmup and never be measured). Recorded
+		// speculation overrides ride each arrival: clone/hedge are zero for
+		// plain trace lines, and SubmitChainSpec falls back to the cluster
+		// policy in that case.
+		d.Replay = r.replay.Shifted(warm)
 		fmt.Fprintf(w, "workload  : replay of %d arrivals (%d requests over %v)\n",
 			len(r.replay.Arrivals), r.replay.Total(), r.replay.Duration())
-	} else if r.traceRPS > 0 {
+		driven = " (measured; replayed trace drives all its chains)"
+	case r.traceRPS > 0:
 		// Trace mode: Poisson arrivals with diurnal modulation, spread
 		// over every chain by Zipf popularity.
 		var names []string
 		for _, ch := range cfg.Chains {
 			names = append(names, ch.Name)
 		}
-		gen := &workload.TraceGen{
+		d.Trace = &workload.TraceGen{
 			Chains:           names,
 			ZipfS:            r.zipf,
 			BaseRPS:          r.traceRPS,
 			DiurnalAmplitude: r.diurnal,
 			Period:           r.period,
 		}
-		_, hook := gen.Start(c.Eng)
-		n := 0
-		hook(func(ch string) {
-			n++
-			c.SubmitChain(ch, n, nil)
-		})
-		fmt.Fprintf(w, "workload  : %v\n", gen)
-	} else if r.openClients > 0 {
-		// Open-loop mode: each client is a timer-driven state machine with one
-		// bound issue callback — the scale-sweep client model. The response
-		// callback schedules the next issue after an exponential think time,
-		// and arrivals are staggered across one think interval so the run does
-		// not start with a synchronized herd.
-		type openClient struct {
-			rng     *rand.Rand
-			issueFn func()
+		fmt.Fprintf(w, "workload  : %v\n", d.Trace)
+		driven = " (measured; all chains driven)"
+	case r.openClients > 0:
+		// Open-loop mode: think-time users, each with its own random
+		// stream; the first requests are staggered uniformly across one
+		// think interval so the run does not start with a synchronized herd,
+		// then each reply is followed by an exponential think time.
+		rngs := make([]*rand.Rand, r.openClients)
+		for i := range rngs {
+			rngs[i] = rand.New(rand.NewSource(cfg.Seed*1_000_003 + int64(i)))
 		}
-		ocs := make([]openClient, r.openClients)
-		for i := range ocs {
-			oc := &ocs[i]
-			id := i
-			oc.rng = rand.New(rand.NewSource(cfg.Seed*1_000_003 + int64(i)))
-			oc.issueFn = func() {
-				c.SubmitChain(r.chain, id, func(resp ingress.Response) {
-					think := oc.rng.ExpFloat64()
-					if think > 8 {
-						think = 8
-					}
-					c.Eng.At(c.Eng.Now()+time.Duration(think*float64(r.openThink)), oc.issueFn)
-				})
+		d.Clients = r.openClients
+		d.Think = func(i, n int) time.Duration {
+			if n == 0 {
+				return time.Duration(rngs[i].Int63n(int64(r.openThink)))
 			}
-			c.Eng.At(time.Duration(oc.rng.Int63n(int64(r.openThink))), oc.issueFn)
+			return time.Duration(min(rngs[i].ExpFloat64(), 8) * float64(r.openThink))
 		}
 		fmt.Fprintf(w, "workload  : %d open-loop clients, mean think %v (event-driven, proc-free)\n",
 			r.openClients, r.openThink)
-	} else {
-		for i := 0; i < r.clients; i++ {
-			id := i
-			c.Eng.Spawn("client", func(pr *sim.Proc) {
-				c.WaitReady(pr)
-				respQ := sim.NewQueue[ingress.Response](c.Eng, 0)
-				for {
-					c.SubmitChain(r.chain, id, func(resp ingress.Response) { respQ.TryPut(resp) })
-					respQ.Get(pr)
-				}
-			})
-		}
+		driven = fmt.Sprintf(", %d open-loop clients", r.openClients)
+	default:
+		d.Clients, d.Ready = r.clients, c.OnReady
+		driven = fmt.Sprintf(", %d clients", r.clients)
 	}
+	d.Start(c.Eng, submit)
 	var tracer *trace.Tracer
 	c.Eng.RunUntil(warm)
 	c.Completed.MarkWindow(c.Eng.Now())
@@ -194,15 +174,7 @@ func runCluster(cfg core.Config, r runOpts, w io.Writer) (*telemetry.Scraper, er
 		kind = "DPU"
 	}
 	fmt.Fprintf(w, "system    : %v\n", cfg.System)
-	if r.replay != nil {
-		fmt.Fprintf(w, "chain     : %s (measured; replayed trace drives all its chains), %v window\n", r.chain, r.dur)
-	} else if r.traceRPS > 0 {
-		fmt.Fprintf(w, "chain     : %s (measured; all chains driven), %v window\n", r.chain, r.dur)
-	} else if r.openClients > 0 {
-		fmt.Fprintf(w, "chain     : %s, %d open-loop clients, %v window\n", r.chain, r.openClients, r.dur)
-	} else {
-		fmt.Fprintf(w, "chain     : %s, %d clients, %v window\n", r.chain, r.clients, r.dur)
-	}
+	fmt.Fprintf(w, "chain     : %s%s, %v window\n", r.chain, driven, r.dur)
 	fmt.Fprintf(w, "throughput: %.0f RPS\n", c.Completed.WindowRate(c.Eng.Now()))
 	fmt.Fprintf(w, "latency   : mean %v  p50 %v  p99 %v\n", hist.Mean(), hist.P50(), hist.P99())
 	fmt.Fprintf(w, "dataplane : %.0f pinned %s cores (%.2f useful) + %.2f host-core share\n",
@@ -245,6 +217,32 @@ func runCluster(cfg core.Config, r runOpts, w io.Writer) (*telemetry.Scraper, er
 	return sc, nil
 }
 
+// checkLoad rejects load flags a run cannot honour; replaying reports
+// whether -trace-file is set.
+func checkLoad(r runOpts, replaying bool) error {
+	switch {
+	case r.dur <= 0:
+		return fmt.Errorf("-dur %v must be positive", r.dur)
+	case r.telemetry && r.dur < 100:
+		return fmt.Errorf("-telemetry scrapes every -dur/100, so -dur %v must be at least 100ns", r.dur)
+	case r.openClients < 0:
+		return fmt.Errorf("-open-clients %d must not be negative", r.openClients)
+	case r.openThink <= 0:
+		return fmt.Errorf("-open-think %v must be positive", r.openThink)
+	case !(r.traceRPS >= 0) || math.IsInf(r.traceRPS, 1):
+		return fmt.Errorf("-trace-rps %v must be a finite rate >= 0", r.traceRPS)
+	case math.IsNaN(r.zipf) || math.IsInf(r.zipf, 0):
+		return fmt.Errorf("-zipf %v must be finite", r.zipf)
+	case !(r.diurnal >= 0 && r.diurnal < 1):
+		return fmt.Errorf("-diurnal %v must be in [0,1)", r.diurnal)
+	case r.period <= 0:
+		return fmt.Errorf("-period %v must be positive", r.period)
+	case replaying && (r.traceRPS > 0 || r.openClients > 0) || r.traceRPS > 0 && r.openClients > 0:
+		return fmt.Errorf("-trace-file, -trace-rps and -open-clients are mutually exclusive")
+	}
+	return nil
+}
+
 func main() {
 	cfgPath := flag.String("config", "", "cluster config file (JSON)")
 	chain := flag.String("chain", "", "chain to drive (default: the config's first)")
@@ -280,6 +278,23 @@ func main() {
 		fmt.Fprintln(os.Stderr, "nadino-sim: -trace requires -replicas 1 (one Chrome trace per run)")
 		os.Exit(2)
 	}
+	r := runOpts{
+		chain:       *chain,
+		clients:     *clients,
+		dur:         *dur,
+		traceRPS:    *traceRPS,
+		zipf:        *zipf,
+		diurnal:     *diurnal,
+		period:      *period,
+		traceOut:    *traceOut,
+		telemetry:   *telemetryDir != "",
+		openClients: *openClients,
+		openThink:   *openThink,
+	}
+	if err := checkLoad(r, *traceFile != ""); err != nil {
+		fmt.Fprintln(os.Stderr, "nadino-sim:", err)
+		os.Exit(2)
+	}
 	f, err := os.Open(*cfgPath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "nadino-sim:", err)
@@ -291,25 +306,20 @@ func main() {
 		fmt.Fprintln(os.Stderr, "nadino-sim:", err)
 		os.Exit(1)
 	}
-	if *chain == "" {
+	if r.chain == "" {
 		if len(cfg.Chains) == 0 {
 			fmt.Fprintln(os.Stderr, "nadino-sim: config has no chains")
 			os.Exit(1)
 		}
-		*chain = cfg.Chains[0].Name
+		r.chain = cfg.Chains[0].Name
 	}
-	var replay *workload.Replay
 	if *traceFile != "" {
-		if *traceRPS > 0 {
-			fmt.Fprintln(os.Stderr, "nadino-sim: -trace-file and -trace-rps are mutually exclusive")
-			os.Exit(2)
-		}
 		tf, err := os.Open(*traceFile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "nadino-sim:", err)
 			os.Exit(1)
 		}
-		replay, err = workload.ParseTrace(tf)
+		r.replay, err = workload.ParseTrace(tf)
 		tf.Close()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "nadino-sim:", err)
@@ -319,27 +329,12 @@ func main() {
 		for _, ch := range cfg.Chains {
 			known[ch.Name] = true
 		}
-		for _, name := range replay.Chains() {
+		for _, name := range r.replay.Chains() {
 			if !known[name] {
 				fmt.Fprintf(os.Stderr, "nadino-sim: trace drives chain %q, not in the config\n", name)
 				os.Exit(1)
 			}
 		}
-	}
-
-	r := runOpts{
-		chain:       *chain,
-		clients:     *clients,
-		dur:         *dur,
-		traceRPS:    *traceRPS,
-		zipf:        *zipf,
-		diurnal:     *diurnal,
-		period:      *period,
-		replay:      replay,
-		traceOut:    *traceOut,
-		telemetry:   *telemetryDir != "",
-		openClients: *openClients,
-		openThink:   *openThink,
 	}
 	// Each replica is an independent cluster with its own seed; reports are
 	// buffered and printed in replica order so concurrent runs read the

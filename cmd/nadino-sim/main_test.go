@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -109,5 +110,45 @@ func TestReplayDeterministic(t *testing.T) {
 	}
 	if a.String() != b.String() {
 		t.Fatalf("replay runs diverged:\n--- first\n%s--- second\n%s", a.String(), b.String())
+	}
+}
+
+// TestCheckLoadRejects covers the load flags nadino-sim refuses (exit 2)
+// instead of panicking or silently running something else.
+func TestCheckLoadRejects(t *testing.T) {
+	// defaults mirrors the flag defaults.
+	defaults := runOpts{clients: 20, dur: 300 * time.Millisecond, zipf: 1, diurnal: 0.5,
+		period: 200 * time.Millisecond, openThink: 10 * time.Millisecond}
+	if err := checkLoad(defaults, false); err != nil {
+		t.Fatalf("defaults rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		name      string
+		edit      func(r *runOpts)
+		replaying bool
+		flag      string
+	}{
+		{"zero think", func(r *runOpts) { r.openThink = 0 }, false, "-open-think"},
+		{"negative think", func(r *runOpts) { r.openThink = -time.Millisecond }, false, "-open-think"},
+		{"telemetry under 100ns", func(r *runOpts) { r.telemetry, r.dur = true, 99 }, false, "-dur"},
+		{"zero window", func(r *runOpts) { r.dur = 0 }, false, "-dur"},
+		{"negative trace rate", func(r *runOpts) { r.traceRPS = -5 }, false, "-trace-rps"},
+		{"NaN trace rate", func(r *runOpts) { r.traceRPS = math.NaN() }, false, "-trace-rps"},
+		{"infinite trace rate", func(r *runOpts) { r.traceRPS = math.Inf(1) }, false, "-trace-rps"},
+		{"zero period", func(r *runOpts) { r.period = 0 }, false, "-period"},
+		{"diurnal 1", func(r *runOpts) { r.diurnal = 1 }, false, "-diurnal"},
+		{"negative diurnal", func(r *runOpts) { r.diurnal = -0.1 }, false, "-diurnal"},
+		{"NaN zipf", func(r *runOpts) { r.zipf = math.NaN() }, false, "-zipf"},
+		{"negative open clients", func(r *runOpts) { r.openClients = -3 }, false, "-open-clients"},
+		{"trace file and open clients", func(r *runOpts) { r.openClients = 10 }, true, "mutually exclusive"},
+		{"trace file and trace rate", func(r *runOpts) { r.traceRPS = 100 }, true, "mutually exclusive"},
+		{"trace rate and open clients", func(r *runOpts) { r.traceRPS, r.openClients = 100, 10 }, false, "mutually exclusive"},
+	} {
+		r := defaults
+		tc.edit(&r)
+		err := checkLoad(r, tc.replaying)
+		if err == nil || !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("%s: checkLoad = %v, want an error naming %s", tc.name, err, tc.flag)
+		}
 	}
 }

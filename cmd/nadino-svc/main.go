@@ -126,7 +126,10 @@ func main() {
 	}
 
 	clu := core.NewCluster(cfg)
-	s := svc.New(clu, opts)
+	s, err := svc.New(clu, opts)
+	if err != nil {
+		fatalf("%v", err)
+	}
 	if err := s.Start(); err != nil {
 		fatalf("%v", err)
 	}
@@ -163,7 +166,10 @@ func runSmoke(cfg core.Config, opts svc.Options) int {
 
 	clu := core.NewCluster(cfg)
 	defer clu.Eng.Stop()
-	s := svc.New(clu, opts)
+	s, err := svc.New(clu, opts)
+	if err != nil {
+		return fail("%v", err)
+	}
 	if err := s.Start(); err != nil {
 		return fail("start: %v", err)
 	}

@@ -9,24 +9,14 @@ import (
 
 	"nadino/internal/boutique"
 	"nadino/internal/core"
-	"nadino/internal/ingress"
-	"nadino/internal/sim"
+	"nadino/internal/workload"
 )
 
 func run(sys core.System, clients int, dur time.Duration) (float64, time.Duration) {
 	c := core.NewCluster(boutique.ClusterConfig(sys, 1))
 	defer c.Eng.Stop()
-	for i := 0; i < clients; i++ {
-		id := i
-		c.Eng.Spawn("client", func(pr *sim.Proc) {
-			c.WaitReady(pr)
-			respQ := sim.NewQueue[ingress.Response](c.Eng, 0)
-			for {
-				c.SubmitChain(boutique.HomeQuery, id, func(r ingress.Response) { respQ.TryPut(r) })
-				respQ.Get(pr)
-			}
-		})
-	}
+	d := &workload.Driver{Chains: []string{boutique.HomeQuery}, Clients: clients, Ready: c.OnReady}
+	d.Start(c.Eng, c.SubmitChainSpec)
 	warm := c.P.QPSetupTime + 10*time.Millisecond
 	c.Eng.RunUntil(warm)
 	c.Completed.MarkWindow(c.Eng.Now())

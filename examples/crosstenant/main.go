@@ -9,8 +9,7 @@ import (
 	"time"
 
 	"nadino/internal/core"
-	"nadino/internal/ingress"
-	"nadino/internal/sim"
+	"nadino/internal/workload"
 )
 
 func main() {
@@ -41,16 +40,10 @@ func main() {
 	c := core.NewCluster(cfg)
 	defer c.Eng.Stop()
 
+	// One closed-loop client per chain, 500 requests each.
 	for _, chain := range []string{"a-own", "b-borrows"} {
-		chain := chain
-		c.Eng.Spawn("client-"+chain, func(pr *sim.Proc) {
-			c.WaitReady(pr)
-			respQ := sim.NewQueue[ingress.Response](c.Eng, 0)
-			for i := 0; i < 500; i++ {
-				c.SubmitChain(chain, 0, func(r ingress.Response) { respQ.TryPut(r) })
-				respQ.Get(pr)
-			}
-		})
+		d := &workload.Driver{Chains: []string{chain}, Clients: 1, Requests: 500, Ready: c.OnReady}
+		d.Start(c.Eng, c.SubmitChainSpec)
 	}
 	c.Eng.RunUntil(5 * time.Second)
 

@@ -27,7 +27,7 @@ func main() {
 	}, backend)
 	gw.StartRecorder(250 * time.Millisecond)
 
-	clients := workload.NewClientPool(eng, p, gw, 512, 512)
+	clients := workload.NewClientPool(eng, gw, 512, 512)
 	clients.ConnsPerClient = 16
 	clients.OpenLoopRate = 40000
 	// One more saturating client every second; they all stop at 6s.

@@ -14,8 +14,7 @@ import (
 	"time"
 
 	"nadino/internal/core"
-	"nadino/internal/ingress"
-	"nadino/internal/sim"
+	"nadino/internal/workload"
 )
 
 func main() {
@@ -36,15 +35,10 @@ func main() {
 	c := core.NewCluster(cfg)
 	defer c.Eng.Stop()
 
-	const requests = 1000
-	c.Eng.Spawn("client", func(pr *sim.Proc) {
-		c.WaitReady(pr)
-		respQ := sim.NewQueue[ingress.Response](c.Eng, 0)
-		for i := 0; i < requests; i++ {
-			c.SubmitChain("greet", 0, func(r ingress.Response) { respQ.TryPut(r) })
-			respQ.Get(pr)
-		}
-	})
+	// One closed-loop client sends 1000 requests, one at a time, once the
+	// cluster's connections are up.
+	client := &workload.Driver{Chains: []string{"greet"}, Clients: 1, Requests: 1000, Ready: c.OnReady}
+	client.Start(c.Eng, c.SubmitChainSpec)
 	// The cluster's engines poll forever; run until the client is done.
 	c.Eng.RunUntil(10 * time.Second)
 

@@ -5,8 +5,7 @@ import (
 	"time"
 
 	"nadino/internal/core"
-	"nadino/internal/ingress"
-	"nadino/internal/sim"
+	"nadino/internal/workload"
 )
 
 func TestChainsExceedElevenExchanges(t *testing.T) {
@@ -60,18 +59,8 @@ func TestCalleesExist(t *testing.T) {
 func TestBoutiqueRunsOnNadino(t *testing.T) {
 	c := core.NewCluster(ClusterConfig(core.NadinoDNE, 1))
 	defer c.Eng.Stop()
-	for i := 0; i < 8; i++ {
-		id := i
-		chain := MeasuredChains()[i%3]
-		c.Eng.Spawn("client", func(pr *sim.Proc) {
-			c.WaitReady(pr)
-			respQ := sim.NewQueue[ingress.Response](c.Eng, 0)
-			for {
-				c.SubmitChain(chain, id, func(r ingress.Response) { respQ.TryPut(r) })
-				respQ.Get(pr)
-			}
-		})
-	}
+	d := &workload.Driver{Chains: MeasuredChains(), Clients: 8, Ready: c.OnReady}
+	d.Start(c.Eng, c.SubmitChainSpec)
 	c.Eng.RunUntil(300 * time.Millisecond)
 	if c.Completed.Total() < 100 {
 		t.Fatalf("completed %d boutique requests", c.Completed.Total())

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"nadino/internal/core"
+	"nadino/internal/ingress"
 	"nadino/internal/workload"
 )
 
@@ -23,11 +24,12 @@ func TestTraceDrivenBoutique(t *testing.T) {
 		DiurnalAmplitude: 0.5,
 		Period:           200 * time.Millisecond,
 	}
-	counts, hook := gen.Start(c.Eng)
+	counts := make(map[string]uint64)
 	submitted := 0
-	hook(func(chain string) {
+	(&workload.Driver{Trace: gen}).Start(c.Eng, func(chain string, n, clone int, hedge time.Duration, reply func(ingress.Response)) {
+		counts[chain]++
 		submitted++
-		c.SubmitChain(chain, submitted, nil)
+		c.SubmitChainSpec(chain, n+1, clone, hedge, reply)
 	})
 	c.Eng.RunUntil(c.P.QPSetupTime + 400*time.Millisecond)
 	// Drain the tail.
@@ -44,16 +46,16 @@ func TestTraceDrivenBoutique(t *testing.T) {
 	// chain's completions match its submissions.
 	total := uint64(0)
 	for _, ch := range MeasuredChains() {
-		total += *counts[ch]
+		total += counts[ch]
 	}
-	first := float64(*counts[MeasuredChains()[0]]) / float64(total)
-	last := float64(*counts[MeasuredChains()[2]]) / float64(total)
+	first := float64(counts[MeasuredChains()[0]]) / float64(total)
+	last := float64(counts[MeasuredChains()[2]]) / float64(total)
 	if first < 0.45 || last > 0.28 {
 		t.Errorf("popularity skew off: first=%.2f last=%.2f", first, last)
 	}
 	for _, ch := range MeasuredChains() {
-		if got := c.ChainLatency[ch].Count(); got < *counts[ch]*98/100 {
-			t.Errorf("chain %s completed %d of %d", ch, got, *counts[ch])
+		if got := c.ChainLatency[ch].Count(); got < counts[ch]*98/100 {
+			t.Errorf("chain %s completed %d of %d", ch, got, counts[ch])
 		}
 	}
 }

@@ -4,8 +4,7 @@ import (
 	"testing"
 	"time"
 
-	"nadino/internal/ingress"
-	"nadino/internal/sim"
+	"nadino/internal/workload"
 )
 
 // scaleConfig deploys one slow backend that is allowed to scale out.
@@ -31,17 +30,8 @@ func scaleConfig(maxScale int) Config {
 
 func driveScale(t *testing.T, c *Cluster, clients int, dur time.Duration) uint64 {
 	t.Helper()
-	for i := 0; i < clients; i++ {
-		id := i
-		c.Eng.Spawn("client", func(pr *sim.Proc) {
-			c.WaitReady(pr)
-			respQ := sim.NewQueue[ingress.Response](c.Eng, 0)
-			for {
-				c.SubmitChain("job", id, func(r ingress.Response) { respQ.TryPut(r) })
-				respQ.Get(pr)
-			}
-		})
-	}
+	d := &workload.Driver{Chains: []string{"job"}, Clients: clients, Ready: c.OnReady}
+	d.Start(c.Eng, c.SubmitChainSpec)
 	c.Eng.RunUntil(dur)
 	return c.Completed.Total()
 }
@@ -91,18 +81,8 @@ func TestAutoscalerDrainsWhenLoadFades(t *testing.T) {
 	c := NewCluster(scaleConfig(4))
 	defer c.Eng.Stop()
 	// Heavy phase.
-	stopped := false
-	for i := 0; i < 48; i++ {
-		id := i
-		c.Eng.Spawn("client", func(pr *sim.Proc) {
-			c.WaitReady(pr)
-			respQ := sim.NewQueue[ingress.Response](c.Eng, 0)
-			for !stopped {
-				c.SubmitChain("job", id, func(r ingress.Response) { respQ.TryPut(r) })
-				respQ.Get(pr)
-			}
-		})
-	}
+	d := &workload.Driver{Chains: []string{"job"}, Clients: 48, Ready: c.OnReady}
+	d.Start(c.Eng, c.SubmitChainSpec)
 	c.Eng.RunUntil(300 * time.Millisecond)
 	g := c.Group("worker")
 	peak := g.Instances()
@@ -110,7 +90,7 @@ func TestAutoscalerDrainsWhenLoadFades(t *testing.T) {
 		t.Fatalf("never scaled up (instances = %d)", peak)
 	}
 	// Load vanishes; the group drains back toward one instance.
-	stopped = true
+	d.Stop()
 	c.Eng.RunUntil(c.Eng.Now() + 300*time.Millisecond)
 	if got := g.Instances(); got >= peak {
 		t.Fatalf("instances did not drain: peak %d, now %d", peak, got)

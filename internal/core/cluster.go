@@ -159,8 +159,9 @@ type Cluster struct {
 	tracer  *trace.Tracer
 	rdmaBE  *rdmaBackend
 	tcpBE   *tcpBackend
-	ready   *sim.Queue[struct{}]
 	isReady bool
+	// readyQ holds the OnReady continuations waiting for setup, in order.
+	readyQ []func()
 
 	// appBusy accumulates pure application compute charged to function
 	// cores; (total fn core busy - appBusy) is data-plane CPU (§4.3.1).
@@ -172,8 +173,8 @@ type Cluster struct {
 }
 
 // NewCluster builds and wires the whole system; the returned cluster's
-// engine still needs Run. Call WaitReady from a process (or just start
-// clients — requests queue behind connection setup).
+// engine still needs Run. Gate clients on OnReady (or just start them —
+// requests queue behind connection setup).
 func NewCluster(cfg Config) *Cluster {
 	if cfg.Tenant == "" {
 		cfg.Tenant = "tenant_1"
@@ -215,7 +216,6 @@ func NewCluster(cfg Config) *Cluster {
 		fns:          make(map[string]*Function),
 		groups:       make(map[string]*FnGroup),
 		chains:       make(map[string]*ChainSpec),
-		ready:        sim.NewQueue[struct{}](eng, 0),
 		ChainLatency: make(map[string]*metrics.Hist),
 		Completed:    metrics.NewMeter(),
 	}
@@ -560,7 +560,9 @@ func (c *Cluster) setup(pr *sim.Proc) {
 		c.startFunction(f)
 	}
 	c.isReady = true
-	c.ready.TryPut(struct{}{})
+	if len(c.readyQ) > 0 {
+		c.Eng.Immediate(c.wakeReady)
+	}
 }
 
 func (c *Cluster) setupNadino(pr *sim.Proc) {
@@ -692,13 +694,27 @@ func (c *Cluster) startFunction(f *Function) {
 	}
 }
 
-// WaitReady blocks pr until cluster setup (QP establishment) finished.
-func (c *Cluster) WaitReady(pr *sim.Proc) {
+// OnReady runs fn in engine context once cluster setup (QP establishment)
+// has finished: at once if it already has, else in registration order as
+// setup completes, each from its own event.
+func (c *Cluster) OnReady(fn func()) {
 	if c.isReady {
+		fn()
 		return
 	}
-	c.ready.Get(pr)
-	c.ready.TryPut(struct{}{}) // let other waiters through
+	c.readyQ = append(c.readyQ, fn)
+}
+
+// wakeReady runs the oldest OnReady continuation, scheduling the next
+// one's event first, as each released waiter of a ready queue woke the
+// next before going on.
+func (c *Cluster) wakeReady() {
+	fn := c.readyQ[0]
+	c.readyQ = c.readyQ[1:]
+	if len(c.readyQ) > 0 {
+		c.Eng.Immediate(c.wakeReady)
+	}
+	fn()
 }
 
 // getBufferRetry allocates with bounded backoff under pool pressure.

@@ -4,8 +4,7 @@ import (
 	"testing"
 	"time"
 
-	"nadino/internal/ingress"
-	"nadino/internal/sim"
+	"nadino/internal/workload"
 )
 
 // testConfig builds a small 2-node app: frontend (node1) calls backend
@@ -32,17 +31,8 @@ func testConfig(sys System) Config {
 
 // closedLoop runs n closed-loop clients of chain "mix" from setup on.
 func closedLoop(c *Cluster, n int) {
-	for i := 0; i < n; i++ {
-		id := i
-		c.Eng.Spawn("client", func(pr *sim.Proc) {
-			c.WaitReady(pr)
-			respQ := sim.NewQueue[ingress.Response](c.Eng, 0)
-			for {
-				c.SubmitChain("mix", id, func(r ingress.Response) { respQ.TryPut(r) })
-				respQ.Get(pr)
-			}
-		})
-	}
+	d := &workload.Driver{Chains: []string{"mix"}, Clients: n, Ready: c.OnReady}
+	d.Start(c.Eng, c.SubmitChainSpec)
 }
 
 // runChainLoad drives n closed-loop clients for dur (after setup) and

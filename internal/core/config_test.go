@@ -5,8 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"nadino/internal/ingress"
-	"nadino/internal/sim"
+	"nadino/internal/workload"
 )
 
 const sampleConfig = `{
@@ -62,18 +61,10 @@ func TestLoadedConfigRuns(t *testing.T) {
 	}
 	c := NewCluster(cfg)
 	defer c.Eng.Stop()
-	done := 0
-	c.Eng.Spawn("client", func(pr *sim.Proc) {
-		c.WaitReady(pr)
-		respQ := sim.NewQueue[ingress.Response](c.Eng, 0)
-		for i := 0; i < 50; i++ {
-			c.SubmitChain("main", 0, func(r ingress.Response) { respQ.TryPut(r) })
-			respQ.Get(pr)
-			done++
-		}
-	})
+	d := &workload.Driver{Chains: []string{"main"}, Clients: 1, Requests: 50, Ready: c.OnReady}
+	d.Start(c.Eng, c.SubmitChainSpec)
 	c.Eng.RunUntil(2 * time.Second)
-	if done != 50 {
+	if done := c.Completed.Total(); done != 50 {
 		t.Fatalf("completed %d of 50", done)
 	}
 }

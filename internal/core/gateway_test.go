@@ -7,8 +7,14 @@ import (
 
 	"nadino/internal/chaos"
 	"nadino/internal/fabric"
-	"nadino/internal/sim"
+	"nadino/internal/workload"
 )
+
+// paced sends n requests of chain from setup on, one every gap.
+func paced(c *Cluster, chain string, n int, gap time.Duration) {
+	d := &workload.Driver{Chains: []string{chain}, Think: workload.Every(gap), Requests: n, Ready: c.OnReady}
+	d.Start(c.Eng, c.SubmitChainSpec)
+}
 
 // TestGatewayClusterServesChains runs the standard 2-node app with the
 // gateway tier enabled: every cross-node hop must travel through the
@@ -21,13 +27,7 @@ func TestGatewayClusterServesChains(t *testing.T) {
 	t.Cleanup(c.Eng.Stop)
 
 	const reqs = 200
-	c.Eng.Spawn("driver", func(pr *sim.Proc) {
-		c.WaitReady(pr)
-		for i := 0; i < reqs; i++ {
-			c.SubmitChain("mix", i, nil)
-			pr.Sleep(500 * time.Microsecond)
-		}
-	})
+	paced(c, "mix", reqs, 500*time.Microsecond)
 	c.Eng.RunUntil(500 * time.Millisecond)
 
 	if done := c.Completed.Total(); done != reqs {
@@ -90,13 +90,7 @@ func runGatewayChaos(t *testing.T, seed int64) (fingerprint string, completed ui
 			Fault: chaos.NodeCrash{Node: "node2", QPs: "gw-qp@node2"}},
 	})
 	const reqs = 600
-	c.Eng.Spawn("driver", func(pr *sim.Proc) {
-		c.WaitReady(pr)
-		for i := 0; i < reqs; i++ {
-			c.SubmitChain("hop", i, nil)
-			pr.Sleep(600 * time.Microsecond)
-		}
-	})
+	paced(c, "hop", reqs, 600*time.Microsecond)
 	c.Eng.RunUntil(time.Second)
 
 	out := fmt.Sprintf("completed=%d|", c.Completed.Total())

@@ -21,7 +21,7 @@ func (c *Cluster) Ready() bool { return c.isReady }
 // AttachFlightRecorder wires rec into every hook point the cluster owns:
 // the ingress gateway, each node's network engine and gateway tier, and
 // every RC connection pool that exists at call time. Connection pools are
-// created during setup, so attach after WaitReady (or Ready) for QP
+// created during setup, so attach once the cluster is Ready (OnReady) for QP
 // error/repair coverage; the other hooks wire regardless.
 func (c *Cluster) AttachFlightRecorder(rec *flightrec.Recorder) {
 	if c.gw != nil {

@@ -4,8 +4,7 @@ import (
 	"testing"
 	"time"
 
-	"nadino/internal/ingress"
-	"nadino/internal/sim"
+	"nadino/internal/workload"
 )
 
 // fanoutConfig builds a chain whose entry makes three calls to slow
@@ -35,14 +34,8 @@ func runFan(t *testing.T, async bool) time.Duration {
 	t.Helper()
 	c := NewCluster(fanoutConfig(async))
 	defer c.Eng.Stop()
-	c.Eng.Spawn("client", func(pr *sim.Proc) {
-		c.WaitReady(pr)
-		respQ := sim.NewQueue[ingress.Response](c.Eng, 0)
-		for i := 0; i < 50; i++ {
-			c.SubmitChain("fan", 0, func(r ingress.Response) { respQ.TryPut(r) })
-			respQ.Get(pr)
-		}
-	})
+	d := &workload.Driver{Chains: []string{"fan"}, Clients: 1, Requests: 50, Ready: c.OnReady}
+	d.Start(c.Eng, c.SubmitChainSpec)
 	c.Eng.RunUntil(time.Second)
 	h := c.ChainLatency["fan"]
 	if h.Count() != 50 {
@@ -81,20 +74,19 @@ func coldConfig(keepWarm time.Duration) Config {
 	}
 }
 
+// sparse runs one client that sends n "hit" requests, each a gap after
+// the previous reply.
+func sparse(c *Cluster, n int, gap time.Duration) {
+	d := &workload.Driver{Chains: []string{"hit"}, Clients: 1, Think: workload.Every(gap), Requests: n, Ready: c.OnReady}
+	d.Start(c.Eng, c.SubmitChainSpec)
+}
+
 // runSparse sends widely spaced requests (gaps below keep-warm windows that
 // are generous, above stingy ones).
 func runSparse(t *testing.T, keepWarm time.Duration) (*Cluster, time.Duration) {
 	t.Helper()
 	c := NewCluster(coldConfig(keepWarm))
-	c.Eng.Spawn("client", func(pr *sim.Proc) {
-		c.WaitReady(pr)
-		respQ := sim.NewQueue[ingress.Response](c.Eng, 0)
-		for i := 0; i < 20; i++ {
-			c.SubmitChain("hit", 0, func(r ingress.Response) { respQ.TryPut(r) })
-			respQ.Get(pr)
-			pr.Sleep(10 * time.Millisecond)
-		}
-	})
+	sparse(c, 20, 10*time.Millisecond)
 	c.Eng.RunUntil(2 * time.Second)
 	if c.ChainLatency["hit"].Count() != 20 {
 		t.Fatalf("completed %d of 20", c.ChainLatency["hit"].Count())
@@ -124,15 +116,7 @@ func TestNoColdStartFieldsMeansNoColdStarts(t *testing.T) {
 	cfg.Functions[0].ColdStart = 0
 	c := NewCluster(cfg)
 	defer c.Eng.Stop()
-	c.Eng.Spawn("client", func(pr *sim.Proc) {
-		c.WaitReady(pr)
-		respQ := sim.NewQueue[ingress.Response](c.Eng, 0)
-		for i := 0; i < 5; i++ {
-			c.SubmitChain("hit", 0, func(r ingress.Response) { respQ.TryPut(r) })
-			respQ.Get(pr)
-			pr.Sleep(50 * time.Millisecond)
-		}
-	})
+	sparse(c, 5, 50*time.Millisecond)
 	c.Eng.RunUntil(time.Second)
 	if c.ColdStarts() != 0 {
 		t.Fatalf("cold starts = %d with ColdStart disabled", c.ColdStarts())

@@ -4,9 +4,9 @@ import (
 	"testing"
 	"time"
 
-	"nadino/internal/ingress"
 	"nadino/internal/sim"
 	"nadino/internal/speculate"
+	"nadino/internal/workload"
 )
 
 // runSpecLoad drives n closed-loop clients against a cluster with the given
@@ -18,17 +18,7 @@ func runSpecLoad(t *testing.T, pol speculate.Policy, ps bool, n int, dur time.Du
 	cfg.PSCores = ps
 	c := NewCluster(cfg)
 	t.Cleanup(c.Eng.Stop)
-	for i := 0; i < n; i++ {
-		id := i
-		c.Eng.Spawn("client", func(pr *sim.Proc) {
-			c.WaitReady(pr)
-			respQ := sim.NewQueue[ingress.Response](c.Eng, 0)
-			for {
-				c.SubmitChain("mix", id, func(r ingress.Response) { respQ.TryPut(r) })
-				respQ.Get(pr)
-			}
-		})
-	}
+	closedLoop(c, n)
 	c.Eng.RunUntil(dur)
 	return c
 }
@@ -76,14 +66,8 @@ func specConservationRun(t *testing.T, pol speculate.Policy) (*Cluster, []int) {
 	c := NewCluster(cfg)
 	t.Cleanup(c.Eng.Stop)
 	const reqs = 200
-	respQ := sim.NewQueue[ingress.Response](c.Eng, 0)
-	c.Eng.Spawn("client", func(pr *sim.Proc) {
-		c.WaitReady(pr)
-		for i := 0; i < reqs; i++ {
-			c.SubmitChain("mix", 0, func(r ingress.Response) { respQ.TryPut(r) })
-			respQ.Get(pr)
-		}
-	})
+	d := &workload.Driver{Chains: []string{"mix"}, Clients: 1, Requests: reqs, Ready: c.OnReady}
+	d.Start(c.Eng, c.SubmitChainSpec)
 	// Run well past the last completion so every loser has died and
 	// returned its buffer.
 	c.Eng.RunUntil(3 * time.Second)

@@ -4,8 +4,7 @@ import (
 	"testing"
 	"time"
 
-	"nadino/internal/ingress"
-	"nadino/internal/sim"
+	"nadino/internal/workload"
 )
 
 // multiTenantConfig deploys two chains owned by two tenants: tenant A's
@@ -46,17 +45,8 @@ func multiTenantConfig(sys System) Config {
 func driveChains(t *testing.T, c *Cluster, loads map[string]int, dur time.Duration) {
 	t.Helper()
 	for chain, n := range loads {
-		for i := 0; i < n; i++ {
-			chain, id := chain, i
-			c.Eng.Spawn("client", func(pr *sim.Proc) {
-				c.WaitReady(pr)
-				respQ := sim.NewQueue[ingress.Response](c.Eng, 0)
-				for {
-					c.SubmitChain(chain, id, func(r ingress.Response) { respQ.TryPut(r) })
-					respQ.Get(pr)
-				}
-			})
-		}
+		d := &workload.Driver{Chains: []string{chain}, Clients: n, Ready: c.OnReady}
+		d.Start(c.Eng, c.SubmitChainSpec)
 	}
 	c.Eng.RunUntil(dur)
 }

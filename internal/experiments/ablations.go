@@ -7,11 +7,11 @@ import (
 	"nadino/internal/core"
 	"nadino/internal/dne"
 	"nadino/internal/fabric"
-	"nadino/internal/ingress"
 	"nadino/internal/mempool"
 	"nadino/internal/params"
 	"nadino/internal/rdma"
 	"nadino/internal/sim"
+	"nadino/internal/workload"
 )
 
 // This file holds ablations of NADINO's individual design choices — the
@@ -484,15 +484,14 @@ func AblKeepWarm(o Opts) []AblKeepWarmRow {
 			Seed:   o.Seed,
 		}
 		c := core.NewCluster(cfg)
-		c.Eng.Spawn("client", func(pr *sim.Proc) {
-			c.WaitReady(pr)
-			respQ := sim.NewQueue[ingress.Response](c.Eng, 0)
-			for i := 0; i < 20; i++ {
-				c.SubmitChain("hit", 0, func(r ingress.Response) { respQ.TryPut(r) })
-				respQ.Get(pr)
-				pr.Sleep(10 * time.Millisecond)
-			}
-		})
+		d := &workload.Driver{
+			Chains:   []string{"hit"},
+			Clients:  1,
+			Think:    workload.Every(10 * time.Millisecond),
+			Requests: 20,
+			Ready:    c.OnReady,
+		}
+		d.Start(c.Eng, c.SubmitChainSpec)
 		c.Eng.RunUntil(2 * time.Second)
 		rows[wi] = AblKeepWarmRow{
 			KeepWarm:   w,
@@ -554,14 +553,8 @@ func AblFanout(o Opts) *AblFanoutResult {
 		}
 		c := core.NewCluster(cfg)
 		defer c.Eng.Stop()
-		c.Eng.Spawn("client", func(pr *sim.Proc) {
-			c.WaitReady(pr)
-			respQ := sim.NewQueue[ingress.Response](c.Eng, 0)
-			for i := 0; i < 100; i++ {
-				c.SubmitChain("fan", 0, func(r ingress.Response) { respQ.TryPut(r) })
-				respQ.Get(pr)
-			}
-		})
+		d := &workload.Driver{Chains: []string{"fan"}, Clients: 1, Requests: 100, Ready: c.OnReady}
+		d.Start(c.Eng, c.SubmitChainSpec)
 		c.Eng.RunUntil(2 * time.Second)
 		return c.ChainLatency["fan"].Mean()
 	}
@@ -624,14 +617,8 @@ func AblCrossTenant(o Opts) *AblCrossTenantResult {
 		}
 		c := core.NewCluster(cfg)
 		defer c.Eng.Stop()
-		c.Eng.Spawn("client", func(pr *sim.Proc) {
-			c.WaitReady(pr)
-			respQ := sim.NewQueue[ingress.Response](c.Eng, 0)
-			for i := 0; i < 200; i++ {
-				c.SubmitChain("chain", 0, func(r ingress.Response) { respQ.TryPut(r) })
-				respQ.Get(pr)
-			}
-		})
+		d := &workload.Driver{Chains: []string{"chain"}, Clients: 1, Requests: 200, Ready: c.OnReady}
+		d.Start(c.Eng, c.SubmitChainSpec)
 		c.Eng.RunUntil(2 * time.Second)
 		return c.ChainLatency["chain"].Mean(), c.CrossTenantCopies()
 	}

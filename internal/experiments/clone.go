@@ -6,11 +6,10 @@ import (
 
 	"nadino/internal/chaos"
 	"nadino/internal/core"
-	"nadino/internal/ingress"
-	"nadino/internal/sim"
 	"nadino/internal/speculate"
 	"nadino/internal/telemetry"
 	"nadino/internal/trace"
+	"nadino/internal/workload"
 )
 
 // clonePoint is one speculation configuration: clone factor, function-core
@@ -137,17 +136,8 @@ func runClonePoint(o Opts, pt clonePoint, n int, storm bool, dur time.Duration) 
 		cloneStorm(c.NewChaos(o.Seed), warm, dur)
 	}
 
-	for i := 0; i < n; i++ {
-		id := i
-		c.Eng.Spawn("client", func(pr *sim.Proc) {
-			c.WaitReady(pr)
-			respQ := sim.NewQueue[ingress.Response](c.Eng, 0)
-			for {
-				c.SubmitChain("mix", id, func(r ingress.Response) { respQ.TryPut(r) })
-				respQ.Get(pr)
-			}
-		})
-	}
+	d := &workload.Driver{Chains: []string{"mix"}, Clients: n, Ready: c.OnReady}
+	d.Start(c.Eng, c.SubmitChainSpec)
 
 	c.Eng.RunUntil(warm)
 	c.Completed.MarkWindow(c.Eng.Now())

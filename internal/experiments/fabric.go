@@ -9,8 +9,8 @@ import (
 	"nadino/internal/core"
 	"nadino/internal/fabric"
 	"nadino/internal/ingress"
-	"nadino/internal/sim"
 	"nadino/internal/trace"
+	"nadino/internal/workload"
 )
 
 // FabricShardRow is one (transport, placement) measurement of the boutique
@@ -49,17 +49,8 @@ func runFabricShard(o Opts, useGw, skewed bool, clients int, dur time.Duration, 
 	c := core.NewCluster(cfg)
 	defer c.Eng.Stop()
 	chain := boutique.HomeQuery
-	for i := 0; i < clients; i++ {
-		id := i
-		c.Eng.Spawn("client", func(pr *sim.Proc) {
-			c.WaitReady(pr)
-			respQ := sim.NewQueue[ingress.Response](c.Eng, 0)
-			for {
-				c.SubmitChain(chain, id, func(r ingress.Response) { respQ.TryPut(r) })
-				respQ.Get(pr)
-			}
-		})
-	}
+	d := &workload.Driver{Chains: []string{chain}, Clients: clients, Ready: c.OnReady}
+	d.Start(c.Eng, c.SubmitChainSpec)
 	warm := c.P.QPSetupTime + 10*time.Millisecond
 	c.Eng.RunUntil(warm)
 	c.Completed.MarkWindow(c.Eng.Now())
@@ -175,13 +166,15 @@ func FabricFailover(o Opts) FabricFailoverResult {
 		Fault: chaos.Partition{A: []fabric.NodeID{"node1"}, B: []fabric.NodeID{"node3"}},
 	}})
 	var res FabricFailoverResult
-	c.Eng.Spawn("driver", func(pr *sim.Proc) {
-		c.WaitReady(pr)
-		for pr.Now() < endAt-10*time.Millisecond {
-			c.SubmitChain("hop", int(res.Issued), nil)
-			res.Issued++
-			pr.Sleep(every)
-		}
+	d := &workload.Driver{
+		Chains: []string{"hop"},
+		Think:  workload.Every(every),
+		Until:  endAt - 10*time.Millisecond,
+		Ready:  c.OnReady,
+	}
+	d.Start(c.Eng, func(chain string, n, clone int, hedge time.Duration, reply func(ingress.Response)) {
+		res.Issued++
+		c.SubmitChainSpec(chain, n, clone, hedge, reply)
 	})
 	c.Eng.At(partAt, func() { res.PrePartition = c.Completed.Total() })
 	c.Eng.At(partAt+partFor, func() {

@@ -34,7 +34,7 @@ func runIngress(o Opts, kind ingress.Kind, n int, dur time.Duration) (float64, t
 	defer eng.Stop()
 	backend := ingress.DefaultEchoBackend(eng, p, kind, 8)
 	gw := ingress.New(eng, p, ingress.Config{Kind: kind, InitialWorkers: 1, MaxWorkers: 1}, backend)
-	cp := workload.NewClientPool(eng, p, gw, 512, 512)
+	cp := workload.NewClientPool(eng, gw, 512, 512)
 	cp.AddClients(n)
 	eng.RunUntil(5 * time.Millisecond) // warmup
 	cp.Completed.MarkWindow(eng.Now())

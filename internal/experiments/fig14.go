@@ -48,7 +48,7 @@ func runFig14(o Opts, kind ingress.Kind, autoScale bool, workers, maxWorkers, cl
 	}
 	gw := ingress.New(eng, p, cfg, backend)
 	gw.StartRecorder(total / 40)
-	cp := workload.NewClientPool(eng, p, gw, 512, 512)
+	cp := workload.NewClientPool(eng, gw, 512, 512)
 	// Each paper client pins a core and generates the highest load it can
 	// over many connections: open-loop generation. Responses that take
 	// longer than the timeout count as disconnections.

@@ -6,8 +6,7 @@ import (
 
 	"nadino/internal/boutique"
 	"nadino/internal/core"
-	"nadino/internal/ingress"
-	"nadino/internal/sim"
+	"nadino/internal/workload"
 )
 
 // Fig16Row is one (system, chain, clients) boutique measurement.
@@ -31,17 +30,8 @@ type Fig16Result struct {
 func runBoutique(o Opts, sys core.System, chain string, n int, dur time.Duration) Fig16Row {
 	c := core.NewCluster(boutique.ClusterConfig(sys, o.Seed))
 	defer c.Eng.Stop()
-	for i := 0; i < n; i++ {
-		id := i
-		c.Eng.Spawn("client", func(pr *sim.Proc) {
-			c.WaitReady(pr)
-			respQ := sim.NewQueue[ingress.Response](c.Eng, 0)
-			for {
-				c.SubmitChain(chain, id, func(r ingress.Response) { respQ.TryPut(r) })
-				respQ.Get(pr)
-			}
-		})
-	}
+	d := &workload.Driver{Chains: []string{chain}, Clients: n, Ready: c.OnReady}
+	d.Start(c.Eng, c.SubmitChainSpec)
 	warm := c.P.QPSetupTime + 10*time.Millisecond
 	c.Eng.RunUntil(warm)
 	c.Completed.MarkWindow(c.Eng.Now())

@@ -179,31 +179,61 @@ func (r *Rig) startLoad() {
 		}
 	}
 	for _, tr := range r.tenants {
-		switch tr.sc.Load {
-		case LoadClosed:
-			for i := 0; i < tr.sc.Clients; i++ {
-				r.closedClient(tr)
-			}
-		case LoadOpen:
-			r.openLoop(tr)
-		case LoadPoisson:
-			r.poisson(tr)
-		default:
-			panic(fmt.Sprintf("simtest: unknown load kind %q", tr.sc.Load))
-		}
+		r.load(tr)
 	}
 	if r.sc.Transfers > 0 {
 		r.audit()
 	}
 }
 
+// load starts tr's driver; client ids continue the rig's count. Closed
+// clients issue their next request from the reply callback after 0-3 µs of
+// think-time jitter that decorrelates the lockstep clients. The open loop
+// issues one request every Every. The Poisson source is a workload.TraceGen
+// with a mild diurnal swing; it keeps drawing from the engine's random
+// stream (which the fabric shares) after the load window and its late
+// arrivals are discarded.
+func (r *Rig) load(tr *tenantRig) {
+	d := &workload.Driver{Chains: []string{tr.chain}}
+	base := r.clients + 1
+	switch tr.sc.Load {
+	case LoadClosed:
+		d.Clients, d.Until = tr.sc.Clients, r.loadEnd
+		d.Think = func(int, int) time.Duration { return time.Duration(r.eng.Rand().Intn(3000)) }
+		r.clients += tr.sc.Clients
+		d.Start(r.eng, func(_ string, client, _ int, _ time.Duration, reply func(ingress.Response)) {
+			r.submit(tr, base+client, reply)
+		})
+		return
+	case LoadOpen:
+		d.Think = func(int, int) time.Duration { return tr.sc.Every }
+		d.Until = r.loadEnd
+	case LoadPoisson:
+		d.Trace = &workload.TraceGen{
+			Chains:           []string{tr.chain},
+			ZipfS:            1.0,
+			BaseRPS:          tr.sc.RPS,
+			DiurnalAmplitude: 0.3,
+			Period:           r.sc.Load,
+		}
+	default:
+		panic(fmt.Sprintf("simtest: unknown load kind %q", tr.sc.Load))
+	}
+	r.clients++
+	d.Start(r.eng, func(string, int, int, time.Duration, func(ingress.Response)) {
+		if r.eng.Now() < r.loadEnd {
+			r.submit(tr, base, nil)
+		}
+	})
+}
+
 // submit issues one request for tr through the cluster's front door and
 // books it on the ledger; then, if set, runs on its first reply.
-func (r *Rig) submit(tr *tenantRig, client int, then func()) {
+func (r *Rig) submit(tr *tenantRig, client int, then func(ingress.Response)) {
 	tr.issued++
 	tr.inFlight++
 	answered := false
-	r.c.SubmitChain(tr.chain, client, func(ingress.Response) {
+	r.c.SubmitChain(tr.chain, client, func(resp ingress.Response) {
 		if answered {
 			tr.doubles++
 			return
@@ -212,66 +242,7 @@ func (r *Rig) submit(tr *tenantRig, client int, then func()) {
 		tr.inFlight--
 		tr.completed++
 		if then != nil {
-			then()
-		}
-	})
-}
-
-// client hands out the next client id.
-func (r *Rig) client() int {
-	r.clients++
-	return r.clients
-}
-
-// jitter is a closed-loop client's think time: 0-3 µs decorrelates the
-// lockstep clients.
-func (r *Rig) jitter() time.Duration {
-	return time.Duration(r.eng.Rand().Intn(3000)) * time.Nanosecond
-}
-
-// closedClient runs one closed-loop client: each reply issues the next
-// request after the think-time jitter, until the load window ends.
-func (r *Rig) closedClient(tr *tenantRig) {
-	id := r.client()
-	var issue func()
-	next := func() { r.eng.After(r.jitter(), issue) }
-	issue = func() {
-		if r.eng.Now() < r.loadEnd {
-			r.submit(tr, id, next)
-		}
-	}
-	next()
-}
-
-// openLoop issues one request every Every until the load window ends.
-func (r *Rig) openLoop(tr *tenantRig) {
-	id := r.client()
-	var tick func()
-	tick = func() {
-		if r.eng.Now() < r.loadEnd {
-			r.submit(tr, id, nil)
-			r.eng.After(tr.sc.Every, tick)
-		}
-	}
-	r.eng.After(tr.sc.Every, tick)
-}
-
-// poisson drives the tenant from a workload.TraceGen arrival process
-// (Poisson with a mild diurnal swing); arrivals after the load window are
-// discarded.
-func (r *Rig) poisson(tr *tenantRig) {
-	id := r.client()
-	gen := &workload.TraceGen{
-		Chains:           []string{tr.chain},
-		ZipfS:            1.0,
-		BaseRPS:          tr.sc.RPS,
-		DiurnalAmplitude: 0.3,
-		Period:           r.sc.Load,
-	}
-	_, hook := gen.Start(r.eng)
-	hook(func(string) {
-		if r.eng.Now() < r.loadEnd {
-			r.submit(tr, id, nil)
+			then(resp)
 		}
 	})
 }

@@ -33,7 +33,11 @@ func fuzzServer() *Server {
 		}},
 	})
 	clu.Eng.RunUntil(clu.P.QPSetupTime + time.Millisecond)
-	return New(clu, Options{Addr: "127.0.0.1:0"})
+	s, err := New(clu, Options{Addr: "127.0.0.1:0"})
+	if err != nil {
+		panic(err)
+	}
+	return s
 }
 
 // mgmtState renders everything the management API can mutate: tenant

@@ -15,7 +15,9 @@ import (
 	"nadino/internal/chaos"
 	"nadino/internal/core"
 	"nadino/internal/flightrec"
+	"nadino/internal/ingress"
 	"nadino/internal/telemetry"
+	"nadino/internal/workload"
 )
 
 // Options configures a Server.
@@ -38,8 +40,9 @@ type Options struct {
 	// auto-dump to disk; breaches are always recorded in the ring).
 	DumpDir string
 	// Chain and RPS optionally run a built-in open-loop load generator:
-	// RPS chain requests per virtual second, submitted by an engine
-	// ticker. Zero RPS disables it (an external generator drives /invoke).
+	// RPS chain requests per virtual second, submitted from engine
+	// callbacks. Zero RPS disables it (an external generator drives
+	// /invoke); New refuses an unknown chain or a rate above 1e9.
 	Chain string
 	RPS   float64
 	// ChaosSeed seeds the fault injector (default 1).
@@ -78,8 +81,18 @@ type Server struct {
 	listener net.Listener
 }
 
-// New assembles a server around an already-built (not yet run) cluster.
-func New(clu *core.Cluster, opts Options) *Server {
+// New assembles a server around an already-built (not yet run) cluster,
+// refusing a built-in generator it cannot run.
+func New(clu *core.Cluster, opts Options) (*Server, error) {
+	var interval time.Duration
+	if opts.RPS > 0 && opts.Chain != "" {
+		if _, ok := clu.ChainLatency[opts.Chain]; !ok {
+			return nil, fmt.Errorf("svc: generator chain %q is not in the cluster", opts.Chain)
+		}
+		if interval = time.Duration(float64(time.Second) / opts.RPS); interval <= 0 {
+			return nil, fmt.Errorf("svc: generator rate %v rps leaves no whole nanosecond between requests", opts.RPS)
+		}
+	}
 	if opts.Dilation <= 0 {
 		opts.Dilation = 1.0
 	}
@@ -124,16 +137,16 @@ func New(clu *core.Cluster, opts Options) *Server {
 	s.inj = clu.NewChaos(opts.ChaosSeed)
 	s.inj.SetFlightRecorder(s.rec)
 
-	if s.opts.RPS > 0 && s.opts.Chain != "" {
-		interval := time.Duration(float64(time.Second) / s.opts.RPS)
-		client := 0
-		eng.Ticker(interval, func(now time.Duration) {
-			client++
-			s.invoked.Add(1)
-			clu.SubmitChain(s.opts.Chain, client, nil)
-		})
+	if interval > 0 {
+		// One request every interval from now on; arrival n is client n+1.
+		every := func(int, int) time.Duration { return interval }
+		(&workload.Driver{Chains: []string{opts.Chain}, Think: every}).Start(eng,
+			func(chain string, n, clone int, hedge time.Duration, reply func(ingress.Response)) {
+				s.invoked.Add(1)
+				clu.SubmitChainSpec(chain, n+1, clone, hedge, reply)
+			})
 	}
-	return s
+	return s, nil
 }
 
 // onBreach runs in engine context the moment the watchdog fires: mark

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -46,7 +47,10 @@ func startServer(t *testing.T, opts Options) *Server {
 	if opts.Dilation == 0 {
 		opts.Dilation = 200
 	}
-	s := New(clu, opts)
+	s, err := New(clu, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := s.Start(); err != nil {
 		t.Fatalf("start: %v", err)
 	}
@@ -368,5 +372,30 @@ func TestPacerStopBeforeStart(t *testing.T) {
 	case <-done:
 	case <-time.After(2 * time.Second):
 		t.Fatal("Stop before Start deadlocked")
+	}
+}
+
+// TestNewRefusesBadGenerator pins the generator checks: an unknown chain
+// or a rate with no whole nanosecond between requests fails New instead
+// of panicking on the first tick (or at startup).
+func TestNewRefusesBadGenerator(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		chain string
+		rps   float64
+		ok    bool
+	}{
+		{"unknown chain", "nope", 100, false},
+		{"rate rounds to zero", "greet", 3e9, false},
+		{"infinite rate", "greet", math.Inf(1), false},
+		{"valid", "greet", 100, true},
+		{"generator off", "nope", 0, true},
+	} {
+		clu := testCluster()
+		_, err := New(clu, Options{Addr: "127.0.0.1:0", Chain: tc.chain, RPS: tc.rps})
+		clu.Eng.Stop()
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: New(-chain %q -rps %v) error = %v, want ok=%v", tc.name, tc.chain, tc.rps, err, tc.ok)
+		}
 	}
 }

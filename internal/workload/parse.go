@@ -9,8 +9,6 @@ import (
 	"strings"
 	"time"
 	"unicode"
-
-	"nadino/internal/sim"
 )
 
 // Arrival is one recorded request arrival: Count requests for Chain at At.
@@ -198,40 +196,4 @@ func (rp *Replay) Chains() []string {
 		}
 	}
 	return out
-}
-
-// Start schedules the replay on eng with the same contract as
-// TraceGen.Start: per-chain counters plus a submit-hook registrar; the hook
-// runs in the replayer's own process at each recorded arrival time.
-func (rp *Replay) Start(eng *sim.Engine) (counts map[string]*uint64, submitHook func(func(chain string))) {
-	counts, specHook := rp.StartSpec(eng)
-	return counts, func(fn func(chain string)) {
-		specHook(func(chain string, _ int, _ time.Duration) { fn(chain) })
-	}
-}
-
-// StartSpec is Start with each arrival's speculation overrides surfaced to
-// the submit hook (both zero for plain trace lines), so replay drivers can
-// route them into per-request clone/hedge submission.
-func (rp *Replay) StartSpec(eng *sim.Engine) (counts map[string]*uint64, submitHook func(func(chain string, clone int, hedge time.Duration))) {
-	counts = make(map[string]*uint64)
-	for _, name := range rp.Chains() {
-		counts[name] = new(uint64)
-	}
-	var submit func(string, int, time.Duration)
-	arrivals := append([]Arrival(nil), rp.Arrivals...)
-	eng.Spawn("trace-replay", func(pr *sim.Proc) {
-		for _, a := range arrivals {
-			if a.At > pr.Now() {
-				pr.Sleep(a.At - pr.Now())
-			}
-			for i := 0; i < a.Count; i++ {
-				*counts[a.Chain]++
-				if submit != nil {
-					submit(a.Chain, a.Clone, a.Hedge)
-				}
-			}
-		}
-	})
-	return counts, func(fn func(chain string, clone int, hedge time.Duration)) { submit = fn }
 }

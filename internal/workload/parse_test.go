@@ -148,25 +148,23 @@ func TestReplayStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := sim.NewEngine(1)
-	counts, hook := rp.Start(eng)
-	var order []string
-	var stamps []time.Duration
-	hook(func(chain string) {
-		order = append(order, chain)
-		stamps = append(stamps, eng.Now())
-	})
+	defer eng.Stop()
+	e := &echo{eng: eng}
+	(&Driver{Replay: rp}).Start(eng, e.submit)
 	eng.RunUntil(time.Millisecond)
-	if got := strings.Join(order, ""); got != "abbaa" {
+	if got := strings.Join(e.chains, ""); got != "abbaa" {
 		t.Fatalf("submit order = %q", got)
-	}
-	if *counts["a"] != 3 || *counts["b"] != 2 {
-		t.Fatalf("counts a=%d b=%d", *counts["a"], *counts["b"])
 	}
 	for i, at := range []time.Duration{0, 100 * time.Microsecond, 100 * time.Microsecond,
 		100 * time.Microsecond, 500 * time.Microsecond} {
-		if stamps[i] != at {
-			t.Fatalf("arrival %d at %v, want %v", i, stamps[i], at)
+		if e.at[i] != at || e.clients[i] != i {
+			t.Fatalf("arrival %d at %v as client %d, want %v as client %d", i, e.at[i], e.clients[i], at, i)
 		}
+	}
+	// Same-instant arrivals share one event: the spawn-time one and the
+	// three at 100µs, plus one for the arrival at 500µs.
+	if n := eng.Fired(); n != 3 {
+		t.Fatalf("replay fired %d events, want 3", n)
 	}
 }
 

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"time"
-
-	"nadino/internal/sim"
 )
 
 // TraceGen synthesizes a production-like invocation trace: Poisson arrivals
@@ -21,22 +19,23 @@ type TraceGen struct {
 	// BaseRPS is the mean aggregate invocation rate.
 	BaseRPS float64
 	// DiurnalAmplitude in [0,1) modulates the rate sinusoidally:
-	// rate(t) = BaseRPS * (1 + A*sin(2*pi*t/Period)).
+	// rate(t) = BaseRPS * (1 + A*sin(2*pi*t/Period)), so the rate stays
+	// positive.
 	DiurnalAmplitude float64
-	// Period is the diurnal cycle length (compressed in simulations).
+	// Period is the diurnal cycle length (compressed in simulations) and
+	// caps any one inter-arrival gap.
 	Period time.Duration
 
 	weights []float64
 	totalW  float64
 }
 
-// prepare builds the Zipf popularity weights.
+// prepare checks the trace and builds the Zipf popularity weights.
 func (g *TraceGen) prepare() {
-	if len(g.Chains) == 0 {
-		panic("workload: trace needs at least one chain")
-	}
-	if g.Period <= 0 {
-		g.Period = time.Minute
+	if len(g.Chains) == 0 || !(g.BaseRPS > 0) || math.IsInf(g.BaseRPS, 1) ||
+		!(g.DiurnalAmplitude >= 0 && g.DiurnalAmplitude < 1) || g.Period <= 0 {
+		panic(fmt.Sprintf("workload: %v needs chains, a positive finite rate, "+
+			"a diurnal amplitude in [0,1) and a positive period", g))
 	}
 	g.weights = make([]float64, len(g.Chains))
 	g.totalW = 0
@@ -50,11 +49,13 @@ func (g *TraceGen) prepare() {
 // Rate reports the target aggregate rate at virtual time t.
 func (g *TraceGen) Rate(t time.Duration) float64 {
 	phase := 2 * math.Pi * float64(t) / float64(g.Period)
-	r := g.BaseRPS * (1 + g.DiurnalAmplitude*math.Sin(phase))
-	if r < 0 {
-		return 0
-	}
-	return r
+	return g.BaseRPS * (1 + g.DiurnalAmplitude*math.Sin(phase))
+}
+
+// gap turns an Exp(1) draw into the wait before the next arrival after t:
+// Poisson arrivals at Rate(t), no gap longer than one Period.
+func (g *TraceGen) gap(exp float64, t time.Duration) time.Duration {
+	return min(time.Duration(exp/g.Rate(t)*float64(time.Second)), g.Period)
 }
 
 // pick draws a chain by Zipf popularity.
@@ -67,42 +68,6 @@ func (g *TraceGen) pick(u float64) string {
 		}
 	}
 	return g.Chains[len(g.Chains)-1]
-}
-
-// Start launches the generator on eng: submit is invoked (process context)
-// once per invocation with the chosen chain. Returns a per-chain counter
-// map that fills as the trace plays.
-func (g *TraceGen) Start(eng *sim.Engine) (counts map[string]*uint64, submitHook func(func(chain string))) {
-	g.prepare()
-	counts = make(map[string]*uint64, len(g.Chains))
-	for _, ch := range g.Chains {
-		var v uint64
-		counts[ch] = &v
-	}
-	var submit func(string)
-	submitHook = func(fn func(chain string)) { submit = fn }
-	eng.Spawn("trace-gen", func(pr *sim.Proc) {
-		rng := eng.Rand()
-		for {
-			rate := g.Rate(pr.Now())
-			if rate <= 0 {
-				pr.Sleep(g.Period / 100)
-				continue
-			}
-			// Poisson arrivals: exponential inter-arrival gaps.
-			gap := time.Duration(rng.ExpFloat64() / rate * float64(time.Second))
-			if gap > g.Period {
-				gap = g.Period
-			}
-			pr.Sleep(gap)
-			chain := g.pick(rng.Float64())
-			*counts[chain]++
-			if submit != nil {
-				submit(chain)
-			}
-		}
-	})
-	return counts, submitHook
 }
 
 // String describes the trace.

@@ -5,8 +5,18 @@ import (
 	"testing"
 	"time"
 
+	"nadino/internal/ingress"
 	"nadino/internal/sim"
 )
+
+// playTrace drives g on eng and counts the arrivals per chain.
+func playTrace(eng *sim.Engine, g *TraceGen) map[string]uint64 {
+	counts := make(map[string]uint64)
+	(&Driver{Trace: g}).Start(eng, func(chain string, _, _ int, _ time.Duration, _ func(ingress.Response)) {
+		counts[chain]++
+	})
+	return counts
+}
 
 func TestTraceZipfPopularity(t *testing.T) {
 	eng := sim.NewEngine(1)
@@ -17,11 +27,11 @@ func TestTraceZipfPopularity(t *testing.T) {
 		BaseRPS: 20000,
 		Period:  time.Second,
 	}
-	counts, _ := g.Start(eng)
+	counts := playTrace(eng, g)
 	eng.RunUntil(2 * time.Second)
 	total := uint64(0)
 	for _, v := range counts {
-		total += *v
+		total += v
 	}
 	if total < 10000 {
 		t.Fatalf("trace produced only %d invocations", total)
@@ -29,14 +39,14 @@ func TestTraceZipfPopularity(t *testing.T) {
 	// Zipf s=1 over 4 chains: shares ~ 0.48, 0.24, 0.16, 0.12.
 	want := []float64{0.48, 0.24, 0.16, 0.12}
 	for i, ch := range g.Chains {
-		got := float64(*counts[ch]) / float64(total)
+		got := float64(counts[ch]) / float64(total)
 		if math.Abs(got-want[i]) > 0.05 {
 			t.Errorf("chain %s share %.3f, want ~%.2f", ch, got, want[i])
 		}
 	}
 	// Popularity must be monotone.
 	for i := 1; i < len(g.Chains); i++ {
-		if *counts[g.Chains[i]] > *counts[g.Chains[i-1]] {
+		if counts[g.Chains[i]] > counts[g.Chains[i-1]] {
 			t.Errorf("popularity not monotone at %d: %v", i, counts)
 		}
 	}
@@ -51,17 +61,16 @@ func TestTraceDiurnalModulation(t *testing.T) {
 		DiurnalAmplitude: 0.8,
 		Period:           time.Second,
 	}
-	counts, _ := g.Start(eng)
+	counts := playTrace(eng, g)
 	// Peak quarter [T/8, 3T/8] vs trough quarter [5T/8, 7T/8].
-	read := func() uint64 { return *counts["a"] }
 	eng.RunUntil(time.Second / 8)
-	c0 := read()
+	c0 := counts["a"]
 	eng.RunUntil(3 * time.Second / 8)
-	peak := read() - c0
+	peak := counts["a"] - c0
 	eng.RunUntil(5 * time.Second / 8)
-	c1 := read()
+	c1 := counts["a"]
 	eng.RunUntil(7 * time.Second / 8)
-	trough := read() - c1
+	trough := counts["a"] - c1
 	if peak < trough*2 {
 		t.Fatalf("diurnal peak (%d) not well above trough (%d)", peak, trough)
 	}
@@ -70,21 +79,23 @@ func TestTraceDiurnalModulation(t *testing.T) {
 	}
 }
 
+// TestTraceSubmitHook checks what the driver hands its submit function
+// for trace arrivals: the trace's chain, sequence-numbered clients and no
+// speculation overrides.
 func TestTraceSubmitHook(t *testing.T) {
 	eng := sim.NewEngine(3)
 	defer eng.Stop()
 	g := &TraceGen{Chains: []string{"x"}, BaseRPS: 1000, Period: time.Second}
-	_, hook := g.Start(eng)
 	var seen int
-	hook(func(chain string) {
-		if chain != "x" {
-			t.Errorf("unexpected chain %q", chain)
+	(&Driver{Trace: g}).Start(eng, func(chain string, client, clone int, hedge time.Duration, reply func(ingress.Response)) {
+		if chain != "x" || client != seen || clone != 0 || hedge != 0 || reply != nil {
+			t.Errorf("arrival %d: submit(%q, %d, %d, %v, reply=%v)", seen, chain, client, clone, hedge, reply != nil)
 		}
 		seen++
 	})
 	eng.RunUntil(100 * time.Millisecond)
 	if seen < 50 {
-		t.Fatalf("submit hook saw only %d invocations", seen)
+		t.Fatalf("submit saw only %d invocations", seen)
 	}
 }
 
@@ -92,9 +103,9 @@ func TestTraceUniformWhenUnskewed(t *testing.T) {
 	eng := sim.NewEngine(4)
 	defer eng.Stop()
 	g := &TraceGen{Chains: []string{"a", "b"}, ZipfS: 0, BaseRPS: 20000, Period: time.Second}
-	counts, _ := g.Start(eng)
+	counts := playTrace(eng, g)
 	eng.RunUntil(time.Second)
-	a, b := float64(*counts["a"]), float64(*counts["b"])
+	a, b := float64(counts["a"]), float64(counts["b"])
 	if ratio := a / b; ratio < 0.9 || ratio > 1.1 {
 		t.Fatalf("unskewed trace not uniform: %v vs %v", a, b)
 	}

@@ -1,27 +1,24 @@
 // Package workload provides the load generators used across experiments:
-// wrk-style closed-loop clients against an ingress gateway (§4.1.3, §4.3)
-// and ramp-up schedules (Fig. 14).
+// one engine-callback Driver for wrk-style closed-loop clients (§4.1.3,
+// §4.3) and open-loop arrivals (paced, synthetic trace or recorded replay),
+// plus the multi-connection client pool and ramp-up schedule against an
+// ingress gateway (Fig. 14).
 package workload
 
 import (
-	"fmt"
 	"time"
 
 	"nadino/internal/ingress"
 	"nadino/internal/metrics"
-	"nadino/internal/params"
 	"nadino/internal/sim"
 )
 
-// ClientPool is a set of closed-loop HTTP clients. Each client holds
-// ConnsPerClient concurrent connections (wrk drives many connections per
-// client thread, §4.1.3); each connection keeps one request outstanding.
-// With a Timeout set, a connection that waits too long gives up and
-// disconnects — the paper's overloaded K-Ingress loses "most of the
-// clients ... due to the lack of a response" this way (Fig. 14).
+// ClientPool is a set of HTTP clients against an ingress gateway. Each
+// client holds ConnsPerClient concurrent connections (wrk drives many
+// connections per client thread, §4.1.3); in closed-loop mode each
+// connection keeps one request outstanding.
 type ClientPool struct {
 	eng *sim.Engine
-	p   *params.Params
 	gw  *ingress.Gateway
 
 	ReqBytes  int
@@ -29,8 +26,9 @@ type ClientPool struct {
 	// ConnsPerClient is the concurrent connections each client drives
 	// (default 1).
 	ConnsPerClient int
-	// Timeout disconnects a connection whose request gets no response in
-	// time (0 = wait forever).
+	// Timeout counts an open-loop request that gets no response in time as
+	// a disconnection (0 = never) — the paper's overloaded K-Ingress loses
+	// "most of the clients ... due to the lack of a response" (Fig. 14).
 	Timeout time.Duration
 	// OpenLoopRate, when positive, switches each client to open-loop
 	// generation at this request rate (req/s) across its connections,
@@ -45,15 +43,14 @@ type ClientPool struct {
 	nClients     int
 	nConns       int
 	disconnected int
-	stopped      bool
+	drivers      []*Driver
 }
 
 // NewClientPool returns an empty pool targeting gw with the given payload
 // sizes.
-func NewClientPool(eng *sim.Engine, p *params.Params, gw *ingress.Gateway, reqBytes, respBytes int) *ClientPool {
+func NewClientPool(eng *sim.Engine, gw *ingress.Gateway, reqBytes, respBytes int) *ClientPool {
 	return &ClientPool{
 		eng:       eng,
-		p:         p,
 		gw:        gw,
 		ReqBytes:  reqBytes,
 		RespBytes: respBytes,
@@ -65,91 +62,53 @@ func NewClientPool(eng *sim.Engine, p *params.Params, gw *ingress.Gateway, reqBy
 // AddClient starts one client (all its connections) now.
 func (cp *ClientPool) AddClient() {
 	cp.nClients++
-	if cp.OpenLoopRate > 0 {
-		cp.addOpenLoopClient()
-		return
-	}
-	conns := cp.ConnsPerClient
-	if conns <= 0 {
-		conns = 1
-	}
-	for i := 0; i < conns; i++ {
-		id := cp.nConns
-		cp.nConns++
-		cp.eng.Spawn(fmt.Sprintf("conn-%d", id), func(pr *sim.Proc) {
-			for !cp.stopped {
-				start := pr.Now()
-				// Per-request rendezvous: true = response, false = timeout.
-				// Capacity 2 so a late response never blocks its sender.
-				doneQ := sim.NewQueue[bool](cp.eng, 2)
-				cp.gw.Submit(ingress.Request{
-					Client:    id,
-					Bytes:     cp.ReqBytes,
-					RespBytes: cp.RespBytes,
-					Stamp:     start,
-					Reply:     func(ingress.Response) { doneQ.TryPut(true) },
-				})
-				var timer sim.Event
-				if cp.Timeout > 0 {
-					timer = cp.eng.After(cp.Timeout, func() { doneQ.TryPut(false) })
-				}
-				ok := doneQ.Get(pr)
-				timer.Cancel()
-				if !ok {
-					// No response in time: this connection gives up.
-					cp.disconnected++
-					return
-				}
-				cp.Latency.Observe(pr.Now() - start)
-				cp.Completed.Inc(1)
-			}
-		})
-	}
-}
-
-// addOpenLoopClient spawns a generator that offers OpenLoopRate requests
-// per second, spreading them over ConnsPerClient connection IDs for RSS.
-func (cp *ClientPool) addOpenLoopClient() {
-	id := cp.nClients - 1
-	conns := cp.ConnsPerClient
-	if conns <= 0 {
-		conns = 1
-	}
+	conns := max(cp.ConnsPerClient, 1)
 	base := cp.nConns
 	cp.nConns += conns
-	gap := time.Duration(float64(time.Second) / cp.OpenLoopRate)
-	cp.eng.Spawn(fmt.Sprintf("openloop-client-%d", id), func(pr *sim.Proc) {
-		for i := 0; !cp.stopped; i++ {
-			start := pr.Now()
-			responded := false
-			cp.gw.Submit(ingress.Request{
-				Client:    base + i%conns,
-				Bytes:     cp.ReqBytes,
-				RespBytes: cp.RespBytes,
-				Stamp:     start,
-				Reply: func(ingress.Response) {
-					responded = true
-					cp.Latency.Observe(cp.eng.Now() - start)
-					cp.Completed.Inc(1)
-				},
-			})
-			if cp.Timeout > 0 {
-				cp.eng.After(cp.Timeout, func() {
-					if !responded {
-						cp.disconnected++
-					}
-				})
+	d := &Driver{Clients: conns}
+	if cp.OpenLoopRate > 0 {
+		// The first request goes out now, then one every gap plus a slight
+		// jitter that decorrelates generators, round-robin over the
+		// client's connections for RSS.
+		gap := time.Duration(float64(time.Second) / cp.OpenLoopRate)
+		d = &Driver{Think: func(_, n int) time.Duration {
+			if n == 0 {
+				return 0
 			}
-			// Slight jitter decorrelates generators.
-			pr.Sleep(gap + time.Duration(cp.eng.Rand().Intn(int(gap/8)+1)))
+			return gap + time.Duration(cp.eng.Rand().Intn(int(gap/8)+1))
+		}}
+	}
+	d.Start(cp.eng, func(_ string, i, _ int, _ time.Duration, reply func(ingress.Response)) {
+		start, answered := cp.eng.Now(), false
+		cp.gw.Submit(ingress.Request{
+			Client:    base + i%conns,
+			Bytes:     cp.ReqBytes,
+			RespBytes: cp.RespBytes,
+			Stamp:     start,
+			Reply: func(r ingress.Response) {
+				answered = true
+				cp.Latency.Observe(cp.eng.Now() - start)
+				cp.Completed.Inc(1)
+				if reply != nil {
+					reply(r)
+				}
+			},
+		})
+		if cp.Timeout > 0 && cp.OpenLoopRate > 0 {
+			cp.eng.After(cp.Timeout, func() {
+				if !answered {
+					cp.disconnected++
+				}
+			})
 		}
 	})
+	cp.drivers = append(cp.drivers, d)
 }
 
-// Disconnected reports connections that timed out and gave up.
+// Disconnected reports open-loop requests that timed out.
 func (cp *ClientPool) Disconnected() int { return cp.disconnected }
 
-// AddClients starts n closed-loop clients.
+// AddClients starts n clients.
 func (cp *ClientPool) AddClients(n int) {
 	for i := 0; i < n; i++ {
 		cp.AddClient()
@@ -172,8 +131,12 @@ func (cp *ClientPool) RampUp(total int, every time.Duration) {
 	})
 }
 
-// Stop makes clients exit after their in-flight request completes.
-func (cp *ClientPool) Stop() { cp.stopped = true }
+// Stop makes clients issue no more requests; those in flight complete.
+func (cp *ClientPool) Stop() {
+	for _, d := range cp.drivers {
+		d.Stop()
+	}
+}
 
 // Clients reports how many clients have been started.
 func (cp *ClientPool) Clients() int { return cp.nClients }

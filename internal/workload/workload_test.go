@@ -9,19 +9,19 @@ import (
 	"nadino/internal/sim"
 )
 
-func newGateway(t *testing.T) (*sim.Engine, *params.Params, *ingress.Gateway) {
+func newGateway(t *testing.T) (*sim.Engine, *ingress.Gateway) {
 	t.Helper()
 	p := params.Default()
 	eng := sim.NewEngine(1)
 	t.Cleanup(eng.Stop)
 	backend := ingress.DefaultEchoBackend(eng, p, ingress.Nadino, 4)
 	gw := ingress.New(eng, p, ingress.Config{Kind: ingress.Nadino, InitialWorkers: 1, MaxWorkers: 1}, backend)
-	return eng, p, gw
+	return eng, gw
 }
 
 func TestClosedLoopClients(t *testing.T) {
-	eng, p, gw := newGateway(t)
-	cp := NewClientPool(eng, p, gw, 256, 256)
+	eng, gw := newGateway(t)
+	cp := NewClientPool(eng, gw, 256, 256)
 	cp.AddClients(4)
 	eng.RunUntil(100 * time.Millisecond)
 	if cp.Completed.Total() == 0 {
@@ -39,17 +39,15 @@ func TestClosedLoopClients(t *testing.T) {
 }
 
 func TestMultiConnClients(t *testing.T) {
-	eng, p, gw := newGateway(t)
-	cp := NewClientPool(eng, p, gw, 256, 256)
+	eng, gw := newGateway(t)
+	cp := NewClientPool(eng, gw, 256, 256)
 	cp.ConnsPerClient = 8
 	cp.AddClient()
 	eng.RunUntil(50 * time.Millisecond)
 	one := cp.Completed.Total()
 
-	eng2, p2, gw2 := func() (*sim.Engine, *params.Params, *ingress.Gateway) {
-		return newGateway(t)
-	}()
-	cp2 := NewClientPool(eng2, p2, gw2, 256, 256)
+	eng2, gw2 := newGateway(t)
+	cp2 := NewClientPool(eng2, gw2, 256, 256)
 	cp2.ConnsPerClient = 1
 	cp2.AddClient()
 	eng2.RunUntil(50 * time.Millisecond)
@@ -59,8 +57,8 @@ func TestMultiConnClients(t *testing.T) {
 }
 
 func TestRampUpSchedule(t *testing.T) {
-	eng, p, gw := newGateway(t)
-	cp := NewClientPool(eng, p, gw, 128, 128)
+	eng, gw := newGateway(t)
+	cp := NewClientPool(eng, gw, 128, 128)
 	cp.RampUp(5, 10*time.Millisecond)
 	eng.RunUntil(5 * time.Millisecond)
 	if cp.Clients() != 1 {
@@ -72,32 +70,12 @@ func TestRampUpSchedule(t *testing.T) {
 	}
 }
 
-func TestTimeoutDisconnects(t *testing.T) {
-	// A gateway with zero workers available... instead use a backend that
-	// never answers: a gateway whose backend drops everything.
-	p := params.Default()
-	eng := sim.NewEngine(1)
-	defer eng.Stop()
-	gw := ingress.New(eng, p, ingress.Config{Kind: ingress.Nadino, InitialWorkers: 1, MaxWorkers: 1}, blackholeBackend{})
-	cp := NewClientPool(eng, p, gw, 128, 128)
-	cp.Timeout = 5 * time.Millisecond
-	cp.ConnsPerClient = 3
-	cp.AddClient()
-	eng.RunUntil(100 * time.Millisecond)
-	if cp.Disconnected() != 3 {
-		t.Fatalf("disconnected = %d, want all 3 connections", cp.Disconnected())
-	}
-	if cp.Completed.Total() != 0 {
-		t.Fatal("blackhole backend completed requests")
-	}
-}
-
 func TestOpenLoopGeneratesWithoutResponses(t *testing.T) {
 	p := params.Default()
 	eng := sim.NewEngine(1)
 	defer eng.Stop()
 	gw := ingress.New(eng, p, ingress.Config{Kind: ingress.Nadino, InitialWorkers: 1, MaxWorkers: 1, QueueCap: 16}, blackholeBackend{})
-	cp := NewClientPool(eng, p, gw, 128, 128)
+	cp := NewClientPool(eng, gw, 128, 128)
 	cp.OpenLoopRate = 400000 // past a single worker's capacity
 	cp.Timeout = 10 * time.Millisecond
 	cp.AddClient()
@@ -117,8 +95,8 @@ type blackholeBackend struct{}
 func (blackholeBackend) Forward(ingress.Request, func(ingress.Response)) {}
 
 func TestStop(t *testing.T) {
-	eng, p, gw := newGateway(t)
-	cp := NewClientPool(eng, p, gw, 128, 128)
+	eng, gw := newGateway(t)
+	cp := NewClientPool(eng, gw, 128, 128)
 	cp.AddClients(2)
 	eng.RunUntil(20 * time.Millisecond)
 	cp.Stop()
