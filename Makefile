@@ -34,14 +34,15 @@ race:
 check: vet race
 
 # bench runs the simulator-core microbenchmarks (event scheduling, cancel,
-# spawn/yield, the Run/Notify continuation forms; events/sec and allocs/op)
+# spawn/yield, the continuation forms — FCFS and PS Run, Signal and Queue
+# Notify; events/sec and allocs/op)
 # plus the cluster-scale sweep
 # (BenchmarkScaleSweep: 100k-1M concurrent clients per point, wall-clock
 # ns/op and events/sec) and archives everything as BENCH_sim.json for
 # cross-commit comparison. The human-readable output goes to stderr. Each
 # scale point is deterministic for the fixed seed, so -benchtime 1x is exact.
 bench:
-	( $(GO) test -run '^$$' -bench 'BenchmarkEngine|BenchmarkProc|BenchmarkSignalNotify$$|BenchmarkPSQuantum$$' -benchmem ./internal/sim/ ; \
+	( $(GO) test -run '^$$' -bench 'BenchmarkEngine|BenchmarkProc|BenchmarkSignalNotify$$|BenchmarkQueueNotify$$|BenchmarkPSQuantum$$|BenchmarkPSRun$$' -benchmem ./internal/sim/ ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkQPPostSend$$|BenchmarkCQPollInto$$' -benchmem ./internal/rdma/ ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkMempoolCachedGetPut$$' -benchmem ./internal/mempool/ ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkGatewayForward$$|BenchmarkChainCrossNode$$' -benchmem ./internal/gateway/ ; \
@@ -51,14 +52,14 @@ bench:
 	  $(GO) test -run '^$$' -bench 'BenchmarkScaleSweep' -benchtime 1x -timeout 30m ./internal/experiments/ ) | $(GO) run ./cmd/benchjson > BENCH_sim.json
 
 # bench-gate re-runs the headline microbenchmarks — event-core schedule hot
-# path, pooled spawn and the Run/Notify continuation forms (pinned at 0
-# allocs/op), plus the data-plane fast path (QP send, CQ ring
+# path, pooled spawn and the continuation forms (FCFS and PS Run, Signal and
+# Queue Notify; pinned at 0 allocs/op), plus the data-plane fast path (QP send, CQ ring
 # drain, cached mempool Get/Put), the gateway forwarding path and the
 # flight-recorder record path (pinned at 0 allocs/op) — and fails if any
 # regressed more than 25% in ns/op, or allocates more per op, against the
 # archived BENCH_sim.json.
 bench-gate:
-	( $(GO) test -run '^$$' -bench 'BenchmarkEngineSchedule$$|BenchmarkProcSpawn$$|BenchmarkProcessorRun$$|BenchmarkSignalNotify$$|BenchmarkPSQuantum$$' -benchmem ./internal/sim/ ; \
+	( $(GO) test -run '^$$' -bench 'BenchmarkEngineSchedule$$|BenchmarkProcSpawn$$|BenchmarkProcessorRun$$|BenchmarkSignalNotify$$|BenchmarkQueueNotify$$|BenchmarkPSQuantum$$|BenchmarkPSRun$$' -benchmem ./internal/sim/ ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkQPPostSend$$|BenchmarkCQPollInto$$' -benchmem ./internal/rdma/ ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkMempoolCachedGetPut$$' -benchmem ./internal/mempool/ ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkGatewayForward$$|BenchmarkChainCrossNode$$' -benchmem ./internal/gateway/ ; \

@@ -118,10 +118,11 @@ type Function struct {
 	// autoscaler's concurrency signal.
 	inflight int
 
-	inbox   *sim.Queue[mempool.Descriptor]
-	localIn *ipc.SKMsg         // shared-memory systems: local descriptor inbox
-	tcpIn   *sim.Queue[tcpMsg] // TCP systems: socket inbox
-	port    *dne.FnPort        // NADINO systems
+	inbox    *sim.Queue[mempool.Descriptor]
+	handlers []*handler         // the Workers handlers serving the inbox
+	localIn  *ipc.SKMsg         // shared-memory systems: local descriptor inbox
+	tcpIn    *sim.Queue[tcpMsg] // TCP systems: socket inbox
+	port     *dne.FnPort        // NADINO systems
 }
 
 // tcpMsg is a message crossing a modeled TCP socket (payload copied, so no
@@ -154,6 +155,8 @@ type Cluster struct {
 	// specFnKills counts speculative clones killed at a function's inbox
 	// dequeue (the deepest core-side cancellation point).
 	specFnKills uint64
+	// freeArms pools the fan-out arms of async call groups.
+	freeArms []*callOp
 
 	gw      *ingress.Gateway
 	tracer  *trace.Tracer
@@ -545,7 +548,8 @@ func (c *Cluster) crashSet(n *Node) []chaos.QPErrorTarget {
 }
 
 // setup establishes RC connections, starts engines, backends and function
-// runtimes, then signals readiness.
+// runtimes, then signals readiness. It is the one process a cluster runs,
+// with its connection handshakes; nothing spawns one after it.
 func (c *Cluster) setup(pr *sim.Proc) {
 	switch c.cfg.System {
 	case NadinoDNE, NadinoCNE:
@@ -643,54 +647,21 @@ func (c *Cluster) setupNadino(pr *sim.Proc) {
 	c.rdmaBE.start()
 }
 
-// startFunction spawns the function's receiver procs and workers.
+// startFunction starts the function's receivers and handlers, each from
+// one same-instant event in that order, at setup or when the autoscaler
+// boots an instance.
 func (c *Cluster) startFunction(f *Function) {
 	if f.port != nil {
-		c.Eng.Spawn(f.name+"/port-rx", func(pr *sim.Proc) {
-			for {
-				d := f.port.Recv(pr, f.core)
-				c.deliver(pr, f, d)
-			}
-		})
+		c.startReceiver(f, rxPort)
 	}
 	if f.localIn != nil {
-		c.Eng.Spawn(f.name+"/shm-rx", func(pr *sim.Proc) {
-			for {
-				d := f.localIn.Recv(pr)
-				sp := d.Trace.Begin(trace.StageFnDeliver, f.name)
-				f.core.Exec(pr, f.localIn.WakeupCost()+c.P.SemTokenCost)
-				sp.End()
-				c.deliver(pr, f, d)
-			}
-		})
+		c.startReceiver(f, rxShm)
 	}
 	if f.tcpIn != nil {
-		st := c.workerStack()
-		c.Eng.Spawn(f.name+"/tcp-rx", func(pr *sim.Proc) {
-			for {
-				m := f.tcpIn.Get(pr)
-				sp := m.Trace.Begin(st.TraceStage(), f.name)
-				f.core.Exec(pr, transport.RecvCost(c.P, st, m.Bytes))
-				sp.End()
-				// The payload is copied out of the socket into a fresh
-				// local buffer.
-				buf, err := c.getBufferRetry(pr, f.node.pool(f.tenant), f.owner)
-				if err != nil {
-					continue
-				}
-				d := mempool.Descriptor{
-					Tenant: f.tenant, Buf: buf, Len: m.Bytes,
-					Src: m.Src, Dst: f.name, Ctx: m.Ctx,
-					Trace: m.Trace,
-				}
-				c.deliver(pr, f, d)
-			}
-		})
+		c.startReceiver(f, rxTCP)
 	}
 	for i := 0; i < f.spec.Workers; i++ {
-		c.Eng.Spawn(fmt.Sprintf("%s/worker-%d", f.name, i), func(pr *sim.Proc) {
-			c.functionWorker(pr, f)
-		})
+		c.startHandler(f)
 	}
 }
 
@@ -715,20 +686,6 @@ func (c *Cluster) wakeReady() {
 		c.Eng.Immediate(c.wakeReady)
 	}
 	fn()
-}
-
-// getBufferRetry allocates with bounded backoff under pool pressure.
-func (c *Cluster) getBufferRetry(pr *sim.Proc, pool *mempool.Pool, owner mempool.Owner) (mempool.Buffer, error) {
-	for attempt := 0; ; attempt++ {
-		b, err := pool.Get(owner)
-		if err == nil {
-			return b, nil
-		}
-		if attempt > 1000 {
-			return mempool.Buffer{}, err
-		}
-		pr.Sleep(10 * time.Microsecond)
-	}
 }
 
 // SubmitChain issues one external request for chain through the ingress.

@@ -10,12 +10,11 @@ import (
 
 // maxDispatchesPerRequest bounds the process dispatches (goroutine
 // handoffs) one boutique request costs in TestDispatchesPerRequest. The
-// network engines, gateways and the ingress CQ poller run as engine
-// callbacks, so what is left is the function workers, their port receivers
-// and the ingress workers: 61.19 per request. While the engine loops,
-// gateways and poller were processes it was 138.8. The count is
-// deterministic, so tighten this as more loops leave the Proc layer.
-const maxDispatchesPerRequest = 61.2
+// network engines, gateways, ingress workers and CQ poller, and the
+// function handlers and receivers all run as engine callbacks, so a
+// request costs none (61.19 while the function runtime and ingress workers
+// were processes, 138.8 before that).
+const maxDispatchesPerRequest = 0.0
 
 // TestDispatchesPerRequest drives the checked-in boutique config with 32
 // proc-free closed-loop clients (3:1 home-query:place-order) and gates the

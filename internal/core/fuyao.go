@@ -41,7 +41,38 @@ type fuyaoEngine struct {
 
 	txCount, rxCount uint64
 	creditStalls     uint64
+
+	// The engine loop's position: a pass retries deferred messages, ingests
+	// up to a batch from local functions, then drains write completions.
+	stage  fyStage
+	did    bool                 // the pass found work
+	retry  []mempool.Descriptor // deferred messages this pass retries
+	next   int                  // next retry, or inbox messages taken this pass
+	txd    mempool.Descriptor   // the message in service
+	txNode string               // its destination node
+	txSlot rdma.RemoteBuf       // the landing slot it takes
+
+	// The poller's position: the landed writes of its last scan, the next
+	// to copy, and the copy being handed to its function.
+	landed []rdma.Landed
+	li     int
+	pd     mempool.Descriptor
+	pbuf   bufRetry
+
+	// Continuations, bound once at start.
+	loopFn, ingestedFn, chargedFn, postedFn           func()
+	scanFn, polledFn, copiedFn, polledBufFn, handedFn func()
 }
+
+// fyStage is where the FUYAO engine loop is within a pass.
+type fyStage int
+
+const (
+	fyStart fyStage = iota
+	fyRetry
+	fyInbox
+	fyCQ
+)
 
 // fuyaoRingSlots is the per-destination one-sided landing ring size.
 const fuyaoRingSlots = 1024
@@ -67,7 +98,7 @@ func newFuyaoEngine(c *Cluster, n *Node) *fuyaoEngine {
 
 // submit hands a descriptor from a local function to the engine. The buffer
 // must already be owned by the engine.
-func (e *fuyaoEngine) submit(d mempool.Descriptor, _ string) {
+func (e *fuyaoEngine) submit(d mempool.Descriptor) {
 	e.inbox.Send(d)
 }
 
@@ -97,9 +128,7 @@ func (c *Cluster) setupFuyao(pr *sim.Proc) {
 		done.Get(pr)
 	}
 	for _, n := range c.nodeSeq {
-		e := n.fuyao
-		c.Eng.Spawn(string(n.name)+"/fuyao-engine", e.engineLoop)
-		c.Eng.Spawn(string(n.name)+"/fuyao-poller", e.pollerLoop)
+		n.fuyao.start()
 	}
 }
 
@@ -116,115 +145,216 @@ func carveRing(dst *fuyaoEngine) []rdma.RemoteBuf {
 	return slots
 }
 
-// engineLoop is the FUYAO engine's event loop: ingest SK_MSG descriptors
-// from local functions (paying interrupt costs — it is CPU-hosted), issue
+// start runs the engine loop and the receiver poller as engine callbacks,
+// each from one same-instant event, the one a spawn would schedule. Every
+// later step continues from the event its last block point scheduled.
+func (e *fuyaoEngine) start() {
+	e.cqeBuf = make([]rdma.CQE, fuyaoBatch)
+	e.loopFn, e.ingestedFn, e.chargedFn, e.postedFn = e.loop, e.ingested, e.charged, e.posted
+	e.pbuf.eng, e.pbuf.retryFn = e.c.Eng, e.pbuf.retry
+	e.scanFn, e.polledFn, e.copiedFn = e.scan, e.polled, e.copied
+	e.polledBufFn, e.handedFn = e.polledBuf, e.handed
+	e.c.Eng.Immediate(e.loopFn)
+	e.c.Eng.Immediate(e.scanFn)
+}
+
+// fuyaoBatch caps the messages one engine pass ingests, and the completions
+// it drains per poll.
+const fuyaoBatch = 16
+
+// loop is the FUYAO engine's event loop: ingest SK_MSG descriptors from
+// local functions (paying interrupt costs — it is CPU-hosted), issue
 // one-sided writes when slot credits allow, and recycle source buffers on
-// write completions.
-func (e *fuyaoEngine) engineLoop(pr *sim.Proc) {
-	const batch = 16
+// write completions. A pass that finds no work parks on the work signal.
+func (e *fuyaoEngine) loop() {
 	for {
-		did := false
-		// Retry deferred messages first (credits may have returned).
-		if len(e.deferred) > 0 {
-			pending := e.deferred
-			e.deferred = nil
-			for _, d := range pending {
-				if !e.txOne(pr, d, false) {
-					break
-				}
-				did = true
+		switch e.stage {
+		case fyStart:
+			// Retry deferred messages first (credits may have returned).
+			e.did = false
+			e.stage, e.next = fyInbox, 0
+			if len(e.deferred) > 0 {
+				e.retry, e.deferred = e.deferred, nil
+				e.stage = fyRetry
 			}
-		}
-		for i := 0; i < batch; i++ {
+		case fyRetry:
+			if e.next == len(e.retry) {
+				e.retry = nil
+				e.stage, e.next = fyInbox, 0
+				continue
+			}
+			d := e.retry[e.next]
+			e.next++
+			switch e.tx(d, false) {
+			case txWaiting:
+				return
+			case txStalled:
+				// Out of credits: the rest of this retry batch is not
+				// retried.
+				e.retry = nil
+				e.stage, e.next = fyInbox, 0
+			default:
+				e.did = true
+			}
+		case fyInbox:
+			if e.next == fuyaoBatch {
+				e.stage = fyCQ
+				continue
+			}
 			backlog := e.inbox.Pending()
 			d, ok := e.inbox.TryRecv()
 			if !ok {
-				break
+				e.stage = fyCQ
+				continue
 			}
-			e.core.Exec(pr, e.inbox.InterruptCost(backlog))
-			if e.txOne(pr, d, true) {
-				did = true
-			}
-		}
-		if e.cqeBuf == nil {
-			e.cqeBuf = make([]rdma.CQE, batch)
-		}
-		for i, m := 0, e.cq.PollInto(e.cqeBuf); i < m; i++ {
-			cqe := e.cqeBuf[i]
-			if cqe.Op == rdma.OpWrite && cqe.Desc.Tenant != "" {
-				// Source buffer can be recycled now.
-				if err := e.node.pool(cqe.Desc.Tenant).Put(cqe.Desc.Buf, e.owner); err != nil {
-					panic(fmt.Sprintf("core: fuyao source recycle: %v", err))
+			e.next++
+			e.txd = d
+			e.core.Run(e.inbox.InterruptCost(backlog), e.ingestedFn)
+			return
+		case fyCQ:
+			for i, m := 0, e.cq.PollInto(e.cqeBuf); i < m; i++ {
+				cqe := e.cqeBuf[i]
+				if cqe.Op == rdma.OpWrite && cqe.Desc.Tenant != "" {
+					// Source buffer can be recycled now.
+					if err := e.node.pool(cqe.Desc.Tenant).Put(cqe.Desc.Buf, e.owner); err != nil {
+						panic(fmt.Sprintf("core: fuyao source recycle: %v", err))
+					}
 				}
+				e.did = true
 			}
-			did = true
-		}
-		if !did {
-			e.work.Wait(pr)
+			e.stage = fyStart
+			if !e.did {
+				e.work.Notify(e.loopFn)
+				return
+			}
 		}
 	}
 }
 
-// txOne issues one one-sided write, returning false when out of credits.
-func (e *fuyaoEngine) txOne(pr *sim.Proc, d mempool.Descriptor, charge bool) bool {
+// ingested transmits a message once its interrupt cost is paid.
+func (e *fuyaoEngine) ingested() {
+	switch e.tx(e.txd, true) {
+	case txWaiting:
+		return
+	case txSent:
+		e.did = true
+	}
+	e.loop()
+}
+
+// txResult is how a one-sided write attempt went.
+type txResult int
+
+const (
+	txSent    txResult = iota // done at once (an unroutable message is dropped)
+	txStalled                 // out of slot credits: deferred
+	txWaiting                 // paying its costs; posted resumes the loop
+)
+
+// tx issues one one-sided write, charging the engine's TX work first when
+// charge is set.
+func (e *fuyaoEngine) tx(d mempool.Descriptor, charge bool) txResult {
 	p := e.c.P
 	dst := e.c.fns[d.Dst]
 	if dst == nil {
-		return true // drop unroutable
+		return txSent // drop unroutable
 	}
 	node := string(dst.node.name)
 	ring := e.rings[node]
 	if len(ring) == 0 {
 		e.creditStalls++
 		e.deferred = append(e.deferred, d)
-		return false
+		return txStalled
 	}
-	slot := ring[len(ring)-1]
+	e.txd, e.txNode, e.txSlot = d, node, ring[len(ring)-1]
 	e.rings[node] = ring[:len(ring)-1]
 	if charge {
-		e.core.Exec(pr, p.DNETxCost+p.FuyaoEngineExtra)
+		e.core.Run(p.DNETxCost+p.FuyaoEngineExtra, e.chargedFn)
+	} else {
+		e.core.Run(p.VerbsPostCost, e.postedFn)
 	}
-	e.core.Exec(pr, p.VerbsPostCost)
-	qp := e.conns[node].Pick()
-	qp.PostWrite(d, slot)
-	e.txCount++
-	return true
+	return txWaiting
 }
 
-// pollerLoop is the receiver side: scan the RDMA-only region for landed
-// writes (FaRM-style), copy each payload into the node's shared-memory
-// pool, hand the descriptor to the destination function over SK_MSG, and
-// return the slot credit to the sender.
-func (e *fuyaoEngine) pollerLoop(pr *sim.Proc) {
-	p := e.c.P
-	for {
-		e.pollCore.Exec(pr, p.OneSidedPollCost)
-		landed := e.mr.PollLanded()
-		if len(landed) == 0 {
-			pr.Sleep(p.FuyaoPollInterval)
-			continue
-		}
-		for _, l := range landed {
-			// The receiver-side copy that two-sided RDMA avoids.
-			e.pollCore.Exec(pr, p.MemcpyBase+params.Bytes(p.MemcpyPerByteCold, l.Bytes))
-			dstFn := e.c.fns[l.Desc.Dst]
-			if dstFn == nil {
-				e.returnCredit(l)
-				continue
-			}
-			buf, err := e.c.getBufferRetry(pr, e.node.pool(l.Desc.Tenant), dstFn.owner)
-			if err != nil {
-				e.returnCredit(l)
-				continue
-			}
-			d := l.Desc
-			d.Buf = buf
-			e.pollCore.Exec(pr, p.SKMsgSendCost)
-			dstFn.localIn.Send(d)
-			e.rxCount++
-			e.returnCredit(l)
-		}
+func (e *fuyaoEngine) charged() { e.core.Run(e.c.P.VerbsPostCost, e.postedFn) }
+
+// posted posts the write once the verbs cost is paid.
+func (e *fuyaoEngine) posted() {
+	qp := e.conns[e.txNode].Pick()
+	qp.PostWrite(e.txd, e.txSlot)
+	e.txCount++
+	e.txd, e.txSlot = mempool.Descriptor{}, rdma.RemoteBuf{}
+	e.did = true
+	e.loop()
+}
+
+// scan is the receiver poller: scan the RDMA-only region for landed writes
+// (FaRM-style), copy each payload into the node's shared-memory pool, hand
+// the descriptor to the destination function over SK_MSG, and return the
+// slot credit to the sender. An empty scan sleeps a poll interval.
+func (e *fuyaoEngine) scan() { e.pollCore.Run(e.c.P.OneSidedPollCost, e.polledFn) }
+
+func (e *fuyaoEngine) polled() {
+	landed := e.mr.PollLanded()
+	if len(landed) == 0 {
+		e.c.Eng.After(e.c.P.FuyaoPollInterval, e.scanFn)
+		return
 	}
+	e.landed, e.li = landed, 0
+	e.copyNext()
+}
+
+// copyNext starts the receiver-side copy of the next landed write — the
+// copy that two-sided RDMA avoids — or scans again after the last.
+func (e *fuyaoEngine) copyNext() {
+	if e.li == len(e.landed) {
+		e.landed = nil
+		e.scan()
+		return
+	}
+	p := e.c.P
+	e.pollCore.Run(p.MemcpyBase+params.Bytes(p.MemcpyPerByteCold, e.landed[e.li].Bytes), e.copiedFn)
+}
+
+func (e *fuyaoEngine) copied() {
+	l := e.landed[e.li]
+	dstFn := e.c.fns[l.Desc.Dst]
+	if dstFn == nil {
+		e.returnCredit(l)
+		e.li++
+		e.copyNext()
+		return
+	}
+	e.pbuf.then = e.polledBufFn
+	if e.pbuf.get(e.node.pool(l.Desc.Tenant), dstFn.owner) {
+		e.polledBuf()
+	}
+}
+
+// polledBuf hands the copy to its function. A copy the pool cannot take
+// loses the message, and with it the call it carries.
+func (e *fuyaoEngine) polledBuf() {
+	l := e.landed[e.li]
+	if e.pbuf.err != nil {
+		e.returnCredit(l)
+		e.c.dropped(l.Desc.Ctx)
+		e.li++
+		e.copyNext()
+		return
+	}
+	e.pd = l.Desc
+	e.pd.Buf = e.pbuf.buf
+	e.pollCore.Run(e.c.P.SKMsgSendCost, e.handedFn)
+}
+
+func (e *fuyaoEngine) handed() {
+	l := e.landed[e.li]
+	e.c.fns[l.Desc.Dst].localIn.Send(e.pd)
+	e.pd = mempool.Descriptor{}
+	e.rxCount++
+	e.returnCredit(l)
+	e.li++
+	e.copyNext()
 }
 
 // returnCredit ships the landed slot back to the sender's free ring.

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"nadino/internal/mempool"
 	"nadino/internal/workload"
 )
 
@@ -121,4 +122,75 @@ func TestNoColdStartFieldsMeansNoColdStarts(t *testing.T) {
 	if c.ColdStarts() != 0 {
 		t.Fatalf("cold starts = %d with ColdStart disabled", c.ColdStarts())
 	}
+}
+
+// TestPoolSqueezeStrandsNoHandler holds each node's pools empty in turn for
+// 16 ms, longer than a buffer allocation retries (10 ms), under load, on
+// every system. Every message the runtime cannot buffer must fail the call it
+// carries, so once load stops and the cluster drains no handler is left
+// holding a request: none parked forever on a nested call whose request or
+// reply was lost.
+func TestPoolSqueezeStrandsNoHandler(t *testing.T) {
+	for _, sys := range Systems() {
+		for _, node := range testConfig(sys).Nodes {
+			if sys.SingleNode() && node != "node1" {
+				continue
+			}
+			c := NewCluster(testConfig(sys))
+			d := &workload.Driver{Chains: []string{"mix"}, Clients: 8, Ready: c.OnReady}
+			d.Start(c.Eng, c.SubmitChainSpec)
+			for !c.Ready() {
+				c.Eng.RunFor(time.Millisecond)
+			}
+			t0 := c.Eng.Now()
+			c.Eng.RunUntil(t0 + 5*time.Millisecond)
+			if c.Completed.Total() == 0 {
+				t.Fatalf("%s: no request completed before the squeeze", sys)
+			}
+			// Hold the pools empty: take every free buffer now and every
+			// one returned while the squeeze lasts.
+			var held []heldBuf
+			drain := func(time.Duration) {
+				for _, tn := range c.tenants {
+					pool := c.nodes[node].pool(tn.Name)
+					for {
+						b, err := pool.Get("squeeze")
+						if err != nil {
+							break
+						}
+						held = append(held, heldBuf{pool, b})
+					}
+				}
+			}
+			drain(0)
+			stop := c.Eng.Ticker(time.Microsecond, drain)
+			c.Eng.RunUntil(t0 + 21*time.Millisecond)
+			stop()
+			for _, h := range held {
+				if err := h.pool.Put(h.buf, "squeeze"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			d.Stop()
+			c.Eng.RunUntil(t0 + 300*time.Millisecond)
+			busy := 0
+			for _, f := range c.fnSeq {
+				for _, h := range f.handlers {
+					if h.rc != nil {
+						busy++
+					}
+				}
+			}
+			if busy != 0 {
+				t.Errorf("%s, %s squeezed: %d handlers still hold a request at quiesce", sys, node, busy)
+			}
+			c.Eng.Stop()
+		}
+	}
+}
+
+// heldBuf is a buffer the squeeze took out of pool.
+type heldBuf struct {
+	pool *mempool.Pool
+	buf  mempool.Buffer
 }

@@ -11,7 +11,6 @@ import (
 
 	"nadino/internal/ingress"
 	"nadino/internal/mempool"
-	"nadino/internal/sim"
 )
 
 // System identifies a serverless data plane design.
@@ -92,7 +91,7 @@ type FunctionSpec struct {
 	Node string
 	// Service is the application compute per invocation.
 	Service time.Duration
-	// Workers is the function's internal concurrency (handler goroutines
+	// Workers is the function's internal concurrency (request handlers
 	// sharing its dedicated core). Defaults to 8.
 	Workers int
 	// ColdStart is the container boot penalty a handler pays when invoked
@@ -160,8 +159,21 @@ const (
 // reply, or the reply to a call already failed — is recycled by the
 // receiver instead of parked.
 type callCtx struct {
-	q            *sim.Queue[mempool.Descriptor]
 	done, failed bool
+	resp         mempool.Buffer // the reply's buffer, once a reply settled it
+	// waiter is the caller parked on the call, woken through one event
+	// when the call settles; nil while the caller has not parked.
+	waiter *callOp
+}
+
+// settle resolves the call with the reply in resp (or, failed, as lost)
+// and wakes a parked caller.
+func (cc *callCtx) settle(resp mempool.Buffer, failed bool) {
+	cc.done, cc.failed, cc.resp = true, failed, resp
+	if op := cc.waiter; op != nil {
+		cc.waiter = nil
+		op.c.Eng.Immediate(op.repliedFn)
+	}
 }
 
 // fail settles the call as lost and wakes its caller.
@@ -169,8 +181,7 @@ func (cc *callCtx) fail() {
 	if cc.done {
 		return
 	}
-	cc.done, cc.failed = true, true
-	cc.q.TryPut(mempool.Descriptor{})
+	cc.settle(mempool.Buffer{}, true)
 }
 
 // reqCtx travels with a request descriptor and tells the invoked function
@@ -180,7 +191,7 @@ type reqCtx struct {
 	Calls     []Call // nested calls this invocation must perform
 	RespBytes int
 	ReplyTo   string   // function to respond to; "" when ingress-originated
-	Call      *callCtx // caller's wait queue (function-to-function calls)
+	Call      *callCtx // caller's rendezvous (function-to-function calls)
 	// IngressDone delivers the final response to the ingress gateway.
 	IngressDone func(ingress.Response)
 	Stamp       time.Duration
@@ -195,7 +206,7 @@ type reqCtx struct {
 type msgCtx struct {
 	Kind msgKind
 	Req  *reqCtx  // kindRequest
-	Call *callCtx // kindResponse: where the waiting caller parks
+	Call *callCtx // kindResponse: the rendezvous the waiting caller parks on
 	// IngressDone set on responses headed back to the ingress.
 	IngressDone func(ingress.Response)
 	Stamp       time.Duration

@@ -44,18 +44,33 @@ type FnPort struct {
 func (fp *FnPort) Fn() string { return fp.fn }
 
 // Send hands a descriptor (and the buffer it owns) to the engine for
-// inter-node transmission. The calling function must own d.Buf; ownership
-// moves to the engine. core is the function's core, charged the channel
-// send cost. Send stamps the descriptor's interned tenant and destination
-// IDs; a destination the engine has not seen is interned without a route,
-// so it drops at TX unless a route is installed first.
+// inter-node transmission, blocking pr while core pays the channel send
+// cost: the process form of SendBegin, Exec, SendEnd, kept for the
+// FnPort-level micro-rigs. The calling function must own d.Buf; ownership
+// moves to the engine.
 func (fp *FnPort) Send(pr *sim.Proc, core Execer, d mempool.Descriptor) error {
+	cost, sp, err := fp.SendBegin(&d)
+	if err != nil {
+		return err
+	}
+	core.Exec(pr, cost)
+	fp.SendEnd(d, sp)
+	return nil
+}
+
+// SendBegin starts a send in engine context. It stamps d's interned tenant
+// and destination IDs (a destination the engine has not seen is interned
+// without a route, so it drops at TX unless a route is installed first),
+// moves d.Buf from the function to the engine and opens the port-send
+// span. The function's core then pays the returned channel send cost, and
+// SendEnd ships d.
+func (fp *FnPort) SendBegin(d *mempool.Descriptor) (time.Duration, trace.SpanRef, error) {
 	d.Tenant = fp.tenant
 	ts := fp.ts
 	if ts == nil {
 		ts = fp.engine.tenants[fp.tenant]
 		if ts == nil {
-			return fmt.Errorf("dne: tenant %q not registered with engine", fp.tenant)
+			return 0, trace.SpanRef{}, fmt.Errorf("dne: tenant %q not registered with engine", fp.tenant)
 		}
 		fp.ts = ts
 		fp.fnOwner = mempool.Owner(fp.fn)
@@ -66,42 +81,70 @@ func (fp *FnPort) Send(pr *sim.Proc, core Execer, d mempool.Descriptor) error {
 	}
 	d.DstID = fp.memoDstID
 	if err := ts.pool.Transfer(d.Buf, fp.fnOwner, fp.engine.engOwner); err != nil {
-		return err
+		return 0, trace.SpanRef{}, err
 	}
 	sp := d.Trace.Begin(trace.StagePortSend, fp.fn)
 	if fp.comch != nil {
-		core.Exec(pr, fp.comch.SendCost())
-		sp.End()
-		fp.comch.SendToDNE(d)
-	} else {
-		core.Exec(pr, fp.toEngine.SendCost())
-		sp.End()
-		fp.toEngine.Send(d)
+		return fp.comch.SendCost(), sp, nil
 	}
-	return nil
+	return fp.toEngine.SendCost(), sp, nil
 }
 
-// Recv blocks until the engine delivers a descriptor for this function.
-// The returned buffer is owned by the function. core is charged the
-// channel wakeup cost.
-func (fp *FnPort) Recv(pr *sim.Proc, core Execer) mempool.Descriptor {
+// SendEnd closes the port-send span and ships d to the engine once the
+// send cost is paid.
+func (fp *FnPort) SendEnd(d mempool.Descriptor, sp trace.SpanRef) {
+	sp.End()
 	if fp.comch != nil {
-		d := fp.comch.RecvOnHost(pr)
-		sp := d.Trace.Begin(trace.StagePortRecv, fp.fn)
-		if c := fp.comch.HostWakeupCost(); c > 0 {
-			core.Exec(pr, c)
-		}
-		sp.End()
-		return d
+		fp.comch.SendToDNE(d)
+		return
 	}
-	d := fp.toFn.Recv(pr)
-	sp := d.Trace.Begin(trace.StagePortRecv, fp.fn)
-	core.Exec(pr, fp.toFn.WakeupCost())
+	fp.toEngine.Send(d)
+}
+
+// Recv blocks until the engine delivers a descriptor for this function and
+// core has paid the channel wakeup cost: the process form of TryRecv or
+// NotifyRecv, then Received, kept for the FnPort-level micro-rigs. The
+// returned buffer is owned by the function.
+func (fp *FnPort) Recv(pr *sim.Proc, core Execer) mempool.Descriptor {
+	var d mempool.Descriptor
+	if fp.comch != nil {
+		d = fp.comch.RecvOnHost(pr)
+	} else {
+		d = fp.toFn.Recv(pr)
+	}
+	sp, cost, charge := fp.Received(&d)
+	if charge {
+		core.Exec(pr, cost)
+	}
 	sp.End()
 	return d
 }
 
-// TryRecv is the non-blocking variant for functions that poll (Comch-P).
+// NotifyRecv parks fn until the engine delivers a descriptor for this
+// function: Recv's wait in engine context, for a port TryRecv just found
+// empty (see sim.Queue.Notify). fn takes the descriptor with TryRecv.
+func (fp *FnPort) NotifyRecv(fn func()) {
+	if fp.comch != nil {
+		fp.comch.NotifyOnHost(fn)
+		return
+	}
+	fp.toFn.Notify(fn)
+}
+
+// Received opens a received descriptor's port-receive span and returns the
+// channel wakeup cost the function's core pays before the span ends.
+// charge is false when the wakeup is free (busy-polled Comch-P), where no
+// cost is charged at all.
+func (fp *FnPort) Received(d *mempool.Descriptor) (sp trace.SpanRef, cost time.Duration, charge bool) {
+	sp = d.Trace.Begin(trace.StagePortRecv, fp.fn)
+	if fp.comch != nil {
+		cost = fp.comch.HostWakeupCost()
+		return sp, cost, cost > 0
+	}
+	return sp, fp.toFn.WakeupCost(), true
+}
+
+// TryRecv takes a delivered descriptor without blocking, if one is there.
 func (fp *FnPort) TryRecv() (mempool.Descriptor, bool) {
 	if fp.comch != nil {
 		return fp.comch.TryRecvOnHost()

@@ -210,7 +210,12 @@ func (ep *Endpoint) RecvOnHost(pr *sim.Proc) mempool.Descriptor {
 	return d
 }
 
-// TryRecvOnHost is the non-blocking host-side receive (Comch-P pollers).
+// NotifyOnHost parks fn until a descriptor arrives on the host side:
+// RecvOnHost's wait in engine context, for an endpoint TryRecvOnHost just
+// found empty (see sim.Queue.Notify).
+func (ep *Endpoint) NotifyOnHost(fn func()) { ep.toHost.Notify(fn) }
+
+// TryRecvOnHost is the non-blocking host-side receive.
 func (ep *Endpoint) TryRecvOnHost() (mempool.Descriptor, bool) {
 	d, ok := ep.toHost.TryGet()
 	if ok {

@@ -5,9 +5,10 @@
 // must terminate TCP again ("deferred" conversion, Fig. 4).
 //
 // The gateway follows the paper's master-worker model: run-to-completion
-// worker processes pinned to cores, RSS distribution of client connections,
-// and a hysteresis autoscaler driven by refined (useful-work) CPU
-// accounting.
+// workers pinned to cores, RSS distribution of client connections, and a
+// hysteresis autoscaler driven by refined (useful-work) CPU accounting.
+// Workers and master are engine-callback state machines, not processes:
+// each block point of their loops is one event (see internal/sim).
 package ingress
 
 import (
@@ -52,6 +53,15 @@ func (k Kind) String() string {
 
 // clientStack is the TCP stack the gateway uses toward external clients.
 func (k Kind) clientStack() transport.Stack {
+	if k == KIngress {
+		return transport.Kernel
+	}
+	return transport.FStack
+}
+
+// upstreamStack is the TCP stack deferred-conversion designs proxy upstream
+// with: F-Ingress keeps F-stack upstream connections, K-Ingress kernel ones.
+func (k Kind) upstreamStack() transport.Stack {
 	if k == KIngress {
 		return transport.Kernel
 	}
@@ -128,8 +138,11 @@ type workerEvent struct {
 	tr    *trace.Req
 }
 
-// worker is one gateway worker process pinned to a core.
+// worker is one gateway worker pinned to a core: a run-to-completion loop
+// whose block points — its core, its wake signal, a restart pause — are
+// one event each.
 type worker struct {
+	g      *Gateway
 	id     int
 	actor  string // span label, precomputed (was a per-request Sprintf)
 	core   *sim.Processor
@@ -137,6 +150,19 @@ type worker struct {
 	wake   *sim.Signal
 	active bool
 	util   metrics.UtilSampler
+
+	// The event in service and its open span.
+	ev workerEvent
+	sp trace.SpanRef
+	// A speculated request's launch: its group, the next arm to fire, the
+	// conversion each arm pays, the reply path and the arm's clone span.
+	grp     *speculate.Group
+	arm     int
+	conv    time.Duration
+	deliver func(Response)
+	armSpan trace.SpanRef
+
+	loopFn, resumedFn, recvdFn, convFn, armConvFn, respPolledFn, respSentFn func()
 }
 
 // Gateway is the cluster-wide ingress.
@@ -170,6 +196,8 @@ type Gateway struct {
 	// spec is the speculation controller, constructed when the policy
 	// speculates (or lazily, on the first per-request override).
 	spec *speculate.Spec
+
+	masterFn func() // master, bound once
 }
 
 // SetFlightRecorder routes shed and restart events into r (nil detaches).
@@ -203,7 +231,10 @@ func New(eng *sim.Engine, p *params.Params, cfg Config, backend Backend) *Gatewa
 		g.addWorker()
 	}
 	if cfg.AutoScale {
-		eng.Spawn("ingress-master", g.masterLoop)
+		// The master starts from one same-instant event, the one a spawn
+		// would schedule, and sleeps its first sampling period from there.
+		g.masterFn = g.master
+		eng.Immediate(func() { eng.After(p.IngressScaleCheckEvery, g.masterFn) })
 	}
 	return g
 }
@@ -265,18 +296,22 @@ func (g *Gateway) InjectRestart(pause time.Duration) {
 // InjectedRestarts reports how many restarts were injected.
 func (g *Gateway) InjectedRestarts() int { return g.injectedRestarts }
 
-// addWorker spawns a new worker process on a fresh core.
+// addWorker starts a new worker on a fresh core, from one same-instant
+// event.
 func (g *Gateway) addWorker() {
 	w := &worker{
+		g:      g,
 		id:     len(g.workers),
 		actor:  fmt.Sprintf("ingress-w%d", len(g.workers)),
 		core:   sim.NewProcessor(g.eng, fmt.Sprintf("ingress-w%d", len(g.workers)), g.p.HostCoreSpeed),
 		wake:   sim.NewSignal(g.eng),
 		active: true,
 	}
+	w.loopFn, w.resumedFn, w.recvdFn, w.convFn = w.loop, w.resumed, w.recvd, w.converted
+	w.armConvFn, w.respPolledFn, w.respSentFn = w.armConverted, w.respPolled, w.respSent
 	g.workers = append(g.workers, w)
 	g.nActive++
-	g.eng.Spawn(fmt.Sprintf("ingress-worker-%d", w.id), func(pr *sim.Proc) { g.workerLoop(pr, w) })
+	g.eng.Immediate(w.loopFn)
 }
 
 // Submit delivers a client request to the gateway after the external
@@ -323,86 +358,123 @@ func (g *Gateway) pick(client int) *worker {
 	return g.workers[0]
 }
 
-// workerLoop is the run-to-completion event loop of one worker process.
-func (g *Gateway) workerLoop(pr *sim.Proc, w *worker) {
-	p := g.p
-	kind := g.cfg.Kind
-	cs := kind.clientStack()
-	// Deferred-conversion designs proxy upstream over TCP: F-Ingress keeps
-	// F-stack upstream connections, K-Ingress kernel ones.
-	us := transport.FStack
-	if kind == KIngress {
-		us = transport.Kernel
+// loop is the top of a worker's run-to-completion loop: a retired worker
+// stops, an idle one parks on its wake signal, and during a restart pause
+// the worker sleeps it out first.
+func (w *worker) loop() {
+	g := w.g
+	switch {
+	case !w.active:
+	case w.q.Len() == 0:
+		w.wake.Notify(w.loopFn)
+	case g.pausedUntil > g.eng.Now():
+		// Worker restart window during horizontal scaling (§3.6).
+		g.eng.After(g.pausedUntil-g.eng.Now(), w.resumedFn)
+	default:
+		w.serve()
 	}
-	for w.active {
-		if w.q.Len() == 0 {
-			w.wake.Wait(pr)
-			continue
-		}
-		if g.pausedUntil > pr.Now() {
-			// Worker restart window during horizontal scaling (§3.6).
-			pr.Sleep(g.pausedUntil - pr.Now())
-		}
-		ev := w.q.PopFront()
-		if !ev.isResp {
-			req := ev.req
-			tr := req.Trace
-			tr.EndStage(trace.StageIngressQueue)
-			actor := w.actor
-			// Client-side TCP receive + HTTP processing.
-			sp := tr.Begin(trace.StageIngressRecv, actor)
-			w.core.Exec(pr, transport.RecvCost(p, cs, req.Bytes)+transport.HTTPCost(p)+g.cfg.ExtraPerRequest)
-			sp.End()
-			// Transport conversion / upstream proxy cost, paid once per arm
-			// (every clone is a separate post toward the backend).
-			var conv time.Duration
-			if kind == Nadino {
-				// Early transport conversion: copy the payload into an
-				// RDMA-registered buffer and post a two-sided send.
-				conv = p.MemcpyBase + params.Bytes(p.MemcpyPerByteCached, req.Bytes) + p.VerbsPostCost
-			} else {
-				// Proxy the HTTP request upstream over TCP, paying half
-				// the upstream connection-management overhead here.
-				conv = transport.SendCost(p, us, req.Bytes) + p.ProxyUpstreamOverhead/2
-			}
-			if g.spec == nil && req.Clone <= 1 && req.Hedge <= 0 {
-				// Unspeculated fast path, byte-identical to the
-				// pre-speculation gateway.
-				sp = tr.Begin(trace.StageIngressConv, actor)
-				w.core.Exec(pr, conv)
-				sp.End()
-				// The backend wait wraps every worker-side stage, so it is
-				// a detail span: in the timeline, excluded from sums.
-				tr.BeginStageDetail(trace.StageIngressWait, actor)
-				g.backend.Forward(req, g.deliver(w, req, tr))
-				continue
-			}
-			g.forwardSpeculative(pr, w, req, conv)
-			continue
-		}
-		resp := ev.resp
-		ev.tr.EndStage(trace.StageIngressQueue)
-		sp := ev.tr.Begin(trace.StageIngressResp, w.actor)
-		if kind == Nadino {
+}
+
+// resumed ends a restart pause. The master may have retired the worker,
+// moving its queue to another, while it slept: then it goes back to the
+// loop top. Otherwise it serves at once, as the pause it slept through
+// ends now.
+func (w *worker) resumed() {
+	if !w.active || w.q.Len() == 0 {
+		w.loop()
+		return
+	}
+	w.serve()
+}
+
+// serve takes the next event: a client request to convert and forward, or
+// a backend response to relay to its client.
+func (w *worker) serve() {
+	g, p := w.g, w.g.p
+	w.ev = w.q.PopFront()
+	if w.ev.isResp {
+		w.ev.tr.EndStage(trace.StageIngressQueue)
+		w.sp = w.ev.tr.Begin(trace.StageIngressResp, w.actor)
+		if g.cfg.Kind == Nadino {
 			// Poll the RDMA completion and copy the payload back out into
 			// the TCP stream.
-			w.core.Exec(pr, p.VerbsPostCost/2+p.MemcpyBase+params.Bytes(p.MemcpyPerByteCached, resp.Bytes))
+			w.core.Run(p.VerbsPostCost/2+p.MemcpyBase+params.Bytes(p.MemcpyPerByteCached, w.ev.resp.Bytes), w.respPolledFn)
 		} else {
-			w.core.Exec(pr, transport.RecvCost(p, us, resp.Bytes)+p.ProxyUpstreamOverhead/2)
+			w.core.Run(transport.RecvCost(p, g.cfg.Kind.upstreamStack(), w.ev.resp.Bytes)+p.ProxyUpstreamOverhead/2, w.respPolledFn)
 		}
-		// HTTP response relay + client-side TCP send.
-		w.core.Exec(pr, transport.HTTPCost(p)/2+transport.SendCost(p, cs, resp.Bytes))
-		sp.End()
-		g.served.Inc(1)
-		if cb := ev.reply; cb != nil {
-			t0 := pr.Now()
-			tr := ev.tr
-			g.eng.After(g.p.ExtNetOneWay+transport.TransitLatency(p, cs), func() {
-				tr.Record(trace.StageNetClient, "extnet", t0, g.eng.Now())
-				cb(resp)
-			})
-		}
+		return
 	}
+	req := w.ev.req
+	req.Trace.EndStage(trace.StageIngressQueue)
+	// Client-side TCP receive + HTTP processing.
+	w.sp = req.Trace.Begin(trace.StageIngressRecv, w.actor)
+	w.core.Run(transport.RecvCost(p, g.cfg.Kind.clientStack(), req.Bytes)+transport.HTTPCost(p)+g.cfg.ExtraPerRequest, w.recvdFn)
+}
+
+// recvd converts a received request toward the backend: one conversion,
+// or one per speculation arm.
+func (w *worker) recvd() {
+	g, p, req := w.g, w.g.p, w.ev.req
+	w.sp.End()
+	// Transport conversion / upstream proxy cost, paid once per arm (every
+	// clone is a separate post toward the backend).
+	if g.cfg.Kind == Nadino {
+		// Early transport conversion: copy the payload into an
+		// RDMA-registered buffer and post a two-sided send.
+		w.conv = p.MemcpyBase + params.Bytes(p.MemcpyPerByteCached, req.Bytes) + p.VerbsPostCost
+	} else {
+		// Proxy the HTTP request upstream over TCP, paying half the
+		// upstream connection-management overhead here.
+		w.conv = transport.SendCost(p, g.cfg.Kind.upstreamStack(), req.Bytes) + p.ProxyUpstreamOverhead/2
+	}
+	if g.spec == nil && req.Clone <= 1 && req.Hedge <= 0 {
+		// Unspeculated fast path, byte-identical to the pre-speculation
+		// gateway.
+		w.sp = req.Trace.Begin(trace.StageIngressConv, w.actor)
+		w.core.Run(w.conv, w.convFn)
+		return
+	}
+	w.launch()
+}
+
+// converted forwards an unspeculated request once converted.
+func (w *worker) converted() {
+	g, req := w.g, w.ev.req
+	tr := req.Trace
+	w.sp.End()
+	// The backend wait wraps every worker-side stage, so it is a detail
+	// span: in the timeline, excluded from sums.
+	tr.BeginStageDetail(trace.StageIngressWait, w.actor)
+	g.backend.Forward(req, g.deliver(w, req, tr))
+	w.done()
+}
+
+// respPolled relays a response to its client: HTTP response + client-side
+// TCP send.
+func (w *worker) respPolled() {
+	cs := w.g.cfg.Kind.clientStack()
+	w.core.Run(transport.HTTPCost(w.g.p)/2+transport.SendCost(w.g.p, cs, w.ev.resp.Bytes), w.respSentFn)
+}
+
+func (w *worker) respSent() {
+	g := w.g
+	w.sp.End()
+	g.served.Inc(1)
+	if cb := w.ev.reply; cb != nil {
+		t0 := g.eng.Now()
+		tr, resp := w.ev.tr, w.ev.resp
+		g.eng.After(g.p.ExtNetOneWay+transport.TransitLatency(g.p, g.cfg.Kind.clientStack()), func() {
+			tr.Record(trace.StageNetClient, "extnet", t0, g.eng.Now())
+			cb(resp)
+		})
+	}
+	w.done()
+}
+
+// done finishes the event in service and goes back to the loop top.
+func (w *worker) done() {
+	w.ev = workerEvent{}
+	w.loop()
 }
 
 // deliver returns the backend completion callback that requeues a response
@@ -422,78 +494,105 @@ func (g *Gateway) deliver(w *worker, req Request, tr *trace.Req) func(Response) 
 	}
 }
 
-// forwardSpeculative fires a request's speculation arms through the backend.
-// Initial arms run synchronously on the worker's core (each clone pays its
-// own conversion cost); a hedge arm fires later from the deadline timer and
-// charges its conversion asynchronously. The first arm to complete wins at
-// the Finish boundary and delivers; every later completion is a cancelled
-// loser that records a spec.cancel instant and releases nothing here —
-// whatever it held was returned by the layers it already traversed.
-func (g *Gateway) forwardSpeculative(pr *sim.Proc, w *worker, req Request, conv time.Duration) {
+// launch fires a request's speculation arms through the backend, with
+// the stepwise speculate.Start: each initial arm pays its own conversion
+// on the worker's core, one Run per arm, and the hedge timer is armed once
+// the last has gone out. A hedge arm fires later from the deadline timer
+// and charges its conversion asynchronously. The first arm to complete
+// wins at the Finish boundary and delivers; every later completion is a
+// cancelled loser that records a spec.cancel instant and releases nothing
+// here — whatever it held was returned by the layers it already traversed.
+func (w *worker) launch() {
+	g, req := w.g, w.ev.req
 	if g.spec == nil {
 		// Per-request override on a gateway whose policy never speculates.
 		g.spec = speculate.New(g.eng, g.cfg.Speculate)
 	}
 	tr := req.Trace
-	actor := w.actor
-	deliver := g.deliver(w, req, tr)
-	tr.BeginStageDetail(trace.StageIngressWait, actor)
-	sync := true
-	g.spec.Launch(req.Chain, req.Clone, req.Hedge, func(grp *speculate.Group, arm int) bool {
-		armReq := req
-		armReq.Group = grp
-		armReq.Arm = arm
-		armSpan := tr.BeginDetail(trace.StageSpecClone, actor)
-		if sync {
-			spc := tr.Begin(trace.StageIngressConv, actor)
-			w.core.Exec(pr, conv)
-			spc.End()
-		} else {
-			// Hedge arm: fired in engine context by the deadline timer;
-			// the conversion work lands on the worker core asynchronously.
-			w.core.Charge(conv)
-		}
-		g.backend.Forward(armReq, func(resp Response) {
-			armSpan.End()
-			if !grp.Finish(armReq.Arm) {
-				// A loser that made it all the way back to the boundary:
-				// suppressed here, its response buffer already recycled by
-				// the backend's completion path.
-				tr.Event(trace.StageSpecCancel, actor)
-				return
-			}
-			deliver(resp)
-		})
-		return true
-	})
-	sync = false
+	w.deliver = g.deliver(w, req, tr)
+	tr.BeginStageDetail(trace.StageIngressWait, w.actor)
+	w.grp, w.arm = g.spec.Start(req.Chain, req.Clone, req.Hedge), 0
+	w.nextArm()
 }
 
-// masterLoop is the autoscaler: hysteresis on average useful-work CPU
-// utilization across active workers (scale up at 60%, down at 30%), with a
-// brief service interruption on each scale event.
-func (g *Gateway) masterLoop(pr *sim.Proc) {
-	p := g.p
-	for {
-		pr.Sleep(p.IngressScaleCheckEvery)
-		var sum float64
-		for _, w := range g.workers {
-			if w.active {
-				sum += w.util.Sample(pr.Now(), w.core.BusyTime())
-			}
+// nextArm converts the next initial arm, or arms the hedge after the last.
+func (w *worker) nextArm() {
+	if w.arm == w.grp.Clones() {
+		w.grp.ArmHedge(w.hedgeFire(w.ev.req, w.conv, w.deliver))
+		w.grp, w.deliver = nil, nil
+		w.done()
+		return
+	}
+	tr := w.ev.req.Trace
+	w.armSpan = tr.BeginDetail(trace.StageSpecClone, w.actor)
+	w.sp = tr.Begin(trace.StageIngressConv, w.actor)
+	w.core.Run(w.conv, w.armConvFn)
+}
+
+// armConverted sends the converted arm.
+func (w *worker) armConverted() {
+	w.sp.End()
+	w.forwardArm(w.ev.req, w.grp, w.arm, w.armSpan, w.deliver)
+	w.grp.Fired(w.arm, true)
+	w.arm++
+	w.nextArm()
+}
+
+// hedgeFire is the hedge arm's fire: it runs in engine context from the
+// deadline timer, so the conversion lands on the worker core
+// asynchronously.
+func (w *worker) hedgeFire(req Request, conv time.Duration, deliver func(Response)) func(*speculate.Group, int) bool {
+	return func(grp *speculate.Group, arm int) bool {
+		armSpan := req.Trace.BeginDetail(trace.StageSpecClone, w.actor)
+		w.core.Charge(conv)
+		w.forwardArm(req, grp, arm, armSpan, deliver)
+		return true
+	}
+}
+
+// forwardArm sends one arm of a speculated request to the backend. Its
+// completion resolves at the Finish boundary: the winner delivers, a loser
+// that made it back is suppressed.
+func (w *worker) forwardArm(req Request, grp *speculate.Group, arm int, armSpan trace.SpanRef, deliver func(Response)) {
+	req.Group, req.Arm = grp, arm
+	tr := req.Trace
+	w.g.backend.Forward(req, func(resp Response) {
+		armSpan.End()
+		if !grp.Finish(arm) {
+			// A loser that made it all the way back to the boundary:
+			// suppressed here, its response buffer already recycled by the
+			// backend's completion path.
+			tr.Event(trace.StageSpecCancel, w.actor)
+			return
 		}
-		avg := sum / float64(g.nActive)
-		switch {
-		case avg >= p.IngressScaleUpUtil && g.nActive < g.cfg.MaxWorkers:
-			g.addWorker()
-			g.scaleEvents++
-			g.pausedUntil = pr.Now() + p.IngressRestartPause
-		case avg <= p.IngressScaleDownUtil && g.nActive > 1:
-			g.removeWorker()
-			g.scaleEvents++
-			g.pausedUntil = pr.Now() + p.IngressRestartPause
+		deliver(resp)
+	})
+}
+
+// master is the autoscaler: every sampling period, hysteresis on average
+// useful-work CPU utilization across active workers (scale up at 60%, down
+// at 30%), with a brief service interruption on each scale event.
+func (g *Gateway) master() {
+	p := g.p
+	now := g.eng.Now()
+	var sum float64
+	for _, w := range g.workers {
+		if w.active {
+			sum += w.util.Sample(now, w.core.BusyTime())
 		}
 	}
+	avg := sum / float64(g.nActive)
+	switch {
+	case avg >= p.IngressScaleUpUtil && g.nActive < g.cfg.MaxWorkers:
+		g.addWorker()
+		g.scaleEvents++
+		g.pausedUntil = now + p.IngressRestartPause
+	case avg <= p.IngressScaleDownUtil && g.nActive > 1:
+		g.removeWorker()
+		g.scaleEvents++
+		g.pausedUntil = now + p.IngressRestartPause
+	}
+	g.eng.After(p.IngressScaleCheckEvery, g.masterFn)
 }
 
 // removeWorker drains and retires the most recently added active worker.
@@ -505,7 +604,7 @@ func (g *Gateway) removeWorker() {
 		}
 		w.active = false
 		g.nActive--
-		w.wake.Pulse() // let its loop observe inactivity and exit
+		w.wake.Pulse() // let its loop observe inactivity and stop
 		if w.q.Len() > 0 && g.nActive > 0 {
 			dst := g.pick(0)
 			for w.q.Len() > 0 {

@@ -182,3 +182,40 @@ func TestRecorderSeries(t *testing.T) {
 		t.Fatalf("busy-poll CPU-in-use = %v, want 1 core", gw.CPUSeries.Max())
 	}
 }
+
+// TestRetiredWorkerSleepingThroughPause is the regression for a worker the
+// master retires while it sleeps through a restart pause: the master moves
+// its queued request to another worker, and when the pause ends the
+// retired worker must stop — not pop its now-empty queue. The request is
+// served once, and the retired worker schedules nothing more.
+func TestRetiredWorkerSleepingThroughPause(t *testing.T) {
+	p := params.Default()
+	eng := sim.NewEngine(1)
+	defer eng.Stop()
+	backend := DefaultEchoBackend(eng, p, Nadino, 1)
+	gw := New(eng, p, Config{Kind: Nadino, InitialWorkers: 2, MaxWorkers: 4, AutoScale: true}, backend)
+	replies := 0
+	eng.At(400*time.Millisecond, func() {
+		gw.InjectRestart(time.Second)
+		gw.Submit(Request{Client: 1, Bytes: 512, RespBytes: 512, Stamp: eng.Now(),
+			Reply: func(Response) { replies++ }})
+	})
+	eng.RunUntil(p.IngressScaleCheckEvery + time.Microsecond)
+	if gw.ActiveWorkers() != 1 || gw.ScaleEvents() != 1 {
+		t.Fatalf("%d active workers after %d scale events; want the master to retire one", gw.ActiveWorkers(), gw.ScaleEvents())
+	}
+	retired := gw.Cores()[1]
+	ops := retired.Ops()
+	eng.RunUntil(1450 * time.Millisecond) // past the retired worker's pause
+	if replies != 1 || gw.Served() != 1 {
+		t.Fatalf("%d replies, %d served; want the moved request served once", replies, gw.Served())
+	}
+	if retired.Ops() != ops {
+		t.Fatalf("retired worker ran %d more ops", retired.Ops()-ops)
+	}
+	// Only the master's next sampling tick is left: the retired worker
+	// parked nowhere and armed nothing when its pause ended.
+	if eng.Pending() != 1 {
+		t.Fatalf("%d events pending after the pause, want the master's tick alone", eng.Pending())
+	}
+}

@@ -101,6 +101,10 @@ func (c *SKMsg) Recv(pr *sim.Proc) mempool.Descriptor {
 	return d
 }
 
+// Notify parks fn until a descriptor arrives: Recv's wait in engine
+// context, for a channel TryRecv just found empty (see sim.Queue.Notify).
+func (c *SKMsg) Notify(fn func()) { c.q.Notify(fn) }
+
 // TryRecv is the non-blocking receive used by event loops.
 func (c *SKMsg) TryRecv() (mempool.Descriptor, bool) {
 	d, ok := c.q.TryGet()

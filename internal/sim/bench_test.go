@@ -160,3 +160,52 @@ func BenchmarkSignalNotify(b *testing.B) {
 	b.ResetTimer()
 	eng.Run()
 }
+
+// BenchmarkQueueNotify measures a continuation getter parked on an empty
+// queue and woken by a put: one Notify, one TryPut and the one Immediate
+// that delivers the getter per op — the engine-context replacement for a
+// process's Queue.Get round trip.
+func BenchmarkQueueNotify(b *testing.B) {
+	b.ReportAllocs()
+	eng := NewEngine(1)
+	defer eng.Stop()
+	q := NewQueue[int](eng, 0)
+	n := 0
+	var again func()
+	again = func() {
+		q.TryGet()
+		n++
+		if n < b.N {
+			q.Notify(again)
+			q.TryPut(n)
+		}
+	}
+	q.Notify(again)
+	q.TryPut(0)
+	b.ResetTimer()
+	eng.Run()
+}
+
+// BenchmarkPSRun is BenchmarkPSQuantum in continuation form: 8 resident
+// Run continuations churning through short service slices on a PS core,
+// every admission and departure re-arming the whole set on pooled events.
+func BenchmarkPSRun(b *testing.B) {
+	b.ReportAllocs()
+	eng := NewEngine(1)
+	defer eng.Stop()
+	c := NewProcessorDisc(eng, "ps", 1.0, PS)
+	const k = 8
+	n := 0
+	var again func()
+	again = func() {
+		n++
+		if n < b.N {
+			c.Run(100*time.Nanosecond, again)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < k; i++ {
+		c.Run(100*time.Nanosecond, again)
+	}
+	eng.Run()
+}

@@ -17,8 +17,9 @@ const (
 	// each progress at speed/n, re-evaluated on every arrival, departure
 	// and speed change. It is the limit of round-robin as the quantum goes
 	// to zero, modeled without per-quantum events: each job's completion
-	// instant is re-armed in place on the process's owned timer slot, so
-	// the re-arm hot path allocates nothing.
+	// instant is re-armed on the process's owned timer slot (a pooled
+	// event for a Run continuation), so the re-arm hot path allocates
+	// nothing.
 	PS
 )
 
@@ -52,8 +53,9 @@ type Processor struct {
 	// concurrent caller) and is swap-removed on completion, so steady state
 	// allocates nothing.
 	waiters []procWaiter
-	// runDoneFn is runDone bound once, the completion callback of every Run.
-	runDoneFn func()
+	// runDoneFn (FCFS) or psDoneFn (PS) is runDone or psDone bound once,
+	// the completion callback of every Run.
+	runDoneFn, psDoneFn func()
 
 	// psJobs is the PS in-service set; rem is each job's remaining
 	// reference-cost work. psLast is the last instant the set was advanced;
@@ -71,9 +73,11 @@ type procWaiter struct {
 	ev   Event
 }
 
-// psJob is one in-service PS request.
+// psJob is one in-service PS request: a blocked process, or (then set) a
+// Run continuation.
 type psJob struct {
 	proc *Proc
+	then func()
 	rem  time.Duration // remaining reference-cost work
 	ev   Event
 }
@@ -91,7 +95,11 @@ func NewProcessorDisc(e *Engine, name string, speed float64, disc Discipline) *P
 		panic(fmt.Sprintf("sim: processor %q with non-positive speed", name))
 	}
 	c := &Processor{eng: e, name: name, speed: speed, disc: disc}
-	c.runDoneFn = c.runDone
+	if disc == PS {
+		c.psDoneFn = c.psDone
+	} else {
+		c.runDoneFn = c.runDone
+	}
 	return c
 }
 
@@ -125,21 +133,23 @@ func (c *Processor) Exec(p *Proc, cost time.Duration) {
 	c.dropWaiter(p)
 }
 
-// Run is Exec for engine context on an FCFS core: it charges cost exactly
-// as Exec would and calls then at the completion instant. It schedules the
-// one event a blocked Exec would — a same-instant event when the work
-// completes at once, else a completion event SetSpeed re-arms like a
-// blocked process's — so a state machine that replaces each Exec with a
-// Run fires in the same (time, sequence) order as the process did. then is
-// only ever called from that fired event, never synchronously inside Run.
-// Pass a function value bound once (e.g. a method value stored at setup):
-// the core stores it as is, so a steady-state Run allocates nothing.
+// Run is Exec for engine context: it charges cost exactly as Exec would
+// and calls then at the completion instant. It schedules the one event a
+// blocked Exec would — a same-instant event when the work completes at
+// once, else a completion event that SetSpeed (and, on a PS core, every
+// arrival and departure) re-arms like a blocked process's — so a state
+// machine that replaces each Exec with a Run fires in the same (time,
+// sequence) order as the process did. then is only ever called from that
+// fired event, never synchronously inside Run. Pass a function value bound
+// once (e.g. a method value stored at setup): the core stores it as is, so
+// a steady-state Run allocates nothing.
 func (c *Processor) Run(cost time.Duration, then func()) {
 	if cost < 0 {
 		panic("sim: negative exec cost")
 	}
 	if c.disc == PS {
-		panic(fmt.Sprintf("sim: Run on PS processor %q", c.name))
+		c.runPS(cost, then)
+		return
 	}
 	if !c.admit(cost) {
 		c.eng.Immediate(then)
@@ -221,14 +231,51 @@ func (c *Processor) execPS(p *Proc, cost time.Duration) {
 	c.psAdvance(now)
 	for i := range c.psJobs {
 		if c.psJobs[i].proc == p {
-			last := len(c.psJobs) - 1
-			c.psJobs[i] = c.psJobs[last]
-			c.psJobs[last] = psJob{}
-			c.psJobs = c.psJobs[:last]
+			c.dropPSJob(i)
 			break
 		}
 	}
 	c.psRearm(now)
+}
+
+// runPS is Run on a PS core: execPS with the job's completion event calling
+// psDone instead of resuming a process.
+func (c *Processor) runPS(cost time.Duration, then func()) {
+	now := c.eng.now
+	c.psAdvance(now)
+	c.ops++
+	if cost == 0 {
+		c.eng.Immediate(then)
+		return
+	}
+	c.psJobs = append(c.psJobs, psJob{then: then, rem: cost})
+	c.psRearm(now)
+}
+
+// psDone is the completion event of a PS Run. The fired job is the one
+// continuation whose event is no longer pending (every set change re-arms
+// all the others); it leaves the set exactly as a process leaves execPS,
+// then its continuation runs.
+func (c *Processor) psDone() {
+	for i := range c.psJobs {
+		j := c.psJobs[i]
+		if j.then != nil && !j.ev.Pending() {
+			now := c.eng.now
+			c.psAdvance(now)
+			c.dropPSJob(i)
+			c.psRearm(now)
+			j.then()
+			return
+		}
+	}
+}
+
+// dropPSJob swap-removes psJobs[i].
+func (c *Processor) dropPSJob(i int) {
+	last := len(c.psJobs) - 1
+	c.psJobs[i] = c.psJobs[last]
+	c.psJobs[last] = psJob{}
+	c.psJobs = c.psJobs[:last]
 }
 
 // psAdvance drains the in-service set for the time elapsed since the last
@@ -253,15 +300,21 @@ func (c *Processor) psAdvance(now time.Duration) {
 
 // psRearm reschedules every in-service job's completion event to its share-
 // weighted finish instant: rem_i * n / speed from now. Each wake is disarmed
-// and re-armed in place on the job's owned timer slot — the 0-alloc quantum
-// re-arm the PS discipline is built on.
+// and re-armed in place on the job's owned timer slot, or through a pooled
+// event for a Run continuation — the 0-alloc quantum re-arm the PS
+// discipline is built on. Every re-arm takes a fresh sequence number, in
+// set order, whichever form the job has.
 func (c *Processor) psRearm(now time.Duration) {
 	n := len(c.psJobs)
 	for i := range c.psJobs {
 		j := &c.psJobs[i]
 		j.ev.Cancel()
 		wake := now + time.Duration(float64(j.rem)*float64(n)/c.speed)
-		j.ev = c.eng.wakeProcAt(wake, j.proc)
+		if j.then != nil {
+			j.ev = c.eng.At(wake, c.psDoneFn)
+		} else {
+			j.ev = c.eng.wakeProcAt(wake, j.proc)
+		}
 	}
 }
 

@@ -8,15 +8,26 @@ import (
 
 // WaitQueue is a FIFO list of blocked processes. It is the building block
 // for the higher-level primitives in this package; model code can also use
-// it directly for ad-hoc conditions. A Signal's queue also holds one-shot
-// continuations (Signal.Notify), which only its WakeAll delivers.
+// it directly for ad-hoc conditions. A queue also holds one-shot
+// continuations in the same FIFO: a Signal's (Signal.Notify), which its
+// WakeAll delivers, and a Queue's getters (Queue.Notify), which WakeOne
+// delivers.
 type WaitQueue struct {
 	eng     *Engine
 	waiters ring.Deque[waiter]
+	// woken holds the continuations WakeOne released, oldest first, until
+	// their delivery events fire; each deliverFn (deliver, bound on first
+	// use) event pops one, and events fire in scheduling order.
+	woken     ring.Deque[func()]
+	deliverFn func()
+	// ready, when set, gates a released continuation: finding it false at
+	// delivery, the continuation re-registers at the back instead of
+	// running, as a woken process's Get loop waits again.
+	ready func() bool
 }
 
 // waiter is one WaitQueue entry: a blocked process, or (fn set) a
-// continuation registered by Signal.Notify.
+// continuation registered by Signal.Notify or Queue.Notify.
 type waiter struct {
 	p  *Proc
 	fn func()
@@ -32,13 +43,35 @@ func (w *WaitQueue) Wait(p *Proc) {
 }
 
 // WakeOne releases the oldest waiter, if any. The waiter resumes at the
-// current virtual time, after events already queued for this instant.
+// current virtual time, after events already queued for this instant: a
+// process through its wake event, a continuation through one Immediate of
+// its own, never synchronously inside WakeOne.
 func (w *WaitQueue) WakeOne() bool {
 	if w.waiters.Len() == 0 {
 		return false
 	}
-	w.eng.wakeImmediate(w.waiters.PopFront().p)
+	x := w.waiters.PopFront()
+	if x.fn == nil {
+		w.eng.wakeImmediate(x.p)
+		return true
+	}
+	if w.deliverFn == nil {
+		w.deliverFn = w.deliver
+	}
+	w.woken.PushBack(x.fn)
+	w.eng.Immediate(w.deliverFn)
 	return true
+}
+
+// deliver runs the oldest continuation WakeOne released, or re-registers it
+// at the back when the queue's ready gate finds nothing for it.
+func (w *WaitQueue) deliver() {
+	fn := w.woken.PopFront()
+	if w.ready != nil && !w.ready() {
+		w.waiters.PushBack(waiter{fn: fn})
+		return
+	}
+	fn()
 }
 
 // WakeAll releases every waiter in FIFO order as one batched delivery: the
@@ -79,6 +112,8 @@ func NewQueue[T any](e *Engine, capacity int) *Queue[T] {
 	}
 }
 
+func (q *Queue[T]) nonEmpty() bool { return q.items.Len() > 0 }
+
 // Put appends v, blocking while the queue is full.
 func (q *Queue[T]) Put(p *Proc, v T) {
 	for q.cap > 0 && q.items.Len() >= q.cap {
@@ -106,6 +141,25 @@ func (q *Queue[T]) Get(p *Proc) T {
 	v := q.items.PopFront()
 	q.putters.WakeOne()
 	return v
+}
+
+// Notify is Get for engine context, for a queue that TryGet just found
+// empty: fn runs once, when an item is there for it. It takes its FIFO
+// place among the getters beside blocked processes; the Put that reaches
+// it delivers it through one same-instant event, and if a getter ahead of
+// it took the item first it re-registers at the back, as Get's loop does.
+// fn takes the item with TryGet. It is only ever called from that fired
+// event, never synchronously inside Notify or Put. Pass a function value
+// bound once: the queue stores it as is, so a steady-state Notify
+// allocates nothing.
+func (q *Queue[T]) Notify(fn func()) {
+	if q.items.Len() > 0 {
+		panic("sim: Queue.Notify on a non-empty queue; take the item with TryGet")
+	}
+	if q.getters.ready == nil {
+		q.getters.ready = q.nonEmpty
+	}
+	q.getters.waiters.PushBack(waiter{fn: fn})
 }
 
 // TryGet removes the oldest item without blocking.

@@ -207,8 +207,23 @@ type Group struct {
 // cloneOverride/hedgeOverride customize the policy per request (trace
 // replays carry their own clone factor and hedge deadline): cloneOverride 0
 // defers to the policy, as does a negative hedgeOverride; hedgeOverride 0
-// with Hedge off stays unhedged.
+// with Hedge off stays unhedged. Launch is Start, Fired for each of the
+// group's Clones arms, then ArmHedge.
 func (s *Spec) Launch(chain string, cloneOverride int, hedgeOverride time.Duration, fire func(g *Group, arm int) bool) *Group {
+	g := s.Start(chain, cloneOverride, hedgeOverride)
+	for arm := 0; arm < g.clone; arm++ {
+		g.Fired(arm, fire(g, arm))
+	}
+	g.ArmHedge(fire)
+	return g
+}
+
+// Start opens a request's group without firing anything: the stepwise
+// form of Launch, for a caller whose arms each take a block point (the
+// ingress worker converts every arm on its core). The caller fires arms 0
+// to Clones()-1 in order, reports each with Fired as it goes out, and then
+// calls ArmHedge, exactly as Launch does.
+func (s *Spec) Start(chain string, cloneOverride int, hedgeOverride time.Duration) *Group {
 	g := &Group{s: s, chain: chain, start: s.eng.Now(), clone: s.pol.CloneN, hedgeOn: s.pol.Hedge, hedgeMinReq: -1}
 	if cloneOverride > 0 {
 		g.clone = cloneOverride
@@ -218,41 +233,56 @@ func (s *Spec) Launch(chain string, cloneOverride int, hedgeOverride time.Durati
 		g.hedgeMinReq = hedgeOverride
 	}
 	s.stats.Launched++
-	for arm := 0; arm < g.clone; arm++ {
-		if !fire(g, arm) {
-			continue
-		}
-		g.arms++
-		s.stats.Arms++
-		if arm > ArmPrimary {
-			s.stats.Clones++
-		}
-	}
-	if g.hedgeOn && g.arms > 0 {
-		deadline := s.Deadline(chain)
-		if g.hedgeMinReq > deadline {
-			deadline = g.hedgeMinReq
-		}
-		g.hedgeArmed = true
-		s.pending++
-		g.hedge = s.eng.After(deadline, func() {
-			g.hedgeArmed = false
-			s.pending--
-			if g.won {
-				// The cancel raced the firing instant; count it, fire
-				// nothing.
-				s.stats.LateFires++
-				return
-			}
-			arm := g.arms
-			if fire(g, arm) {
-				g.arms++
-				s.stats.Arms++
-				s.stats.Hedges++
-			}
-		})
-	}
 	return g
+}
+
+// Clones reports how many arms the group fires at launch.
+func (g *Group) Clones() int { return g.clone }
+
+// Fired records launch-time arm arm's outcome: sent counts it, an arm that
+// was not sent is skipped.
+func (g *Group) Fired(arm int, sent bool) {
+	if !sent {
+		return
+	}
+	s := g.s
+	g.arms++
+	s.stats.Arms++
+	if arm > ArmPrimary {
+		s.stats.Clones++
+	}
+}
+
+// ArmHedge arms the group's hedge timer once its launch-time arms are out,
+// if the group hedges and at least one arm was sent: fire issues the hedge
+// arm if the deadline passes with the group still unresolved.
+func (g *Group) ArmHedge(fire func(g *Group, arm int) bool) {
+	s := g.s
+	if !g.hedgeOn || g.arms == 0 {
+		return
+	}
+	deadline := s.Deadline(g.chain)
+	if g.hedgeMinReq > deadline {
+		deadline = g.hedgeMinReq
+	}
+	g.hedgeArmed = true
+	s.pending++
+	g.hedge = s.eng.After(deadline, func() {
+		g.hedgeArmed = false
+		s.pending--
+		if g.won {
+			// The cancel raced the firing instant; count it, fire
+			// nothing.
+			s.stats.LateFires++
+			return
+		}
+		arm := g.arms
+		if fire(g, arm) {
+			g.arms++
+			s.stats.Arms++
+			s.stats.Hedges++
+		}
+	})
 }
 
 // Arms reports how many arms the group has fired so far.
