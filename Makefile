@@ -34,6 +34,7 @@ race:
 check: vet race
 
 # bench runs the simulator-core microbenchmarks (event scheduling, cancel,
+# same-instant Immediate, the near path under 100k far timers,
 # spawn/yield, the continuation forms — FCFS and PS Run, Signal and Queue
 # Notify; events/sec and allocs/op)
 # plus the cluster-scale sweep
@@ -52,14 +53,15 @@ bench:
 	  $(GO) test -run '^$$' -bench 'BenchmarkScaleSweep' -benchtime 1x -timeout 30m ./internal/experiments/ ) | $(GO) run ./cmd/benchjson > BENCH_sim.json
 
 # bench-gate re-runs the headline microbenchmarks — event-core schedule hot
-# path, pooled spawn and the continuation forms (FCFS and PS Run, Signal and
+# path, same-instant Immediate, the near path under 100k far timers, pooled
+# spawn and the continuation forms (FCFS and PS Run, Signal and
 # Queue Notify; pinned at 0 allocs/op), plus the data-plane fast path (QP send, CQ ring
 # drain, cached mempool Get/Put), the gateway forwarding path and the
 # flight-recorder record path (pinned at 0 allocs/op) — and fails if any
 # regressed more than 25% in ns/op, or allocates more per op, against the
 # archived BENCH_sim.json.
 bench-gate:
-	( $(GO) test -run '^$$' -bench 'BenchmarkEngineSchedule$$|BenchmarkProcSpawn$$|BenchmarkProcessorRun$$|BenchmarkSignalNotify$$|BenchmarkQueueNotify$$|BenchmarkPSQuantum$$|BenchmarkPSRun$$' -benchmem ./internal/sim/ ; \
+	( $(GO) test -run '^$$' -bench 'BenchmarkEngineSchedule$$|BenchmarkEngineImmediate$$|BenchmarkEngineFarTimers$$|BenchmarkProcSpawn$$|BenchmarkProcessorRun$$|BenchmarkSignalNotify$$|BenchmarkQueueNotify$$|BenchmarkPSQuantum$$|BenchmarkPSRun$$' -benchmem ./internal/sim/ ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkQPPostSend$$|BenchmarkCQPollInto$$' -benchmem ./internal/rdma/ ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkMempoolCachedGetPut$$' -benchmem ./internal/mempool/ ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkGatewayForward$$|BenchmarkChainCrossNode$$' -benchmem ./internal/gateway/ ; \

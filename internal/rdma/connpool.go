@@ -18,6 +18,9 @@ type ConnPool struct {
 	Tenant string
 
 	conns []*QP // local ends toward the peer
+	rnic  *RNIC // the local RNIC every conn shares
+	// errorsSeen is rnic.qpErrors at this pool's last Repair scan.
+	errorsSeen uint64
 
 	// minActive is the floor of active connections kept warm.
 	minActive int
@@ -52,8 +55,8 @@ func EstablishPair(pr *sim.Proc, p *params.Params, tenant string, a, b *RNIC, n 
 		panic("rdma: connection pool must hold at least one QP")
 	}
 	pr.Sleep(p.QPSetupTime)
-	poolA := &ConnPool{eng: pr.Engine(), p: p, Tenant: tenant, minActive: 1, congestion: 8}
-	poolB := &ConnPool{eng: pr.Engine(), p: p, Tenant: tenant, minActive: 1, congestion: 8}
+	poolA := &ConnPool{eng: pr.Engine(), p: p, Tenant: tenant, rnic: a, minActive: 1, congestion: 8}
+	poolB := &ConnPool{eng: pr.Engine(), p: p, Tenant: tenant, rnic: b, minActive: 1, congestion: 8}
 	for i := 0; i < n; i++ {
 		qa, qb := Connect(a, b, tenant, srqA, srqB, cqA, cqB)
 		if i >= poolA.minActive {
@@ -143,6 +146,14 @@ func (cp *ConnPool) Shrink() int {
 // one QPSetupTime before rejoining the pool. Call it periodically (the DNE
 // core thread does). Returns how many repairs were started.
 func (cp *ConnPool) Repair() int {
+	// A scan marks every errored QP repairing, and a repair clears both
+	// flags together, so a QP errored and not yet repairing must have
+	// errored since the last scan. The local RNIC counts those errors:
+	// while its count is unchanged there is none.
+	if cp.rnic.qpErrors == cp.errorsSeen {
+		return 0
+	}
+	cp.errorsSeen = cp.rnic.qpErrors
 	n := 0
 	for _, qp := range cp.conns {
 		if !qp.errored || qp.repairing {

@@ -82,6 +82,81 @@ func TestPersistentOutageErrorsQP(t *testing.T) {
 	}
 }
 
+// TestRepairMatchesFullScan pins Repair's idle short cut: after each kind
+// of error the RNIC counts, Repair starts exactly the repairs a full scan
+// of the pool would, and at least one.
+func TestRepairMatchesFullScan(t *testing.T) {
+	// fullScan counts what Repair would start without the short cut.
+	fullScan := func(cp *ConnPool) int {
+		n := 0
+		for _, qp := range cp.conns {
+			if qp.errored && !qp.repairing {
+				n++
+			}
+		}
+		return n
+	}
+	for _, tc := range []struct {
+		name string
+		// hurt errors QPs of pool (and maybe of sibling, a pool on the same
+		// local RNIC) once both pools have been scanned clean.
+		hurt func(t *testing.T, r *testRig, pool, sibling *ConnPool)
+	}{
+		{"force-error", func(t *testing.T, r *testRig, pool, _ *ConnPool) {
+			pool.conns[1].ForceError()
+		}},
+		{"retry-exceeded", func(t *testing.T, r *testRig, pool, _ *ConnPool) {
+			in := chaos.NewInjector(r.eng, r.net, 1)
+			in.Install(chaos.Schedule{{At: r.eng.Now(), Fault: chaos.NodeDown{Node: "nodeB"}}})
+			src, _ := r.poolA.Get("cli")
+			pool.Pick().PostSend(mempool.Descriptor{Tenant: "t", Buf: src, Len: 64})
+			r.eng.RunUntil(r.eng.Now() + time.Second)
+		}},
+		{"error-after-repair", func(t *testing.T, r *testRig, pool, _ *ConnPool) {
+			pool.conns[2].ForceError()
+			if n := pool.Repair(); n != 1 {
+				t.Fatalf("first repair started %d, want 1", n)
+			}
+			r.eng.RunUntil(r.eng.Now() + r.p.QPSetupTime)
+			if pool.conns[2].Errored() {
+				t.Fatal("QP still errored after its repair")
+			}
+			pool.conns[2].ForceError()
+		}},
+		{"sibling-pool", func(t *testing.T, r *testRig, pool, sibling *ConnPool) {
+			sibling.conns[0].ForceError()
+			pool.conns[3].ForceError()
+			if got, want := sibling.Repair(), 1; got != want {
+				t.Fatalf("sibling repair started %d, want %d", got, want)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t, 1)
+			var pool, sibling *ConnPool
+			r.eng.Spawn("setup", func(p *sim.Proc) {
+				pool, _ = EstablishPair(p, r.p, "t", r.ra, r.rb, 4, r.srqA, r.srqB, r.cqA, r.cqB)
+				sibling, _ = EstablishPair(p, r.p, "u", r.ra, r.rb, 4, r.srqA, r.srqB, r.cqA, r.cqB)
+			})
+			r.eng.Run()
+			if pool.Repair() != 0 || sibling.Repair() != 0 {
+				t.Fatal("Repair started work on a healthy pool")
+			}
+			tc.hurt(t, r, pool, sibling)
+			want := fullScan(pool)
+			if want == 0 {
+				t.Fatal("case errored no QP of the pool")
+			}
+			if got := pool.Repair(); got != want {
+				t.Fatalf("Repair started %d repairs, a full scan finds %d", got, want)
+			}
+			if got := pool.Repair(); got != 0 {
+				t.Fatalf("second Repair started %d, want 0", got)
+			}
+		})
+	}
+}
+
 func TestConnPoolRepairsErroredQPs(t *testing.T) {
 	r := newRig(t, 1)
 	// Outage from pool establishment until t=50ms: long enough to error the

@@ -114,6 +114,7 @@ func (qp *QP) ForceError() {
 		return
 	}
 	qp.errored = true
+	qp.rnic.qpErrors++
 	qp.rnic.cache.evict(qp.id)
 }
 
@@ -257,7 +258,10 @@ func (st *wrState) check() {
 	}
 	st.attempts++
 	if st.attempts > r.p.TransportRetries {
-		qp.errored = true
+		if !qp.errored {
+			qp.errored = true
+			r.qpErrors++
+		}
 		r.cache.evict(qp.id)
 		st.done = true // tombstone: late copies must not double-complete
 		r.eng.After(dedupWindow, st.expireFn)

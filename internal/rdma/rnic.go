@@ -409,6 +409,9 @@ type RNIC struct {
 
 	sends, writes, reads, atomics uint64
 	rnrRetries                    uint64
+	// qpErrors counts QP transitions into the error state (forced or
+	// retry exceeded); ConnPool.Repair skips its scan while it is unchanged.
+	qpErrors uint64
 }
 
 // NewRNIC attaches a new RNIC for node to the network.

@@ -10,13 +10,16 @@ import (
 // of degenerate FIFO order. It allocates nothing.
 type benchJitter uint64
 
-func (j *benchJitter) next() time.Duration {
+func (j *benchJitter) next() time.Duration { return j.within(4096) }
+
+// within returns the next jittered duration in [0, d).
+func (j *benchJitter) within(d time.Duration) time.Duration {
 	x := uint64(*j)
 	x ^= x << 13
 	x ^= x >> 7
 	x ^= x << 17
 	*j = benchJitter(x)
-	return time.Duration(x%4096) * time.Nanosecond
+	return time.Duration(x % uint64(d))
 }
 
 // BenchmarkEngineSchedule measures steady-state schedule+fire throughput
@@ -89,6 +92,42 @@ func BenchmarkEngineImmediate(b *testing.B) {
 	eng.Immediate(again)
 	b.ResetTimer()
 	eng.Run()
+}
+
+// BenchmarkEngineFarTimers is scale-open's timer shape: 100k pending
+// timers 1-30 s ahead (think times, each re-arming 1-30 s ahead when it
+// fires) while one near timer re-arms itself 0-4 us ahead and issues one
+// Immediate per op. Far timers must not tax the near path: they wait in
+// the wheel, not in the firing heap.
+func BenchmarkEngineFarTimers(b *testing.B) {
+	b.ReportAllocs()
+	eng := NewEngine(1)
+	defer eng.Stop()
+	jit := benchJitter(0x9e3779b97f4a7c15)
+	var far func()
+	far = func() { eng.After(time.Second+jit.within(29*time.Second), far) }
+	for i := 0; i < 100_000; i++ {
+		far()
+	}
+	n, target := 0, 0
+	var near func()
+	near = func() {
+		n++
+		eng.Immediate(nop)
+		if n < target {
+			eng.After(jit.within(4*time.Microsecond), near)
+		}
+	}
+	run := func(ops int) {
+		n, target = 0, ops
+		eng.Immediate(near)
+		for n < target {
+			eng.RunFor(time.Millisecond)
+		}
+	}
+	run(1 << 16) // warm the event pool and the wheel
+	b.ResetTimer()
+	run(b.N)
 }
 
 // BenchmarkProcSleep measures the coroutine yield/resume round trip through

@@ -421,6 +421,41 @@ func TestRunAndNotifyAllocFree(t *testing.T) {
 	}
 }
 
+// TestImmediateAndCancelAllocFree pins the same-instant FIFO at zero
+// allocations once warm: Immediate events fire from the ring, and a cancel
+// at the current instant leaves a stale ring entry that the run loop skips
+// while the recycled node fires from the next one.
+func TestImmediateAndCancelAllocFree(t *testing.T) {
+	eng := NewEngine(1)
+	defer eng.Stop()
+	n := 0
+	fn := func() { n++ }
+	immediate := func() {
+		eng.Immediate(fn)
+		eng.Immediate(fn)
+		eng.Run()
+	}
+	cancel := func() {
+		eng.Immediate(fn).Cancel()
+		eng.At(eng.Now(), fn)
+		eng.Run()
+	}
+	for _, c := range []struct {
+		name  string
+		round func()
+		fires int
+	}{{"Immediate", immediate, 2}, {"Cancel at now", cancel, 1}} {
+		n = 0
+		c.round()
+		if n != c.fires {
+			t.Fatalf("%s: %d events fired per round, want %d", c.name, n, c.fires)
+		}
+		if allocs := testing.AllocsPerRun(200, c.round); allocs != 0 {
+			t.Fatalf("%s: %.1f allocs per round, want 0", c.name, allocs)
+		}
+	}
+}
+
 // TestDispatchesCountsHandoffs pins Dispatches: one for a process's start
 // and one per resume, none for callbacks.
 func TestDispatchesCountsHandoffs(t *testing.T) {

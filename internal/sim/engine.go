@@ -15,11 +15,13 @@
 // The hot path is allocation-free at steady state: fired and canceled
 // events return to a per-engine free list, process state (including the
 // goroutine) is pooled behind generation-fenced handles, and the timer
-// queue is a hierarchical timing wheel (wheel.go) in front of a
-// hand-inlined indexed 4-ary min-heap. The wheel indexes the dense
-// near-future band so a million outstanding timers cost O(1) to insert and
-// cancel; the heap holds due and far-overflow timers and is the exact-order
-// firing stage, so events always fire in (time, sequence) order. Engines
+// queue has three parts. Events due at the current instant go to a FIFO
+// ring; later ones go to a hierarchical timing wheel (wheel.go) in front
+// of a hand-inlined indexed 4-ary min-heap. The wheel indexes the future
+// out to ~19.5 h, so a million outstanding timers cost O(1) to insert and
+// cancel; the heap holds the drained current slot (plus deadlines past the
+// wheel's reach) and is the exact-order firing stage. Events always fire
+// in (time, sequence) order. Engines
 // are single-threaded but independent — separate Engine instances may run
 // concurrently on different goroutines, which is how the experiment runner
 // shards sweep points across cores.
@@ -36,13 +38,15 @@ import (
 const (
 	idleIdx  = -1 // not queued: free, fired, or a disarmed owned timer
 	wheelIdx = -2 // bucketed in the timing wheel
+	fifoIdx  = -3 // queued in the same-instant FIFO
 )
 
 // event is a pooled timer-queue node. Model code never holds one directly:
 // At/After return a generation-checked Event handle, so a handle kept past
 // the callback's firing (or cancellation) can never reach into a recycled
 // node. A node is in exactly one place at a time: the heap (index >= 0),
-// a wheel bucket (index == wheelIdx), or idle (index == idleIdx).
+// a wheel bucket (index == wheelIdx), the same-instant FIFO (index ==
+// fifoIdx), or idle (index == idleIdx).
 type event struct {
 	eng *Engine
 	fn  func()
@@ -71,7 +75,7 @@ type event struct {
 	// place on fire/cancel (gen bump only) and never returns to the pool.
 	owned bool
 
-	index int // heap position, or idleIdx / wheelIdx
+	index int // heap position, or idleIdx / wheelIdx / fifoIdx
 	gen   uint64
 }
 
@@ -83,12 +87,14 @@ type Event struct {
 }
 
 // Cancel removes the event from the timer queue immediately — O(log n) out
-// of the heap, O(1) out of a wheel bucket — releasing its callback closure
-// and returning the node to the engine's pool (owned timer slots are
-// disarmed in place instead). Canceling an already-fired, already-canceled
-// or zero handle is a no-op: every disarm bumps the node's generation, so
-// a stale handle can never touch the slot's next occupant even when the
-// cancel lands at the exact virtual time the event fires.
+// of the heap, O(1) out of a wheel bucket or the same-instant FIFO (whose
+// ring entry goes stale by the generation bump and is skipped) — releasing
+// its callback closure and returning the node to the engine's pool (owned
+// timer slots are disarmed in place instead). Canceling an already-fired,
+// already-canceled or zero handle is a no-op: every disarm bumps the
+// node's generation, so a stale handle can never touch the slot's next
+// occupant even when the cancel lands at the exact virtual time the event
+// fires.
 func (h Event) Cancel() {
 	ev := h.ev
 	if ev == nil || ev.gen != h.gen {
@@ -100,6 +106,8 @@ func (h Event) Cancel() {
 		eng.heapRemove(ev.index)
 	case ev.index == wheelIdx:
 		eng.wheel.remove(ev)
+	case ev.index == fifoIdx:
+		ev.index = idleIdx
 	default:
 		return
 	}
@@ -133,6 +141,14 @@ func entryLess(a, b heapEntry) bool {
 	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
+// fifoEntry is one slot of the same-instant FIFO. gen is the node's
+// generation when it was queued: a cancel bumps it, so the run loop skips
+// the entry, even if the node has been recycled and queued again since.
+type fifoEntry struct {
+	ev  *event
+	gen uint64
+}
+
 // wakeRef is one queued wakeup in a batched delivery: a process, fenced by
 // the generation it had when the wake was issued, or a one-shot
 // continuation (Signal.Notify) when fn is set.
@@ -147,13 +163,19 @@ type wakeRef struct {
 // when done to release any processes still blocked inside the simulation.
 type Engine struct {
 	now   time.Duration
-	heap  []heapEntry // firing stage: due + far-overflow events, 4-ary min-heap on (at, seq)
-	wheel wheel       // near-future band: hierarchical timing wheel
+	heap  []heapEntry // firing stage: drained + past-reach events, 4-ary min-heap on (at, seq)
+	wheel wheel       // the future: hierarchical timing wheel
 	free  []*event    // recycled nodes; bounds steady-state allocation at zero
 	seq   uint64
 	rng   *rand.Rand
 
-	pending    int    // queued events across heap + wheel
+	// fifo holds the events scheduled for the current instant, in seq
+	// order, from fifoHead on. It is emptied before the clock moves and
+	// reset to its start whenever it drains.
+	fifo     []fifoEntry
+	fifoHead int
+
+	pending    int    // queued events across heap, wheel and FIFO
 	fired      uint64 // events executed since construction
 	dispatches uint64 // process dispatches (goroutine handoffs) since construction
 
@@ -206,9 +228,10 @@ func (e *Engine) After(d time.Duration, fn func()) Event {
 // processes from within other processes.
 func (e *Engine) Immediate(fn func()) Event { return e.At(e.now, fn) }
 
-// schedule stamps ev's ordering key and routes it: due or past-horizon
-// deadlines go straight to the heap, the near-future band goes to the
-// wheel. ev must be idle.
+// schedule stamps ev's ordering key and routes it: the current instant
+// goes to the FIFO, deadlines within the wheel's reach go to the wheel and
+// the rest (the current tick, or past the reach) to the heap. ev must be
+// idle.
 func (e *Engine) schedule(ev *event, t time.Duration) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, e.now))
@@ -222,6 +245,14 @@ func (e *Engine) schedule(ev *event, t time.Duration) {
 	}
 	ev.at, ev.seq = t, e.seq
 	e.pending++
+	if t == e.now {
+		// This seq is above every queued event's, and nothing scheduled
+		// later can land on this instant outside the FIFO, so FIFO order is
+		// (at, seq) order among the instant's late arrivals.
+		ev.index = fifoIdx
+		e.fifo = append(e.fifo, fifoEntry{ev: ev, gen: ev.gen})
+		return
+	}
 	if e.wheel.count == 0 {
 		// Nothing bucketed: re-anchor the drain boundary at the clock so
 		// deltas stay small and events land at the finest level.
@@ -309,33 +340,55 @@ func (e *Engine) RunUntil(t time.Duration) {
 			e.killProcs()
 		}
 	}()
-	for !e.stopped {
-		// Make the heap top the global minimum: drain every wheel slot
-		// whose start could hold an earlier (or same-instant, lower-seq)
-		// event. Slot starts are lower bounds, so "heap top strictly
-		// earlier than the earliest occupied slot" is the safe stop.
-		for e.wheel.count > 0 {
-			wAt := e.wheel.nextAt()
-			if len(e.heap) > 0 && e.heap[0].at < wAt {
-				break
+loop:
+	for !e.stopped && e.now <= t {
+		var ev *event
+		switch {
+		case len(e.heap) > 0 && e.heap[0].at == e.now:
+			// Heap events due now were scheduled before the clock reached
+			// this instant, so they precede every FIFO entry.
+			ev = e.heap[0].ev
+			e.heapPopMin()
+		case e.fifoHead < len(e.fifo):
+			f := e.fifo[e.fifoHead]
+			e.fifo[e.fifoHead] = fifoEntry{}
+			if e.fifoHead++; e.fifoHead == len(e.fifo) {
+				e.fifo = e.fifo[:0]
+				e.fifoHead = 0
 			}
-			if wAt > t {
-				break
+			if f.ev.gen != f.gen {
+				continue // canceled while queued
 			}
-			e.drainEarliest()
+			ev = f.ev
+			ev.index = idleIdx
+		default:
+			// Every wheel event is later than now, so the clock moves only
+			// here. Make the heap top the global minimum: drain every wheel
+			// slot whose start could hold an earlier (or same-instant,
+			// lower-seq) event. Slot starts are lower bounds, so "heap top
+			// strictly earlier than the earliest occupied slot" is the safe
+			// stop.
+			for e.wheel.count > 0 {
+				wAt := e.wheel.nextAt()
+				if len(e.heap) > 0 && e.heap[0].at < wAt {
+					break
+				}
+				if wAt > t {
+					break
+				}
+				e.drainEarliest()
+			}
+			if len(e.heap) == 0 || e.heap[0].at > t {
+				break loop
+			}
+			top := e.heap[0]
+			e.heapPopMin()
+			e.now = top.at
+			ev = top.ev
 		}
-		if len(e.heap) == 0 {
-			break
-		}
-		top := e.heap[0]
-		if top.at > t {
-			break
-		}
-		e.heapPopMin()
-		e.now = top.at
 		e.pending--
 		e.fired++
-		e.fire(top.ev)
+		e.fire(ev)
 	}
 	if !e.stopped && e.now < t && t < 1<<62-1 {
 		e.now = t
@@ -416,8 +469,8 @@ func (e *Engine) killProcs() {
 	}
 }
 
-// Pending reports the number of queued events across the wheel and the
-// heap. Canceled events are removed eagerly and never counted.
+// Pending reports the number of queued events across the wheel, the heap
+// and the same-instant FIFO. Canceled events are never counted.
 func (e *Engine) Pending() int { return e.pending }
 
 // Fired reports the number of events executed since construction — the
@@ -462,9 +515,10 @@ func (e *Engine) release(ev *event) {
 // A 4-ary layout halves the tree depth of the classic binary heap, and the
 // hand-inlined sift loops avoid container/heap's per-comparison interface
 // calls and per-push `any` boxing. The node's index field supports
-// O(log n) removal for Cancel. With the wheel absorbing the near-future
-// band, the heap holds only due and far-overflow events, so it stays
-// shallow even under millions of outstanding timers.
+// O(log n) removal for Cancel. With the wheel absorbing the future and the
+// FIFO the current instant, the heap holds only the drained current slot
+// and deadlines past the wheel's ~19.5 h reach, so it stays shallow even
+// under millions of outstanding timers.
 
 func (e *Engine) heapPush(x heapEntry) {
 	e.heap = append(e.heap, x)

@@ -12,14 +12,18 @@ import (
 // firing logs — same IDs, same order, same timestamps. The script is a pure
 // function of (seed, step): both runs draw per-step randomness from a
 // counter-seeded source, so the first ordering divergence surfaces as a log
-// mismatch at exactly the step where the engines disagree.
+// mismatch at exactly the step where the engines disagree. Both run in
+// windows (RunUntil) that end at drawn instants, as the simulator's window
+// loops do, and log each window's end, so an event left behind past the
+// end of its window shows up after the boundary record.
 //
 // This is the regression fence for the wheel's exactness claim (wheel.go):
 // slots bucket, the heap orders, and no cascade or overflow path may
 // reorder or re-time an event. simtest registers it as invariant #11, and
 // TestWheelHeapEquivalenceProperty sweeps thousands of seeds.
 
-// fireRec is one fired event in an equivalence log.
+// fireRec is one fired event in an equivalence log, or a window boundary
+// (id -1, at the window's end).
 type fireRec struct {
 	id int
 	at time.Duration
@@ -31,26 +35,30 @@ type eqScheduler interface {
 	now() time.Duration
 	schedule(at time.Duration, id int)
 	cancel(id int)
-	run() // fire everything, invoking the driver on each event
+	pending() int
+	runUntil(t time.Duration) // fire everything due by t, invoking the driver on each event
 }
 
 // eqDelays spans every band of the timer queue: sub-tick, level-0 slots,
 // each cascade boundary (64^k ticks), level interiors, the top-level
 // horizon, and far-future overflow past the wheel entirely.
 var eqDelays = []time.Duration{
-	0,                            // same-instant (due path)
-	300 * time.Nanosecond,        // sub-tick
-	1 << wheelShift,              // exactly one tick (first level-0 slot)
-	40 << wheelShift,             // level-0 interior
-	63 << wheelShift,             // last level-0 slot
-	64 << wheelShift,             // level-0/1 cascade boundary
-	1000 << wheelShift,           // level-1 interior
-	(64 * 64) << wheelShift,      // level-1/2 cascade boundary
-	20 * time.Millisecond,        // level-2 interior
-	(64 * 64 * 64) << wheelShift, // level-2/3 cascade boundary
-	2 * time.Second,              // level-3 interior
-	wheelSpan << wheelShift,      // top-level horizon (first overflow tick)
-	30 * time.Second,             // far-future overflow (heap-resident)
+	0,                                      // current tick (heap), or the same-instant FIFO without jitter
+	300 * time.Nanosecond,                  // sub-tick
+	1 << wheelShift,                        // exactly one tick (first level-0 slot)
+	40 << wheelShift,                       // level-0 interior
+	63 << wheelShift,                       // last level-0 slot
+	64 << wheelShift,                       // level-0/1 cascade boundary
+	1000 << wheelShift,                     // level-1 interior
+	(64 * 64) << wheelShift,                // level-1/2 cascade boundary
+	20 * time.Millisecond,                  // level-2 interior
+	(64 * 64 * 64) << wheelShift,           // level-2/3 cascade boundary
+	2 * time.Second,                        // level-3 interior
+	(64 * 64 * 64 * 64) << wheelShift,      // level-3/4 cascade boundary
+	30 * time.Second,                       // level-4 interior
+	(64 * 64 * 64 * 64 * 64) << wheelShift, // level-4/5 cascade boundary
+	5 * time.Hour,                          // level-5 interior
+	wheelSpan << wheelShift,                // top-level horizon (first overflow tick)
 }
 
 // eqDriver replays the seeded script against one scheduler. Both runs build
@@ -75,10 +83,17 @@ func (d *eqDriver) stepRng(step int) *rand.Rand {
 
 // scheduleOne books a new event with a delay drawn from the band table
 // (with ns jitter so same-slot events carry distinct timestamps), sometimes
-// duplicating the previous deadline exactly to force (at, seq) ties.
+// at exactly the current instant, so same-instant FIFO entries interleave
+// with heap events due now and give same-instant cancels their victims,
+// and sometimes duplicating the previous deadline exactly to force (at,
+// seq) ties.
 func (d *eqDriver) scheduleOne(rng *rand.Rand, lastAt time.Duration) time.Duration {
-	at := d.s.now() + eqDelays[rng.Intn(len(eqDelays))] + time.Duration(rng.Intn(2048))
-	if lastAt >= d.s.now() && rng.Intn(4) == 0 {
+	now := d.s.now()
+	at := now + eqDelays[rng.Intn(len(eqDelays))] + time.Duration(rng.Intn(2048))
+	switch r := rng.Intn(8); {
+	case r == 0:
+		at = now
+	case r <= 2 && lastAt >= now:
 		at = lastAt // exact tie: same timestamp, later seq
 	}
 	id := d.nextID
@@ -136,7 +151,9 @@ func (d *eqDriver) fired(id int) {
 }
 
 // runEq drives one scheduler through the whole script: seed the queue from
-// step -1's randomness, then fire to quiesce.
+// step -1's randomness, then fire to quiesce, window by window. Window w
+// draws its length from step -2-w's randomness; the window cap only stops
+// an engine that loses an event from looping forever.
 func runEq(seed int64, maxFire int, mk func(d *eqDriver) eqScheduler) *eqDriver {
 	d := &eqDriver{seed: seed, live: make(map[int]time.Duration), maxFire: maxFire}
 	d.s = mk(d)
@@ -145,7 +162,11 @@ func runEq(seed int64, maxFire int, mk func(d *eqDriver) eqScheduler) *eqDriver 
 	for i := 8 + rng.Intn(25); i > 0; i-- {
 		last = d.scheduleOne(rng, last)
 	}
-	d.s.run()
+	for w := 0; d.s.pending() > 0 && w < 64*maxFire; w++ {
+		rng := d.stepRng(-2 - w)
+		d.s.runUntil(d.s.now() + eqDelays[rng.Intn(len(eqDelays))] + time.Duration(rng.Intn(2048)))
+		d.log = append(d.log, fireRec{id: -1, at: d.s.now()})
+	}
 	return d
 }
 
@@ -170,7 +191,8 @@ func (a *eqEngine) cancel(id int) {
 		delete(a.handles, id)
 	}
 }
-func (a *eqEngine) run() { a.eng.Run() }
+func (a *eqEngine) pending() int             { return a.eng.Pending() }
+func (a *eqEngine) runUntil(t time.Duration) { a.eng.RunUntil(t) }
 
 // ---- pure-heap reference ----
 
@@ -204,7 +226,8 @@ func (r *refSched) cancel(id int) {
 		}
 	}
 }
-func (r *refSched) run() {
+func (r *refSched) pending() int { return len(r.queue) }
+func (r *refSched) runUntil(t time.Duration) {
 	for len(r.queue) > 0 {
 		min := 0
 		for i := 1; i < len(r.queue); i++ {
@@ -213,9 +236,15 @@ func (r *refSched) run() {
 			}
 		}
 		ev := r.queue[min]
+		if ev.at > t {
+			break
+		}
 		r.queue = append(r.queue[:min], r.queue[min+1:]...)
 		r.t = ev.at
 		r.d.fired(ev.id)
+	}
+	if r.t < t {
+		r.t = t
 	}
 }
 

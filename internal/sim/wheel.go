@@ -5,24 +5,30 @@ import (
 	"time"
 )
 
-// Hierarchical timing wheel for the dense near-future timer band.
+// Hierarchical timing wheel for the future timer band.
 //
-// The wheel holds events whose deadline is within ~17 s of the drain
-// boundary; everything nearer than one tick (due now) or farther than the
-// top level's horizon stays in the indexed 4-ary heap, which doubles as the
-// exact-order firing stage. Layout:
+// The wheel holds events whose deadline is at least one tick past the
+// drain boundary and within ~19.5 h of it. Events due at the current
+// instant go to the engine's FIFO instead, and the rest of the current
+// tick, or anything past the top level's reach, to the indexed 4-ary heap,
+// which doubles as the exact-order firing stage. Layout:
 //
 //	level 0:  64 slots x 1.024 us  (one tick per slot, horizon  65.5 us)
 //	level 1:  64 slots x 65.5 us   (64 ticks per slot, horizon  4.19 ms)
 //	level 2:  64 slots x 4.19 ms   (4096 ticks/slot,   horizon   268 ms)
 //	level 3:  64 slots x 268 ms    (256K ticks/slot,   horizon  17.2 s)
+//	level 4:  64 slots x 17.2 s    (16M ticks/slot,    horizon  18.3 min)
+//	level 5:  64 slots x 18.3 min  (1G ticks/slot,     horizon  19.5 h)
 //
 // Each slot is an intrusive doubly-linked list of pooled event nodes
 // (insertion order; no map anywhere, so draining is deterministic), with a
 // one-word occupancy bitmap per level. Insert and cancel are O(1). The
 // engine never scans empty slots: the bitmaps give the next occupied slot
 // in a handful of ALU ops, so a drain jumps straight from occupied slot to
-// occupied slot regardless of how sparse virtual time is.
+// occupied slot regardless of how sparse virtual time is. The start of
+// the earliest occupied slot is cached (bound): inserts lower it in O(1),
+// and only a drain or a cancel that empties a slot sends the engine back
+// to the bitmaps.
 //
 // Exactness: slots only *bucket* events. Before anything fires, the engine
 // drains every slot whose start could precede the heap top into the heap,
@@ -35,13 +41,15 @@ const (
 	wheelBits   = 6              // 64 slots per level
 	wheelSlots  = 1 << wheelBits // 64
 	wheelMask   = wheelSlots - 1 // 63
-	wheelLevels = 4              // horizon 64^4 ticks ~= 17.2s
+	wheelLevels = 6              // horizon 64^6 ticks ~= 19.5h
 	// wheelSpan is the wheel's total reach in ticks; deadlines at or past
 	// wheelTick+wheelSpan overflow to the heap until they drift into range.
 	wheelSpan = 1 << (wheelBits * wheelLevels)
+	// noBound marks the cached next-slot bound as unknown.
+	noBound = -1
 )
 
-// wheel is the engine's near-future timer index.
+// wheel is the engine's future timer index.
 type wheel struct {
 	// slots holds the bucket heads, level-major: slots[lvl*64+idx].
 	slots [wheelLevels * wheelSlots]*event
@@ -53,6 +61,13 @@ type wheel struct {
 	tick int64
 	// count is the number of events currently bucketed.
 	count int
+	// bound is the start tick of the earliest occupied slot, or noBound
+	// when a drain or an emptying cancel has made it unknown. It may be
+	// stale low (that only drains early, which is exact) but never stale
+	// high: RunUntil would then stop short of an earlier slot and move the
+	// clock past it, or fire a heap event ahead of an earlier one still
+	// bucketed.
+	bound int64
 }
 
 // wheelTickOf converts a deadline to its wheel tick.
@@ -68,8 +83,8 @@ func wheelTickOf(t time.Duration) int64 { return int64(t) >> wheelShift }
 // ahead); the XOR rule guarantees the slot is within the current revolution
 // of its level, so nextSlot's start math is exact and a cascade always
 // moves events to a strictly lower level. The cost is that deadlines whose
-// tick differs from cur above bit 23 overflow to the heap even when the
-// raw delta is below 64^4; they are re-bucketed as the boundary advances.
+// tick differs from cur above bit 35 overflow to the heap even when the
+// raw delta is below 64^6; they are re-bucketed as the boundary advances.
 func levelFor(cur, tk int64) int {
 	if tk <= cur {
 		return -1
@@ -85,8 +100,16 @@ func levelFor(cur, tk int64) int {
 // that ev's tick is strictly after w.tick and within the horizon.
 func (w *wheel) insert(ev *event, lvl int) {
 	tk := wheelTickOf(ev.at)
-	idx := int(tk>>(uint(lvl)*wheelBits)) & wheelMask
+	shift := uint(lvl) * wheelBits
+	idx := int(tk>>shift) & wheelMask
 	ev.lvl, ev.slot = int16(lvl), int16(idx)
+	// The XOR level rule puts the slot ahead of the cursor within its
+	// level's current revolution, so its start is tk with the level's low
+	// bits cleared. The first insert into an empty wheel seeds the bound; a
+	// later one can only lower it (an unknown bound stays unknown).
+	if start := tk >> shift << shift; w.count == 0 || start < w.bound {
+		w.bound = start
+	}
 	head := &w.slots[lvl*wheelSlots+idx]
 	// Push-front: O(1), and order within a slot is irrelevant — the heap
 	// re-establishes (at, seq) order at drain time.
@@ -114,6 +137,7 @@ func (w *wheel) remove(ev *event) {
 	}
 	if *head == nil {
 		w.occupied[ev.lvl] &^= 1 << uint(ev.slot)
+		w.bound = noBound
 	}
 	ev.next, ev.prev = nil, nil
 	ev.index = idleIdx
@@ -155,10 +179,13 @@ func (w *wheel) nextSlot() (lvl, idx int, startTick int64) {
 }
 
 // nextAt returns a lower bound on the earliest event still in the wheel:
-// the start time of the earliest occupied slot. Only call with count > 0.
+// the start time of the earliest occupied slot, from the cached bound when
+// it is known. Only call with count > 0.
 func (w *wheel) nextAt() time.Duration {
-	_, _, start := w.nextSlot()
-	return time.Duration(start << wheelShift)
+	if w.bound == noBound {
+		_, _, w.bound = w.nextSlot()
+	}
+	return time.Duration(w.bound << wheelShift)
 }
 
 // drainEarliest empties the earliest occupied slot: level-0 buckets feed
@@ -173,6 +200,7 @@ func (e *Engine) drainEarliest() {
 	ev := *head
 	*head = nil
 	w.occupied[lvl] &^= 1 << uint(idx)
+	w.bound = noBound
 	if lvl == 0 {
 		// Every tick up to and including this slot is clear now.
 		if startTick+1 > w.tick {

@@ -92,13 +92,13 @@ func TestWheelCancel(t *testing.T) {
 // TestCancelAtFireInstant is the regression for the pooled-node recycle
 // bug: cancel a handle at the exact virtual instant its event fires (or
 // just fired), with the freed node immediately re-armed by other work.
-// A stale Cancel must not detach the node's next occupant. Covers both
-// heap-resident (sub-tick) and wheel-resident victims.
+// A stale Cancel must not detach the node's next occupant. Covers
+// same-instant FIFO, heap-resident (sub-tick) and wheel-resident victims.
 func TestCancelAtFireInstant(t *testing.T) {
 	for _, band := range []struct {
 		name  string
 		delay time.Duration
-	}{{"heap", 1}, {"wheel", 2 * tick}} {
+	}{{"fifo", 0}, {"heap", 1}, {"wheel", 2 * tick}} {
 		t.Run(band.name, func(t *testing.T) {
 			e := NewEngine(4)
 			var victim Event
