@@ -19,11 +19,11 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # race runs the full suite under the race detector. The simulation engine is
-# single-threaded by design, but the coroutine lockstep (sim.Proc), the
-# tracer, the parallel experiment runner, the telemetry registry (atomic
-# counters scraped concurrently — TestConcurrentScrapeWhileUpdate hammers
-# it), and the nadino-svc pacer/HTTP plane ride on real goroutines — this
-# target proves the handoffs are clean. It includes TestParallelDeterminism,
+# single-threaded by design, but the tracer, the parallel experiment runner,
+# the telemetry registry (atomic counters scraped concurrently —
+# TestConcurrentScrapeWhileUpdate hammers it), and the nadino-svc
+# pacer/HTTP plane ride on real goroutines — this target proves the
+# handoffs are clean. It includes TestParallelDeterminism,
 # which runs every experiment sequentially and sharded across all cores and
 # asserts byte-identical tables. (The experiments package needs more than
 # the default 10m under -race.)
@@ -34,16 +34,15 @@ race:
 check: vet race
 
 # bench runs the simulator-core microbenchmarks (event scheduling, cancel,
-# same-instant Immediate, the near path under 100k far timers,
-# spawn/yield, the continuation forms — FCFS and PS Run, Signal and Queue
-# Notify; events/sec and allocs/op)
+# same-instant Immediate, the near path under 100k far timers, the waits —
+# FCFS and PS Run, Signal and Queue Notify; events/sec and allocs/op)
 # plus the cluster-scale sweep
 # (BenchmarkScaleSweep: 100k-1M concurrent clients per point, wall-clock
 # ns/op and events/sec) and archives everything as BENCH_sim.json for
 # cross-commit comparison. The human-readable output goes to stderr. Each
 # scale point is deterministic for the fixed seed, so -benchtime 1x is exact.
 bench:
-	( $(GO) test -run '^$$' -bench 'BenchmarkEngine|BenchmarkProc|BenchmarkSignalNotify$$|BenchmarkQueueNotify$$|BenchmarkPSQuantum$$|BenchmarkPSRun$$' -benchmem ./internal/sim/ ; \
+	( $(GO) test -run '^$$' -bench 'BenchmarkEngine|BenchmarkProcessorRun$$|BenchmarkSignalNotify$$|BenchmarkQueueNotify$$|BenchmarkPSRun$$' -benchmem ./internal/sim/ ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkQPPostSend$$|BenchmarkCQPollInto$$' -benchmem ./internal/rdma/ ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkMempoolCachedGetPut$$' -benchmem ./internal/mempool/ ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkGatewayForward$$|BenchmarkChainCrossNode$$' -benchmem ./internal/gateway/ ; \
@@ -53,15 +52,15 @@ bench:
 	  $(GO) test -run '^$$' -bench 'BenchmarkScaleSweep' -benchtime 1x -timeout 30m ./internal/experiments/ ) | $(GO) run ./cmd/benchjson > BENCH_sim.json
 
 # bench-gate re-runs the headline microbenchmarks — event-core schedule hot
-# path, same-instant Immediate, the near path under 100k far timers, pooled
-# spawn and the continuation forms (FCFS and PS Run, Signal and
-# Queue Notify; pinned at 0 allocs/op), plus the data-plane fast path (QP send, CQ ring
-# drain, cached mempool Get/Put), the gateway forwarding path and the
+# path, same-instant Immediate, the near path under 100k far timers and the
+# waits (FCFS and PS Run, Signal and Queue Notify; pinned at 0 allocs/op),
+# plus the data-plane fast path (QP send, CQ ring drain, cached mempool
+# Get/Put), the gateway forwarding path and the
 # flight-recorder record path (pinned at 0 allocs/op) — and fails if any
 # regressed more than 25% in ns/op, or allocates more per op, against the
 # archived BENCH_sim.json.
 bench-gate:
-	( $(GO) test -run '^$$' -bench 'BenchmarkEngineSchedule$$|BenchmarkEngineImmediate$$|BenchmarkEngineFarTimers$$|BenchmarkProcSpawn$$|BenchmarkProcessorRun$$|BenchmarkSignalNotify$$|BenchmarkQueueNotify$$|BenchmarkPSQuantum$$|BenchmarkPSRun$$' -benchmem ./internal/sim/ ; \
+	( $(GO) test -run '^$$' -bench 'BenchmarkEngineSchedule$$|BenchmarkEngineImmediate$$|BenchmarkEngineFarTimers$$|BenchmarkProcessorRun$$|BenchmarkSignalNotify$$|BenchmarkQueueNotify$$|BenchmarkPSRun$$' -benchmem ./internal/sim/ ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkQPPostSend$$|BenchmarkCQPollInto$$' -benchmem ./internal/rdma/ ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkMempoolCachedGetPut$$' -benchmem ./internal/mempool/ ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkGatewayForward$$|BenchmarkChainCrossNode$$' -benchmem ./internal/gateway/ ; \

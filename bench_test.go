@@ -173,19 +173,6 @@ func BenchmarkSimEventLoop(b *testing.B) {
 	eng.Run()
 }
 
-// BenchmarkSimProcessSwitch measures coroutine handoff cost.
-func BenchmarkSimProcessSwitch(b *testing.B) {
-	eng := sim.NewEngine(1)
-	defer eng.Stop()
-	eng.Spawn("sleeper", func(p *sim.Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Sleep(time.Microsecond)
-		}
-	})
-	b.ResetTimer()
-	eng.Run()
-}
-
 // BenchmarkMempoolGetPut measures the pooled allocator fast path.
 func BenchmarkMempoolGetPut(b *testing.B) {
 	pool := mempool.NewPool("t", 4096, 1024, 2<<20)

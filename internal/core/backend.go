@@ -83,8 +83,8 @@ func (b *rdmaBackend) tenant(name string) *beTenant {
 }
 
 // start posts the initial receive rings, starts the completion poller and
-// arms the QP repair pass. The poller is an engine callback, not a process:
-// it starts from one same-instant event, the one a spawn would schedule.
+// arms the QP repair pass. The poller is an engine callback that starts
+// from one same-instant event.
 func (b *rdmaBackend) start() {
 	for _, t := range b.tenantSeq {
 		b.post(t, ingressRing)

@@ -256,7 +256,7 @@ func NewCluster(cfg Config) *Cluster {
 		}
 	}
 	c.buildIngress()
-	eng.Spawn("cluster-setup", c.setup)
+	eng.Immediate(c.setup)
 	return c
 }
 
@@ -548,15 +548,22 @@ func (c *Cluster) crashSet(n *Node) []chaos.QPErrorTarget {
 }
 
 // setup establishes RC connections, starts engines, backends and function
-// runtimes, then signals readiness. It is the one process a cluster runs,
-// with its connection handshakes; nothing spawns one after it.
-func (c *Cluster) setup(pr *sim.Proc) {
+// runtimes, then signals readiness. It starts from one same-instant event;
+// the connection handshakes run concurrently (see join).
+func (c *Cluster) setup() {
 	switch c.cfg.System {
 	case NadinoDNE, NadinoCNE:
-		c.setupNadino(pr)
+		c.setupNadino()
 	case FuyaoF, FuyaoK:
-		c.setupFuyao(pr)
+		c.setupFuyao()
+	default:
+		c.finishSetup()
 	}
+}
+
+// finishSetup starts the TCP backend and the function runtimes and marks
+// the cluster ready, once every connection pool is up.
+func (c *Cluster) finishSetup() {
 	if c.tcpBE != nil {
 		c.tcpBE.start()
 	}
@@ -569,7 +576,29 @@ func (c *Cluster) setup(pr *sim.Proc) {
 	}
 }
 
-func (c *Cluster) setupNadino(pr *sim.Proc) {
+// join starts each job from its own same-instant event, in order, and
+// runs then once all of them have called their done: synchronously when
+// there are none, else from one same-instant event scheduled by the last.
+// Every job is one pooled handshake of the same length, so they all end at
+// one instant and setup goes on from one event after them.
+func (c *Cluster) join(jobs []func(done func()), then func()) {
+	if len(jobs) == 0 {
+		then()
+		return
+	}
+	left := len(jobs)
+	done := func() {
+		if left--; left == 0 {
+			c.Eng.Immediate(then)
+		}
+	}
+	for _, job := range jobs {
+		job := job
+		c.Eng.Immediate(func() { job(done) })
+	}
+}
+
+func (c *Cluster) setupNadino() {
 	// Routes: every engine knows where every function lives, plus the
 	// ingress pseudo-destination.
 	for _, n := range c.nodeSeq {
@@ -584,37 +613,36 @@ func (c *Cluster) setupNadino(pr *sim.Proc) {
 	// Establish all RC pools concurrently: the DNEs bring connections up
 	// in parallel at deployment, so setup costs one handshake, not one per
 	// node pair or tenant.
-	done := sim.NewQueue[struct{}](c.Eng, 0)
-	jobs := 0
+	var jobs []func(done func())
 	for _, ts := range c.tenants {
 		tenant := ts.Name
 		for i := 0; i < len(c.nodeSeq); i++ {
 			for j := i + 1; j < len(c.nodeSeq); j++ {
 				a, b := c.nodeSeq[i], c.nodeSeq[j]
-				jobs++
-				c.Eng.Spawn("setup-pair", func(spr *sim.Proc) {
-					cpA, cpB := rdma.EstablishPair(spr, c.P, tenant,
+				jobs = append(jobs, func(done func()) {
+					rdma.EstablishPair(c.Eng, c.P, tenant,
 						a.dpu.RNIC(), b.dpu.RNIC(), 8,
 						a.engine.SRQ(tenant), b.engine.SRQ(tenant),
-						a.engine.CQ(), b.engine.CQ())
-					a.engine.AddConnPool(b.name, tenant, cpA)
-					b.engine.AddConnPool(a.name, tenant, cpB)
-					done.TryPut(struct{}{})
+						a.engine.CQ(), b.engine.CQ(), func(cpA, cpB *rdma.ConnPool) {
+							a.engine.AddConnPool(b.name, tenant, cpA)
+							b.engine.AddConnPool(a.name, tenant, cpB)
+							done()
+						})
 				})
 			}
 		}
 		for _, n := range c.nodeSeq {
 			n := n
-			jobs++
-			c.Eng.Spawn("setup-ingress", func(spr *sim.Proc) {
+			jobs = append(jobs, func(done func()) {
 				be := c.rdmaBE.tenant(tenant)
-				cpW, cpI := rdma.EstablishPair(spr, c.P, tenant,
+				rdma.EstablishPair(c.Eng, c.P, tenant,
 					n.dpu.RNIC(), c.rdmaBE.rnic, 8,
 					n.engine.SRQ(tenant), be.srq,
-					n.engine.CQ(), c.rdmaBE.cq)
-				n.engine.AddConnPool(ingressNodeName, tenant, cpW)
-				be.conns[string(n.name)] = cpI
-				done.TryPut(struct{}{})
+					n.engine.CQ(), c.rdmaBE.cq, func(cpW, cpI *rdma.ConnPool) {
+						n.engine.AddConnPool(ingressNodeName, tenant, cpW)
+						be.conns[string(n.name)] = cpI
+						done()
+					})
 			})
 		}
 	}
@@ -627,24 +655,20 @@ func (c *Cluster) setupNadino(pr *sim.Proc) {
 				if a.gw == nil || b.gw == nil {
 					continue
 				}
-				jobs++
-				c.Eng.Spawn("setup-gw-pair", func(spr *sim.Proc) {
-					gateway.Connect(spr, a.gw, b.gw, 4)
-					done.TryPut(struct{}{})
-				})
+				jobs = append(jobs, func(done func()) { gateway.Connect(c.Eng, a.gw, b.gw, 4, done) })
 			}
 		}
 	}
-	for i := 0; i < jobs; i++ {
-		done.Get(pr)
-	}
-	for _, n := range c.nodeSeq {
-		n.engine.Start()
-		if n.gw != nil {
-			n.gw.Start()
+	c.join(jobs, func() {
+		for _, n := range c.nodeSeq {
+			n.engine.Start()
+			if n.gw != nil {
+				n.gw.Start()
+			}
 		}
-	}
-	c.rdmaBE.start()
+		c.rdmaBE.start()
+		c.finishSetup()
+	})
 }
 
 // startFunction starts the function's receivers and handlers, each from

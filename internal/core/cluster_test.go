@@ -4,6 +4,8 @@ import (
 	"testing"
 	"time"
 
+	"nadino/internal/ingress"
+	"nadino/internal/rdma"
 	"nadino/internal/workload"
 )
 
@@ -149,6 +151,63 @@ func TestFuyaoCreditsFlowBack(t *testing.T) {
 				t.Errorf("node %s ring to %s holds %d/%d slots", n.name, peer, len(ring), fuyaoRingSlots)
 			}
 		}
+	}
+}
+
+// TestFuyaoRetryBatchSurvivesStall holds one destination's credits back
+// while another's return: a retry pass that stalls on the first must still
+// send the messages after it, so every deferred message arrives once
+// credits are back (a stall used to drop the rest of the batch).
+func TestFuyaoRetryBatchSurvivesStall(t *testing.T) {
+	c := NewCluster(Config{
+		System: FuyaoF,
+		Nodes:  []string{"node1", "node2", "node3"},
+		Functions: []FunctionSpec{
+			{Name: "frontend", Node: "node1", Service: 5 * time.Microsecond, Workers: 3},
+			{Name: "b2", Node: "node2", Service: 5 * time.Microsecond},
+			{Name: "b3", Node: "node3", Service: 5 * time.Microsecond},
+		},
+		Chains: []ChainSpec{{
+			Name: "fan", Entry: "frontend", ReqBytes: 256, RespBytes: 256,
+			Calls: []Call{
+				{Callee: "b2", ReqBytes: 256, RespBytes: 256, Async: true},
+				{Callee: "b3", ReqBytes: 256, RespBytes: 256, Async: true},
+			},
+		}},
+		Seed: 1,
+	})
+	t.Cleanup(c.Eng.Stop)
+	for !c.Ready() {
+		c.Eng.RunFor(time.Millisecond)
+	}
+	e := c.nodes["node1"].fuyao
+	held := map[string][]rdma.RemoteBuf{"node2": e.rings["node2"], "node3": e.rings["node3"]}
+	e.rings["node2"], e.rings["node3"] = nil, nil
+	const chains = 3
+	replies := 0
+	for i := 0; i < chains; i++ {
+		c.SubmitChain("fan", i, func(ingress.Response) { replies++ })
+	}
+	c.Eng.RunFor(time.Millisecond)
+	dsts := map[string]int{}
+	for _, d := range e.deferred {
+		dsts[d.Dst]++
+	}
+	if len(e.deferred) < 3 || len(dsts) != 2 {
+		t.Fatalf("deferred %d messages to %v; want at least 3 over two destinations", len(e.deferred), dsts)
+	}
+	// Credits return to node3 first, then to node2.
+	for _, node := range []string{"node3", "node2"} {
+		node := node
+		c.Eng.Immediate(func() {
+			e.rings[node] = held[node]
+			e.work.Pulse()
+		})
+		c.Eng.RunFor(time.Millisecond)
+	}
+	c.Eng.RunFor(10 * time.Millisecond)
+	if replies != chains || len(e.deferred) != 0 {
+		t.Fatalf("%d of %d chains completed, %d messages still deferred", replies, chains, len(e.deferred))
 	}
 }
 

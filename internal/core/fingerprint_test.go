@@ -135,28 +135,3 @@ func TestRuntimeFingerprint(t *testing.T) {
 		t.Fatalf("runtime fingerprint changed:\n got:\n%s\nwant:\n%s", got, want)
 	}
 }
-
-// TestNoProcessAfterSetup pins the end state of the callback runtime: on
-// every fingerprint world, once setup is done no process runs — the
-// dispatch count stays flat to the end of the window and no process is
-// alive.
-func TestNoProcessAfterSetup(t *testing.T) {
-	for _, sys := range Systems() {
-		for _, ps := range []bool{false, true} {
-			cfg := fingerprintConfig(sys, ps)
-			c := NewCluster(cfg)
-			d := &workload.Driver{Chains: []string{"main", "b-chain"}, Clients: 8, Ready: c.OnReady}
-			d.Start(c.Eng, c.SubmitChainSpec)
-			for !c.Ready() {
-				c.Eng.RunFor(100 * time.Microsecond)
-			}
-			d0 := c.Eng.Dispatches()
-			c.Eng.RunUntil(fingerprintWindow)
-			if got := c.Eng.Dispatches() - d0; got != 0 || c.Eng.Procs() != 0 || c.Completed.Total() == 0 {
-				t.Errorf("%s ps=%v: %d dispatches after setup, %d live processes, %d completed; want 0, 0, >0",
-					sys, ps, got, c.Eng.Procs(), c.Completed.Total())
-			}
-			c.Eng.Stop()
-		}
-	}
-}

@@ -104,32 +104,31 @@ func (e *fuyaoEngine) submit(d mempool.Descriptor) {
 
 // setupFuyao establishes QPs between all node pairs, carves landing rings,
 // and starts the engine and poller loops.
-func (c *Cluster) setupFuyao(pr *sim.Proc) {
+func (c *Cluster) setupFuyao() {
 	tenant := c.cfg.Tenant
-	done := sim.NewQueue[struct{}](c.Eng, 0)
-	jobs := 0
+	var jobs []func(done func())
 	for i := 0; i < len(c.nodeSeq); i++ {
 		for j := i + 1; j < len(c.nodeSeq); j++ {
 			a, b := c.nodeSeq[i], c.nodeSeq[j]
-			jobs++
-			c.Eng.Spawn("fuyao-setup", func(spr *sim.Proc) {
-				cpA, cpB := rdma.EstablishPair(spr, c.P, tenant,
+			jobs = append(jobs, func(done func()) {
+				rdma.EstablishPair(c.Eng, c.P, tenant,
 					a.dpu.RNIC(), b.dpu.RNIC(), 4,
-					nil, nil, a.fuyao.cq, b.fuyao.cq)
-				a.fuyao.conns[string(b.name)] = cpA
-				b.fuyao.conns[string(a.name)] = cpB
-				a.fuyao.rings[string(b.name)] = carveRing(b.fuyao)
-				b.fuyao.rings[string(a.name)] = carveRing(a.fuyao)
-				done.TryPut(struct{}{})
+					nil, nil, a.fuyao.cq, b.fuyao.cq, func(cpA, cpB *rdma.ConnPool) {
+						a.fuyao.conns[string(b.name)] = cpA
+						b.fuyao.conns[string(a.name)] = cpB
+						a.fuyao.rings[string(b.name)] = carveRing(b.fuyao)
+						b.fuyao.rings[string(a.name)] = carveRing(a.fuyao)
+						done()
+					})
 			})
 		}
 	}
-	for i := 0; i < jobs; i++ {
-		done.Get(pr)
-	}
-	for _, n := range c.nodeSeq {
-		n.fuyao.start()
-	}
+	c.join(jobs, func() {
+		for _, n := range c.nodeSeq {
+			n.fuyao.start()
+		}
+		c.finishSetup()
+	})
 }
 
 // carveRing allocates landing slots in dst's RDMA-only pool.
@@ -146,8 +145,8 @@ func carveRing(dst *fuyaoEngine) []rdma.RemoteBuf {
 }
 
 // start runs the engine loop and the receiver poller as engine callbacks,
-// each from one same-instant event, the one a spawn would schedule. Every
-// later step continues from the event its last block point scheduled.
+// each from one same-instant event. Every later step continues from the
+// event its last block point scheduled.
 func (e *fuyaoEngine) start() {
 	e.cqeBuf = make([]rdma.CQE, fuyaoBatch)
 	e.loopFn, e.ingestedFn, e.chargedFn, e.postedFn = e.loop, e.ingested, e.charged, e.posted
@@ -188,14 +187,11 @@ func (e *fuyaoEngine) loop() {
 			switch e.tx(d, false) {
 			case txWaiting:
 				return
-			case txStalled:
-				// Out of credits: the rest of this retry batch is not
-				// retried.
-				e.retry = nil
-				e.stage, e.next = fyInbox, 0
-			default:
+			case txSent:
 				e.did = true
 			}
+			// A stalled message is back on deferred; the rest of the
+			// batch goes on, to destinations that may have credits.
 		case fyInbox:
 			if e.next == fuyaoBatch {
 				e.stage = fyCQ

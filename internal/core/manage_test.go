@@ -6,7 +6,6 @@ import (
 
 	"nadino/internal/flightrec"
 	"nadino/internal/ingress"
-	"nadino/internal/sim"
 )
 
 // TestManageSurface exercises the live-management API against a running
@@ -68,20 +67,25 @@ func TestManageSurface(t *testing.T) {
 	// forced mis-route shows up in the flight recorder as DNE drops (the
 	// exact kind depends on where the descriptor dies: no QP pool toward
 	// the bogus placement is no-route, landing without a port is no-port).
-	respQ := sim.NewQueue[ingress.Response](c.Eng, 16)
-	c.Eng.Spawn("client", func(pr *sim.Proc) {
-		for i := 0; i < 20; i++ {
-			c.SubmitChain("mix", 1, func(r ingress.Response) { respQ.TryPut(r) })
-			respQ.Get(pr)
+	var misroute func(i int)
+	misroute = func(i int) {
+		if i < 5 {
+			c.SubmitChain("mix", 1, nil)
+			c.Eng.After(2*time.Millisecond, func() { misroute(i + 1) })
+		}
+	}
+	var serve func(i int)
+	serve = func(i int) {
+		if i < 20 {
+			c.SubmitChain("mix", 1, func(ingress.Response) { c.Eng.Immediate(func() { serve(i + 1) }) })
+			return
 		}
 		if err := c.Reroute("backend", "node1", true); err != nil {
 			t.Errorf("forced Reroute failed: %v", err)
 		}
-		for i := 0; i < 5; i++ {
-			c.SubmitChain("mix", 1, func(r ingress.Response) { respQ.TryPut(r) })
-			pr.Sleep(2 * time.Millisecond)
-		}
-	})
+		misroute(0)
+	}
+	c.Eng.Immediate(func() { serve(0) })
 	c.Eng.RunUntil(400 * time.Millisecond)
 
 	if c.Completed.Total() < 20 {

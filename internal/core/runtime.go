@@ -13,8 +13,7 @@ import (
 
 // The function runtime runs in engine context: each function's handlers,
 // its receivers and every message they send are state machines whose
-// block points are one event each, the one a blocking loop would schedule
-// (DESIGN §4). None of them spawns a process.
+// block points are one event each (DESIGN §4).
 
 // handler is one of a function's Workers request handlers (its internal
 // concurrency): it serves requests from the inbox, performs the chain's
@@ -51,7 +50,7 @@ type handler struct {
 }
 
 // startHandler adds one handler to f; it starts from one same-instant
-// event, the one a spawn would schedule.
+// event.
 func (c *Cluster) startHandler(f *Function) {
 	h := &handler{c: c, f: f, lastServed: -1}
 	h.op.init(c, f)
@@ -610,7 +609,7 @@ type receiver struct {
 }
 
 // startReceiver adds a receiver of kind to f; it starts from one
-// same-instant event, the one a spawn would schedule.
+// same-instant event.
 func (c *Cluster) startReceiver(f *Function, kind rxKind) {
 	r := &receiver{c: c, f: f, kind: kind, st: c.workerStack()}
 	r.buf.eng, r.buf.retryFn = c.Eng, r.buf.retry

@@ -151,7 +151,7 @@ type Engine struct {
 	rqDescs []mempool.Descriptor
 
 	// w and k are the worker loop's and the keeper's state between block
-	// points: both run as engine callbacks, not processes (see Start).
+	// points: both run as engine callbacks (see Start).
 	w workerState
 	k keeperState
 
@@ -518,10 +518,8 @@ func (e *Engine) RQDebt() int {
 
 // Start launches the worker loop and the core thread. Call once, before
 // Engine.Run on the simulation. Both are poll-mode loops (§3.2) and run as
-// engine callbacks, not processes: each starts from one same-instant event,
-// the one a spawn would schedule, and every later step continues from the
-// event its last block point scheduled, so no step costs a goroutine
-// handoff.
+// engine callbacks: each starts from one same-instant event, and every
+// later step continues from the event its last block point scheduled.
 func (e *Engine) Start() {
 	if e.started {
 		panic("dne: Start called twice")
@@ -649,8 +647,8 @@ func (e *Engine) ingested() {
 
 // onPathDMA moves n bytes across the PCIe boundary on the SoC DMA engine;
 // the loop waits for the copy (§4.1.1) and resumes at then. It resumes one
-// same-instant event after the copy lands, the wake hop a blocked process
-// paid, so ties at that instant keep their order.
+// same-instant event after the copy lands (the wake hop of a wait on the
+// copy's completion), so ties at that instant keep their order.
 func (e *Engine) onPathDMA(n int, then func()) {
 	e.w.afterDMA = then
 	e.socDMA.Transfer(n, e.w.dmaLandedFn)

@@ -82,75 +82,129 @@ func newPairRig(t *testing.T, seed int64, p *params.Params, opts ...rigOpt) *pai
 	r.portCli = r.ea.AttachFunction("cli", rigTenant)
 	r.portSrv = r.eb.AttachFunction("srv", rigTenant)
 
-	eng.Spawn("setup", func(pr *sim.Proc) {
-		cpA, cpB := rdma.EstablishPair(pr, p, rigTenant,
+	eng.Immediate(func() {
+		rdma.EstablishPair(eng, p, rigTenant,
 			dA.RNIC(), dB.RNIC(), 8,
-			r.ea.SRQ(rigTenant), r.eb.SRQ(rigTenant), r.ea.CQ(), r.eb.CQ())
-		r.ea.AddConnPool("nodeB", rigTenant, cpA)
-		r.eb.AddConnPool("nodeA", rigTenant, cpB)
-		r.ea.Start()
-		r.eb.Start()
-		r.ready.Put(pr, struct{}{})
+			r.ea.SRQ(rigTenant), r.eb.SRQ(rigTenant), r.ea.CQ(), r.eb.CQ(), func(cpA, cpB *rdma.ConnPool) {
+				r.ea.AddConnPool("nodeB", rigTenant, cpA)
+				r.eb.AddConnPool("nodeA", rigTenant, cpB)
+				r.ea.Start()
+				r.eb.Start()
+				r.ready.TryPut(struct{}{})
+			})
 	})
 	return r
 }
 
-// spawnEchoServer runs a server that echoes every request back to its Src.
-func (r *pairRig) spawnEchoServer(t *testing.T) {
-	r.eng.Spawn("srv", func(pr *sim.Proc) {
-		for {
-			d := r.portSrv.Recv(pr, r.coreB)
-			reply, err := r.poolB.Get("srv")
+// onReady runs fn once the rig's connections are up: at once when they
+// are, else when the ready token reaches it (each waiter passes it on).
+func (r *pairRig) onReady(fn func()) {
+	if _, ok := r.ready.TryGet(); !ok {
+		r.ready.Notify(func() { r.onReady(fn) })
+		return
+	}
+	r.ready.TryPut(struct{}{})
+	fn()
+}
+
+// sendOn hands d to fp, paying the channel send cost on core, then passes
+// SendBegin's error (nil once d is shipped) to then.
+func sendOn(fp *FnPort, core *sim.Processor, d mempool.Descriptor, then func(error)) {
+	cost, sp, err := fp.SendBegin(&d)
+	if err != nil {
+		then(err)
+		return
+	}
+	core.Run(cost, func() {
+		fp.SendEnd(d, sp)
+		then(nil)
+	})
+}
+
+// recvOn waits for the next descriptor on fp, pays the channel wakeup cost
+// on core, then passes the descriptor (owned by the function) to then.
+func recvOn(fp *FnPort, core *sim.Processor, then func(mempool.Descriptor)) {
+	d, ok := fp.TryRecv()
+	if !ok {
+		fp.NotifyRecv(func() { recvOn(fp, core, then) })
+		return
+	}
+	sp, cost, charge := fp.Received(&d)
+	if !charge {
+		sp.End()
+		then(d)
+		return
+	}
+	core.Run(cost, func() {
+		sp.End()
+		then(d)
+	})
+}
+
+// startEchoServer runs a server that echoes every request back to its Src.
+func (r *pairRig) startEchoServer(t *testing.T) {
+	var serve func(d mempool.Descriptor)
+	serve = func(d mempool.Descriptor) {
+		reply, err := r.poolB.Get("srv")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		out := mempool.Descriptor{
+			Tenant: rigTenant, Buf: reply, Len: d.Len,
+			Src: "srv", Dst: d.Src, Seq: d.Seq, Stamp: d.Stamp, Ctx: d.Ctx,
+		}
+		if err := r.poolB.Put(d.Buf, "srv"); err != nil {
+			t.Error(err)
+			return
+		}
+		sendOn(r.portSrv, r.coreB, out, func(err error) {
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			out := mempool.Descriptor{
-				Tenant: rigTenant, Buf: reply, Len: d.Len,
-				Src: "srv", Dst: d.Src, Seq: d.Seq, Stamp: d.Stamp, Ctx: d.Ctx,
-			}
-			if err := r.poolB.Put(d.Buf, "srv"); err != nil {
-				t.Error(err)
-				return
-			}
-			if err := r.portSrv.Send(pr, r.coreB, out); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-	})
+			recvOn(r.portSrv, r.coreB, serve)
+		})
+	}
+	r.eng.Immediate(func() { recvOn(r.portSrv, r.coreB, serve) })
 }
 
 // runEcho drives n sequential echo round trips of the given payload and
 // returns their RTTs.
 func (r *pairRig) runEcho(t *testing.T, n, payload int) []time.Duration {
 	var rtts []time.Duration
-	r.spawnEchoServer(t)
-	r.eng.Spawn("cli", func(pr *sim.Proc) {
-		r.ready.Get(pr)
-		for i := 0; i < n; i++ {
-			buf, err := r.poolA.Get("cli")
+	r.startEchoServer(t)
+	var echo func(i int)
+	echo = func(i int) {
+		if i == n {
+			return
+		}
+		buf, err := r.poolA.Get("cli")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		start := r.eng.Now()
+		d := mempool.Descriptor{
+			Tenant: rigTenant, Buf: buf, Len: payload,
+			Src: "cli", Dst: "srv", Seq: uint64(i), Stamp: start,
+		}
+		sendOn(r.portCli, r.coreA, d, func(err error) {
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			start := pr.Now()
-			d := mempool.Descriptor{
-				Tenant: rigTenant, Buf: buf, Len: payload,
-				Src: "cli", Dst: "srv", Seq: uint64(i), Stamp: start,
-			}
-			if err := r.portCli.Send(pr, r.coreA, d); err != nil {
-				t.Error(err)
-				return
-			}
-			resp := r.portCli.Recv(pr, r.coreA)
-			rtts = append(rtts, pr.Now()-start)
-			if err := r.poolA.Put(resp.Buf, "cli"); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-	})
+			recvOn(r.portCli, r.coreA, func(resp mempool.Descriptor) {
+				rtts = append(rtts, r.eng.Now()-start)
+				if err := r.poolA.Put(resp.Buf, "cli"); err != nil {
+					t.Error(err)
+					return
+				}
+				echo(i + 1)
+			})
+		})
+	}
+	r.eng.Immediate(func() { r.onReady(func() { echo(0) }) })
 	r.eng.RunUntil(3 * time.Second)
 	return rtts
 }
@@ -217,35 +271,34 @@ func TestOnPathSlowerThanOffPathUnderLoad(t *testing.T) {
 	run := func(mode Mode) float64 {
 		p := params.Default()
 		r := newPairRig(t, 4, p, withMode(mode))
-		r.spawnEchoServer(t)
+		r.startEchoServer(t)
 		const clients = 8
 		done := 0
-		for c := 0; c < clients; c++ {
-			cid := c
-			r.eng.Spawn("cli", func(pr *sim.Proc) {
-				r.ready.Get(pr)
-				r.ready.TryPut(struct{}{}) // wake the rest
-				fn := "cli"
-				_ = cid
-				for {
-					buf, err := r.poolA.Get(mempool.Owner(fn))
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					d := mempool.Descriptor{Tenant: rigTenant, Buf: buf, Len: 1024, Src: fn, Dst: "srv"}
-					if err := r.portCli.Send(pr, r.coreA, d); err != nil {
-						t.Error(err)
-						return
-					}
-					resp := r.portCli.Recv(pr, r.coreA)
-					done++
-					if err := r.poolA.Put(resp.Buf, mempool.Owner(fn)); err != nil {
-						t.Error(err)
-						return
-					}
+		var loop func()
+		loop = func() {
+			buf, err := r.poolA.Get("cli")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			d := mempool.Descriptor{Tenant: rigTenant, Buf: buf, Len: 1024, Src: "cli", Dst: "srv"}
+			sendOn(r.portCli, r.coreA, d, func(err error) {
+				if err != nil {
+					t.Error(err)
+					return
 				}
+				recvOn(r.portCli, r.coreA, func(resp mempool.Descriptor) {
+					done++
+					if err := r.poolA.Put(resp.Buf, "cli"); err != nil {
+						t.Error(err)
+						return
+					}
+					loop()
+				})
 			})
+		}
+		for c := 0; c < clients; c++ {
+			r.eng.Immediate(func() { r.onReady(loop) })
 		}
 		r.eng.RunUntil(200 * time.Millisecond)
 		elapsed := r.eng.Now() - r.p.QPSetupTime
@@ -266,11 +319,10 @@ func TestEngineOwnershipViolationSurfaceable(t *testing.T) {
 	// A function must not be able to send a buffer it does not own.
 	r := newPairRig(t, 5, params.Default())
 	var sendErr error
-	r.eng.Spawn("cli", func(pr *sim.Proc) {
-		r.ready.Get(pr)
+	r.onReady(func() {
 		buf, _ := r.poolA.Get("someone-else")
 		d := mempool.Descriptor{Tenant: rigTenant, Buf: buf, Len: 64, Src: "cli", Dst: "srv"}
-		sendErr = r.portCli.Send(pr, r.coreA, d)
+		sendOn(r.portCli, r.coreA, d, func(err error) { sendErr = err })
 	})
 	r.eng.RunUntil(time.Second)
 	if sendErr == nil {
@@ -322,17 +374,19 @@ func TestEngineDropsUnroutableDescriptors(t *testing.T) {
 	p := params.Default()
 	r := newPairRig(t, 21, p)
 	var sendErr error
-	r.eng.Spawn("cli", func(pr *sim.Proc) {
-		r.ready.Get(pr)
+	r.onReady(func() {
 		inUse := r.poolA.InUse()
 		// Unknown destination: no route at all.
 		buf, _ := r.poolA.Get("cli")
 		d := mempool.Descriptor{Tenant: rigTenant, Buf: buf, Len: 64, Src: "cli", Dst: "ghost"}
-		sendErr = r.portCli.Send(pr, r.coreA, d)
-		pr.Sleep(5 * time.Millisecond)
-		if got := r.poolA.InUse(); got != inUse {
-			t.Errorf("dropped descriptor leaked a buffer: %d != %d", got, inUse)
-		}
+		sendOn(r.portCli, r.coreA, d, func(err error) {
+			sendErr = err
+			r.eng.After(5*time.Millisecond, func() {
+				if got := r.poolA.InUse(); got != inUse {
+					t.Errorf("dropped descriptor leaked a buffer: %d != %d", got, inUse)
+				}
+			})
+		})
 	})
 	r.eng.RunUntil(time.Second)
 	if sendErr != nil {
@@ -360,6 +414,9 @@ func TestEngineAccessors(t *testing.T) {
 	if r.ea.ConnPool("nodeB", rigTenant) == nil {
 		t.Fatal("installed connection pool not found")
 	}
+	if got := r.ea.SRQ(rigTenant).Posted(); got != r.ea.RQTarget() {
+		t.Fatalf("keeper posted %d receive buffers, want %d", got, r.ea.RQTarget())
+	}
 	if r.ea.ConnPool("ghost", rigTenant) != nil || r.ea.ConnPool("nodeB", "ghost") != nil {
 		t.Fatal("connection pool reported for an unknown node or tenant")
 	}
@@ -383,11 +440,12 @@ func TestGatewayLandedDelivery(t *testing.T) {
 	var lost []any
 	r.eb.SetDropHook(func(ctx any) { lost = append(lost, ctx) })
 	var got []mempool.Descriptor
-	r.eng.Spawn("srv", func(pr *sim.Proc) {
-		for {
-			got = append(got, r.portSrv.Recv(pr, r.coreB))
-		}
-	})
+	var take func(d mempool.Descriptor)
+	take = func(d mempool.Descriptor) {
+		got = append(got, d)
+		recvOn(r.portSrv, r.coreB, take)
+	}
+	r.eng.Immediate(func() { recvOn(r.portSrv, r.coreB, take) })
 
 	at := r.p.QPSetupTime + time.Millisecond
 	r.eng.RunUntil(at)
@@ -425,33 +483,5 @@ func TestGatewayLandedDelivery(t *testing.T) {
 	// Only the delivered buffer is still out; the dropped one came home.
 	if n := r.poolB.InUse(); n != inUse+1 {
 		t.Fatalf("pool B in use = %d, want %d", n, inUse+1)
-	}
-}
-
-// TestStartSpawnsNoProcess pins that the worker loop and the keeper run as
-// engine callbacks: Start adds no process, and running the engine — the
-// keeper's initial posting and replenish rounds included — dispatches none.
-func TestStartSpawnsNoProcess(t *testing.T) {
-	p := params.Default()
-	eng := sim.NewEngine(1)
-	t.Cleanup(eng.Stop)
-	d := dpu.New(eng, p, "nodeA", fabric.New(eng, p), 2)
-	e := New(eng, p, Config{Node: "nodeA", Channel: dpu.ComchE}, d, nil, nil)
-	pool := mempool.NewPool(rigTenant, 4096, 1024, p.HugepageSize)
-	e.AddTenant(rigTenant, pool, 1)
-	procs := eng.Procs()
-	e.Start()
-	if got := eng.Procs(); got != procs {
-		t.Fatalf("Start changed live processes from %d to %d", procs, got)
-	}
-	eng.RunFor(time.Millisecond)
-	if got := eng.Procs(); got != procs {
-		t.Fatalf("running changed live processes from %d to %d", procs, got)
-	}
-	if n := eng.Dispatches(); n != 0 {
-		t.Fatalf("engine dispatched %d processes", n)
-	}
-	if got := e.SRQ(rigTenant).Posted(); got != e.RQTarget() {
-		t.Fatalf("keeper posted %d receive buffers, want %d", got, e.RQTarget())
 	}
 }

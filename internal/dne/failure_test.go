@@ -18,60 +18,71 @@ import (
 func TestEngineRecoversFromLinkBlip(t *testing.T) {
 	r := newPairRig(t, 7, params.Default())
 	net := r.net
-	r.spawnEchoServer(t)
+	r.startEchoServer(t)
 
 	// Eight concurrent request streams keep traffic in flight in both
 	// directions when the outage hits. They share the client port; a demux
-	// proc routes responses back by sequence number.
+	// loop routes responses back by sequence number.
 	const streams = 8
 	const perStream = 150
 	const requests = streams * perStream
 	completed := 0
 	waiters := make(map[uint64]*sim.Queue[mempool.Descriptor])
-	r.eng.Spawn("cli-demux", func(pr *sim.Proc) {
-		for {
-			d := r.portCli.Recv(pr, r.coreA)
-			if w, ok := waiters[d.Seq]; ok {
-				delete(waiters, d.Seq)
-				w.TryPut(d)
-			} else if err := r.poolA.Put(d.Buf, "cli"); err != nil {
-				// Duplicate delivery (at-least-once retry): recycle it so
-				// the leak check stays exact.
-				t.Error(err)
-			}
+	var demux func(d mempool.Descriptor)
+	demux = func(d mempool.Descriptor) {
+		if w, ok := waiters[d.Seq]; ok {
+			delete(waiters, d.Seq)
+			w.TryPut(d)
+		} else if err := r.poolA.Put(d.Buf, "cli"); err != nil {
+			// Duplicate delivery (at-least-once retry): recycle it so the
+			// leak check stays exact.
+			t.Error(err)
 		}
-	})
+		recvOn(r.portCli, r.coreA, demux)
+	}
+	r.eng.Immediate(func() { recvOn(r.portCli, r.coreA, demux) })
 	var seq uint64
 	for s := 0; s < streams; s++ {
-		r.eng.Spawn("cli", func(pr *sim.Proc) {
-			r.ready.Get(pr)
-			r.ready.TryPut(struct{}{})
-			respQ := sim.NewQueue[mempool.Descriptor](r.eng, 0)
-			for i := 0; i < perStream; i++ {
-				buf, err := r.poolA.Get("cli")
-				if err != nil {
-					t.Error(err)
+		respQ := sim.NewQueue[mempool.Descriptor](r.eng, 0)
+		var issue func(i int)
+		issue = func(i int) {
+			if i == perStream {
+				return
+			}
+			buf, err := r.poolA.Get("cli")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			seq++
+			waiters[seq] = respQ
+			d := mempool.Descriptor{
+				Tenant: rigTenant, Buf: buf, Len: 1024,
+				Src: "cli", Dst: "srv", Seq: seq,
+			}
+			var await func()
+			await = func() {
+				resp, ok := respQ.TryGet()
+				if !ok {
+					respQ.Notify(await)
 					return
 				}
-				seq++
-				id := seq
-				waiters[id] = respQ
-				d := mempool.Descriptor{
-					Tenant: rigTenant, Buf: buf, Len: 1024,
-					Src: "cli", Dst: "srv", Seq: id,
-				}
-				if err := r.portCli.Send(pr, r.coreA, d); err != nil {
-					t.Error(err)
-					return
-				}
-				resp := respQ.Get(pr)
 				completed++
 				if err := r.poolA.Put(resp.Buf, "cli"); err != nil {
 					t.Error(err)
 					return
 				}
+				issue(i + 1)
 			}
-		})
+			sendOn(r.portCli, r.coreA, d, func(err error) {
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				await()
+			})
+		}
+		r.eng.Immediate(func() { r.onReady(func() { issue(0) }) })
 	}
 
 	// Outage: node B unreachable for 8ms, early in the workload.
@@ -119,45 +130,35 @@ func TestKeeperRepaysReplenishDebt(t *testing.T) {
 	r := newPairRig(t, 11, params.Default())
 	const sends = 64
 	finished := false
-	r.eng.Spawn("squeeze", func(pr *sim.Proc) {
-		r.ready.Get(pr)
-		r.ready.TryPut(struct{}{})
-		pr.Sleep(time.Millisecond) // let the keeper finish initial posting
-		posted0 := r.eb.SRQ(rigTenant).Posted()
-		if posted0 == 0 {
-			t.Error("RQ ring empty before the squeeze")
+	var posted0 int
+	var held []mempool.Buffer
+	var release func()
+	var send func(i int)
+	send = func(i int) {
+		if i == sends {
+			// Several keeper rounds observe the consumed slots while the
+			// pool is empty: the ring must shrink and stay short.
+			r.eng.After(2*time.Millisecond, release)
 			return
 		}
-		// Squeeze: hold every free buffer of pool B so the keeper cannot
-		// replenish.
-		var held []mempool.Buffer
-		for {
-			b, err := r.poolB.Get("hog")
-			if err != nil {
-				break
-			}
-			held = append(held, b)
+		buf, err := r.poolA.Get("cli")
+		if err != nil {
+			t.Error(err)
+			return
 		}
-		// Consume RQ slots with one-way messages that land at the srv port
-		// (nobody drains it, so nothing flows back into the pool).
-		for i := 0; i < sends; i++ {
-			buf, err := r.poolA.Get("cli")
+		d := mempool.Descriptor{
+			Tenant: rigTenant, Buf: buf, Len: 1024,
+			Src: "cli", Dst: "srv", Seq: uint64(i),
+		}
+		sendOn(r.portCli, r.coreA, d, func(err error) {
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			d := mempool.Descriptor{
-				Tenant: rigTenant, Buf: buf, Len: 1024,
-				Src: "cli", Dst: "srv", Seq: uint64(i),
-			}
-			if err := r.portCli.Send(pr, r.coreA, d); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-		// Several keeper rounds observe the consumed slots while the pool
-		// is empty: the ring must shrink and stay short.
-		pr.Sleep(2 * time.Millisecond)
+			send(i + 1)
+		})
+	}
+	release = func() {
 		if got := r.eb.SRQ(rigTenant).Posted(); got >= posted0 {
 			t.Errorf("squeeze did not bite: posted %d >= %d", got, posted0)
 		}
@@ -168,11 +169,33 @@ func TestKeeperRepaysReplenishDebt(t *testing.T) {
 				return
 			}
 		}
-		pr.Sleep(2 * time.Millisecond)
-		if got := r.eb.SRQ(rigTenant).Posted(); got != posted0 {
-			t.Errorf("RQ ring not repaid after the squeeze: posted %d, want %d", got, posted0)
-		}
-		finished = true
+		r.eng.After(2*time.Millisecond, func() {
+			if got := r.eb.SRQ(rigTenant).Posted(); got != posted0 {
+				t.Errorf("RQ ring not repaid after the squeeze: posted %d, want %d", got, posted0)
+			}
+			finished = true
+		})
+	}
+	r.onReady(func() {
+		// Let the keeper finish initial posting.
+		r.eng.After(time.Millisecond, func() {
+			if posted0 = r.eb.SRQ(rigTenant).Posted(); posted0 == 0 {
+				t.Error("RQ ring empty before the squeeze")
+				return
+			}
+			// Squeeze: hold every free buffer of pool B so the keeper
+			// cannot replenish.
+			for {
+				b, err := r.poolB.Get("hog")
+				if err != nil {
+					break
+				}
+				held = append(held, b)
+			}
+			// Consume RQ slots with one-way messages that land at the srv
+			// port (nobody drains it, so nothing flows back into the pool).
+			send(0)
+		})
 	})
 	r.eng.RunUntil(time.Second)
 	if !finished {

@@ -7,14 +7,8 @@ import (
 	"nadino/internal/dpu"
 	"nadino/internal/ipc"
 	"nadino/internal/mempool"
-	"nadino/internal/sim"
 	"nadino/internal/trace"
 )
-
-// Execer is any core a cost can be charged to (Processor or CorePool).
-type Execer interface {
-	Exec(p *sim.Proc, cost time.Duration)
-}
 
 // FnPort is a function's descriptor channel to the node's network engine:
 // a DOCA Comch endpoint when the engine is on the DPU, an SK_MSG socket
@@ -43,27 +37,13 @@ type FnPort struct {
 // Fn reports the attached function's ID.
 func (fp *FnPort) Fn() string { return fp.fn }
 
-// Send hands a descriptor (and the buffer it owns) to the engine for
-// inter-node transmission, blocking pr while core pays the channel send
-// cost: the process form of SendBegin, Exec, SendEnd, kept for the
-// FnPort-level micro-rigs. The calling function must own d.Buf; ownership
-// moves to the engine.
-func (fp *FnPort) Send(pr *sim.Proc, core Execer, d mempool.Descriptor) error {
-	cost, sp, err := fp.SendBegin(&d)
-	if err != nil {
-		return err
-	}
-	core.Exec(pr, cost)
-	fp.SendEnd(d, sp)
-	return nil
-}
-
-// SendBegin starts a send in engine context. It stamps d's interned tenant
-// and destination IDs (a destination the engine has not seen is interned
-// without a route, so it drops at TX unless a route is installed first),
-// moves d.Buf from the function to the engine and opens the port-send
-// span. The function's core then pays the returned channel send cost, and
-// SendEnd ships d.
+// SendBegin starts handing a descriptor (and the buffer it owns) to the
+// engine for inter-node transmission; the calling function must own d.Buf.
+// It stamps d's interned tenant and destination IDs (a destination the
+// engine has not seen is interned without a route, so it drops at TX
+// unless a route is installed first), moves d.Buf from the function to the
+// engine and opens the port-send span. The function's core then pays the
+// returned channel send cost, and SendEnd ships d.
 func (fp *FnPort) SendBegin(d *mempool.Descriptor) (time.Duration, trace.SpanRef, error) {
 	d.Tenant = fp.tenant
 	ts := fp.ts
@@ -101,28 +81,9 @@ func (fp *FnPort) SendEnd(d mempool.Descriptor, sp trace.SpanRef) {
 	fp.toEngine.Send(d)
 }
 
-// Recv blocks until the engine delivers a descriptor for this function and
-// core has paid the channel wakeup cost: the process form of TryRecv or
-// NotifyRecv, then Received, kept for the FnPort-level micro-rigs. The
-// returned buffer is owned by the function.
-func (fp *FnPort) Recv(pr *sim.Proc, core Execer) mempool.Descriptor {
-	var d mempool.Descriptor
-	if fp.comch != nil {
-		d = fp.comch.RecvOnHost(pr)
-	} else {
-		d = fp.toFn.Recv(pr)
-	}
-	sp, cost, charge := fp.Received(&d)
-	if charge {
-		core.Exec(pr, cost)
-	}
-	sp.End()
-	return d
-}
-
 // NotifyRecv parks fn until the engine delivers a descriptor for this
-// function: Recv's wait in engine context, for a port TryRecv just found
-// empty (see sim.Queue.Notify). fn takes the descriptor with TryRecv.
+// function, for a port TryRecv just found empty (see sim.Queue.Notify). fn
+// takes the descriptor with TryRecv; its buffer is owned by the function.
 func (fp *FnPort) NotifyRecv(fn func()) {
 	if fp.comch != nil {
 		fp.comch.NotifyOnHost(fn)

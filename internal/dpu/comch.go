@@ -176,7 +176,7 @@ func (ep *Endpoint) DNERecvCost(endpoints int) time.Duration {
 func (ep *Endpoint) PinsHostCore() bool { return ep.mode == ComchP }
 
 // SendToDNE ships a descriptor host -> DPU. The caller pays SendCost on its
-// own core before calling. Engine or process context.
+// own core before calling.
 func (ep *Endpoint) SendToDNE(d mempool.Descriptor) {
 	ep.sentToDNE++
 	d.Trace.BeginStage(trace.StageComchH2D, "comch")
@@ -202,17 +202,10 @@ func (ep *Endpoint) TryRecvFromHost() (mempool.Descriptor, bool) {
 // PendingFromHost reports queued host->DNE descriptors.
 func (ep *Endpoint) PendingFromHost() int { return ep.toDNE.Len() }
 
-// RecvOnHost blocks the host function until a descriptor arrives. The
-// wakeup cost is paid by the caller afterwards (it knows its core).
-func (ep *Endpoint) RecvOnHost(pr *sim.Proc) mempool.Descriptor {
-	d := ep.toHost.Get(pr)
-	d.Trace.EndStage(trace.StageComchD2H)
-	return d
-}
-
-// NotifyOnHost parks fn until a descriptor arrives on the host side:
-// RecvOnHost's wait in engine context, for an endpoint TryRecvOnHost just
-// found empty (see sim.Queue.Notify).
+// NotifyOnHost parks fn until a descriptor arrives on the host side, for
+// an endpoint TryRecvOnHost just found empty (see sim.Queue.Notify); fn
+// takes it with TryRecvOnHost. The wakeup cost is paid by the receiver
+// afterwards (it knows its core).
 func (ep *Endpoint) NotifyOnHost(fn func()) { ep.toHost.Notify(fn) }
 
 // TryRecvOnHost is the non-blocking host-side receive.

@@ -23,14 +23,8 @@ func TestDPUCoresAreWimpy(t *testing.T) {
 	eng, p, d := newDPU(t)
 	var hostDone, dpuDone time.Duration
 	host := sim.NewProcessor(eng, "host", p.HostCoreSpeed)
-	eng.Spawn("host-job", func(pr *sim.Proc) {
-		host.Exec(pr, 10*time.Microsecond)
-		hostDone = pr.Now()
-	})
-	eng.Spawn("dpu-job", func(pr *sim.Proc) {
-		d.Core(0).Exec(pr, 10*time.Microsecond)
-		dpuDone = pr.Now()
-	})
+	host.Run(10*time.Microsecond, func() { hostDone = eng.Now() })
+	d.Core(0).Run(10*time.Microsecond, func() { dpuDone = eng.Now() })
 	eng.Run()
 	if dpuDone <= hostDone {
 		t.Fatalf("DPU core (%v) not slower than host core (%v)", dpuDone, hostDone)
@@ -100,26 +94,30 @@ func TestComchRoundTripLatencyOrdering(t *testing.T) {
 		hostCore := sim.NewProcessor(eng, "host", p.HostCoreSpeed)
 		dpuCore := sim.NewProcessor(eng, "dpu", p.DPUCoreSpeed)
 		var rtt time.Duration
-		eng.Spawn("fn", func(pr *sim.Proc) {
-			start := pr.Now()
-			hostCore.Exec(pr, ep.SendCost())
-			ep.SendToDNE(mempool.Descriptor{Tenant: "t"})
-			d := ep.RecvOnHost(pr)
-			hostCore.Exec(pr, ep.HostWakeupCost())
-			_ = d
-			rtt = pr.Now() - start
-		})
-		eng.Spawn("dne", func(pr *sim.Proc) {
-			for {
-				d, ok := ep.TryRecvFromHost()
-				if !ok {
-					work.Wait(pr)
-					continue
-				}
-				dpuCore.Exec(pr, ep.DNERecvCost(1)+500*time.Nanosecond)
-				ep.SendToHost(d)
+		var await, serve func()
+		await = func() {
+			if _, ok := ep.TryRecvOnHost(); !ok {
+				ep.NotifyOnHost(await)
+				return
 			}
+			hostCore.Run(ep.HostWakeupCost(), func() { rtt = eng.Now() })
+		}
+		hostCore.Run(ep.SendCost(), func() {
+			ep.SendToDNE(mempool.Descriptor{Tenant: "t"})
+			await()
 		})
+		serve = func() {
+			d, ok := ep.TryRecvFromHost()
+			if !ok {
+				work.Notify(serve)
+				return
+			}
+			dpuCore.Run(ep.DNERecvCost(1)+500*time.Nanosecond, func() {
+				ep.SendToHost(d)
+				serve()
+			})
+		}
+		eng.Immediate(serve)
 		eng.RunUntil(time.Second)
 		if rtt == 0 {
 			t.Fatalf("%v round trip never completed", mode)
@@ -179,8 +177,7 @@ func TestEndpointFIFO(t *testing.T) {
 		ep.SendToDNE(mempool.Descriptor{Seq: uint64(i)})
 	}
 	var got []uint64
-	eng.Spawn("dne", func(pr *sim.Proc) {
-		pr.Sleep(time.Millisecond)
+	eng.After(time.Millisecond, func() {
 		for {
 			d, ok := ep.TryRecvFromHost()
 			if !ok {

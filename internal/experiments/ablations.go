@@ -43,32 +43,39 @@ func ablConnPoolPerReq(o Opts, p *params.Params) time.Duration {
 	poolA := mempool.NewPool("t", 8192, 256, p.HugepageSize)
 	poolB := mempool.NewPool("t", 8192, 256, p.HugepageSize)
 	var sum time.Duration
-	eng.Spawn("per-request", func(pr *sim.Proc) {
-		for i := 0; i < n; i++ {
-			start := pr.Now()
-			pr.Sleep(p.QPSetupTime) // the handshake, per request
+	var start time.Duration
+	var echo func(i int)
+	echo = func(i int) {
+		if i == n {
+			return
+		}
+		start = eng.Now()
+		eng.After(p.QPSetupTime, func() { // the handshake, per request
 			srqB := rdma.NewSRQ("t")
 			cqA, cqB := rdma.NewCQ(eng), rdma.NewCQ(eng)
-			qa, qb := rdma.Connect(ra, rb, "t", nil, srqB, cqA, cqB)
+			qa, _ := rdma.Connect(ra, rb, "t", nil, srqB, cqA, cqB)
 			rbuf, _ := poolB.Get("rq")
 			srqB.PostRecv(mempool.Descriptor{Tenant: "t", Buf: rbuf})
 			src, _ := poolA.Get("cli")
 			qa.PostSend(mempool.Descriptor{Tenant: "t", Buf: src, Len: 1024})
-			cqB.Wait(pr)
-			e := cqB.Poll(1)[0]
-			_ = qb
-			// Tear down: recycle both buffers.
-			if err := poolB.Transfer(e.Desc.Buf, "rq", "srv"); err != nil {
-				panic(err)
-			}
-			_ = poolB.Put(e.Desc.Buf, "srv")
-			cqA.Wait(pr)
-			for _, c := range cqA.Poll(0) {
-				_ = poolA.Put(c.Desc.Buf, "cli")
-			}
-			sum += pr.Now() - start
-		}
-	})
+			awaitCQ(cqB, func() {
+				e := cqB.Poll(1)[0]
+				// Tear down: recycle both buffers.
+				if err := poolB.Transfer(e.Desc.Buf, "rq", "srv"); err != nil {
+					panic(err)
+				}
+				_ = poolB.Put(e.Desc.Buf, "srv")
+				awaitCQ(cqA, func() {
+					for _, c := range cqA.Poll(0) {
+						_ = poolA.Put(c.Desc.Buf, "cli")
+					}
+					sum += eng.Now() - start
+					echo(i + 1)
+				})
+			})
+		})
+	}
+	eng.Immediate(func() { echo(0) })
 	eng.RunUntil(10 * time.Second)
 	return sum / n
 }
@@ -145,27 +152,22 @@ func runVictimEcho(o Opts, p *params.Params, rogueQPs int, capActive bool) time.
 		q, _ := rdma.Connect(ra, rb, "rogue", nil, nil, rogueCQ, rdma.NewCQ(eng))
 		rogue = append(rogue, q)
 	}
-	eng.Spawn("rogue-cq-drain", func(pr *sim.Proc) {
-		for {
-			rogueCQ.Wait(pr)
-			rogueCQ.Poll(0)
-		}
-	})
+	discardCQ(eng, rogueCQ)
 	active := rogue
 	if capActive && len(rogue) > 2 {
 		// DNE-managed: all but two QPs are shadows and carry no traffic.
 		active = rogue[:2]
 	}
 	if len(active) > 0 {
-		eng.Spawn("rogue-blaster", func(pr *sim.Proc) {
-			i := 0
-			for {
-				q := active[i%len(active)]
-				q.PostWrite(mempool.Descriptor{Tenant: "rogue", Len: 64, Buf: slot}, rdma.RemoteBuf{MR: rogueMR, Buf: slot})
-				i++
-				pr.Sleep(2 * time.Microsecond)
-			}
-		})
+		i := 0
+		var blast func()
+		blast = func() {
+			q := active[i%len(active)]
+			q.PostWrite(mempool.Descriptor{Tenant: "rogue", Len: 64, Buf: slot}, rdma.RemoteBuf{MR: rogueMR, Buf: slot})
+			i++
+			eng.After(2*time.Microsecond, blast)
+		}
+		eng.Immediate(blast)
 	}
 
 	// Victim: sequential 1KB echoes, both ends reposting receive buffers.
@@ -180,9 +182,9 @@ func runVictimEcho(o Opts, p *params.Params, rogueQPs int, capActive bool) time.
 	}
 	post(poolA, srqA, 64)
 	post(poolB, srqB, 64)
-	eng.Spawn("victim-server", func(pr *sim.Proc) {
-		for {
-			cqB.Wait(pr)
+	var serve func()
+	serve = func() {
+		awaitCQ(cqB, func() {
 			for _, e := range cqB.Poll(0) {
 				switch e.Op {
 				case rdma.OpRecv:
@@ -198,40 +200,50 @@ func runVictimEcho(o Opts, p *params.Params, rogueQPs int, capActive bool) time.
 					post(poolB, srqB, 1)
 				}
 			}
-		}
-	})
+			serve()
+		})
+	}
+	eng.Immediate(serve)
 	var count uint64
 	var rttSum time.Duration
-	eng.Spawn("victim-client", func(pr *sim.Proc) {
-		for {
-			src, err := poolA.Get("cli")
-			if err != nil {
-				pr.Sleep(10 * time.Microsecond)
-				continue
-			}
-			start := pr.Now()
-			qa.PostSend(mempool.Descriptor{Tenant: "victim", Buf: src, Len: 1024})
+	var issue, await func()
+	var start time.Duration
+	issue = func() {
+		src, err := poolA.Get("cli")
+		if err != nil {
+			eng.After(10*time.Microsecond, issue)
+			return
+		}
+		start = eng.Now()
+		qa.PostSend(mempool.Descriptor{Tenant: "victim", Buf: src, Len: 1024})
+		await()
+	}
+	await = func() {
+		awaitCQ(cqA, func() {
 			gotReply := false
-			for !gotReply {
-				cqA.Wait(pr)
-				for _, e := range cqA.Poll(0) {
-					switch e.Op {
-					case rdma.OpRecv:
-						if err := poolA.Transfer(e.Desc.Buf, "rq", "cli"); err != nil {
-							panic(err)
-						}
-						_ = poolA.Put(e.Desc.Buf, "cli")
-						post(poolA, srqA, 1)
-						gotReply = true
-					case rdma.OpSend:
-						_ = poolA.Put(e.Desc.Buf, "cli")
+			for _, e := range cqA.Poll(0) {
+				switch e.Op {
+				case rdma.OpRecv:
+					if err := poolA.Transfer(e.Desc.Buf, "rq", "cli"); err != nil {
+						panic(err)
 					}
+					_ = poolA.Put(e.Desc.Buf, "cli")
+					post(poolA, srqA, 1)
+					gotReply = true
+				case rdma.OpSend:
+					_ = poolA.Put(e.Desc.Buf, "cli")
 				}
 			}
+			if !gotReply {
+				await()
+				return
+			}
 			count++
-			rttSum += pr.Now() - start
-		}
-	})
+			rttSum += eng.Now() - start
+			issue()
+		})
+	}
+	eng.Immediate(issue)
 	eng.RunUntil(o.scale(5*time.Millisecond, 20*time.Millisecond))
 	if count == 0 {
 		return 0
@@ -297,8 +309,8 @@ func AblReplenish(o Opts) []AblReplenishRow {
 			})
 		cliPort := r.ea.AttachFunction("cli-t", "t")
 		srvPort := r.eb.AttachFunction("srv-t", "t")
-		r.spawnEchoServer("t", srvPort)
-		stats := r.spawnEchoClients("t", cliPort, 32, 1024, nil)
+		r.startEchoServer("t", srvPort)
+		stats := r.startEchoClients("t", cliPort, 32, 1024, nil)
 		rps, lat := measureEcho(r, stats, o.scale(10*time.Millisecond, 50*time.Millisecond))
 		rows[i] = AblReplenishRow{
 			Period:  period,
@@ -355,8 +367,8 @@ func AblQuantum(o Opts) []AblQuantumRow {
 		for i, ts := range specs {
 			cliPort := r.ea.AttachFunction("cli-"+ts.name, ts.name)
 			srvPort := r.eb.AttachFunction("srv-"+ts.name, ts.name)
-			r.spawnEchoServer(ts.name, srvPort)
-			stats[ts.name] = r.spawnEchoClients(ts.name, cliPort, []int{48, 24, 32}[i], 1024, nil)
+			r.startEchoServer(ts.name, srvPort)
+			stats[ts.name] = r.startEchoClients(ts.name, cliPort, []int{48, 24, 32}[i], 1024, nil)
 		}
 		r.eng.RunUntil(p.QPSetupTime + total/4) // warmup
 		base := map[string]uint64{}

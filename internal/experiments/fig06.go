@@ -61,32 +61,34 @@ func runNativeEcho(p *params.Params, seed int64, coreSpeed float64, payload, cli
 	post(poolB, srqB, 256)
 
 	// Server: echo every receive, recycling and reposting buffers.
-	eng.Spawn("server", func(pr *sim.Proc) {
-		for {
-			cqB.Wait(pr)
-			for _, e := range cqB.Poll(0) {
-				switch e.Op {
-				case rdma.OpRecv:
-					e.Desc.Trace.EndStage(trace.StageRDMACQ)
-					sp := e.Desc.Trace.Begin("srv.proc", "srv")
-					coreB.Exec(pr, p.VerbsPostCost/2)
-					if err := poolB.Transfer(e.Desc.Buf, "rq", "srv"); err != nil {
-						panic(err)
-					}
-					coreB.Exec(pr, p.VerbsPostCost)
+	cqLoop(eng, cqB, func(e rdma.CQE, next func()) {
+		switch e.Op {
+		case rdma.OpRecv:
+			e.Desc.Trace.EndStage(trace.StageRDMACQ)
+			sp := e.Desc.Trace.Begin("srv.proc", "srv")
+			coreB.Run(p.VerbsPostCost/2, func() {
+				if err := poolB.Transfer(e.Desc.Buf, "rq", "srv"); err != nil {
+					panic(err)
+				}
+				coreB.Run(p.VerbsPostCost, func() {
 					sp.End()
 					qb.PostSend(mempool.Descriptor{Tenant: "t", Buf: e.Desc.Buf, Len: e.Bytes, Seq: e.Desc.Seq, Trace: e.Desc.Trace})
-				case rdma.OpSend:
-					e.Desc.Trace.EndStage(trace.StageRDMAAck)
-					sp := e.Desc.Trace.BeginDetail("srv.ack", "srv")
-					coreB.Exec(pr, p.VerbsPostCost/2)
-					sp.End()
-					if err := poolB.Put(e.Desc.Buf, "srv"); err != nil {
-						panic(err)
-					}
-					post(poolB, srqB, 1)
+					next()
+				})
+			})
+		case rdma.OpSend:
+			e.Desc.Trace.EndStage(trace.StageRDMAAck)
+			sp := e.Desc.Trace.BeginDetail("srv.ack", "srv")
+			coreB.Run(p.VerbsPostCost/2, func() {
+				sp.End()
+				if err := poolB.Put(e.Desc.Buf, "srv"); err != nil {
+					panic(err)
 				}
-			}
+				post(poolB, srqB, 1)
+				next()
+			})
+		default:
+			next()
 		}
 	})
 
@@ -94,64 +96,76 @@ func runNativeEcho(p *params.Params, seed int64, coreSpeed float64, payload, cli
 	var rttSum time.Duration
 	waiters := make(map[uint64]*sim.Queue[struct{}])
 	// Client-side completion demux.
-	eng.Spawn("cli-demux", func(pr *sim.Proc) {
-		for {
-			cqA.Wait(pr)
-			for _, e := range cqA.Poll(0) {
-				switch e.Op {
-				case rdma.OpRecv:
-					e.Desc.Trace.EndStage(trace.StageRDMACQ)
-					sp := e.Desc.Trace.Begin("cli.proc", "cli")
-					coreA.Exec(pr, p.VerbsPostCost/2)
-					sp.End()
-					if w, ok := waiters[e.Desc.Seq]; ok {
-						delete(waiters, e.Desc.Seq)
-						w.TryPut(struct{}{})
-					}
-					if err := poolA.Transfer(e.Desc.Buf, "rq", "cli"); err != nil {
-						panic(err)
-					}
-					if err := poolA.Put(e.Desc.Buf, "cli"); err != nil {
-						panic(err)
-					}
-					post(poolA, srqA, 1)
-				case rdma.OpSend:
-					e.Desc.Trace.EndStage(trace.StageRDMAAck)
-					sp := e.Desc.Trace.BeginDetail("cli.ack", "cli")
-					coreA.Exec(pr, p.VerbsPostCost/2)
-					sp.End()
-					if err := poolA.Put(e.Desc.Buf, "cli"); err != nil {
-						panic(err)
-					}
+	cqLoop(eng, cqA, func(e rdma.CQE, next func()) {
+		switch e.Op {
+		case rdma.OpRecv:
+			e.Desc.Trace.EndStage(trace.StageRDMACQ)
+			sp := e.Desc.Trace.Begin("cli.proc", "cli")
+			coreA.Run(p.VerbsPostCost/2, func() {
+				sp.End()
+				if w, ok := waiters[e.Desc.Seq]; ok {
+					delete(waiters, e.Desc.Seq)
+					w.TryPut(struct{}{})
 				}
-			}
+				if err := poolA.Transfer(e.Desc.Buf, "rq", "cli"); err != nil {
+					panic(err)
+				}
+				if err := poolA.Put(e.Desc.Buf, "cli"); err != nil {
+					panic(err)
+				}
+				post(poolA, srqA, 1)
+				next()
+			})
+		case rdma.OpSend:
+			e.Desc.Trace.EndStage(trace.StageRDMAAck)
+			sp := e.Desc.Trace.BeginDetail("cli.ack", "cli")
+			coreA.Run(p.VerbsPostCost/2, func() {
+				sp.End()
+				if err := poolA.Put(e.Desc.Buf, "cli"); err != nil {
+					panic(err)
+				}
+				next()
+			})
+		default:
+			next()
 		}
 	})
 	var seq uint64
 	for i := 0; i < clients; i++ {
-		eng.Spawn(fmt.Sprintf("cli-%d", i), func(pr *sim.Proc) {
-			for {
-				buf, err := poolA.Get("cli")
-				if err != nil {
-					pr.Sleep(20 * time.Microsecond)
-					continue
-				}
-				seq++
-				id := seq
-				w := sim.NewQueue[struct{}](eng, 1)
-				waiters[id] = w
-				start := pr.Now()
-				req := live.StartRequest("echo/native")
-				sp := req.Begin("cli.post", "cli")
-				coreA.Exec(pr, p.VerbsPostCost)
+		var loop, await func()
+		var w *sim.Queue[struct{}]
+		var start time.Duration
+		var req *trace.Req
+		loop = func() {
+			buf, err := poolA.Get("cli")
+			if err != nil {
+				eng.After(20*time.Microsecond, loop)
+				return
+			}
+			seq++
+			id := seq
+			w = sim.NewQueue[struct{}](eng, 1)
+			waiters[id] = w
+			start = eng.Now()
+			req = live.StartRequest("echo/native")
+			sp := req.Begin("cli.post", "cli")
+			coreA.Run(p.VerbsPostCost, func() {
 				sp.End()
 				qa.PostSend(mempool.Descriptor{Tenant: "t", Buf: buf, Len: payload, Seq: id, Trace: req})
-				w.Get(pr)
-				req.Finish()
-				count++
-				rttSum += pr.Now() - start
+				await()
+			})
+		}
+		await = func() {
+			if _, ok := w.TryGet(); !ok {
+				w.Notify(await)
+				return
 			}
-		})
+			req.Finish()
+			count++
+			rttSum += eng.Now() - start
+			loop()
+		}
+		eng.Immediate(loop)
 	}
 	// Warmup, then measure (tracing only the measured window).
 	eng.RunUntil(2 * time.Millisecond)
@@ -175,8 +189,8 @@ func runDNEEcho(p *params.Params, seed int64, mode dne.Mode, payload, clients in
 	r.tracer = tracer
 	cliPort := r.ea.AttachFunction("cli-t", "t")
 	srvPort := r.eb.AttachFunction("srv-t", "t")
-	r.spawnEchoServer("t", srvPort)
-	stats := r.spawnEchoClients("t", cliPort, clients, payload, nil)
+	r.startEchoServer("t", srvPort)
+	stats := r.startEchoClients("t", cliPort, clients, payload, nil)
 	rps, lat := measureEcho(r, stats, dur)
 	return rps, lat
 }

@@ -36,25 +36,28 @@ func runComch(p *params.Params, seed int64, mode dpu.ChannelMode, n int, dur tim
 		eps[i] = dpu.NewEndpoint(eng, p, mode, i, fmt.Sprintf("fn%d", i), "t", work)
 	}
 	// Single-core engine: busy-poll all endpoints, echo descriptors.
-	eng.Spawn("dne", func(pr *sim.Proc) {
-		for {
-			did := false
-			for _, ep := range eps {
-				for {
-					d, ok := ep.TryRecvFromHost()
-					if !ok {
-						break
-					}
-					dpuCore.Exec(pr, ep.DNERecvCost(n)+500*time.Nanosecond)
-					ep.SendToHost(d)
-					did = true
-				}
-			}
-			if !did {
-				work.Wait(pr)
+	var poll func()
+	ep, did := 0, false
+	poll = func() {
+		for ; ep < len(eps); ep++ {
+			if d, ok := eps[ep].TryRecvFromHost(); ok {
+				did = true
+				dpuCore.Run(eps[ep].DNERecvCost(n)+500*time.Nanosecond, func() {
+					eps[ep].SendToHost(d)
+					poll()
+				})
+				return
 			}
 		}
-	})
+		ep = 0
+		if did {
+			did = false
+			poll()
+			return
+		}
+		work.Notify(poll)
+	}
+	eng.Immediate(poll)
 	var count uint64
 	var rttSum time.Duration
 	for i := 0; i < n; i++ {
@@ -62,19 +65,32 @@ func runComch(p *params.Params, seed int64, mode dpu.ChannelMode, n int, dur tim
 		// Comch-P pins one host core per function; the others share
 		// event-driven cores (modeled per function for simplicity).
 		hostCore := sim.NewProcessor(eng, fmt.Sprintf("host%d", i), p.HostCoreSpeed)
-		eng.Spawn(fmt.Sprintf("fn%d", i), func(pr *sim.Proc) {
-			for {
-				start := pr.Now()
-				hostCore.Exec(pr, ep.SendCost())
+		var loop, await, done func()
+		var start time.Duration
+		loop = func() {
+			start = eng.Now()
+			hostCore.Run(ep.SendCost(), func() {
 				ep.SendToDNE(mempool.Descriptor{Tenant: "t"})
-				_ = ep.RecvOnHost(pr)
-				if c := ep.HostWakeupCost(); c > 0 {
-					hostCore.Exec(pr, c)
-				}
-				count++
-				rttSum += pr.Now() - start
+				await()
+			})
+		}
+		await = func() {
+			if _, ok := ep.TryRecvOnHost(); !ok {
+				ep.NotifyOnHost(await)
+				return
 			}
-		})
+			if c := ep.HostWakeupCost(); c > 0 {
+				hostCore.Run(c, done)
+				return
+			}
+			done()
+		}
+		done = func() {
+			count++
+			rttSum += eng.Now() - start
+			loop()
+		}
+		eng.Immediate(loop)
 	}
 	eng.RunUntil(time.Millisecond) // warmup
 	base, baseRTT := count, rttSum

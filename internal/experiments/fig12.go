@@ -85,18 +85,28 @@ func runOneSidedEcho(p *params.Params, seed int64, variant Fig12Variant, payload
 		}
 	}
 
-	// casAcquire spins remote CAS until the lock is taken. Returns after
-	// the successful swap's round trip.
-	casAcquire := func(pr *sim.Proc, qp *rdma.QP, core *sim.Processor, key string) {
-		for {
-			got := sim.NewQueue[rdma.CASResult](eng, 1)
-			core.Exec(pr, p.VerbsPostCost)
-			qp.PostCAS(key, 0, 1, func(res rdma.CASResult) { got.TryPut(res) })
-			if res := got.Get(pr); res.Swapped {
+	// casAcquire spins remote CAS until the lock is taken, then runs then
+	// after the successful swap's round trip.
+	var casAcquire func(qp *rdma.QP, core *sim.Processor, key string, then func())
+	casAcquire = func(qp *rdma.QP, core *sim.Processor, key string, then func()) {
+		got := sim.NewQueue[rdma.CASResult](eng, 1)
+		var await func()
+		await = func() {
+			res, ok := got.TryGet()
+			if !ok {
+				got.Notify(await)
 				return
 			}
-			pr.Sleep(time.Microsecond)
+			if res.Swapped {
+				then()
+				return
+			}
+			eng.After(time.Microsecond, func() { casAcquire(qp, core, key, then) })
 		}
+		core.Run(p.VerbsPostCost, func() {
+			qp.PostCAS(key, 0, 1, func(res rdma.CASResult) { got.TryPut(res) })
+			await()
+		})
 	}
 
 	respQ := make([]*sim.Queue[struct{}], clients)
@@ -104,80 +114,102 @@ func runOneSidedEcho(p *params.Params, seed int64, variant Fig12Variant, payload
 		respQ[i] = sim.NewQueue[struct{}](eng, 1)
 	}
 
+	// pollLoop is a FaRM-style polling receiver on core: pay the poll
+	// cost, and if nothing landed sleep one poll interval; else handle each
+	// landed write in turn (handle resumes the loop through its argument)
+	// and poll again.
+	pollLoop := func(core *sim.Processor, mr *rdma.MR, handle func(l rdma.Landed, next func())) {
+		var poll, next func()
+		var landed []rdma.Landed
+		next = func() {
+			if len(landed) == 0 {
+				poll()
+				return
+			}
+			l := landed[0]
+			landed = landed[1:]
+			handle(l, next)
+		}
+		poll = func() {
+			core.Run(p.OneSidedPollCost, func() {
+				if landed = mr.PollLanded(); len(landed) == 0 {
+					eng.After(p.OneSidedPollInterval, poll)
+					return
+				}
+				next()
+			})
+		}
+		eng.Immediate(poll)
+	}
+
 	// Server: poll the landing region; for each arrival do the variant's
 	// coordination and echo back with a one-sided write.
-	eng.Spawn("server", func(pr *sim.Proc) {
-		for {
-			coreB.Exec(pr, p.OneSidedPollCost)
-			landed := mrB.PollLanded()
-			if len(landed) == 0 {
-				pr.Sleep(p.OneSidedPollInterval)
-				continue
-			}
-			for _, l := range landed {
-				i := int(l.Desc.Seq)
-				coreB.Exec(pr, copyCost(l.Bytes))
-				if variant == OWDL {
-					// Consume, then release the lock locally so the
-					// client's next CAS can succeed.
-					rb.SetWord(fmt.Sprintf("lock-b-%d", i), 0)
-					// Acquire the client-side buffer lock before the
-					// reply write.
-					casAcquire(pr, qb, coreB, fmt.Sprintf("lock-a-%d", i))
-				}
-				coreB.Exec(pr, p.VerbsPostCost)
+	pollLoop(coreB, mrB, func(l rdma.Landed, next func()) {
+		i := int(l.Desc.Seq)
+		reply := func() {
+			coreB.Run(p.VerbsPostCost, func() {
 				qb.PostWrite(mempool.Descriptor{Tenant: "t", Len: l.Bytes, Seq: l.Desc.Seq, Buf: slotB[i].Buf}, slotA[i])
-			}
+				next()
+			})
 		}
+		coreB.Run(copyCost(l.Bytes), func() {
+			if variant != OWDL {
+				reply()
+				return
+			}
+			// Consume, then release the lock locally so the client's next
+			// CAS can succeed; acquire the client-side buffer lock before
+			// the reply write.
+			rb.SetWord(fmt.Sprintf("lock-b-%d", i), 0)
+			casAcquire(qb, coreB, fmt.Sprintf("lock-a-%d", i), reply)
+		})
 	})
 	// Client-side poller: detect replies.
-	eng.Spawn("cli-poller", func(pr *sim.Proc) {
-		for {
-			coreA.Exec(pr, p.OneSidedPollCost)
-			landed := mrA.PollLanded()
-			if len(landed) == 0 {
-				pr.Sleep(p.OneSidedPollInterval)
-				continue
+	pollLoop(coreA, mrA, func(l rdma.Landed, next func()) {
+		i := int(l.Desc.Seq)
+		coreA.Run(copyCost(l.Bytes), func() {
+			if variant == OWDL {
+				ra.SetWord(fmt.Sprintf("lock-a-%d", i), 0)
 			}
-			for _, l := range landed {
-				i := int(l.Desc.Seq)
-				coreA.Exec(pr, copyCost(l.Bytes))
-				if variant == OWDL {
-					ra.SetWord(fmt.Sprintf("lock-a-%d", i), 0)
-				}
-				respQ[i].TryPut(struct{}{})
-			}
-		}
+			respQ[i].TryPut(struct{}{})
+			next()
+		})
 	})
 
 	// Drain send-completion CQEs (bookkeeping only).
-	for _, cq := range []*rdma.CQ{cqA, cqB} {
-		cq := cq
-		eng.Spawn("cq-drain", func(pr *sim.Proc) {
-			for {
-				cq.Wait(pr)
-				cq.Poll(0)
-			}
-		})
-	}
+	discardCQ(eng, cqA)
+	discardCQ(eng, cqB)
 
 	var count uint64
 	var rttSum time.Duration
 	for i := 0; i < clients; i++ {
 		i := i
-		eng.Spawn(fmt.Sprintf("cli-%d", i), func(pr *sim.Proc) {
-			for {
-				start := pr.Now()
-				if variant == OWDL {
-					casAcquire(pr, qa, coreA, fmt.Sprintf("lock-b-%d", i))
-				}
-				coreA.Exec(pr, p.VerbsPostCost)
-				qa.PostWrite(mempool.Descriptor{Tenant: "t", Len: payload, Seq: uint64(i), Buf: slotA[i].Buf}, slotB[i])
-				respQ[i].Get(pr)
-				count++
-				rttSum += pr.Now() - start
+		var loop, send, await func()
+		var start time.Duration
+		loop = func() {
+			start = eng.Now()
+			if variant == OWDL {
+				casAcquire(qa, coreA, fmt.Sprintf("lock-b-%d", i), send)
+				return
 			}
-		})
+			send()
+		}
+		send = func() {
+			coreA.Run(p.VerbsPostCost, func() {
+				qa.PostWrite(mempool.Descriptor{Tenant: "t", Len: payload, Seq: uint64(i), Buf: slotA[i].Buf}, slotB[i])
+				await()
+			})
+		}
+		await = func() {
+			if _, ok := respQ[i].TryGet(); !ok {
+				respQ[i].Notify(await)
+				return
+			}
+			count++
+			rttSum += eng.Now() - start
+			loop()
+		}
+		eng.Immediate(loop)
 	}
 	eng.RunUntil(2 * time.Millisecond)
 	base, baseRTT := count, rttSum

@@ -147,10 +147,10 @@ func runResStorm(o Opts, faulted bool) *StormResult {
 
 	cliPort := r.ea.AttachFunction("cli-"+tenant, tenant)
 	srvPort := r.eb.AttachFunction("srv-"+tenant, tenant)
-	r.spawnEchoServer(tenant, srvPort)
+	r.startEchoServer(tenant, srvPort)
 	active := func(now time.Duration) bool { return now < base+total }
 	stats := map[string]*echoClientStats{
-		tenant: r.spawnEchoClients(tenant, cliPort, 16, 1024, active),
+		tenant: r.startEchoClients(tenant, cliPort, 16, 1024, active),
 	}
 	series := sampleRate(r, []string{tenant}, stats, total/48)
 	sc := rigTelemetry(o, r, []string{tenant}, stats, total/48)
@@ -324,10 +324,10 @@ func runResRecovery(o Opts, cfg recoveryConfig) *RecoveryResult {
 
 	cliPort := r.ea.AttachFunction("cli-"+tenant, tenant)
 	srvPort := r.eb.AttachFunction("srv-"+tenant, tenant)
-	r.spawnEchoServer(tenant, srvPort)
+	r.startEchoServer(tenant, srvPort)
 	active := func(now time.Duration) bool { return now < base+total }
 	stats := map[string]*echoClientStats{
-		tenant: r.spawnEchoClients(tenant, cliPort, 16, 1024, active),
+		tenant: r.startEchoClients(tenant, cliPort, 16, 1024, active),
 	}
 	series := sampleRate(r, []string{tenant}, stats, total/96)
 	sc := rigTelemetry(o, r, []string{tenant}, stats, total/96)
@@ -448,12 +448,12 @@ func runResTenant(o Opts, sched dne.SchedulerKind) *TenantIsolationResult {
 	for _, tn := range names {
 		cliPort := r.ea.AttachFunction("cli-"+tn, tn)
 		srvPort := r.eb.AttachFunction("srv-"+tn, tn)
-		r.spawnEchoServer(tn, srvPort)
+		r.startEchoServer(tn, srvPort)
 		active := func(now time.Duration) bool { return now < base+total }
 		if tn == healthy {
-			stats[tn] = r.spawnEchoClients(tn, cliPort, 32, 1024, active)
+			stats[tn] = r.startEchoClients(tn, cliPort, 32, 1024, active)
 		} else {
-			stats[tn] = r.spawnOpenLoopSender(tn, cliPort, 1024, 15*time.Microsecond, active)
+			stats[tn] = r.startOpenLoopSender(tn, cliPort, 1024, 15*time.Microsecond, active)
 		}
 	}
 	series := sampleRate(r, names, stats, total/48)
@@ -539,50 +539,45 @@ func RunResTenant(o Opts) []*Table {
 	return []*Table{t}
 }
 
-// spawnOpenLoopSender drives tenant with a fixed-period open-loop request
+// startOpenLoopSender drives tenant with a fixed-period open-loop request
 // stream (no waiting for responses) — the aggressive co-tenant in
-// res-tenant. A drain proc recycles responses; stats.count counts them.
-func (r *dneRig) spawnOpenLoopSender(tenant string, port *dne.FnPort, payload int, period time.Duration, active func(now time.Duration) bool) *echoClientStats {
+// res-tenant. A drain loop recycles responses; stats.count counts them.
+func (r *dneRig) startOpenLoopSender(tenant string, port *dne.FnPort, payload int, period time.Duration, active func(now time.Duration) bool) *echoClientStats {
 	core := sim.NewProcessor(r.eng, "cli-core-"+tenant, r.p.HostCoreSpeed)
 	pool := r.pools[tenant][0]
 	cli := mempool.Owner("cli-" + tenant)
 	stats := &echoClientStats{}
-	r.eng.Spawn("cli-drain-"+tenant, func(pr *sim.Proc) {
-		for {
-			d := port.Recv(pr, core)
-			stats.count++
-			stats.rtt.Observe(pr.Now() - d.Stamp)
-			if err := pool.Put(d.Buf, cli); err != nil {
-				panic(err)
-			}
+	var drain *portReceiver
+	drain = startPortReceiver(r.eng, port, core, func(d mempool.Descriptor) {
+		stats.count++
+		stats.rtt.Observe(r.eng.Now() - d.Stamp)
+		if err := pool.Put(d.Buf, cli); err != nil {
+			panic(err)
 		}
+		drain.recv()
 	})
 	var seq uint64
-	r.eng.Spawn("cli-open-"+tenant, func(pr *sim.Proc) {
-		r.waitReady(pr)
-		for {
-			if active != nil && !active(pr.Now()) {
-				pr.Sleep(500 * time.Microsecond)
-				continue
-			}
-			buf, err := pool.Get(cli)
-			if err != nil {
-				// Pool exhausted (responses stuck behind the storm): back
-				// off instead of spinning.
-				pr.Sleep(8 * period)
-				continue
-			}
-			seq++
-			d := mempool.Descriptor{
-				Tenant: tenant, Buf: buf, Len: payload,
-				Src: "cli-" + tenant, Dst: "srv-" + tenant, Seq: seq, Stamp: pr.Now(),
-			}
-			if err := port.Send(pr, core, d); err != nil {
-				panic(err)
-			}
-			pr.Sleep(period)
+	var send func()
+	tx := newPortSender(port, core, func() { r.eng.After(period, send) })
+	send = func() {
+		if active != nil && !active(r.eng.Now()) {
+			r.eng.After(500*time.Microsecond, send)
+			return
 		}
-	})
+		buf, err := pool.Get(cli)
+		if err != nil {
+			// Pool exhausted (responses stuck behind the storm): back off
+			// instead of spinning.
+			r.eng.After(8*period, send)
+			return
+		}
+		seq++
+		tx.send(mempool.Descriptor{
+			Tenant: tenant, Buf: buf, Len: payload,
+			Src: "cli-" + tenant, Dst: "srv-" + tenant, Seq: seq, Stamp: r.eng.Now(),
+		})
+	}
+	r.eng.Immediate(func() { r.onReady(send) })
 	return stats
 }
 

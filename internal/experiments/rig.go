@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
 	"nadino/internal/dne"
@@ -70,69 +69,195 @@ func newDNERig(p *params.Params, seed int64, mode dne.Mode, sched dne.SchedulerK
 		r.ea.SetRoute("srv-"+ts.name, "nodeB")
 		r.eb.SetRoute("cli-"+ts.name, "nodeA")
 	}
-	eng.Spawn("rig-setup", func(pr *sim.Proc) {
-		// Tenants establish their connection pools concurrently.
-		done := sim.NewQueue[struct{}](eng, 0)
+	eng.Immediate(func() {
+		// Tenants establish their connection pools concurrently; the rig
+		// is ready from one event after the last.
+		left := len(tenants)
 		for _, ts := range tenants {
 			ts := ts
-			eng.Spawn("rig-setup-"+ts.name, func(spr *sim.Proc) {
-				cpA, cpB := rdma.EstablishPair(spr, p, ts.name,
+			eng.Immediate(func() {
+				rdma.EstablishPair(eng, p, ts.name,
 					r.dpuA.RNIC(), r.dpuB.RNIC(), 8,
-					r.ea.SRQ(ts.name), r.eb.SRQ(ts.name), r.ea.CQ(), r.eb.CQ())
-				r.ea.AddConnPool("nodeB", ts.name, cpA)
-				r.eb.AddConnPool("nodeA", ts.name, cpB)
-				done.TryPut(struct{}{})
+					r.ea.SRQ(ts.name), r.eb.SRQ(ts.name), r.ea.CQ(), r.eb.CQ(), func(cpA, cpB *rdma.ConnPool) {
+						r.ea.AddConnPool("nodeB", ts.name, cpA)
+						r.eb.AddConnPool("nodeA", ts.name, cpB)
+						if left--; left == 0 {
+							eng.Immediate(func() {
+								r.ea.Start()
+								r.eb.Start()
+								r.ready.TryPut(struct{}{})
+							})
+						}
+					})
 			})
 		}
-		for range tenants {
-			done.Get(pr)
-		}
-		r.ea.Start()
-		r.eb.Start()
-		r.ready.TryPut(struct{}{})
 	})
 	return r
 }
 
-// waitReady parks pr until QP establishment completes.
-func (r *dneRig) waitReady(pr *sim.Proc) {
-	r.ready.Get(pr)
+// onReady runs fn once QP establishment completes: at once when it has,
+// else when the ready token reaches it (each waiter passes it on).
+func (r *dneRig) onReady(fn func()) {
+	if _, ok := r.ready.TryGet(); !ok {
+		r.ready.Notify(func() { r.onReady(fn) })
+		return
+	}
 	r.ready.TryPut(struct{}{})
+	fn()
 }
 
-// spawnEchoServer runs a server function for tenant on node B with its own
+// portSender hands descriptors to a function's port one at a time, paying
+// each channel send cost on core, then runs then. Its continuation is bound
+// once, so a steady-state send allocates nothing.
+type portSender struct {
+	port   *dne.FnPort
+	core   *sim.Processor
+	then   func()
+	d      mempool.Descriptor
+	sp     trace.SpanRef
+	sentFn func()
+}
+
+func newPortSender(port *dne.FnPort, core *sim.Processor, then func()) *portSender {
+	s := &portSender{port: port, core: core, then: then}
+	s.sentFn = s.sent
+	return s
+}
+
+// send starts handing d (and the buffer it owns) to the port.
+func (s *portSender) send(d mempool.Descriptor) {
+	cost, sp, err := s.port.SendBegin(&d)
+	if err != nil {
+		panic(err)
+	}
+	s.d, s.sp = d, sp
+	s.core.Run(cost, s.sentFn)
+}
+
+func (s *portSender) sent() {
+	d := s.d
+	s.d = mempool.Descriptor{}
+	s.port.SendEnd(d, s.sp)
+	s.then()
+}
+
+// portReceiver is a function's receive loop on its port: recv waits for
+// the next descriptor, pays the channel wakeup cost on core and passes the
+// descriptor (owned by the function) to then, which calls recv again to
+// take the next. Its continuations are bound once, so a steady-state
+// receive allocates nothing.
+type portReceiver struct {
+	port          *dne.FnPort
+	core          *sim.Processor
+	then          func(mempool.Descriptor)
+	d             mempool.Descriptor
+	sp            trace.SpanRef
+	recvFn, gotFn func()
+}
+
+// startPortReceiver starts the receive loop from one same-instant event.
+func startPortReceiver(eng *sim.Engine, port *dne.FnPort, core *sim.Processor, then func(mempool.Descriptor)) *portReceiver {
+	r := &portReceiver{port: port, core: core, then: then}
+	r.recvFn, r.gotFn = r.recv, r.got
+	eng.Immediate(r.recvFn)
+	return r
+}
+
+func (r *portReceiver) recv() {
+	d, ok := r.port.TryRecv()
+	if !ok {
+		r.port.NotifyRecv(r.recvFn)
+		return
+	}
+	sp, cost, charge := r.port.Received(&d)
+	r.d, r.sp = d, sp
+	if !charge {
+		r.got()
+		return
+	}
+	r.core.Run(cost, r.gotFn)
+}
+
+func (r *portReceiver) got() {
+	d := r.d
+	r.d = mempool.Descriptor{}
+	r.sp.End()
+	r.then(d)
+}
+
+// cqLoop runs a completion loop over cq from one same-instant event: wait
+// for completions, poll them, and hand each entry to handle in turn;
+// handle resumes the loop by calling next once it is done with its entry.
+func cqLoop(eng *sim.Engine, cq *rdma.CQ, handle func(e rdma.CQE, next func())) {
+	var batch []rdma.CQE
+	var loop func()
+	loop = func() {
+		if len(batch) == 0 {
+			if cq.Len() == 0 {
+				cq.Notify(loop)
+				return
+			}
+			batch = cq.Poll(0)
+		}
+		e := batch[0]
+		batch = batch[1:]
+		handle(e, loop)
+	}
+	eng.Immediate(loop)
+}
+
+// awaitCQ runs fn once cq holds a completion: at once if it already does,
+// else from the wake of the next push to it.
+func awaitCQ(cq *rdma.CQ, fn func()) {
+	if cq.Len() > 0 {
+		fn()
+		return
+	}
+	cq.Notify(func() { awaitCQ(cq, fn) })
+}
+
+// discardCQ empties cq every time completions land in it: send-completion
+// bookkeeping nobody reads.
+func discardCQ(eng *sim.Engine, cq *rdma.CQ) {
+	var drain func()
+	drain = func() {
+		cq.Poll(0)
+		cq.Notify(drain)
+	}
+	eng.Immediate(drain)
+}
+
+// startEchoServer runs a server function for tenant on node B with its own
 // host core: every request descriptor is answered with a same-size reply.
-func (r *dneRig) spawnEchoServer(tenant string, port *dne.FnPort) {
+func (r *dneRig) startEchoServer(tenant string, port *dne.FnPort) {
 	core := sim.NewProcessor(r.eng, "srv-core-"+tenant, r.p.HostCoreSpeed)
 	pool := r.pools[tenant][1]
 	srvName := "srv-" + tenant // hoisted: was a per-request concat
 	srv := mempool.Owner(srvName)
-	r.eng.Spawn(srvName, func(pr *sim.Proc) {
-		for {
-			d := port.Recv(pr, core)
-			reply, err := pool.Get(srv)
-			for err != nil {
-				// Pool squeeze: under a chaos storm the tenant's buffers can
-				// be transiently pinned in the engine's retry path. Block the
-				// handler until one comes home — a function backpressures on
-				// its pool, it doesn't crash. The stall propagates upstream as
-				// RNR once the RQ ring can't replenish either.
-				pr.Sleep(20 * time.Microsecond)
-				reply, err = pool.Get(srv)
-			}
-			if err := pool.Put(d.Buf, srv); err != nil {
-				panic(err)
-			}
-			out := mempool.Descriptor{
-				Tenant: tenant, Buf: reply, Len: d.Len,
-				Src: srvName, Dst: d.Src, Seq: d.Seq, Stamp: d.Stamp, Ctx: d.Ctx,
-				Trace: d.Trace,
-			}
-			if err := port.Send(pr, core, out); err != nil {
-				panic(err)
-			}
+	var rx *portReceiver
+	tx := newPortSender(port, core, func() { rx.recv() })
+	var reply func(d mempool.Descriptor)
+	reply = func(d mempool.Descriptor) {
+		buf, err := pool.Get(srv)
+		if err != nil {
+			// Pool squeeze: under a chaos storm the tenant's buffers can be
+			// transiently pinned in the engine's retry path. Hold the
+			// request until one comes home — a function backpressures on
+			// its pool, it doesn't crash. The stall propagates upstream as
+			// RNR once the RQ ring can't replenish either.
+			r.eng.After(20*time.Microsecond, func() { reply(d) })
+			return
 		}
-	})
+		if err := pool.Put(d.Buf, srv); err != nil {
+			panic(err)
+		}
+		tx.send(mempool.Descriptor{
+			Tenant: tenant, Buf: buf, Len: d.Len,
+			Src: srvName, Dst: d.Src, Seq: d.Seq, Stamp: d.Stamp, Ctx: d.Ctx,
+			Trace: d.Trace,
+		})
+	}
+	rx = startPortReceiver(r.eng, port, core, reply)
 }
 
 // echoClientStats collects per-client echo results.
@@ -145,11 +270,11 @@ type echoClientStats struct {
 	rtt *telemetry.Hist
 }
 
-// spawnEchoClients runs n concurrent closed-loop echo clients for tenant
+// startEchoClients runs n concurrent closed-loop echo clients for tenant
 // on node A, all multiplexed over the tenant's single client function port
 // (serverless functions multiplex many in-flight requests). active gates
 // the load (nil = always on). Returns the shared stats.
-func (r *dneRig) spawnEchoClients(tenant string, port *dne.FnPort, n, payload int, active func(now time.Duration) bool) *echoClientStats {
+func (r *dneRig) startEchoClients(tenant string, port *dne.FnPort, n, payload int, active func(now time.Duration) bool) *echoClientStats {
 	core := sim.NewProcessor(r.eng, "cli-core-"+tenant, r.p.HostCoreSpeed)
 	pool := r.pools[tenant][0]
 	// Hoisted per-request strings: these were concatenated per echo.
@@ -158,65 +283,72 @@ func (r *dneRig) spawnEchoClients(tenant string, port *dne.FnPort, n, payload in
 	echoName := "echo/" + tenant
 	cli := mempool.Owner(cliName)
 	stats := &echoClientStats{}
-	// One demux proc feeds per-request rendezvous queues.
-	type waiter = *sim.Queue[mempool.Descriptor]
-	waiters := make(map[uint64]waiter)
-	r.eng.Spawn("cli-demux-"+tenant, func(pr *sim.Proc) {
-		for {
-			d := port.Recv(pr, core)
-			if w, ok := waiters[d.Seq]; ok {
-				delete(waiters, d.Seq)
-				w.TryPut(d)
-			} else if err := pool.Put(d.Buf, cli); err != nil {
-				// No waiter: a duplicate delivery from the engine's
-				// at-least-once retry path. Recycle it, or the buffer leaks.
-				panic(err)
-			}
+	// One demux loop feeds per-request rendezvous queues.
+	waiters := make(map[uint64]*sim.Queue[mempool.Descriptor])
+	var demux *portReceiver
+	demux = startPortReceiver(r.eng, port, core, func(d mempool.Descriptor) {
+		if w, ok := waiters[d.Seq]; ok {
+			delete(waiters, d.Seq)
+			w.TryPut(d)
+		} else if err := pool.Put(d.Buf, cli); err != nil {
+			// No waiter: a duplicate delivery from the engine's
+			// at-least-once retry path. Recycle it, or the buffer leaks.
+			panic(err)
 		}
+		demux.recv()
 	})
 	var seq uint64
 	for i := 0; i < n; i++ {
-		r.eng.Spawn(fmt.Sprintf("cli-%s-%d", tenant, i), func(pr *sim.Proc) {
-			r.waitReady(pr)
-			respQ := sim.NewQueue[mempool.Descriptor](r.eng, 0)
-			for {
-				if active != nil && !active(pr.Now()) {
-					pr.Sleep(500 * time.Microsecond)
-					continue
-				}
-				// Tiny think-time jitter decorrelates the closed-loop
-				// clients (real handlers are never perfectly lockstep);
-				// without it the deterministic pipeline phase-locks into
-				// convoys that leave the engine artificially idle.
-				pr.Sleep(time.Duration(r.eng.Rand().Intn(3000)) * time.Nanosecond)
-				buf, err := pool.Get(cli)
-				if err != nil {
-					pr.Sleep(50 * time.Microsecond)
-					continue
-				}
-				seq++
-				id := seq
-				waiters[id] = respQ
-				start := pr.Now()
-				req := r.tracer.StartRequest(echoName)
-				d := mempool.Descriptor{
-					Tenant: tenant, Buf: buf, Len: payload,
-					Src: cliName, Dst: srvName, Seq: id, Stamp: start,
-					Trace: req,
-				}
-				if err := port.Send(pr, core, d); err != nil {
-					panic(err)
-				}
-				resp := respQ.Get(pr)
-				req.Finish()
-				stats.count++
-				stats.rttSum += pr.Now() - start
-				stats.rtt.Observe(pr.Now() - start)
-				if err := pool.Put(resp.Buf, cli); err != nil {
-					panic(err)
-				}
+		respQ := sim.NewQueue[mempool.Descriptor](r.eng, 0)
+		var loop, issue, await func()
+		var start time.Duration
+		var req *trace.Req
+		tx := newPortSender(port, core, func() { await() })
+		loop = func() {
+			if active != nil && !active(r.eng.Now()) {
+				r.eng.After(500*time.Microsecond, loop)
+				return
 			}
-		})
+			// Tiny think-time jitter decorrelates the closed-loop clients
+			// (real handlers are never perfectly lockstep); without it the
+			// deterministic pipeline phase-locks into convoys that leave
+			// the engine artificially idle.
+			r.eng.After(time.Duration(r.eng.Rand().Intn(3000))*time.Nanosecond, issue)
+		}
+		issue = func() {
+			buf, err := pool.Get(cli)
+			if err != nil {
+				r.eng.After(50*time.Microsecond, loop)
+				return
+			}
+			seq++
+			id := seq
+			waiters[id] = respQ
+			start = r.eng.Now()
+			req = r.tracer.StartRequest(echoName)
+			tx.send(mempool.Descriptor{
+				Tenant: tenant, Buf: buf, Len: payload,
+				Src: cliName, Dst: srvName, Seq: id, Stamp: start,
+				Trace: req,
+			})
+		}
+		await = func() {
+			resp, ok := respQ.TryGet()
+			if !ok {
+				respQ.Notify(await)
+				return
+			}
+			req.Finish()
+			rtt := r.eng.Now() - start
+			stats.count++
+			stats.rttSum += rtt
+			stats.rtt.Observe(rtt)
+			if err := pool.Put(resp.Buf, cli); err != nil {
+				panic(err)
+			}
+			loop()
+		}
+		r.eng.Immediate(func() { r.onReady(loop) })
 	}
 	return stats
 }

@@ -9,12 +9,11 @@ import (
 
 // Scale-sweep: the million-client event-core stress. Unlike the paper
 // figures this experiment measures the simulator itself — how the
-// timing-wheel engine and pooled process layer hold up when one virtual
-// cluster carries 10^6 concurrent clients across 100+ nodes.
+// timing-wheel engine holds up when one virtual cluster carries 10^6
+// concurrent clients across 100+ nodes.
 //
-// Clients are proc-free: a million goroutine-backed processes would need
-// gigabytes of stacks, so each client is a timer-driven state machine with
-// two bound-method callbacks (issue, done) allocated once at setup. A
+// Each client is a timer-driven state machine with two bound-method
+// callbacks (issue, done) allocated once at setup. A
 // request occupies its node's FCFS core via plain busyUntil arithmetic and
 // every client interaction is exactly two engine events, so the event core
 // is the only thing the sweep exercises.

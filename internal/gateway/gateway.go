@@ -154,8 +154,8 @@ type Gateway struct {
 	started bool
 
 	// w is the worker loop's state between block points, and keeperTickFn
-	// the keeper's bound continuation: both run as engine callbacks, not
-	// processes (see Start).
+	// the keeper's bound continuation: both run as engine callbacks (see
+	// Start).
 	w            workerState
 	keeperTickFn func()
 
@@ -275,15 +275,18 @@ func (g *Gateway) AddTenant(name string, pool *mempool.Pool) {
 	g.tenantSeq = append(g.tenantSeq, tr)
 }
 
-// Connect establishes the inter-gateway QP pool between a and b (blocking
-// the calling process for one pooled setup handshake) and registers each as
-// the other's peer: route-table entry plus access to the peer's landing
-// windows. The QPs complete into each gateway's own CQ; they carry only
-// one-sided writes, so no SRQ is attached.
-func Connect(pr *sim.Proc, a, b *Gateway, qps int) {
-	cpA, cpB := rdma.EstablishPair(pr, a.p, "gw", a.rnic, b.rnic, qps, nil, nil, a.cq, b.cq)
-	a.addLink(b, cpA)
-	b.addLink(a, cpB)
+// Connect establishes the inter-gateway QP pool between a and b (one
+// pooled setup handshake) and registers each as the other's peer:
+// route-table entry plus access to the peer's landing windows. done runs
+// once both are registered, from the event that ends the handshake. The
+// QPs complete into each gateway's own CQ; they carry only one-sided
+// writes, so no SRQ is attached.
+func Connect(eng *sim.Engine, a, b *Gateway, qps int, done func()) {
+	rdma.EstablishPair(eng, a.p, "gw", a.rnic, b.rnic, qps, nil, nil, a.cq, b.cq, func(cpA, cpB *rdma.ConnPool) {
+		a.addLink(b, cpA)
+		b.addLink(a, cpB)
+		done()
+	})
 }
 
 func (g *Gateway) addLink(peer *Gateway, cp *rdma.ConnPool) {
@@ -318,9 +321,8 @@ func (g *Gateway) Links() []*rdma.ConnPool {
 }
 
 // Start launches the worker loop and the keeper. Idempotent. Both run as
-// engine callbacks, not processes: each starts from one same-instant event,
-// the one a spawn would schedule, and continues from the event its last
-// block point scheduled, so no step costs a goroutine handoff.
+// engine callbacks: each starts from one same-instant event and continues
+// from the event its last block point scheduled.
 func (g *Gateway) Start() {
 	if g.started {
 		return

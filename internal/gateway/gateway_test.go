@@ -72,17 +72,25 @@ func newGwRig(tb testing.TB, seed int64, n, window int) *gwRig {
 		r.pools = append(r.pools, pool)
 		r.egs = append(r.egs, eg)
 	}
-	eng.Spawn("setup", func(pr *sim.Proc) {
-		for i := range r.gws {
-			for j := i + 1; j < len(r.gws); j++ {
-				Connect(pr, r.gws[i], r.gws[j], 2)
+	// The mesh comes up one pair after another, then every gateway starts.
+	var pairs [][2]*Gateway
+	for i := range r.gws {
+		for j := i + 1; j < len(r.gws); j++ {
+			pairs = append(pairs, [2]*Gateway{r.gws[i], r.gws[j]})
+		}
+	}
+	var connect func(k int)
+	connect = func(k int) {
+		if k == len(pairs) {
+			for _, g := range r.gws {
+				g.Start()
 			}
+			r.ready.Pulse()
+			return
 		}
-		for _, g := range r.gws {
-			g.Start()
-		}
-		r.ready.Pulse()
-	})
+		Connect(eng, pairs[k][0], pairs[k][1], 2, func() { connect(k + 1) })
+	}
+	eng.Immediate(func() { connect(0) })
 	return r
 }
 
@@ -209,22 +217,24 @@ func TestForwardDeliverConservation(t *testing.T) {
 	r := newGwRig(t, 1, 2, 8)
 	r.route("fnB", "n2")
 	const msgs = 10
-	r.eng.Spawn("driver", func(pr *sim.Proc) {
-		r.ready.Wait(pr)
-		for i := 0; i < msgs; i++ {
-			src, err := r.pools[0].Get("eng")
-			if err != nil {
-				t.Errorf("source pool dry at msg %d", i)
-				return
-			}
-			d := mempool.Descriptor{Tenant: "t", Buf: src, Len: 256, Dst: "fnB", Seq: uint64(i)}
-			if !r.gws[0].ForwardRemote(d, "n2") {
-				t.Errorf("ForwardRemote refused a peer destination")
-				return
-			}
-			pr.Sleep(2 * time.Microsecond)
+	var send func(i int)
+	send = func(i int) {
+		if i == msgs {
+			return
 		}
-	})
+		src, err := r.pools[0].Get("eng")
+		if err != nil {
+			t.Errorf("source pool dry at msg %d", i)
+			return
+		}
+		d := mempool.Descriptor{Tenant: "t", Buf: src, Len: 256, Dst: "fnB", Seq: uint64(i)}
+		if !r.gws[0].ForwardRemote(d, "n2") {
+			t.Errorf("ForwardRemote refused a peer destination")
+			return
+		}
+		r.eng.After(2*time.Microsecond, func() { send(i + 1) })
+	}
+	r.ready.Notify(func() { send(0) })
 	// QP setup for the mesh takes tens of sim-milliseconds; leave headroom.
 	r.eng.RunUntil(200 * time.Millisecond)
 
@@ -265,8 +275,7 @@ func TestWindowBackpressure(t *testing.T) {
 	r := newGwRig(t, 1, 2, 2)
 	r.route("fnB", "n2")
 	const msgs = 20
-	r.eng.Spawn("driver", func(pr *sim.Proc) {
-		r.ready.Wait(pr)
+	r.ready.Notify(func() {
 		for i := 0; i < msgs; i++ {
 			src, err := r.pools[0].Get("eng")
 			if err != nil {
@@ -291,8 +300,7 @@ func TestTransitRelayAroundPartition(t *testing.T) {
 	r.route("fnC", "n3")
 	r.net.SetLinkDown("n1", "n3", true)
 	r.net.SetLinkDown("n3", "n1", true)
-	r.eng.Spawn("driver", func(pr *sim.Proc) {
-		r.ready.Wait(pr)
+	r.ready.Notify(func() {
 		src, _ := r.pools[0].Get("eng")
 		r.gws[0].ForwardRemote(mempool.Descriptor{Tenant: "t", Buf: src, Len: 512, Dst: "fnC"}, "n3")
 	})
@@ -319,21 +327,25 @@ func TestDeterministicReplay(t *testing.T) {
 	run := func() string {
 		r := newGwRig(t, 7, 3, 4)
 		r.route("fnC", "n3")
-		r.eng.Spawn("driver", func(pr *sim.Proc) {
-			r.ready.Wait(pr)
-			for i := 0; i < 50; i++ {
-				if src, err := r.pools[0].Get("eng"); err == nil {
-					r.gws[0].ForwardRemote(mempool.Descriptor{Tenant: "t", Buf: src, Len: 300, Dst: "fnC", Seq: uint64(i)}, "n3")
-				}
-				pr.Sleep(time.Microsecond)
+		var send func(i int)
+		send = func(i int) {
+			if i == 50 {
+				return
+			}
+			if src, err := r.pools[0].Get("eng"); err == nil {
+				r.gws[0].ForwardRemote(mempool.Descriptor{Tenant: "t", Buf: src, Len: 300, Dst: "fnC", Seq: uint64(i)}, "n3")
+			}
+			r.eng.After(time.Microsecond, func() {
 				if i == 20 {
 					r.net.SetLinkDown("n1", "n3", true)
 				}
 				if i == 40 {
 					r.net.SetLinkDown("n1", "n3", false)
 				}
-			}
-		})
+				send(i + 1)
+			})
+		}
+		r.ready.Notify(func() { send(0) })
 		r.eng.RunUntil(300 * time.Millisecond)
 		out := ""
 		for _, g := range r.gws {
@@ -355,19 +367,10 @@ func BenchmarkGatewayForward(b *testing.B) {
 	r.route("fnB", "n2")
 	done := sim.NewSignal(r.eng)
 	r.egs[0].onRelease = done.Pulse
-	r.eng.Spawn("driver", func(pr *sim.Proc) {
-		r.ready.Wait(pr)
+	step := forwardLoop(b, r, "fnB", "n2", done)
+	r.ready.Notify(func() {
 		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			src, err := r.pools[0].Get("eng")
-			if err != nil {
-				b.Errorf("source pool dry at iter %d", i)
-				break
-			}
-			r.gws[0].ForwardRemote(mempool.Descriptor{Tenant: "t", Buf: src, Len: 1024, Dst: "fnB"}, "n2")
-			done.Wait(pr)
-		}
-		r.eng.Stop()
+		step()
 	})
 	b.ReportAllocs()
 	r.eng.Run()
@@ -382,61 +385,38 @@ func BenchmarkChainCrossNode(b *testing.B) {
 	r.net.SetLinkDown("n3", "n1", true)
 	done := sim.NewSignal(r.eng)
 	r.egs[0].onRelease = done.Pulse
-	r.eng.Spawn("driver", func(pr *sim.Proc) {
-		r.ready.Wait(pr)
-		pr.Sleep(2 * r.p.GwFailoverInterval)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			src, err := r.pools[0].Get("eng")
-			if err != nil {
-				b.Errorf("source pool dry at iter %d", i)
-				break
-			}
-			r.gws[0].ForwardRemote(mempool.Descriptor{Tenant: "t", Buf: src, Len: 1024, Dst: "fnC"}, "n3")
-			done.Wait(pr)
-		}
-		r.eng.Stop()
+	step := forwardLoop(b, r, "fnC", "n3", done)
+	r.ready.Notify(func() {
+		r.eng.After(2*r.p.GwFailoverInterval, func() {
+			b.ResetTimer()
+			step()
+		})
 	})
 	b.ReportAllocs()
 	r.eng.Run()
 }
 
-// TestStartSpawnsNoProcess pins that the forwarding loop and the keeper run
-// as engine callbacks: Start adds no process, and forwarding across the
-// mesh — credit parks included — dispatches none.
-func TestStartSpawnsNoProcess(t *testing.T) {
-	p := params.Default()
-	eng := sim.NewEngine(1)
-	t.Cleanup(eng.Stop)
-	net := fabric.New(eng, p)
-	g := New(eng, p, "solo", net, rdma.NewRNIC(eng, p, "solo", net), 0)
-	g.Start()
-	eng.RunFor(time.Millisecond)
-	if n, d := eng.Procs(), eng.Dispatches(); n != 0 || d != 0 {
-		t.Fatalf("Start left %d live processes and %d dispatches, want none", n, d)
-	}
-
-	r := newGwRig(t, 1, 3, 4)
-	r.route("fn3", "n3")
-	const sends = 20 // five windows' worth: the pump parks on credits
-	var setup uint64
-	r.ready.Notify(func() {
-		setup = r.eng.Dispatches()
-		for i := 0; i < sends; i++ {
-			src, err := r.pools[0].Get("eng")
-			if err != nil {
-				t.Errorf("source pool dry at send %d", i)
-				return
-			}
-			r.gws[0].ForwardRemote(mempool.Descriptor{Tenant: "t", Buf: src, Len: 64, Dst: "fn3"}, "n3")
+// forwardLoop returns a closed-loop driver for the forwarding benchmarks,
+// bound once so its steady state allocates nothing: each step forwards one
+// 1 KB descriptor from n1 to dst for fn and parks on done (pulsed when the
+// source buffer comes home) until b.N have gone, then stops the engine.
+func forwardLoop(b *testing.B, r *gwRig, fn string, dst fabric.NodeID, done *sim.Signal) func() {
+	i := 0
+	var step func()
+	step = func() {
+		if i == b.N {
+			r.eng.Stop()
+			return
 		}
-	})
-	r.eng.RunUntil(200 * time.Millisecond)
-	if got := len(r.egs[2].delivered); got != sends {
-		t.Fatalf("delivered %d of %d forwards", got, sends)
+		src, err := r.pools[0].Get("eng")
+		if err != nil {
+			b.Errorf("source pool dry at iter %d", i)
+			r.eng.Stop()
+			return
+		}
+		i++
+		r.gws[0].ForwardRemote(mempool.Descriptor{Tenant: "t", Buf: src, Len: 1024, Dst: fn}, dst)
+		done.Notify(step)
 	}
-	if n := r.eng.Dispatches() - setup; n != 0 {
-		t.Fatalf("forwarding dispatched %d processes", n)
-	}
-	r.conserve(t)
+	return step
 }

@@ -31,11 +31,10 @@ type EchoBackendConfig struct {
 
 // EchoBackend implements Backend with a modeled worker node.
 type EchoBackend struct {
-	eng  *sim.Engine
-	p    *params.Params
-	cfg  EchoBackendConfig
-	q    *sim.Queue[echoJob]
-	pool *sim.CorePool
+	eng *sim.Engine
+	p   *params.Params
+	cfg EchoBackendConfig
+	q   *sim.Queue[echoJob]
 }
 
 type echoJob struct {
@@ -43,20 +42,27 @@ type echoJob struct {
 	done func(Response)
 }
 
-// NewEchoBackend starts the worker-node servers.
+// echoServer is one function instance on its own core, as an engine
+// callback state machine: take a job (parking on the queue while it is
+// empty), serve it on the core, send the response back, repeat.
+type echoServer struct {
+	b               *EchoBackend
+	core            *sim.Processor
+	job             echoJob
+	serveFn, doneFn func()
+}
+
+// NewEchoBackend starts the worker-node servers, each from one
+// same-instant event.
 func NewEchoBackend(eng *sim.Engine, p *params.Params, cfg EchoBackendConfig) *EchoBackend {
 	if cfg.Concurrency <= 0 {
 		cfg.Concurrency = 1
 	}
-	b := &EchoBackend{
-		eng:  eng,
-		p:    p,
-		cfg:  cfg,
-		q:    sim.NewQueue[echoJob](eng, 0),
-		pool: sim.NewCorePool(eng, "echo-backend", cfg.Concurrency, p.HostCoreSpeed),
-	}
+	b := &EchoBackend{eng: eng, p: p, cfg: cfg, q: sim.NewQueue[echoJob](eng, 0)}
 	for i := 0; i < cfg.Concurrency; i++ {
-		eng.Spawn(fmt.Sprintf("echo-srv-%d", i), b.serve)
+		s := &echoServer{b: b, core: sim.NewProcessor(eng, fmt.Sprintf("echo-backend/%d", i), p.HostCoreSpeed)}
+		s.serveFn, s.doneFn = s.serve, s.done
+		eng.Immediate(s.serveFn)
 	}
 	return b
 }
@@ -68,27 +74,37 @@ func (b *EchoBackend) Forward(req Request, done func(Response)) {
 	})
 }
 
-func (b *EchoBackend) serve(pr *sim.Proc) {
-	p := b.p
-	for {
-		j := b.q.Get(pr)
-		if b.cfg.UseRDMA {
-			// DNE delivered a descriptor; the function wakes via Comch,
-			// serves, and hands the response descriptor back.
-			b.pool.Exec(pr, p.ComchEWakeup+b.cfg.Service+p.ComchSendCost)
-		} else {
-			// Deferred conversion: the worker terminates TCP and parses
-			// HTTP before the function runs, then does it again outbound.
-			b.pool.Exec(pr, transport.RecvCost(p, b.cfg.WorkerStack, j.req.Bytes)+
-				transport.HTTPCost(p)+
-				b.cfg.Service+
-				transport.SendCost(p, b.cfg.WorkerStack, j.req.RespBytes))
-		}
-		req, done := j.req, j.done
-		b.eng.After(b.cfg.Transit, func() {
-			done(Response{ID: req.ID, Bytes: req.RespBytes, Stamp: req.Stamp})
-		})
+// serve takes the next job and runs it on the server's core.
+func (s *echoServer) serve() {
+	b, p := s.b, s.b.p
+	j, ok := b.q.TryGet()
+	if !ok {
+		b.q.Notify(s.serveFn)
+		return
 	}
+	s.job = j
+	if b.cfg.UseRDMA {
+		// DNE delivered a descriptor; the function wakes via Comch,
+		// serves, and hands the response descriptor back.
+		s.core.Run(p.ComchEWakeup+b.cfg.Service+p.ComchSendCost, s.doneFn)
+		return
+	}
+	// Deferred conversion: the worker terminates TCP and parses HTTP
+	// before the function runs, then does it again outbound.
+	s.core.Run(transport.RecvCost(p, b.cfg.WorkerStack, j.req.Bytes)+
+		transport.HTTPCost(p)+
+		b.cfg.Service+
+		transport.SendCost(p, b.cfg.WorkerStack, j.req.RespBytes), s.doneFn)
+}
+
+// done sends the response back over the transit and takes the next job.
+func (s *echoServer) done() {
+	req, done := s.job.req, s.job.done
+	s.job = echoJob{}
+	s.b.eng.After(s.b.cfg.Transit, func() {
+		done(Response{ID: req.ID, Bytes: req.RespBytes, Stamp: req.Stamp})
+	})
+	s.serve()
 }
 
 // DefaultEchoBackend builds the standard Fig. 13 backend for an ingress

@@ -7,8 +7,8 @@
 // The gateway follows the paper's master-worker model: run-to-completion
 // workers pinned to cores, RSS distribution of client connections, and a
 // hysteresis autoscaler driven by refined (useful-work) CPU accounting.
-// Workers and master are engine-callback state machines, not processes:
-// each block point of their loops is one event (see internal/sim).
+// Workers and master are engine-callback state machines: each block point
+// of their loops is one event (see internal/sim).
 package ingress
 
 import (
@@ -231,8 +231,8 @@ func New(eng *sim.Engine, p *params.Params, cfg Config, backend Backend) *Gatewa
 		g.addWorker()
 	}
 	if cfg.AutoScale {
-		// The master starts from one same-instant event, the one a spawn
-		// would schedule, and sleeps its first sampling period from there.
+		// The master starts from one same-instant event and sleeps its
+		// first sampling period from there.
 		g.masterFn = g.master
 		eng.Immediate(func() { eng.After(p.IngressScaleCheckEvery, g.masterFn) })
 	}

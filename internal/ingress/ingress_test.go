@@ -22,19 +22,9 @@ func drive(t *testing.T, kind Kind, workers, clients int, dur time.Duration, aut
 	var completed int
 	var latSum time.Duration
 	for c := 0; c < clients; c++ {
-		id := c
-		eng.Spawn("client", func(pr *sim.Proc) {
-			respQ := sim.NewQueue[Response](eng, 0)
-			for {
-				start := pr.Now()
-				gw.Submit(Request{
-					Client: id, Bytes: 512, RespBytes: 512, Stamp: start,
-					Reply: func(r Response) { respQ.TryPut(r) },
-				})
-				respQ.Get(pr)
-				completed++
-				latSum += pr.Now() - start
-			}
+		closedLoop(eng, gw, c, 512, 0, func(lat time.Duration) {
+			completed++
+			latSum += lat
 		})
 	}
 	eng.RunUntil(dur)
@@ -42,6 +32,26 @@ func drive(t *testing.T, kind Kind, workers, clients int, dur time.Duration, aut
 		t.Fatalf("%v served nothing", kind)
 	}
 	return float64(completed) / dur.Seconds(), latSum / time.Duration(completed)
+}
+
+// closedLoop starts a client that submits a request of size bytes each
+// way, and after each reply passes its latency to done (if non-nil) and
+// submits again from one same-instant event, or think later.
+func closedLoop(eng *sim.Engine, gw *Gateway, client, size int, think time.Duration, done func(lat time.Duration)) {
+	var submit func()
+	submit = func() {
+		start := eng.Now()
+		gw.Submit(Request{
+			Client: client, Bytes: size, RespBytes: size, Stamp: start,
+			Reply: func(Response) {
+				if done != nil {
+					done(eng.Now() - start)
+				}
+				eng.After(think, submit)
+			},
+		})
+	}
+	eng.Immediate(submit)
 }
 
 func TestIngressDesignOrdering(t *testing.T) {
@@ -88,15 +98,7 @@ func TestAutoscalerAddsWorkersUnderLoad(t *testing.T) {
 	backend := DefaultEchoBackend(eng, p, Nadino, 16)
 	gw := New(eng, p, Config{Kind: Nadino, InitialWorkers: 1, MaxWorkers: 8, AutoScale: true}, backend)
 	for c := 0; c < 48; c++ {
-		id := c
-		eng.Spawn("client", func(pr *sim.Proc) {
-			respQ := sim.NewQueue[Response](eng, 0)
-			for {
-				gw.Submit(Request{Client: id, Bytes: 512, RespBytes: 512, Stamp: pr.Now(),
-					Reply: func(r Response) { respQ.TryPut(r) }})
-				respQ.Get(pr)
-			}
-		})
+		closedLoop(eng, gw, c, 512, 0, nil)
 	}
 	eng.RunUntil(3 * time.Second)
 	if gw.ActiveWorkers() < 2 {
@@ -114,15 +116,7 @@ func TestAutoscalerShrinksWhenIdle(t *testing.T) {
 	backend := DefaultEchoBackend(eng, p, Nadino, 16)
 	gw := New(eng, p, Config{Kind: Nadino, InitialWorkers: 4, MaxWorkers: 8, AutoScale: true}, backend)
 	// One light client: far below the 30% scale-down threshold.
-	eng.Spawn("client", func(pr *sim.Proc) {
-		respQ := sim.NewQueue[Response](eng, 0)
-		for {
-			gw.Submit(Request{Client: 0, Bytes: 128, RespBytes: 128, Stamp: pr.Now(),
-				Reply: func(r Response) { respQ.TryPut(r) }})
-			respQ.Get(pr)
-			pr.Sleep(time.Millisecond)
-		}
-	})
+	closedLoop(eng, gw, 0, 128, time.Millisecond, nil)
 	eng.RunUntil(5 * time.Second)
 	if gw.ActiveWorkers() != 1 {
 		t.Fatalf("autoscaler kept %d workers for an idle load", gw.ActiveWorkers())
@@ -141,12 +135,14 @@ func TestKIngressOverloadDropsRequests(t *testing.T) {
 	backend := DefaultEchoBackend(eng, p, KIngress, 16)
 	gw := New(eng, p, Config{Kind: KIngress, InitialWorkers: 1, MaxWorkers: 1, QueueCap: 64}, backend)
 	// Open-loop flood well past a single kernel core's capacity.
-	eng.Spawn("flood", func(pr *sim.Proc) {
-		for i := 0; ; i++ {
-			gw.Submit(Request{Client: i % 32, Bytes: 512, RespBytes: 512, Stamp: pr.Now()})
-			pr.Sleep(15 * time.Microsecond) // ~66K req/s offered, ~5x capacity
-		}
-	})
+	i := 0
+	var flood func()
+	flood = func() {
+		gw.Submit(Request{Client: i % 32, Bytes: 512, RespBytes: 512, Stamp: eng.Now()})
+		i++
+		eng.After(15*time.Microsecond, flood) // ~66K req/s offered, ~5x capacity
+	}
+	eng.Immediate(flood)
 	eng.RunUntil(500 * time.Millisecond)
 	if gw.Dropped() == 0 {
 		t.Fatal("overloaded K-Ingress dropped nothing")
@@ -163,14 +159,7 @@ func TestRecorderSeries(t *testing.T) {
 	backend := DefaultEchoBackend(eng, p, Nadino, 4)
 	gw := New(eng, p, Config{Kind: Nadino, InitialWorkers: 1, MaxWorkers: 4}, backend)
 	gw.StartRecorder(100 * time.Millisecond)
-	eng.Spawn("client", func(pr *sim.Proc) {
-		respQ := sim.NewQueue[Response](eng, 0)
-		for {
-			gw.Submit(Request{Client: 0, Bytes: 256, RespBytes: 256, Stamp: pr.Now(),
-				Reply: func(r Response) { respQ.TryPut(r) }})
-			respQ.Get(pr)
-		}
-	})
+	closedLoop(eng, gw, 0, 256, 0, nil)
 	eng.RunUntil(time.Second)
 	if gw.RPSSeries.Len() < 8 {
 		t.Fatalf("RPS series has %d points", gw.RPSSeries.Len())

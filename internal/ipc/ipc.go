@@ -87,22 +87,15 @@ func (c *SKMsg) InterruptCost(backlog int) time.Duration {
 }
 
 // Send ships a descriptor; it arrives after the SK_MSG delivery latency.
-// The caller pays SendCost on its own core first. Engine/process context.
+// The caller pays SendCost on its own core first.
 func (c *SKMsg) Send(d mempool.Descriptor) {
 	d.Trace.BeginStage(trace.StageSKMsg, "skmsg")
 	c.eng.After(c.p.SKMsgDeliver, c.allocDelivery(d).fn)
 }
 
-// Recv blocks until a descriptor arrives. The caller pays WakeupCost on its
-// own core afterwards.
-func (c *SKMsg) Recv(pr *sim.Proc) mempool.Descriptor {
-	d := c.q.Get(pr)
-	d.Trace.EndStage(trace.StageSKMsg)
-	return d
-}
-
-// Notify parks fn until a descriptor arrives: Recv's wait in engine
-// context, for a channel TryRecv just found empty (see sim.Queue.Notify).
+// Notify parks fn until a descriptor arrives, for a channel TryRecv just
+// found empty (see sim.Queue.Notify); fn takes it with TryRecv. The
+// receiver pays WakeupCost on its own core afterwards.
 func (c *SKMsg) Notify(fn func()) { c.q.Notify(fn) }
 
 // TryRecv is the non-blocking receive used by event loops.

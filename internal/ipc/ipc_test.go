@@ -19,15 +19,21 @@ func TestSKMsgDeliveryOrderAndLatency(t *testing.T) {
 	}
 	var got []uint64
 	var firstAt time.Duration
-	eng.Spawn("rx", func(pr *sim.Proc) {
-		for i := 0; i < 3; i++ {
-			d := ch.Recv(pr)
-			if i == 0 {
-				firstAt = pr.Now()
+	var rx func()
+	rx = func() {
+		for len(got) < 3 {
+			d, ok := ch.TryRecv()
+			if !ok {
+				ch.Notify(rx)
+				return
+			}
+			if len(got) == 0 {
+				firstAt = eng.Now()
 			}
 			got = append(got, d.Seq)
 		}
-	})
+	}
+	eng.Immediate(rx)
 	eng.Run()
 	if firstAt != p.SKMsgDeliver {
 		t.Fatalf("first delivery at %v, want %v", firstAt, p.SKMsgDeliver)
@@ -64,15 +70,15 @@ func TestSKMsgWorkSignalWakesLoop(t *testing.T) {
 	work := sim.NewSignal(eng)
 	ch := NewSKMsg(eng, p, work)
 	woke := false
-	eng.Spawn("loop", func(pr *sim.Proc) {
-		for {
-			if _, ok := ch.TryRecv(); ok {
-				woke = true
-				return
-			}
-			work.Wait(pr)
+	var loop func()
+	loop = func() {
+		if _, ok := ch.TryRecv(); ok {
+			woke = true
+			return
 		}
-	})
+		work.Notify(loop)
+	}
+	eng.Immediate(loop)
 	eng.After(time.Millisecond, func() { ch.Send(mempool.Descriptor{}) })
 	eng.Run()
 	if !woke {
@@ -91,16 +97,14 @@ func TestTokenPassingChain(t *testing.T) {
 	bc := NewSKMsg(eng, p, nil)
 	buf, _ := pool.Get("A")
 	var order []string
-	eng.Spawn("A", func(pr *sim.Proc) {
-		pr.Sleep(10 * time.Microsecond) // do work
+	eng.After(10*time.Microsecond, func() { // do work
 		order = append(order, "A")
 		if err := pool.Transfer(buf, "A", "B"); err != nil {
 			t.Error(err)
 		}
 		ab.Send(mempool.Descriptor{Buf: buf})
 	})
-	eng.Spawn("B", func(pr *sim.Proc) {
-		d := ab.Recv(pr)
+	recv(ab, func(d mempool.Descriptor) {
 		if err := pool.Access(d.Buf, "B"); err != nil {
 			t.Error(err)
 		}
@@ -110,8 +114,7 @@ func TestTokenPassingChain(t *testing.T) {
 		}
 		bc.Send(d)
 	})
-	eng.Spawn("C", func(pr *sim.Proc) {
-		d := bc.Recv(pr)
+	recv(bc, func(d mempool.Descriptor) {
 		if err := pool.Access(d.Buf, "C"); err != nil {
 			t.Error(err)
 		}
@@ -142,4 +145,14 @@ func TestCostAccessors(t *testing.T) {
 	if ch.Pending() != 1 {
 		t.Fatalf("pending = %d", ch.Pending())
 	}
+}
+
+// recv passes the next descriptor delivered on c to then, parking on
+// Notify until one arrives.
+func recv(c *SKMsg, then func(mempool.Descriptor)) {
+	if d, ok := c.TryRecv(); ok {
+		then(d)
+		return
+	}
+	c.Notify(func() { recv(c, then) })
 }

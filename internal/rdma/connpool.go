@@ -46,29 +46,31 @@ func (cp *ConnPool) SetFlightRecorder(r *flightrec.Recorder, actor string) {
 }
 
 // EstablishPair creates n RC connections between RNICs a and b for tenant
-// and returns the two pools (a's view and b's view). The calling process
-// blocks for one pooled setup handshake (params.QPSetupTime) — connection
-// setup is pipelined across the batch, as a real DNE would do at startup.
-func EstablishPair(pr *sim.Proc, p *params.Params, tenant string, a, b *RNIC, n int,
-	srqA, srqB *SRQ, cqA, cqB *CQ) (*ConnPool, *ConnPool) {
+// after one pooled setup handshake (params.QPSetupTime) — connection setup
+// is pipelined across the batch, as a real DNE would do at startup — and
+// passes the two pools (a's view and b's view) to done, from the one event
+// that ends the handshake.
+func EstablishPair(eng *sim.Engine, p *params.Params, tenant string, a, b *RNIC, n int,
+	srqA, srqB *SRQ, cqA, cqB *CQ, done func(poolA, poolB *ConnPool)) {
 	if n <= 0 {
 		panic("rdma: connection pool must hold at least one QP")
 	}
-	pr.Sleep(p.QPSetupTime)
-	poolA := &ConnPool{eng: pr.Engine(), p: p, Tenant: tenant, rnic: a, minActive: 1, congestion: 8}
-	poolB := &ConnPool{eng: pr.Engine(), p: p, Tenant: tenant, rnic: b, minActive: 1, congestion: 8}
-	for i := 0; i < n; i++ {
-		qa, qb := Connect(a, b, tenant, srqA, srqB, cqA, cqB)
-		if i >= poolA.minActive {
-			qa.deactivate()
+	eng.After(p.QPSetupTime, func() {
+		poolA := &ConnPool{eng: eng, p: p, Tenant: tenant, rnic: a, minActive: 1, congestion: 8}
+		poolB := &ConnPool{eng: eng, p: p, Tenant: tenant, rnic: b, minActive: 1, congestion: 8}
+		for i := 0; i < n; i++ {
+			qa, qb := Connect(a, b, tenant, srqA, srqB, cqA, cqB)
+			if i >= poolA.minActive {
+				qa.deactivate()
+			}
+			if i >= poolB.minActive {
+				qb.deactivate()
+			}
+			poolA.conns = append(poolA.conns, qa)
+			poolB.conns = append(poolB.conns, qb)
 		}
-		if i >= poolB.minActive {
-			qb.deactivate()
-		}
-		poolA.conns = append(poolA.conns, qa)
-		poolB.conns = append(poolB.conns, qb)
-	}
-	return poolA, poolB
+		done(poolA, poolB)
+	})
 }
 
 // Pick returns the least-congested active connection, activating a shadow

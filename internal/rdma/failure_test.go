@@ -7,7 +7,6 @@ import (
 	"nadino/internal/chaos"
 	"nadino/internal/mempool"
 	"nadino/internal/params"
-	"nadino/internal/sim"
 )
 
 func TestRetransmitRecoversFromLinkBlip(t *testing.T) {
@@ -23,13 +22,14 @@ func TestRetransmitRecoversFromLinkBlip(t *testing.T) {
 
 	var status Status = -1
 	var doneAt time.Duration
-	r.eng.Spawn("sender", func(p *sim.Proc) {
+	r.eng.Immediate(func() {
 		src, _ := r.poolA.Get("cli")
 		qa.PostSend(mempool.Descriptor{Tenant: "t", Buf: src, Len: 512})
-		r.cqA.Wait(p)
-		e := r.cqA.Poll(1)[0]
-		status = e.Status
-		doneAt = p.Now()
+		awaitCQ(r.cqA, func() {
+			e := r.cqA.Poll(1)[0]
+			status = e.Status
+			doneAt = r.eng.Now()
+		})
 	})
 	r.eng.RunUntil(time.Second)
 	if status != StatusOK {
@@ -55,11 +55,10 @@ func TestPersistentOutageErrorsQP(t *testing.T) {
 	in.Install(chaos.Schedule{{At: 0, Fault: chaos.NodeDown{Node: "nodeB"}}})
 
 	var status Status = -1
-	r.eng.Spawn("sender", func(p *sim.Proc) {
+	r.eng.Immediate(func() {
 		src, _ := r.poolA.Get("cli")
 		qa.PostSend(mempool.Descriptor{Tenant: "t", Buf: src, Len: 512})
-		r.cqA.Wait(p)
-		status = r.cqA.Poll(1)[0].Status
+		awaitCQ(r.cqA, func() { status = r.cqA.Poll(1)[0].Status })
 	})
 	r.eng.RunUntil(time.Second)
 	if status != StatusRetryExceeded {
@@ -70,11 +69,10 @@ func TestPersistentOutageErrorsQP(t *testing.T) {
 	}
 	// New posts on the errored QP flush immediately with an error.
 	var flushed Status = -1
-	r.eng.Spawn("late-sender", func(p *sim.Proc) {
+	r.eng.Immediate(func() {
 		src, _ := r.poolA.Get("cli")
 		qa.PostSend(mempool.Descriptor{Tenant: "t", Buf: src, Len: 64})
-		r.cqA.Wait(p)
-		flushed = r.cqA.Poll(1)[0].Status
+		awaitCQ(r.cqA, func() { flushed = r.cqA.Poll(1)[0].Status })
 	})
 	r.eng.RunUntil(2 * time.Second)
 	if flushed != StatusQPError {
@@ -134,9 +132,9 @@ func TestRepairMatchesFullScan(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newRig(t, 1)
 			var pool, sibling *ConnPool
-			r.eng.Spawn("setup", func(p *sim.Proc) {
-				pool, _ = EstablishPair(p, r.p, "t", r.ra, r.rb, 4, r.srqA, r.srqB, r.cqA, r.cqB)
-				sibling, _ = EstablishPair(p, r.p, "u", r.ra, r.rb, 4, r.srqA, r.srqB, r.cqA, r.cqB)
+			EstablishPair(r.eng, r.p, "t", r.ra, r.rb, 4, r.srqA, r.srqB, r.cqA, r.cqB, func(a, _ *ConnPool) {
+				pool = a
+				EstablishPair(r.eng, r.p, "u", r.ra, r.rb, 4, r.srqA, r.srqB, r.cqA, r.cqB, func(a, _ *ConnPool) { sibling = a })
 			})
 			r.eng.Run()
 			if pool.Repair() != 0 || sibling.Repair() != 0 {
@@ -168,8 +166,8 @@ func TestConnPoolRepairsErroredQPs(t *testing.T) {
 		Fault: chaos.NodeDown{Node: "nodeB"},
 	}})
 	var pa *ConnPool
-	r.eng.Spawn("setup", func(p *sim.Proc) {
-		pa, _ = EstablishPair(p, r.p, "t", r.ra, r.rb, 4, r.srqA, r.srqB, r.cqA, r.cqB)
+	EstablishPair(r.eng, r.p, "t", r.ra, r.rb, 4, r.srqA, r.srqB, r.cqA, r.cqB, func(a, _ *ConnPool) {
+		pa = a
 		postRecvs(t, r.poolB, r.srqB, 64)
 		src, _ := r.poolA.Get("cli")
 		pa.Pick().PostSend(mempool.Descriptor{Tenant: "t", Buf: src, Len: 64})
@@ -198,15 +196,16 @@ func TestConnPoolRepairsErroredQPs(t *testing.T) {
 	}
 	// And the repaired pool carries traffic again.
 	var ok bool
-	r.eng.Spawn("verify", func(p *sim.Proc) {
+	r.eng.Immediate(func() {
 		src, _ := r.poolA.Get("cli")
 		pa.Pick().PostSend(mempool.Descriptor{Tenant: "t", Buf: src, Len: 64})
-		r.cqB.Wait(p)
-		for _, e := range r.cqB.Poll(0) {
-			if e.Op == OpRecv {
-				ok = true
+		awaitCQ(r.cqB, func() {
+			for _, e := range r.cqB.Poll(0) {
+				if e.Op == OpRecv {
+					ok = true
+				}
 			}
-		}
+		})
 	})
 	r.eng.RunUntil(r.eng.Now() + 100*time.Millisecond)
 	if !ok {
@@ -222,27 +221,30 @@ func TestRetransmitTimerDoesNotDuplicate(t *testing.T) {
 	qa, _ := Connect(r.ra, r.rb, "t", r.srqA, r.srqB, r.cqA, r.cqB)
 	postRecvs(t, r.poolB, r.srqB, 64)
 	recvs := 0
-	r.eng.Spawn("receiver", func(pr *sim.Proc) {
-		for {
-			r.cqB.Wait(pr)
-			for _, e := range r.cqB.Poll(0) {
-				if e.Op == OpRecv {
-					recvs++
-				}
+	var receive func()
+	receive = func() {
+		for _, e := range r.cqB.Poll(0) {
+			if e.Op == OpRecv {
+				recvs++
 			}
 		}
-	})
-	r.eng.Spawn("sender", func(pr *sim.Proc) {
-		for i := 0; i < 32; i++ {
-			src, err := r.poolA.Get("cli")
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			qa.PostSend(mempool.Descriptor{Tenant: "t", Buf: src, Len: 256})
-			pr.Sleep(p.RetransmitTimeout) // straddle the timer window
+		awaitCQ(r.cqB, receive)
+	}
+	awaitCQ(r.cqB, receive)
+	var send func(i int)
+	send = func(i int) {
+		if i == 32 {
+			return
 		}
-	})
+		src, err := r.poolA.Get("cli")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		qa.PostSend(mempool.Descriptor{Tenant: "t", Buf: src, Len: 256})
+		r.eng.After(p.RetransmitTimeout, func() { send(i + 1) }) // straddle the timer window
+	}
+	r.eng.Immediate(func() { send(0) })
 	r.eng.RunUntil(time.Second)
 	if recvs != 32 {
 		t.Fatalf("recv completions = %d, want exactly 32 (no duplicates, no losses)", recvs)

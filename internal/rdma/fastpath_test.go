@@ -39,49 +39,64 @@ func TestSRQBackingArrayBounded(t *testing.T) {
 	}
 }
 
+// echoLoop runs a closed-loop echo entirely at the rdma layer, as engine
+// callbacks bound once: one send of src in flight on qa (up to sends of
+// them, or forever when sends < 0), each landed buffer recycled straight
+// back into the receiver's SRQ. It returns the delivery counter.
+func echoLoop(eng *sim.Engine, qa *QP, cqA, cqB *CQ, srqB *SRQ, src mempool.Buffer, sends int) *int {
+	delivered := new(int)
+	var post, await, receive func()
+	post = func() {
+		qa.PostSend(mempool.Descriptor{Tenant: "t", Buf: src, Len: 64})
+		await()
+	}
+	await = func() {
+		if cqA.Len() == 0 {
+			cqA.Notify(await)
+			return
+		}
+		cqA.Poll(0)
+		if sends--; sends != 0 {
+			post()
+		}
+	}
+	receive = func() {
+		for _, e := range cqB.Poll(0) {
+			if e.Op == OpRecv {
+				*delivered++
+				srqB.PostRecv(mempool.Descriptor{Tenant: "t", Buf: e.Desc.Buf})
+			}
+		}
+		cqB.Notify(receive)
+	}
+	eng.Immediate(post)
+	eng.Immediate(receive)
+	return delivered
+}
+
 // TestSeenLogBoundedUnderSustainedLoad drives a long-lived QP with steady
-// traffic for many multiples of the dedup window and asserts the receiver's
-// duplicate-detection state stays bounded: the seen set and its expiry log
-// must hold only entries younger than dedupWindow, not every wire ID the QP
-// ever delivered (the old seenLog grew one entry per message, forever).
+// traffic for several multiples of the dedup window and asserts the
+// receiver's duplicate-detection state stays bounded: the seen set and its
+// expiry log must hold only entries younger than dedupWindow, not every
+// wire ID the QP ever delivered (the old seenLog grew one entry per
+// message, forever). Eight windows are enough: without the sweep the live
+// state holds all eight windows' worth, twice the bound.
 func TestSeenLogBoundedUnderSustainedLoad(t *testing.T) {
 	r := newRig(t, 1)
 	qa, qb := Connect(r.ra, r.rb, "t", r.srqA, r.srqB, r.cqA, r.cqB)
-
-	// Closed-loop echo driver entirely at the rdma layer: one send in
-	// flight, recycle the landed buffer back into the SRQ on each delivery.
 	postRecvs(t, r.poolB, r.srqB, 16)
 	src, _ := r.poolA.Get("fnA")
-	var delivered int
-	r.eng.Spawn("driver", func(pr *sim.Proc) {
-		for {
-			qa.PostSend(mempool.Descriptor{Tenant: "t", Buf: src, Len: 64})
-			r.cqA.Wait(pr)
-			r.cqA.Poll(0)
-		}
-	})
-	r.eng.Spawn("receiver", func(pr *sim.Proc) {
-		for {
-			r.cqB.Wait(pr)
-			for _, e := range r.cqB.Poll(0) {
-				if e.Op != OpRecv {
-					continue
-				}
-				delivered++
-				// Recycle the consumed buffer straight back into the SRQ.
-				r.srqB.PostRecv(mempool.Descriptor{Tenant: "t", Buf: e.Desc.Buf})
-			}
-		}
-	})
-	// Run for 40 dedup windows of steady traffic.
-	r.eng.RunUntil(40 * dedupWindow)
+	const windows = 8
+	ptr := echoLoop(r.eng, qa, r.cqA, r.cqB, r.srqB, src, -1)
+	r.eng.RunUntil(windows * dedupWindow)
+	delivered := *ptr
 
 	if delivered < 1000 {
 		t.Fatalf("driver delivered only %d messages — load too light to exercise the sweep", delivered)
 	}
 	// Entries expire after dedupWindow; with ~1-2µs per echo the live set
 	// is a few hundred thousand times smaller than lifetime deliveries.
-	perWindow := delivered/40 + 1
+	perWindow := delivered/windows + 1
 	if n := qb.seenLog.Len(); n > 4*perWindow {
 		t.Fatalf("seenLog holds %d entries after %d deliveries (~%d per window) — sweep is not trimming",
 			n, delivered, perWindow)
@@ -104,23 +119,7 @@ func TestWRSlabReuse(t *testing.T) {
 	postRecvs(t, r.poolB, r.srqB, 16)
 	src, _ := r.poolA.Get("fnA")
 	const msgs = 5000
-	r.eng.Spawn("driver", func(pr *sim.Proc) {
-		for i := 0; i < msgs; i++ {
-			qa.PostSend(mempool.Descriptor{Tenant: "t", Buf: src, Len: 64})
-			r.cqA.Wait(pr)
-			r.cqA.Poll(0)
-		}
-	})
-	r.eng.Spawn("receiver", func(pr *sim.Proc) {
-		for {
-			r.cqB.Wait(pr)
-			for _, e := range r.cqB.Poll(0) {
-				if e.Op == OpRecv {
-					r.srqB.PostRecv(mempool.Descriptor{Tenant: "t", Buf: e.Desc.Buf})
-				}
-			}
-		}
-	})
+	echoLoop(r.eng, qa, r.cqA, r.cqB, r.srqB, src, msgs)
 	r.eng.Run()
 	if n := qa.pending.n; n != 0 {
 		t.Fatalf("pending table holds %d entries after drain", n)
@@ -152,23 +151,7 @@ func BenchmarkQPPostSend(b *testing.B) {
 		srqB.PostRecv(mempool.Descriptor{Tenant: "t", Buf: buf})
 	}
 	src, _ := poolA.Get("fnA")
-	eng.Spawn("driver", func(pr *sim.Proc) {
-		for i := 0; i < b.N; i++ {
-			qa.PostSend(mempool.Descriptor{Tenant: "t", Buf: src, Len: 64})
-			cqA.Wait(pr)
-			cqA.Poll(0)
-		}
-	})
-	eng.Spawn("receiver", func(pr *sim.Proc) {
-		for {
-			cqB.Wait(pr)
-			for _, e := range cqB.Poll(0) {
-				if e.Op == OpRecv {
-					srqB.PostRecv(mempool.Descriptor{Tenant: "t", Buf: e.Desc.Buf})
-				}
-			}
-		}
-	})
+	echoLoop(eng, qa, cqA, cqB, srqB, src, b.N)
 	b.ReportAllocs()
 	b.ResetTimer()
 	eng.Run()

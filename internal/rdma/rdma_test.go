@@ -44,6 +44,16 @@ func newRig(t *testing.T, seed int64) *testRig {
 	return r
 }
 
+// awaitCQ runs fn once cq holds a completion: at once if it already does,
+// else from the wake of the next push to it.
+func awaitCQ(cq *CQ, fn func()) {
+	if cq.Len() > 0 {
+		fn()
+		return
+	}
+	cq.Notify(func() { awaitCQ(cq, fn) })
+}
+
 // postRecvs posts n receive buffers from pool into srq, owned by "rq".
 func postRecvs(t *testing.T, pool *mempool.Pool, srq *SRQ, n int) {
 	t.Helper()
@@ -64,23 +74,21 @@ func TestTwoSidedSendDelivers(t *testing.T) {
 	src, _ := r.poolA.Get("fnA")
 	var sendDone, recvDone time.Duration
 	var recvd mempool.Descriptor
-	r.eng.Spawn("sender", func(p *sim.Proc) {
-		qa.PostSend(mempool.Descriptor{Tenant: "t", Buf: src, Len: 64, Src: "fnA", Dst: "fnB", Seq: 7, Ctx: "req"})
-		r.cqA.Wait(p)
+	qa.PostSend(mempool.Descriptor{Tenant: "t", Buf: src, Len: 64, Src: "fnA", Dst: "fnB", Seq: 7, Ctx: "req"})
+	awaitCQ(r.cqA, func() {
 		e := r.cqA.Poll(1)[0]
 		if e.Op != OpSend || e.Status != StatusOK {
 			t.Errorf("sender CQE = %+v", e)
 		}
-		sendDone = p.Now()
+		sendDone = r.eng.Now()
 	})
-	r.eng.Spawn("receiver", func(p *sim.Proc) {
-		r.cqB.Wait(p)
+	awaitCQ(r.cqB, func() {
 		e := r.cqB.Poll(1)[0]
 		if e.Op != OpRecv || e.Status != StatusOK || e.Bytes != 64 {
 			t.Errorf("recv CQE = %+v", e)
 		}
 		recvd = e.Desc
-		recvDone = p.Now()
+		recvDone = r.eng.Now()
 	})
 	r.eng.Run()
 	if recvDone == 0 || sendDone == 0 {
@@ -107,18 +115,13 @@ func TestRNRRetryThenDelivery(t *testing.T) {
 	qa, _ := Connect(r.ra, r.rb, "t", r.srqA, r.srqB, r.cqA, r.cqB)
 	src, _ := r.poolA.Get("fnA")
 	var recvAt time.Duration
-	r.eng.Spawn("sender", func(p *sim.Proc) {
-		qa.PostSend(mempool.Descriptor{Tenant: "t", Buf: src, Len: 64})
-	})
+	qa.PostSend(mempool.Descriptor{Tenant: "t", Buf: src, Len: 64})
 	// Post the receive buffer only after the first arrival attempt.
 	r.eng.At(30*time.Microsecond, func() {
 		b, _ := r.poolB.Get("rq")
 		r.srqB.PostRecv(mempool.Descriptor{Tenant: "t", Buf: b})
 	})
-	r.eng.Spawn("receiver", func(p *sim.Proc) {
-		r.cqB.Wait(p)
-		recvAt = p.Now()
-	})
+	awaitCQ(r.cqB, func() { recvAt = r.eng.Now() })
 	r.eng.Run()
 	if recvAt == 0 {
 		t.Fatal("message never delivered despite retry")
@@ -136,11 +139,8 @@ func TestRNRExhaustionErrorsSender(t *testing.T) {
 	qa, _ := Connect(r.ra, r.rb, "t", r.srqA, r.srqB, r.cqA, r.cqB)
 	src, _ := r.poolA.Get("fnA")
 	var status Status = -1
-	r.eng.Spawn("sender", func(p *sim.Proc) {
-		qa.PostSend(mempool.Descriptor{Tenant: "t", Buf: src, Len: 64})
-		r.cqA.Wait(p)
-		status = r.cqA.Poll(1)[0].Status
-	})
+	qa.PostSend(mempool.Descriptor{Tenant: "t", Buf: src, Len: 64})
+	awaitCQ(r.cqA, func() { status = r.cqA.Poll(1)[0].Status })
 	r.eng.Run()
 	if status != StatusRNRExceeded {
 		t.Fatalf("status = %v, want RNR exceeded", status)
@@ -159,37 +159,30 @@ func echoRTT(t *testing.T, payload int) time.Duration {
 	postRecvs(t, r.poolA, r.srqA, 8)
 
 	var rtt time.Duration
-	r.eng.Spawn("client", func(p *sim.Proc) {
-		src, _ := r.poolA.Get("cli")
-		start := p.Now()
-		qa.PostSend(mempool.Descriptor{Tenant: "t", Buf: src, Len: payload})
-		for {
-			r.cqA.Wait(p)
-			es := r.cqA.Poll(0)
-			done := false
-			for _, e := range es {
-				if e.Op == OpRecv {
-					done = true
-				}
-			}
-			if done {
-				break
+	src, _ := r.poolA.Get("cli")
+	qa.PostSend(mempool.Descriptor{Tenant: "t", Buf: src, Len: payload})
+	var client, server func()
+	client = func() {
+		for _, e := range r.cqA.Poll(0) {
+			if e.Op == OpRecv {
+				rtt = r.eng.Now()
+				return
 			}
 		}
-		rtt = p.Now() - start
-	})
-	r.eng.Spawn("server", func(p *sim.Proc) {
-		for {
-			r.cqB.Wait(p)
-			for _, e := range r.cqB.Poll(0) {
-				if e.Op == OpRecv {
-					// Echo straight back from a server buffer.
-					buf, _ := r.poolB.Get("srv")
-					qb.PostSend(mempool.Descriptor{Tenant: "t", Buf: buf, Len: e.Bytes})
-				}
+		awaitCQ(r.cqA, client)
+	}
+	server = func() {
+		for _, e := range r.cqB.Poll(0) {
+			if e.Op == OpRecv {
+				// Echo straight back from a server buffer.
+				buf, _ := r.poolB.Get("srv")
+				qb.PostSend(mempool.Descriptor{Tenant: "t", Buf: buf, Len: e.Bytes})
 			}
 		}
-	})
+		awaitCQ(r.cqB, server)
+	}
+	awaitCQ(r.cqA, client)
+	awaitCQ(r.cqB, server)
 	r.eng.RunUntil(time.Second)
 	if rtt == 0 {
 		t.Fatal("echo never completed")
@@ -225,9 +218,8 @@ func TestOneSidedWriteLandsWithoutReceiverCQE(t *testing.T) {
 	src, _ := r.poolA.Get("cli")
 
 	var landAt time.Duration
-	r.eng.Spawn("writer", func(p *sim.Proc) {
-		qa.PostWrite(mempool.Descriptor{Tenant: "t", Buf: src, Len: 64}, RemoteBuf{MR: mrB, Buf: dst})
-		r.cqA.Wait(p)
+	qa.PostWrite(mempool.Descriptor{Tenant: "t", Buf: src, Len: 64}, RemoteBuf{MR: mrB, Buf: dst})
+	awaitCQ(r.cqA, func() {
 		e := r.cqA.Poll(1)[0]
 		if e.Op != OpWrite || e.Status != StatusOK {
 			t.Errorf("write CQE = %+v", e)
@@ -260,10 +252,8 @@ func TestOneSidedFasterThanTwoSidedOneWay(t *testing.T) {
 	dst, _ := r.poolB.Get("rdma-pool")
 
 	var writeLanded, sendDelivered time.Duration
-	r.eng.Spawn("writer", func(p *sim.Proc) {
-		src, _ := r.poolA.Get("cli")
-		qa.PostWrite(mempool.Descriptor{Tenant: "t", Buf: src, Len: 64}, RemoteBuf{MR: mrB, Buf: dst})
-	})
+	src, _ := r.poolA.Get("cli")
+	qa.PostWrite(mempool.Descriptor{Tenant: "t", Buf: src, Len: 64}, RemoteBuf{MR: mrB, Buf: dst})
 	r.eng.RunUntil(100 * time.Microsecond)
 	if l := mrB.PollLanded(); len(l) == 1 {
 		writeLanded = l[0].At
@@ -274,14 +264,9 @@ func TestOneSidedFasterThanTwoSidedOneWay(t *testing.T) {
 	r2 := newRig(t, 2)
 	qa2, _ := Connect(r2.ra, r2.rb, "t", r2.srqA, r2.srqB, r2.cqA, r2.cqB)
 	postRecvs(t, r2.poolB, r2.srqB, 4)
-	r2.eng.Spawn("sender", func(p *sim.Proc) {
-		src, _ := r2.poolA.Get("cli")
-		qa2.PostSend(mempool.Descriptor{Tenant: "t", Buf: src, Len: 64})
-	})
-	r2.eng.Spawn("receiver", func(p *sim.Proc) {
-		r2.cqB.Wait(p)
-		sendDelivered = p.Now()
-	})
+	src2, _ := r2.poolA.Get("cli")
+	qa2.PostSend(mempool.Descriptor{Tenant: "t", Buf: src2, Len: 64})
+	awaitCQ(r2.cqB, func() { sendDelivered = r2.eng.Now() })
 	r2.eng.RunUntil(100 * time.Microsecond)
 	if sendDelivered == 0 {
 		t.Fatal("send not delivered")
@@ -297,14 +282,13 @@ func TestReadRoundTrip(t *testing.T) {
 	mrB := r.rb.RegisterMR(r.poolB)
 	dst, _ := r.poolB.Get("x")
 	var done time.Duration
-	r.eng.Spawn("reader", func(p *sim.Proc) {
-		qa.PostRead(4096, RemoteBuf{MR: mrB, Buf: dst})
-		r.cqA.Wait(p)
+	qa.PostRead(4096, RemoteBuf{MR: mrB, Buf: dst})
+	awaitCQ(r.cqA, func() {
 		e := r.cqA.Poll(1)[0]
 		if e.Op != OpRead || e.Bytes != 4096 {
 			t.Errorf("read CQE = %+v", e)
 		}
-		done = p.Now()
+		done = r.eng.Now()
 	})
 	r.eng.Run()
 	if done == 0 || done > 20*time.Microsecond {
@@ -317,12 +301,9 @@ func TestCASLockSemantics(t *testing.T) {
 	qa, _ := Connect(r.ra, r.rb, "t", r.srqA, r.srqB, r.cqA, r.cqB)
 	r.rb.SetWord("lock", 0)
 	var first, second CASResult
-	r.eng.Spawn("locker", func(p *sim.Proc) {
-		doneQ := sim.NewQueue[CASResult](r.eng, 0)
-		qa.PostCAS("lock", 0, 1, func(res CASResult) { doneQ.TryPut(res) })
-		first = doneQ.Get(p)
-		qa.PostCAS("lock", 0, 1, func(res CASResult) { doneQ.TryPut(res) })
-		second = doneQ.Get(p)
+	qa.PostCAS("lock", 0, 1, func(res CASResult) {
+		first = res
+		qa.PostCAS("lock", 0, 1, func(res CASResult) { second = res })
 	})
 	r.eng.Run()
 	if !first.Swapped || first.Old != 0 {
@@ -363,24 +344,23 @@ func TestQPCacheThrashingPenalty(t *testing.T) {
 			srqB.PostRecv(mempool.Descriptor{Tenant: "t", Buf: b})
 		}
 		var last time.Duration
-		eng.Spawn("blaster", func(pr *sim.Proc) {
-			for i := 0; i < 1024; i++ {
-				src, err := poolA.Get("cli")
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				qps[i%len(qps)].PostSend(mempool.Descriptor{Tenant: "t", Buf: src, Len: 64})
+		for i := 0; i < 1024; i++ {
+			src, err := poolA.Get("cli")
+			if err != nil {
+				t.Fatal(err)
 			}
-		})
-		eng.Spawn("sink", func(pr *sim.Proc) {
-			got := 0
-			for got < 1024 {
-				cqB.Wait(pr)
-				got += len(cqB.Poll(0))
-				last = pr.Now()
+			qps[i%len(qps)].PostSend(mempool.Descriptor{Tenant: "t", Buf: src, Len: 64})
+		}
+		got := 0
+		var sink func()
+		sink = func() {
+			got += len(cqB.Poll(0))
+			last = eng.Now()
+			if got < 1024 {
+				awaitCQ(cqB, sink)
 			}
-		})
+		}
+		awaitCQ(cqB, sink)
 		eng.RunUntil(time.Second)
 		return last
 	}
@@ -394,9 +374,7 @@ func TestQPCacheThrashingPenalty(t *testing.T) {
 func TestConnPoolEstablishAndPick(t *testing.T) {
 	r := newRig(t, 1)
 	var pa *ConnPool
-	r.eng.Spawn("setup", func(p *sim.Proc) {
-		pa, _ = EstablishPair(p, r.p, "t", r.ra, r.rb, 8, r.srqA, r.srqB, r.cqA, r.cqB)
-	})
+	EstablishPair(r.eng, r.p, "t", r.ra, r.rb, 8, r.srqA, r.srqB, r.cqA, r.cqB, func(a, _ *ConnPool) { pa = a })
 	r.eng.Run()
 	if pa == nil {
 		t.Fatal("pool not established")
@@ -419,8 +397,8 @@ func TestConnPoolEstablishAndPick(t *testing.T) {
 func TestConnPoolActivatesUnderCongestion(t *testing.T) {
 	r := newRig(t, 1)
 	var pa *ConnPool
-	r.eng.Spawn("setup", func(p *sim.Proc) {
-		pa, _ = EstablishPair(p, r.p, "t", r.ra, r.rb, 4, r.srqA, r.srqB, r.cqA, r.cqB)
+	EstablishPair(r.eng, r.p, "t", r.ra, r.rb, 4, r.srqA, r.srqB, r.cqA, r.cqB, func(a, _ *ConnPool) {
+		pa = a
 		postRecvs(t, r.poolB, r.srqB, 256)
 		// Flood: outstanding on the single active QP passes the threshold.
 		for i := 0; i < 64; i++ {
@@ -473,19 +451,24 @@ func TestMTTOverflowPenalty(t *testing.T) {
 			srqB.PostRecv(mempool.Descriptor{Tenant: "t", Buf: b})
 		}
 		var done time.Duration
-		eng.Spawn("sender", func(pr *sim.Proc) {
-			for i := 0; i < 32; i++ {
-				src, err := poolA.Get("cli")
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				qa.PostSend(mempool.Descriptor{Tenant: "t", Buf: src, Len: 1024})
-				cqA.Wait(pr)
-				cqA.Poll(0)
-				done = pr.Now()
+		var send func(i int)
+		send = func(i int) {
+			if i == 32 {
+				return
 			}
-		})
+			src, err := poolA.Get("cli")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			qa.PostSend(mempool.Descriptor{Tenant: "t", Buf: src, Len: 1024})
+			awaitCQ(cqA, func() {
+				cqA.Poll(0)
+				done = eng.Now()
+				send(i + 1)
+			})
+		}
+		eng.Immediate(func() { send(0) })
 		eng.RunUntil(time.Second)
 		return done
 	}
@@ -522,42 +505,44 @@ func TestTwoSidedConservationProperty(t *testing.T) {
 			srqB.PostRecv(mempool.Descriptor{Tenant: "t", Buf: b})
 		}
 		sendOK, recvOK := 0, 0
-		eng.Spawn("sender", func(pr *sim.Proc) {
-			for i := 0; i < n; i++ {
-				src, err := poolA.Get("cli")
-				if err != nil {
-					return
-				}
-				qa.PostSend(mempool.Descriptor{Tenant: "t", Buf: src, Len: size, Seq: uint64(i)})
-				pr.Sleep(time.Duration(eng.Rand().Intn(5000)) * time.Nanosecond)
+		var send func(i int)
+		send = func(i int) {
+			if i == n {
+				return
 			}
-		})
-		eng.Spawn("a-drain", func(pr *sim.Proc) {
-			for {
-				cqA.Wait(pr)
-				for _, e := range cqA.Poll(0) {
-					if e.Op == OpSend && e.Status == StatusOK {
-						sendOK++
-						if poolA.Put(e.Desc.Buf, "cli") != nil {
-							t.Error("sender recycle failed")
-						}
+			src, err := poolA.Get("cli")
+			if err != nil {
+				return
+			}
+			qa.PostSend(mempool.Descriptor{Tenant: "t", Buf: src, Len: size, Seq: uint64(i)})
+			eng.After(time.Duration(eng.Rand().Intn(5000))*time.Nanosecond, func() { send(i + 1) })
+		}
+		eng.Immediate(func() { send(0) })
+		var drainA, drainB func()
+		drainA = func() {
+			for _, e := range cqA.Poll(0) {
+				if e.Op == OpSend && e.Status == StatusOK {
+					sendOK++
+					if poolA.Put(e.Desc.Buf, "cli") != nil {
+						t.Error("sender recycle failed")
 					}
 				}
 			}
-		})
-		eng.Spawn("b-drain", func(pr *sim.Proc) {
-			for {
-				cqB.Wait(pr)
-				for _, e := range cqB.Poll(0) {
-					if e.Op == OpRecv {
-						recvOK++
-						if poolB.Transfer(e.Desc.Buf, "rq", "srv") != nil || poolB.Put(e.Desc.Buf, "srv") != nil {
-							t.Error("receiver recycle failed")
-						}
+			awaitCQ(cqA, drainA)
+		}
+		drainB = func() {
+			for _, e := range cqB.Poll(0) {
+				if e.Op == OpRecv {
+					recvOK++
+					if poolB.Transfer(e.Desc.Buf, "rq", "srv") != nil || poolB.Put(e.Desc.Buf, "srv") != nil {
+						t.Error("receiver recycle failed")
 					}
 				}
 			}
-		})
+			awaitCQ(cqB, drainB)
+		}
+		eng.Immediate(func() { awaitCQ(cqA, drainA) })
+		eng.Immediate(func() { awaitCQ(cqB, drainB) })
 		eng.RunUntil(time.Second)
 		return sendOK == n && recvOK == n &&
 			poolA.InUse() == 0 && poolB.InUse() == srqB.Posted()

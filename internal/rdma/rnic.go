@@ -200,16 +200,9 @@ func (cq *CQ) Poll(max int) []CQE {
 	return out
 }
 
-// Wait blocks p until the queue is non-empty.
-func (cq *CQ) Wait(p *sim.Proc) {
-	for cq.n == 0 {
-		cq.sig.Wait(p)
-	}
-}
-
-// Notify is one round of Wait for engine context: fn runs once, from the
-// wake event of the next push to an empty queue (sim.Signal.Notify). As
-// after a wakeup in Wait, fn should check Len before polling.
+// Notify parks fn until the queue is non-empty: fn runs once, from the
+// wake event of the next push to an empty queue (sim.Signal.Notify). fn
+// should check Len before polling, and park again if it is still empty.
 func (cq *CQ) Notify(fn func()) { cq.sig.Notify(fn) }
 
 // Len reports queued completions.

@@ -75,8 +75,8 @@ func BenchmarkEngineScheduleCancel(b *testing.B) {
 
 func nop() {}
 
-// BenchmarkEngineImmediate measures the same-instant wakeup path (the
-// process-to-process handoff primitive).
+// BenchmarkEngineImmediate measures the same-instant wakeup path (how one
+// callback hands work to the next at the current instant).
 func BenchmarkEngineImmediate(b *testing.B) {
 	b.ReportAllocs()
 	eng := NewEngine(1)
@@ -130,36 +130,9 @@ func BenchmarkEngineFarTimers(b *testing.B) {
 	run(b.N)
 }
 
-// BenchmarkProcSleep measures the coroutine yield/resume round trip through
-// the event queue (spawn/yield cost in the issue's terms).
-func BenchmarkProcSleep(b *testing.B) {
-	b.ReportAllocs()
-	eng := NewEngine(1)
-	defer eng.Stop()
-	eng.Spawn("sleeper", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Sleep(time.Microsecond)
-		}
-	})
-	b.ResetTimer()
-	eng.Run()
-}
-
-// BenchmarkProcSpawn measures process creation + teardown.
-func BenchmarkProcSpawn(b *testing.B) {
-	b.ReportAllocs()
-	eng := NewEngine(1)
-	defer eng.Stop()
-	for i := 0; i < b.N; i++ {
-		eng.Spawn("p", func(p *Proc) {})
-		eng.Run()
-	}
-}
-
 // BenchmarkProcessorRun measures one FCFS unit of work in continuation form:
 // Run queues the cost on a core and its completion event calls the bound
-// continuation, which issues the next — the engine-context replacement for
-// a process's Exec round trip (compare BenchmarkProcSleep).
+// continuation, which issues the next.
 func BenchmarkProcessorRun(b *testing.B) {
 	b.ReportAllocs()
 	eng := NewEngine(1)
@@ -179,8 +152,7 @@ func BenchmarkProcessorRun(b *testing.B) {
 }
 
 // BenchmarkSignalNotify measures a continuation parked on a signal and
-// released by a pulse: one Notify plus its batched wake event per op — the
-// engine-context replacement for a process's Wait round trip.
+// released by a pulse: one Notify plus its batched wake event per op.
 func BenchmarkSignalNotify(b *testing.B) {
 	b.ReportAllocs()
 	eng := NewEngine(1)
@@ -202,8 +174,7 @@ func BenchmarkSignalNotify(b *testing.B) {
 
 // BenchmarkQueueNotify measures a continuation getter parked on an empty
 // queue and woken by a put: one Notify, one TryPut and the one Immediate
-// that delivers the getter per op — the engine-context replacement for a
-// process's Queue.Get round trip.
+// that delivers the getter per op.
 func BenchmarkQueueNotify(b *testing.B) {
 	b.ReportAllocs()
 	eng := NewEngine(1)
@@ -225,7 +196,7 @@ func BenchmarkQueueNotify(b *testing.B) {
 	eng.Run()
 }
 
-// BenchmarkPSRun is BenchmarkPSQuantum in continuation form: 8 resident
+// BenchmarkPSRun measures the PS admit/re-arm/depart cycle: 8 resident
 // Run continuations churning through short service slices on a PS core,
 // every admission and departure re-arming the whole set on pooled events.
 func BenchmarkPSRun(b *testing.B) {

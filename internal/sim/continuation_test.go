@@ -1,26 +1,33 @@
 package sim
 
 import (
+	"encoding/binary"
+	"flag"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
+	"os"
+	"strings"
 	"testing"
 	"time"
 )
 
+var updateGolden = flag.Bool("update", false, "rewrite testdata/continuations.golden")
+
 // The continuation forms (Processor.Run, Signal.Notify, Queue.Notify)
-// promise the exact event order of their blocking twins (Processor.Exec,
-// Signal.Wait, Queue.Get), on FCFS and PS cores alike. This file drives one
-// seeded script as processes, as continuations, and as a mix of both on
-// the same cores, signals and queues, and compares the logs.
+// fire in the exact event order their blocking process forms did, on FCFS
+// and PS cores alike. This file drives seeded scripts as continuations and
+// compares each run's log with testdata/continuations.golden, recorded
+// from the process form before it was removed.
 
 // stepKind is one block point of a scripted user.
 type stepKind int
 
 const (
-	stepExec  stepKind = iota // Exec / Run on the user's core
-	stepWait                  // Signal.Wait / Signal.Notify
-	stepSleep                 // Proc.Sleep / Engine.After
-	stepGet                   // Queue.Get / TryGet + Queue.Notify
+	stepExec  stepKind = iota // Run on the user's core
+	stepWait                  // Signal.Notify
+	stepSleep                 // Engine.After
+	stepGet                   // TryGet + Queue.Notify
 )
 
 type scriptStep struct {
@@ -150,26 +157,6 @@ func (sc contScript) world(seed int64) contWorld {
 	return w
 }
 
-// spawnProc adds user u as a Proc blocking in Exec, Wait, Get and Sleep.
-func (w contWorld) spawnProc(u int, script []scriptStep) {
-	core := w.cores[u/usersPerCore]
-	w.eng.Spawn(fmt.Sprintf("u%d", u), func(p *Proc) {
-		for j, st := range script {
-			switch st.kind {
-			case stepExec:
-				core.Exec(p, st.d)
-			case stepWait:
-				w.sigs[st.sig].Wait(p)
-			case stepGet:
-				w.queues[st.sig].Get(p)
-			case stepSleep:
-				p.Sleep(st.d)
-			}
-			*w.log = append(*w.log, logRec{at: w.eng.Now(), who: u, step: j})
-		}
-	})
-}
-
 // contUser is a scripted user as a state machine: each block point is one
 // Run, Notify or After whose continuation is the bound stepFn, or a Get
 // that takes a waiting item at once and otherwise parks gotFn with
@@ -220,54 +207,49 @@ func (cu *contUser) got() {
 	cu.step()
 }
 
-// startCont adds user u as a contUser started by one Immediate, the event
-// Spawn would have scheduled.
+// startCont adds user u as a contUser started by one Immediate.
 func (w contWorld) startCont(u int, script []scriptStep) {
 	cu := &contUser{w: w, core: w.cores[u/usersPerCore], script: script, who: u}
 	cu.stepFn, cu.gotFn = cu.step, cu.got
 	w.eng.Immediate(cu.issue)
 }
 
-// run executes the script with user u a continuation when cont(u), else a
-// process, and returns the log, the events fired and the dispatches.
-func (sc contScript) run(seed int64, cont func(u int) bool) ([]logRec, uint64, uint64) {
+// run executes the script with every user a continuation and returns the
+// log and the events fired.
+func (sc contScript) run(seed int64) ([]logRec, uint64) {
 	w := sc.world(seed)
 	defer w.eng.Stop()
 	for u, script := range sc.users {
-		if cont(u) {
-			w.startCont(u, script)
-		} else {
-			w.spawnProc(u, script)
-		}
+		w.startCont(u, script)
 	}
 	w.eng.Run()
-	return *w.log, w.eng.Fired(), w.eng.Dispatches()
+	return *w.log, w.eng.Fired()
 }
 
 // TestContinuationsMatchProcesses is the equivalence fence for Run, Notify
 // and the continuation getter: over many seeded scripts — FCFS and PS
 // cores, zero and nonzero costs, three users per core, foreign events at
-// the same instants, pulses, puts and mid-service speed changes — an
-// all-continuation run and a run mixing continuations with blocked
-// processes on the same cores, signals and queues log the same (time,
-// step) sequence and fire the same number of events as the process run.
+// the same instants, pulses, puts and mid-service speed changes — each run
+// logs the same number of (time, step) records with the same FNV-64
+// digest, in the same number of events, as the process run recorded in
+// the golden file. Regenerate it with -update only for a change that means
+// to move event order.
 func TestContinuationsMatchProcesses(t *testing.T) {
 	seeds := 400
 	if testing.Short() {
 		seeds = 100
 	}
-	modes := []struct {
-		name string
-		cont func(u int) bool
-	}{
-		{"continuation", func(int) bool { return true }},
-		{"mixed", func(u int) bool { return u%2 == 1 }},
+	want, err := os.ReadFile(contGolden)
+	if err != nil {
+		t.Fatal(err)
 	}
+	lines := strings.Split(string(want), "\n")
+	var golden strings.Builder
 	for seed := int64(1); seed <= int64(seeds); seed++ {
 		sc := genContScript(seed)
-		want, wantFired, _ := sc.run(seed, func(int) bool { return false })
+		log, fired := sc.run(seed)
 		userSteps, gets := 0, 0
-		for _, r := range want {
+		for _, r := range log {
 			if r.who >= 0 {
 				userSteps++
 				if sc.users[r.who][r.step].kind == stepGet {
@@ -278,23 +260,33 @@ func TestContinuationsMatchProcesses(t *testing.T) {
 		if userSteps < len(sc.users) || gets == 0 {
 			t.Fatalf("seed %d: only %d user steps (%d gets) ran; the script exercises too little", seed, userSteps, gets)
 		}
-		for _, m := range modes {
-			got, gotFired, dispatches := sc.run(seed, m.cont)
-			for i := 0; i < len(want) && i < len(got); i++ {
-				if want[i] != got[i] {
-					t.Fatalf("seed %d (ps=%v): %s log diverges at entry %d: process %+v, %s %+v",
-						seed, sc.ps, m.name, i, want[i], m.name, got[i])
-				}
-			}
-			if len(want) != len(got) || wantFired != gotFired {
-				t.Fatalf("seed %d (ps=%v): process run logged %d entries in %d events, %s run %d in %d",
-					seed, sc.ps, len(want), wantFired, m.name, len(got), gotFired)
-			}
-			if m.name == "continuation" && dispatches != 0 {
-				t.Fatalf("seed %d: continuation run dispatched %d processes", seed, dispatches)
-			}
+		got := fmt.Sprintf("%d %d %d %x", seed, len(log), fired, logDigest(log))
+		fmt.Fprintln(&golden, got)
+		if !*updateGolden && got != lines[seed-1] {
+			t.Fatalf("seed %d (ps=%v): continuation run %q, process run %q (seed length fired digest)",
+				seed, sc.ps, got, lines[seed-1])
 		}
 	}
+	if *updateGolden {
+		if err := os.WriteFile(contGolden, []byte(golden.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+const contGolden = "testdata/continuations.golden"
+
+// logDigest is the FNV-64a hash of a log's (time, who, step) records.
+func logDigest(log []logRec) uint64 {
+	h := fnv.New64a()
+	var b [24]byte
+	for _, r := range log {
+		binary.LittleEndian.PutUint64(b[0:], uint64(r.at))
+		binary.LittleEndian.PutUint64(b[8:], uint64(int64(r.who)))
+		binary.LittleEndian.PutUint64(b[16:], uint64(int64(r.step)))
+		h.Write(b[:])
+	}
+	return h.Sum64()
 }
 
 // TestRunZeroCostIsDeferred pins that a continuation never runs inside the
@@ -326,28 +318,24 @@ func TestRunZeroCostIsDeferred(t *testing.T) {
 	}
 }
 
-// TestRunOnPSSharesTheCore pins Run on a PS core: a continuation and a
-// blocked process admitted together share the core, so each takes twice
-// its cost, and the core reports the continuation in service until it
-// leaves.
+// TestRunOnPSSharesTheCore pins Run on a PS core: two continuations
+// admitted together share the core, so each takes twice its cost, and the
+// core reports the first in service until it leaves.
 func TestRunOnPSSharesTheCore(t *testing.T) {
 	eng := NewEngine(1)
 	defer eng.Stop()
 	c := NewProcessorDisc(eng, "ps", 1, PS)
-	var runAt, execAt time.Duration
+	var runAt, otherAt time.Duration
 	eng.At(0, func() {
 		c.Run(10*time.Microsecond, func() { runAt = eng.Now() })
 		if c.Load() != 1 {
 			t.Fatalf("load %d after Run, want 1", c.Load())
 		}
 	})
-	eng.Spawn("p", func(p *Proc) {
-		c.Exec(p, 10*time.Microsecond)
-		execAt = p.Now()
-	})
+	job(eng, c, 10*time.Microsecond, &otherAt)
 	eng.Run()
-	if runAt != 20*time.Microsecond || execAt != 20*time.Microsecond {
-		t.Fatalf("Run done at %v, Exec at %v; want both at 20µs", runAt, execAt)
+	if runAt != 20*time.Microsecond || otherAt != 20*time.Microsecond {
+		t.Fatalf("first Run done at %v, second at %v; want both at 20µs", runAt, otherAt)
 	}
 	if c.Load() != 0 || c.BusyTime() != 20*time.Microsecond {
 		t.Fatalf("load %d, busy %v after both left; want 0, 20µs", c.Load(), c.BusyTime())
@@ -453,21 +441,5 @@ func TestImmediateAndCancelAllocFree(t *testing.T) {
 		if allocs := testing.AllocsPerRun(200, c.round); allocs != 0 {
 			t.Fatalf("%s: %.1f allocs per round, want 0", c.name, allocs)
 		}
-	}
-}
-
-// TestDispatchesCountsHandoffs pins Dispatches: one for a process's start
-// and one per resume, none for callbacks.
-func TestDispatchesCountsHandoffs(t *testing.T) {
-	eng := NewEngine(1)
-	defer eng.Stop()
-	eng.Spawn("p", func(p *Proc) {
-		p.Sleep(time.Microsecond)
-		p.Sleep(time.Microsecond)
-	})
-	eng.After(time.Microsecond, func() {})
-	eng.Run()
-	if got := eng.Dispatches(); got != 3 {
-		t.Fatalf("dispatches = %d, want 3 (start + two resumes)", got)
 	}
 }

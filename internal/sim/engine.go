@@ -1,42 +1,35 @@
 // Package sim provides a deterministic discrete-event simulation engine.
 //
 // The engine owns a virtual clock and a two-tier timer queue. Model code
-// runs either as plain event callbacks or as coroutine-style processes
-// (Proc) that can block on virtual time and on synchronization primitives.
-// Callback code has continuation forms of the two blocking primitives
-// poll-mode loops need — Processor.Run for Exec and Signal.Notify for
-// Signal.Wait — that schedule the same events a blocked process would, so
-// a loop written as a state machine fires in exactly the order its process
-// form did, without a goroutine handoff per block point. Exactly one
-// goroutine executes at any instant — the engine hands control to a
-// process and waits for it to yield — so simulations are fully
-// deterministic for a given seed and are safe to write without locks.
+// runs only as event callbacks, on the goroutine that calls Run. A loop
+// that waits is a state machine: each wait is one scheduled event whose
+// callback continues the loop — After for a delay, Processor.Run for work
+// on a core, Signal.Notify and Queue.Notify for a condition or an item —
+// so simulations are fully deterministic for a given seed and are safe to
+// write without locks.
 //
 // The hot path is allocation-free at steady state: fired and canceled
-// events return to a per-engine free list, process state (including the
-// goroutine) is pooled behind generation-fenced handles, and the timer
-// queue has three parts. Events due at the current instant go to a FIFO
-// ring; later ones go to a hierarchical timing wheel (wheel.go) in front
-// of a hand-inlined indexed 4-ary min-heap. The wheel indexes the future
-// out to ~19.5 h, so a million outstanding timers cost O(1) to insert and
-// cancel; the heap holds the drained current slot (plus deadlines past the
-// wheel's reach) and is the exact-order firing stage. Events always fire
-// in (time, sequence) order. Engines
-// are single-threaded but independent — separate Engine instances may run
-// concurrently on different goroutines, which is how the experiment runner
-// shards sweep points across cores.
+// events return to a per-engine free list, and the timer queue has three
+// parts. Events due at the current instant go to a FIFO ring; later ones
+// go to a hierarchical timing wheel (wheel.go) in front of a hand-inlined
+// indexed 4-ary min-heap. The wheel indexes the future out to ~19.5 h, so
+// a million outstanding timers cost O(1) to insert and cancel; the heap
+// holds the drained current slot (plus deadlines past the wheel's reach)
+// and is the exact-order firing stage. Events always fire in (time,
+// sequence) order. Engines are single-threaded but independent — separate
+// Engine instances may run concurrently on different goroutines, which is
+// how the experiment runner shards sweep points across cores.
 package sim
 
 import (
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 	"time"
 )
 
 // Event node location sentinels for event.index (>= 0 means a heap slot).
 const (
-	idleIdx  = -1 // not queued: free, fired, or a disarmed owned timer
+	idleIdx  = -1 // not queued: free or fired
 	wheelIdx = -2 // bucketed in the timing wheel
 	fifoIdx  = -3 // queued in the same-instant FIFO
 )
@@ -51,12 +44,6 @@ type event struct {
 	eng *Engine
 	fn  func()
 
-	// proc, when non-nil, makes this a wake event: firing resumes the
-	// process instead of calling fn, fenced by procGen so a wake scheduled
-	// for a recycled process can never resume the slot's next occupant.
-	proc    *Proc
-	procGen uint64
-
 	// at/seq mirror the heap ordering key so wheel-bucketed nodes carry
 	// their key with them into the heap at drain time.
 	at  time.Duration
@@ -68,12 +55,8 @@ type event struct {
 	lvl, slot  int16
 
 	// batch > 0 marks a batched wake event: firing pops that many entries
-	// from the engine's wake queue and dispatches them in FIFO order.
+	// from the engine's wake queue and runs them in FIFO order.
 	batch int32
-
-	// owned marks a process's re-armable timer slot: it is disarmed in
-	// place on fire/cancel (gen bump only) and never returns to the pool.
-	owned bool
 
 	index int // heap position, or idleIdx / wheelIdx / fifoIdx
 	gen   uint64
@@ -89,12 +72,11 @@ type Event struct {
 // Cancel removes the event from the timer queue immediately — O(log n) out
 // of the heap, O(1) out of a wheel bucket or the same-instant FIFO (whose
 // ring entry goes stale by the generation bump and is skipped) — releasing
-// its callback closure and returning the node to the engine's pool (owned
-// timer slots are disarmed in place instead). Canceling an already-fired,
-// already-canceled or zero handle is a no-op: every disarm bumps the
-// node's generation, so a stale handle can never touch the slot's next
-// occupant even when the cancel lands at the exact virtual time the event
-// fires.
+// its callback closure and returning the node to the engine's pool.
+// Canceling an already-fired, already-canceled or zero handle is a no-op:
+// every disarm bumps the node's generation, so a stale handle can never
+// touch the slot's next occupant even when the cancel lands at the exact
+// virtual time the event fires.
 func (h Event) Cancel() {
 	ev := h.ev
 	if ev == nil || ev.gen != h.gen {
@@ -112,11 +94,7 @@ func (h Event) Cancel() {
 		return
 	}
 	eng.pending--
-	if ev.owned {
-		ev.gen++ // disarm: fence stale handles from earlier arms
-	} else {
-		eng.release(ev)
-	}
+	eng.release(ev)
 }
 
 // Pending reports whether the event is still queued: not yet fired and not
@@ -149,18 +127,8 @@ type fifoEntry struct {
 	gen uint64
 }
 
-// wakeRef is one queued wakeup in a batched delivery: a process, fenced by
-// the generation it had when the wake was issued, or a one-shot
-// continuation (Signal.Notify) when fn is set.
-type wakeRef struct {
-	p   *Proc
-	gen uint64
-	fn  func()
-}
-
 // Engine is a discrete-event simulator. Create one with NewEngine, schedule
-// work with At/After/Spawn, then call Run (or RunUntil / RunFor). Call Stop
-// when done to release any processes still blocked inside the simulation.
+// work with At/After/Immediate, then call Run (or RunUntil / RunFor).
 type Engine struct {
 	now   time.Duration
 	heap  []heapEntry // firing stage: drained + past-reach events, 4-ary min-heap on (at, seq)
@@ -175,27 +143,17 @@ type Engine struct {
 	fifo     []fifoEntry
 	fifoHead int
 
-	pending    int    // queued events across heap, wheel and FIFO
-	fired      uint64 // events executed since construction
-	dispatches uint64 // process dispatches (goroutine handoffs) since construction
+	pending int    // queued events across heap, wheel and FIFO
+	fired   uint64 // events executed since construction
 
-	// wakeQ is the FIFO of batched process wakeups (insertion-order slice,
+	// wakeQ is the FIFO of batched Signal wakeups (insertion-order slice,
 	// never a map: batch delivery must be deterministic). Batch events pop
 	// from wakeHead in seq order, so the ring stays aligned.
-	wakeQ    []wakeRef
+	wakeQ    []func()
 	wakeHead int
-
-	freeProcs []*Proc // recycled process state (channels, goroutine, timer)
-	allProcs  []*Proc // every process ever built, for the Stop kill sweep
 
 	stopped bool
 	running bool
-	// killOnExit defers the Stop kill sweep until the dispatch chain has
-	// unwound and every process goroutine is parked (Stop called mid-Run).
-	killOnExit bool
-	// procs counts live processes; atomic because process goroutines
-	// decrement it concurrently while draining after Stop.
-	procs atomic.Int64
 }
 
 // NewEngine returns an engine whose random source is seeded with seed.
@@ -224,8 +182,8 @@ func (e *Engine) After(d time.Duration, fn func()) Event {
 }
 
 // Immediate schedules fn at the current virtual time, after any events
-// already queued for this instant. It is the ordering-safe way to wake
-// processes from within other processes.
+// already queued for this instant. It is the ordering-safe way to continue
+// work from inside another callback.
 func (e *Engine) Immediate(fn func()) Event { return e.At(e.now, fn) }
 
 // schedule stamps ev's ordering key and routes it: the current instant
@@ -265,46 +223,6 @@ func (e *Engine) schedule(ev *event, t time.Duration) {
 	e.heapPush(heapEntry{at: t, seq: e.seq, ev: ev})
 }
 
-// wakeAt schedules a pooled wake event resuming p at absolute time t.
-func (e *Engine) wakeAt(t time.Duration, p *Proc) Event {
-	ev := e.alloc()
-	ev.proc, ev.procGen = p, p.gen
-	e.schedule(ev, t)
-	return Event{ev: ev, gen: ev.gen}
-}
-
-// wakeImmediate schedules a wake for p at the current instant, after events
-// already queued for it.
-func (e *Engine) wakeImmediate(p *Proc) Event { return e.wakeAt(e.now, p) }
-
-// wakeProcAt arms p's owned timer slot at absolute time t — the re-arm-in-
-// place path Sleep and Processor.Exec ride: no pool churn, the same node is
-// re-stamped and re-inserted. Falls back to a pooled wake event in the
-// (unexpected) case the slot is already armed.
-func (e *Engine) wakeProcAt(t time.Duration, p *Proc) Event {
-	ev := p.timer
-	if ev == nil {
-		ev = &event{eng: e, index: idleIdx, owned: true, proc: p}
-		p.timer = ev
-	}
-	if ev.index != idleIdx {
-		return e.wakeAt(t, p)
-	}
-	ev.procGen = p.gen
-	e.schedule(ev, t)
-	return Event{ev: ev, gen: ev.gen}
-}
-
-// queueWake appends one waiter to the batched wake queue. The caller must
-// follow up with flushWakes to schedule the delivery event.
-func (e *Engine) queueWake(w waiter) {
-	if w.fn != nil {
-		e.wakeQ = append(e.wakeQ, wakeRef{fn: w.fn})
-		return
-	}
-	e.wakeQ = append(e.wakeQ, wakeRef{p: w.p, gen: w.p.gen})
-}
-
 // flushWakes schedules a single event at the current instant that delivers
 // the last n queued wakeups in FIFO order: N same-instant wakeups cost one
 // timer-queue dispatch instead of N.
@@ -330,16 +248,7 @@ func (e *Engine) RunUntil(t time.Duration) {
 		panic("sim: Run called re-entrantly")
 	}
 	e.running = true
-	defer func() {
-		e.running = false
-		if e.killOnExit {
-			// Stop was called mid-run; every process goroutine has parked by
-			// now (the dispatch chain fully unwinds before the loop exits),
-			// so the kill sweep can deliver its poison tokens.
-			e.killOnExit = false
-			e.killProcs()
-		}
-	}()
+	defer func() { e.running = false }()
 loop:
 	for !e.stopped && e.now <= t {
 		var ev *event
@@ -397,77 +306,32 @@ loop:
 
 // fire executes one dequeued event. Pooled nodes are recycled before the
 // callback runs: the callback may schedule onto the node we just freed, and
-// any stale handle is fenced by the gen bump. Owned timer slots are only
-// disarmed — their node stays with the owning process for the next re-arm.
+// any stale handle is fenced by the gen bump.
 func (e *Engine) fire(ev *event) {
-	switch {
-	case ev.batch > 0:
-		n := int(ev.batch)
-		ev.batch = 0
-		e.release(ev)
-		for i := 0; i < n; i++ {
-			ref := e.wakeQ[e.wakeHead]
-			e.wakeQ[e.wakeHead] = wakeRef{}
-			e.wakeHead++
-			if e.wakeHead == len(e.wakeQ) {
-				e.wakeQ = e.wakeQ[:0]
-				e.wakeHead = 0
-			}
-			switch {
-			case ref.fn != nil:
-				ref.fn()
-			case ref.p.gen == ref.gen:
-				ref.p.wake()
-			}
-		}
-	case ev.proc != nil:
-		p, pg := ev.proc, ev.procGen
-		if ev.owned {
-			ev.gen++ // disarm in place
-		} else {
-			e.release(ev)
-		}
-		if p.gen == pg {
-			p.wake()
-		}
-	default:
+	if ev.batch == 0 {
 		fn := ev.fn
 		e.release(ev)
+		fn()
+		return
+	}
+	n := int(ev.batch)
+	e.release(ev)
+	for i := 0; i < n; i++ {
+		fn := e.wakeQ[e.wakeHead]
+		e.wakeQ[e.wakeHead] = nil
+		e.wakeHead++
+		if e.wakeHead == len(e.wakeQ) {
+			e.wakeQ = e.wakeQ[:0]
+			e.wakeHead = 0
+		}
 		fn()
 	}
 }
 
-// Stop halts the simulation and releases every process still blocked inside
-// it (their goroutines exit, running any deferred calls). The engine must
-// not be used afterwards.
-//
-// Called between runs (the usual `defer eng.Stop()`), the kill sweep runs
-// immediately: every process goroutine is parked, so each poison token is
-// delivered synchronously. Called from inside the simulation (an event
-// callback or process body), the sweep is deferred to the run loop's exit,
-// after the dispatch chain has unwound.
-func (e *Engine) Stop() {
-	if e.stopped {
-		return
-	}
-	e.stopped = true
-	if e.running {
-		e.killOnExit = true
-		return
-	}
-	e.killProcs()
-}
-
-// killProcs delivers a poison token to every parked process goroutine. Only
-// call with all goroutines parked (engine not running).
-func (e *Engine) killProcs() {
-	for _, p := range e.allProcs {
-		if p.started {
-			p.started = false
-			p.resume <- false
-		}
-	}
-}
+// Stop halts the simulation: a Run in progress returns after the current
+// event, and later runs return at once. The engine must not be used
+// afterwards.
+func (e *Engine) Stop() { e.stopped = true }
 
 // Pending reports the number of queued events across the wheel, the heap
 // and the same-instant FIFO. Canceled events are never counted.
@@ -477,14 +341,10 @@ func (e *Engine) Pending() int { return e.pending }
 // numerator of the engine's events/sec throughput.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Dispatches reports the number of process dispatches since construction:
-// every time control passed to a process goroutine (its start and each
-// resume). Each one is a goroutine handoff, so this is the counter
-// continuation-form loops drive down.
-func (e *Engine) Dispatches() uint64 { return e.dispatches }
-
-// Procs reports the number of live processes.
-func (e *Engine) Procs() int { return int(e.procs.Load()) }
+// Procs reports the number of live simulation processes. Model code runs
+// only as event callbacks, so it is always 0; it stays for callers that
+// report it.
+func (e *Engine) Procs() int { return 0 }
 
 // ---- event pool ----
 
@@ -499,12 +359,9 @@ func (e *Engine) alloc() *event {
 }
 
 // release returns a dequeued node to the pool. The gen bump invalidates
-// every outstanding handle; dropping fn/proc releases the captured closure
-// and the process reference.
+// every outstanding handle; dropping fn releases the captured closure.
 func (e *Engine) release(ev *event) {
 	ev.fn = nil
-	ev.proc = nil
-	ev.procGen = 0
 	ev.batch = 0
 	ev.gen++
 	e.free = append(e.free, ev)

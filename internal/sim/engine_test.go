@@ -1,11 +1,14 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestEventOrdering(t *testing.T) {
@@ -256,48 +259,46 @@ func TestScheduleInPastPanics(t *testing.T) {
 	e.At(time.Millisecond, func() {})
 }
 
+// TestProcSleep pins a wait on virtual time: a callback that continues
+// after a delay resumes from one After event at exactly that instant.
 func TestProcSleep(t *testing.T) {
 	e := NewEngine(1)
 	defer e.Stop()
 	var wake time.Duration
-	e.Spawn("sleeper", func(p *Proc) {
-		p.Sleep(42 * time.Millisecond)
-		wake = p.Now()
+	e.Immediate(func() {
+		e.After(42*time.Millisecond, func() { wake = e.Now() })
 	})
 	e.Run()
-	if wake != 42*time.Millisecond {
-		t.Fatalf("woke at %v, want 42ms", wake)
+	if wake != 42*time.Millisecond || e.Fired() != 2 {
+		t.Fatalf("woke at %v after %d events, want 42ms after 2", wake, e.Fired())
 	}
 }
 
+// TestProcInterleaving pins two state machines started in order at the
+// same instant: each step runs when its After fires, interleaved by time.
 func TestProcInterleaving(t *testing.T) {
 	e := NewEngine(1)
 	defer e.Stop()
 	var trace []string
-	e.Spawn("a", func(p *Proc) {
+	e.Immediate(func() {
 		trace = append(trace, "a0")
-		p.Sleep(10 * time.Millisecond)
-		trace = append(trace, "a1")
-		p.Sleep(20 * time.Millisecond)
-		trace = append(trace, "a2")
+		e.After(10*time.Millisecond, func() {
+			trace = append(trace, "a1")
+			e.After(20*time.Millisecond, func() { trace = append(trace, "a2") })
+		})
 	})
-	e.Spawn("b", func(p *Proc) {
+	e.Immediate(func() {
 		trace = append(trace, "b0")
-		p.Sleep(15 * time.Millisecond)
-		trace = append(trace, "b1")
+		e.After(15*time.Millisecond, func() { trace = append(trace, "b1") })
 	})
 	e.Run()
-	want := []string{"a0", "b0", "a1", "b1", "a2"}
-	if len(trace) != len(want) {
-		t.Fatalf("trace = %v, want %v", trace, want)
-	}
-	for i := range want {
-		if trace[i] != want[i] {
-			t.Fatalf("trace = %v, want %v", trace, want)
-		}
+	if got, want := fmt.Sprint(trace), "[a0 b0 a1 b1 a2]"; got != want {
+		t.Fatalf("trace = %v, want %v", got, want)
 	}
 }
 
+// TestDeterminism drives three seeded producers and a consumer parked on
+// Queue.Notify twice and requires the same consumption instants.
 func TestDeterminism(t *testing.T) {
 	run := func() []time.Duration {
 		e := NewEngine(7)
@@ -305,19 +306,27 @@ func TestDeterminism(t *testing.T) {
 		var stamps []time.Duration
 		q := NewQueue[int](e, 0)
 		for i := 0; i < 3; i++ {
-			e.Spawn("producer", func(p *Proc) {
-				for j := 0; j < 5; j++ {
-					p.Sleep(time.Duration(e.Rand().Intn(1000)) * time.Microsecond)
-					q.Put(p, j)
+			j := 0
+			var produce func()
+			produce = func() {
+				q.TryPut(j)
+				if j++; j < 5 {
+					e.After(time.Duration(e.Rand().Intn(1000))*time.Microsecond, produce)
 				}
-			})
-		}
-		e.Spawn("consumer", func(p *Proc) {
-			for i := 0; i < 15; i++ {
-				q.Get(p)
-				stamps = append(stamps, p.Now())
 			}
-		})
+			e.Immediate(func() { e.After(time.Duration(e.Rand().Intn(1000))*time.Microsecond, produce) })
+		}
+		var consume func()
+		consume = func() {
+			for len(stamps) < 15 {
+				if _, ok := q.TryGet(); !ok {
+					q.Notify(consume)
+					return
+				}
+				stamps = append(stamps, e.Now())
+			}
+		}
+		e.Immediate(consume)
 		e.Run()
 		return stamps
 	}
@@ -332,26 +341,28 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// TestStopReleasesBlockedProcs pins Stop: called from inside a callback it
+// ends the run after that event, continuations still parked on a queue or
+// a later timer never run, and no goroutine is left behind.
 func TestStopReleasesBlockedProcs(t *testing.T) {
+	goroutines := runtime.NumGoroutine()
 	e := NewEngine(1)
 	q := NewQueue[int](e, 0)
+	ran := 0
 	for i := 0; i < 5; i++ {
-		e.Spawn("stuck", func(p *Proc) {
-			q.Get(p) // never satisfied
-		})
+		q.Notify(func() { ran++ })
 	}
+	e.After(time.Millisecond, func() { ran++ })
+	e.Immediate(e.Stop)
+	e.Immediate(func() { ran++ })
 	e.Run()
-	if e.Procs() != 5 {
-		t.Fatalf("live procs = %d, want 5", e.Procs())
+	q.TryPut(1)
+	e.Run()
+	if ran != 0 || e.Fired() != 1 || e.Procs() != 0 {
+		t.Fatalf("after Stop: %d continuations ran, %d events fired, %d procs; want 0, 1, 0", ran, e.Fired(), e.Procs())
 	}
-	e.Stop()
-	// Goroutines exit asynchronously; poll briefly.
-	deadline := time.Now().Add(2 * time.Second)
-	for e.Procs() != 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if e.Procs() != 0 {
-		t.Fatalf("live procs after Stop = %d, want 0", e.Procs())
+	if n := runtime.NumGoroutine(); n > goroutines {
+		t.Fatalf("%d goroutines after the run, %d before", n, goroutines)
 	}
 }
 
@@ -406,5 +417,14 @@ func TestImmediateOrdersAfterCurrentInstant(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("order = %v, want %v", got, want)
 		}
+	}
+}
+
+// TestEventNodeSize pins the pooled event node at 72 bytes: a callback, its
+// ordering key, the wheel links and location, the batch count and the
+// generation fence. Every timer, wake and continuation rides one.
+func TestEventNodeSize(t *testing.T) {
+	if n := unsafe.Sizeof(event{}); n > 72 {
+		t.Fatalf("event node is %d bytes, want at most 72", n)
 	}
 }

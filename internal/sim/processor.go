@@ -6,20 +6,19 @@ import (
 )
 
 // Discipline selects how a Processor shares its capacity among concurrent
-// Exec callers.
+// Run callers.
 type Discipline int
 
 const (
 	// FCFS is exact first-come-first-served, non-preemptive service:
-	// requests run to completion in Exec-call order.
+	// requests run to completion in Run-call order.
 	FCFS Discipline = iota
 	// PS is exact egalitarian processor sharing: the n in-service requests
 	// each progress at speed/n, re-evaluated on every arrival, departure
 	// and speed change. It is the limit of round-robin as the quantum goes
 	// to zero, modeled without per-quantum events: each job's completion
-	// instant is re-armed on the process's owned timer slot (a pooled
-	// event for a Run continuation), so the re-arm hot path allocates
-	// nothing.
+	// instant is re-armed through a pooled event, so the re-arm hot path
+	// allocates nothing.
 	PS
 )
 
@@ -30,13 +29,13 @@ func (d Discipline) String() string {
 	return "FCFS"
 }
 
-// Processor models a single core. Costs passed to Exec are expressed in
+// Processor models a single core. Costs passed to Run are expressed in
 // reference-core time (the testbed's x86 core); the processor scales them
 // by its Speed factor, so a wimpy DPU core with Speed 0.45 takes ~2.2x
 // longer for the same work.
 //
-// The default FCFS discipline is exact: requests are served in Exec-call
-// order and each caller sleeps until its own completion instant, so
+// The default FCFS discipline is exact: requests are served in Run-call
+// order and each continuation runs at its own completion instant, so
 // queueing delay under load emerges naturally. NewProcessorDisc selects
 // processor sharing instead (see Discipline).
 type Processor struct {
@@ -47,12 +46,11 @@ type Processor struct {
 	busyUntil time.Duration
 	busyTime  time.Duration
 	ops       uint64
-	// waiters tracks processes blocked in Exec and continuations pending in
-	// Run with their completion events, so SetSpeed can reschedule
-	// in-service work at the new speed. The slice stays tiny (one entry per
-	// concurrent caller) and is swap-removed on completion, so steady state
-	// allocates nothing.
-	waiters []procWaiter
+	// waiters tracks the continuations pending in Run with their
+	// completion events, so SetSpeed can reschedule in-service work at the
+	// new speed. The slice stays tiny (one entry per concurrent caller) and
+	// is swap-removed on completion, so steady state allocates nothing.
+	waiters []runWaiter
 	// runDoneFn (FCFS) or psDoneFn (PS) is runDone or psDone bound once,
 	// the completion callback of every Run.
 	runDoneFn, psDoneFn func()
@@ -64,19 +62,15 @@ type Processor struct {
 	psLast time.Duration
 }
 
-// procWaiter is one Exec caller waiting for its completion instant: a
-// blocked process, or (then set) a Run continuation.
-type procWaiter struct {
-	proc *Proc
+// runWaiter is one Run continuation waiting for its completion instant.
+type runWaiter struct {
 	then func()
 	done time.Duration
 	ev   Event
 }
 
-// psJob is one in-service PS request: a blocked process, or (then set) a
-// Run continuation.
+// psJob is one in-service PS request.
 type psJob struct {
-	proc *Proc
 	then func()
 	rem  time.Duration // remaining reference-cost work
 	ev   Event
@@ -108,41 +102,15 @@ func (c *Processor) Scale(cost time.Duration) time.Duration {
 	return time.Duration(float64(cost) / c.speed)
 }
 
-// Exec runs cost worth of reference-core work on this core, blocking p
-// through any queueing delay plus the scaled service time (FCFS), or
-// through the shared-service completion instant (PS).
-func (c *Processor) Exec(p *Proc, cost time.Duration) {
-	if cost < 0 {
-		panic("sim: negative exec cost")
-	}
-	if c.disc == PS {
-		c.execPS(p, cost)
-		return
-	}
-	if !c.admit(cost) {
-		p.Sleep(0)
-		return
-	}
-	// Block on an explicit completion event (rather than a fixed-length
-	// sleep) so SetSpeed can cancel and reschedule it when the core's speed
-	// changes mid-service. The wake rides the process's owned timer slot —
-	// re-armed in place, no pool traffic.
-	ev := c.eng.wakeProcAt(c.busyUntil, p)
-	c.waiters = append(c.waiters, procWaiter{proc: p, done: c.busyUntil, ev: ev})
-	p.block()
-	c.dropWaiter(p)
-}
-
-// Run is Exec for engine context: it charges cost exactly as Exec would
-// and calls then at the completion instant. It schedules the one event a
-// blocked Exec would — a same-instant event when the work completes at
-// once, else a completion event that SetSpeed (and, on a PS core, every
-// arrival and departure) re-arms like a blocked process's — so a state
-// machine that replaces each Exec with a Run fires in the same (time,
-// sequence) order as the process did. then is only ever called from that
-// fired event, never synchronously inside Run. Pass a function value bound
-// once (e.g. a method value stored at setup): the core stores it as is, so
-// a steady-state Run allocates nothing.
+// Run runs cost worth of reference-core work on this core and calls then
+// at the completion instant: after any queueing delay plus the scaled
+// service time (FCFS), or when its share of the core has drained the whole
+// cost (PS). It schedules one event — a same-instant event when the work
+// completes at once, else a completion event that SetSpeed (and, on a PS
+// core, every arrival and departure) re-arms. then is only ever called
+// from that fired event, never synchronously inside Run. Pass a function
+// value bound once (e.g. a method value stored at setup): the core stores
+// it as is, so a steady-state Run allocates nothing.
 func (c *Processor) Run(cost time.Duration, then func()) {
 	if cost < 0 {
 		panic("sim: negative exec cost")
@@ -156,7 +124,7 @@ func (c *Processor) Run(cost time.Duration, then func()) {
 		return
 	}
 	ev := c.eng.At(c.busyUntil, c.runDoneFn)
-	c.waiters = append(c.waiters, procWaiter{then: then, done: c.busyUntil, ev: ev})
+	c.waiters = append(c.waiters, runWaiter{then: then, done: c.busyUntil, ev: ev})
 }
 
 // admit queues cost behind the FCFS backlog and accounts it, reporting
@@ -181,65 +149,21 @@ func (c *Processor) admit(cost time.Duration) bool {
 func (c *Processor) runDone() {
 	for i := range c.waiters {
 		w := c.waiters[i]
-		if w.then != nil && !w.ev.Pending() {
-			c.dropWaiterAt(i)
+		if !w.ev.Pending() {
+			last := len(c.waiters) - 1
+			c.waiters[i] = c.waiters[last]
+			c.waiters[last] = runWaiter{}
+			c.waiters = c.waiters[:last]
 			w.then()
 			return
 		}
 	}
 }
 
-// dropWaiter removes p's entry after its completion event fired.
-func (c *Processor) dropWaiter(p *Proc) {
-	for i := range c.waiters {
-		if c.waiters[i].proc == p {
-			c.dropWaiterAt(i)
-			return
-		}
-	}
-}
-
-// dropWaiterAt swap-removes waiters[i].
-func (c *Processor) dropWaiterAt(i int) {
-	last := len(c.waiters) - 1
-	c.waiters[i] = c.waiters[last]
-	c.waiters[last] = procWaiter{}
-	c.waiters = c.waiters[:last]
-}
-
-// execPS admits p into the PS service set and blocks it until its share of
-// the core has drained the whole cost. Arrivals, departures and speed
-// changes re-evaluate every in-service completion instant; the re-arms ride
-// each process's owned timer slot, so steady-state churn allocates nothing.
-func (c *Processor) execPS(p *Proc, cost time.Duration) {
-	now := c.eng.now
-	c.psAdvance(now)
-	c.ops++
-	if cost == 0 {
-		// Zero-cost work completes at this instant; yield for ordering
-		// fairness like the FCFS path does.
-		p.Sleep(0)
-		return
-	}
-	c.psJobs = append(c.psJobs, psJob{proc: p, rem: cost})
-	c.psRearm(now)
-	p.block()
-	// Our completion event fired: this job's remaining work is exactly zero
-	// (every set change re-arms, so events never fire early). Settle the
-	// drain since the last change, leave the set, and re-arm the survivors.
-	now = c.eng.now
-	c.psAdvance(now)
-	for i := range c.psJobs {
-		if c.psJobs[i].proc == p {
-			c.dropPSJob(i)
-			break
-		}
-	}
-	c.psRearm(now)
-}
-
-// runPS is Run on a PS core: execPS with the job's completion event calling
-// psDone instead of resuming a process.
+// runPS admits a Run into the PS service set. Arrivals, departures and
+// speed changes re-evaluate every in-service completion instant through
+// pooled events, so steady-state churn allocates nothing. Zero-cost work
+// completes at this instant through one same-instant event.
 func (c *Processor) runPS(cost time.Duration, then func()) {
 	now := c.eng.now
 	c.psAdvance(now)
@@ -254,12 +178,13 @@ func (c *Processor) runPS(cost time.Duration, then func()) {
 
 // psDone is the completion event of a PS Run. The fired job is the one
 // continuation whose event is no longer pending (every set change re-arms
-// all the others); it leaves the set exactly as a process leaves execPS,
-// then its continuation runs.
+// all the others; events never fire early, so its remaining work is
+// exactly zero): settle the drain since the last change, leave the set,
+// re-arm the survivors, then run its continuation.
 func (c *Processor) psDone() {
 	for i := range c.psJobs {
 		j := c.psJobs[i]
-		if j.then != nil && !j.ev.Pending() {
+		if !j.ev.Pending() {
 			now := c.eng.now
 			c.psAdvance(now)
 			c.dropPSJob(i)
@@ -299,22 +224,15 @@ func (c *Processor) psAdvance(now time.Duration) {
 }
 
 // psRearm reschedules every in-service job's completion event to its share-
-// weighted finish instant: rem_i * n / speed from now. Each wake is disarmed
-// and re-armed in place on the job's owned timer slot, or through a pooled
-// event for a Run continuation — the 0-alloc quantum re-arm the PS
-// discipline is built on. Every re-arm takes a fresh sequence number, in
-// set order, whichever form the job has.
+// weighted finish instant: rem_i * n / speed from now, through a pooled
+// event — the 0-alloc quantum re-arm the PS discipline is built on. Every
+// re-arm takes a fresh sequence number, in set order.
 func (c *Processor) psRearm(now time.Duration) {
 	n := len(c.psJobs)
 	for i := range c.psJobs {
 		j := &c.psJobs[i]
 		j.ev.Cancel()
-		wake := now + time.Duration(float64(j.rem)*float64(n)/c.speed)
-		if j.then != nil {
-			j.ev = c.eng.At(wake, c.psDoneFn)
-		} else {
-			j.ev = c.eng.wakeProcAt(wake, j.proc)
-		}
+		j.ev = c.eng.At(now+time.Duration(float64(j.rem)*float64(n)/c.speed), c.psDoneFn)
 	}
 }
 
@@ -332,7 +250,7 @@ func (c *Processor) Charge(cost time.Duration) {
 	c.ops++
 }
 
-// BusyTime reports busy time realized so far (scaled). Exec and Charge
+// BusyTime reports busy time realized so far (scaled). Run and Charge
 // accrue their full cost into the backlog up front while the core serves it
 // over [now, busyUntil]; the not-yet-served remainder is excluded here so
 // that BusyTime never exceeds elapsed virtual time on any core and
@@ -352,7 +270,7 @@ func (c *Processor) BusyTime() time.Duration {
 	return busy
 }
 
-// Ops reports the number of Exec/Charge calls served.
+// Ops reports the number of Run/Charge calls served.
 func (c *Processor) Ops() uint64 { return c.ops }
 
 // Name returns the core's name.
@@ -364,12 +282,11 @@ func (c *Processor) Speed() float64 { return c.speed }
 // SetSpeed changes the core's relative speed, rescaling the in-service
 // backlog so busy time is charged at the speed in effect while the work
 // actually runs: the remaining portion of every accepted request stretches
-// (slow-down) or shrinks (speed-up) by oldSpeed/newSpeed, blocked Exec
-// callers and pending Run continuations are rescheduled to their new
-// completion instants, and busyTime is
-// adjusted by the backlog delta so BusyTime() stays continuous through the
-// transition and ends equal to realized occupied time. This is the
-// degraded-core injection hook used by internal/chaos.
+// (slow-down) or shrinks (speed-up) by oldSpeed/newSpeed, pending Run
+// continuations are rescheduled to their new completion instants, and
+// busyTime is adjusted by the backlog delta so BusyTime() stays continuous
+// through the transition and ends equal to realized occupied time. This is
+// the degraded-core injection hook used by internal/chaos.
 func (c *Processor) SetSpeed(speed float64) {
 	if speed <= 0 {
 		panic(fmt.Sprintf("sim: processor %q set to non-positive speed", c.name))
@@ -403,11 +320,7 @@ func (c *Processor) SetSpeed(speed float64) {
 		}
 		w.ev.Cancel()
 		w.done = now + time.Duration(float64(w.done-now)*ratio)
-		if w.then != nil {
-			w.ev = c.eng.At(w.done, c.runDoneFn)
-		} else {
-			w.ev = c.eng.wakeProcAt(w.done, w.proc)
-		}
+		w.ev = c.eng.At(w.done, c.runDoneFn)
 	}
 }
 
@@ -430,80 +343,3 @@ func (c *Processor) Discipline() Discipline { return c.disc }
 // Load reports the number of requests currently in PS service (0 on FCFS
 // cores, which track backlog through QueueDelay instead).
 func (c *Processor) Load() int { return len(c.psJobs) }
-
-// CorePool models k identical cores fed by a single dispatch queue (an
-// M/G/k style station). Each Exec is placed on the least-loaded core:
-// earliest-available for FCFS cores, fewest in-service requests for PS.
-type CorePool struct {
-	eng   *Engine
-	name  string
-	disc  Discipline
-	cores []*Processor
-}
-
-// NewCorePool returns a pool of n FCFS cores with the given speed.
-func NewCorePool(e *Engine, name string, n int, speed float64) *CorePool {
-	return NewCorePoolDisc(e, name, n, speed, FCFS)
-}
-
-// NewCorePoolDisc returns a pool of n cores with the given speed and
-// service discipline.
-func NewCorePoolDisc(e *Engine, name string, n int, speed float64, disc Discipline) *CorePool {
-	if n <= 0 {
-		panic("sim: core pool must have at least one core")
-	}
-	cores := make([]*Processor, n)
-	for i := range cores {
-		cores[i] = NewProcessorDisc(e, fmt.Sprintf("%s/%d", name, i), speed, disc)
-	}
-	return &CorePool{eng: e, name: name, disc: disc, cores: cores}
-}
-
-// Exec runs cost on the earliest-available core, blocking p until done.
-func (cp *CorePool) Exec(p *Proc, cost time.Duration) {
-	cp.pick().Exec(p, cost)
-}
-
-// Charge accounts cost on the earliest-available core without blocking.
-func (cp *CorePool) Charge(cost time.Duration) {
-	cp.pick().Charge(cost)
-}
-
-func (cp *CorePool) pick() *Processor {
-	best := cp.cores[0]
-	if cp.disc == PS {
-		// Fewest in-service requests wins; strict < keeps the lowest index
-		// on ties, so dispatch order is deterministic.
-		for _, c := range cp.cores[1:] {
-			if len(c.psJobs) < len(best.psJobs) {
-				best = c
-			}
-		}
-		return best
-	}
-	for _, c := range cp.cores[1:] {
-		if c.busyUntil < best.busyUntil {
-			best = c
-		}
-	}
-	return best
-}
-
-// BusyTime reports the summed realized busy time across all cores.
-func (cp *CorePool) BusyTime() time.Duration {
-	var total time.Duration
-	for _, c := range cp.cores {
-		total += c.BusyTime()
-	}
-	return total
-}
-
-// Cores returns the underlying processors.
-func (cp *CorePool) Cores() []*Processor { return cp.cores }
-
-// Size reports the number of cores.
-func (cp *CorePool) Size() int { return len(cp.cores) }
-
-// QueueDelay reports the wait a request issued now would see (the earliest
-// core's remaining backlog).
-func (cp *CorePool) QueueDelay() time.Duration { return cp.pick().QueueDelay() }

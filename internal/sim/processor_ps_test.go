@@ -19,10 +19,7 @@ func TestPSSingleRequestMatchesFCFS(t *testing.T) {
 				defer eng.Stop()
 				c := NewProcessorDisc(eng, "c", speed, disc)
 				var done time.Duration
-				eng.Spawn("job", func(p *Proc) {
-					c.Exec(p, cost)
-					done = eng.Now()
-				})
+				job(eng, c, cost, &done)
 				eng.Run()
 				return done, c.BusyTime()
 			}
@@ -72,16 +69,8 @@ func TestPSShareStaggeredArrivals(t *testing.T) {
 	defer eng.Stop()
 	c := NewProcessorDisc(eng, "c", 1.0, PS)
 	var doneA, doneB time.Duration
-	eng.Spawn("a", func(p *Proc) {
-		c.Exec(p, 10*time.Microsecond)
-		doneA = eng.Now()
-	})
-	eng.At(5*time.Microsecond, func() {
-		eng.Spawn("b", func(p *Proc) {
-			c.Exec(p, 10*time.Microsecond)
-			doneB = eng.Now()
-		})
-	})
+	job(eng, c, 10*time.Microsecond, &doneA)
+	eng.At(5*time.Microsecond, func() { job(eng, c, 10*time.Microsecond, &doneB) })
 	eng.Run()
 	if doneA != 15*time.Microsecond {
 		t.Fatalf("A completes at %v, want 15µs", doneA)
@@ -104,14 +93,8 @@ func TestPSBusyTimeConservationUnderSetSpeed(t *testing.T) {
 	defer eng.Stop()
 	c := NewProcessorDisc(eng, "c", 1.0, PS)
 	var doneA, doneB time.Duration
-	submit := func(done *time.Duration) {
-		eng.Spawn("job", func(p *Proc) {
-			c.Exec(p, 10*time.Microsecond)
-			*done = eng.Now()
-		})
-	}
-	submit(&doneA)
-	submit(&doneB)
+	job(eng, c, 10*time.Microsecond, &doneA)
+	job(eng, c, 10*time.Microsecond, &doneB)
 	eng.At(4*time.Microsecond, func() { c.SetSpeed(0.5) })
 	eng.At(12*time.Microsecond, func() { c.SetSpeed(1.0) })
 	eng.Run()
@@ -136,7 +119,7 @@ func TestPSBusyTimeNeverExceedsElapsed(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		i := i
 		eng.At(time.Duration(i)*3*time.Microsecond, func() {
-			eng.Spawn("job", func(p *Proc) { c.Exec(p, 7*time.Microsecond) })
+			job(eng, c, 7*time.Microsecond, nil)
 		})
 	}
 	eng.At(5*time.Microsecond, func() { c.SetSpeed(0.5) })
@@ -162,7 +145,7 @@ func TestPSQueueDelayZero(t *testing.T) {
 	defer eng.Stop()
 	c := NewProcessorDisc(eng, "c", 1.0, PS)
 	for i := 0; i < 3; i++ {
-		eng.Spawn("job", func(p *Proc) { c.Exec(p, 10*time.Microsecond) })
+		job(eng, c, 10*time.Microsecond, nil)
 	}
 	eng.At(2*time.Microsecond, func() {
 		if d := c.QueueDelay(); d != 0 {
@@ -175,68 +158,62 @@ func TestPSQueueDelayZero(t *testing.T) {
 	eng.Run()
 }
 
-// TestCorePoolPSPickLeastLoaded: a PS pool dispatches to the core with the
-// fewest in-service requests, lowest index on ties.
-func TestCorePoolPSPickLeastLoaded(t *testing.T) {
-	eng := NewEngine(1)
-	defer eng.Stop()
-	cp := NewCorePoolDisc(eng, "pool", 2, 1.0, PS)
-	for i := 0; i < 4; i++ {
-		eng.Spawn("job", func(p *Proc) { cp.Exec(p, 10*time.Microsecond) })
-	}
-	eng.At(time.Microsecond, func() {
-		if a, b := cp.Cores()[0].Load(), cp.Cores()[1].Load(); a != 2 || b != 2 {
-			t.Fatalf("PS pool load (%d, %d), want (2, 2)", a, b)
-		}
-	})
-	eng.Run()
-}
-
 // TestPSQuantumRearmZeroAlloc is the allocation fence for the PS re-arm hot
-// path: once the proc/event pools and the job slice are warm, admitting,
-// re-arming and departing requests must not allocate — each completion wake
-// rides the process's owned timer slot, disarmed and re-armed in place.
+// path: once the event pool and the job slice are warm, admitting,
+// re-arming and departing requests must not allocate — each completion
+// event is a pooled node re-armed through the free list.
 func TestPSQuantumRearmZeroAlloc(t *testing.T) {
 	eng := NewEngine(1)
 	defer eng.Stop()
 	c := NewProcessorDisc(eng, "ps", 1.0, PS)
-	const k = 8
-	body := func(p *Proc) {
-		for i := 0; i < 50; i++ {
-			c.Exec(p, time.Microsecond)
-		}
+	jobs := make([]*execLoop, 8)
+	for i := range jobs {
+		jobs[i] = newExecLoop(c, time.Microsecond)
 	}
 	run := func() {
-		for i := 0; i < k; i++ {
-			eng.Spawn("job", body)
+		for _, j := range jobs {
+			j.left = 50
+			eng.Immediate(j.stepFn)
 		}
 		eng.Run()
 	}
-	run() // warm the proc pool, owned timer slots and psJobs capacity
+	run() // warm the event pool and psJobs capacity
 	allocs := testing.AllocsPerRun(10, run)
 	if allocs != 0 {
 		t.Fatalf("PS quantum re-arm allocates %v per op, want 0", allocs)
 	}
 }
 
-// BenchmarkPSQuantum measures the PS admit/re-arm/depart cycle under steady
-// sharing: 8 resident jobs churning through short service slices, every
-// transition re-arming the whole set on owned timer slots.
-func BenchmarkPSQuantum(b *testing.B) {
-	eng := NewEngine(1)
-	defer eng.Stop()
-	c := NewProcessorDisc(eng, "ps", 1.0, PS)
-	const k = 8
-	per := b.N/k + 1
-	body := func(p *Proc) {
-		for i := 0; i < per; i++ {
-			c.Exec(p, 100*time.Nanosecond)
-		}
+// job runs cost on c from one same-instant event and records the
+// completion instant in *done when done is non-nil.
+func job(eng *Engine, c *Processor, cost time.Duration, done *time.Duration) {
+	eng.Immediate(func() {
+		c.Run(cost, func() {
+			if done != nil {
+				*done = eng.Now()
+			}
+		})
+	})
+}
+
+// execLoop runs cost on its core left more times, one Run after another,
+// through one bound continuation.
+type execLoop struct {
+	c      *Processor
+	cost   time.Duration
+	left   int
+	stepFn func()
+}
+
+func newExecLoop(c *Processor, cost time.Duration) *execLoop {
+	l := &execLoop{c: c, cost: cost}
+	l.stepFn = l.step
+	return l
+}
+
+func (l *execLoop) step() {
+	if l.left > 0 {
+		l.left--
+		l.c.Run(l.cost, l.stepFn)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < k; i++ {
-		eng.Spawn("job", body)
-	}
-	eng.Run()
 }

@@ -5,8 +5,9 @@ import (
 	"time"
 )
 
-// execUntilDone runs one Exec of cost on c starting at t=0 and returns the
-// completion instant, applying setSpeed(at, speed) changes mid-service.
+// execWithSpeedChanges runs one Run of cost on c starting at t=0 and
+// returns the completion instant, applying setSpeed(at, speed) changes
+// mid-service.
 func execWithSpeedChanges(t *testing.T, cost time.Duration, changes map[time.Duration]float64, c *Processor, eng *Engine) time.Duration {
 	t.Helper()
 	var done time.Duration
@@ -14,10 +15,7 @@ func execWithSpeedChanges(t *testing.T, cost time.Duration, changes map[time.Dur
 		at, sp := at, sp
 		eng.At(at, func() { c.SetSpeed(sp) })
 	}
-	eng.Spawn("job", func(p *Proc) {
-		c.Exec(p, cost)
-		done = eng.Now()
-	})
+	job(eng, c, cost, &done)
 	eng.Run()
 	return done
 }
@@ -87,10 +85,11 @@ func TestProcessorSetSpeedPreservesFCFS(t *testing.T) {
 	var order []string
 	var times []time.Duration
 	submit := func(name string) {
-		eng.Spawn(name, func(p *Proc) {
-			c.Exec(p, 10*time.Microsecond)
-			order = append(order, name)
-			times = append(times, eng.Now())
+		eng.Immediate(func() {
+			c.Run(10*time.Microsecond, func() {
+				order = append(order, name)
+				times = append(times, eng.Now())
+			})
 		})
 	}
 	submit("a")
@@ -114,10 +113,7 @@ func TestProcessorSetSpeedWhileIdle(t *testing.T) {
 	c := NewProcessor(eng, "c", 1.0)
 	c.SetSpeed(0.5) // idle: nothing to rescale
 	var done time.Duration
-	eng.Spawn("job", func(p *Proc) {
-		c.Exec(p, 5*time.Microsecond)
-		done = eng.Now()
-	})
+	job(eng, c, 5*time.Microsecond, &done)
 	eng.Run()
 	if done != 10*time.Microsecond {
 		t.Fatalf("completion at %v, want 10µs at half speed", done)
@@ -134,7 +130,7 @@ func TestProcessorBusyTimeContinuousAcrossSetSpeed(t *testing.T) {
 		c.SetSpeed(0.25)
 		after = c.BusyTime()
 	})
-	eng.Spawn("job", func(p *Proc) { c.Exec(p, 10*time.Microsecond) })
+	job(eng, c, 10*time.Microsecond, nil)
 	eng.Run()
 	if before != 5*time.Microsecond {
 		t.Fatalf("busy before change %v, want 5µs", before)

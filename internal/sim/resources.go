@@ -6,160 +6,67 @@ import (
 	"nadino/internal/ring"
 )
 
-// WaitQueue is a FIFO list of blocked processes. It is the building block
-// for the higher-level primitives in this package; model code can also use
-// it directly for ad-hoc conditions. A queue also holds one-shot
-// continuations in the same FIFO: a Signal's (Signal.Notify), which its
-// WakeAll delivers, and a Queue's getters (Queue.Notify), which WakeOne
-// delivers.
-type WaitQueue struct {
-	eng     *Engine
-	waiters ring.Deque[waiter]
-	// woken holds the continuations WakeOne released, oldest first, until
-	// their delivery events fire; each deliverFn (deliver, bound on first
-	// use) event pops one, and events fire in scheduling order.
-	woken     ring.Deque[func()]
-	deliverFn func()
-	// ready, when set, gates a released continuation: finding it false at
-	// delivery, the continuation re-registers at the back instead of
-	// running, as a woken process's Get loop waits again.
-	ready func() bool
-}
-
-// waiter is one WaitQueue entry: a blocked process, or (fn set) a
-// continuation registered by Signal.Notify or Queue.Notify.
-type waiter struct {
-	p  *Proc
-	fn func()
-}
-
-// NewWaitQueue returns an empty wait queue bound to e.
-func NewWaitQueue(e *Engine) *WaitQueue { return &WaitQueue{eng: e} }
-
-// Wait blocks p until a Wake call releases it. FIFO order.
-func (w *WaitQueue) Wait(p *Proc) {
-	w.waiters.PushBack(waiter{p: p})
-	p.block()
-}
-
-// WakeOne releases the oldest waiter, if any. The waiter resumes at the
-// current virtual time, after events already queued for this instant: a
-// process through its wake event, a continuation through one Immediate of
-// its own, never synchronously inside WakeOne.
-func (w *WaitQueue) WakeOne() bool {
-	if w.waiters.Len() == 0 {
-		return false
-	}
-	x := w.waiters.PopFront()
-	if x.fn == nil {
-		w.eng.wakeImmediate(x.p)
-		return true
-	}
-	if w.deliverFn == nil {
-		w.deliverFn = w.deliver
-	}
-	w.woken.PushBack(x.fn)
-	w.eng.Immediate(w.deliverFn)
-	return true
-}
-
-// deliver runs the oldest continuation WakeOne released, or re-registers it
-// at the back when the queue's ready gate finds nothing for it.
-func (w *WaitQueue) deliver() {
-	fn := w.woken.PopFront()
-	if w.ready != nil && !w.ready() {
-		w.waiters.PushBack(waiter{fn: fn})
-		return
-	}
-	fn()
-}
-
-// WakeAll releases every waiter in FIFO order as one batched delivery: the
-// N wakeups ride a single timer-queue event at the current instant, so a
-// broadcast to a thousand sleepers costs one dispatch, not a thousand.
-func (w *WaitQueue) WakeAll() {
-	n := w.waiters.Len()
-	if n == 0 {
-		return
-	}
-	for i := 0; i < n; i++ {
-		w.eng.queueWake(w.waiters.PopFront())
-	}
-	w.eng.flushWakes(n)
-}
-
-// Len reports the number of queued waiters.
-func (w *WaitQueue) Len() int { return w.waiters.Len() }
-
-// Queue is a FIFO message queue between processes. With cap == 0 the queue
-// is unbounded; otherwise Put blocks when full.
+// Queue is a FIFO message queue. With cap == 0 the queue is unbounded;
+// otherwise TryPut fails when full.
 type Queue[T any] struct {
-	eng     *Engine
-	items   ring.Deque[T]
-	cap     int
-	getters *WaitQueue
-	putters *WaitQueue
-	closed  bool
+	eng   *Engine
+	items ring.Deque[T]
+	cap   int
+	// getters holds the continuations parked in Notify, oldest first, and
+	// woken the ones TryPut released until their delivery events fire; each
+	// deliverFn (deliver, bound on first use) event pops one, and events
+	// fire in scheduling order.
+	getters, woken ring.Deque[func()]
+	deliverFn      func()
 }
 
 // NewQueue returns a queue with the given capacity (0 = unbounded).
 func NewQueue[T any](e *Engine, capacity int) *Queue[T] {
-	return &Queue[T]{
-		eng:     e,
-		cap:     capacity,
-		getters: NewWaitQueue(e),
-		putters: NewWaitQueue(e),
-	}
+	return &Queue[T]{eng: e, cap: capacity}
 }
 
-func (q *Queue[T]) nonEmpty() bool { return q.items.Len() > 0 }
-
-// Put appends v, blocking while the queue is full.
-func (q *Queue[T]) Put(p *Proc, v T) {
-	for q.cap > 0 && q.items.Len() >= q.cap {
-		q.putters.Wait(p)
-	}
-	q.items.PushBack(v)
-	q.getters.WakeOne()
-}
-
-// TryPut appends v without blocking, reporting success.
+// TryPut appends v without blocking, reporting success. It releases the
+// oldest getter parked in Notify through one Immediate of its own, never
+// synchronously inside TryPut.
 func (q *Queue[T]) TryPut(v T) bool {
 	if q.cap > 0 && q.items.Len() >= q.cap {
 		return false
 	}
 	q.items.PushBack(v)
-	q.getters.WakeOne()
+	if q.getters.Len() > 0 {
+		if q.deliverFn == nil {
+			q.deliverFn = q.deliver
+		}
+		q.woken.PushBack(q.getters.PopFront())
+		q.eng.Immediate(q.deliverFn)
+	}
 	return true
 }
 
-// Get removes and returns the oldest item, blocking while empty.
-func (q *Queue[T]) Get(p *Proc) T {
-	for q.items.Len() == 0 {
-		q.getters.Wait(p)
+// deliver runs the oldest getter TryPut released, or parks it again at the
+// back when a getter ahead of it took the item first.
+func (q *Queue[T]) deliver() {
+	fn := q.woken.PopFront()
+	if q.items.Len() == 0 {
+		q.getters.PushBack(fn)
+		return
 	}
-	v := q.items.PopFront()
-	q.putters.WakeOne()
-	return v
+	fn()
 }
 
-// Notify is Get for engine context, for a queue that TryGet just found
-// empty: fn runs once, when an item is there for it. It takes its FIFO
-// place among the getters beside blocked processes; the Put that reaches
-// it delivers it through one same-instant event, and if a getter ahead of
-// it took the item first it re-registers at the back, as Get's loop does.
-// fn takes the item with TryGet. It is only ever called from that fired
-// event, never synchronously inside Notify or Put. Pass a function value
-// bound once: the queue stores it as is, so a steady-state Notify
+// Notify parks fn until an item is there for it, for a queue that TryGet
+// just found empty: fn runs once. Getters wait in FIFO order; the TryPut
+// that reaches fn delivers it through one same-instant event, and if a
+// getter ahead of it took the item first it parks again at the back. fn
+// takes the item with TryGet. It is only ever called from that fired
+// event, never synchronously inside Notify or TryPut. Pass a function
+// value bound once: the queue stores it as is, so a steady-state Notify
 // allocates nothing.
 func (q *Queue[T]) Notify(fn func()) {
 	if q.items.Len() > 0 {
 		panic("sim: Queue.Notify on a non-empty queue; take the item with TryGet")
 	}
-	if q.getters.ready == nil {
-		q.getters.ready = q.nonEmpty
-	}
-	q.getters.waiters.PushBack(waiter{fn: fn})
+	q.getters.PushBack(fn)
 }
 
 // TryGet removes the oldest item without blocking.
@@ -168,9 +75,7 @@ func (q *Queue[T]) TryGet() (T, bool) {
 	if q.items.Len() == 0 {
 		return zero, false
 	}
-	v := q.items.PopFront()
-	q.putters.WakeOne()
-	return v, true
+	return q.items.PopFront(), true
 }
 
 // Peek returns the oldest item without removing it.
@@ -185,30 +90,37 @@ func (q *Queue[T]) Peek() (T, bool) {
 // Len reports the number of queued items.
 func (q *Queue[T]) Len() int { return q.items.Len() }
 
-// Signal is a broadcast condition: processes wait on it and any code can
-// pulse it. Unlike WaitQueue it is level-safe for the common "check
-// predicate, wait, recheck" loop shared by several pollers.
+// Signal is a broadcast condition: continuations wait on it with Notify
+// and any code can pulse it. It suits the common "check predicate, wait,
+// recheck" loop shared by several pollers.
 type Signal struct {
-	wq *WaitQueue
+	eng     *Engine
+	waiters ring.Deque[func()]
 }
 
 // NewSignal returns a signal bound to e.
-func NewSignal(e *Engine) *Signal { return &Signal{wq: NewWaitQueue(e)} }
+func NewSignal(e *Engine) *Signal { return &Signal{eng: e} }
 
-// Wait blocks p until the next Pulse.
-func (s *Signal) Wait(p *Proc) { s.wq.Wait(p) }
-
-// Notify is Wait for engine context: fn runs once, at the next Pulse. It
-// takes its FIFO place beside blocked processes and rides the same batched
-// wake event, so a continuation parked here resumes exactly where a process
-// parked in Wait would. fn is only ever called from that fired event, never
+// Notify parks fn until the next Pulse: fn runs once, from the one batched
+// event that delivers every waiter of that Pulse in FIFO order, never
 // synchronously inside Notify or Pulse. Pass a function value bound once
-// (e.g. a method value stored at setup): the queue stores it as is, so a
+// (e.g. a method value stored at setup): the signal stores it as is, so a
 // steady-state Notify allocates nothing.
-func (s *Signal) Notify(fn func()) { s.wq.waiters.PushBack(waiter{fn: fn}) }
+func (s *Signal) Notify(fn func()) { s.waiters.PushBack(fn) }
 
-// Pulse wakes all current waiters.
-func (s *Signal) Pulse() { s.wq.WakeAll() }
+// Pulse wakes all current waiters as one batched delivery: the N wakeups
+// ride a single timer-queue event at the current instant, so a broadcast
+// to a thousand waiters costs one event, not a thousand.
+func (s *Signal) Pulse() {
+	n := s.waiters.Len()
+	if n == 0 {
+		return
+	}
+	for i := 0; i < n; i++ {
+		s.eng.wakeQ = append(s.eng.wakeQ, s.waiters.PopFront())
+	}
+	s.eng.flushWakes(n)
+}
 
 // Ticker runs fn every interval of virtual time starting at the next
 // interval boundary, until the returned stop function is called.

@@ -1,42 +1,46 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
 )
 
+// TestQueueBlockingAndCapacity pins the bounded queue and its parked
+// getter: TryPut fails at capacity, and a getter parked on Notify wakes at
+// the instant items arrive and takes them in FIFO order.
 func TestQueueBlockingAndCapacity(t *testing.T) {
 	e := NewEngine(1)
 	defer e.Stop()
 	q := NewQueue[int](e, 2)
-	var produced, consumed []time.Duration
-	e.Spawn("producer", func(p *Proc) {
-		for i := 0; i < 4; i++ {
-			q.Put(p, i)
-			produced = append(produced, p.Now())
-		}
-	})
-	e.Spawn("consumer", func(p *Proc) {
-		for i := 0; i < 4; i++ {
-			p.Sleep(10 * time.Millisecond)
-			v := q.Get(p)
-			if v != i {
-				t.Errorf("got %d, want %d", v, i)
+	var got []int
+	var at []time.Duration
+	var take func()
+	take = func() {
+		for {
+			v, ok := q.TryGet()
+			if !ok {
+				q.Notify(take)
+				return
 			}
-			consumed = append(consumed, p.Now())
+			got = append(got, v)
+			at = append(at, e.Now())
 		}
-	})
+	}
+	e.Immediate(take)
+	var refused []int
+	for i := 0; i < 5; i++ {
+		i := i
+		e.At(time.Duration(i/3)*10*time.Millisecond, func() {
+			if !q.TryPut(i) {
+				refused = append(refused, i)
+			}
+		})
+	}
 	e.Run()
-	if len(produced) != 4 || len(consumed) != 4 {
-		t.Fatalf("produced %d consumed %d", len(produced), len(consumed))
-	}
-	// First two puts succeed immediately; third must wait for first get.
-	if produced[1] != 0 {
-		t.Fatalf("second put at %v, want 0", produced[1])
-	}
-	if produced[2] != 10*time.Millisecond {
-		t.Fatalf("third put at %v, want 10ms", produced[2])
+	if fmt.Sprint(got, at, refused) != "[0 1 3 4] [0s 0s 10ms 10ms] [2]" {
+		t.Fatalf("took %v at %v, refused %v; want [0 1 3 4] at [0s 0s 10ms 10ms], refused [2]", got, at, refused)
 	}
 }
 
@@ -70,9 +74,8 @@ func TestProcessorFCFSQueueing(t *testing.T) {
 	c := NewProcessor(e, "core", 1.0)
 	var finish []time.Duration
 	for i := 0; i < 3; i++ {
-		e.Spawn("job", func(p *Proc) {
-			c.Exec(p, 10*time.Millisecond)
-			finish = append(finish, p.Now())
+		e.Immediate(func() {
+			c.Run(10*time.Millisecond, func() { finish = append(finish, e.Now()) })
 		})
 	}
 	e.Run()
@@ -92,34 +95,10 @@ func TestProcessorSpeedScaling(t *testing.T) {
 	defer e.Stop()
 	wimpy := NewProcessor(e, "arm", 0.5)
 	var finish time.Duration
-	e.Spawn("job", func(p *Proc) {
-		wimpy.Exec(p, 10*time.Millisecond)
-		finish = p.Now()
-	})
+	job(e, wimpy, 10*time.Millisecond, &finish)
 	e.Run()
 	if finish != 20*time.Millisecond {
 		t.Fatalf("finish = %v, want 20ms on half-speed core", finish)
-	}
-}
-
-func TestCorePoolParallelism(t *testing.T) {
-	e := NewEngine(1)
-	defer e.Stop()
-	cp := NewCorePool(e, "pool", 2, 1.0)
-	var finish []time.Duration
-	for i := 0; i < 4; i++ {
-		e.Spawn("job", func(p *Proc) {
-			cp.Exec(p, 10*time.Millisecond)
-			finish = append(finish, p.Now())
-		})
-	}
-	e.Run()
-	// 2 cores, 4 jobs of 10ms: finish at 10,10,20,20.
-	want := []time.Duration{10 * time.Millisecond, 10 * time.Millisecond, 20 * time.Millisecond, 20 * time.Millisecond}
-	for i := range want {
-		if finish[i] != want[i] {
-			t.Fatalf("finish = %v, want %v", finish, want)
-		}
 	}
 }
 
@@ -129,10 +108,7 @@ func TestSignalBroadcast(t *testing.T) {
 	sig := NewSignal(e)
 	woken := 0
 	for i := 0; i < 3; i++ {
-		e.Spawn("waiter", func(p *Proc) {
-			sig.Wait(p)
-			woken++
-		})
+		sig.Notify(func() { woken++ })
 	}
 	e.After(time.Millisecond, func() { sig.Pulse() })
 	e.Run()
@@ -150,18 +126,27 @@ func TestQueueFIFOProperty(t *testing.T) {
 		defer e.Stop()
 		q := NewQueue[int](e, 0)
 		var got []int
-		e.Spawn("producer", func(p *Proc) {
-			for i := 0; i < n; i++ {
-				p.Sleep(time.Duration(e.Rand().Intn(100)) * time.Microsecond)
-				q.Put(p, i)
+		put := 0
+		var produce, consume, take func()
+		produce = func() {
+			q.TryPut(put)
+			if put++; put < n {
+				e.After(time.Duration(e.Rand().Intn(100))*time.Microsecond, produce)
 			}
-		})
-		e.Spawn("consumer", func(p *Proc) {
-			for i := 0; i < n; i++ {
-				p.Sleep(time.Duration(e.Rand().Intn(100)) * time.Microsecond)
-				got = append(got, q.Get(p))
+		}
+		take = func() {
+			v, ok := q.TryGet()
+			if !ok {
+				q.Notify(take)
+				return
 			}
-		})
+			if got = append(got, v); len(got) < n {
+				consume()
+			}
+		}
+		consume = func() { e.After(time.Duration(e.Rand().Intn(100))*time.Microsecond, take) }
+		e.Immediate(func() { e.After(time.Duration(e.Rand().Intn(100))*time.Microsecond, produce) })
+		e.Immediate(consume)
 		e.Run()
 		if len(got) != n {
 			return false
@@ -207,12 +192,9 @@ func TestProcessorChargeAndAccessors(t *testing.T) {
 	if c.BusyTime() != 10*time.Millisecond {
 		t.Fatalf("busy = %v, want 10ms mid-backlog", c.BusyTime())
 	}
-	// An Exec issued now waits behind both charges.
+	// A Run issued now waits behind both charges.
 	var done time.Duration
-	e.Spawn("job", func(p *Proc) {
-		c.Exec(p, 5*time.Millisecond)
-		done = p.Now()
-	})
+	job(e, c, 5*time.Millisecond, &done)
 	e.Run()
 	if done != 50*time.Millisecond {
 		t.Fatalf("exec finished at %v, want 50ms", done)
@@ -222,36 +204,9 @@ func TestProcessorChargeAndAccessors(t *testing.T) {
 	}
 }
 
-func TestCorePoolQueueDelayAndCharge(t *testing.T) {
-	e := NewEngine(1)
-	defer e.Stop()
-	cp := NewCorePool(e, "pool", 2, 1.0)
-	if cp.Size() != 2 || len(cp.Cores()) != 2 {
-		t.Fatal("pool accessors wrong")
-	}
-	cp.Charge(10 * time.Millisecond)
-	if cp.QueueDelay() != 0 {
-		t.Fatal("second core should be free")
-	}
-	cp.Charge(10 * time.Millisecond)
-	if cp.QueueDelay() != 10*time.Millisecond {
-		t.Fatalf("both busy: delay = %v", cp.QueueDelay())
-	}
-	// Nothing realized yet at t=0; once the backlog drains the pool has
-	// accumulated both charges.
-	if cp.BusyTime() != 0 {
-		t.Fatalf("pool busy = %v, want 0 at t=0", cp.BusyTime())
-	}
-	e.RunUntil(10 * time.Millisecond)
-	if cp.BusyTime() != 20*time.Millisecond {
-		t.Fatalf("pool busy = %v, want 20ms after backlog", cp.BusyTime())
-	}
-}
-
 // Property: realized busy time never exceeds elapsed virtual time on any
-// core and is monotone non-decreasing, under a randomized mix of blocking
-// Execs and non-blocking Charges (the Charge-during-Run double-accounting
-// regression).
+// core and is monotone non-decreasing, under a randomized mix of Runs and
+// Charges (the Charge-during-Run double-accounting regression).
 func TestProcessorBusyTimeWithinElapsed(t *testing.T) {
 	e := NewEngine(7)
 	defer e.Stop()
@@ -263,12 +218,14 @@ func TestProcessorBusyTimeWithinElapsed(t *testing.T) {
 	const horizon = 50 * time.Millisecond
 	for i := 0; i < 8; i++ {
 		c := cores[i%len(cores)]
-		e.Spawn("worker", func(p *Proc) {
-			for p.Now() < horizon {
-				c.Exec(p, time.Duration(1+e.Rand().Intn(500))*time.Microsecond)
-				p.Sleep(time.Duration(e.Rand().Intn(300)) * time.Microsecond)
+		var work, rest func()
+		work = func() {
+			if e.Now() < horizon {
+				c.Run(time.Duration(1+e.Rand().Intn(500))*time.Microsecond, rest)
 			}
-		})
+		}
+		rest = func() { e.After(time.Duration(e.Rand().Intn(300))*time.Microsecond, work) }
+		e.Immediate(work)
 	}
 	stopCharge := e.Ticker(173*time.Microsecond, func(now time.Duration) {
 		cores[e.Rand().Intn(len(cores))].Charge(time.Duration(e.Rand().Intn(400)) * time.Microsecond)
@@ -291,19 +248,22 @@ func TestProcessorBusyTimeWithinElapsed(t *testing.T) {
 	stopSample()
 }
 
+// TestProcAccessors pins the engine's process count: model code runs only
+// as event callbacks, so Procs reads 0 before, during and after a run.
 func TestProcAccessors(t *testing.T) {
 	e := NewEngine(1)
 	defer e.Stop()
-	p := e.Spawn("myproc", func(pr *Proc) {
-		if pr.Name() != "myproc" || pr.Engine() != e {
-			t.Error("proc accessors wrong")
-		}
+	q := NewQueue[int](e, 0)
+	during := -1
+	e.Immediate(func() {
+		q.Notify(func() {})
+		during = e.Procs()
 	})
-	if p.Done() {
-		t.Fatal("done before running")
+	if e.Procs() != 0 {
+		t.Fatalf("Procs = %d before the run, want 0", e.Procs())
 	}
 	e.Run()
-	if !p.Done() {
-		t.Fatal("not done after running")
+	if during != 0 || e.Procs() != 0 {
+		t.Fatalf("Procs = %d during the run and %d after, want 0", during, e.Procs())
 	}
 }

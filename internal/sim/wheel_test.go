@@ -142,67 +142,67 @@ func TestCancelSameTickInterleavings(t *testing.T) {
 	}
 }
 
-// TestProcWakeFencing kills the window where a process's pending wake
-// outlives the body: the Proc slot is recycled by a new Spawn before the
-// stale wake's instant arrives. The wake must be swallowed by the
-// generation fence, not resume the new occupant early.
+// TestProcWakeFencing kills the window where a fired timer's handle
+// outlives it: the node is recycled by the next schedule before the stale
+// handle is used. Canceling through the stale handle must not touch the
+// new occupant, and a continuation parked on a Signal wakes only at the
+// Pulse.
 func TestProcWakeFencing(t *testing.T) {
 	e := NewEngine(6)
-	q := NewWaitQueue(e)
-	woken := 0
-	e.Spawn("sleeper", func(p *Proc) {
-		p.Sleep(5 * tick)
-	})
-	e.RunUntil(5 * tick) // sleeper finishes, slot recycled
-	e.Spawn("waiter", func(p *Proc) {
-		q.Wait(p) // reuses the recycled slot; parks indefinitely
-		woken++
-	})
-	e.RunUntil(20 * tick)
-	if woken != 0 {
-		t.Fatal("recycled proc resumed by a stale or phantom wake")
+	sig := NewSignal(e)
+	woken, late := 0, 0
+	stale := e.After(5*tick, func() {})
+	e.RunUntil(5 * tick) // the timer fires; its node goes back to the pool
+	e.After(10*tick, func() { late++ })
+	sig.Notify(func() { woken++ })
+	stale.Cancel()
+	if stale.Pending() {
+		t.Fatal("a fired handle reports pending")
 	}
-	q.WakeAll()
+	e.RunUntil(20 * tick)
+	if woken != 0 || late != 1 {
+		t.Fatalf("woken = %d, late = %d before the Pulse; want 0, 1", woken, late)
+	}
+	sig.Pulse()
 	e.Run()
 	if woken != 1 {
 		t.Fatalf("woken = %d, want 1", woken)
 	}
 }
 
-// TestProcPoolReuse verifies spawn actually recycles process state and
-// that generations advance per occupancy.
+// TestProcPoolReuse verifies scheduling recycles event nodes and that
+// generations advance per occupancy.
 func TestProcPoolReuse(t *testing.T) {
 	e := NewEngine(7)
-	var first, second *Proc
-	e.Spawn("a", func(p *Proc) { first = p })
+	first := e.Immediate(func() {})
 	e.Run()
-	e.Spawn("b", func(p *Proc) { second = p })
-	e.Run()
-	if first != second {
-		t.Fatal("second spawn did not reuse the pooled proc")
+	second := e.Immediate(func() {})
+	if first.ev != second.ev || first.gen == second.gen {
+		t.Fatal("second schedule did not reuse the pooled node under a new generation")
 	}
-	if len(e.freeProcs) != 1 {
-		t.Fatalf("free list has %d procs, want 1", len(e.freeProcs))
+	e.Run()
+	if len(e.free) != 1 {
+		t.Fatalf("free list has %d nodes, want 1", len(e.free))
 	}
 }
 
-// TestSpawnSleepZeroAlloc asserts the steady-state spawn+sleep path is
-// allocation-free once the pool is primed (satellite: BenchmarkProcSpawn
-// must report 0 allocs/op).
+// TestSpawnSleepZeroAlloc asserts that a steady-state state machine —
+// started by Immediate, waiting twice on After through bound continuations
+// — is allocation-free once the event pool is primed.
 func TestSpawnSleepZeroAlloc(t *testing.T) {
 	e := NewEngine(8)
-	// Prime: first spawn allocates the Proc, channels, goroutine, timer.
-	e.Spawn("prime", func(p *Proc) { p.Sleep(tick) })
+	var first, second func()
+	first = func() { e.After(3*tick, second) }
+	second = func() {}
+	start := func() { e.After(tick, first) }
+	e.Immediate(start)
 	e.Run()
 	allocs := testing.AllocsPerRun(100, func() {
-		e.Spawn("steady", func(p *Proc) {
-			p.Sleep(tick)
-			p.Sleep(3 * tick)
-		})
+		e.Immediate(start)
 		e.Run()
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state spawn+sleep allocates %.1f/op, want 0", allocs)
+		t.Fatalf("steady-state start+sleep allocates %.1f/op, want 0", allocs)
 	}
 }
 
@@ -227,17 +227,19 @@ func TestWheelHeapEquivalenceProperty(t *testing.T) {
 // and interleave correctly with plain timers at the same instant.
 func TestBatchedWakeInterleaving(t *testing.T) {
 	e := NewEngine(9)
-	qa, qb := NewWaitQueue(e), NewWaitQueue(e)
+	qa, qb := NewSignal(e), NewSignal(e)
 	var order []string
 	for i := 0; i < 3; i++ {
 		name := string(rune('a' + i))
-		e.Spawn("wa-"+name, func(p *Proc) { qa.Wait(p); order = append(order, "A"+p.Name()) })
-		e.Spawn("wb-"+name, func(p *Proc) { qb.Wait(p); order = append(order, "B"+p.Name()) })
+		e.Immediate(func() {
+			qa.Notify(func() { order = append(order, "Awa-"+name) })
+			qb.Notify(func() { order = append(order, "Bwb-"+name) })
+		})
 	}
 	e.Run() // park everyone
-	qa.WakeAll()
+	qa.Pulse()
 	e.At(e.Now(), func() { order = append(order, "timer") })
-	qb.WakeAll()
+	qb.Pulse()
 	e.Run()
 	want := []string{"Awa-a", "Awa-b", "Awa-c", "timer", "Bwb-a", "Bwb-b", "Bwb-c"}
 	if len(order) != len(want) {

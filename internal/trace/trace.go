@@ -16,7 +16,7 @@
 // Stage spans come in two flavors. Tiling stages partition the request's
 // critical path: in steady state their per-request sum equals the
 // end-to-end latency (queue waits fold into the adjacent stage because all
-// cross-process handoffs in the engine happen at the same virtual instant).
+// handoffs between loops in the engine happen at the same virtual instant).
 // Detail spans (Span.Detail) overlap tiling stages — nested wire segments,
 // acknowledgment round-trips — and are excluded from reconciliation sums.
 //

@@ -13,8 +13,7 @@ import (
 // reaches the client. core.Cluster.SubmitChainSpec is a Submit.
 type Submit func(chain string, client, clone int, hedge time.Duration, reply func(ingress.Response))
 
-// Driver offers load to a system from engine callbacks; it spawns no
-// process. A closed loop (Clients > 0) is the paper's wrk clients
+// Driver offers load to a system from engine callbacks. A closed loop (Clients > 0) is the paper's wrk clients
 // (§4.1.3, §4.3): each keeps one request outstanding and issues the next
 // once the reply is back, after its think time. An open loop issues
 // arrivals whether or not replies return: Think paces them, Trace draws

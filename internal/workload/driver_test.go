@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -25,44 +24,6 @@ func (e *echo) submit(chain string, client, _ int, _ time.Duration, reply func(i
 	e.at = append(e.at, e.eng.Now())
 	if reply != nil {
 		e.eng.After(e.service, func() { reply(ingress.Response{}) })
-	}
-}
-
-// TestDriverSpawnsNoProcess runs every driver shape and checks that none
-// of them starts a process or hands control to one.
-func TestDriverSpawnsNoProcess(t *testing.T) {
-	rp, err := ParseTrace(strings.NewReader("0,a\n50,b,3\n50,a,1,2,20\n200,a\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := sim.NewEngine(1)
-	defer eng.Stop()
-	e := &echo{eng: eng, service: 10 * time.Microsecond}
-	ready := []func(){}
-	gate := func(fn func()) { ready = append(ready, fn) }
-	eng.At(time.Millisecond, func() {
-		for _, fn := range ready {
-			fn()
-		}
-	})
-	for _, d := range []*Driver{
-		{Chains: []string{"a", "b"}, Clients: 4, Ready: gate},
-		{Chains: []string{"a"}, Clients: 2, Think: func(int, int) time.Duration { return 30 * time.Microsecond }, Requests: 7},
-		{Chains: []string{"a"}, Think: Every(25 * time.Microsecond), Until: 3 * time.Millisecond},
-		{Trace: &TraceGen{Chains: []string{"a", "b"}, ZipfS: 1, BaseRPS: 20000, Period: time.Millisecond}},
-		{Replay: rp, Ready: gate},
-	} {
-		d.Start(eng, e.submit)
-	}
-	eng.RunUntil(5 * time.Millisecond)
-	if len(e.chains) < 1000 {
-		t.Fatalf("drivers issued only %d requests", len(e.chains))
-	}
-	if n := eng.Dispatches(); n != 0 {
-		t.Fatalf("drivers dispatched %d processes", n)
-	}
-	if n := eng.Procs(); n != 0 {
-		t.Fatalf("%d processes live", n)
 	}
 }
 
