@@ -39,15 +39,28 @@ check: vet race
 # plus the cluster-scale sweep
 # (BenchmarkScaleSweep: 100k-1M concurrent clients per point, wall-clock
 # ns/op and events/sec) and archives everything as BENCH_sim.json for
-# cross-commit comparison. The human-readable output goes to stderr. Each
-# scale point is deterministic for the fixed seed, so -benchtime 1x is exact.
+# cross-commit comparison. The human-readable output goes to stderr. The
+# microbenchmarks run in five rounds over the whole set, with the
+# host-speed reference (cmd/benchjson's BenchmarkHostSpeed, a fixed
+# standard-library workload) timed before each package and after the last
+# round; benchjson rescales each result by the reference readings around
+# it and archives its median over the rounds with the minimum and maximum
+# beside it. Rounds, not back-to-back repeats (-count): the host's speed
+# drifts in phases of seconds to minutes, and a benchmark's consecutive
+# repeats fall in one phase. BenchmarkEndToEndEcho and the scale sweep run
+# after the last reference reading and are archived as measured. Each
+# scale point is deterministic for the fixed seed, so -benchtime 1x is
+# exact.
 bench:
-	( $(GO) test -run '^$$' -bench 'BenchmarkEngine|BenchmarkProcessorRun$$|BenchmarkSignalNotify$$|BenchmarkQueueNotify$$|BenchmarkPSRun$$' -benchmem ./internal/sim/ ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkQPPostSend$$|BenchmarkCQPollInto$$' -benchmem ./internal/rdma/ ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkMempoolCachedGetPut$$' -benchmem ./internal/mempool/ ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkGatewayForward$$|BenchmarkChainCrossNode$$' -benchmem ./internal/gateway/ ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkFlightRecord$$' -benchmem ./internal/flightrec/ ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkCloneFanout$$' -benchmem ./internal/speculate/ ; \
+	( ref() { $(GO) test -run '^$$' -bench 'BenchmarkHostSpeed$$' -benchtime 300ms ./cmd/benchjson/ ; } ; \
+	  for round in 1 2 3 4 5; do \
+	  ref ; $(GO) test -run '^$$' -bench 'BenchmarkEngine|BenchmarkProcessorRun$$|BenchmarkSignalNotify$$|BenchmarkQueueNotify$$|BenchmarkPSRun$$' -benchmem ./internal/sim/ ; \
+	  ref ; $(GO) test -run '^$$' -bench 'BenchmarkQPPostSend$$|BenchmarkCQPollInto$$' -benchmem ./internal/rdma/ ; \
+	  ref ; $(GO) test -run '^$$' -bench 'BenchmarkMempoolCachedGetPut$$' -benchmem ./internal/mempool/ ; \
+	  ref ; $(GO) test -run '^$$' -bench 'BenchmarkGatewayForward$$|BenchmarkChainCrossNode$$' -benchmem ./internal/gateway/ ; \
+	  ref ; $(GO) test -run '^$$' -bench 'BenchmarkFlightRecord$$' -benchmem ./internal/flightrec/ ; \
+	  ref ; $(GO) test -run '^$$' -bench 'BenchmarkCloneFanout$$' -benchmem ./internal/speculate/ ; \
+	  done ; ref ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkEndToEndEcho$$' -benchmem -benchtime 5x . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkScaleSweep' -benchtime 1x -timeout 30m ./internal/experiments/ ) | $(GO) run ./cmd/benchjson > BENCH_sim.json
 
@@ -56,35 +69,43 @@ bench:
 # waits (FCFS and PS Run, Signal and Queue Notify; pinned at 0 allocs/op),
 # plus the data-plane fast path (QP send, CQ ring drain, cached mempool
 # Get/Put), the gateway forwarding path and the
-# flight-recorder record path (pinned at 0 allocs/op) — and fails if any
-# regressed more than 25% in ns/op, or allocates more per op, against the
-# archived BENCH_sim.json.
+# flight-recorder record path (pinned at 0 allocs/op) — in five rounds
+# with the host-speed reference around each package, as `bench` does, and
+# fails if any one's rescaled median regressed more than 25% in ns/op
+# against the archived median, or any run allocates more per op than
+# archived, in BENCH_sim.json.
 bench-gate:
-	( $(GO) test -run '^$$' -bench 'BenchmarkEngineSchedule$$|BenchmarkEngineImmediate$$|BenchmarkEngineFarTimers$$|BenchmarkProcessorRun$$|BenchmarkSignalNotify$$|BenchmarkQueueNotify$$|BenchmarkPSRun$$' -benchmem ./internal/sim/ ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkQPPostSend$$|BenchmarkCQPollInto$$' -benchmem ./internal/rdma/ ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkMempoolCachedGetPut$$' -benchmem ./internal/mempool/ ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkGatewayForward$$|BenchmarkChainCrossNode$$' -benchmem ./internal/gateway/ ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkFlightRecord$$' -benchmem ./internal/flightrec/ ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkCloneFanout$$' -benchmem ./internal/speculate/ ) | $(GO) run ./cmd/benchjson -gate BENCH_sim.json
+	( ref() { $(GO) test -run '^$$' -bench 'BenchmarkHostSpeed$$' -benchtime 300ms ./cmd/benchjson/ ; } ; \
+	  for round in 1 2 3 4 5; do \
+	  ref ; $(GO) test -run '^$$' -bench 'BenchmarkEngineSchedule$$|BenchmarkEngineImmediate$$|BenchmarkEngineFarTimers$$|BenchmarkProcessorRun$$|BenchmarkSignalNotify$$|BenchmarkQueueNotify$$|BenchmarkPSRun$$' -benchmem ./internal/sim/ ; \
+	  ref ; $(GO) test -run '^$$' -bench 'BenchmarkQPPostSend$$|BenchmarkCQPollInto$$' -benchmem ./internal/rdma/ ; \
+	  ref ; $(GO) test -run '^$$' -bench 'BenchmarkMempoolCachedGetPut$$' -benchmem ./internal/mempool/ ; \
+	  ref ; $(GO) test -run '^$$' -bench 'BenchmarkGatewayForward$$|BenchmarkChainCrossNode$$' -benchmem ./internal/gateway/ ; \
+	  ref ; $(GO) test -run '^$$' -bench 'BenchmarkFlightRecord$$' -benchmem ./internal/flightrec/ ; \
+	  ref ; $(GO) test -run '^$$' -bench 'BenchmarkCloneFanout$$' -benchmem ./internal/speculate/ ; \
+	  done ; ref ) | $(GO) run ./cmd/benchjson -gate BENCH_sim.json
 
 # bench-e2e runs the repository benchmark (bench/, declared by
-# BENCHMARK.json) once per workload at seed 1 with a 1 s budget — each run
-# does its minimum of 9 replicas, so the modeled metrics are exact for the
-# seed — and archives the four result lines as BENCH_e2e.json.
+# BENCHMARK.json) three times per workload at seed 1 with a 1 s budget —
+# each run does its minimum of 9 replicas, so the modeled metrics are exact
+# for the seed — in three rounds over the four workloads, and archives one
+# result per workload as BENCH_e2e.json: the modeled metrics, which must
+# agree across the three runs, and the median of each host metric.
 E2E_WORKLOADS := boutique-closed ingress-echo fabric-mt scale-open
 E2E_RUN = out=$$(mktemp); trap 'rm -f "$$out"' EXIT; \
-	for w in $(E2E_WORKLOADS); do \
+	for round in 1 2 3; do for w in $(E2E_WORKLOADS); do \
 		python3 bench/run.py --workload $$w --seed 1 --seconds 1 --trace 0 >> "$$out" || exit 1; \
-	done
+	done; done
 bench-e2e:
 	@$(E2E_RUN); $(GO) run ./cmd/benchjson -e2e < "$$out" > BENCH_e2e.json
 
-# bench-e2e-gate re-runs those four workloads and fails if any modeled
-# metric (vrps, vlat_mean_us, vlat_p999_us, dp_cores) differs from
-# BENCH_e2e.json, if any request fails, or if any host metric
-# (wall_ns_per_req, setup_s, allocs_per_req, live_heap_mb) is worse than
-# archived by more than its bound in BENCHMARK.json. A change that means to
-# move a modeled metric re-archives with `make bench-e2e` and says why.
+# bench-e2e-gate re-runs those four workloads three times each and fails
+# if any modeled metric (vrps, vlat_mean_us, vlat_p999_us, dp_cores)
+# differs between the runs or from BENCH_e2e.json, if any request fails,
+# or if the median of any host metric (wall_ns_per_req, setup_s,
+# allocs_per_req, live_heap_mb) is worse than archived by more than its
+# bound in BENCHMARK.json. A change that means to move a modeled metric
+# re-archives with `make bench-e2e` and says why.
 bench-e2e-gate:
 	@$(E2E_RUN); $(GO) run ./cmd/benchjson -e2e -gate BENCH_e2e.json < "$$out"
 

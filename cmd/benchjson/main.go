@@ -11,23 +11,37 @@
 // `nadino-bench -telemetry <dir>`) into the report, so the archived numbers
 // carry the end-of-run gauge snapshot of the run that produced them.
 //
+// Readings of the host-speed reference, BenchmarkHostSpeed (this package's
+// test), rescale the results between them: a result with a reading on
+// each side has its ns/op multiplied by refNsPerOp over the mean of the
+// two (normalize), so it reads as if the host ran at the reference speed.
+// A result without a reading on both sides stays as measured.
+//
+// Repeated results of one benchmark (rounds, or `go test -count N`) fold
+// into one: its ns/op is their median, with the minimum and maximum
+// archived beside it, and its allocs/op and B/op are their maximum.
+//
 // -gate <archived.json> switches to regression-gate mode: instead of
 // emitting a report, fresh results on stdin are compared against the
-// archived report. A benchmark fails the gate if its ns/op exceeds the
-// archived value by more than -gate-threshold (default 25%), or if its
-// allocs/op grew at all. Fresh benchmarks with no archived counterpart are
-// reported but do not fail. Exit status 1 on any failure (see
-// `make bench-gate`, wired into `make ci`).
+// archived report. A benchmark fails the gate if its (median) ns/op
+// exceeds the archived median by more than -gate-threshold (default 25%),
+// or if its allocs/op grew at all. Fresh benchmarks with no archived
+// counterpart, and the reference itself, are reported but do not fail.
+// Exit status 1 on any failure (see `make bench-gate`, wired into
+// `make ci`).
 //
 // -e2e switches the input to the repository benchmark's output
 // (`python3 bench/run.py --workload <w> ...`, any number of runs
-// concatenated): each run's JSON result line is archived under the workload
-// named in its "== <w> (timed run)" header (see `make bench-e2e`, which
-// writes BENCH_e2e.json). With -gate as well, fresh runs are compared
-// against that archive: a modeled metric (vrps, vlat_mean_us,
-// vlat_p999_us, dp_cores — exact for a seed) must not change at all, and a
-// host metric must not be worse than archived by more than its bound in
-// BENCHMARK.json's end_to_end list, read from the working directory (see
+// concatenated): each run's JSON result line belongs to the workload named
+// in its "== <w> (timed run)" header. Repeated runs of one workload fold
+// into one result: its modeled metrics (vrps, vlat_mean_us, vlat_p999_us,
+// dp_cores — exact for a seed) must be identical across the runs, each
+// host metric is the median of the runs, and the failed count is the
+// largest. The folded results are archived (see `make bench-e2e`, which
+// writes BENCH_e2e.json). With -gate as well, they are compared against
+// that archive: a modeled metric must not change at all, and a host metric
+// must not be worse than archived by more than its bound in BENCHMARK.json's
+// end_to_end list, read from the working directory (see
 // `make bench-e2e-gate`).
 package main
 
@@ -37,6 +51,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -45,10 +60,14 @@ import (
 // b.ReportMetric (e.g. the resilience benchmarks' recovery_ratio) land in
 // Metrics keyed by their unit string.
 type Result struct {
-	Name        string             `json:"name"`
-	Procs       int                `json:"procs"` // the -N GOMAXPROCS suffix
-	Iterations  int64              `json:"iterations"`
-	NsPerOp     float64            `json:"ns_per_op"`
+	Name       string  `json:"name"`
+	Procs      int     `json:"procs"` // the -N GOMAXPROCS suffix
+	Iterations int64   `json:"iterations"`
+	NsPerOp    float64 `json:"ns_per_op"`
+	// NsPerOpMin and NsPerOpMax bound the runs of a folded repeated
+	// benchmark (fold); they are absent for a single run.
+	NsPerOpMin  float64            `json:"ns_per_op_min,omitempty"`
+	NsPerOpMax  float64            `json:"ns_per_op_max,omitempty"`
 	OpsPerSec   float64            `json:"ops_per_sec"`
 	BytesPerOp  int64              `json:"bytes_per_op"`
 	AllocsPerOp int64              `json:"allocs_per_op"`
@@ -109,6 +128,104 @@ func parseLine(line string) (Result, bool) {
 	return r, r.NsPerOp > 0
 }
 
+// refName is the host-speed reference benchmark (hostspeed_test.go).
+const refName = "BenchmarkHostSpeed"
+
+// refNsPerOp is the reference's ns/op at the reference host speed, the
+// unit normalized results are expressed in: its median reading on the
+// 2-vCPU Xeon VM the archived BENCH_sim.json was measured on. Its value
+// only fixes the unit; every result is scaled against the same constant.
+const refNsPerOp = 4200
+
+// normalize rescales, in place, each result that has a reference reading
+// before and after it in rs (input order) by refNsPerOp over the mean of
+// the nearest two, and returns rs.
+func normalize(rs []Result) []Result {
+	before := -1.0
+	for i := range rs {
+		if rs[i].Name == refName {
+			before = rs[i].NsPerOp
+			continue
+		}
+		if before < 0 {
+			continue
+		}
+		for _, r := range rs[i+1:] {
+			if r.Name == refName {
+				rs[i].NsPerOp *= 2 * refNsPerOp / (before + r.NsPerOp)
+				rs[i].OpsPerSec = 1e9 / rs[i].NsPerOp
+				break
+			}
+		}
+	}
+	return rs
+}
+
+// median returns the median of vs (the mean of the middle two for an even
+// count); it reorders vs.
+func median(vs []float64) float64 {
+	sort.Float64s(vs)
+	n := len(vs)
+	if n%2 == 1 {
+		return vs[n/2]
+	}
+	return (vs[n/2-1] + vs[n/2]) / 2
+}
+
+// groupBy splits items into groups of one key, in order of first
+// appearance.
+func groupBy[T any](items []T, key func(T) string) [][]T {
+	idx := make(map[string]int)
+	var out [][]T
+	for _, it := range items {
+		i, ok := idx[key(it)]
+		if !ok {
+			i = len(out)
+			idx[key(it)] = i
+			out = append(out, nil)
+		}
+		out[i] = append(out[i], it)
+	}
+	return out
+}
+
+// fold merges repeated results of one benchmark name into one, in order of
+// first appearance: ns/op and each custom metric become their median (with
+// the ns/op minimum and maximum kept), iterations their sum, and B/op and
+// allocs/op their maximum, so any run that allocated more shows.
+func fold(rs []Result) []Result {
+	var out []Result
+	for _, g := range groupBy(rs, func(r Result) string { return r.Name }) {
+		r := g[0]
+		if len(g) > 1 {
+			ns := make([]float64, len(g))
+			r.Iterations = 0
+			for j, x := range g {
+				ns[j] = x.NsPerOp
+				r.Iterations += x.Iterations
+				r.BytesPerOp = max(r.BytesPerOp, x.BytesPerOp)
+				r.AllocsPerOp = max(r.AllocsPerOp, x.AllocsPerOp)
+			}
+			r.NsPerOp = median(ns) // sorts ns
+			r.NsPerOpMin, r.NsPerOpMax = ns[0], ns[len(ns)-1]
+			r.OpsPerSec = 1e9 / r.NsPerOp
+			if r.Metrics != nil {
+				m := make(map[string]float64, len(r.Metrics))
+				for k := range r.Metrics {
+					vs := make([]float64, len(g))
+					for j, x := range g {
+						vs[j] = x.Metrics[k]
+					}
+					m[k] = median(vs)
+				}
+				r.Metrics = m
+			}
+		}
+		out = append(out, r)
+	}
+	return out
+}
+
 // gate compares fresh results against an archived report and returns the
 // number of regressions, printing one verdict line per fresh benchmark.
 func gate(fresh []Result, archivedPath string, threshold float64) int {
@@ -123,6 +240,10 @@ func gate(fresh []Result, archivedPath string, threshold float64) int {
 	failures := 0
 	for _, r := range fresh {
 		b, ok := base[r.Name]
+		if r.Name == refName {
+			fmt.Printf("ref   %-40s %12.1f ns/op vs %12.1f archived (host speed, not gated)\n", r.Name, r.NsPerOp, b.NsPerOp)
+			continue
+		}
 		if !ok {
 			fmt.Printf("NEW   %-40s %12.1f ns/op (not archived, not gated)\n", r.Name, r.NsPerOp)
 			continue
@@ -270,6 +391,42 @@ func gateE2E(fresh []E2EResult, archivedPath, boundsPath string) int {
 	return failures
 }
 
+// foldE2E merges repeated runs of one workload into one result, in order
+// of first appearance. The modeled metrics are exact for a seed, so runs
+// that disagree on one are an error; each host metric becomes its median,
+// failed the largest count, and correct holds only if every run was.
+func foldE2E(rs []E2EResult) ([]E2EResult, error) {
+	var out []E2EResult
+	for _, g := range groupBy(rs, func(r E2EResult) string { return r.Workload }) {
+		r := g[0]
+		if len(g) > 1 {
+			m := make(map[string]E2EMetric, len(r.Metrics))
+			for name, first := range r.Metrics {
+				vs := make([]float64, len(g))
+				for j, x := range g {
+					xm, ok := x.Metrics[name]
+					if !ok {
+						return nil, fmt.Errorf("%s: metric %s missing from a run", r.Workload, name)
+					}
+					if modeledMetrics[name] && xm.Value != first.Value {
+						return nil, fmt.Errorf("%s: modeled metric %s differs across runs: %v vs %v",
+							r.Workload, name, xm.Value, first.Value)
+					}
+					vs[j] = xm.Value
+				}
+				m[name] = E2EMetric{Value: median(vs), Unit: first.Unit}
+			}
+			for _, x := range g[1:] {
+				r.Correct = r.Correct && x.Correct
+				r.Failed = max(r.Failed, x.Failed)
+			}
+			r.Metrics = m
+		}
+		out = append(out, r)
+	}
+	return out, nil
+}
+
 // readJSON decodes the JSON file at path into v, reporting failure on
 // stderr.
 func readJSON(path string, v any) bool {
@@ -295,6 +452,9 @@ func main() {
 		sc := bufio.NewScanner(os.Stdin)
 		sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 		results, err := parseE2E(sc)
+		if err == nil {
+			results, err = foldE2E(results)
+		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "benchjson:", err)
 			os.Exit(1)
@@ -352,6 +512,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
+	rep.Results = fold(normalize(rep.Results))
 	if *gatePath != "" {
 		if gate(rep.Results, *gatePath, *gateThreshold) > 0 {
 			os.Exit(1)

@@ -53,6 +53,7 @@ func TestGate(t *testing.T) {
 		{"regressed", []Result{{Name: "BenchmarkA", NsPerOp: 130}}, 1},
 		{"alloc-growth", []Result{{Name: "BenchmarkB", NsPerOp: 90, AllocsPerOp: 3}}, 1},
 		{"new-bench", []Result{{Name: "BenchmarkC", NsPerOp: 999}}, 0},
+		{"reference", []Result{{Name: refName, NsPerOp: 99999}}, 0},
 		{"mixed", []Result{
 			{Name: "BenchmarkA", NsPerOp: 200},
 			{Name: "BenchmarkB", NsPerOp: 100, AllocsPerOp: 2},
@@ -146,5 +147,75 @@ func TestGateE2E(t *testing.T) {
 				t.Fatalf("gateE2E = %d failures, want %d", got, tc.fails)
 			}
 		})
+	}
+}
+
+// TestFold pins the repeated-run fold: ns/op and custom metrics become
+// their median with the ns/op range kept, allocs/op the largest, and a
+// single run passes through unchanged.
+func TestFold(t *testing.T) {
+	rs := fold([]Result{
+		{Name: "BenchmarkA", Iterations: 10, NsPerOp: 130, AllocsPerOp: 0},
+		{Name: "BenchmarkB", Iterations: 5, NsPerOp: 7},
+		{Name: "BenchmarkA", Iterations: 10, NsPerOp: 100, AllocsPerOp: 1, Metrics: map[string]float64{"events/sec": 3}},
+		{Name: "BenchmarkA", Iterations: 10, NsPerOp: 110, AllocsPerOp: 0, Metrics: map[string]float64{"events/sec": 1}},
+	})
+	if len(rs) != 2 || rs[0].Name != "BenchmarkA" || rs[1].Name != "BenchmarkB" {
+		t.Fatalf("fold = %+v, want A then B", rs)
+	}
+	a := rs[0]
+	if a.NsPerOp != 110 || a.NsPerOpMin != 100 || a.NsPerOpMax != 130 || a.Iterations != 30 || a.AllocsPerOp != 1 {
+		t.Fatalf("folded A = %+v, want median 110 in [100, 130], 30 iterations, 1 alloc/op", a)
+	}
+	if rs[1].NsPerOp != 7 || rs[1].NsPerOpMin != 0 || rs[1].NsPerOpMax != 0 {
+		t.Fatalf("single run B = %+v, want it unchanged", rs[1])
+	}
+	if got := median([]float64{4, 1, 3, 2}); got != 2.5 {
+		t.Fatalf("median of an even count = %v, want 2.5", got)
+	}
+}
+
+// TestNormalize pins the host-speed rescaling: a result between two
+// reference readings is scaled by refNsPerOp over their mean, and one
+// without a reading on both sides stays as measured.
+func TestNormalize(t *testing.T) {
+	rs := normalize([]Result{
+		{Name: "BenchmarkEarly", NsPerOp: 10},
+		{Name: refName, NsPerOp: refNsPerOp / 2},
+		{Name: "BenchmarkA", NsPerOp: 100},
+		{Name: refName, NsPerOp: refNsPerOp / 2},
+		{Name: "BenchmarkB", NsPerOp: 50},
+		{Name: "BenchmarkC", NsPerOp: 30},
+		{Name: refName, NsPerOp: 3 * refNsPerOp / 2},
+		{Name: "BenchmarkLate", NsPerOp: 7},
+	})
+	want := []float64{10, refNsPerOp / 2, 200, refNsPerOp / 2, 50, 30, 3 * refNsPerOp / 2, 7}
+	for i, r := range rs {
+		if r.NsPerOp != want[i] {
+			t.Errorf("%s: ns/op %v, want %v", r.Name, r.NsPerOp, want[i])
+		}
+	}
+	if rs[2].OpsPerSec != 1e9/200 {
+		t.Errorf("BenchmarkA: ops/sec %v, want %v", rs[2].OpsPerSec, 1e9/200)
+	}
+}
+
+// TestFoldE2E pins the end-to-end fold: host metrics become their median,
+// a failing run's count survives, and runs that disagree on a modeled
+// metric are an error.
+func TestFoldE2E(t *testing.T) {
+	run := func(wall, vrps float64, failed int) E2EResult {
+		return E2EResult{Workload: "w", Correct: true, Attempted: 10, Failed: failed, Metrics: map[string]E2EMetric{
+			"vrps": {Value: vrps, Unit: "1/s"}, "wall_ns_per_req": {Value: wall, Unit: "ns"}}}
+	}
+	rs, err := foldE2E([]E2EResult{run(900, 100, 0), run(1200, 100, 2), run(1000, 100, 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rs) != 1 || rs[0].Metrics["wall_ns_per_req"].Value != 1000 || rs[0].Metrics["vrps"].Value != 100 || rs[0].Failed != 2 {
+		t.Fatalf("foldE2E = %+v, want median wall 1000, vrps 100, 2 failed", rs)
+	}
+	if _, err := foldE2E([]E2EResult{run(900, 100, 0), run(900, 101, 0)}); err == nil {
+		t.Fatal("foldE2E accepted runs whose modeled metrics differ")
 	}
 }

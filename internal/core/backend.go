@@ -155,12 +155,11 @@ func (b *rdmaBackend) Forward(req ingress.Request, done func(ingress.Response)) 
 	if req.Group != nil {
 		rc.Spec = req.Group.Killed
 	}
+	mc := &msgCtx{Kind: kindRequest, Req: rc}
 	d := mempool.Descriptor{
-		Tenant: t.name, Buf: buf, Len: req.Bytes,
-		Src: "ingress", Dst: entry.name,
-		Ctx:   &msgCtx{Kind: kindRequest, Req: rc},
+		Tenant: t.name, Buf: buf, Len: int32(req.Bytes),
 		Trace: req.Trace,
-		Spec:  rc.Spec,
+		Msg:   mc.record("ingress", entry.name, rc.Spec),
 	}
 	entry.noteInflight()
 	cp := t.conns[string(entry.node.name)]
@@ -184,7 +183,7 @@ func (b *rdmaBackend) poll() {
 				break
 			}
 			for i := 0; i < n; i++ {
-				cqe := b.cqeBuf[i]
+				cqe := &b.cqeBuf[i]
 				t := b.tenant(cqe.Desc.Tenant)
 				switch cqe.Op {
 				case rdma.OpSend:
@@ -198,9 +197,9 @@ func (b *rdmaBackend) poll() {
 						}
 					}
 				case rdma.OpRecv:
-					d := cqe.Desc
+					d := &cqe.Desc
 					d.Trace.EndStage(trace.StageRDMACQ)
-					mc, ok := d.Ctx.(*msgCtx)
+					mc, ok := d.Msg.Ctx.(*msgCtx)
 					if !ok || mc.IngressDone == nil {
 						panic("core: ingress received response without done callback")
 					}
@@ -256,10 +255,11 @@ func (b *tcpBackend) Forward(req ingress.Request, done func(ingress.Response)) {
 		rc.Spec = req.Group.Killed
 	}
 	mc := &msgCtx{Kind: kindRequest, Req: rc}
+	mc.record("ingress", entry.name, nil)
 	entry.noteInflight()
 	t0 := b.c.Eng.Now()
 	b.c.Eng.After(b.c.tcpTransit(b.c.workerStack()), func() {
 		req.Trace.Record(trace.StageTransit, "wire", t0, b.c.Eng.Now())
-		entry.tcpIn.TryPut(tcpMsg{Bytes: req.Bytes, Src: "ingress", Ctx: mc, Trace: req.Trace})
+		entry.tcpIn.TryPut(tcpMsg{Bytes: req.Bytes, Ctx: mc, Trace: req.Trace})
 	})
 }

@@ -129,8 +129,7 @@ type Function struct {
 // pool buffer travels with it).
 type tcpMsg struct {
 	Bytes int
-	Src   string
-	Ctx   *msgCtx
+	Ctx   *msgCtx // its record names source and destination
 	Trace *trace.Req
 }
 

@@ -191,7 +191,7 @@ func TestFuyaoRetryBatchSurvivesStall(t *testing.T) {
 	c.Eng.RunFor(time.Millisecond)
 	dsts := map[string]int{}
 	for _, d := range e.deferred {
-		dsts[d.Dst]++
+		dsts[d.Msg.Dst]++
 	}
 	if len(e.deferred) < 3 || len(dsts) != 2 {
 		t.Fatalf("deferred %d messages to %v; want at least 3 over two destinations", len(e.deferred), dsts)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 	"time"
 
@@ -185,6 +186,17 @@ func checkWeight(w int) error {
 	return nil
 }
 
+// checkSizes rejects a message size outside [0, math.MaxInt32]: a
+// descriptor carries its length as an int32 (mempool.Descriptor.Len).
+func checkSizes(req, resp int) error {
+	for _, n := range [2]int{req, resp} {
+		if n < 0 || n > math.MaxInt32 {
+			return fmt.Errorf("message size %d outside [0, %d]", n, math.MaxInt32)
+		}
+	}
+	return nil
+}
+
 // Validate checks a configuration for structural errors before it is used
 // to build a cluster (NewCluster panics on malformed input; Validate turns
 // the common mistakes into errors first).
@@ -226,6 +238,9 @@ func (c Config) Validate() error {
 			if !fns[call.Callee] {
 				return fmt.Errorf("core: chain %q calls unknown function %q", chain, call.Callee)
 			}
+			if err := checkSizes(call.ReqBytes, call.RespBytes); err != nil {
+				return fmt.Errorf("core: chain %q call to %q: %w", chain, call.Callee, err)
+			}
 			if err := checkCalls(chain, call.Calls); err != nil {
 				return err
 			}
@@ -240,6 +255,9 @@ func (c Config) Validate() error {
 		chains[ch.Name] = true
 		if !fns[ch.Entry] {
 			return fmt.Errorf("core: chain %q entry %q unknown", ch.Name, ch.Entry)
+		}
+		if err := checkSizes(ch.ReqBytes, ch.RespBytes); err != nil {
+			return fmt.Errorf("core: chain %q: %w", ch.Name, err)
 		}
 		if err := checkCalls(ch.Name, ch.Calls); err != nil {
 			return err

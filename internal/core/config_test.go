@@ -103,6 +103,8 @@ func TestValidateCatchesMistakes(t *testing.T) {
 		{"bad entry", func(c *Config) { c.Chains[0].Entry = "ghost" }},
 		{"bad callee", func(c *Config) { c.Chains[0].Calls[0].Callee = "ghost" }},
 		{"duplicate chain", func(c *Config) { c.Chains = append(c.Chains, c.Chains[0]) }},
+		{"negative chain size", func(c *Config) { c.Chains[0].RespBytes = -1 }},
+		{"negative call size", func(c *Config) { c.Chains[0].Calls[1].ReqBytes = -1 }},
 	}
 	for _, tc := range cases {
 		cfg := base()
@@ -117,6 +119,29 @@ func TestLoadConfigRejectsUnknownFields(t *testing.T) {
 	bad := strings.Replace(sampleConfig, `"seed": 7`, `"sed": 7`, 1)
 	if _, err := LoadConfig(strings.NewReader(bad)); err == nil {
 		t.Fatal("typo'd field accepted")
+	}
+}
+
+// TestLoadConfigRejectsOversizedMessages: a descriptor's length is an
+// int32, so a size of 2 GiB or more would wrap to a negative length.
+func TestLoadConfigRejectsOversizedMessages(t *testing.T) {
+	for _, tc := range []struct{ old, new string }{
+		{`"req_bytes": 512`, `"req_bytes": 2147483648`},
+		{`"req_bytes": 1024, "resp_bytes": 1024, "async": true},
+       {`, `"req_bytes": 1024, "resp_bytes": 4294967296, "async": true},
+       {`},
+	} {
+		bad := strings.Replace(sampleConfig, tc.old, tc.new, 1)
+		if bad == sampleConfig {
+			t.Fatalf("%s: not found in the sample config", tc.old)
+		}
+		if _, err := LoadConfig(strings.NewReader(bad)); err == nil {
+			t.Errorf("%s accepted", tc.new)
+		}
+	}
+	ok := strings.Replace(sampleConfig, `"req_bytes": 512`, `"req_bytes": 2147483647`, 1)
+	if _, err := LoadConfig(strings.NewReader(ok)); err != nil {
+		t.Errorf("largest int32 size refused: %v", err)
 	}
 }
 

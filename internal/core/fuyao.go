@@ -209,7 +209,7 @@ func (e *fuyaoEngine) loop() {
 			return
 		case fyCQ:
 			for i, m := 0, e.cq.PollInto(e.cqeBuf); i < m; i++ {
-				cqe := e.cqeBuf[i]
+				cqe := &e.cqeBuf[i]
 				if cqe.Op == rdma.OpWrite && cqe.Desc.Tenant != "" {
 					// Source buffer can be recycled now.
 					if err := e.node.pool(cqe.Desc.Tenant).Put(cqe.Desc.Buf, e.owner); err != nil {
@@ -251,7 +251,7 @@ const (
 // charge is set.
 func (e *fuyaoEngine) tx(d mempool.Descriptor, charge bool) txResult {
 	p := e.c.P
-	dst := e.c.fns[d.Dst]
+	dst := e.c.fns[d.Msg.Dst]
 	if dst == nil {
 		return txSent // drop unroutable
 	}
@@ -313,8 +313,8 @@ func (e *fuyaoEngine) copyNext() {
 }
 
 func (e *fuyaoEngine) copied() {
-	l := e.landed[e.li]
-	dstFn := e.c.fns[l.Desc.Dst]
+	l := &e.landed[e.li]
+	dstFn := e.c.fns[l.Desc.Msg.Dst]
 	if dstFn == nil {
 		e.returnCredit(l)
 		e.li++
@@ -330,10 +330,10 @@ func (e *fuyaoEngine) copied() {
 // polledBuf hands the copy to its function. A copy the pool cannot take
 // loses the message, and with it the call it carries.
 func (e *fuyaoEngine) polledBuf() {
-	l := e.landed[e.li]
+	l := &e.landed[e.li]
 	if e.pbuf.err != nil {
 		e.returnCredit(l)
-		e.c.dropped(l.Desc.Ctx)
+		e.c.dropped(l.Desc.Msg.Ctx)
 		e.li++
 		e.copyNext()
 		return
@@ -344,8 +344,8 @@ func (e *fuyaoEngine) polledBuf() {
 }
 
 func (e *fuyaoEngine) handed() {
-	l := e.landed[e.li]
-	e.c.fns[l.Desc.Dst].localIn.Send(e.pd)
+	l := &e.landed[e.li]
+	e.c.fns[l.Desc.Msg.Dst].localIn.Send(e.pd)
 	e.pd = mempool.Descriptor{}
 	e.rxCount++
 	e.returnCredit(l)
@@ -354,8 +354,8 @@ func (e *fuyaoEngine) handed() {
 }
 
 // returnCredit ships the landed slot back to the sender's free ring.
-func (e *fuyaoEngine) returnCredit(l rdma.Landed) {
-	srcFn := e.c.fns[l.Desc.Src]
+func (e *fuyaoEngine) returnCredit(l *rdma.Landed) {
+	srcFn := e.c.fns[l.Desc.Msg.Src]
 	if srcFn == nil {
 		return
 	}

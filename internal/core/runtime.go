@@ -72,7 +72,7 @@ func (h *handler) next() {
 		}
 		tr := d.Trace
 		tr.EndStage(trace.StageFnQueue)
-		mc, ok := d.Ctx.(*msgCtx)
+		mc, ok := d.Msg.Ctx.(*msgCtx)
 		if !ok || mc.Kind != kindRequest || mc.Req == nil {
 			panic(fmt.Sprintf("core: %s received malformed request descriptor", f.name))
 		}
@@ -311,14 +311,14 @@ func (op *callOp) invokeBuf() {
 	}
 	f, call := op.f, op.call
 	op.cc = &callCtx{}
+	mc := &msgCtx{Kind: kindRequest, Req: &reqCtx{
+		Chain: op.chain, Calls: call.Calls, RespBytes: call.RespBytes,
+		ReplyTo: f.name, Call: op.cc,
+	}}
 	d := mempool.Descriptor{
-		Tenant: f.tenant, Buf: op.buf.buf, Len: call.ReqBytes,
-		Src: f.name, Dst: call.Callee,
-		Ctx: &msgCtx{Kind: kindRequest, Req: &reqCtx{
-			Chain: op.chain, Calls: call.Calls, RespBytes: call.RespBytes,
-			ReplyTo: f.name, Call: op.cc,
-		}},
+		Tenant: f.tenant, Buf: op.buf.buf, Len: int32(call.ReqBytes),
 		Trace: op.tr,
+		Msg:   mc.record(f.name, call.Callee, nil),
 	}
 	op.sent = op.invokeSentFn
 	if op.send(call.Callee, d) {
@@ -392,26 +392,25 @@ func (op *callOp) replyBuf() {
 	}
 	op.sent = op.replySentFn
 	if rc.IngressDone != nil {
+		mc := &msgCtx{Kind: kindResponse, IngressDone: rc.IngressDone, Stamp: rc.Stamp}
 		d := mempool.Descriptor{
-			Tenant: f.tenant, Buf: op.buf.buf, Len: rc.RespBytes,
-			Src: f.name, Dst: "ingress",
-			Ctx:   &msgCtx{Kind: kindResponse, IngressDone: rc.IngressDone, Stamp: rc.Stamp},
+			Tenant: f.tenant, Buf: op.buf.buf, Len: int32(rc.RespBytes),
 			Trace: op.tr,
 			// The response leg keeps the probe: a loser's response is
 			// killed at the DNE TX gate, while the winner's response always
 			// passes it before the group resolves at the ingress boundary.
-			Spec: rc.Spec,
+			Msg: mc.record(f.name, "ingress", rc.Spec),
 		}
 		if op.sendPort(d) {
 			op.replySent()
 		}
 		return
 	}
+	mc := &msgCtx{Kind: kindResponse, Call: rc.Call}
 	d := mempool.Descriptor{
-		Tenant: f.tenant, Buf: op.buf.buf, Len: rc.RespBytes,
-		Src: f.name, Dst: rc.ReplyTo,
-		Ctx:   &msgCtx{Kind: kindResponse, Call: rc.Call},
+		Tenant: f.tenant, Buf: op.buf.buf, Len: int32(rc.RespBytes),
 		Trace: op.tr,
+		Msg:   mc.record(f.name, rc.ReplyTo, nil),
 	}
 	if op.send(rc.ReplyTo, d) {
 		op.replySent()
@@ -470,8 +469,10 @@ func (op *callOp) send(dst string, d mempool.Descriptor) bool {
 		op.err = fmt.Errorf("core: unknown destination function %q", dst)
 		return true
 	}
-	d.Dst = target.name // concrete instance after load balancing
-	if mc, ok := d.Ctx.(*msgCtx); ok && mc.Kind == kindRequest {
+	// The concrete instance after load balancing: the record's last write,
+	// made before the descriptor's first hand-off.
+	d.Msg.Dst = target.name
+	if mc, ok := d.Msg.Ctx.(*msgCtx); ok && mc.Kind == kindRequest {
 		// Count the request against the instance from routing time: the
 		// autoscaler's concurrency signal must see work queued anywhere
 		// along the path, not only what reached the inbox.
@@ -507,13 +508,13 @@ func (op *callOp) send(dst string, d mempool.Descriptor) bool {
 		// SPRIGHT inter-node: kernel TCP on the function cores, with the
 		// payload copied through the sockets.
 		op.via, op.st = viaTCP, transport.Kernel
-		cost = transport.SendCost(p, transport.Kernel, d.Len)
+		cost = transport.SendCost(p, transport.Kernel, int(d.Len))
 		op.sp = d.Trace.Begin(transport.Kernel.TraceStage(), f.name)
 	case Junction:
 		// Junction uses its kernel-bypass TCP stack for every hop, local
 		// or remote; data is copied through the stack either way.
 		op.via, op.st = viaTCP, transport.Junction
-		cost = transport.SendCost(p, transport.Junction, d.Len)
+		cost = transport.SendCost(p, transport.Junction, int(d.Len))
 		op.sp = d.Trace.Begin(transport.Junction.TraceStage(), f.name)
 	default:
 		op.err = fmt.Errorf("core: unhandled system %v", c.cfg.System)
@@ -574,7 +575,7 @@ func (op *callOp) sendDone() {
 // tcpShip delivers a copied message to the target's socket inbox after the
 // stack's transit latency.
 func (c *Cluster) tcpShip(target *Function, d mempool.Descriptor, st transport.Stack) {
-	m := tcpMsg{Bytes: d.Len, Src: d.Src, Ctx: d.Ctx.(*msgCtx), Trace: d.Trace}
+	m := tcpMsg{Bytes: int(d.Len), Ctx: d.Msg.Ctx.(*msgCtx), Trace: d.Trace}
 	t0 := c.Eng.Now()
 	c.Eng.After(c.tcpTransit(st), func() {
 		m.Trace.Record(trace.StageTransit, "wire", t0, c.Eng.Now())
@@ -693,9 +694,8 @@ func (r *receiver) tcpBuf() {
 		return
 	}
 	d := mempool.Descriptor{
-		Tenant: f.tenant, Buf: r.buf.buf, Len: m.Bytes,
-		Src: m.Src, Dst: f.name, Ctx: m.Ctx,
-		Trace: m.Trace,
+		Tenant: f.tenant, Buf: r.buf.buf, Len: int32(m.Bytes),
+		Trace: m.Trace, Msg: &m.Ctx.msg,
 	}
 	if r.deliver(d) {
 		r.loop()
@@ -712,7 +712,7 @@ func (r *receiver) deliver(d mempool.Descriptor) bool {
 	if d.Tenant != "" && d.Tenant != f.tenant {
 		r.d = d
 		r.sp = d.Trace.Begin(trace.StageSidecar, f.name)
-		f.core.Run(r.c.P.MemcpyBase+params.Bytes(r.c.P.MemcpyPerByteCached, d.Len), r.copiedFn)
+		f.core.Run(r.c.P.MemcpyBase+params.Bytes(r.c.P.MemcpyPerByteCached, int(d.Len)), r.copiedFn)
 		return false
 	}
 	r.c.demux(f, d)
@@ -736,7 +736,7 @@ func (r *receiver) copyBuf() {
 	srcPool := f.node.pool(d.Tenant)
 	if r.buf.err != nil {
 		_ = srcPool.Put(d.Buf, f.owner)
-		c.dropped(d.Ctx)
+		c.dropped(d.Msg.Ctx)
 		r.loop()
 		return
 	}
@@ -753,7 +753,7 @@ func (r *receiver) copyBuf() {
 // demux hands a delivered descriptor to f: requests go to the handler
 // inbox, responses to the waiting caller.
 func (c *Cluster) demux(f *Function, d mempool.Descriptor) {
-	mc, ok := d.Ctx.(*msgCtx)
+	mc, ok := d.Msg.Ctx.(*msgCtx)
 	if !ok {
 		panic(fmt.Sprintf("core: %s received descriptor without context", f.name))
 	}

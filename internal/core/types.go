@@ -203,6 +203,8 @@ type reqCtx struct {
 }
 
 // msgCtx is the Ctx payload carried by every descriptor in the cluster.
+// It holds its message's descriptor record too, so a message costs one
+// allocation.
 type msgCtx struct {
 	Kind msgKind
 	Req  *reqCtx  // kindRequest
@@ -210,4 +212,13 @@ type msgCtx struct {
 	// IngressDone set on responses headed back to the ingress.
 	IngressDone func(ingress.Response)
 	Stamp       time.Duration
+	// msg is the message's write-once descriptor record; its Ctx points
+	// back to this msgCtx.
+	msg mempool.Msg
+}
+
+// record fills mc's descriptor record and returns it.
+func (mc *msgCtx) record(src, dst string, spec func() bool) *mempool.Msg {
+	mc.msg = mempool.Msg{Src: src, Dst: dst, Ctx: mc, Spec: spec}
+	return &mc.msg
 }

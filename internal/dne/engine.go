@@ -393,9 +393,9 @@ func (e *Engine) frDrop(k flightrec.Kind, d *mempool.Descriptor) {
 	e.rec.Record(k, e.recActor, int64(d.TenantID-1), int64(d.Len))
 }
 
-// SetDropHook installs fn to receive the Ctx of every descriptor the engine
-// drops for good — no route, no port, or the transport retry budget spent —
-// so the layer that issued it can fail whatever waits on it. Losing
+// SetDropHook installs fn to receive the record Ctx of every descriptor the
+// engine drops for good — no route, no port, or the transport retry budget
+// spent — so the layer that issued it can fail whatever waits on it. Losing
 // speculative clones killed at the TX gate are kills, not drops, and are
 // not reported. fn runs in engine context.
 func (e *Engine) SetDropHook(fn func(ctx any)) { e.onDrop = fn }
@@ -564,7 +564,7 @@ func (e *Engine) pass() {
 				}
 				w.did = true
 			}
-			cqe := e.cqeBuf[w.cqe]
+			cqe := &e.cqeBuf[w.cqe]
 			w.cqe++
 			if e.handleCQE(cqe) {
 				return
@@ -665,7 +665,7 @@ func (e *Engine) tenantOf(d *mempool.Descriptor) *tenantState {
 // pass must wait for it; a killed speculative clone finishes at once.
 // Tenant and destination resolve by their interned IDs (slice indexing).
 func (e *Engine) txOne(d mempool.Descriptor) bool {
-	if d.Spec != nil && d.Spec() {
+	if spec := d.Msg.Spec; spec != nil && spec() {
 		// A speculative clone whose group already completed elsewhere:
 		// kill it at the TX gate, before it spends engine work or a WR.
 		// The buffer returns to the tenant pool here; the DWRR credit it
@@ -717,7 +717,7 @@ func (e *Engine) txRoute() {
 	}
 	if e.cfg.Mode == OnPath {
 		// Stage payload into SoC memory through the slow DMA engine.
-		e.onPathDMA(d.Len, w.txPostFn)
+		e.onPathDMA(int(d.Len), w.txPostFn)
 		return
 	}
 	e.txPost()
@@ -728,7 +728,7 @@ func (e *Engine) txDrop() {
 	w := &e.w
 	e.dropNoRoute++
 	e.frDrop(flightrec.KindDropNoRoute, &w.d)
-	e.lost(w.d.Ctx)
+	e.lost(w.d.Msg.Ctx)
 	e.releaseBuffer(w.d)
 	w.sp.End()
 	e.next()
@@ -747,7 +747,7 @@ func (e *Engine) txSent() {
 
 // handleCQE starts the RX stage for one completion and reports whether the
 // pass must wait for it.
-func (e *Engine) handleCQE(cqe rdma.CQE) bool {
+func (e *Engine) handleCQE(cqe *rdma.CQE) bool {
 	switch cqe.Op {
 	case rdma.OpSend:
 		// Sender-side completion: recycle the source buffer.
@@ -780,7 +780,7 @@ func (e *Engine) sent() {
 		}
 		e.dropRetryBudget++
 		e.frDrop(flightrec.KindDropRetry, &w.d)
-		e.lost(w.d.Ctx)
+		e.lost(w.d.Msg.Ctx)
 	}
 	e.releaseBuffer(w.d)
 	e.next()
@@ -801,7 +801,7 @@ func (e *Engine) rx(d mempool.Descriptor, from mempool.Owner) {
 func (e *Engine) rxRan() {
 	if e.cfg.Mode == OnPath && e.w.from == e.rqOwner {
 		// The receive was staged in SoC memory; push it to the host pool.
-		e.onPathDMA(e.w.d.Len, e.w.rxLandFn)
+		e.onPathDMA(int(e.w.d.Len), e.w.rxLandFn)
 		return
 	}
 	e.rxLand()
@@ -812,11 +812,11 @@ func (e *Engine) rxLand() {
 	w := &e.w
 	d := &w.d
 	pool := e.tenantOf(d).pool
-	fp, ok := e.ports[d.Dst]
+	fp, ok := e.ports[d.Msg.Dst]
 	if !ok {
 		e.dropNoPort++
 		e.frDrop(flightrec.KindDropNoPort, d)
-		e.lost(d.Ctx)
+		e.lost(d.Msg.Ctx)
 		if err := pool.Put(d.Buf, w.from); err != nil {
 			panic(fmt.Sprintf("dne: landed buffer recycle failed: %v", err))
 		}
@@ -824,7 +824,7 @@ func (e *Engine) rxLand() {
 		e.next()
 		return
 	}
-	if err := pool.Transfer(d.Buf, w.from, mempool.Owner(d.Dst)); err != nil {
+	if err := pool.Transfer(d.Buf, w.from, mempool.Owner(d.Msg.Dst)); err != nil {
 		panic(fmt.Sprintf("dne: RX ownership handoff failed: %v", err))
 	}
 	e.rxCount++

@@ -151,8 +151,8 @@ func (r *pairRig) startEchoServer(t *testing.T) {
 			return
 		}
 		out := mempool.Descriptor{
-			Tenant: rigTenant, Buf: reply, Len: d.Len,
-			Src: "srv", Dst: d.Src, Seq: d.Seq, Stamp: d.Stamp, Ctx: d.Ctx,
+			Tenant: rigTenant, Buf: reply, Len: d.Len, Seq: d.Seq,
+			Msg: &mempool.Msg{Src: "srv", Dst: d.Msg.Src, Ctx: d.Msg.Ctx},
 		}
 		if err := r.poolB.Put(d.Buf, "srv"); err != nil {
 			t.Error(err)
@@ -186,8 +186,8 @@ func (r *pairRig) runEcho(t *testing.T, n, payload int) []time.Duration {
 		}
 		start := r.eng.Now()
 		d := mempool.Descriptor{
-			Tenant: rigTenant, Buf: buf, Len: payload,
-			Src: "cli", Dst: "srv", Seq: uint64(i), Stamp: start,
+			Tenant: rigTenant, Buf: buf, Len: int32(payload), Seq: uint64(i),
+			Msg: &mempool.Msg{Src: "cli", Dst: "srv"},
 		}
 		sendOn(r.portCli, r.coreA, d, func(err error) {
 			if err != nil {
@@ -281,7 +281,7 @@ func TestOnPathSlowerThanOffPathUnderLoad(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			d := mempool.Descriptor{Tenant: rigTenant, Buf: buf, Len: 1024, Src: "cli", Dst: "srv"}
+			d := mempool.Descriptor{Tenant: rigTenant, Buf: buf, Len: 1024, Msg: &mempool.Msg{Src: "cli", Dst: "srv"}}
 			sendOn(r.portCli, r.coreA, d, func(err error) {
 				if err != nil {
 					t.Error(err)
@@ -321,7 +321,7 @@ func TestEngineOwnershipViolationSurfaceable(t *testing.T) {
 	var sendErr error
 	r.onReady(func() {
 		buf, _ := r.poolA.Get("someone-else")
-		d := mempool.Descriptor{Tenant: rigTenant, Buf: buf, Len: 64, Src: "cli", Dst: "srv"}
+		d := mempool.Descriptor{Tenant: rigTenant, Buf: buf, Len: 64, Msg: &mempool.Msg{Src: "cli", Dst: "srv"}}
 		sendOn(r.portCli, r.coreA, d, func(err error) { sendErr = err })
 	})
 	r.eng.RunUntil(time.Second)
@@ -378,7 +378,7 @@ func TestEngineDropsUnroutableDescriptors(t *testing.T) {
 		inUse := r.poolA.InUse()
 		// Unknown destination: no route at all.
 		buf, _ := r.poolA.Get("cli")
-		d := mempool.Descriptor{Tenant: rigTenant, Buf: buf, Len: 64, Src: "cli", Dst: "ghost"}
+		d := mempool.Descriptor{Tenant: rigTenant, Buf: buf, Len: 64, Msg: &mempool.Msg{Src: "cli", Dst: "ghost"}}
 		sendOn(r.portCli, r.coreA, d, func(err error) {
 			sendErr = err
 			r.eng.After(5*time.Millisecond, func() {
@@ -462,13 +462,13 @@ func TestGatewayLandedDelivery(t *testing.T) {
 				landed = buf
 			}
 			r.eb.GatewayDeliver(mempool.Descriptor{
-				Tenant: rigTenant, Buf: buf, Len: 256, Src: "cli", Dst: dst, Ctx: dst,
+				Tenant: rigTenant, Buf: buf, Len: 256, Msg: &mempool.Msg{Src: "cli", Dst: dst, Ctx: dst},
 			})
 		}
 	})
 	r.eng.RunUntil(at + time.Millisecond)
 
-	if len(got) != 1 || got[0].Dst != "srv" || got[0].Buf != landed {
+	if len(got) != 1 || got[0].Msg.Dst != "srv" || got[0].Buf != landed {
 		t.Fatalf("port received %+v, want the one landing for srv", got)
 	}
 	if own, err := r.poolB.OwnerOf(landed); err != nil || own != "srv" {

@@ -58,7 +58,7 @@ func TestEngineRecoversFromLinkBlip(t *testing.T) {
 			waiters[seq] = respQ
 			d := mempool.Descriptor{
 				Tenant: rigTenant, Buf: buf, Len: 1024,
-				Src: "cli", Dst: "srv", Seq: seq,
+				Seq: seq, Msg: &mempool.Msg{Src: "cli", Dst: "srv"},
 			}
 			var await func()
 			await = func() {
@@ -148,7 +148,7 @@ func TestKeeperRepaysReplenishDebt(t *testing.T) {
 		}
 		d := mempool.Descriptor{
 			Tenant: rigTenant, Buf: buf, Len: 1024,
-			Src: "cli", Dst: "srv", Seq: uint64(i),
+			Seq: uint64(i), Msg: &mempool.Msg{Src: "cli", Dst: "srv"},
 		}
 		sendOn(r.portCli, r.coreA, d, func(err error) {
 			if err != nil {

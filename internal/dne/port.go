@@ -56,8 +56,8 @@ func (fp *FnPort) SendBegin(d *mempool.Descriptor) (time.Duration, trace.SpanRef
 		fp.fnOwner = mempool.Owner(fp.fn)
 	}
 	d.TenantID = ts.id + 1
-	if fp.memoDstID == 0 || d.Dst != fp.memoDst {
-		fp.memoDst, fp.memoDstID = d.Dst, fp.engine.internFn(d.Dst)+1
+	if dst := d.Msg.Dst; fp.memoDstID == 0 || dst != fp.memoDst {
+		fp.memoDst, fp.memoDstID = dst, fp.engine.internFn(dst)+1
 	}
 	d.DstID = fp.memoDstID
 	if err := ts.pool.Transfer(d.Buf, fp.fnOwner, fp.engine.engOwner); err != nil {

@@ -123,7 +123,7 @@ func (s *DWRR) Enqueue(tenant string, d mempool.Descriptor) {
 // msgBytes is the scheduling cost of a descriptor: its payload plus header
 // overhead, floored so zero-length control messages still consume quantum.
 func msgBytes(d mempool.Descriptor) int {
-	n := d.Len + 64
+	n := int(d.Len) + 64
 	if n < 64 {
 		n = 64
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 func desc(tenant string, size int) mempool.Descriptor {
-	return mempool.Descriptor{Tenant: tenant, Len: size}
+	return mempool.Descriptor{Tenant: tenant, Len: int32(size)}
 }
 
 func TestFCFSOrder(t *testing.T) {

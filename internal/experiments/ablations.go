@@ -191,7 +191,7 @@ func runVictimEcho(o Opts, p *params.Params, rogueQPs int, capActive bool) time.
 					if err := poolB.Transfer(e.Desc.Buf, "rq", "srv"); err != nil {
 						panic(err)
 					}
-					qb.PostSend(mempool.Descriptor{Tenant: "victim", Buf: e.Desc.Buf, Len: e.Bytes})
+					qb.PostSend(mempool.Descriptor{Tenant: "victim", Buf: e.Desc.Buf, Len: int32(e.Bytes)})
 				case rdma.OpSend:
 					// Echo delivered: recycle and repost a receive buffer.
 					if err := poolB.Put(e.Desc.Buf, "srv"); err != nil {

@@ -72,7 +72,7 @@ func runNativeEcho(p *params.Params, seed int64, coreSpeed float64, payload, cli
 				}
 				coreB.Run(p.VerbsPostCost, func() {
 					sp.End()
-					qb.PostSend(mempool.Descriptor{Tenant: "t", Buf: e.Desc.Buf, Len: e.Bytes, Seq: e.Desc.Seq, Trace: e.Desc.Trace})
+					qb.PostSend(mempool.Descriptor{Tenant: "t", Buf: e.Desc.Buf, Len: int32(e.Bytes), Seq: e.Desc.Seq, Trace: e.Desc.Trace})
 					next()
 				})
 			})
@@ -151,7 +151,7 @@ func runNativeEcho(p *params.Params, seed int64, coreSpeed float64, payload, cli
 			sp := req.Begin("cli.post", "cli")
 			coreA.Run(p.VerbsPostCost, func() {
 				sp.End()
-				qa.PostSend(mempool.Descriptor{Tenant: "t", Buf: buf, Len: payload, Seq: id, Trace: req})
+				qa.PostSend(mempool.Descriptor{Tenant: "t", Buf: buf, Len: int32(payload), Seq: id, Trace: req})
 				await()
 			})
 		}

@@ -148,7 +148,7 @@ func runOneSidedEcho(p *params.Params, seed int64, variant Fig12Variant, payload
 		i := int(l.Desc.Seq)
 		reply := func() {
 			coreB.Run(p.VerbsPostCost, func() {
-				qb.PostWrite(mempool.Descriptor{Tenant: "t", Len: l.Bytes, Seq: l.Desc.Seq, Buf: slotB[i].Buf}, slotA[i])
+				qb.PostWrite(mempool.Descriptor{Tenant: "t", Len: int32(l.Bytes), Seq: l.Desc.Seq, Buf: slotB[i].Buf}, slotA[i])
 				next()
 			})
 		}
@@ -196,7 +196,7 @@ func runOneSidedEcho(p *params.Params, seed int64, variant Fig12Variant, payload
 		}
 		send = func() {
 			coreA.Run(p.VerbsPostCost, func() {
-				qa.PostWrite(mempool.Descriptor{Tenant: "t", Len: payload, Seq: uint64(i), Buf: slotA[i].Buf}, slotB[i])
+				qa.PostWrite(mempool.Descriptor{Tenant: "t", Len: int32(payload), Seq: uint64(i), Buf: slotA[i].Buf}, slotB[i])
 				await()
 			})
 		}

@@ -547,10 +547,13 @@ func (r *dneRig) startOpenLoopSender(tenant string, port *dne.FnPort, payload in
 	pool := r.pools[tenant][0]
 	cli := mempool.Owner("cli-" + tenant)
 	stats := &echoClientStats{}
+	// sent[seq-1] is when request seq left, read by each reply to it
+	// (duplicates included).
+	var sent []time.Duration
 	var drain *portReceiver
 	drain = startPortReceiver(r.eng, port, core, func(d mempool.Descriptor) {
 		stats.count++
-		stats.rtt.Observe(r.eng.Now() - d.Stamp)
+		stats.rtt.Observe(r.eng.Now() - sent[d.Seq-1])
 		if err := pool.Put(d.Buf, cli); err != nil {
 			panic(err)
 		}
@@ -558,7 +561,7 @@ func (r *dneRig) startOpenLoopSender(tenant string, port *dne.FnPort, payload in
 	})
 	var seq uint64
 	var send func()
-	tx := newPortSender(port, core, func() { r.eng.After(period, send) })
+	tx := newPortSender(port, core, "srv-"+tenant, func() { r.eng.After(period, send) })
 	send = func() {
 		if active != nil && !active(r.eng.Now()) {
 			r.eng.After(500*time.Microsecond, send)
@@ -572,10 +575,8 @@ func (r *dneRig) startOpenLoopSender(tenant string, port *dne.FnPort, payload in
 			return
 		}
 		seq++
-		tx.send(mempool.Descriptor{
-			Tenant: tenant, Buf: buf, Len: payload,
-			Src: "cli-" + tenant, Dst: "srv-" + tenant, Seq: seq, Stamp: r.eng.Now(),
-		})
+		sent = append(sent, r.eng.Now())
+		tx.send(mempool.Descriptor{Tenant: tenant, Buf: buf, Len: int32(payload), Seq: seq})
 	}
 	r.eng.Immediate(func() { r.onReady(send) })
 	return stats

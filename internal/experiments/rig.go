@@ -106,26 +106,30 @@ func (r *dneRig) onReady(fn func()) {
 	fn()
 }
 
-// portSender hands descriptors to a function's port one at a time, paying
-// each channel send cost on core, then runs then. Its continuation is bound
-// once, so a steady-state send allocates nothing.
+// portSender hands one flow's descriptors — from the port's function to
+// dst — to the port one at a time, paying each channel send cost on core,
+// then runs then. Every descriptor it sends shares the flow's one record,
+// and its continuation is bound once, so a steady-state send allocates
+// nothing.
 type portSender struct {
 	port   *dne.FnPort
 	core   *sim.Processor
 	then   func()
+	msg    mempool.Msg
 	d      mempool.Descriptor
 	sp     trace.SpanRef
 	sentFn func()
 }
 
-func newPortSender(port *dne.FnPort, core *sim.Processor, then func()) *portSender {
-	s := &portSender{port: port, core: core, then: then}
+func newPortSender(port *dne.FnPort, core *sim.Processor, dst string, then func()) *portSender {
+	s := &portSender{port: port, core: core, then: then, msg: mempool.Msg{Src: port.Fn(), Dst: dst}}
 	s.sentFn = s.sent
 	return s
 }
 
 // send starts handing d (and the buffer it owns) to the port.
 func (s *portSender) send(d mempool.Descriptor) {
+	d.Msg = &s.msg
 	cost, sp, err := s.port.SendBegin(&d)
 	if err != nil {
 		panic(err)
@@ -232,10 +236,10 @@ func discardCQ(eng *sim.Engine, cq *rdma.CQ) {
 func (r *dneRig) startEchoServer(tenant string, port *dne.FnPort) {
 	core := sim.NewProcessor(r.eng, "srv-core-"+tenant, r.p.HostCoreSpeed)
 	pool := r.pools[tenant][1]
-	srvName := "srv-" + tenant // hoisted: was a per-request concat
-	srv := mempool.Owner(srvName)
+	srv := mempool.Owner(port.Fn())
 	var rx *portReceiver
-	tx := newPortSender(port, core, func() { rx.recv() })
+	// The server answers only its tenant's client.
+	tx := newPortSender(port, core, "cli-"+tenant, func() { rx.recv() })
 	var reply func(d mempool.Descriptor)
 	reply = func(d mempool.Descriptor) {
 		buf, err := pool.Get(srv)
@@ -252,9 +256,7 @@ func (r *dneRig) startEchoServer(tenant string, port *dne.FnPort) {
 			panic(err)
 		}
 		tx.send(mempool.Descriptor{
-			Tenant: tenant, Buf: buf, Len: d.Len,
-			Src: srvName, Dst: d.Src, Seq: d.Seq, Stamp: d.Stamp, Ctx: d.Ctx,
-			Trace: d.Trace,
+			Tenant: tenant, Buf: buf, Len: d.Len, Seq: d.Seq, Trace: d.Trace,
 		})
 	}
 	rx = startPortReceiver(r.eng, port, core, reply)
@@ -303,7 +305,7 @@ func (r *dneRig) startEchoClients(tenant string, port *dne.FnPort, n, payload in
 		var loop, issue, await func()
 		var start time.Duration
 		var req *trace.Req
-		tx := newPortSender(port, core, func() { await() })
+		tx := newPortSender(port, core, srvName, func() { await() })
 		loop = func() {
 			if active != nil && !active(r.eng.Now()) {
 				r.eng.After(500*time.Microsecond, loop)
@@ -327,9 +329,7 @@ func (r *dneRig) startEchoClients(tenant string, port *dne.FnPort, n, payload in
 			start = r.eng.Now()
 			req = r.tracer.StartRequest(echoName)
 			tx.send(mempool.Descriptor{
-				Tenant: tenant, Buf: buf, Len: payload,
-				Src: cliName, Dst: srvName, Seq: id, Stamp: start,
-				Trace: req,
+				Tenant: tenant, Buf: buf, Len: int32(payload), Seq: id, Trace: req,
 			})
 		}
 		await = func() {

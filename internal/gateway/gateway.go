@@ -179,7 +179,7 @@ type Gateway struct {
 	onDrop func(ctx any)
 }
 
-// SetDropHook installs fn to receive the Ctx of every descriptor the
+// SetDropHook installs fn to receive the record Ctx of every descriptor the
 // gateway drops — unroutable tenant, retry budget spent, unknown
 // destination or TTL expired — so the layer that issued it can fail
 // whatever waits on it. fn runs in engine context.
@@ -386,7 +386,7 @@ func (g *Gateway) pass() {
 				}
 				w.did = true
 			}
-			e := g.cqeBuf[w.cqe]
+			e := &g.cqeBuf[w.cqe]
 			w.cqe++
 			if g.handleCQE(e) {
 				return
@@ -404,7 +404,7 @@ func (g *Gateway) pass() {
 				}
 				w.did = true
 			}
-			l := g.landBuf[w.land]
+			l := &g.landBuf[w.land]
 			w.land++
 			g.ingest(g.tenantSeq[w.ten], l)
 			return
@@ -467,7 +467,7 @@ func (g *Gateway) pump() (sent, running bool) {
 		d.Trace.EndStage(trace.StageGwQueue)
 		g.dropped++
 		g.frDrop(&d)
-		g.lost(d.Ctx)
+		g.lost(d.Msg.Ctx)
 		g.releaseSource(d)
 		return true, false
 	}
@@ -497,7 +497,7 @@ func (g *Gateway) forward() {
 
 // handleCQE processes one write completion at the sender and reports
 // whether the pass must wait for it.
-func (g *Gateway) handleCQE(e rdma.CQE) bool {
+func (g *Gateway) handleCQE(e *rdma.CQE) bool {
 	if e.Op != rdma.OpWrite {
 		return false
 	}
@@ -520,7 +520,7 @@ func (g *Gateway) handleCQE(e rdma.CQE) bool {
 	}
 	d.Trace.EndStage(trace.StageGwHop)
 	if d.Retries < gwRetryBudget {
-		if dst, ok := g.routes.NodeOf(d.Dst); ok {
+		if dst, ok := g.routes.NodeOf(d.Msg.Dst); ok {
 			d.Retries++
 			g.retries++
 			g.submit(d, dst)
@@ -529,7 +529,7 @@ func (g *Gateway) handleCQE(e rdma.CQE) bool {
 	}
 	g.dropped++
 	g.frDrop(&d)
-	g.lost(d.Ctx)
+	g.lost(d.Msg.Ctx)
 	g.releaseSource(d)
 	return false
 }
@@ -542,7 +542,7 @@ func (g *Gateway) released() {
 
 // ingest starts consuming one landed write: the delivery work runs on the
 // forwarding core, then ingested restocks and routes it.
-func (g *Gateway) ingest(tr *tenantReg, l rdma.Landed) {
+func (g *Gateway) ingest(tr *tenantReg, l *rdma.Landed) {
 	d := l.Desc
 	d.Buf = l.Buf
 	// The sender engine's interned IDs are engine-local; clear them (the
@@ -567,11 +567,11 @@ func (g *Gateway) land(tr *tenantReg, d mempool.Descriptor) {
 	} else {
 		tr.starved++
 	}
-	dst, ok := g.routes.NodeOf(d.Dst)
+	dst, ok := g.routes.NodeOf(d.Msg.Dst)
 	if !ok {
 		g.dropped++
 		g.frDrop(&d)
-		g.lost(d.Ctx)
+		g.lost(d.Msg.Ctx)
 		tr.pool.Put(d.Buf, g.owner)
 		return
 	}
@@ -585,7 +585,7 @@ func (g *Gateway) land(tr *tenantReg, d mempool.Descriptor) {
 	if int(d.Hops)+1 > g.p.GwMaxHops {
 		g.dropped++
 		g.frDrop(&d)
-		g.lost(d.Ctx)
+		g.lost(d.Msg.Ctx)
 		tr.pool.Put(d.Buf, g.owner)
 		return
 	}

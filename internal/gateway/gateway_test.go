@@ -227,7 +227,7 @@ func TestForwardDeliverConservation(t *testing.T) {
 			t.Errorf("source pool dry at msg %d", i)
 			return
 		}
-		d := mempool.Descriptor{Tenant: "t", Buf: src, Len: 256, Dst: "fnB", Seq: uint64(i)}
+		d := mempool.Descriptor{Tenant: "t", Buf: src, Len: 256, Msg: &mempool.Msg{Dst: "fnB"}, Seq: uint64(i)}
 		if !r.gws[0].ForwardRemote(d, "n2") {
 			t.Errorf("ForwardRemote refused a peer destination")
 			return
@@ -249,8 +249,8 @@ func TestForwardDeliverConservation(t *testing.T) {
 		t.Fatalf("egress got %d descriptors, want %d", len(r.egs[1].delivered), msgs)
 	}
 	for i, d := range r.egs[1].delivered {
-		if d.Dst != "fnB" || d.Len != 256 || d.Seq != uint64(i) {
-			t.Errorf("delivered[%d] = {Dst:%s Len:%d Seq:%d}, metadata mangled", i, d.Dst, d.Len, d.Seq)
+		if d.Msg.Dst != "fnB" || d.Len != 256 || d.Seq != uint64(i) {
+			t.Errorf("delivered[%d] = {Dst:%s Len:%d Seq:%d}, metadata mangled", i, d.Msg.Dst, d.Len, d.Seq)
 		}
 	}
 	if r.egs[0].released != msgs {
@@ -282,7 +282,7 @@ func TestWindowBackpressure(t *testing.T) {
 				t.Errorf("source pool dry at msg %d", i)
 				return
 			}
-			r.gws[0].ForwardRemote(mempool.Descriptor{Tenant: "t", Buf: src, Len: 1024, Dst: "fnB"}, "n2")
+			r.gws[0].ForwardRemote(mempool.Descriptor{Tenant: "t", Buf: src, Len: 1024, Msg: &mempool.Msg{Dst: "fnB"}}, "n2")
 		}
 	})
 	r.eng.RunUntil(200 * time.Millisecond)
@@ -302,7 +302,7 @@ func TestTransitRelayAroundPartition(t *testing.T) {
 	r.net.SetLinkDown("n3", "n1", true)
 	r.ready.Notify(func() {
 		src, _ := r.pools[0].Get("eng")
-		r.gws[0].ForwardRemote(mempool.Descriptor{Tenant: "t", Buf: src, Len: 512, Dst: "fnC"}, "n3")
+		r.gws[0].ForwardRemote(mempool.Descriptor{Tenant: "t", Buf: src, Len: 512, Msg: &mempool.Msg{Dst: "fnC"}}, "n3")
 	})
 	r.eng.RunUntil(200 * time.Millisecond)
 
@@ -333,7 +333,7 @@ func TestDeterministicReplay(t *testing.T) {
 				return
 			}
 			if src, err := r.pools[0].Get("eng"); err == nil {
-				r.gws[0].ForwardRemote(mempool.Descriptor{Tenant: "t", Buf: src, Len: 300, Dst: "fnC", Seq: uint64(i)}, "n3")
+				r.gws[0].ForwardRemote(mempool.Descriptor{Tenant: "t", Buf: src, Len: 300, Msg: &mempool.Msg{Dst: "fnC"}, Seq: uint64(i)}, "n3")
 			}
 			r.eng.After(time.Microsecond, func() {
 				if i == 20 {
@@ -400,8 +400,10 @@ func BenchmarkChainCrossNode(b *testing.B) {
 // bound once so its steady state allocates nothing: each step forwards one
 // 1 KB descriptor from n1 to dst for fn and parks on done (pulsed when the
 // source buffer comes home) until b.N have gone, then stops the engine.
+// Every descriptor shares one record, built here outside the timed loop.
 func forwardLoop(b *testing.B, r *gwRig, fn string, dst fabric.NodeID, done *sim.Signal) func() {
 	i := 0
+	msg := &mempool.Msg{Dst: fn}
 	var step func()
 	step = func() {
 		if i == b.N {
@@ -415,7 +417,7 @@ func forwardLoop(b *testing.B, r *gwRig, fn string, dst fabric.NodeID, done *sim
 			return
 		}
 		i++
-		r.gws[0].ForwardRemote(mempool.Descriptor{Tenant: "t", Buf: src, Len: 1024, Dst: fn}, dst)
+		r.gws[0].ForwardRemote(mempool.Descriptor{Tenant: "t", Buf: src, Len: 1024, Msg: msg}, dst)
 		done.Notify(step)
 	}
 	return step

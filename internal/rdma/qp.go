@@ -206,7 +206,7 @@ func (qp *QP) PostSend(d mempool.Descriptor) uint64 {
 	if qp.errored {
 		// Error-state QPs flush new WRs immediately.
 		r.eng.Immediate(func() {
-			qp.complete(CQE{WRID: id, Op: OpSend, Status: StatusQPError, Bytes: d.Len, Tenant: qp.Tenant, QP: qp, Desc: d})
+			qp.complete(CQE{WRID: id, Op: OpSend, Status: StatusQPError, Bytes: int(d.Len), QP: qp, Desc: d})
 		})
 		return id
 	}
@@ -228,7 +228,7 @@ func (qp *QP) PostSend(d mempool.Descriptor) uint64 {
 func (st *wrState) attempt() {
 	qp := st.qp
 	r := qp.rnic
-	cost := r.p.RNICPerWR + r.cachePenalty(qp.id) + r.dmaCost(st.d.Len)
+	cost := r.p.RNICPerWR + r.cachePenalty(qp.id) + r.dmaCost(int(st.d.Len))
 	done := r.pipe(cost)
 	r.eng.At(done, st.xmitFn)
 }
@@ -237,10 +237,10 @@ func (st *wrState) xmit() {
 	qp := st.qp
 	r := qp.rnic
 	if st.isWrite {
-		r.net.SendTraced(r.node, qp.peer.rnic.node, st.d.Len+wireHeaderBytes, st.d.Trace, st.wLandFn)
+		r.net.SendTraced(r.node, qp.peer.rnic.node, int(st.d.Len)+wireHeaderBytes, st.d.Trace, st.wLandFn)
 		return
 	}
-	r.net.SendTraced(r.node, qp.peer.rnic.node, st.d.Len+wireHeaderBytes, st.d.Trace, st.deliverFn)
+	r.net.SendTraced(r.node, qp.peer.rnic.node, int(st.d.Len)+wireHeaderBytes, st.d.Trace, st.deliverFn)
 }
 
 func (st *wrState) deliver() {
@@ -270,7 +270,7 @@ func (st *wrState) check() {
 		if st.isWrite {
 			op = OpWrite
 		}
-		qp.cq.push(CQE{WRID: st.id, Op: op, Status: StatusRetryExceeded, Bytes: st.d.Len, Tenant: qp.Tenant, QP: qp, Desc: st.d})
+		qp.cq.push(CQE{WRID: st.id, Op: op, Status: StatusRetryExceeded, Bytes: int(st.d.Len), QP: qp, Desc: st.d})
 		return
 	}
 	qp.retransmits++
@@ -375,7 +375,7 @@ func (f *recvFlow) match() {
 	}
 	dst.markSeen(f.wrID)
 	f.buf = buf
-	done := r.pipe(r.dmaCost(f.d.Len))
+	done := r.pipe(r.dmaCost(int(f.d.Len)))
 	r.eng.At(done, f.dmaFn)
 }
 
@@ -389,34 +389,30 @@ func (f *recvFlow) dma() {
 	dst := f.dst
 	recv := f.buf
 	recv.Len = f.d.Len
-	recv.Src = f.d.Src
-	recv.Dst = f.d.Dst
 	recv.Seq = f.d.Seq
-	recv.Stamp = f.d.Stamp
-	recv.Ctx = f.d.Ctx
 	recv.Trace = f.d.Trace
-	recv.Spec = f.d.Spec
+	recv.Msg = f.d.Msg
 	dst.srq.consumed++
-	dst.cq.push(CQE{WRID: r.wrID(), Op: OpRecv, Status: StatusOK, Bytes: f.d.Len, Tenant: dst.Tenant, QP: dst, Desc: recv})
+	dst.cq.push(CQE{WRID: r.wrID(), Op: OpRecv, Status: StatusOK, Bytes: int(f.d.Len), QP: dst, Desc: recv})
 	// RC ack completes the sender after one propagation delay.
 	r.eng.After(r.p.FabricPropagation, f.ackFn)
 }
 
 func (f *recvFlow) ack() {
 	src := f.src
-	src.complete(CQE{WRID: f.wrID, Op: OpSend, Status: StatusOK, Bytes: f.d.Len, Tenant: src.Tenant, QP: src, Desc: f.d})
+	src.complete(CQE{WRID: f.wrID, Op: OpSend, Status: StatusOK, Bytes: int(f.d.Len), QP: src, Desc: f.d})
 	f.r.releaseFlow(f)
 }
 
 func (f *recvFlow) rnrExceeded() {
 	src := f.src
-	src.complete(CQE{WRID: f.wrID, Op: OpSend, Status: StatusRNRExceeded, Bytes: f.d.Len, Tenant: src.Tenant, QP: src, Desc: f.d})
+	src.complete(CQE{WRID: f.wrID, Op: OpSend, Status: StatusRNRExceeded, Bytes: int(f.d.Len), QP: src, Desc: f.d})
 	f.r.releaseFlow(f)
 }
 
 func (f *recvFlow) dupAck() {
 	src := f.src
-	src.complete(CQE{WRID: f.wrID, Op: OpSend, Status: StatusOK, Bytes: f.d.Len, Tenant: src.Tenant, QP: src, Desc: f.d})
+	src.complete(CQE{WRID: f.wrID, Op: OpSend, Status: StatusOK, Bytes: int(f.d.Len), QP: src, Desc: f.d})
 	f.r.releaseFlow(f)
 }
 
@@ -442,7 +438,7 @@ func (qp *QP) PostWrite(d mempool.Descriptor, remote RemoteBuf) uint64 {
 	qp.outstanding++
 	if qp.errored {
 		r.eng.Immediate(func() {
-			qp.complete(CQE{WRID: id, Op: OpWrite, Status: StatusQPError, Bytes: d.Len, Tenant: qp.Tenant, QP: qp, Desc: d})
+			qp.complete(CQE{WRID: id, Op: OpWrite, Status: StatusQPError, Bytes: int(d.Len), QP: qp, Desc: d})
 		})
 		return id
 	}
@@ -466,7 +462,7 @@ func (qp *QP) PostWrite(d mempool.Descriptor, remote RemoteBuf) uint64 {
 func (st *wrState) wLand() {
 	qp := st.qp
 	rr := qp.peer.rnic
-	at := rr.pipe(rr.p.RNICPerWR + rr.cachePenalty(qp.peer.id) + rr.dmaCost(st.d.Len))
+	at := rr.pipe(rr.p.RNICPerWR + rr.cachePenalty(qp.peer.id) + rr.dmaCost(int(st.d.Len)))
 	rr.eng.At(at, st.wDoneFn)
 }
 
@@ -478,14 +474,14 @@ func (st *wrState) wDone() {
 	rr := peer.rnic
 	if !peer.seen.has(st.id) {
 		peer.markSeen(st.id)
-		st.remote.MR.land(Landed{Buf: st.remote.Buf, Bytes: st.d.Len, Desc: st.d, At: rr.eng.Now()})
+		st.remote.MR.land(Landed{Buf: st.remote.Buf, Bytes: int(st.d.Len), Desc: st.d, At: rr.eng.Now()})
 	}
 	rr.eng.After(rr.p.FabricPropagation, st.wAckFn)
 }
 
 func (st *wrState) wAck() {
 	qp := st.qp
-	qp.complete(CQE{WRID: st.id, Op: OpWrite, Status: StatusOK, Bytes: st.d.Len, Tenant: qp.Tenant, QP: qp, Desc: st.d})
+	qp.complete(CQE{WRID: st.id, Op: OpWrite, Status: StatusOK, Bytes: int(st.d.Len), QP: qp, Desc: st.d})
 }
 
 // PostRead posts a one-sided RDMA read of n bytes from remote into a local
@@ -509,7 +505,7 @@ func (qp *QP) PostRead(n int, remote RemoteBuf) uint64 {
 				rr.net.Send(rr.node, r.node, n+wireHeaderBytes, func() {
 					fin := r.pipe(r.dmaCost(n))
 					r.eng.At(fin, func() {
-						qp.complete(CQE{WRID: id, Op: OpRead, Status: StatusOK, Bytes: n, Tenant: qp.Tenant, QP: qp})
+						qp.complete(CQE{WRID: id, Op: OpRead, Status: StatusOK, Bytes: n, QP: qp})
 					})
 				})
 			})
@@ -548,7 +544,7 @@ func (qp *QP) PostCAS(key string, compare, swap uint64, fn func(CASResult)) uint
 				rr.words[key] = swap
 			}
 			rr.eng.After(half, func() {
-				qp.complete(CQE{WRID: id, Op: OpCAS, Status: StatusOK, Tenant: qp.Tenant, QP: qp})
+				qp.complete(CQE{WRID: id, Op: OpCAS, Status: StatusOK, QP: qp})
 				fn(CASResult{WRID: id, Old: old, Swapped: swapped})
 			})
 		})

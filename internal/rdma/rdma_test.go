@@ -74,7 +74,7 @@ func TestTwoSidedSendDelivers(t *testing.T) {
 	src, _ := r.poolA.Get("fnA")
 	var sendDone, recvDone time.Duration
 	var recvd mempool.Descriptor
-	qa.PostSend(mempool.Descriptor{Tenant: "t", Buf: src, Len: 64, Src: "fnA", Dst: "fnB", Seq: 7, Ctx: "req"})
+	qa.PostSend(mempool.Descriptor{Tenant: "t", Buf: src, Len: 64, Seq: 7, Msg: &mempool.Msg{Src: "fnA", Dst: "fnB", Ctx: "req"}})
 	awaitCQ(r.cqA, func() {
 		e := r.cqA.Poll(1)[0]
 		if e.Op != OpSend || e.Status != StatusOK {
@@ -94,7 +94,7 @@ func TestTwoSidedSendDelivers(t *testing.T) {
 	if recvDone == 0 || sendDone == 0 {
 		t.Fatal("completion(s) missing")
 	}
-	if recvd.Src != "fnA" || recvd.Dst != "fnB" || recvd.Seq != 7 || recvd.Ctx != "req" || recvd.Len != 64 {
+	if recvd.Msg.Src != "fnA" || recvd.Msg.Dst != "fnB" || recvd.Seq != 7 || recvd.Msg.Ctx != "req" || recvd.Len != 64 {
 		t.Fatalf("metadata not carried: %+v", recvd)
 	}
 	// Payload landed in a receiver-posted buffer from B's pool.
@@ -160,7 +160,7 @@ func echoRTT(t *testing.T, payload int) time.Duration {
 
 	var rtt time.Duration
 	src, _ := r.poolA.Get("cli")
-	qa.PostSend(mempool.Descriptor{Tenant: "t", Buf: src, Len: payload})
+	qa.PostSend(mempool.Descriptor{Tenant: "t", Buf: src, Len: int32(payload)})
 	var client, server func()
 	client = func() {
 		for _, e := range r.cqA.Poll(0) {
@@ -176,7 +176,7 @@ func echoRTT(t *testing.T, payload int) time.Duration {
 			if e.Op == OpRecv {
 				// Echo straight back from a server buffer.
 				buf, _ := r.poolB.Get("srv")
-				qb.PostSend(mempool.Descriptor{Tenant: "t", Buf: buf, Len: e.Bytes})
+				qb.PostSend(mempool.Descriptor{Tenant: "t", Buf: buf, Len: int32(e.Bytes)})
 			}
 		}
 		awaitCQ(r.cqB, server)
@@ -514,7 +514,7 @@ func TestTwoSidedConservationProperty(t *testing.T) {
 			if err != nil {
 				return
 			}
-			qa.PostSend(mempool.Descriptor{Tenant: "t", Buf: src, Len: size, Seq: uint64(i)})
+			qa.PostSend(mempool.Descriptor{Tenant: "t", Buf: src, Len: int32(size), Seq: uint64(i)})
 			eng.After(time.Duration(eng.Rand().Intn(5000))*time.Nanosecond, func() { send(i + 1) })
 		}
 		eng.Immediate(func() { send(0) })

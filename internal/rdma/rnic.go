@@ -24,7 +24,7 @@ import (
 )
 
 // Op identifies a verb.
-type Op int
+type Op int8
 
 // Verbs supported by the model.
 const (
@@ -52,7 +52,7 @@ func (o Op) String() string {
 }
 
 // Status is a completion status.
-type Status int
+type Status int8
 
 // Completion statuses.
 const (
@@ -72,13 +72,13 @@ const maxRNRRetries = 7
 // wireHeaderBytes approximates per-message RoCE/IB header overhead.
 const wireHeaderBytes = 60
 
-// CQE is a completion queue entry.
+// CQE is a completion queue entry. Consumers read entries in place from
+// their poll buffer (&buf[i]) rather than copying them out.
 type CQE struct {
 	WRID   uint64
 	Op     Op
 	Status Status
 	Bytes  int
-	Tenant string
 	QP     *QP
 	// Desc carries the receive-side buffer descriptor for OpRecv
 	// completions (the posted buffer, now holding the payload and the

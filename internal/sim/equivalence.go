@@ -78,7 +78,22 @@ type eqDriver struct {
 // and the global step counter, so both engines draw the same numbers at
 // the same logical point.
 func (d *eqDriver) stepRng(step int) *rand.Rand {
-	return rand.New(rand.NewSource(d.seed*1_000_003 + int64(step)))
+	return rand.New(&splitmix{s: uint64(d.seed*1_000_003 + int64(step))})
+}
+
+// splitmix is a splitmix64 generator (Steele, Lea and Flood, OOPSLA 2014)
+// as a rand.Source64. Seeding it is one store, where math/rand's own
+// source seeds 607 words; the oracle seeds one per scheduling step.
+type splitmix struct{ s uint64 }
+
+func (m *splitmix) Seed(seed int64) { m.s = uint64(seed) }
+func (m *splitmix) Int63() int64    { return int64(m.Uint64() >> 1) }
+func (m *splitmix) Uint64() uint64 {
+	m.s += 0x9e3779b97f4a7c15
+	z := m.s
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
 }
 
 // scheduleOne books a new event with a delay drawn from the band table

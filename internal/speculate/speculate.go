@@ -9,7 +9,7 @@
 // resources each arm holds — pool buffers, gateway credits, in-flight WR
 // state — stay owned by the layers that acquired them; carriers learn a
 // clone lost through the descriptor's cancellation probe (see
-// mempool.Descriptor.Spec) or the boundary's Finish verdict, and return
+// mempool.Msg.Spec) or the boundary's Finish verdict, and return
 // their own resources at whatever stage the clone died. Losing completions
 // are deduplicated at the ingress boundary: Finish returns true exactly
 // once per group, so every cloned request completes exactly once upstream.
@@ -293,7 +293,7 @@ func (g *Group) Arms() int { return g.arms }
 // should kill the clone and return its resources.
 func (g *Group) Won() bool { return g != nil && g.won }
 
-// Killed is the descriptor cancellation probe (mempool.Descriptor.Spec):
+// Killed is the descriptor cancellation probe (mempool.Msg.Spec):
 // carriers call it at drop-decision points, and a true return means the
 // group already won elsewhere — the carrier must kill this clone and return
 // its resources. The kill is counted here (Stats.Kills), so a carrier calls
