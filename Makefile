@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet fmt race check bench bench-gate bench-res bench-e2e bench-e2e-gate suite ci trace telemetry fuzz fuzz-smoke cover profile svc-smoke parity
+.PHONY: build test vet fmt race check bench bench-gate bench-pair bench-res bench-e2e bench-e2e-gate suite ci trace telemetry fuzz fuzz-smoke cover profile svc-smoke parity
 
 build:
 	$(GO) build ./...
@@ -64,26 +64,55 @@ bench:
 	  $(GO) test -run '^$$' -bench 'BenchmarkEndToEndEcho$$' -benchmem -benchtime 5x . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkScaleSweep' -benchtime 1x -timeout 30m ./internal/experiments/ ) | $(GO) run ./cmd/benchjson > BENCH_sim.json
 
-# bench-gate re-runs the headline microbenchmarks — event-core schedule hot
-# path, same-instant Immediate, the near path under 100k far timers and the
-# waits (FCFS and PS Run, Signal and Queue Notify; pinned at 0 allocs/op),
-# plus the data-plane fast path (QP send, CQ ring drain, cached mempool
-# Get/Put), the gateway forwarding path and the
-# flight-recorder record path (pinned at 0 allocs/op) — in five rounds
-# with the host-speed reference around each package, as `bench` does, and
-# fails if any one's rescaled median regressed more than 25% in ns/op
-# against the archived median, or any run allocates more per op than
-# archived, in BENCH_sim.json.
+# GATED is the gated microbenchmark set, shared by bench-gate and
+# bench-pair, as one package=regexp entry per package: the event-core
+# schedule hot path and its schedule-then-cancel cycle, same-instant
+# Immediate, the near path under 100k far timers and the waits (FCFS and PS
+# Run, Signal and Queue Notify; pinned at 0 allocs/op), plus the data-plane
+# fast path (QP send, CQ ring drain, cached mempool Get/Put), the gateway
+# forwarding path and the flight-recorder record path (pinned at 0
+# allocs/op). GATED_ROUND runs the set once from the current directory,
+# timing the host-speed reference (HOST_REF, always from the working tree)
+# before each package.
+GATED := \
+	'./internal/sim/=BenchmarkEngineSchedule$$|BenchmarkEngineScheduleCancel$$|BenchmarkEngineImmediate$$|BenchmarkEngineFarTimers$$|BenchmarkProcessorRun$$|BenchmarkSignalNotify$$|BenchmarkQueueNotify$$|BenchmarkPSRun$$' \
+	'./internal/rdma/=BenchmarkQPPostSend$$|BenchmarkCQPollInto$$' \
+	'./internal/mempool/=BenchmarkMempoolCachedGetPut$$' \
+	'./internal/gateway/=BenchmarkGatewayForward$$|BenchmarkChainCrossNode$$' \
+	'./internal/flightrec/=BenchmarkFlightRecord$$' \
+	'./internal/speculate/=BenchmarkCloneFanout$$'
+HOST_REF = (cd $(CURDIR) && $(GO) test -run '^$$' -bench 'BenchmarkHostSpeed$$' -benchtime 300ms ./cmd/benchjson/)
+GATED_ROUND = for g in $(GATED); do $(HOST_REF) ; $(GO) test -run '^$$' -bench "$${g\#*=}" -benchmem "$${g%%=*}" ; done
+
+# bench-gate re-runs the gated set in five rounds with the host-speed
+# reference around each package, as `bench` does, and fails if any one's
+# rescaled median regressed more than 25% in ns/op against the archived
+# median, or any run allocates more per op than archived, in
+# BENCH_sim.json.
 bench-gate:
-	( ref() { $(GO) test -run '^$$' -bench 'BenchmarkHostSpeed$$' -benchtime 300ms ./cmd/benchjson/ ; } ; \
-	  for round in 1 2 3 4 5; do \
-	  ref ; $(GO) test -run '^$$' -bench 'BenchmarkEngineSchedule$$|BenchmarkEngineImmediate$$|BenchmarkEngineFarTimers$$|BenchmarkProcessorRun$$|BenchmarkSignalNotify$$|BenchmarkQueueNotify$$|BenchmarkPSRun$$' -benchmem ./internal/sim/ ; \
-	  ref ; $(GO) test -run '^$$' -bench 'BenchmarkQPPostSend$$|BenchmarkCQPollInto$$' -benchmem ./internal/rdma/ ; \
-	  ref ; $(GO) test -run '^$$' -bench 'BenchmarkMempoolCachedGetPut$$' -benchmem ./internal/mempool/ ; \
-	  ref ; $(GO) test -run '^$$' -bench 'BenchmarkGatewayForward$$|BenchmarkChainCrossNode$$' -benchmem ./internal/gateway/ ; \
-	  ref ; $(GO) test -run '^$$' -bench 'BenchmarkFlightRecord$$' -benchmem ./internal/flightrec/ ; \
-	  ref ; $(GO) test -run '^$$' -bench 'BenchmarkCloneFanout$$' -benchmem ./internal/speculate/ ; \
-	  done ; ref ) | $(GO) run ./cmd/benchjson -gate BENCH_sim.json
+	( for round in 1 2 3 4 5; do $(GATED_ROUND) ; done ; $(HOST_REF) ) | $(GO) run ./cmd/benchjson -gate BENCH_sim.json
+
+# bench-pair is the paired gate: it exports BASE with git archive into a
+# temporary directory, as parity does, and runs the gated set from BASE and
+# from the working tree in five rounds, alternating which side goes first,
+# with the host-speed reference timed before each package and after each
+# side's round. It folds the BASE side with benchjson and gates the working
+# tree against it with benchjson -gate (the 25% ns/op bound, no allocs/op
+# growth), so host drift between an archive and a fresh run cannot trip or
+# mask it. The temporary directory is always removed.
+#   make bench-pair BASE=<commit>
+bench-pair:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir "$$tmp/src" && git archive $(BASE) | tar -x -C "$$tmp/src" || exit 1; \
+	for round in 1 2 3 4 5; do \
+		order="base work"; [ $$((round % 2)) = 0 ] && order="work base"; \
+		for side in $$order; do \
+			dir="$$tmp/src"; [ $$side = work ] && dir="$(CURDIR)"; \
+			(cd "$$dir" && $(GATED_ROUND) ; $(HOST_REF)) >> "$$tmp/$$side.out"; \
+		done; \
+	done; \
+	$(GO) run ./cmd/benchjson < "$$tmp/base.out" > "$$tmp/base.json" && \
+	$(GO) run ./cmd/benchjson -gate "$$tmp/base.json" < "$$tmp/work.out"
 
 # bench-e2e runs the repository benchmark (bench/, declared by
 # BENCHMARK.json) three times per workload at seed 1 with a 1 s budget —

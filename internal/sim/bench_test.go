@@ -6,8 +6,8 @@ import (
 )
 
 // benchJitter is a tiny deterministic xorshift generator used to spread
-// event timestamps so the heap benchmarks exercise real sift paths instead
-// of degenerate FIFO order. It allocates nothing.
+// event timestamps so the scheduling benchmarks exercise sorted inserts and
+// slot sorts instead of degenerate FIFO order. It allocates nothing.
 type benchJitter uint64
 
 func (j *benchJitter) next() time.Duration { return j.within(4096) }
@@ -23,8 +23,9 @@ func (j *benchJitter) within(d time.Duration) time.Duration {
 }
 
 // BenchmarkEngineSchedule measures steady-state schedule+fire throughput
-// with a populated heap: 512 self-rescheduling timers with jittered
-// deadlines, so every op is one heap push plus one pop at depth ~log4(512).
+// with a populated queue: 512 self-rescheduling timers with jittered
+// deadlines 0-4 us out, so every op is one insert into the run or a level-0
+// slot plus one pop from the run.
 // ns/op is the inverse of events/sec; allocs/op is the headline zero-alloc
 // claim (the event pool must absorb all steady-state traffic).
 func BenchmarkEngineSchedule(b *testing.B) {
@@ -48,15 +49,15 @@ func BenchmarkEngineSchedule(b *testing.B) {
 		}
 		eng.Run()
 	}
-	run(outstanding * 4) // warm the heap and the event pool
+	run(outstanding * 4) // warm the queue and the event slab
 	b.ResetTimer()
 	run(b.N)
 }
 
 // BenchmarkEngineScheduleCancel measures the schedule-then-cancel cycle that
 // dominates timeout-guarded workloads (every RDMA send posts a retransmit
-// timer and cancels it on the ack). A heap that only marks canceled events
-// retains them all here; immediate removal keeps it empty.
+// timer and cancels it on the ack). Each cancel leaves a tombstone key in a
+// wheel slot; compaction keeps them bounded (TestCancelTombstonesStayBounded).
 func BenchmarkEngineScheduleCancel(b *testing.B) {
 	b.ReportAllocs()
 	eng := NewEngine(1)
@@ -98,7 +99,7 @@ func BenchmarkEngineImmediate(b *testing.B) {
 // timers 1-30 s ahead (think times, each re-arming 1-30 s ahead when it
 // fires) while one near timer re-arms itself 0-4 us ahead and issues one
 // Immediate per op. Far timers must not tax the near path: they wait in
-// the wheel, not in the firing heap.
+// the wheel, not in the run.
 func BenchmarkEngineFarTimers(b *testing.B) {
 	b.ReportAllocs()
 	eng := NewEngine(1)
@@ -152,7 +153,7 @@ func BenchmarkProcessorRun(b *testing.B) {
 }
 
 // BenchmarkSignalNotify measures a continuation parked on a signal and
-// released by a pulse: one Notify plus its batched wake event per op.
+// released by a pulse: one Notify plus its wake event per op.
 func BenchmarkSignalNotify(b *testing.B) {
 	b.ReportAllocs()
 	eng := NewEngine(1)

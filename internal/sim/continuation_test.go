@@ -359,7 +359,7 @@ func TestQueueNotifyOnNonEmptyPanics(t *testing.T) {
 
 // TestRunAndNotifyAllocFree pins the steady-state zero-alloc claim: with a
 // bound continuation, a Run (FCFS queued or immediate, PS shared), a
-// Signal.Notify plus its batched wake, and a Queue.Notify plus the Put
+// Signal.Notify plus its wake event, and a Queue.Notify plus the Put
 // that wakes it allocate nothing once the pools are warm.
 func TestRunAndNotifyAllocFree(t *testing.T) {
 	eng := NewEngine(1)

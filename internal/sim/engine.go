@@ -1,156 +1,159 @@
 // Package sim provides a deterministic discrete-event simulation engine.
 //
-// The engine owns a virtual clock and a two-tier timer queue. Model code
-// runs only as event callbacks, on the goroutine that calls Run. A loop
-// that waits is a state machine: each wait is one scheduled event whose
-// callback continues the loop — After for a delay, Processor.Run for work
-// on a core, Signal.Notify and Queue.Notify for a condition or an item —
-// so simulations are fully deterministic for a given seed and are safe to
+// The engine owns a virtual clock and a timer queue. Model code runs only
+// as event callbacks, on the goroutine that calls Run. A loop that waits is
+// a state machine: each wait is one scheduled event whose callback
+// continues the loop — After for a delay, Processor.Run for work on a
+// core, Signal.Notify and Queue.Notify for a condition or an item — so
+// simulations are fully deterministic for a given seed and are safe to
 // write without locks.
 //
-// The hot path is allocation-free at steady state: fired and canceled
-// events return to a per-engine free list, and the timer queue has three
-// parts. Events due at the current instant go to a FIFO ring; later ones
-// go to a hierarchical timing wheel (wheel.go) in front of a hand-inlined
-// indexed 4-ary min-heap. The wheel indexes the future out to ~19.5 h, so
-// a million outstanding timers cost O(1) to insert and cancel; the heap
-// holds the drained current slot (plus deadlines past the wheel's reach)
-// and is the exact-order firing stage. Events always fire in (time,
-// sequence) order. Engines are single-threaded but independent — separate
-// Engine instances may run concurrently on different goroutines, which is
-// how the experiment runner shards sweep points across cores.
+// The hot path is allocation-free at steady state. An event is a slab
+// node (its callback and a generation) plus a 24-byte key (at, seq, id,
+// gen) with no pointer; the queue moves keys and touches a node only to
+// fire it. The current instant goes to a FIFO, the current and next ~1 µs
+// tick to the run, an array sorted on (at, seq), later deadlines to a
+// hierarchical timing wheel (wheel.go) and those past its ~19.5 h reach to
+// a sorted far list. Cancel frees the node at once and leaves its key as a
+// tombstone. Events always fire in (time, sequence) order. Engines are
+// single-threaded but independent — separate Engine instances may run
+// concurrently on different goroutines, which is how the experiment runner
+// shards sweep points across cores.
 package sim
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 	"time"
 )
 
-// Event node location sentinels for event.index (>= 0 means a heap slot).
-const (
-	idleIdx  = -1 // not queued: free or fired
-	wheelIdx = -2 // bucketed in the timing wheel
-	fifoIdx  = -3 // queued in the same-instant FIFO
-)
-
-// event is a pooled timer-queue node. Model code never holds one directly:
-// At/After return a generation-checked Event handle, so a handle kept past
-// the callback's firing (or cancellation) can never reach into a recycled
-// node. A node is in exactly one place at a time: the heap (index >= 0),
-// a wheel bucket (index == wheelIdx), the same-instant FIFO (index ==
-// fifoIdx), or idle (index == idleIdx).
-type event struct {
-	eng *Engine
+// node is one slab entry: a queued event's callback and the generation that
+// tells its live key from the tombstones of the node's earlier occupants.
+// A free node holds no callback.
+type node struct {
 	fn  func()
+	gen uint32
+}
 
-	// at/seq mirror the heap ordering key so wheel-bucketed nodes carry
-	// their key with them into the heap at drain time.
+// key is a queued event as the timer queue moves it: the ordering key and
+// the slab address. It holds no pointer, so the garbage collector never
+// scans the arrays that hold keys. A key is live while its gen matches its
+// node's; once the event fires or is canceled it is a tombstone.
+type key struct {
 	at  time.Duration
 	seq uint64
-
-	// next/prev link the node into its wheel bucket (intrusive, O(1)
-	// cancel); lvl/slot locate the bucket head for unlinking.
-	next, prev *event
-	lvl, slot  int16
-
-	// batch > 0 marks a batched wake event: firing pops that many entries
-	// from the engine's wake queue and runs them in FIFO order.
-	batch int32
-
-	index int // heap position, or idleIdx / wheelIdx / fifoIdx
-	gen   uint64
+	id  uint32
+	gen uint32
 }
+
+// less orders keys by time, breaking ties by insertion sequence so
+// same-instant events fire FIFO.
+func (a key) less(b key) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+// sortKeys sorts ks on (at, seq). Keys are distinct, so any correct sort
+// gives the one order: quicksort around the middle key down to short
+// stretches, which insertion sort finishes.
+func sortKeys(ks []key) {
+	for len(ks) > 12 {
+		p, i, j := ks[len(ks)/2], 0, len(ks)-1
+		for i <= j {
+			for ks[i].less(p) {
+				i++
+			}
+			for p.less(ks[j]) {
+				j--
+			}
+			if i <= j {
+				ks[i], ks[j] = ks[j], ks[i]
+				i, j = i+1, j-1
+			}
+		}
+		// Recurse into the shorter side and loop on the longer.
+		if j+1 < len(ks)-i {
+			sortKeys(ks[:j+1])
+			ks = ks[i:]
+		} else {
+			sortKeys(ks[i:])
+			ks = ks[:j+1]
+		}
+	}
+	for i := 1; i < len(ks); i++ {
+		k, j := ks[i], i
+		for ; j > 0 && k.less(ks[j-1]); j-- {
+			ks[j] = ks[j-1]
+		}
+		ks[j] = k
+	}
+}
+
+// compactMin is the number of tombstones that, once they also outnumber the
+// live events, makes Cancel compact the queue: O(1) per cancel, amortized.
+const compactMin = 1024
 
 // Event is a cancelable handle to a scheduled callback. The zero value is
 // inert: Cancel on it is a no-op and Pending reports false.
 type Event struct {
-	ev  *event
-	gen uint64
+	eng *Engine
+	id  uint32
+	gen uint32
 }
 
-// Cancel removes the event from the timer queue immediately — O(log n) out
-// of the heap, O(1) out of a wheel bucket or the same-instant FIFO (whose
-// ring entry goes stale by the generation bump and is skipped) — releasing
-// its callback closure and returning the node to the engine's pool.
-// Canceling an already-fired, already-canceled or zero handle is a no-op:
-// every disarm bumps the node's generation, so a stale handle can never
-// touch the slot's next occupant even when the cancel lands at the exact
-// virtual time the event fires.
+// Cancel removes the event in O(1): it bumps the node's generation, which
+// turns the queued key into a tombstone, and frees the node, releasing its
+// callback closure at once. Canceling an already-fired, already-canceled
+// or zero handle is a no-op: every disarm bumps the generation, so a stale
+// handle can never touch the node's next occupant even when the cancel
+// lands at the exact virtual time the event fires.
 func (h Event) Cancel() {
-	ev := h.ev
-	if ev == nil || ev.gen != h.gen {
+	e := h.eng
+	if e == nil || e.slab[h.id].gen != h.gen {
 		return
 	}
-	eng := ev.eng
-	switch {
-	case ev.index >= 0:
-		eng.heapRemove(ev.index)
-	case ev.index == wheelIdx:
-		eng.wheel.remove(ev)
-	case ev.index == fifoIdx:
-		ev.index = idleIdx
-	default:
-		return
+	e.pending--
+	e.release(h.id)
+	if e.dead++; e.dead >= compactMin && e.dead > e.pending {
+		e.compact()
 	}
-	eng.pending--
-	eng.release(ev)
 }
 
 // Pending reports whether the event is still queued: not yet fired and not
 // canceled.
 func (h Event) Pending() bool {
-	return h.ev != nil && h.ev.gen == h.gen && h.ev.index != idleIdx
-}
-
-// heapEntry is one slot of the firing-stage heap. The ordering key lives
-// inline in the heap slice so sift comparisons never dereference the node —
-// the four children of a 4-ary parent are adjacent in memory, so a whole
-// sibling comparison round usually costs one cache line.
-type heapEntry struct {
-	at  time.Duration
-	seq uint64
-	ev  *event
-}
-
-// entryLess orders entries by time, breaking ties by insertion sequence so
-// same-instant events fire FIFO.
-func entryLess(a, b heapEntry) bool {
-	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
-}
-
-// fifoEntry is one slot of the same-instant FIFO. gen is the node's
-// generation when it was queued: a cancel bumps it, so the run loop skips
-// the entry, even if the node has been recycled and queued again since.
-type fifoEntry struct {
-	ev  *event
-	gen uint64
+	return h.eng != nil && h.eng.slab[h.id].gen == h.gen
 }
 
 // Engine is a discrete-event simulator. Create one with NewEngine, schedule
 // work with At/After/Immediate, then call Run (or RunUntil / RunFor).
 type Engine struct {
-	now   time.Duration
-	heap  []heapEntry // firing stage: drained + past-reach events, 4-ary min-heap on (at, seq)
-	wheel wheel       // the future: hierarchical timing wheel
-	free  []*event    // recycled nodes; bounds steady-state allocation at zero
-	seq   uint64
-	rng   *rand.Rand
+	now time.Duration
+	seq uint64
+	rng *rand.Rand
 
-	// fifo holds the events scheduled for the current instant, in seq
-	// order, from fifoHead on. It is emptied before the clock moves and
-	// reset to its start whenever it drains.
-	fifo     []fifoEntry
+	slab []node   // event nodes, addressed by key.id
+	free []uint32 // free slab ids, reused last in, first out
+
+	// fifo holds the keys scheduled for the current instant, in seq order,
+	// from fifoHead on. It empties before the clock moves and is reset to
+	// its start whenever it drains.
+	fifo     []key
 	fifoHead int
 
-	pending int    // queued events across heap, wheel and FIFO
-	fired   uint64 // events executed since construction
+	// run holds, from runHead on, the keys whose tick is at or before the
+	// wheel's drain boundary — the current and the next tick — sorted on
+	// (at, seq). It is reset to its start whenever it drains.
+	run     []key
+	runHead int
 
-	// wakeQ is the FIFO of batched Signal wakeups (insertion-order slice,
-	// never a map: batch delivery must be deterministic). Batch events pop
-	// from wakeHead in seq order, so the ring stays aligned.
-	wakeQ    []func()
-	wakeHead int
+	wheel wheel // later keys, out to ~19.5 h
+	far   []key // keys past the wheel's reach, sorted on (at, seq)
+
+	pending int    // live queued events
+	dead    int    // tombstones still queued
+	fired   uint64 // events executed since construction
 
 	stopped bool
 	running bool
@@ -170,10 +173,36 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // panics: it would silently reorder causality.
 func (e *Engine) At(t time.Duration, fn func()) Event {
-	ev := e.alloc()
-	ev.fn = fn
-	e.schedule(ev, t)
-	return Event{ev: ev, gen: ev.gen}
+	if t < e.now {
+		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, e.now))
+	}
+	e.seq++
+	if e.seq == 0 {
+		// Sequence numbers are never reused, even for recycled nodes: a
+		// wrap would let two queued events compare equal on (at, seq) and
+		// break the deterministic FIFO tie-order.
+		panic("sim: event sequence overflow")
+	}
+	id := e.alloc()
+	n := &e.slab[id]
+	n.fn = fn
+	k := key{at: t, seq: e.seq, id: id, gen: n.gen}
+	e.pending++
+	switch w := &e.wheel; {
+	case t == e.now:
+		// This seq is above every queued key's, and nothing scheduled later
+		// can land on this instant outside the FIFO, so FIFO order is
+		// (at, seq) order among the instant's late arrivals.
+		e.fifo = append(e.fifo, k)
+	case w.count == 0 && wheelTickOf(e.now) > w.tick:
+		// Nothing bucketed: move the drain boundary up to the clock so
+		// deltas stay small and keys land at the finest level.
+		e.setTick(wheelTickOf(e.now))
+		fallthrough
+	default:
+		e.place(k)
+	}
+	return Event{eng: e, id: id, gen: k.gen}
 }
 
 // After schedules fn to run d from now. Negative d panics.
@@ -186,53 +215,54 @@ func (e *Engine) After(d time.Duration, fn func()) Event {
 // work from inside another callback.
 func (e *Engine) Immediate(fn func()) Event { return e.At(e.now, fn) }
 
-// schedule stamps ev's ordering key and routes it: the current instant
-// goes to the FIFO, deadlines within the wheel's reach go to the wheel and
-// the rest (the current tick, or past the reach) to the heap. ev must be
-// idle.
-func (e *Engine) schedule(ev *event, t time.Duration) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, e.now))
+// place queues a key due after now: in the run if its tick is at or before
+// the drain boundary, in the wheel if within its reach, else in the far
+// list, whose keys all lie past every wheel key.
+func (e *Engine) place(k key) {
+	w := &e.wheel
+	tk := wheelTickOf(k.at)
+	switch l := levelFor(w.tick, tk); {
+	case l >= 0:
+		w.insert(k, tk, l)
+	case tk <= w.tick:
+		e.run = insertKey(e.run, e.runHead, k)
+	default:
+		e.far = insertKey(e.far, 0, k)
 	}
-	e.seq++
-	if e.seq == 0 {
-		// Sequence numbers are never reused, even for pooled nodes: a wrap
-		// would let two queued events compare equal on (at, seq) and break
-		// the deterministic FIFO tie-order.
-		panic("sim: event sequence overflow")
-	}
-	ev.at, ev.seq = t, e.seq
-	e.pending++
-	if t == e.now {
-		// This seq is above every queued event's, and nothing scheduled
-		// later can land on this instant outside the FIFO, so FIFO order is
-		// (at, seq) order among the instant's late arrivals.
-		ev.index = fifoIdx
-		e.fifo = append(e.fifo, fifoEntry{ev: ev, gen: ev.gen})
-		return
-	}
-	if e.wheel.count == 0 {
-		// Nothing bucketed: re-anchor the drain boundary at the clock so
-		// deltas stay small and events land at the finest level.
-		e.wheel.tick = wheelTickOf(e.now)
-	}
-	if l := levelFor(e.wheel.tick, wheelTickOf(t)); l >= 0 {
-		e.wheel.insert(ev, l)
-		return
-	}
-	e.heapPush(heapEntry{at: t, seq: e.seq, ev: ev})
 }
 
-// flushWakes schedules a single event at the current instant that delivers
-// the last n queued wakeups in FIFO order: N same-instant wakeups cost one
-// timer-queue dispatch instead of N.
-func (e *Engine) flushWakes(n int) {
-	if n <= 0 {
-		return
+// insertKey inserts k into ks[from:], which is sorted on (at, seq), at its
+// place: an append when it sorts last, as a fresh key usually does, else
+// after a binary search.
+func insertKey(ks []key, from int, k key) []key {
+	n := len(ks)
+	if n == from || ks[n-1].less(k) {
+		return append(ks, k)
 	}
-	ev := e.alloc()
-	ev.batch = int32(n)
-	e.schedule(ev, e.now)
+	lo, hi := from, n-1 // k sorts before ks[n-1]
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); k.less(ks[m]) {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	ks = append(ks, key{})
+	copy(ks[lo+1:], ks[lo:n])
+	ks[lo] = k
+	return ks
+}
+
+// setTick moves the wheel's drain boundary forward to tk and moves every
+// far-list key that it brings within the wheel's reach into the wheel (or
+// the run), so far keys stay later than every other queued key.
+func (e *Engine) setTick(tk int64) {
+	e.wheel.tick = tk
+	for len(e.far) > 0 && !beyondReach(tk, wheelTickOf(e.far[0].at)) {
+		k := e.far[0]
+		e.far = e.far[1:]
+		e.place(k)
+	}
 }
 
 // Run executes events until the queue is empty or the engine is stopped.
@@ -249,83 +279,124 @@ func (e *Engine) RunUntil(t time.Duration) {
 	}
 	e.running = true
 	defer func() { e.running = false }()
-loop:
 	for !e.stopped && e.now <= t {
-		var ev *event
+		var k key
 		switch {
-		case len(e.heap) > 0 && e.heap[0].at == e.now:
-			// Heap events due now were scheduled before the clock reached
-			// this instant, so they precede every FIFO entry.
-			ev = e.heap[0].ev
-			e.heapPopMin()
+		case e.runHead < len(e.run) && e.run[e.runHead].at == e.now:
+			// Run keys due now were scheduled before the clock reached this
+			// instant, so they precede every FIFO entry.
+			k = e.popRun()
 		case e.fifoHead < len(e.fifo):
-			f := e.fifo[e.fifoHead]
-			e.fifo[e.fifoHead] = fifoEntry{}
+			k = e.fifo[e.fifoHead]
 			if e.fifoHead++; e.fifoHead == len(e.fifo) {
 				e.fifo = e.fifo[:0]
 				e.fifoHead = 0
 			}
-			if f.ev.gen != f.gen {
-				continue // canceled while queued
-			}
-			ev = f.ev
-			ev.index = idleIdx
+		case e.advance(t):
+			k = e.popRun()
 		default:
-			// Every wheel event is later than now, so the clock moves only
-			// here. Make the heap top the global minimum: drain every wheel
-			// slot whose start could hold an earlier (or same-instant,
-			// lower-seq) event. Slot starts are lower bounds, so "heap top
-			// strictly earlier than the earliest occupied slot" is the safe
-			// stop.
-			for e.wheel.count > 0 {
-				wAt := e.wheel.nextAt()
-				if len(e.heap) > 0 && e.heap[0].at < wAt {
-					break
-				}
-				if wAt > t {
-					break
-				}
-				e.drainEarliest()
+			if e.now < t && t < 1<<62-1 {
+				e.now = t
 			}
-			if len(e.heap) == 0 || e.heap[0].at > t {
-				break loop
-			}
-			top := e.heap[0]
-			e.heapPopMin()
-			e.now = top.at
-			ev = top.ev
+			return
 		}
+		n := &e.slab[k.id]
+		if n.gen != k.gen {
+			e.dead-- // a tombstone: its event was canceled
+			continue
+		}
+		// Every wheel and far key is later than the run's head, so the
+		// clock moves only here, and only to a live event.
+		e.now = k.at
+		// Free the node before the callback runs: the callback may schedule
+		// onto it, and any stale handle is fenced by the gen bump.
+		fn := n.fn
+		e.release(k.id)
 		e.pending--
 		e.fired++
-		e.fire(ev)
-	}
-	if !e.stopped && e.now < t && t < 1<<62-1 {
-		e.now = t
+		fn()
 	}
 }
 
-// fire executes one dequeued event. Pooled nodes are recycled before the
-// callback runs: the callback may schedule onto the node we just freed, and
-// any stale handle is fenced by the gen bump.
-func (e *Engine) fire(ev *event) {
-	if ev.batch == 0 {
-		fn := ev.fn
-		e.release(ev)
-		fn()
-		return
+// popRun removes the run's head key.
+func (e *Engine) popRun() key {
+	k := e.run[e.runHead]
+	if e.runHead++; e.runHead == len(e.run) {
+		e.run = e.run[:0]
+		e.runHead = 0
 	}
-	n := int(ev.batch)
-	e.release(ev)
-	for i := 0; i < n; i++ {
-		fn := e.wakeQ[e.wakeHead]
-		e.wakeQ[e.wakeHead] = nil
-		e.wakeHead++
-		if e.wakeHead == len(e.wakeQ) {
-			e.wakeQ = e.wakeQ[:0]
-			e.wakeHead = 0
+	return k
+}
+
+// advance makes the run's head the earliest queued key and reports whether
+// it is due by t. It drains every wheel slot whose start could hold an
+// earlier (or same-instant, lower-seq) key; slot starts are lower bounds,
+// so "run head strictly earlier than the earliest occupied slot" is the
+// safe stop. Far keys move in as the drain boundary reaches them, or when
+// nothing nearer is queued. The head may be a tombstone, which RunUntil
+// drops before the clock moves.
+func (e *Engine) advance(t time.Duration) bool {
+	w := &e.wheel
+	for {
+		if w.count == 0 {
+			if len(e.run) == 0 && len(e.far) > 0 && e.far[0].at <= t {
+				e.setTick(wheelTickOf(e.far[0].at))
+				continue
+			}
+			break
 		}
-		fn()
+		wAt := w.nextAt()
+		if len(e.run) > 0 && e.run[e.runHead].at < wAt || wAt > t {
+			break
+		}
+		e.drainEarliest()
 	}
+	return len(e.run) > 0 && e.run[e.runHead].at <= t
+}
+
+// compact drops every tombstone the queue holds. Cancel calls it once
+// tombstones outnumber both compactMin and the live events.
+func (e *Engine) compact() {
+	e.fifo, e.fifoHead = e.keepLive(e.fifo[:0], e.fifo[e.fifoHead:]), 0
+	e.run, e.runHead = e.keepLive(e.run[:0], e.run[e.runHead:]), 0
+	e.far = e.keepLive(e.far[:0], e.far)
+	w := &e.wheel
+	for l := range w.occupied {
+		for occ := w.occupied[l]; occ != 0; occ &= occ - 1 {
+			i := bits.TrailingZeros64(occ)
+			s := &w.slots[l*wheelSlots+i]
+			sl := *s
+			*s = slot{}
+			// Each chunk is read to the end before it is freed, so the
+			// live keys it holds can refill the slot from the free list.
+			for c := sl.head; c != nil; c = w.release(c) {
+				ks := sl.keysOf(c)
+				w.count -= len(ks)
+				for _, k := range ks {
+					if e.slab[k.id].gen == k.gen {
+						w.push(s, k)
+						w.count++
+					}
+				}
+			}
+			if s.head == nil {
+				w.occupied[l] &^= 1 << uint(i)
+				w.bound = noBound
+			}
+		}
+	}
+	e.dead = 0
+}
+
+// keepLive appends the live keys of src to dst, which may share its array
+// as long as it starts at or before src.
+func (e *Engine) keepLive(dst, src []key) []key {
+	for _, k := range src {
+		if e.slab[k.id].gen == k.gen {
+			dst = append(dst, k)
+		}
+	}
+	return dst
 }
 
 // Stop halts the simulation: a Run in progress returns after the current
@@ -333,8 +404,8 @@ func (e *Engine) fire(ev *event) {
 // afterwards.
 func (e *Engine) Stop() { e.stopped = true }
 
-// Pending reports the number of queued events across the wheel, the heap
-// and the same-instant FIFO. Canceled events are never counted.
+// Pending reports the number of queued events. Canceled events are never
+// counted.
 func (e *Engine) Pending() int { return e.pending }
 
 // Fired reports the number of events executed since construction — the
@@ -346,118 +417,26 @@ func (e *Engine) Fired() uint64 { return e.fired }
 // report it.
 func (e *Engine) Procs() int { return 0 }
 
-// ---- event pool ----
+// ---- event slab ----
 
-func (e *Engine) alloc() *event {
+func (e *Engine) alloc() uint32 {
 	if n := len(e.free) - 1; n >= 0 {
-		ev := e.free[n]
-		e.free[n] = nil
+		id := e.free[n]
 		e.free = e.free[:n]
-		return ev
+		return id
 	}
-	return &event{eng: e, index: idleIdx}
+	e.slab = append(e.slab, node{})
+	return uint32(len(e.slab) - 1)
 }
 
-// release returns a dequeued node to the pool. The gen bump invalidates
-// every outstanding handle; dropping fn releases the captured closure.
-func (e *Engine) release(ev *event) {
-	ev.fn = nil
-	ev.batch = 0
-	ev.gen++
-	e.free = append(e.free, ev)
-}
-
-// ---- indexed 4-ary min-heap on (at, seq) ----
-//
-// A 4-ary layout halves the tree depth of the classic binary heap, and the
-// hand-inlined sift loops avoid container/heap's per-comparison interface
-// calls and per-push `any` boxing. The node's index field supports
-// O(log n) removal for Cancel. With the wheel absorbing the future and the
-// FIFO the current instant, the heap holds only the drained current slot
-// and deadlines past the wheel's ~19.5 h reach, so it stays shallow even
-// under millions of outstanding timers.
-
-func (e *Engine) heapPush(x heapEntry) {
-	e.heap = append(e.heap, x)
-	e.siftUp(len(e.heap) - 1)
-}
-
-// heapPopMin removes the earliest entry; the caller reads it from heap[0]
-// beforehand.
-func (e *Engine) heapPopMin() {
-	h := e.heap
-	n := len(h) - 1
-	h[0].ev.index = idleIdx
-	last := h[n]
-	h[n] = heapEntry{}
-	e.heap = h[:n]
-	if n > 0 {
-		e.heap[0] = last
-		last.ev.index = 0
-		e.siftDown(0)
+// release frees a fired or canceled node. The gen bump turns its queued key
+// into a tombstone and fences every outstanding handle; dropping fn
+// releases the captured closure. A node whose generation reaches the top
+// is retired instead, so no tombstone or stale handle can match it again.
+func (e *Engine) release(id uint32) {
+	n := &e.slab[id]
+	n.fn = nil
+	if n.gen++; n.gen != math.MaxUint32 {
+		e.free = append(e.free, id)
 	}
-}
-
-// heapRemove deletes the entry at index i (Cancel's removal path).
-func (e *Engine) heapRemove(i int) {
-	h := e.heap
-	n := len(h) - 1
-	h[i].ev.index = idleIdx
-	last := h[n]
-	h[n] = heapEntry{}
-	e.heap = h[:n]
-	if i < n {
-		e.heap[i] = last
-		last.ev.index = i
-		e.siftDown(i)
-		if last.ev.index == i {
-			e.siftUp(i)
-		}
-	}
-}
-
-func (e *Engine) siftUp(i int) {
-	h := e.heap
-	x := h[i]
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !entryLess(x, h[parent]) {
-			break
-		}
-		h[i] = h[parent]
-		h[i].ev.index = i
-		i = parent
-	}
-	h[i] = x
-	x.ev.index = i
-}
-
-func (e *Engine) siftDown(i int) {
-	h := e.heap
-	n := len(h)
-	x := h[i]
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
-		}
-		min := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if entryLess(h[c], h[min]) {
-				min = c
-			}
-		}
-		if !entryLess(h[min], x) {
-			break
-		}
-		h[i] = h[min]
-		h[i].ev.index = i
-		i = min
-	}
-	h[i] = x
-	x.ev.index = i
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"sort"
 	"testing"
@@ -65,12 +66,12 @@ func TestCancelRemovesFromHeap(t *testing.T) {
 	if e.Pending() != 10 {
 		t.Fatalf("pending = %d, want 10", e.Pending())
 	}
-	// Cancel out of order to exercise interior heap removal.
+	// Cancel out of order: tombstones, not removals, in every position.
 	for _, i := range []int{5, 0, 9, 3, 7, 1, 8, 2, 6, 4} {
 		evs[i].Cancel()
 	}
 	if e.Pending() != 0 {
-		t.Fatalf("pending after cancel = %d, want 0 (canceled events must leave the heap)", e.Pending())
+		t.Fatalf("pending after cancel = %d, want 0 (canceled events must not count as queued)", e.Pending())
 	}
 	if evs[0].Pending() {
 		t.Fatal("handle still pending after Cancel")
@@ -420,11 +421,78 @@ func TestImmediateOrdersAfterCurrentInstant(t *testing.T) {
 	}
 }
 
-// TestEventNodeSize pins the pooled event node at 72 bytes: a callback, its
-// ordering key, the wheel links and location, the batch count and the
-// generation fence. Every timer, wake and continuation rides one.
+// TestEventNodeSize pins the event layout: a slab node is its callback and
+// its generation (at most 16 bytes), and the key the timer queue moves is
+// at most 24 bytes with no pointer field, so the garbage collector never
+// scans the run, the FIFO, the far list or a wheel slot.
 func TestEventNodeSize(t *testing.T) {
-	if n := unsafe.Sizeof(event{}); n > 72 {
-		t.Fatalf("event node is %d bytes, want at most 72", n)
+	if n := unsafe.Sizeof(node{}); n > 16 {
+		t.Fatalf("slab node is %d bytes, want at most 16", n)
+	}
+	if n := unsafe.Sizeof(key{}); n > 24 {
+		t.Fatalf("key is %d bytes, want at most 24", n)
+	}
+	kt := reflect.TypeOf(key{})
+	for i := 0; i < kt.NumField(); i++ {
+		switch f := kt.Field(i); f.Type.Kind() {
+		case reflect.Int64, reflect.Uint64, reflect.Uint32:
+		default:
+			t.Fatalf("key field %s is a %v; keys must hold no pointer", f.Name, f.Type)
+		}
+	}
+}
+
+// TestCancelTombstonesStayBounded is BenchmarkEngineScheduleCancel's shape:
+// a million timers armed 1 ms ahead and canceled at once, with no Run in
+// between. Each cancel leaves a tombstone key in a wheel slot; compaction
+// must keep the retained keys under a fixed bound, Cancel must drop the
+// callback at once rather than when its slot drains, and the live events
+// queued in every band beforehand must still fire, in order.
+func TestCancelTombstonesStayBounded(t *testing.T) {
+	e := NewEngine(1)
+	defer e.Stop()
+	var want, got []time.Duration
+	for i, d := range []time.Duration{300, 2 * tick, 70 * tick, 5000 * tick, time.Second, time.Hour, wheelSpan * tick * 2} {
+		for j := 0; j < 3; j++ {
+			at := d + time.Duration(i*j)
+			want = append(want, at)
+			e.At(at, func() { got = append(got, e.Now()) })
+		}
+	}
+	sort.Slice(want, func(a, b int) bool { return want[a] < want[b] })
+	const bound = 4096
+	for j := 0; j < 1_000_000; j++ {
+		h := e.After(time.Millisecond+time.Duration(j%4096), func() { t.Fatal("a canceled event fired") })
+		h.Cancel()
+		if fn := e.slab[h.id].fn; fn != nil {
+			t.Fatalf("cycle %d: the canceled event's callback is still held", j)
+		}
+		if n := e.wheel.count + len(e.run) - e.runHead + len(e.far); n >= bound {
+			t.Fatalf("cycle %d: the queue retains %d keys, want fewer than %d", j, n, bound)
+		}
+	}
+	if e.Pending() != len(want) {
+		t.Fatalf("pending = %d, want %d", e.Pending(), len(want))
+	}
+	e.Run()
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("live events fired at %v, want %v", got, want)
+	}
+}
+
+// TestGenerationTopRetiresNode pins the wrap fence: a node whose generation
+// reaches the top is retired, not returned to the free list, so no stale
+// handle or tombstone of an earlier occupant can ever match it again.
+func TestGenerationTopRetiresNode(t *testing.T) {
+	e := NewEngine(1)
+	defer e.Stop()
+	id := e.alloc()
+	e.slab[id].gen = math.MaxUint32 - 1
+	e.release(id)
+	if len(e.free) != 0 {
+		t.Fatalf("a node at generation %d went back to the free list", e.slab[id].gen)
+	}
+	if h := e.After(time.Millisecond, func() {}); h.id == id {
+		t.Fatal("a retired node was reused")
 	}
 }

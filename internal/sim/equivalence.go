@@ -6,8 +6,8 @@ import (
 	"time"
 )
 
-// Scheduler-equivalence oracle: drives the production engine (timing wheel
-// + heap hybrid) and a deliberately naive pure-heap reference through the
+// Scheduler-equivalence oracle: drives the production engine (FIFO, sorted
+// run, timing wheel, far list) and a deliberately naive reference through the
 // same seeded schedule/cancel/re-arm script and requires bit-identical
 // firing logs — same IDs, same order, same timestamps. The script is a pure
 // function of (seed, step): both runs draw per-step randomness from a
@@ -18,7 +18,7 @@ import (
 // end of its window shows up after the boundary record.
 //
 // This is the regression fence for the wheel's exactness claim (wheel.go):
-// slots bucket, the heap orders, and no cascade or overflow path may
+// slots bucket, the run orders, and no cascade or far-list path may
 // reorder or re-time an event. simtest registers it as invariant #11, and
 // TestWheelHeapEquivalenceProperty sweeps thousands of seeds.
 
@@ -43,7 +43,7 @@ type eqScheduler interface {
 // each cascade boundary (64^k ticks), level interiors, the top-level
 // horizon, and far-future overflow past the wheel entirely.
 var eqDelays = []time.Duration{
-	0,                                      // current tick (heap), or the same-instant FIFO without jitter
+	0,                                      // current tick (run), or the same-instant FIFO without jitter
 	300 * time.Nanosecond,                  // sub-tick
 	1 << wheelShift,                        // exactly one tick (first level-0 slot)
 	40 << wheelShift,                       // level-0 interior
@@ -99,7 +99,7 @@ func (m *splitmix) Uint64() uint64 {
 // scheduleOne books a new event with a delay drawn from the band table
 // (with ns jitter so same-slot events carry distinct timestamps), sometimes
 // at exactly the current instant, so same-instant FIFO entries interleave
-// with heap events due now and give same-instant cancels their victims,
+// with run events due now and give same-instant cancels their victims,
 // and sometimes duplicating the previous deadline exactly to force (at,
 // seq) ties.
 func (d *eqDriver) scheduleOne(rng *rand.Rand, lastAt time.Duration) time.Duration {
@@ -209,7 +209,7 @@ func (a *eqEngine) cancel(id int) {
 func (a *eqEngine) pending() int             { return a.eng.Pending() }
 func (a *eqEngine) runUntil(t time.Duration) { a.eng.RunUntil(t) }
 
-// ---- pure-heap reference ----
+// ---- linear-scan reference ----
 
 // refEvent is one entry in the reference scheduler's naive priority queue.
 type refEvent struct {
@@ -264,7 +264,7 @@ func (r *refSched) runUntil(t time.Duration) {
 }
 
 // CheckEquivalence runs the seeded script on both the production engine and
-// the pure-heap reference and returns an error describing the first
+// the linear-scan reference and returns an error describing the first
 // divergence in their firing logs (nil if they match exactly). maxFire
 // bounds the script length; the tails drain fully, so far-future and
 // overflow events are compared too.

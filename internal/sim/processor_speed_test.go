@@ -148,7 +148,7 @@ func TestProcessorBusyTimeContinuousAcrossSetSpeed(t *testing.T) {
 func TestEngineScheduleZeroAlloc(t *testing.T) {
 	eng := NewEngine(1)
 	defer eng.Stop()
-	for i := 0; i < 64; i++ { // warm the event pool and heap
+	for i := 0; i < 64; i++ { // warm the event slab and the queue
 		eng.After(time.Duration(i)*time.Microsecond, nop)
 	}
 	eng.Run()

@@ -101,25 +101,19 @@ type Signal struct {
 // NewSignal returns a signal bound to e.
 func NewSignal(e *Engine) *Signal { return &Signal{eng: e} }
 
-// Notify parks fn until the next Pulse: fn runs once, from the one batched
-// event that delivers every waiter of that Pulse in FIFO order, never
-// synchronously inside Notify or Pulse. Pass a function value bound once
-// (e.g. a method value stored at setup): the signal stores it as is, so a
-// steady-state Notify allocates nothing.
+// Notify parks fn until the next Pulse: fn runs once, from the
+// same-instant event that Pulse schedules for it, never synchronously
+// inside Notify or Pulse. Pass a function value bound once (e.g. a method
+// value stored at setup): the signal stores it as is, so a steady-state
+// Notify allocates nothing.
 func (s *Signal) Notify(fn func()) { s.waiters.PushBack(fn) }
 
-// Pulse wakes all current waiters as one batched delivery: the N wakeups
-// ride a single timer-queue event at the current instant, so a broadcast
-// to a thousand waiters costs one event, not a thousand.
+// Pulse wakes all current waiters, each through one Immediate, in the
+// order they parked.
 func (s *Signal) Pulse() {
-	n := s.waiters.Len()
-	if n == 0 {
-		return
+	for n := s.waiters.Len(); n > 0; n-- {
+		s.eng.Immediate(s.waiters.PopFront())
 	}
-	for i := 0; i < n; i++ {
-		s.eng.wakeQ = append(s.eng.wakeQ, s.waiters.PopFront())
-	}
-	s.eng.flushWakes(n)
 }
 
 // Ticker runs fn every interval of virtual time starting at the next

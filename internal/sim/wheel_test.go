@@ -13,7 +13,7 @@ const tick = time.Duration(1) << wheelShift
 func TestWheelCascadeBoundaries(t *testing.T) {
 	e := NewEngine(1)
 	deadlines := []time.Duration{
-		1,           // sub-tick (heap-resident, due band)
+		1,           // sub-tick (run-resident, due band)
 		tick,        // first level-0 slot
 		63 * tick,   // last level-0 slot
 		64 * tick,   // first level-1 slot
@@ -22,7 +22,7 @@ func TestWheelCascadeBoundaries(t *testing.T) {
 		64 * 64 * tick, // first level-2 slot
 		64 * 64 * 64 * tick,
 		(wheelSpan - 1) * tick, // last representable tick
-		wheelSpan * tick,       // past horizon: overflow heap
+		wheelSpan * tick,       // past horizon: far list
 		3 * wheelSpan * tick,
 	}
 	var got []time.Duration
@@ -64,7 +64,7 @@ func TestWheelRotation(t *testing.T) {
 }
 
 // TestWheelCancel cancels wheel-resident events (every level plus the
-// overflow heap) and checks none fire and Pending drains to zero.
+// far list) and checks none fire and Pending drains to zero.
 func TestWheelCancel(t *testing.T) {
 	e := NewEngine(3)
 	var evs []Event
@@ -93,7 +93,8 @@ func TestWheelCancel(t *testing.T) {
 // bug: cancel a handle at the exact virtual instant its event fires (or
 // just fired), with the freed node immediately re-armed by other work.
 // A stale Cancel must not detach the node's next occupant. Covers
-// same-instant FIFO, heap-resident (sub-tick) and wheel-resident victims.
+// same-instant FIFO, run-resident (sub-tick; subtest "heap") and
+// wheel-resident victims.
 func TestCancelAtFireInstant(t *testing.T) {
 	for _, band := range []struct {
 		name  string
@@ -177,7 +178,7 @@ func TestProcPoolReuse(t *testing.T) {
 	first := e.Immediate(func() {})
 	e.Run()
 	second := e.Immediate(func() {})
-	if first.ev != second.ev || first.gen == second.gen {
+	if first.id != second.id || first.gen == second.gen {
 		t.Fatal("second schedule did not reuse the pooled node under a new generation")
 	}
 	e.Run()
@@ -208,7 +209,7 @@ func TestSpawnSleepZeroAlloc(t *testing.T) {
 
 // TestWheelHeapEquivalenceProperty is the satellite #4 property test:
 // the hybrid engine must fire in exactly the order and at exactly the
-// times of a pure-heap reference over thousands of randomized
+// times of a linear-scan reference over thousands of randomized
 // schedule/cancel/re-arm scripts spanning every wheel band.
 func TestWheelHeapEquivalenceProperty(t *testing.T) {
 	seeds, maxFire := 10000, 60

@@ -167,14 +167,9 @@ func (t *Tracer) StartRequest(name string) *Req {
 	}
 	r := &Req{t: t, Name: name, id: len(t.reqs), open: make(map[string][]int)}
 	t.nextID++
-	r.spans = append(r.spans, Span{
-		Trace: r.id,
-		ID:    t.nextID,
-		Stage: "request",
-		Actor: "request",
-		Start: t.now(),
-		End:   openEnd,
-	})
+	sp := r.grow()
+	sp.Trace, sp.ID, sp.Stage, sp.Actor = r.id, t.nextID, "request", "request"
+	sp.Start, sp.End = t.now(), openEnd
 	t.reqs = append(t.reqs, r)
 	return r
 }
@@ -211,17 +206,18 @@ func (s SpanRef) End() {
 
 func (r *Req) add(stage, actor string, start, end time.Duration, detail bool) int {
 	r.t.nextID++
-	r.spans = append(r.spans, Span{
-		Trace:  r.id,
-		ID:     r.t.nextID,
-		Parent: r.spans[0].ID,
-		Stage:  stage,
-		Actor:  actor,
-		Start:  start,
-		End:    end,
-		Detail: detail,
-	})
+	sp := r.grow()
+	sp.Trace, sp.ID, sp.Parent = r.id, r.t.nextID, r.spans[0].ID
+	sp.Stage, sp.Actor = stage, actor
+	sp.Start, sp.End, sp.Detail = start, end, detail
 	return len(r.spans) - 1
+}
+
+// grow appends a zero span and returns it to be filled in place: building
+// the span inside append would copy an 80-byte temporary into the slice.
+func (r *Req) grow() *Span {
+	r.spans = append(r.spans, Span{})
+	return &r.spans[len(r.spans)-1]
 }
 
 // Begin opens a span now and returns a handle to close it.
