@@ -73,16 +73,17 @@ bench:
 # forwarding path and the flight-recorder record path (pinned at 0
 # allocs/op). GATED_ROUND runs the set once from the current directory,
 # timing the host-speed reference (HOST_REF, always from the working tree)
-# before each package.
-GATED := \
+# before each package. All three are override, so a command-line setting
+# cannot change the gated set.
+override GATED := \
 	'./internal/sim/=BenchmarkEngineSchedule$$|BenchmarkEngineScheduleCancel$$|BenchmarkEngineImmediate$$|BenchmarkEngineFarTimers$$|BenchmarkProcessorRun$$|BenchmarkSignalNotify$$|BenchmarkQueueNotify$$|BenchmarkPSRun$$' \
 	'./internal/rdma/=BenchmarkQPPostSend$$|BenchmarkCQPollInto$$' \
 	'./internal/mempool/=BenchmarkMempoolCachedGetPut$$' \
 	'./internal/gateway/=BenchmarkGatewayForward$$|BenchmarkChainCrossNode$$' \
 	'./internal/flightrec/=BenchmarkFlightRecord$$' \
 	'./internal/speculate/=BenchmarkCloneFanout$$'
-HOST_REF = (cd $(CURDIR) && $(GO) test -run '^$$' -bench 'BenchmarkHostSpeed$$' -benchtime 300ms ./cmd/benchjson/)
-GATED_ROUND = for g in $(GATED); do $(HOST_REF) ; $(GO) test -run '^$$' -bench "$${g\#*=}" -benchmem "$${g%%=*}" ; done
+override HOST_REF = (cd $(CURDIR) && $(GO) test -run '^$$' -bench 'BenchmarkHostSpeed$$' -benchtime 300ms ./cmd/benchjson/)
+override GATED_ROUND = for g in $(GATED); do $(HOST_REF) ; $(GO) test -run '^$$' -bench "$${g\#*=}" -benchmem "$${g%%=*}" ; done
 
 # bench-gate re-runs the gated set in five rounds with the host-speed
 # reference around each package, as `bench` does, and fails if any one's

@@ -56,7 +56,8 @@ func (a key) less(b key) bool {
 
 // sortKeys sorts ks on (at, seq). Keys are distinct, so any correct sort
 // gives the one order: quicksort around the middle key down to short
-// stretches, which insertion sort finishes.
+// stretches, which insertion sort finishes. Written out so less inlines:
+// slices.SortFunc took 1.33x the time on BenchmarkEngineSchedule (2-vCPU VM).
 func sortKeys(ks []key) {
 	for len(ks) > 12 {
 		p, i, j := ks[len(ks)/2], 0, len(ks)-1

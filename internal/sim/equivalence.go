@@ -135,8 +135,10 @@ func (d *eqDriver) pickLive(sameInstant bool) (int, bool) {
 }
 
 // fired is the callback both schedulers invoke per event. It logs, then
-// runs the step's scripted actions: schedule 0-2 new events, maybe cancel
-// (preferring a same-instant victim), maybe re-arm (cancel + reschedule).
+// runs the step's scripted actions: schedule 0-2 new events, maybe a burst
+// of compactMin book-then-cancel cycles across every band (so the engine
+// compacts its queue mid-run), maybe cancel (preferring a same-instant
+// victim), maybe re-arm (cancel + reschedule).
 func (d *eqDriver) fired(id int) {
 	d.log = append(d.log, fireRec{id: id, at: d.s.now()})
 	delete(d.live, id)
@@ -149,6 +151,13 @@ func (d *eqDriver) fired(id int) {
 	lastAt := time.Duration(-1)
 	for n := rng.Intn(3); n > 0; n-- {
 		lastAt = d.scheduleOne(rng, lastAt)
+	}
+	if rng.Intn(32) == 0 {
+		for i := 0; i < compactMin; i++ {
+			d.s.schedule(d.s.now()+eqDelays[rng.Intn(len(eqDelays))]+time.Duration(rng.Intn(2048)), d.nextID)
+			d.s.cancel(d.nextID)
+			d.nextID++
+		}
 	}
 	if rng.Intn(3) == 0 {
 		if victim, ok := d.pickLive(rng.Intn(2) == 0); ok {

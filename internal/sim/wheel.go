@@ -175,13 +175,21 @@ func (w *wheel) release(c *chunk) *chunk {
 // nextSlot finds the occupied slot with the earliest start and returns its
 // level, index and absolute start tick. Only call with count > 0.
 //
-// By the XOR level rule a level-l key shares the drain boundary's
-// 64^(l+1)-tick block and is not before it, while a level-(l+1) key lies in
-// a later such block. So every key of a lower level precedes every key of a
-// higher one, and no occupied slot of a level is behind its cursor: the
-// earliest slot is the lowest set bit of the lowest non-empty level, in the
-// boundary's block.
+// The boundary never passes an occupied slot's start, and by the XOR level
+// rule a level-l key shares its 64^(l+1)-tick block, so a slot ahead of its
+// level's cursor starts after every lower level's keys. The earliest is the
+// highest-level occupied slot at its cursor when a level-0 drain has put the
+// boundary, a multiple of 64 ticks, at such a slot's start (later keys in its
+// span go lower), else the lowest set bit of the lowest non-empty level.
 func (w *wheel) nextSlot() (lvl, idx int, startTick int64) {
+	if w.tick&wheelMask == 0 {
+		for lvl = wheelLevels - 1; lvl > 0; lvl-- {
+			shift := uint(lvl) * wheelBits
+			if idx = int(w.tick>>shift) & wheelMask; w.occupied[lvl]>>uint(idx)&1 != 0 {
+				return lvl, idx, w.tick >> shift << shift
+			}
+		}
+	}
 	for w.occupied[lvl] == 0 {
 		lvl++
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
@@ -86,6 +87,40 @@ func TestWheelCancel(t *testing.T) {
 	e.Run()
 	if keep != 1 {
 		t.Fatalf("surviving event fired %d times, want 1", keep)
+	}
+}
+
+// TestCompactionBoundAtSlotStart is the regression for a next-slot search
+// that took the lowest non-empty level as the earliest. Draining level-0
+// slot 63 puts the drain boundary at tick 64, the start of an occupied
+// level-1 slot; a key then scheduled for tick 74 goes to level 0, inside
+// that slot's span. A compaction that empties a slot then drops the cached
+// bound, and the recomputed one must still be the level-1 slot: otherwise
+// the run key at 64 ticks + 500 fires ahead of the level-1 key at 64 ticks
+// + 10 and the clock moves backwards, or a window ending at 64 ticks + 100
+// leaves that key behind.
+func TestCompactionBoundAtSlotStart(t *testing.T) {
+	for _, until := range []time.Duration{time.Hour, 64*tick + 100} {
+		e := NewEngine(1)
+		var got []time.Duration
+		rec := func() { got = append(got, e.Now()) }
+		e.At(63*tick, func() {
+			rec()
+			e.At(74*tick, rec)
+			e.At(64*tick+500, rec)
+			for i := 0; i < compactMin; i++ {
+				e.At(90*tick, nop).Cancel()
+			}
+		})
+		e.At(64*tick+10, rec)
+		e.RunUntil(until)
+		want := []time.Duration{63 * tick, 64*tick + 10, 64*tick + 500, 74 * tick}
+		if until < want[len(want)-1] {
+			want = want[:2]
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("RunUntil(%v): fired at %v, want %v", until, got, want)
+		}
 	}
 }
 
