@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet fmt race check bench bench-gate bench-pair bench-res bench-e2e bench-e2e-gate suite ci trace telemetry fuzz fuzz-smoke cover profile svc-smoke parity
+.PHONY: build test vet fmt race check bench bench-gate bench-pair bench-res bench-e2e bench-e2e-gate bench-e2e-pair suite ci trace telemetry fuzz fuzz-smoke cover profile svc-smoke parity
 
 build:
 	$(GO) build ./...
@@ -56,6 +56,7 @@ bench:
 	  for round in 1 2 3 4 5; do \
 	  ref ; $(GO) test -run '^$$' -bench 'BenchmarkEngine|BenchmarkProcessorRun$$|BenchmarkSignalNotify$$|BenchmarkQueueNotify$$|BenchmarkPSRun$$' -benchmem ./internal/sim/ ; \
 	  ref ; $(GO) test -run '^$$' -bench 'BenchmarkQPPostSend$$|BenchmarkCQPollInto$$' -benchmem ./internal/rdma/ ; \
+	  ref ; $(GO) test -run '^$$' -bench 'BenchmarkDNEIngest$$' -benchmem ./internal/dne/ ; \
 	  ref ; $(GO) test -run '^$$' -bench 'BenchmarkMempoolCachedGetPut$$' -benchmem ./internal/mempool/ ; \
 	  ref ; $(GO) test -run '^$$' -bench 'BenchmarkGatewayForward$$|BenchmarkChainCrossNode$$' -benchmem ./internal/gateway/ ; \
 	  ref ; $(GO) test -run '^$$' -bench 'BenchmarkFlightRecord$$' -benchmem ./internal/flightrec/ ; \
@@ -69,7 +70,8 @@ bench:
 # schedule hot path and its schedule-then-cancel cycle, same-instant
 # Immediate, the near path under 100k far timers and the waits (FCFS and PS
 # Run, Signal and Queue Notify; pinned at 0 allocs/op), plus the data-plane
-# fast path (QP send, CQ ring drain, cached mempool Get/Put), the gateway
+# fast path (QP send, CQ ring drain, the DNE loop's ingest with 16 ports
+# attached, cached mempool Get/Put), the gateway
 # forwarding path and the flight-recorder record path (pinned at 0
 # allocs/op). GATED_ROUND runs the set once from the current directory,
 # timing the host-speed reference (HOST_REF, always from the working tree)
@@ -78,6 +80,7 @@ bench:
 override GATED := \
 	'./internal/sim/=BenchmarkEngineSchedule$$|BenchmarkEngineScheduleCancel$$|BenchmarkEngineImmediate$$|BenchmarkEngineFarTimers$$|BenchmarkProcessorRun$$|BenchmarkSignalNotify$$|BenchmarkQueueNotify$$|BenchmarkPSRun$$' \
 	'./internal/rdma/=BenchmarkQPPostSend$$|BenchmarkCQPollInto$$' \
+	'./internal/dne/=BenchmarkDNEIngest$$' \
 	'./internal/mempool/=BenchmarkMempoolCachedGetPut$$' \
 	'./internal/gateway/=BenchmarkGatewayForward$$|BenchmarkChainCrossNode$$' \
 	'./internal/flightrec/=BenchmarkFlightRecord$$' \
@@ -138,6 +141,31 @@ bench-e2e:
 # re-archives with `make bench-e2e` and says why.
 bench-e2e-gate:
 	@$(E2E_RUN); $(GO) run ./cmd/benchjson -e2e -gate BENCH_e2e.json < "$$out"
+
+# bench-e2e-pair measures an end-to-end claim against BASE: it exports BASE
+# with git archive, as parity does, and runs ten alternating pairs of
+# `python3 bench/run.py --workload $(WORKLOAD) --seed <s> --seconds 20
+# --trace 0` at seeds 1001-1010, from BASE and from the working tree, BASE
+# first in odd-seeded pairs and the working tree first in even ones.
+# benchjson -pair prints every end-to-end metric of each pair, then per
+# metric each side's median and quartiles and how many pairs the working
+# tree won, and fails if a modeled metric disagreed on any pair or a run
+# failed requests. Run it on a quiet machine. The temporary directory is
+# always removed.
+#   make bench-e2e-pair BASE=<commit> WORKLOAD=<name>
+bench-e2e-pair:
+	@[ -n "$(WORKLOAD)" ] || { echo "bench-e2e-pair: set WORKLOAD=<name>"; exit 1; }; \
+	tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir "$$tmp/src" && git archive $(BASE) | tar -x -C "$$tmp/src" || exit 1; \
+	for seed in $$(seq 1001 1010); do \
+		order="base work"; [ $$((seed % 2)) = 0 ] && order="work base"; \
+		for side in $$order; do \
+			dir="$$tmp/src"; [ $$side = work ] && dir="$(CURDIR)"; \
+			echo "== pair $$seed $$side" | tee -a "$$tmp/pairs.out"; \
+			(cd "$$dir" && python3 bench/run.py --workload $(WORKLOAD) --seed $$seed --seconds 20 --trace 0) >> "$$tmp/pairs.out" || exit 1; \
+		done; \
+	done; \
+	$(GO) run ./cmd/benchjson -pair < "$$tmp/pairs.out"
 
 # profile captures pprof CPU and heap profiles of a representative slice of
 # the suite (fig15 exercises the full DNE data path at quick fidelity).

@@ -43,6 +43,13 @@
 // must not be worse than archived by more than its bound in BENCHMARK.json's
 // end_to_end list, read from the working directory (see
 // `make bench-e2e-gate`).
+//
+// -pair reads the paired end-to-end runs of `make bench-e2e-pair`: each
+// run of bench/run.py follows a "== pair <seed> <side>" line, side being
+// base or work. It prints every end-to-end metric of each pair, then for
+// each metric both sides' median and quartiles, how many pairs the working
+// tree won (by the metric's "better" direction in BENCHMARK.json), and
+// whether the modeled metrics agreed on every pair.
 package main
 
 import (
@@ -50,6 +57,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -427,6 +435,166 @@ func foldE2E(rs []E2EResult) ([]E2EResult, error) {
 	return out, nil
 }
 
+// pairRun is one seed's pair of runs: the BASE side and the working tree.
+type pairRun struct {
+	Seed       int
+	Base, Work *E2EResult
+}
+
+// parsePairs reads `make bench-e2e-pair` output: a "== pair <seed>
+// <side>" line names the side of the JSON result line that follows.
+// Every pair must have both sides.
+func parsePairs(sc *bufio.Scanner) ([]pairRun, error) {
+	var out []pairRun
+	var side *(*E2EResult)
+	for sc.Scan() {
+		line := sc.Text()
+		switch {
+		case strings.HasPrefix(line, "== pair "):
+			f := strings.Fields(line)
+			seed, err := strconv.Atoi(f[len(f)-2])
+			if len(f) != 4 || err != nil {
+				return nil, fmt.Errorf("malformed pair header: %s", line)
+			}
+			if len(out) == 0 || out[len(out)-1].Seed != seed {
+				out = append(out, pairRun{Seed: seed})
+			}
+			switch p := &out[len(out)-1]; f[3] {
+			case "base":
+				side = &p.Base
+			case "work":
+				side = &p.Work
+			default:
+				return nil, fmt.Errorf("pair %d: unknown side %q", seed, f[3])
+			}
+		case strings.HasPrefix(line, "{"):
+			if side == nil {
+				return nil, fmt.Errorf("result line before any pair header: %s", line)
+			}
+			r := new(E2EResult)
+			if err := json.Unmarshal([]byte(line), r); err != nil {
+				return nil, err
+			}
+			*side, side = r, nil
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	for _, p := range out {
+		if p.Base == nil || p.Work == nil {
+			return nil, fmt.Errorf("pair %d is missing a side", p.Seed)
+		}
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("no pairs on stdin")
+	}
+	return out, nil
+}
+
+// spread is one side's median and quartiles over the pairs.
+type spread struct{ Q1, Median, Q3 float64 }
+
+// quartiles returns the median and quartiles of vs, linearly interpolated
+// between order statistics; it sorts vs.
+func quartiles(vs []float64) spread {
+	sort.Float64s(vs)
+	at := func(q float64) float64 {
+		pos := q * float64(len(vs)-1)
+		i := int(pos)
+		if i+1 >= len(vs) {
+			return vs[i]
+		}
+		return vs[i] + (pos-float64(i))*(vs[i+1]-vs[i])
+	}
+	return spread{at(0.25), at(0.5), at(0.75)}
+}
+
+// pairSummary folds one metric over the pairs.
+type pairSummary struct {
+	Name       string
+	Base, Work spread
+	// Wins counts pairs where the working tree was strictly better; Ties
+	// those where the sides were equal.
+	Wins, Ties, Pairs int
+	// Missing reports a pair where a side lacks the metric.
+	Missing bool
+}
+
+// foldPairs summarizes each end-to-end metric over the pairs.
+func foldPairs(pairs []pairRun, bounds []e2eBound) []pairSummary {
+	out := make([]pairSummary, 0, len(bounds))
+	for _, b := range bounds {
+		s := pairSummary{Name: b.Name, Pairs: len(pairs)}
+		base := make([]float64, 0, len(pairs))
+		work := make([]float64, 0, len(pairs))
+		for _, p := range pairs {
+			bm, okB := p.Base.Metrics[b.Name]
+			wm, okW := p.Work.Metrics[b.Name]
+			if !okB || !okW {
+				s.Missing = true
+				continue
+			}
+			base, work = append(base, bm.Value), append(work, wm.Value)
+			switch {
+			case wm.Value == bm.Value:
+				s.Ties++
+			case (b.Better == "higher") == (wm.Value > bm.Value):
+				s.Wins++
+			}
+		}
+		if len(base) > 0 {
+			s.Base, s.Work = quartiles(base), quartiles(work)
+		}
+		out = append(out, s)
+	}
+	return out
+}
+
+// printPairs writes the per-pair table and the per-metric summary, and
+// reports whether every modeled metric agreed on every pair and every run
+// was correct with no failed request.
+func printPairs(w io.Writer, pairs []pairRun, bounds []e2eBound) bool {
+	ok := true
+	fmt.Fprintf(w, "%-6s %-16s %16s %16s %9s\n", "seed", "metric", "base", "work", "delta")
+	for _, p := range pairs {
+		for _, b := range bounds {
+			bv, wv := p.Base.Metrics[b.Name].Value, p.Work.Metrics[b.Name].Value
+			fmt.Fprintf(w, "%-6d %-16s %16.6g %16.6g %+8.2f%%\n", p.Seed, b.Name, bv, wv, 100*(wv/bv-1))
+		}
+		for _, r := range []*E2EResult{p.Base, p.Work} {
+			if !r.Correct || r.Failed > 0 {
+				ok = false
+			}
+		}
+		fmt.Fprintf(w, "%-6d %-16s %16s %16s\n", p.Seed, "correct/failed",
+			fmt.Sprintf("%v/%d", p.Base.Correct, p.Base.Failed), fmt.Sprintf("%v/%d", p.Work.Correct, p.Work.Failed))
+	}
+	fmt.Fprintf(w, "\n%d pairs, working tree vs BASE: median [q1, q3] per side\n", len(pairs))
+	fmt.Fprintf(w, "%-16s %38s %38s %9s  %s\n", "metric", "base", "work", "median Δ", "verdict")
+	for _, s := range foldPairs(pairs, bounds) {
+		side := func(x spread) string {
+			return fmt.Sprintf("%.6g [%.6g, %.6g]", x.Median, x.Q1, x.Q3)
+		}
+		verdict := fmt.Sprintf("work won %d of %d (%d tied)", s.Wins, s.Pairs, s.Ties)
+		if modeledMetrics[s.Name] {
+			verdict = fmt.Sprintf("modeled: agreed on %d of %d", s.Ties, s.Pairs)
+			ok = ok && s.Ties == s.Pairs
+		}
+		if s.Missing {
+			verdict, ok = "missing from a run", false
+		}
+		fmt.Fprintf(w, "%-16s %38s %38s %+8.2f%%  %s\n", s.Name, side(s.Base), side(s.Work),
+			100*(s.Work.Median/s.Base.Median-1), verdict)
+	}
+	if ok {
+		fmt.Fprintln(w, "modeled metrics agreed on every pair; every run correct, no failed request")
+	} else {
+		fmt.Fprintln(w, "NOT CLEAN: a modeled metric disagreed, a metric is missing, or a run failed requests")
+	}
+	return ok
+}
+
 // readJSON decodes the JSON file at path into v, reporting failure on
 // stderr.
 func readJSON(path string, v any) bool {
@@ -446,7 +614,25 @@ func main() {
 	gatePath := flag.String("gate", "", "archived report to gate fresh results against (no JSON output)")
 	gateThreshold := flag.Float64("gate-threshold", 0.25, "allowed fractional ns/op regression in -gate mode")
 	e2e := flag.Bool("e2e", false, "read repository benchmark output (bench/run.py) instead of go test -bench output")
+	pair := flag.Bool("pair", false, "summarize make bench-e2e-pair output (paired bench/run.py runs)")
 	flag.Parse()
+
+	if *pair {
+		sc := bufio.NewScanner(os.Stdin)
+		sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+		var bench struct {
+			EndToEnd []e2eBound `json:"end_to_end"`
+		}
+		pairs, err := parsePairs(sc)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "benchjson:", err)
+			os.Exit(1)
+		}
+		if !readJSON("BENCHMARK.json", &bench) || !printPairs(os.Stdout, pairs, bench.EndToEnd) {
+			os.Exit(1)
+		}
+		return
+	}
 
 	if *e2e {
 		sc := bufio.NewScanner(os.Stdin)

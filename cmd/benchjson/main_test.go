@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -217,5 +218,49 @@ func TestFoldE2E(t *testing.T) {
 	}
 	if _, err := foldE2E([]E2EResult{run(900, 100, 0), run(900, 101, 0)}); err == nil {
 		t.Fatal("foldE2E accepted runs whose modeled metrics differ")
+	}
+}
+
+// TestPairs pins the paired end-to-end fold: the parser attributes each
+// result line to the side its header names, each side gets its median and
+// interpolated quartiles, wins follow the metric's better direction, and a
+// modeled metric agrees only when every pair ties.
+func TestPairs(t *testing.T) {
+	line := func(wall, vrps float64) string {
+		return fmt.Sprintf(`{"correct": true, "attempted": 10, "failed": 0, "metrics": {"wall_ns_per_req": {"value": %g, "unit": "ns"}, "vrps": {"value": %g, "unit": "1/s"}}}`, wall, vrps)
+	}
+	in := strings.Join([]string{
+		"== pair 1001 base", "== boutique-closed (timed run): window 300ms", line(100, 50),
+		"== pair 1001 work", line(90, 50),
+		"== pair 1002 work", line(95, 50),
+		"== pair 1002 base", line(110, 50),
+		"== pair 1003 base", line(120, 50),
+		"== pair 1003 work", line(125, 51),
+	}, "\n")
+	pairs, err := parsePairs(bufio.NewScanner(strings.NewReader(in)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pairs) != 3 || pairs[1].Seed != 1002 || pairs[1].Base.Metrics["wall_ns_per_req"].Value != 110 {
+		t.Fatalf("parsePairs = %+v", pairs)
+	}
+	bounds := []e2eBound{{Name: "wall_ns_per_req", Better: "lower"}, {Name: "vrps", Better: "higher"}}
+	s := foldPairs(pairs, bounds)
+	wall, vrps := s[0], s[1]
+	if wall.Wins != 2 || wall.Ties != 0 || wall.Base != (spread{105, 110, 115}) || wall.Work != (spread{92.5, 95, 110}) {
+		t.Fatalf("wall summary = %+v, want 2 wins, base 110 [105, 115], work 95 [92.5, 110]", wall)
+	}
+	if vrps.Ties != 2 || vrps.Wins != 1 {
+		t.Fatalf("vrps summary = %+v, want 2 ties and 1 win", vrps)
+	}
+	var out strings.Builder
+	if printPairs(&out, pairs, bounds) {
+		t.Fatalf("printPairs called a modeled metric that moved clean:\n%s", out.String())
+	}
+	if printPairs(&out, pairs[:2], bounds) != true {
+		t.Fatalf("printPairs flagged pairs whose modeled metrics agree:\n%s", out.String())
+	}
+	if _, err := parsePairs(bufio.NewScanner(strings.NewReader("== pair 1001 base\n" + line(1, 1)))); err == nil {
+		t.Fatal("parsePairs accepted a pair without its work side")
 	}
 }

@@ -90,7 +90,7 @@ func newFuyaoEngine(c *Cluster, n *Node) *fuyaoEngine {
 		conns:    make(map[string]*rdma.ConnPool),
 		rings:    make(map[string][]rdma.RemoteBuf),
 	}
-	e.inbox = ipc.NewSKMsg(c.Eng, c.P, e.work)
+	e.inbox = ipc.NewSKMsg(c.Eng, c.P, e.work.Pulse)
 	e.mr = n.dpu.RNIC().RegisterMR(e.rdmaPool)
 	e.cq.SetNotify(func() { e.work.Pulse() })
 	return e

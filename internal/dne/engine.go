@@ -2,6 +2,7 @@ package dne
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 
 	"nadino/internal/dpu"
@@ -116,6 +117,10 @@ type Engine struct {
 	ports     map[string]*FnPort
 	portSeq   []*FnPort
 	poolSeq   []*rdma.ConnPool
+	// ready holds one bit per attached port, in portSeq order: a delivery
+	// to the port sets it and an ingest pull that finds the port empty
+	// clears it, so a clear bit means an empty port and ingest skips it.
+	ready []uint64
 
 	// Interned routing state (§3.2): tenant, function and node names resolve
 	// to dense IDs once, so the per-request TX/RX path does slice indexing
@@ -478,10 +483,19 @@ func (e *Engine) AttachFunction(fn, tenant string) *FnPort {
 		panic(fmt.Sprintf("dne: function %q already attached", fn))
 	}
 	fp := &FnPort{fn: fn, tenant: tenant, engine: e}
+	i := len(e.portSeq)
+	if i&63 == 0 {
+		e.ready = append(e.ready, 0)
+	}
+	// A delivery marks the port ready, then wakes the loop.
+	wake := func() {
+		e.ready[i>>6] |= 1 << (i & 63)
+		e.work.Pulse()
+	}
 	if e.cfg.Loc == OnDPU {
-		fp.comch = dpu.NewEndpoint(e.eng, e.p, e.cfg.Channel, len(e.ports), fn, tenant, e.work)
+		fp.comch = dpu.NewEndpoint(e.eng, e.p, e.cfg.Channel, i, fn, tenant, wake)
 	} else {
-		fp.toEngine = ipc.NewSKMsg(e.eng, e.p, e.work)
+		fp.toEngine = ipc.NewSKMsg(e.eng, e.p, wake)
 		fp.toFn = ipc.NewSKMsg(e.eng, e.p, nil)
 	}
 	e.ports[fn] = fp
@@ -583,13 +597,18 @@ func (e *Engine) pass() {
 			e.rx(e.gwIn.PopFront(), e.gwOwner)
 			return
 		case stageIngest:
-			// Host -> engine descriptors into the tenant scheduler.
+			// Host -> engine descriptors into the tenant scheduler: each
+			// ready port in index order, drained until a pull finds it
+			// empty. Ports whose bit is clear are empty, so skipping them
+			// serves the same ports in the same order as pulling them all.
+			w.port = e.nextReady(w.port, w.nPorts)
 			if w.port == w.nPorts {
 				w.stage, w.tx = stageTX, 0
 				continue
 			}
 			d, cost, ok := e.portSeq[w.port].engineSidePull()
 			if !ok {
+				e.ready[w.port>>6] &^= 1 << (w.port & 63)
 				w.port++
 				continue
 			}
@@ -629,6 +648,21 @@ func (e *Engine) pass() {
 			}
 		}
 	}
+}
+
+// nextReady returns the first port at or after from and below end whose
+// ready bit is set, or end if there is none.
+func (e *Engine) nextReady(from, end int) int {
+	for wi := from >> 6; wi<<6 < end; wi++ {
+		word := e.ready[wi]
+		if wi == from>>6 {
+			word &= ^uint64(0) << (from & 63)
+		}
+		if word != 0 {
+			return min(wi<<6+bits.TrailingZeros64(word), end)
+		}
+	}
+	return end
 }
 
 // next clears the descriptor that just left service and resumes the pass.

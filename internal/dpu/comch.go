@@ -52,8 +52,9 @@ type Endpoint struct {
 
 	toDNE  *sim.Queue[mempool.Descriptor]
 	toHost *sim.Queue[mempool.Descriptor]
-	// work is shared with the owning DNE loop so deliveries wake it.
-	work *sim.Signal
+	// wake, when set, runs after every delivery to the DNE side: the
+	// consumer's hook to wake its loop (the DNE also marks the port ready).
+	wake func()
 
 	sentToDNE  uint64
 	sentToHost uint64
@@ -97,14 +98,15 @@ func (dv *comchDelivery) run() {
 		return
 	}
 	ep.toDNE.TryPut(d)
-	if ep.work != nil {
-		ep.work.Pulse()
+	if ep.wake != nil {
+		ep.wake()
 	}
 }
 
-// NewEndpoint creates an endpoint. work is the DNE loop's wake signal (may
-// be shared across endpoints and CQs); pass nil if no loop consumes it.
-func NewEndpoint(eng *sim.Engine, p *params.Params, mode ChannelMode, id int, fn, tenant string, work *sim.Signal) *Endpoint {
+// NewEndpoint creates an endpoint. wake runs after each descriptor reaches
+// the DNE side, in the delivering event (e.g. a loop's signal Pulse); pass
+// nil if no loop consumes it.
+func NewEndpoint(eng *sim.Engine, p *params.Params, mode ChannelMode, id int, fn, tenant string, wake func()) *Endpoint {
 	return &Endpoint{
 		ID:     id,
 		Fn:     fn,
@@ -114,7 +116,7 @@ func NewEndpoint(eng *sim.Engine, p *params.Params, mode ChannelMode, id int, fn
 		p:      p,
 		toDNE:  sim.NewQueue[mempool.Descriptor](eng, 0),
 		toHost: sim.NewQueue[mempool.Descriptor](eng, 0),
-		work:   work,
+		wake:   wake,
 	}
 }
 

@@ -90,7 +90,7 @@ func TestComchRoundTripLatencyOrdering(t *testing.T) {
 		eng := sim.NewEngine(1)
 		defer eng.Stop()
 		work := sim.NewSignal(eng)
-		ep := NewEndpoint(eng, p, mode, 0, "fn", "t", work)
+		ep := NewEndpoint(eng, p, mode, 0, "fn", "t", work.Pulse)
 		hostCore := sim.NewProcessor(eng, "host", p.HostCoreSpeed)
 		dpuCore := sim.NewProcessor(eng, "dpu", p.DPUCoreSpeed)
 		var rtt time.Duration

@@ -33,7 +33,7 @@ func runComch(p *params.Params, seed int64, mode dpu.ChannelMode, n int, dur tim
 	dpuCore := sim.NewProcessor(eng, "dne-core", p.DPUNetSpeed)
 	eps := make([]*dpu.Endpoint, n)
 	for i := range eps {
-		eps[i] = dpu.NewEndpoint(eng, p, mode, i, fmt.Sprintf("fn%d", i), "t", work)
+		eps[i] = dpu.NewEndpoint(eng, p, mode, i, fmt.Sprintf("fn%d", i), "t", work.Pulse)
 	}
 	// Single-core engine: busy-poll all endpoints, echo descriptors.
 	var poll func()

@@ -22,8 +22,9 @@ type SKMsg struct {
 	eng *sim.Engine
 	p   *params.Params
 	q   *sim.Queue[mempool.Descriptor]
-	// work optionally wakes an event-loop consumer (the CNE).
-	work      *sim.Signal
+	// wake optionally runs after every delivery: an event-loop consumer's
+	// hook (the CNE marks the port ready and wakes its loop).
+	wake      func()
 	delivered uint64
 
 	// freeDel pools delivery timer nodes so Send's per-descriptor After()
@@ -58,14 +59,15 @@ func (dv *skDelivery) run() {
 	c.freeDel = append(c.freeDel, dv)
 	c.delivered++
 	c.q.TryPut(d)
-	if c.work != nil {
-		c.work.Pulse()
+	if c.wake != nil {
+		c.wake()
 	}
 }
 
-// NewSKMsg creates a channel; work may be nil.
-func NewSKMsg(eng *sim.Engine, p *params.Params, work *sim.Signal) *SKMsg {
-	return &SKMsg{eng: eng, p: p, q: sim.NewQueue[mempool.Descriptor](eng, 0), work: work}
+// NewSKMsg creates a channel. wake, if not nil, runs after each delivery,
+// in the delivering event.
+func NewSKMsg(eng *sim.Engine, p *params.Params, wake func()) *SKMsg {
+	return &SKMsg{eng: eng, p: p, q: sim.NewQueue[mempool.Descriptor](eng, 0), wake: wake}
 }
 
 // SendCost is the sender-side CPU cost per descriptor.

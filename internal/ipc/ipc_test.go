@@ -68,7 +68,7 @@ func TestSKMsgWorkSignalWakesLoop(t *testing.T) {
 	eng := sim.NewEngine(1)
 	defer eng.Stop()
 	work := sim.NewSignal(eng)
-	ch := NewSKMsg(eng, p, work)
+	ch := NewSKMsg(eng, p, work.Pulse)
 	woke := false
 	var loop func()
 	loop = func() {

@@ -253,3 +253,74 @@ func TestRetransmitTimerDoesNotDuplicate(t *testing.T) {
 		t.Fatalf("lossless run recorded %d retransmits", qa.Retransmits())
 	}
 }
+
+// TestRetransmitMeetsLandedSend makes a retransmitted copy of a two-sided
+// send meet an original that has already landed: the SRQ stays empty past
+// RetransmitTimeout, so the original RNR-loops while the sender
+// retransmits. Once buffers are posted the original lands on its next
+// retry and the copy, retrying later, is re-acked without consuming one.
+func TestRetransmitMeetsLandedSend(t *testing.T) {
+	r := newRig(t, 1)
+	// Seven RNR retries outlast the ack timeout, and the copy's retries
+	// fall between the original's.
+	r.p.RNRRetryDelay = 300 * time.Microsecond
+	qa, _ := Connect(r.ra, r.rb, "t", r.srqA, r.srqB, r.cqA, r.cqB)
+	src, _ := r.poolA.Get("fnA")
+	qa.PostSend(mempool.Descriptor{Tenant: "t", Buf: src, Len: 64, Seq: 9})
+	// The retransmit leaves at 500µs; the original retries at ~600µs, the
+	// copy at ~800µs.
+	r.eng.At(550*time.Microsecond, func() { postRecvs(t, r.poolB, r.srqB, 4) })
+	r.eng.Run()
+
+	if n := qa.Retransmits(); n != 1 {
+		t.Fatalf("retransmits = %d, want 1", n)
+	}
+	recvs := r.cqB.Poll(0)
+	if len(recvs) != 1 || recvs[0].Op != OpRecv || recvs[0].Desc.Seq != 9 {
+		t.Fatalf("receiver CQEs = %+v, want one receive of seq 9", recvs)
+	}
+	sends := r.cqA.Poll(0)
+	if len(sends) != 1 || sends[0].Op != OpSend || sends[0].Status != StatusOK {
+		t.Fatalf("sender CQEs = %+v, want one OK send completion", sends)
+	}
+	if c, posted := r.srqB.Consumed(), r.srqB.Posted(); c != 1 || posted != 3 {
+		t.Fatalf("SRQ consumed %d buffers, %d still posted; want 1 and 3", c, posted)
+	}
+	// Both copies ran a receive flow to its end: one acked, one re-acked.
+	if n := len(r.rb.flowFree); n != 2 {
+		t.Fatalf("%d receive flows released, want 2 (ack and duplicate re-ack)", n)
+	}
+	if qa.Outstanding() != 0 {
+		t.Fatalf("%d WRs still outstanding", qa.Outstanding())
+	}
+}
+
+// TestRetransmitMeetsLandedWrite is the one-sided twin: extra latency on
+// the forward link delays the original write past RetransmitTimeout, so
+// the retransmitted copy arrives after the original landed. The write
+// lands in the MR once, and the sender sees one OK completion.
+func TestRetransmitMeetsLandedWrite(t *testing.T) {
+	r := newRig(t, 1)
+	r.net.SetLinkLatency("nodeA", "nodeB", 600*time.Microsecond, 0)
+	qa, _ := Connect(r.ra, r.rb, "t", r.srqA, r.srqB, r.cqA, r.cqB)
+	mrB := r.rb.RegisterMR(r.poolB)
+	dst, _ := r.poolB.Get("rdma-pool")
+	src, _ := r.poolA.Get("cli")
+	qa.PostWrite(mempool.Descriptor{Tenant: "t", Buf: src, Len: 64}, RemoteBuf{MR: mrB, Buf: dst})
+	r.eng.Run()
+
+	if n := qa.Retransmits(); n != 1 {
+		t.Fatalf("retransmits = %d, want 1", n)
+	}
+	landed := mrB.PollLanded()
+	if len(landed) != 1 || landed[0].Buf != dst {
+		t.Fatalf("landed = %+v, want the write once", landed)
+	}
+	sends := r.cqA.Poll(0)
+	if len(sends) != 1 || sends[0].Op != OpWrite || sends[0].Status != StatusOK {
+		t.Fatalf("sender CQEs = %+v, want one OK write completion", sends)
+	}
+	if qa.Outstanding() != 0 {
+		t.Fatalf("%d WRs still outstanding", qa.Outstanding())
+	}
+}

@@ -2,6 +2,7 @@ package rdma
 
 import (
 	"testing"
+	"time"
 
 	"nadino/internal/fabric"
 	"nadino/internal/mempool"
@@ -40,25 +41,27 @@ func TestSRQBackingArrayBounded(t *testing.T) {
 }
 
 // echoLoop runs a closed-loop echo entirely at the rdma layer, as engine
-// callbacks bound once: one send of src in flight on qa (up to sends of
-// them, or forever when sends < 0), each landed buffer recycled straight
-// back into the receiver's SRQ. It returns the delivery counter.
-func echoLoop(eng *sim.Engine, qa *QP, cqA, cqB *CQ, srqB *SRQ, src mempool.Buffer, sends int) *int {
+// callbacks bound once: depth sends of src in flight on qa, each send
+// completion posting the next until sends have been posted (sends < 0:
+// until *stop is set), each landed buffer recycled straight back into the
+// receiver's SRQ. It returns the delivery counter.
+func echoLoop(eng *sim.Engine, qa *QP, cqA, cqB *CQ, srqB *SRQ, src mempool.Buffer, depth, sends int, stop *bool) *int {
 	delivered := new(int)
 	var post, await, receive func()
 	post = func() {
-		qa.PostSend(mempool.Descriptor{Tenant: "t", Buf: src, Len: 64})
-		await()
-	}
-	await = func() {
-		if cqA.Len() == 0 {
-			cqA.Notify(await)
+		if sends == 0 || (stop != nil && *stop) {
 			return
 		}
-		cqA.Poll(0)
-		if sends--; sends != 0 {
-			post()
+		sends--
+		qa.PostSend(mempool.Descriptor{Tenant: "t", Buf: src, Len: 64})
+	}
+	await = func() {
+		for _, e := range cqA.Poll(0) {
+			if e.Op == OpSend {
+				post()
+			}
 		}
+		cqA.Notify(await)
 	}
 	receive = func() {
 		for _, e := range cqB.Poll(0) {
@@ -69,65 +72,80 @@ func echoLoop(eng *sim.Engine, qa *QP, cqA, cqB *CQ, srqB *SRQ, src mempool.Buff
 		}
 		cqB.Notify(receive)
 	}
-	eng.Immediate(post)
+	eng.Immediate(func() {
+		for i := 0; i < depth; i++ {
+			post()
+		}
+		cqA.Notify(await)
+	})
 	eng.Immediate(receive)
 	return delivered
 }
 
-// TestSeenLogBoundedUnderSustainedLoad drives a long-lived QP with steady
-// traffic for several multiples of the dedup window and asserts the
-// receiver's duplicate-detection state stays bounded: the seen set and its
-// expiry log must hold only entries younger than dedupWindow, not every
-// wire ID the QP ever delivered (the old seenLog grew one entry per
-// message, forever). Eight windows are enough: without the sweep the live
-// state holds all eight windows' worth, twice the bound.
-func TestSeenLogBoundedUnderSustainedLoad(t *testing.T) {
+// TestDedupStateBoundedUnderSustainedLoad drives a long-lived QP with
+// steady traffic for eight dedup windows and bounds what the transport
+// keeps per WR: duplicate detection lives on the sender's WR slot, so the
+// QPs hold nothing but free-list slots, at most as many as were in flight
+// at once, however many messages went through. Once traffic drains,
+// nothing stays queued on the engine: no sweeper re-arms after the last
+// delivery.
+func TestDedupStateBoundedUnderSustainedLoad(t *testing.T) {
 	r := newRig(t, 1)
 	qa, qb := Connect(r.ra, r.rb, "t", r.srqA, r.srqB, r.cqA, r.cqB)
 	postRecvs(t, r.poolB, r.srqB, 16)
 	src, _ := r.poolA.Get("fnA")
-	const windows = 8
-	ptr := echoLoop(r.eng, qa, r.cqA, r.cqB, r.srqB, src, -1)
-	r.eng.RunUntil(windows * dedupWindow)
-	delivered := *ptr
+	windows, depth := 8, 2
+	if testing.Short() {
+		windows = 2
+	}
+	stop := false
+	ptr := echoLoop(r.eng, qa, r.cqA, r.cqB, r.srqB, src, depth, -1, &stop)
+	r.eng.RunUntil(time.Duration(windows) * dedupWindow)
+	if *ptr < 100000 {
+		t.Fatalf("driver delivered only %d messages in %d windows", *ptr, windows)
+	}
+	// Every slot not on the free list is an outstanding WR: no slot waits
+	// out a tombstone on this lossless path.
+	if live := len(qa.wrFree) + qa.Outstanding(); live > depth {
+		t.Fatalf("sender holds %d WR slots (%d free, %d outstanding) with %d in flight",
+			live, len(qa.wrFree), qa.Outstanding(), depth)
+	}
+	if n := len(qb.wrFree); n != 0 {
+		t.Fatalf("receiving QP holds %d WR slots", n)
+	}
+	if n := len(r.rb.flowFree); n > depth {
+		t.Fatalf("receiving RNIC holds %d flows with %d copies in flight", n, depth)
+	}
 
-	if delivered < 1000 {
-		t.Fatalf("driver delivered only %d messages — load too light to exercise the sweep", delivered)
+	stop = true
+	r.eng.RunUntil(r.eng.Now() + time.Millisecond)
+	if n := r.eng.Pending(); n != 0 {
+		t.Fatalf("%d events still queued 1 ms after traffic drained", n)
 	}
-	// Entries expire after dedupWindow; with ~1-2µs per echo the live set
-	// is a few hundred thousand times smaller than lifetime deliveries.
-	perWindow := delivered/windows + 1
-	if n := qb.seenLog.Len(); n > 4*perWindow {
-		t.Fatalf("seenLog holds %d entries after %d deliveries (~%d per window) — sweep is not trimming",
-			n, delivered, perWindow)
-	}
-	if n := qb.seen.n; n > 4*perWindow {
-		t.Fatalf("seen set holds %d entries after %d deliveries (~%d per window) — entries never expire",
-			n, delivered, perWindow)
-	}
-	if c := qb.seenLog.Cap(); c > 64*perWindow {
-		t.Fatalf("seenLog backing array at %d slots — unbounded growth", c)
+	if qa.Outstanding() != 0 || len(qa.wrFree) > depth {
+		t.Fatalf("after drain: %d outstanding, %d free slots (depth %d)", qa.Outstanding(), len(qa.wrFree), depth)
 	}
 }
 
 // TestWRSlabReuse pins the pooled WR-state contract: a QP that sends
 // forever reuses a handful of wrState slots instead of allocating one per
-// send, and the pending table stays empty once traffic drains.
+// send, and every slot is back on the free list once traffic drains.
 func TestWRSlabReuse(t *testing.T) {
 	r := newRig(t, 3)
 	qa, _ := Connect(r.ra, r.rb, "t", r.srqA, r.srqB, r.cqA, r.cqB)
 	postRecvs(t, r.poolB, r.srqB, 16)
 	src, _ := r.poolA.Get("fnA")
 	const msgs = 5000
-	echoLoop(r.eng, qa, r.cqA, r.cqB, r.srqB, src, msgs)
+	echoLoop(r.eng, qa, r.cqA, r.cqB, r.srqB, src, 1, msgs, nil)
 	r.eng.Run()
-	if n := qa.pending.n; n != 0 {
-		t.Fatalf("pending table holds %d entries after drain", n)
+	// One message in flight at a time, never retransmitted: one slot.
+	if free := len(qa.wrFree); free != 1 || qa.Outstanding() != 0 {
+		t.Fatalf("after drain: %d free slots, %d outstanding, want 1 and 0 for a 1-deep pipeline", free, qa.Outstanding())
 	}
-	// One message in flight at a time: the slab needs ~1 live slot; allow
-	// slack for tombstoned retransmit slots.
-	if free := len(qa.wrFree); free > 8 {
-		t.Fatalf("wrState free list grew to %d slots for a 1-deep pipeline — slots are not being reused", free)
+	for _, st := range qa.wrFree {
+		if st.id != 0 {
+			t.Fatalf("free slot still carries WR id %d", st.id)
+		}
 	}
 }
 
@@ -151,7 +169,7 @@ func BenchmarkQPPostSend(b *testing.B) {
 		srqB.PostRecv(mempool.Descriptor{Tenant: "t", Buf: buf})
 	}
 	src, _ := poolA.Get("fnA")
-	echoLoop(eng, qa, cqA, cqB, srqB, src, b.N)
+	echoLoop(eng, qa, cqA, cqB, srqB, src, 1, b.N, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	eng.Run()

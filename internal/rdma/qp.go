@@ -1,10 +1,10 @@
 package rdma
 
 import (
+	"fmt"
 	"time"
 
 	"nadino/internal/mempool"
-	"nadino/internal/ring"
 	"nadino/internal/sim"
 	"nadino/internal/trace"
 )
@@ -26,51 +26,41 @@ type QP struct {
 	sendsPosted uint64
 	bytesSent   uint64
 
-	// pending tracks unacked WRs for the RC retransmission timer: an
-	// open-addressed index into a pooled slab of wrState slots, so the
-	// per-send fast path allocates nothing at steady state.
-	pending wrTable
-	wrFree  []*wrState
-	// seen dedupes retransmitted deliveries at the receiver (the PSN
-	// check real RC performs): a duplicate is re-acked but consumes no
-	// receive buffer. Entries are swept after dedupWindow (see sweepSeen).
-	// The set is open-addressed; seenLog is a ring whose head the sweeper
-	// advances in place, so sustained load reuses the same backing arrays
-	// instead of growing a retained slice prefix forever.
-	seen        u64Set
-	seenLog     ring.Deque[seenEntry]
-	sweepFn     func() // bound once: the seenLog sweeper
-	sweepArmed  bool
+	// wrFree recycles the wrState slots of completed WRs, so the per-send
+	// fast path allocates nothing at steady state. A slot in flight is
+	// referenced only by the events and receive flows of its WR's copies.
+	wrFree      []*wrState
 	retransmits uint64
 }
 
-// seenEntry records when a wrID entered the receiver's dedup set.
-type seenEntry struct {
-	wr uint64
-	at time.Duration
-}
-
-// dedupWindow bounds how long dedup state is retained. It must exceed the
-// maximum plausible delivery skew between an original and its last
-// retransmitted copy (retries span ~4ms; pipe backlogs add the rest). The
-// same bound fences wrState slot reuse: a slot is recycled only after the
-// window, by which time every copy of its WR has left the fabric.
+// dedupWindow is the tombstone lifetime of a retransmitted WR's slot. It
+// must exceed the maximum plausible delivery skew between an original and
+// its last retransmitted copy (retries span ~4ms; pipe backlogs add the
+// rest), so the slot is recycled only after every copy of its WR has left
+// the fabric.
 const dedupWindow = time.Second
 
-// wrState is one slab slot: the transport-level state of an in-flight WR.
-// Its event callbacks are bound once when the slot is created, so posting,
-// retransmitting and completing a send allocate nothing once the pool is
-// warm. A slot is freed either immediately on completion (never
-// retransmitted: exactly one copy existed and it has fully completed, so no
-// event can still reference the slot) or after dedupWindow (retransmitted:
-// the tombstone absorbs late duplicate acks first).
+// wrState is one slab slot: the transport-level state of an in-flight WR,
+// and the transport's only per-WR record. Its event callbacks are bound
+// once when the slot is created, so posting, retransmitting and completing
+// a send allocate nothing once the pool is warm. Every copy of the WR
+// carries the slot to the receiver, whose PSN check reads landed. A slot is
+// freed either immediately on completion (never retransmitted: exactly one
+// copy existed and it has fully completed, so no event can still reference
+// the slot) or after dedupWindow (retransmitted: the tombstone absorbs
+// late duplicate copies and acks first). Either way no copy is left when
+// the slot is reused, so landed answers for the one WR it was reset for.
 type wrState struct {
 	qp       *QP
-	id       uint64
+	id       uint64 // 0 once freed
 	d        mempool.Descriptor
 	done     bool
 	attempts int
 	timer    sim.Event
+	// landed is the receiver's PSN check: set when the first copy lands
+	// (consumes a receive buffer, or writes the target MR); a later copy
+	// finds it set and is re-acked without landing again.
+	landed bool
 
 	// One-sided write mode: the WR DMAs into remote instead of consuming a
 	// peer SRQ entry, and its receive side is the wLand/wDone/wAck chain.
@@ -80,7 +70,7 @@ type wrState struct {
 	xmitFn    func() // hand the serialized WR to the fabric
 	deliverFn func() // receive-side entry on the peer RNIC (two-sided)
 	checkFn   func() // retransmit-timer body
-	expireFn  func() // tombstone expiry: drop the index entry, free the slot
+	expireFn  func() // tombstone expiry: free the slot
 	wLandFn   func() // write arrival on the peer RNIC (one-sided)
 	wDoneFn   func() // write landed: dedup, MR append, start the ack
 	wAckFn    func() // write ack back at the sender
@@ -92,8 +82,6 @@ type wrState struct {
 func Connect(a, b *RNIC, tenant string, srqA, srqB *SRQ, cqA, cqB *CQ) (*QP, *QP) {
 	qa := &QP{id: a.qpID(), rnic: a, Tenant: tenant, srq: srqA, cq: cqA, active: true}
 	qb := &QP{id: b.qpID(), rnic: b, Tenant: tenant, srq: srqB, cq: cqB, active: true}
-	qa.sweepFn = qa.sweepSeen
-	qb.sweepFn = qb.sweepSeen
 	qa.peer, qb.peer = qb, qa
 	return qa, qb
 }
@@ -138,7 +126,7 @@ func (qp *QP) Outstanding() int { return qp.outstanding }
 // RNIC returns the local RNIC.
 func (qp *QP) RNIC() *RNIC { return qp.rnic }
 
-// allocWR takes a slab slot for a newly posted WR and indexes it.
+// allocWR takes a slab slot for a newly posted WR.
 func (qp *QP) allocWR(id uint64, d mempool.Descriptor) *wrState {
 	var st *wrState
 	if n := len(qp.wrFree); n > 0 {
@@ -157,23 +145,27 @@ func (qp *QP) allocWR(id uint64, d mempool.Descriptor) *wrState {
 	st.id = id
 	st.d = d
 	st.done = false
+	st.landed = false
 	st.attempts = 0
 	st.isWrite = false
 	st.timer = sim.Event{}
-	qp.pending.put(id, st)
 	return st
 }
 
-// freeWR recycles a slab slot. The caller must have removed it from the
-// pending index first.
+// freeWR recycles a slab slot. Zeroing the id retires it: a receive flow
+// still holding the slot fails its fence check (recvFlow.slot).
 func (qp *QP) freeWR(st *wrState) {
+	st.id = 0
 	st.d = mempool.Descriptor{} // drop buffer/trace references
 	st.remote = RemoteBuf{}
 	qp.wrFree = append(qp.wrFree, st)
 }
 
-func (qp *QP) complete(e CQE) {
-	if st := qp.pending.get(e.WRID); st != nil {
+// complete finishes a WR at its sender with e. st is the slot the ack
+// carries; a WR without one (an errored-QP flush, a read, an atomic) passes
+// nil and completes as is.
+func (qp *QP) complete(st *wrState, e CQE) {
+	if st != nil {
 		if st.done {
 			return // duplicate ack (a retransmitted copy also delivered)
 		}
@@ -181,13 +173,11 @@ func (qp *QP) complete(e CQE) {
 		st.timer.Cancel()
 		if st.attempts == 0 {
 			// Never retransmitted: exactly one copy exists, so no
-			// duplicate ack can arrive — reclaim immediately. This keeps
-			// the index tiny on lossless paths.
-			qp.pending.del(e.WRID)
+			// duplicate ack can arrive — reclaim immediately.
 			qp.freeWR(st)
 		} else {
-			// Tombstone against late duplicate acks, swept after the
-			// dedup window.
+			// Tombstone against late duplicate copies and acks, retired
+			// after the dedup window.
 			qp.rnic.eng.After(dedupWindow, st.expireFn)
 		}
 	}
@@ -206,7 +196,7 @@ func (qp *QP) PostSend(d mempool.Descriptor) uint64 {
 	if qp.errored {
 		// Error-state QPs flush new WRs immediately.
 		r.eng.Immediate(func() {
-			qp.complete(CQE{WRID: id, Op: OpSend, Status: StatusQPError, Bytes: int(d.Len), QP: qp, Desc: d})
+			qp.complete(nil, CQE{WRID: id, Op: OpSend, Status: StatusQPError, Bytes: int(d.Len), QP: qp, Desc: d})
 		})
 		return id
 	}
@@ -243,9 +233,12 @@ func (st *wrState) xmit() {
 	r.net.SendTraced(r.node, qp.peer.rnic.node, int(st.d.Len)+wireHeaderBytes, st.d.Trace, st.deliverFn)
 }
 
+// deliver runs on the receiving RNIC when one copy of a two-sided send
+// arrives: the copy starts a receive flow on the sender's slot.
 func (st *wrState) deliver() {
-	qp := st.qp
-	qp.peer.rnic.deliverSend(qp, st.id, st.d, 0)
+	f := st.qp.peer.rnic.allocFlow()
+	f.st, f.wrID, f.attempt = st, st.id, 0
+	f.start()
 }
 
 // check is the RC ack timer body: unacked WRs are retransmitted, and after
@@ -279,21 +272,17 @@ func (st *wrState) check() {
 }
 
 // expire retires a tombstoned slot after the dedup window.
-func (st *wrState) expire() {
-	st.qp.pending.del(st.id)
-	st.qp.freeWR(st)
-}
+func (st *wrState) expire() { st.qp.freeWR(st) }
 
 // recvFlow is the receiver-side state of one delivered copy of a send,
-// pooled per RNIC with its stage callbacks bound once. It carries its own
-// copy of the WR metadata, so receiver-side retry chains never reference
-// the sender's (reusable) wrState slot.
+// pooled per RNIC with its stage callbacks bound once. It reads the WR —
+// descriptor, sender QP, PSN flag — from the sender's slot, which cannot
+// be reused while a copy is in flight (see wrState); every stage checks
+// that fence against the id the copy arrived with.
 type recvFlow struct {
-	r       *RNIC // receiving RNIC
-	src     *QP
-	dst     *QP
-	wrID    uint64
-	d       mempool.Descriptor
+	r       *RNIC    // receiving RNIC
+	st      *wrState // the sender's slot
+	wrID    uint64   // st.id when the copy arrived
 	attempt int
 	buf     mempool.Descriptor
 
@@ -323,35 +312,32 @@ func (r *RNIC) allocFlow() *recvFlow {
 }
 
 func (r *RNIC) releaseFlow(f *recvFlow) {
-	f.src = nil
-	f.dst = nil
-	f.d = mempool.Descriptor{}
+	f.st = nil
 	f.buf = mempool.Descriptor{}
 	r.flowFree = append(r.flowFree, f)
 }
 
-// deliverSend runs on the receiving RNIC when a two-sided send arrives.
-func (r *RNIC) deliverSend(src *QP, wrID uint64, d mempool.Descriptor, attempt int) {
-	f := r.allocFlow()
-	f.src = src
-	f.dst = src.peer
-	f.wrID = wrID
-	f.d = d
-	f.attempt = attempt
-	f.start()
+// slot returns the sender's slot, panicking if it was retired or reused
+// while this copy's flow ran (an RNR loop spans several stages) — the
+// reuse fence dedupWindow keeps.
+func (f *recvFlow) slot() *wrState {
+	if f.st.id != f.wrID {
+		panic(fmt.Sprintf("rdma: WR %d's slot reused as %d while a copy was in flight", f.wrID, f.st.id))
+	}
+	return f.st
 }
 
 func (f *recvFlow) start() {
 	r := f.r
 	p := r.p
-	dst := f.dst
-	if dst.seen.has(f.wrID) {
+	st := f.slot()
+	if st.landed {
 		// Duplicate of a retransmitted WR (PSN already consumed): drop it
 		// and re-ack so the sender stops retransmitting.
 		r.eng.After(p.FabricPropagation, f.dupFn)
 		return
 	}
-	cost := p.RNICPerWR + r.cachePenalty(dst.id) + p.RecvMatchCost
+	cost := p.RNICPerWR + r.cachePenalty(st.qp.peer.id) + p.RecvMatchCost
 	at := r.pipe(cost)
 	r.eng.At(at, f.matchFn)
 }
@@ -359,23 +345,24 @@ func (f *recvFlow) start() {
 func (f *recvFlow) match() {
 	r := f.r
 	p := r.p
-	dst := f.dst
+	st := f.slot()
+	dst := st.qp.peer
 	buf, ok := dst.srq.pop()
 	if !ok {
 		// Receiver not ready: RC retries with backoff, then errors.
 		dst.srq.rnr++
 		r.rnrRetries++
-		f.d.Trace.Event(trace.StageRNR, r.label)
+		st.d.Trace.Event(trace.StageRNR, r.label)
 		if f.attempt+1 > maxRNRRetries {
-			f.src.rnic.eng.After(p.FabricPropagation, f.rnrFn)
+			st.qp.rnic.eng.After(p.FabricPropagation, f.rnrFn)
 			return
 		}
 		r.eng.After(p.RNRRetryDelay, f.retryFn)
 		return
 	}
-	dst.markSeen(f.wrID)
+	st.landed = true
 	f.buf = buf
-	done := r.pipe(r.dmaCost(int(f.d.Len)))
+	done := r.pipe(r.dmaCost(int(st.d.Len)))
 	r.eng.At(done, f.dmaFn)
 }
 
@@ -386,33 +373,33 @@ func (f *recvFlow) retry() {
 
 func (f *recvFlow) dma() {
 	r := f.r
-	dst := f.dst
+	st := f.slot()
+	dst := st.qp.peer
+	d := &st.d
 	recv := f.buf
-	recv.Len = f.d.Len
-	recv.Seq = f.d.Seq
-	recv.Trace = f.d.Trace
-	recv.Msg = f.d.Msg
+	recv.Len = d.Len
+	recv.Seq = d.Seq
+	recv.Trace = d.Trace
+	recv.Msg = d.Msg
 	dst.srq.consumed++
-	dst.cq.push(CQE{WRID: r.wrID(), Op: OpRecv, Status: StatusOK, Bytes: int(f.d.Len), QP: dst, Desc: recv})
+	dst.cq.push(CQE{WRID: r.wrID(), Op: OpRecv, Status: StatusOK, Bytes: int(d.Len), QP: dst, Desc: recv})
 	// RC ack completes the sender after one propagation delay.
 	r.eng.After(r.p.FabricPropagation, f.ackFn)
 }
 
-func (f *recvFlow) ack() {
-	src := f.src
-	src.complete(CQE{WRID: f.wrID, Op: OpSend, Status: StatusOK, Bytes: int(f.d.Len), QP: src, Desc: f.d})
-	f.r.releaseFlow(f)
-}
+// ack, rnrExceeded and dupAck complete the sender's slot with the copy's
+// outcome (a duplicate's re-ack is an OK completion the tombstone absorbs)
+// and release the flow.
+func (f *recvFlow) ack() { f.finish(StatusOK) }
 
-func (f *recvFlow) rnrExceeded() {
-	src := f.src
-	src.complete(CQE{WRID: f.wrID, Op: OpSend, Status: StatusRNRExceeded, Bytes: int(f.d.Len), QP: src, Desc: f.d})
-	f.r.releaseFlow(f)
-}
+func (f *recvFlow) rnrExceeded() { f.finish(StatusRNRExceeded) }
 
-func (f *recvFlow) dupAck() {
-	src := f.src
-	src.complete(CQE{WRID: f.wrID, Op: OpSend, Status: StatusOK, Bytes: int(f.d.Len), QP: src, Desc: f.d})
+func (f *recvFlow) dupAck() { f.finish(StatusOK) }
+
+func (f *recvFlow) finish(status Status) {
+	st := f.slot()
+	src := st.qp
+	src.complete(st, CQE{WRID: f.wrID, Op: OpSend, Status: status, Bytes: int(st.d.Len), QP: src, Desc: st.d})
 	f.r.releaseFlow(f)
 }
 
@@ -438,7 +425,7 @@ func (qp *QP) PostWrite(d mempool.Descriptor, remote RemoteBuf) uint64 {
 	qp.outstanding++
 	if qp.errored {
 		r.eng.Immediate(func() {
-			qp.complete(CQE{WRID: id, Op: OpWrite, Status: StatusQPError, Bytes: int(d.Len), QP: qp, Desc: d})
+			qp.complete(nil, CQE{WRID: id, Op: OpWrite, Status: StatusQPError, Bytes: int(d.Len), QP: qp, Desc: d})
 		})
 		return id
 	}
@@ -469,11 +456,9 @@ func (st *wrState) wLand() {
 // wDone lands the payload — once; the receiver's PSN check discards
 // retransmitted copies — then starts the RC ack back to the sender.
 func (st *wrState) wDone() {
-	qp := st.qp
-	peer := qp.peer
-	rr := peer.rnic
-	if !peer.seen.has(st.id) {
-		peer.markSeen(st.id)
+	rr := st.qp.peer.rnic
+	if !st.landed {
+		st.landed = true
 		st.remote.MR.land(Landed{Buf: st.remote.Buf, Bytes: int(st.d.Len), Desc: st.d, At: rr.eng.Now()})
 	}
 	rr.eng.After(rr.p.FabricPropagation, st.wAckFn)
@@ -481,7 +466,7 @@ func (st *wrState) wDone() {
 
 func (st *wrState) wAck() {
 	qp := st.qp
-	qp.complete(CQE{WRID: st.id, Op: OpWrite, Status: StatusOK, Bytes: int(st.d.Len), QP: qp, Desc: st.d})
+	qp.complete(st, CQE{WRID: st.id, Op: OpWrite, Status: StatusOK, Bytes: int(st.d.Len), QP: qp, Desc: st.d})
 }
 
 // PostRead posts a one-sided RDMA read of n bytes from remote into a local
@@ -505,7 +490,7 @@ func (qp *QP) PostRead(n int, remote RemoteBuf) uint64 {
 				rr.net.Send(rr.node, r.node, n+wireHeaderBytes, func() {
 					fin := r.pipe(r.dmaCost(n))
 					r.eng.At(fin, func() {
-						qp.complete(CQE{WRID: id, Op: OpRead, Status: StatusOK, Bytes: n, QP: qp})
+						qp.complete(nil, CQE{WRID: id, Op: OpRead, Status: StatusOK, Bytes: n, QP: qp})
 					})
 				})
 			})
@@ -544,44 +529,12 @@ func (qp *QP) PostCAS(key string, compare, swap uint64, fn func(CASResult)) uint
 				rr.words[key] = swap
 			}
 			rr.eng.After(half, func() {
-				qp.complete(CQE{WRID: id, Op: OpCAS, Status: StatusOK, QP: qp})
+				qp.complete(nil, CQE{WRID: id, Op: OpCAS, Status: StatusOK, QP: qp})
 				fn(CASResult{WRID: id, Old: old, Swapped: swapped})
 			})
 		})
 	})
 	return id
-}
-
-// markSeen records a processed wrID for duplicate detection and arms the
-// batched sweeper that retires entries after the dedup window — one timer
-// per QP, not one per delivery.
-func (qp *QP) markSeen(wrID uint64) {
-	qp.seen.put(wrID)
-	qp.seenLog.PushBack(seenEntry{wr: wrID, at: qp.rnic.eng.Now()})
-	if !qp.sweepArmed {
-		qp.sweepArmed = true
-		qp.rnic.eng.After(dedupWindow, qp.sweepFn)
-	}
-}
-
-// sweepSeen retires dedup entries older than the window and re-arms while
-// any remain. The ring's head advances in place, so the log's footprint is
-// bounded by the peak one-window population, not by lifetime deliveries.
-func (qp *QP) sweepSeen() {
-	now := qp.rnic.eng.Now()
-	for qp.seenLog.Len() > 0 {
-		e := qp.seenLog.Front()
-		if now-e.at < dedupWindow {
-			break
-		}
-		qp.seen.del(e.wr)
-		qp.seenLog.PopFront()
-	}
-	if qp.seenLog.Len() > 0 {
-		qp.rnic.eng.After(dedupWindow-(now-qp.seenLog.Front().at), qp.sweepFn)
-	} else {
-		qp.sweepArmed = false
-	}
 }
 
 // deactivate releases RNIC resources ("shadow" QP, §3.3): the QP keeps its

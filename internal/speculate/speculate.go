@@ -20,6 +20,7 @@
 package speculate
 
 import (
+	"slices"
 	"time"
 
 	"nadino/internal/sim"
@@ -68,16 +69,13 @@ type Stats struct {
 func (s Stats) Wins() uint64 { return s.WinPrimary + s.WinClone + s.WinHedge }
 
 // Tracker keeps a rolling window of observed chain latencies and serves the
-// P95 hedge deadline over it. The window is a fixed ring; the quantile is
-// recomputed only when dirty, over a scratch copy, so steady-state Observe
-// is O(1) and allocation-free once warm.
+// P95 hedge deadline over it. The window is a fixed ring with a sorted copy
+// beside it: Observe moves the evicted value out of the sorted copy and the
+// new one in by binary search, so P95 is one index and neither allocates.
 type Tracker struct {
-	ring    []time.Duration
-	scratch []time.Duration
-	n       int // filled entries
-	pos     int // next write
-	dirty   bool
-	p95     time.Duration
+	ring   []time.Duration
+	sorted []time.Duration // the filled entries of ring, ascending
+	pos    int             // next write
 }
 
 // NewTracker returns a tracker over a window of size entries (default 64).
@@ -86,51 +84,51 @@ func NewTracker(window int) *Tracker {
 		window = 64
 	}
 	return &Tracker{
-		ring:    make([]time.Duration, window),
-		scratch: make([]time.Duration, window),
+		ring:   make([]time.Duration, window),
+		sorted: make([]time.Duration, 0, window),
 	}
 }
 
 // Observe records one completed-request latency.
 func (t *Tracker) Observe(d time.Duration) {
+	s := t.sorted
+	if len(s) == len(t.ring) {
+		// Evict the value d overwrites: shift the entries between its
+		// position and d's insertion point by one, then place d.
+		i, _ := slices.BinarySearch(s, t.ring[t.pos])
+		j, _ := slices.BinarySearch(s, d)
+		if j > i {
+			j--
+			copy(s[i:j], s[i+1:j+1])
+		} else {
+			copy(s[j+1:i+1], s[j:i])
+		}
+		s[j] = d
+	} else {
+		j, _ := slices.BinarySearch(s, d)
+		s = append(s, 0)
+		copy(s[j+1:], s[j:])
+		s[j] = d
+		t.sorted = s
+	}
 	t.ring[t.pos] = d
 	t.pos = (t.pos + 1) % len(t.ring)
-	if t.n < len(t.ring) {
-		t.n++
-	}
-	t.dirty = true
 }
 
 // Count reports how many observations the window currently holds.
-func (t *Tracker) Count() int { return t.n }
+func (t *Tracker) Count() int { return len(t.sorted) }
 
 // P95 reports the 95th-percentile latency over the window (0 while empty).
 func (t *Tracker) P95() time.Duration {
-	if t.n == 0 {
+	n := len(t.sorted)
+	if n == 0 {
 		return 0
 	}
-	if t.dirty {
-		s := t.scratch[:t.n]
-		copy(s, t.ring[:t.n])
-		// Insertion sort: the window is small (tens of entries) and often
-		// nearly sorted between recomputes.
-		for i := 1; i < len(s); i++ {
-			v := s[i]
-			j := i - 1
-			for j >= 0 && s[j] > v {
-				s[j+1] = s[j]
-				j--
-			}
-			s[j+1] = v
-		}
-		idx := (t.n*95 + 99) / 100
-		if idx > 0 {
-			idx--
-		}
-		t.p95 = s[idx]
-		t.dirty = false
+	idx := (n*95 + 99) / 100
+	if idx > 0 {
+		idx--
 	}
-	return t.p95
+	return t.sorted[idx]
 }
 
 // Spec is an engine-bound speculation controller: one per request source

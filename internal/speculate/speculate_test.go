@@ -1,6 +1,8 @@
 package speculate
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -151,6 +153,46 @@ func TestTrackerRollingWindow(t *testing.T) {
 	// Window now holds 200..500µs; P95 index covers the max.
 	if got := tr.P95(); got != 500*time.Microsecond {
 		t.Fatalf("P95 %v, want 500µs", got)
+	}
+}
+
+// TestTrackerSortedWindowProperty holds the sorted window to its
+// definition: over random sequences with ties and windows of 1 to 64, after
+// every Observe the sorted copy is the sort of the ring and P95 is its
+// order statistic, and neither Observe nor P95 allocates.
+func TestTrackerSortedWindowProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 300; trial++ {
+		window := 1 + rng.Intn(64)
+		tr := NewTracker(window)
+		var ring []time.Duration    // the window, oldest first
+		spread := 1 + rng.Intn(200) // small spreads force ties
+		for step := 0; step < 3*window+rng.Intn(64); step++ {
+			d := time.Duration(rng.Intn(spread)) * time.Microsecond
+			tr.Observe(d)
+			if ring = append(ring, d); len(ring) > window {
+				ring = ring[1:]
+			}
+			want := slices.Clone(ring)
+			slices.Sort(want)
+			if !slices.Equal(tr.sorted, want) {
+				t.Fatalf("window %d step %d: sorted %v, want %v", window, step, tr.sorted, want)
+			}
+			idx := max((len(want)*95+99)/100-1, 0)
+			if got := tr.P95(); got != want[idx] {
+				t.Fatalf("window %d step %d: P95 %v, want %v", window, step, got, want[idx])
+			}
+		}
+	}
+	tr := NewTracker(64)
+	i := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		i++
+		tr.Observe(time.Duration(i*7919%1000) * time.Microsecond)
+		_ = tr.P95()
+	})
+	if allocs != 0 {
+		t.Fatalf("Observe+P95 allocate %.1f per call, want 0", allocs)
 	}
 }
 
