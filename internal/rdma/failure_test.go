@@ -257,41 +257,59 @@ func TestRetransmitTimerDoesNotDuplicate(t *testing.T) {
 // TestRetransmitMeetsLandedSend makes a retransmitted copy of a two-sided
 // send meet an original that has already landed: the SRQ stays empty past
 // RetransmitTimeout, so the original RNR-loops while the sender
-// retransmits. Once buffers are posted the original lands on its next
-// retry and the copy, retrying later, is re-acked without consuming one.
+// retransmits. Once buffers are posted one copy lands and every other copy
+// is re-acked without consuming a buffer — whether it retries after the
+// landing (its start sees the PSN consumed) or in the same receive-pipe
+// slot as the copy that lands (its match does).
 func TestRetransmitMeetsLandedSend(t *testing.T) {
-	r := newRig(t, 1)
-	// Seven RNR retries outlast the ack timeout, and the copy's retries
-	// fall between the original's.
-	r.p.RNRRetryDelay = 300 * time.Microsecond
-	qa, _ := Connect(r.ra, r.rb, "t", r.srqA, r.srqB, r.cqA, r.cqB)
-	src, _ := r.poolA.Get("fnA")
-	qa.PostSend(mempool.Descriptor{Tenant: "t", Buf: src, Len: 64, Seq: 9})
-	// The retransmit leaves at 500µs; the original retries at ~600µs, the
-	// copy at ~800µs.
-	r.eng.At(550*time.Microsecond, func() { postRecvs(t, r.poolB, r.srqB, 4) })
-	r.eng.Run()
+	for _, tc := range []struct {
+		name     string
+		rnrDelay time.Duration
+		postAt   time.Duration
+		// retransmits is how many copies the sender adds to the original;
+		// each copy runs a receive flow to its end (ack or re-ack).
+		retransmits int
+	}{
+		// The retransmit leaves at 500µs; the original retries at ~600µs,
+		// the copy at ~800µs.
+		{"copy retries after landing", 300 * time.Microsecond, 550 * time.Microsecond, 1},
+		// The original's and the retransmit's retries both fall at ~1ms,
+		// one pipe slot apart, after buffers are posted at 510µs.
+		{"retries share a pipe slot", 500 * time.Microsecond, 510 * time.Microsecond, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t, 1)
+			// Seven RNR retries outlast the ack timeout.
+			r.p.RNRRetryDelay = tc.rnrDelay
+			qa, _ := Connect(r.ra, r.rb, "t", r.srqA, r.srqB, r.cqA, r.cqB)
+			src, _ := r.poolA.Get("fnA")
+			qa.PostSend(mempool.Descriptor{Tenant: "t", Buf: src, Len: 64, Seq: 9})
+			r.eng.At(tc.postAt, func() { postRecvs(t, r.poolB, r.srqB, 4) })
+			r.eng.Run()
 
-	if n := qa.Retransmits(); n != 1 {
-		t.Fatalf("retransmits = %d, want 1", n)
-	}
-	recvs := r.cqB.Poll(0)
-	if len(recvs) != 1 || recvs[0].Op != OpRecv || recvs[0].Desc.Seq != 9 {
-		t.Fatalf("receiver CQEs = %+v, want one receive of seq 9", recvs)
-	}
-	sends := r.cqA.Poll(0)
-	if len(sends) != 1 || sends[0].Op != OpSend || sends[0].Status != StatusOK {
-		t.Fatalf("sender CQEs = %+v, want one OK send completion", sends)
-	}
-	if c, posted := r.srqB.Consumed(), r.srqB.Posted(); c != 1 || posted != 3 {
-		t.Fatalf("SRQ consumed %d buffers, %d still posted; want 1 and 3", c, posted)
-	}
-	// Both copies ran a receive flow to its end: one acked, one re-acked.
-	if n := len(r.rb.flowFree); n != 2 {
-		t.Fatalf("%d receive flows released, want 2 (ack and duplicate re-ack)", n)
-	}
-	if qa.Outstanding() != 0 {
-		t.Fatalf("%d WRs still outstanding", qa.Outstanding())
+			if n := qa.Retransmits(); n != uint64(tc.retransmits) {
+				t.Fatalf("retransmits = %d, want %d", n, tc.retransmits)
+			}
+			recvs := r.cqB.Poll(0)
+			if len(recvs) != 1 || recvs[0].Op != OpRecv || recvs[0].Desc.Seq != 9 {
+				t.Fatalf("receiver CQEs = %+v, want one receive of seq 9", recvs)
+			}
+			sends := r.cqA.Poll(0)
+			if len(sends) != 1 || sends[0].Op != OpSend || sends[0].Status != StatusOK {
+				t.Fatalf("sender CQEs = %+v, want one OK send completion", sends)
+			}
+			if c, posted := r.srqB.Consumed(), r.srqB.Posted(); c != 1 || posted != 3 {
+				t.Fatalf("SRQ consumed %d buffers, %d still posted; want 1 and 3", c, posted)
+			}
+			// Every copy ran a receive flow to its end: one acked, the
+			// others re-acked.
+			if n := len(r.rb.flowFree); n != tc.retransmits+1 {
+				t.Fatalf("%d receive flows released, want %d", n, tc.retransmits+1)
+			}
+			if qa.Outstanding() != 0 {
+				t.Fatalf("%d WRs still outstanding", qa.Outstanding())
+			}
+		})
 	}
 }
 

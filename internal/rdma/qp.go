@@ -346,6 +346,13 @@ func (f *recvFlow) match() {
 	r := f.r
 	p := r.p
 	st := f.slot()
+	if st.landed {
+		// Another copy of this WR landed while this one sat in the match
+		// pipe (RNR retries of an original and its retransmit can share a
+		// pipe slot): take start's duplicate path instead of a buffer.
+		r.eng.After(p.FabricPropagation, f.dupFn)
+		return
+	}
 	dst := st.qp.peer
 	buf, ok := dst.srq.pop()
 	if !ok {
