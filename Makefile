@@ -269,12 +269,21 @@ fuzz:
 # (default HEAD) into a temporary directory with git archive, builds
 # nadino-bench, nadino-sim, nadino-boutique and the examples from that tree
 # and from the working tree, and runs both builds on: the quick suite, the
-# 50-seed fuzz smoke, nadino-sim on configs/boutique.json in each load mode
-# (closed loop, -open-clients, -trace-rps, -trace-file), nadino-boutique
-# and the five examples. Both builds read the working tree's config and
-# trace file. It drops the "[... completed in ...]" timing lines, prints
-# the first difference and fails on any. The temporary directory is always
-# removed.
+# 50-seed fuzz smoke, the microbenchmark rigs (echo, Comch, primitive,
+# tenancy, ablation and res-* experiments) at full fidelity, fig06 and
+# fabric-shard traced (stdout and the Chrome trace file), the res-*
+# experiments with telemetry on (stdout and every exported file) and
+# clone-chaos with telemetry on (stdout and the Prometheus and CSV
+# exports), nadino-sim on configs/boutique.json in each load mode (closed
+# loop, -open-clients, -trace-rps, -trace-file), nadino-boutique and the
+# five examples. Both builds read the working tree's config and trace
+# file; the traced and telemetry runs write into their tree's output
+# directory under the same relative names. clone-chaos exports the
+# process's wall-clock uptime (process.uptime_seconds{clock=wall}), so its
+# JSON and HTML exports, which embed that series, are not kept, and lines
+# of that series are dropped. It compares the two trees' file lists, drops
+# the "[... completed in ...]" timing lines, prints the first difference
+# and fails on any. The temporary directory is always removed.
 #   make parity BASE=<commit>
 BASE ?= HEAD
 PARITY_EXAMPLES := quickstart boutique multitenant ingress crosstenant
@@ -288,6 +297,11 @@ parity:
 		sim="$$bin/nadino-sim -config $(CURDIR)/configs/boutique.json"; \
 		"$$bin/nadino-bench" -quick -parallel 0 -run everything > "$$out/suite" && \
 		"$$bin/nadino-bench" -run fuzz -quick -parallel 0 -fuzz-seeds 50 > "$$out/fuzz" && \
+		"$$bin/nadino-bench" -parallel 0 -run fig06,fig09,fig11,fig12,fig15,fig17,abl-connpool,abl-isolation,abl-replenish,abl-quantum,abl-hugepage,res-storm,res-recovery,res-tenant > "$$out/micro-full" && \
+		(cd "$$out" && "$$bin/nadino-bench" -quick -run fig06,fabric-shard -trace -trace-out trace.json > trace-stdout) && \
+		(cd "$$out" && "$$bin/nadino-bench" -quick -parallel 0 -run res-storm,res-recovery,res-tenant -telemetry telemetry > telemetry-stdout) && \
+		(cd "$$out" && "$$bin/nadino-bench" -quick -parallel 0 -run clone-chaos -telemetry telemetry-clone > telemetry-clone-stdout && \
+			rm telemetry-clone/*.json telemetry-clone/dashboard.html) && \
 		$$sim > "$$out/sim-closed" && \
 		$$sim -open-clients 2000 > "$$out/sim-open-clients" && \
 		$$sim -trace-rps 20000 > "$$out/sim-trace-rps" && \
@@ -295,16 +309,23 @@ parity:
 		"$$bin/nadino-boutique" > "$$out/nadino-boutique" || exit 1; \
 		for ex in $(PARITY_EXAMPLES); do "$$bin/$$ex" > "$$out/example-$$ex" || exit 1; done; \
 	done; \
-	for out in $$(ls "$$tmp/work"); do \
-		grep -v 'completed in' "$$tmp/base/$$out" > "$$tmp/base.cmp"; \
-		grep -v 'completed in' "$$tmp/work/$$out" > "$$tmp/work.cmp"; \
+	(cd "$$tmp/base" && find . -type f | sort) > "$$tmp/base.files"; \
+	(cd "$$tmp/work" && find . -type f | sort) > "$$tmp/work.files"; \
+	if ! cmp -s "$$tmp/base.files" "$$tmp/work.files"; then \
+		echo "parity: output files differ from $(BASE) (< base, > working tree):"; \
+		diff "$$tmp/base.files" "$$tmp/work.files"; \
+		exit 1; \
+	fi; \
+	for out in $$(cat "$$tmp/work.files"); do \
+		grep -v -e 'completed in' -e 'clock=wall' -e 'clock="wall"' "$$tmp/base/$$out" > "$$tmp/base.cmp"; \
+		grep -v -e 'completed in' -e 'clock=wall' -e 'clock="wall"' "$$tmp/work/$$out" > "$$tmp/work.cmp"; \
 		if ! cmp -s "$$tmp/base.cmp" "$$tmp/work.cmp"; then \
 			echo "parity: $$out output differs from $(BASE); first difference (< base, > working tree):"; \
 			diff "$$tmp/base.cmp" "$$tmp/work.cmp" | awk '/^[0-9]/ { if (++h > 1) exit } { print }'; \
 			exit 1; \
 		fi; \
 	done; \
-	echo "parity: quick suite, 50-seed fuzz report, nadino-sim (4 load modes), nadino-boutique and examples byte-identical to $(BASE)"
+	echo "parity: quick suite, 50-seed fuzz report, full-fidelity micro-rigs, traced fig06/fabric-shard, telemetry exports, nadino-sim (4 load modes), nadino-boutique and examples byte-identical to $(BASE)"
 
 # trace reproduces the Fig. 6 per-stage latency attribution and writes a
 # Chrome trace-event file (load in chrome://tracing or ui.perfetto.dev).

@@ -6,11 +6,9 @@ import (
 
 	"nadino/internal/core"
 	"nadino/internal/dne"
-	"nadino/internal/fabric"
 	"nadino/internal/mempool"
 	"nadino/internal/params"
 	"nadino/internal/rdma"
-	"nadino/internal/sim"
 	"nadino/internal/workload"
 )
 
@@ -35,21 +33,14 @@ type AblConnPoolResult struct {
 // for short-lived functions.
 func ablConnPoolPerReq(o Opts, p *params.Params) time.Duration {
 	const n = 10
-	eng := sim.NewEngine(o.Seed)
+	v := newVerbsPair(p, o.Seed, "a", "b", "t", 8192, 256, 0)
+	eng, ra, rb, poolA, poolB := v.eng, v.ra, v.rb, v.poolA, v.poolB
 	defer eng.Stop()
-	net := fabric.New(eng, p)
-	ra := rdma.NewRNIC(eng, p, "a", net)
-	rb := rdma.NewRNIC(eng, p, "b", net)
-	poolA := mempool.NewPool("t", 8192, 256, p.HugepageSize)
-	poolB := mempool.NewPool("t", 8192, 256, p.HugepageSize)
-	var sum time.Duration
-	var start time.Duration
-	var echo func(i int)
-	echo = func(i int) {
-		if i == n {
-			return
+	l := newEchoLoad(eng, 1)
+	l.send = func(c *echoClient, _ mempool.Buffer) {
+		if l.count == n {
+			return // the client stops after n echoes
 		}
-		start = eng.Now()
 		eng.After(p.QPSetupTime, func() { // the handshake, per request
 			srqB := rdma.NewSRQ("t")
 			cqA, cqB := rdma.NewCQ(eng), rdma.NewCQ(eng)
@@ -66,18 +57,17 @@ func ablConnPoolPerReq(o Opts, p *params.Params) time.Duration {
 				}
 				_ = poolB.Put(e.Desc.Buf, "srv")
 				awaitCQ(cqA, func() {
-					for _, c := range cqA.Poll(0) {
-						_ = poolA.Put(c.Desc.Buf, "cli")
+					for _, s := range cqA.Poll(0) {
+						_ = poolA.Put(s.Desc.Buf, "cli")
 					}
-					sum += eng.Now() - start
-					echo(i + 1)
+					c.done()
 				})
 			})
 		})
 	}
-	eng.Immediate(func() { echo(0) })
-	eng.RunUntil(10 * time.Second)
-	return sum / n
+	l.start(nil)
+	_, lat := l.window(0, 10*time.Second, nil)
+	return lat
 }
 
 // AblConnPool measures both variants over sequential 1KB echoes.
@@ -127,20 +117,14 @@ type AblIsolationResult struct {
 	RogueLat    time.Duration // rogue with direct QP access (VF-style)
 }
 
-// runVictimEcho measures the victim echo with a rogue holding rogueQPs
-// QPs; if capActive, only a handful stay active (DNE shadow management),
-// else the rogue keeps them all hot (direct access).
-func runVictimEcho(o Opts, p *params.Params, rogueQPs int, capActive bool) time.Duration {
-	eng := sim.NewEngine(o.Seed)
-	defer eng.Stop()
-	net := fabric.New(eng, p)
-	ra := rdma.NewRNIC(eng, p, "a", net)
-	rb := rdma.NewRNIC(eng, p, "b", net)
-	poolA := mempool.NewPool("victim", 8192, 512, p.HugepageSize)
-	poolB := mempool.NewPool("victim", 8192, 512, p.HugepageSize)
-	srqA, srqB := rdma.NewSRQ("victim"), rdma.NewSRQ("victim")
-	cqA, cqB := rdma.NewCQ(eng), rdma.NewCQ(eng)
-	qa, qb := rdma.Connect(ra, rb, "victim", srqA, srqB, cqA, cqB)
+// newVictimEcho builds the victim's echo pair beside a rogue tenant holding
+// rogueQPs QPs — if capActive, only a handful stay active (DNE shadow
+// management), else the rogue keeps them all hot (direct access) — and
+// starts the victim's client: sequential 1KB echoes, both ends reposting
+// receive buffers.
+func newVictimEcho(p *params.Params, seed int64, rogueQPs int, capActive bool) (*verbsPair, *echoLoad) {
+	v := newVerbsPair(p, seed, "a", "b", "victim", 8192, 512, 64)
+	eng, ra, rb := v.eng, v.ra, v.rb
 
 	// Rogue tenant: rogueQPs RC connections plus a one-sided target slot.
 	roguePoolB := mempool.NewPool("rogue", 4096, 64, p.HugepageSize)
@@ -170,85 +154,16 @@ func runVictimEcho(o Opts, p *params.Params, rogueQPs int, capActive bool) time.
 		eng.Immediate(blast)
 	}
 
-	// Victim: sequential 1KB echoes, both ends reposting receive buffers.
-	post := func(pool *mempool.Pool, srq *rdma.SRQ, n int) {
-		for i := 0; i < n; i++ {
-			b, err := pool.Get("rq")
-			if err != nil {
-				return
-			}
-			srq.PostRecv(mempool.Descriptor{Tenant: "victim", Buf: b})
-		}
+	l := newEchoLoad(eng, 1)
+	l.pool, l.owner, l.retry = v.poolA, "cli", 10*time.Microsecond
+	l.send = func(_ *echoClient, buf mempool.Buffer) {
+		v.qa.PostSend(mempool.Descriptor{Tenant: "victim", Buf: buf, Len: 1024})
 	}
-	post(poolA, srqA, 64)
-	post(poolB, srqB, 64)
-	var serve func()
-	serve = func() {
-		awaitCQ(cqB, func() {
-			for _, e := range cqB.Poll(0) {
-				switch e.Op {
-				case rdma.OpRecv:
-					if err := poolB.Transfer(e.Desc.Buf, "rq", "srv"); err != nil {
-						panic(err)
-					}
-					qb.PostSend(mempool.Descriptor{Tenant: "victim", Buf: e.Desc.Buf, Len: int32(e.Bytes)})
-				case rdma.OpSend:
-					// Echo delivered: recycle and repost a receive buffer.
-					if err := poolB.Put(e.Desc.Buf, "srv"); err != nil {
-						panic(err)
-					}
-					post(poolB, srqB, 1)
-				}
-			}
-			serve()
-		})
-	}
-	eng.Immediate(serve)
-	var count uint64
-	var rttSum time.Duration
-	var issue, await func()
-	var start time.Duration
-	issue = func() {
-		src, err := poolA.Get("cli")
-		if err != nil {
-			eng.After(10*time.Microsecond, issue)
-			return
-		}
-		start = eng.Now()
-		qa.PostSend(mempool.Descriptor{Tenant: "victim", Buf: src, Len: 1024})
-		await()
-	}
-	await = func() {
-		awaitCQ(cqA, func() {
-			gotReply := false
-			for _, e := range cqA.Poll(0) {
-				switch e.Op {
-				case rdma.OpRecv:
-					if err := poolA.Transfer(e.Desc.Buf, "rq", "cli"); err != nil {
-						panic(err)
-					}
-					_ = poolA.Put(e.Desc.Buf, "cli")
-					post(poolA, srqA, 1)
-					gotReply = true
-				case rdma.OpSend:
-					_ = poolA.Put(e.Desc.Buf, "cli")
-				}
-			}
-			if !gotReply {
-				await()
-				return
-			}
-			count++
-			rttSum += eng.Now() - start
-			issue()
-		})
-	}
-	eng.Immediate(issue)
-	eng.RunUntil(o.scale(5*time.Millisecond, 20*time.Millisecond))
-	if count == 0 {
-		return 0
-	}
-	return rttSum / time.Duration(count)
+	// Free completion handling; the client goes straight on to its next
+	// echo from the completion that brings the reply.
+	v.serveEcho(nil, nil, func(mempool.Descriptor) { l.clients[0].done() })
+	l.start(nil)
+	return v, l
 }
 
 // AblIsolation runs the rogue-tenant comparison. Each scenario builds its
@@ -262,7 +177,9 @@ func AblIsolation(o Opts) *AblIsolationResult {
 	o.forEach(len(scenarios), func(i int) {
 		p := params.Default()
 		p.NICCacheActiveQPs = 64 // a small ICM cache makes the attack visible
-		lats[i] = runVictimEcho(o, p, scenarios[i].rogueQPs, scenarios[i].capActive)
+		v, l := newVictimEcho(p, o.Seed, scenarios[i].rogueQPs, scenarios[i].capActive)
+		_, lats[i] = l.window(0, o.scale(5*time.Millisecond, 20*time.Millisecond), nil)
+		v.eng.Stop()
 	})
 	return &AblIsolationResult{BaselineLat: lats[0], ManagedLat: lats[1], RogueLat: lats[2]}
 }
@@ -307,11 +224,8 @@ func AblReplenish(o Opts) []AblReplenishRow {
 				cfg.ReplenishEvery = period
 				cfg.InitialRQ = 48
 			})
-		cliPort := r.ea.AttachFunction("cli-t", "t")
-		srvPort := r.eb.AttachFunction("srv-t", "t")
-		r.startEchoServer("t", srvPort)
-		stats := r.startEchoClients("t", cliPort, 32, 1024, nil)
-		rps, lat := measureEcho(r, stats, o.scale(10*time.Millisecond, 50*time.Millisecond))
+		stats := r.startEchoClients("t", 32, 1024, nil)
+		rps, lat := stats.window(p.QPSetupTime+2*time.Millisecond, o.scale(10*time.Millisecond, 50*time.Millisecond), nil)
 		rows[i] = AblReplenishRow{
 			Period:  period,
 			RPS:     rps,
@@ -363,12 +277,9 @@ func AblQuantum(o Opts) []AblQuantumRow {
 		specs := []tenantSpec{{"t1", 6}, {"t2", 1}, {"t3", 2}}
 		r := newDNERig(p, o.Seed, dne.OffPath, dne.SchedDWRR, specs,
 			func(cfg *dne.Config) { cfg.QuantumUnit = q })
-		stats := map[string]*echoClientStats{}
+		stats := map[string]*echoLoad{}
 		for i, ts := range specs {
-			cliPort := r.ea.AttachFunction("cli-"+ts.name, ts.name)
-			srvPort := r.eb.AttachFunction("srv-"+ts.name, ts.name)
-			r.startEchoServer(ts.name, srvPort)
-			stats[ts.name] = r.startEchoClients(ts.name, cliPort, []int{48, 24, 32}[i], 1024, nil)
+			stats[ts.name] = r.startEchoClients(ts.name, []int{48, 24, 32}[i], 1024, nil)
 		}
 		r.eng.RunUntil(p.QPSetupTime + total/4) // warmup
 		base := map[string]uint64{}

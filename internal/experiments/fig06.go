@@ -5,10 +5,8 @@ import (
 	"time"
 
 	"nadino/internal/dne"
-	"nadino/internal/fabric"
 	"nadino/internal/mempool"
 	"nadino/internal/params"
-	"nadino/internal/rdma"
 	"nadino/internal/sim"
 	"nadino/internal/trace"
 )
@@ -31,153 +29,28 @@ type Fig06Result struct {
 // functions' cores running at coreSpeed (host vs wimpy DPU). A non-nil
 // tracer records per-stage spans for requests issued after warmup.
 func runNativeEcho(p *params.Params, seed int64, coreSpeed float64, payload, clients int, dur time.Duration, tracer *trace.Tracer) (float64, time.Duration) {
-	eng := sim.NewEngine(seed)
-	defer eng.Stop()
-	tracer.SetClock(eng.Now)
-	// live is armed only after warmup so the trace covers the measured
-	// steady-state window (closures read it at request-issue time).
-	var live *trace.Tracer
-	net := fabric.New(eng, p)
-	ra := rdma.NewRNIC(eng, p, "nodeA", net)
-	rb := rdma.NewRNIC(eng, p, "nodeB", net)
-	poolA := mempool.NewPool("t", 16384, 4096, p.HugepageSize)
-	poolB := mempool.NewPool("t", 16384, 4096, p.HugepageSize)
-	srqA, srqB := rdma.NewSRQ("t"), rdma.NewSRQ("t")
-	cqA, cqB := rdma.NewCQ(eng), rdma.NewCQ(eng)
-	qa, qb := rdma.Connect(ra, rb, "t", srqA, srqB, cqA, cqB)
-	coreA := sim.NewProcessor(eng, "cliCore", coreSpeed)
-	coreB := sim.NewProcessor(eng, "srvCore", coreSpeed)
+	v, l := newNativeEcho(p, seed, coreSpeed, payload, clients)
+	defer v.eng.Stop()
+	return l.window(2*time.Millisecond, dur, tracer)
+}
 
-	post := func(pool *mempool.Pool, srq *rdma.SRQ, n int) {
-		for i := 0; i < n; i++ {
-			b, err := pool.Get("rq")
-			if err != nil {
-				panic(err)
-			}
-			srq.PostRecv(mempool.Descriptor{Tenant: "t", Buf: b})
-		}
+// newNativeEcho builds the native echo pair and starts its clients.
+func newNativeEcho(p *params.Params, seed int64, coreSpeed float64, payload, clients int) (*verbsPair, *echoLoad) {
+	v := newVerbsPair(p, seed, "nodeA", "nodeB", "t", 16384, 4096, 256)
+	coreA := sim.NewProcessor(v.eng, "cliCore", coreSpeed)
+	coreB := sim.NewProcessor(v.eng, "srvCore", coreSpeed)
+	l := newEchoLoad(v.eng, clients)
+	l.name, l.pool, l.owner, l.retry = "echo/native", v.poolA, "cli", 20*time.Microsecond
+	l.send = func(c *echoClient, buf mempool.Buffer) {
+		sp := c.req.Begin("cli.post", "cli")
+		coreA.Run(p.VerbsPostCost, func() {
+			sp.End()
+			v.qa.PostSend(mempool.Descriptor{Tenant: "t", Buf: buf, Len: int32(payload), Seq: c.seq, Trace: c.req})
+		})
 	}
-	post(poolA, srqA, 256)
-	post(poolB, srqB, 256)
-
-	// Server: echo every receive, recycling and reposting buffers.
-	cqLoop(eng, cqB, func(e rdma.CQE, next func()) {
-		switch e.Op {
-		case rdma.OpRecv:
-			e.Desc.Trace.EndStage(trace.StageRDMACQ)
-			sp := e.Desc.Trace.Begin("srv.proc", "srv")
-			coreB.Run(p.VerbsPostCost/2, func() {
-				if err := poolB.Transfer(e.Desc.Buf, "rq", "srv"); err != nil {
-					panic(err)
-				}
-				coreB.Run(p.VerbsPostCost, func() {
-					sp.End()
-					qb.PostSend(mempool.Descriptor{Tenant: "t", Buf: e.Desc.Buf, Len: int32(e.Bytes), Seq: e.Desc.Seq, Trace: e.Desc.Trace})
-					next()
-				})
-			})
-		case rdma.OpSend:
-			e.Desc.Trace.EndStage(trace.StageRDMAAck)
-			sp := e.Desc.Trace.BeginDetail("srv.ack", "srv")
-			coreB.Run(p.VerbsPostCost/2, func() {
-				sp.End()
-				if err := poolB.Put(e.Desc.Buf, "srv"); err != nil {
-					panic(err)
-				}
-				post(poolB, srqB, 1)
-				next()
-			})
-		default:
-			next()
-		}
-	})
-
-	var count uint64
-	var rttSum time.Duration
-	waiters := make(map[uint64]*sim.Queue[struct{}])
-	// Client-side completion demux.
-	cqLoop(eng, cqA, func(e rdma.CQE, next func()) {
-		switch e.Op {
-		case rdma.OpRecv:
-			e.Desc.Trace.EndStage(trace.StageRDMACQ)
-			sp := e.Desc.Trace.Begin("cli.proc", "cli")
-			coreA.Run(p.VerbsPostCost/2, func() {
-				sp.End()
-				if w, ok := waiters[e.Desc.Seq]; ok {
-					delete(waiters, e.Desc.Seq)
-					w.TryPut(struct{}{})
-				}
-				if err := poolA.Transfer(e.Desc.Buf, "rq", "cli"); err != nil {
-					panic(err)
-				}
-				if err := poolA.Put(e.Desc.Buf, "cli"); err != nil {
-					panic(err)
-				}
-				post(poolA, srqA, 1)
-				next()
-			})
-		case rdma.OpSend:
-			e.Desc.Trace.EndStage(trace.StageRDMAAck)
-			sp := e.Desc.Trace.BeginDetail("cli.ack", "cli")
-			coreA.Run(p.VerbsPostCost/2, func() {
-				sp.End()
-				if err := poolA.Put(e.Desc.Buf, "cli"); err != nil {
-					panic(err)
-				}
-				next()
-			})
-		default:
-			next()
-		}
-	})
-	var seq uint64
-	for i := 0; i < clients; i++ {
-		var loop, await func()
-		var w *sim.Queue[struct{}]
-		var start time.Duration
-		var req *trace.Req
-		loop = func() {
-			buf, err := poolA.Get("cli")
-			if err != nil {
-				eng.After(20*time.Microsecond, loop)
-				return
-			}
-			seq++
-			id := seq
-			w = sim.NewQueue[struct{}](eng, 1)
-			waiters[id] = w
-			start = eng.Now()
-			req = live.StartRequest("echo/native")
-			sp := req.Begin("cli.post", "cli")
-			coreA.Run(p.VerbsPostCost, func() {
-				sp.End()
-				qa.PostSend(mempool.Descriptor{Tenant: "t", Buf: buf, Len: int32(payload), Seq: id, Trace: req})
-				await()
-			})
-		}
-		await = func() {
-			if _, ok := w.TryGet(); !ok {
-				w.Notify(await)
-				return
-			}
-			req.Finish()
-			count++
-			rttSum += eng.Now() - start
-			loop()
-		}
-		eng.Immediate(loop)
-	}
-	// Warmup, then measure (tracing only the measured window).
-	eng.RunUntil(2 * time.Millisecond)
-	live = tracer
-	base, baseRTT := count, rttSum
-	start := eng.Now()
-	eng.RunUntil(start + dur)
-	n := count - base
-	if n == 0 {
-		return 0, 0
-	}
-	return float64(n) / (eng.Now() - start).Seconds(), (rttSum - baseRTT) / time.Duration(n)
+	v.serveEcho(coreA, coreB, l.reply)
+	l.start(nil)
+	return v, l
 }
 
 // runDNEEcho measures the echo pair behind the full DNE isolation layer. A
@@ -185,14 +58,8 @@ func runNativeEcho(p *params.Params, seed int64, coreSpeed float64, payload, cli
 func runDNEEcho(p *params.Params, seed int64, mode dne.Mode, payload, clients int, dur time.Duration, tracer *trace.Tracer) (float64, time.Duration) {
 	r := newDNERig(p, seed, mode, dne.SchedDWRR, []tenantSpec{{name: "t", weight: 1}})
 	defer r.eng.Stop()
-	tracer.SetClock(r.eng.Now)
-	r.tracer = tracer
-	cliPort := r.ea.AttachFunction("cli-t", "t")
-	srvPort := r.eb.AttachFunction("srv-t", "t")
-	r.startEchoServer("t", srvPort)
-	stats := r.startEchoClients("t", cliPort, clients, payload, nil)
-	rps, lat := measureEcho(r, stats, dur)
-	return rps, lat
+	stats := r.startEchoClients("t", clients, payload, nil)
+	return stats.window(p.QPSetupTime+2*time.Millisecond, dur, tracer)
 }
 
 // Fig06Setups lists the compared configurations.

@@ -58,49 +58,34 @@ func runComch(p *params.Params, seed int64, mode dpu.ChannelMode, n int, dur tim
 		work.Notify(poll)
 	}
 	eng.Immediate(poll)
-	var count uint64
-	var rttSum time.Duration
-	for i := 0; i < n; i++ {
-		ep := eps[i]
+	l := newEchoLoad(eng, n)
+	sends := make([]func(), n)
+	for i, ep := range eps {
 		// Comch-P pins one host core per function; the others share
 		// event-driven cores (modeled per function for simplicity).
-		hostCore := sim.NewProcessor(eng, fmt.Sprintf("host%d", i), p.HostCoreSpeed)
-		var loop, await, done func()
-		var start time.Duration
-		loop = func() {
-			start = eng.Now()
-			hostCore.Run(ep.SendCost(), func() {
-				ep.SendToDNE(mempool.Descriptor{Tenant: "t"})
-				await()
-			})
-		}
+		core, c := sim.NewProcessor(eng, fmt.Sprintf("host%d", i), p.HostCoreSpeed), &l.clients[i]
+		var await func()
 		await = func() {
 			if _, ok := ep.TryRecvOnHost(); !ok {
 				ep.NotifyOnHost(await)
 				return
 			}
-			if c := ep.HostWakeupCost(); c > 0 {
-				hostCore.Run(c, done)
+			if w := ep.HostWakeupCost(); w > 0 {
+				core.Run(w, c.doneFn)
 				return
 			}
-			done()
+			c.done()
 		}
-		done = func() {
-			count++
-			rttSum += eng.Now() - start
-			loop()
+		sent := func() {
+			ep.SendToDNE(mempool.Descriptor{Tenant: "t"})
+			await()
 		}
-		eng.Immediate(loop)
+		sends[i] = func() { core.Run(ep.SendCost(), sent) }
 	}
-	eng.RunUntil(time.Millisecond) // warmup
-	base, baseRTT := count, rttSum
-	start := eng.Now()
-	eng.RunUntil(start + dur)
-	got := count - base
-	if got == 0 {
-		return 0, 0
-	}
-	return (rttSum - baseRTT) / time.Duration(got), float64(got) / (eng.Now() - start).Seconds()
+	l.send = func(c *echoClient, _ mempool.Buffer) { sends[c.i]() }
+	l.start(nil)
+	rps, rtt := l.window(time.Millisecond, dur, nil)
+	return rtt, rps
 }
 
 // Fig09Channels lists the compared channel variants.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"nadino/internal/fabric"
 	"nadino/internal/mempool"
 	"nadino/internal/params"
 	"nadino/internal/rdma"
@@ -48,31 +47,32 @@ type Fig12Result struct {
 // the variant's coordination (receiver-side copies or distributed locks).
 // One core per side, FaRM-style polling receivers.
 func runOneSidedEcho(p *params.Params, seed int64, variant Fig12Variant, payload, clients int, dur time.Duration) (float64, time.Duration) {
-	eng := sim.NewEngine(seed)
+	v := newVerbsPair(p, seed, "nodeA", "nodeB", "t", 16384, 1024, 0)
+	eng := v.eng
 	defer eng.Stop()
-	net := fabric.New(eng, p)
-	ra := rdma.NewRNIC(eng, p, "nodeA", net)
-	rb := rdma.NewRNIC(eng, p, "nodeB", net)
-	poolA := mempool.NewPool("rdma-a", 16384, 1024, p.HugepageSize)
-	poolB := mempool.NewPool("rdma-b", 16384, 1024, p.HugepageSize)
-	cqA, cqB := rdma.NewCQ(eng), rdma.NewCQ(eng)
-	qa, qb := rdma.Connect(ra, rb, "t", nil, nil, cqA, cqB)
-	mrA := ra.RegisterMR(poolA)
-	mrB := rb.RegisterMR(poolB)
-	coreA := sim.NewProcessor(eng, "cliCore", p.HostCoreSpeed)
-	coreB := sim.NewProcessor(eng, "srvCore", p.HostCoreSpeed)
 
-	// Static landing slots, one per client per direction.
-	slotB := make([]rdma.RemoteBuf, clients) // client -> server
-	slotA := make([]rdma.RemoteBuf, clients) // server -> client
-	for i := 0; i < clients; i++ {
-		ba, _ := poolA.Get("slots")
-		bb, _ := poolB.Get("slots")
-		slotA[i] = rdma.RemoteBuf{MR: mrA, Buf: ba}
-		slotB[i] = rdma.RemoteBuf{MR: mrB, Buf: bb}
-		rb.SetWord(fmt.Sprintf("lock-b-%d", i), 0)
-		ra.SetWord(fmt.Sprintf("lock-a-%d", i), 0)
+	// end is one node's side of the echo: its core, its QP to the peer and
+	// the MR holding its landing slots (one per client), each guarded by a
+	// lock word on its RNIC.
+	type end struct {
+		core  *sim.Processor
+		rnic  *rdma.RNIC
+		qp    *rdma.QP
+		mr    *rdma.MR
+		slots []rdma.RemoteBuf
+		lock  string // lock word name, by slot
 	}
+	newEnd := func(core string, rnic *rdma.RNIC, qp *rdma.QP, pool *mempool.Pool, lock string) *end {
+		e := &end{core: sim.NewProcessor(eng, core, p.HostCoreSpeed), rnic: rnic, qp: qp, mr: rnic.RegisterMR(pool), lock: lock}
+		for i := 0; i < clients; i++ {
+			b, _ := pool.Get("slots")
+			e.slots = append(e.slots, rdma.RemoteBuf{MR: e.mr, Buf: b})
+			rnic.SetWord(fmt.Sprintf(lock, i), 0)
+		}
+		return e
+	}
+	cli := newEnd("cliCore", v.ra, v.qa, v.poolA, "lock-a-%d")
+	srv := newEnd("srvCore", v.rb, v.qb, v.poolB, "lock-b-%d")
 
 	copyCost := func(n int) time.Duration {
 		switch variant {
@@ -86,39 +86,51 @@ func runOneSidedEcho(p *params.Params, seed int64, variant Fig12Variant, payload
 	}
 
 	// casAcquire spins remote CAS until the lock is taken, then runs then
-	// after the successful swap's round trip.
+	// after the successful swap's round trip. Each result is taken from one
+	// same-instant event.
 	var casAcquire func(qp *rdma.QP, core *sim.Processor, key string, then func())
 	casAcquire = func(qp *rdma.QP, core *sim.Processor, key string, then func()) {
-		got := sim.NewQueue[rdma.CASResult](eng, 1)
-		var await func()
-		await = func() {
-			res, ok := got.TryGet()
-			if !ok {
-				got.Notify(await)
-				return
-			}
-			if res.Swapped {
-				then()
-				return
-			}
-			eng.After(time.Microsecond, func() { casAcquire(qp, core, key, then) })
-		}
 		core.Run(p.VerbsPostCost, func() {
-			qp.PostCAS(key, 0, 1, func(res rdma.CASResult) { got.TryPut(res) })
-			await()
+			qp.PostCAS(key, 0, 1, func(res rdma.CASResult) {
+				eng.Immediate(func() {
+					if res.Swapped {
+						then()
+						return
+					}
+					eng.After(time.Microsecond, func() { casAcquire(qp, core, key, then) })
+				})
+			})
 		})
 	}
 
-	respQ := make([]*sim.Queue[struct{}], clients)
-	for i := range respQ {
-		respQ[i] = sim.NewQueue[struct{}](eng, 1)
+	// write posts a one-sided write of d from from's slot i into to's, on
+	// from's core — under OWDL once the remote CAS on to's slot lock took
+	// it — and then runs then (if set).
+	write := func(from, to *end, i int, d mempool.Descriptor, then func()) {
+		post := func() {
+			from.core.Run(p.VerbsPostCost, func() {
+				d.Buf = from.slots[i].Buf
+				from.qp.PostWrite(d, to.slots[i])
+				if then != nil {
+					then()
+				}
+			})
+		}
+		if variant == OWDL {
+			casAcquire(from.qp, from.core, fmt.Sprintf(to.lock, i), post)
+			return
+		}
+		post()
 	}
 
-	// pollLoop is a FaRM-style polling receiver on core: pay the poll
-	// cost, and if nothing landed sleep one poll interval; else handle each
-	// landed write in turn (handle resumes the loop through its argument)
-	// and poll again.
-	pollLoop := func(core *sim.Processor, mr *rdma.MR, handle func(l rdma.Landed, next func())) {
+	ld := newEchoLoad(eng, clients)
+	// serve is a FaRM-style polling receiver on e's core: pay the poll
+	// cost, and if nothing landed sleep one poll interval; else take each
+	// landed write in turn — pay the variant's copy and, under OWDL,
+	// release the slot's lock so the writer's next CAS can succeed — and
+	// hand it to handle, which resumes the loop through next; then poll
+	// again.
+	serve := func(e *end, handle func(i int, l rdma.Landed, next func())) {
 		var poll, next func()
 		var landed []rdma.Landed
 		next = func() {
@@ -128,11 +140,17 @@ func runOneSidedEcho(p *params.Params, seed int64, variant Fig12Variant, payload
 			}
 			l := landed[0]
 			landed = landed[1:]
-			handle(l, next)
+			i := ld.slot(l.Desc.Seq)
+			e.core.Run(copyCost(l.Bytes), func() {
+				if variant == OWDL {
+					e.rnic.SetWord(fmt.Sprintf(e.lock, i), 0)
+				}
+				handle(i, l, next)
+			})
 		}
 		poll = func() {
-			core.Run(p.OneSidedPollCost, func() {
-				if landed = mr.PollLanded(); len(landed) == 0 {
+			e.core.Run(p.OneSidedPollCost, func() {
+				if landed = e.mr.PollLanded(); len(landed) == 0 {
 					eng.After(p.OneSidedPollInterval, poll)
 					return
 				}
@@ -141,85 +159,24 @@ func runOneSidedEcho(p *params.Params, seed int64, variant Fig12Variant, payload
 		}
 		eng.Immediate(poll)
 	}
-
-	// Server: poll the landing region; for each arrival do the variant's
-	// coordination and echo back with a one-sided write.
-	pollLoop(coreB, mrB, func(l rdma.Landed, next func()) {
-		i := int(l.Desc.Seq)
-		reply := func() {
-			coreB.Run(p.VerbsPostCost, func() {
-				qb.PostWrite(mempool.Descriptor{Tenant: "t", Len: int32(l.Bytes), Seq: l.Desc.Seq, Buf: slotB[i].Buf}, slotA[i])
-				next()
-			})
-		}
-		coreB.Run(copyCost(l.Bytes), func() {
-			if variant != OWDL {
-				reply()
-				return
-			}
-			// Consume, then release the lock locally so the client's next
-			// CAS can succeed; acquire the client-side buffer lock before
-			// the reply write.
-			rb.SetWord(fmt.Sprintf("lock-b-%d", i), 0)
-			casAcquire(qb, coreB, fmt.Sprintf("lock-a-%d", i), reply)
-		})
+	// The server echoes each arrival back; each reply resumes its client.
+	serve(srv, func(i int, l rdma.Landed, next func()) {
+		write(srv, cli, i, mempool.Descriptor{Tenant: "t", Len: int32(l.Bytes), Seq: l.Desc.Seq}, next)
 	})
-	// Client-side poller: detect replies.
-	pollLoop(coreA, mrA, func(l rdma.Landed, next func()) {
-		i := int(l.Desc.Seq)
-		coreA.Run(copyCost(l.Bytes), func() {
-			if variant == OWDL {
-				ra.SetWord(fmt.Sprintf("lock-a-%d", i), 0)
-			}
-			respQ[i].TryPut(struct{}{})
-			next()
-		})
+	serve(cli, func(_ int, l rdma.Landed, next func()) {
+		ld.reply(l.Desc)
+		next()
 	})
 
 	// Drain send-completion CQEs (bookkeeping only).
-	discardCQ(eng, cqA)
-	discardCQ(eng, cqB)
+	discardCQ(eng, v.cqA)
+	discardCQ(eng, v.cqB)
 
-	var count uint64
-	var rttSum time.Duration
-	for i := 0; i < clients; i++ {
-		i := i
-		var loop, send, await func()
-		var start time.Duration
-		loop = func() {
-			start = eng.Now()
-			if variant == OWDL {
-				casAcquire(qa, coreA, fmt.Sprintf("lock-b-%d", i), send)
-				return
-			}
-			send()
-		}
-		send = func() {
-			coreA.Run(p.VerbsPostCost, func() {
-				qa.PostWrite(mempool.Descriptor{Tenant: "t", Len: int32(payload), Seq: uint64(i), Buf: slotA[i].Buf}, slotB[i])
-				await()
-			})
-		}
-		await = func() {
-			if _, ok := respQ[i].TryGet(); !ok {
-				respQ[i].Notify(await)
-				return
-			}
-			count++
-			rttSum += eng.Now() - start
-			loop()
-		}
-		eng.Immediate(loop)
+	ld.send = func(c *echoClient, _ mempool.Buffer) {
+		write(cli, srv, c.i, mempool.Descriptor{Tenant: "t", Len: int32(payload), Seq: c.seq}, nil)
 	}
-	eng.RunUntil(2 * time.Millisecond)
-	base, baseRTT := count, rttSum
-	start := eng.Now()
-	eng.RunUntil(start + dur)
-	n := count - base
-	if n == 0 {
-		return 0, 0
-	}
-	return float64(n) / (eng.Now() - start).Seconds(), (rttSum - baseRTT) / time.Duration(n)
+	ld.start(nil)
+	return ld.window(2*time.Millisecond, dur, nil)
 }
 
 // Fig12 runs the primitive comparison across payloads, sharding the

@@ -45,12 +45,9 @@ func runTenancy(o Opts, sched dne.SchedulerKind, tenants []TenantLoad, total tim
 	defer r.eng.Stop()
 
 	names := make([]string, len(tenants))
-	stats := make(map[string]*echoClientStats)
+	stats := make(map[string]*echoLoad)
 	for i, t := range tenants {
 		t := t
-		cliPort := r.ea.AttachFunction("cli-"+t.Name, t.Name)
-		srvPort := r.eb.AttachFunction("srv-"+t.Name, t.Name)
-		r.startEchoServer(t.Name, srvPort)
 		active := func(now time.Duration) bool {
 			if now < r.p.QPSetupTime+t.Start {
 				return false
@@ -60,7 +57,7 @@ func runTenancy(o Opts, sched dne.SchedulerKind, tenants []TenantLoad, total tim
 			}
 			return true
 		}
-		stats[t.Name] = r.startEchoClients(t.Name, cliPort, t.Clients, 1024, active)
+		stats[t.Name] = r.startEchoClients(t.Name, t.Clients, 1024, active)
 		names[i] = t.Name
 	}
 	// Sample per-tenant completion rates, starting once setup finished so

@@ -27,18 +27,9 @@ import (
 // tenant's own pools on each node ("qp@<node>/<tenant>").
 func rigInjector(r *dneRig, seed int64, tenants []string) *chaos.Injector {
 	in := chaos.NewInjector(r.eng, r.net, seed)
-	for _, side := range []struct {
-		node fabric.NodeID
-		e    *dne.Engine
-	}{{"nodeA", r.ea}, {"nodeB", r.eb}} {
-		side := side
-		if side.node == "nodeA" {
-			in.RegisterStaller("dma@nodeA", r.dpuA.SoCDMA())
-			in.RegisterCores("cores@nodeA", r.dpuA.Cores()...)
-		} else {
-			in.RegisterStaller("dma@nodeB", r.dpuB.SoCDMA())
-			in.RegisterCores("cores@nodeB", r.dpuB.Cores()...)
-		}
+	for _, side := range r.sides() {
+		in.RegisterStaller("dma@"+string(side.node), side.d.SoCDMA())
+		in.RegisterCores("cores@"+string(side.node), side.d.Cores()...)
 		in.RegisterQPs("qp@"+string(side.node), func() []chaos.QPErrorTarget {
 			pools := side.e.ConnPools()
 			ts := make([]chaos.QPErrorTarget, len(pools))
@@ -47,14 +38,9 @@ func rigInjector(r *dneRig, seed int64, tenants []string) *chaos.Injector {
 			}
 			return ts
 		})
-		peer := fabric.NodeID("nodeB")
-		if side.node == "nodeB" {
-			peer = "nodeA"
-		}
 		for _, tn := range tenants {
-			tn := tn
 			in.RegisterQPs(fmt.Sprintf("qp@%s/%s", side.node, tn), func() []chaos.QPErrorTarget {
-				return []chaos.QPErrorTarget{side.e.ConnPool(peer, tn)}
+				return []chaos.QPErrorTarget{side.e.ConnPool(side.peer, tn)}
 			})
 		}
 	}
@@ -64,7 +50,7 @@ func rigInjector(r *dneRig, seed int64, tenants []string) *chaos.Injector {
 // sampleRate attaches a completion-rate sampler (window-sized Ticker
 // starting at QPSetupTime) for each stat in stats, walking the slice — not
 // a map — so float sums stay deterministic.
-func sampleRate(r *dneRig, names []string, stats map[string]*echoClientStats, window time.Duration) map[string]*metrics.Series {
+func sampleRate(r *dneRig, names []string, stats map[string]*echoLoad, window time.Duration) map[string]*metrics.Series {
 	series := make(map[string]*metrics.Series, len(names))
 	for _, n := range names {
 		series[n] = metrics.NewSeries(n)
@@ -145,12 +131,9 @@ func runResStorm(o Opts, faulted bool) *StormResult {
 	base := p.QPSetupTime
 	stormLo, stormHi := total/4, 3*total/4
 
-	cliPort := r.ea.AttachFunction("cli-"+tenant, tenant)
-	srvPort := r.eb.AttachFunction("srv-"+tenant, tenant)
-	r.startEchoServer(tenant, srvPort)
 	active := func(now time.Duration) bool { return now < base+total }
-	stats := map[string]*echoClientStats{
-		tenant: r.startEchoClients(tenant, cliPort, 16, 1024, active),
+	stats := map[string]*echoLoad{
+		tenant: r.startEchoClients(tenant, 16, 1024, active),
 	}
 	series := sampleRate(r, []string{tenant}, stats, total/48)
 	sc := rigTelemetry(o, r, []string{tenant}, stats, total/48)
@@ -214,11 +197,7 @@ func runResStorm(o Opts, faulted bool) *StormResult {
 	ra, da := r.ea.RetryStats()
 	rb, db := r.eb.RetryStats()
 	res.Retried, res.RetryDrops = ra+rb, da+db
-	for _, e := range []*dne.Engine{r.ea, r.eb} {
-		for _, cp := range e.ConnPools() {
-			res.Repairs += cp.Repairs()
-		}
-	}
+	res.Repairs = r.repairs()
 	res.LeakA, res.LeakB = leakCheck(r, tenant)
 	return res
 }
@@ -322,12 +301,9 @@ func runResRecovery(o Opts, cfg recoveryConfig) *RecoveryResult {
 	faultAt := base + total/3
 	clearAt := faultAt + cfg.dur
 
-	cliPort := r.ea.AttachFunction("cli-"+tenant, tenant)
-	srvPort := r.eb.AttachFunction("srv-"+tenant, tenant)
-	r.startEchoServer(tenant, srvPort)
 	active := func(now time.Duration) bool { return now < base+total }
-	stats := map[string]*echoClientStats{
-		tenant: r.startEchoClients(tenant, cliPort, 16, 1024, active),
+	stats := map[string]*echoLoad{
+		tenant: r.startEchoClients(tenant, 16, 1024, active),
 	}
 	series := sampleRate(r, []string{tenant}, stats, total/96)
 	sc := rigTelemetry(o, r, []string{tenant}, stats, total/96)
@@ -351,11 +327,7 @@ func runResRecovery(o Opts, cfg recoveryConfig) *RecoveryResult {
 	}
 	det := metrics.RecoveryDetector{Baseline: res.Baseline, Tolerance: 0.05, Sustain: 2}
 	res.RecoveryTime, res.Recovered = det.Detect(s, clearAt)
-	for _, e := range []*dne.Engine{r.ea, r.eb} {
-		for _, cp := range e.ConnPools() {
-			res.Repairs += cp.Repairs()
-		}
-	}
+	res.Repairs = r.repairs()
 	res.LeakA, res.LeakB = leakCheck(r, tenant)
 	res.Telem = sc
 	return res
@@ -444,16 +416,13 @@ func runResTenant(o Opts, sched dne.SchedulerKind) *TenantIsolationResult {
 	stormLo, stormHi := base+total/3, base+2*total/3
 
 	names := []string{healthy, noisy}
-	stats := make(map[string]*echoClientStats, 2)
+	stats := make(map[string]*echoLoad, 2)
 	for _, tn := range names {
-		cliPort := r.ea.AttachFunction("cli-"+tn, tn)
-		srvPort := r.eb.AttachFunction("srv-"+tn, tn)
-		r.startEchoServer(tn, srvPort)
 		active := func(now time.Duration) bool { return now < base+total }
 		if tn == healthy {
-			stats[tn] = r.startEchoClients(tn, cliPort, 32, 1024, active)
+			stats[tn] = r.startEchoClients(tn, 32, 1024, active)
 		} else {
-			stats[tn] = r.startOpenLoopSender(tn, cliPort, 1024, 15*time.Microsecond, active)
+			stats[tn] = r.startOpenLoopSender(tn, 1024, 15*time.Microsecond, active)
 		}
 	}
 	series := sampleRate(r, names, stats, total/48)
@@ -488,11 +457,7 @@ func runResTenant(o Opts, sched dne.SchedulerKind) *TenantIsolationResult {
 	if res.HealthyPre > 0 {
 		res.Retention = res.HealthyStorm / res.HealthyPre
 	}
-	for _, e := range []*dne.Engine{r.ea, r.eb} {
-		for _, cp := range e.ConnPools() {
-			res.Repairs += cp.Repairs()
-		}
-	}
+	res.Repairs = r.repairs()
 	res.LeakHealthyA, res.LeakHealthyB = leakCheck(r, healthy)
 	res.LeakNoisyA, res.LeakNoisyB = leakCheck(r, noisy)
 	res.Telem = sc
@@ -541,45 +506,36 @@ func RunResTenant(o Opts) []*Table {
 
 // startOpenLoopSender drives tenant with a fixed-period open-loop request
 // stream (no waiting for responses) — the aggressive co-tenant in
-// res-tenant. A drain loop recycles responses; stats.count counts them.
-func (r *dneRig) startOpenLoopSender(tenant string, port *dne.FnPort, payload int, period time.Duration, active func(now time.Duration) bool) *echoClientStats {
+// res-tenant: one echo client, on tenant's echo pair, that issues its next
+// request a period after each send. A drain loop recycles responses and
+// records each one.
+func (r *dneRig) startOpenLoopSender(tenant string, payload int, period time.Duration, active func(now time.Duration) bool) *echoLoad {
+	port := r.attachEcho(tenant)
 	core := sim.NewProcessor(r.eng, "cli-core-"+tenant, r.p.HostCoreSpeed)
 	pool := r.pools[tenant][0]
 	cli := mempool.Owner("cli-" + tenant)
-	stats := &echoClientStats{}
+	l := newEchoLoad(r.eng, 1)
+	// Pool exhausted (responses stuck behind the storm): back off instead
+	// of spinning.
+	l.pool, l.owner, l.retry, l.active = pool, cli, 8*period, active
 	// sent[seq-1] is when request seq left, read by each reply to it
 	// (duplicates included).
 	var sent []time.Duration
 	var drain *portReceiver
 	drain = startPortReceiver(r.eng, port, core, func(d mempool.Descriptor) {
-		stats.count++
-		stats.rtt.Observe(r.eng.Now() - sent[d.Seq-1])
+		l.record(r.eng.Now() - sent[d.Seq-1])
 		if err := pool.Put(d.Buf, cli); err != nil {
 			panic(err)
 		}
 		drain.recv()
 	})
-	var seq uint64
-	var send func()
-	tx := newPortSender(port, core, "srv-"+tenant, func() { r.eng.After(period, send) })
-	send = func() {
-		if active != nil && !active(r.eng.Now()) {
-			r.eng.After(500*time.Microsecond, send)
-			return
-		}
-		buf, err := pool.Get(cli)
-		if err != nil {
-			// Pool exhausted (responses stuck behind the storm): back off
-			// instead of spinning.
-			r.eng.After(8*period, send)
-			return
-		}
-		seq++
+	tx := newPortSender(port, core, "srv-"+tenant, func() { r.eng.After(period, l.clients[0].loopFn) })
+	l.send = func(_ *echoClient, buf mempool.Buffer) {
 		sent = append(sent, r.eng.Now())
-		tx.send(mempool.Descriptor{Tenant: tenant, Buf: buf, Len: int32(payload), Seq: seq})
+		tx.send(mempool.Descriptor{Tenant: tenant, Buf: buf, Len: int32(payload), Seq: uint64(len(sent))})
 	}
-	r.eng.Immediate(func() { r.onReady(send) })
-	return stats
+	l.start(r.onReady)
+	return l
 }
 
 // Resilience returns the resilience experiment registry.

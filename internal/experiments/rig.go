@@ -25,10 +25,27 @@ type dneRig struct {
 	ea, eb *dne.Engine
 	pools  map[string][2]*mempool.Pool // per tenant: [nodeA, nodeB]
 	ready  *sim.Queue[struct{}]
-	// tracer, when non-nil, records per-stage spans for echo requests.
-	// measureEcho nils it during warmup so only steady-state requests are
-	// traced.
-	tracer *trace.Tracer
+}
+
+// rigSide is one node of a dneRig: its engine and DPU, and the peer node.
+type rigSide struct {
+	node, peer fabric.NodeID
+	e          *dne.Engine
+	d          *dpu.DPU
+}
+
+func (r *dneRig) sides() [2]rigSide {
+	return [2]rigSide{{"nodeA", "nodeB", r.ea, r.dpuA}, {"nodeB", "nodeA", r.eb, r.dpuB}}
+}
+
+// repairs sums the QP re-handshakes of both engines' conn pools.
+func (r *dneRig) repairs() (n uint64) {
+	for _, side := range r.sides() {
+		for _, cp := range side.e.ConnPools() {
+			n += cp.Repairs()
+		}
+	}
+	return n
 }
 
 // tenantSpec declares one tenant on the rig.
@@ -108,9 +125,9 @@ func (r *dneRig) onReady(fn func()) {
 
 // portSender hands one flow's descriptors — from the port's function to
 // dst — to the port one at a time, paying each channel send cost on core,
-// then runs then. Every descriptor it sends shares the flow's one record,
-// and its continuation is bound once, so a steady-state send allocates
-// nothing.
+// then runs then (if set). Every descriptor it sends shares the flow's one
+// record, and its continuation is bound once, so a steady-state send
+// allocates nothing.
 type portSender struct {
 	port   *dne.FnPort
 	core   *sim.Processor
@@ -142,7 +159,9 @@ func (s *portSender) sent() {
 	d := s.d
 	s.d = mempool.Descriptor{}
 	s.port.SendEnd(d, s.sp)
-	s.then()
+	if s.then != nil {
+		s.then()
+	}
 }
 
 // portReceiver is a function's receive loop on its port: recv waits for
@@ -223,12 +242,16 @@ func awaitCQ(cq *rdma.CQ, fn func()) {
 // discardCQ empties cq every time completions land in it: send-completion
 // bookkeeping nobody reads.
 func discardCQ(eng *sim.Engine, cq *rdma.CQ) {
-	var drain func()
-	drain = func() {
-		cq.Poll(0)
-		cq.Notify(drain)
-	}
-	eng.Immediate(drain)
+	cqLoop(eng, cq, func(_ rdma.CQE, next func()) { next() })
+}
+
+// attachEcho attaches tenant's client function ("cli-<t>") on node A and
+// its echo server ("srv-<t>") on node B, starts the server and returns the
+// client's port.
+func (r *dneRig) attachEcho(tenant string) *dne.FnPort {
+	cli := r.ea.AttachFunction("cli-"+tenant, tenant)
+	r.startEchoServer(tenant, r.eb.AttachFunction("srv-"+tenant, tenant))
+	return cli
 }
 
 // startEchoServer runs a server function for tenant on node B with its own
@@ -262,116 +285,323 @@ func (r *dneRig) startEchoServer(tenant string, port *dne.FnPort) {
 	rx = startPortReceiver(r.eng, port, core, reply)
 }
 
-// echoClientStats collects per-client echo results.
-type echoClientStats struct {
-	count  uint64
-	rttSum time.Duration
+// startEchoClients attaches tenant's echo pair and runs n concurrent
+// closed-loop echo clients for it on node A, all multiplexed over the
+// tenant's single client function port (serverless functions multiplex
+// many in-flight requests). active gates the load (nil = always on).
+func (r *dneRig) startEchoClients(tenant string, n, payload int, active func(now time.Duration) bool) *echoLoad {
+	port := r.attachEcho(tenant)
+	core := sim.NewProcessor(r.eng, "cli-core-"+tenant, r.p.HostCoreSpeed)
+	pool := r.pools[tenant][0]
+	cli := mempool.Owner("cli-" + tenant)
+	put := func(d mempool.Descriptor) {
+		if err := pool.Put(d.Buf, cli); err != nil {
+			panic(err)
+		}
+	}
+	l := newEchoLoad(r.eng, n)
+	l.name, l.pool, l.owner, l.retry = "echo/"+tenant, pool, cli, 50*time.Microsecond
+	l.active, l.jitter, l.recycle = active, true, put
+	// A reply no client awaits is a duplicate delivery from the engine's
+	// at-least-once retry path: reply recycles it, or the buffer leaks.
+	var demux *portReceiver
+	demux = startPortReceiver(r.eng, port, core, func(d mempool.Descriptor) {
+		l.reply(d)
+		demux.recv()
+	})
+	tx := make([]*portSender, n)
+	for i := range tx {
+		tx[i] = newPortSender(port, core, "srv-"+tenant, nil)
+	}
+	l.send = func(c *echoClient, buf mempool.Buffer) {
+		tx[c.i].send(mempool.Descriptor{
+			Tenant: tenant, Buf: buf, Len: int32(payload), Seq: c.seq, Trace: c.req,
+		})
+	}
+	l.start(r.onReady)
+	return l
+}
+
+// verbsPair is the raw-verbs world of the native, one-sided, victim and
+// per-request-handshake rigs: a fabric, an RNIC and a pool per node, the
+// CQs and one RC pair between the nodes, plus an SRQ per side holding a
+// posted receive ring when ring > 0 (nil SRQs otherwise). Pool geometry
+// matters: a registered pool's pages set the RNIC's MTT pressure.
+type verbsPair struct {
+	eng          *sim.Engine
+	p            *params.Params
+	tenant       string
+	ra, rb       *rdma.RNIC
+	poolA, poolB *mempool.Pool
+	srqA, srqB   *rdma.SRQ
+	cqA, cqB     *rdma.CQ
+	qa, qb       *rdma.QP
+}
+
+func newVerbsPair(p *params.Params, seed int64, nodeA, nodeB fabric.NodeID, tenant string, bufSize, bufs, ring int) *verbsPair {
+	eng := sim.NewEngine(seed)
+	net := fabric.New(eng, p)
+	v := &verbsPair{
+		eng:    eng,
+		p:      p,
+		tenant: tenant,
+		ra:     rdma.NewRNIC(eng, p, nodeA, net),
+		rb:     rdma.NewRNIC(eng, p, nodeB, net),
+		poolA:  mempool.NewPool(tenant, bufSize, bufs, p.HugepageSize),
+		poolB:  mempool.NewPool(tenant, bufSize, bufs, p.HugepageSize),
+		cqA:    rdma.NewCQ(eng),
+		cqB:    rdma.NewCQ(eng),
+	}
+	if ring > 0 {
+		v.srqA, v.srqB = rdma.NewSRQ(tenant), rdma.NewSRQ(tenant)
+		v.post(v.poolA, v.srqA, ring)
+		v.post(v.poolB, v.srqB, ring)
+	}
+	v.qa, v.qb = rdma.Connect(v.ra, v.rb, tenant, v.srqA, v.srqB, v.cqA, v.cqB)
+	return v
+}
+
+// post posts n receive buffers from pool (one side of the pair) to srq.
+func (v *verbsPair) post(pool *mempool.Pool, srq *rdma.SRQ, n int) {
+	for i := 0; i < n; i++ {
+		b, err := pool.Get("rq")
+		if err != nil {
+			panic(err)
+		}
+		srq.PostRecv(mempool.Descriptor{Tenant: v.tenant, Buf: b})
+	}
+}
+
+// serveEcho runs both ends of a two-sided echo over the pair's receive
+// rings: node B answers each receive with a same-size reply from the same
+// buffer and node A hands each reply to replied; each side returns a
+// buffer once its send completes and reposts a receive buffer for each one
+// it consumed. With cores, every completion costs verbs time on its side's
+// core and is traced; nil cores handle completions as they are polled.
+func (v *verbsPair) serveEcho(coreA, coreB *sim.Processor, replied func(d mempool.Descriptor)) {
+	verbs := v.p.VerbsPostCost
+	run := func(core *sim.Processor, cost time.Duration, fn func()) {
+		if core == nil {
+			fn()
+			return
+		}
+		core.Run(cost, fn)
+	}
+	must := func(err error) {
+		if err != nil {
+			panic(err)
+		}
+	}
+	// Server: echo every receive, recycling and reposting buffers.
+	cqLoop(v.eng, v.cqB, func(e rdma.CQE, next func()) {
+		switch e.Op {
+		case rdma.OpRecv:
+			e.Desc.Trace.EndStage(trace.StageRDMACQ)
+			sp := e.Desc.Trace.Begin("srv.proc", "srv")
+			run(coreB, verbs/2, func() {
+				must(v.poolB.Transfer(e.Desc.Buf, "rq", "srv"))
+				run(coreB, verbs, func() {
+					sp.End()
+					v.qb.PostSend(mempool.Descriptor{Tenant: v.tenant, Buf: e.Desc.Buf, Len: int32(e.Bytes), Seq: e.Desc.Seq, Trace: e.Desc.Trace})
+					next()
+				})
+			})
+		case rdma.OpSend:
+			e.Desc.Trace.EndStage(trace.StageRDMAAck)
+			sp := e.Desc.Trace.BeginDetail("srv.ack", "srv")
+			run(coreB, verbs/2, func() {
+				sp.End()
+				must(v.poolB.Put(e.Desc.Buf, "srv"))
+				v.post(v.poolB, v.srqB, 1)
+				next()
+			})
+		default:
+			next()
+		}
+	})
+	// Client-side completion demux.
+	cqLoop(v.eng, v.cqA, func(e rdma.CQE, next func()) {
+		switch e.Op {
+		case rdma.OpRecv:
+			e.Desc.Trace.EndStage(trace.StageRDMACQ)
+			sp := e.Desc.Trace.Begin("cli.proc", "cli")
+			run(coreA, verbs/2, func() {
+				sp.End()
+				must(v.poolA.Transfer(e.Desc.Buf, "rq", "cli"))
+				must(v.poolA.Put(e.Desc.Buf, "cli"))
+				v.post(v.poolA, v.srqA, 1)
+				replied(e.Desc)
+				next()
+			})
+		case rdma.OpSend:
+			e.Desc.Trace.EndStage(trace.StageRDMAAck)
+			sp := e.Desc.Trace.BeginDetail("cli.ack", "cli")
+			run(coreA, verbs/2, func() {
+				sp.End()
+				must(v.poolA.Put(e.Desc.Buf, "cli"))
+				next()
+			})
+		default:
+			next()
+		}
+	})
+}
+
+// echoLoad runs echo clients over a transport's send function and
+// tallies their echoes. A closed-loop client waits for its reply before
+// issuing the next request: the transport either hands replies to reply,
+// which matches them by sequence number and resumes the client from one
+// same-instant event, or, when the client waits on a channel of its own,
+// calls the client's done in line. The open-loop sender drives one client
+// of its own pace and records its replies itself.
+type echoLoad struct {
+	eng     *sim.Engine
+	clients []echoClient
+	count   uint64
+	rttSum  time.Duration
 	// rtt is the optional telemetry histogram handle (set by rigTelemetry);
 	// Observe on the nil default is a no-op, so the client loop carries the
 	// instrumentation unconditionally at zero cost when telemetry is off.
 	rtt *telemetry.Hist
+	// tracer, when non-nil, records per-stage spans for requests issued
+	// while it is set; window arms it only after warm-up.
+	tracer *trace.Tracer
+
+	name   string        // trace request name
+	pool   *mempool.Pool // request buffers (nil: the transport needs none)
+	owner  mempool.Owner
+	retry  time.Duration                // backoff after a failed pool get
+	active func(now time.Duration) bool // load gate (nil = always on)
+	jitter bool                         // think-time jitter before each request
+	// send hands client c's request, carrying c.seq and c.req, with buf
+	// (when pool is set) to the transport.
+	send func(c *echoClient, buf mempool.Buffer)
+	// recycle, when set, takes back a reply: a matched one once its client
+	// resumed, a duplicate at once. Else the transport disposes of replies.
+	recycle func(d mempool.Descriptor)
 }
 
-// startEchoClients runs n concurrent closed-loop echo clients for tenant
-// on node A, all multiplexed over the tenant's single client function port
-// (serverless functions multiplex many in-flight requests). active gates
-// the load (nil = always on). Returns the shared stats.
-func (r *dneRig) startEchoClients(tenant string, port *dne.FnPort, n, payload int, active func(now time.Duration) bool) *echoClientStats {
-	core := sim.NewProcessor(r.eng, "cli-core-"+tenant, r.p.HostCoreSpeed)
-	pool := r.pools[tenant][0]
-	// Hoisted per-request strings: these were concatenated per echo.
-	cliName := "cli-" + tenant
-	srvName := "srv-" + tenant
-	echoName := "echo/" + tenant
-	cli := mempool.Owner(cliName)
-	stats := &echoClientStats{}
-	// One demux loop feeds per-request rendezvous queues.
-	waiters := make(map[uint64]*sim.Queue[mempool.Descriptor])
-	var demux *portReceiver
-	demux = startPortReceiver(r.eng, port, core, func(d mempool.Descriptor) {
-		if w, ok := waiters[d.Seq]; ok {
-			delete(waiters, d.Seq)
-			w.TryPut(d)
-		} else if err := pool.Put(d.Buf, cli); err != nil {
-			// No waiter: a duplicate delivery from the engine's
-			// at-least-once retry path. Recycle it, or the buffer leaks.
-			panic(err)
-		}
-		demux.recv()
-	})
-	var seq uint64
-	for i := 0; i < n; i++ {
-		respQ := sim.NewQueue[mempool.Descriptor](r.eng, 0)
-		var loop, issue, await func()
-		var start time.Duration
-		var req *trace.Req
-		tx := newPortSender(port, core, srvName, func() { await() })
-		loop = func() {
-			if active != nil && !active(r.eng.Now()) {
-				r.eng.After(500*time.Microsecond, loop)
-				return
-			}
-			// Tiny think-time jitter decorrelates the closed-loop clients
-			// (real handlers are never perfectly lockstep); without it the
-			// deterministic pipeline phase-locks into convoys that leave
-			// the engine artificially idle.
-			r.eng.After(time.Duration(r.eng.Rand().Intn(3000))*time.Nanosecond, issue)
-		}
-		issue = func() {
-			buf, err := pool.Get(cli)
-			if err != nil {
-				r.eng.After(50*time.Microsecond, loop)
-				return
-			}
-			seq++
-			id := seq
-			waiters[id] = respQ
-			start = r.eng.Now()
-			req = r.tracer.StartRequest(echoName)
-			tx.send(mempool.Descriptor{
-				Tenant: tenant, Buf: buf, Len: int32(payload), Seq: id, Trace: req,
-			})
-		}
-		await = func() {
-			resp, ok := respQ.TryGet()
-			if !ok {
-				respQ.Notify(await)
-				return
-			}
-			req.Finish()
-			rtt := r.eng.Now() - start
-			stats.count++
-			stats.rttSum += rtt
-			stats.rtt.Observe(rtt)
-			if err := pool.Put(resp.Buf, cli); err != nil {
-				panic(err)
-			}
-			loop()
-		}
-		r.eng.Immediate(func() { r.onReady(loop) })
-	}
-	return stats
+func (l *echoLoad) record(rtt time.Duration) {
+	l.count++
+	l.rttSum += rtt
+	l.rtt.Observe(rtt)
 }
 
-// measureEcho runs the rig for dur (after setup) and returns RPS and mean
-// RTT for the tenant stats.
-func measureEcho(r *dneRig, stats *echoClientStats, dur time.Duration) (float64, time.Duration) {
-	// Trace only the measured window: requests issued during warmup would
-	// otherwise skew the trace's end-to-end mean relative to the reported
-	// steady-state RTT.
-	tr := r.tracer
-	r.tracer = nil
-	r.eng.RunUntil(r.p.QPSetupTime + 2*time.Millisecond) // warmup
-	r.tracer = tr
-	base := stats.count
-	baseRTT := stats.rttSum
-	start := r.eng.Now()
-	r.eng.RunUntil(start + dur)
-	n := stats.count - base
+// window runs the engine through warm-up (until warm), then arms tr on the
+// engine's clock — requests issued during warm-up would otherwise skew the
+// trace's end-to-end mean against the steady-state RTT — and measures dur
+// more, returning RPS and mean RTT over the echoes completed in it.
+func (l *echoLoad) window(warm, dur time.Duration, tr *trace.Tracer) (float64, time.Duration) {
+	l.eng.RunUntil(warm)
+	tr.SetClock(l.eng.Now)
+	l.tracer = tr
+	base, baseRTT := l.count, l.rttSum
+	start := l.eng.Now()
+	l.eng.RunUntil(start + dur)
+	n := l.count - base
 	if n == 0 {
 		return 0, 0
 	}
-	return float64(n) / (r.eng.Now() - start).Seconds(), (stats.rttSum - baseRTT) / time.Duration(n)
+	return float64(n) / (l.eng.Now() - start).Seconds(), (l.rttSum - baseRTT) / time.Duration(n)
+}
+
+// echoClient is one closed-loop client. Its requests' sequence numbers
+// are i+1, i+1+n, i+1+2n, ... for n clients, so a reply names its client.
+type echoClient struct {
+	l     *echoLoad
+	i     int
+	seq   uint64 // the request in flight, or the next one
+	start time.Duration
+	req   *trace.Req
+	resp  mempool.Descriptor // the matched reply, until done recycles it
+
+	loopFn, issueFn, doneFn func()
+}
+
+func newEchoLoad(eng *sim.Engine, n int) *echoLoad {
+	l := &echoLoad{eng: eng, clients: make([]echoClient, n)}
+	for i := range l.clients {
+		c := &l.clients[i]
+		c.l, c.i, c.seq = l, i, uint64(i+1)
+		c.loopFn, c.issueFn, c.doneFn = c.loop, c.issue, c.done
+	}
+	return l
+}
+
+// start runs every client's first request from one same-instant event
+// each, through ready when set (a rig's setup gate).
+func (l *echoLoad) start(ready func(fn func())) {
+	for i := range l.clients {
+		c := &l.clients[i]
+		if ready == nil {
+			l.eng.Immediate(c.loopFn)
+			continue
+		}
+		l.eng.Immediate(func() { ready(c.loopFn) })
+	}
+}
+
+// slot returns the index of the client that issued seq.
+func (l *echoLoad) slot(seq uint64) int { return int((seq - 1) % uint64(len(l.clients))) }
+
+// reply matches d to the client awaiting d.Seq and resumes it from one
+// same-instant event. A reply no client awaits (a duplicate) goes straight
+// to recycle.
+func (l *echoLoad) reply(d mempool.Descriptor) {
+	c := &l.clients[l.slot(d.Seq)]
+	if c.seq != d.Seq {
+		if l.recycle != nil {
+			l.recycle(d)
+		}
+		return
+	}
+	c.seq += uint64(len(l.clients))
+	c.resp = d
+	l.eng.Immediate(c.doneFn)
+}
+
+func (c *echoClient) loop() {
+	l := c.l
+	if l.active != nil && !l.active(l.eng.Now()) {
+		l.eng.After(500*time.Microsecond, c.loopFn)
+		return
+	}
+	if l.jitter {
+		// Tiny think-time jitter decorrelates the closed-loop clients
+		// (real handlers are never perfectly lockstep); without it the
+		// deterministic pipeline phase-locks into convoys that leave the
+		// engine artificially idle.
+		l.eng.After(time.Duration(l.eng.Rand().Intn(3000))*time.Nanosecond, c.issueFn)
+		return
+	}
+	c.issue()
+}
+
+func (c *echoClient) issue() {
+	l := c.l
+	var buf mempool.Buffer
+	if l.pool != nil {
+		var err error
+		if buf, err = l.pool.Get(l.owner); err != nil {
+			l.eng.After(l.retry, c.loopFn)
+			return
+		}
+	}
+	c.start = l.eng.Now()
+	c.req = l.tracer.StartRequest(l.name)
+	l.send(c, buf)
+}
+
+// done completes c's request — RTT, recycled reply — and loops.
+func (c *echoClient) done() {
+	l := c.l
+	c.req.Finish()
+	l.record(l.eng.Now() - c.start)
+	if l.recycle != nil {
+		l.recycle(c.resp)
+		c.resp = mempool.Descriptor{}
+	}
+	c.loop()
 }
 
 // EchoProbe runs a short DNE echo workload and returns its RPS and mean

@@ -4,8 +4,6 @@ import (
 	"strconv"
 	"time"
 
-	"nadino/internal/dne"
-	"nadino/internal/dpu"
 	"nadino/internal/fabric"
 	"nadino/internal/telemetry"
 )
@@ -17,7 +15,7 @@ import (
 // all probes are pull-based and the per-tenant RTT histogram handle is a
 // nil-safe no-op when unregistered, a telemetry-off run executes no
 // telemetry code at all.
-func rigTelemetry(o Opts, r *dneRig, tenants []string, stats map[string]*echoClientStats, period time.Duration) *telemetry.Scraper {
+func rigTelemetry(o Opts, r *dneRig, tenants []string, stats map[string]*echoLoad, period time.Duration) *telemetry.Scraper {
 	if !o.Telemetry {
 		return nil
 	}
@@ -32,17 +30,8 @@ func rigTelemetry(o Opts, r *dneRig, tenants []string, stats map[string]*echoCli
 		st.rtt = reg.Hist("tenant.rtt", "tenant", tn)
 	}
 
-	sides := []struct {
-		node string
-		peer fabric.NodeID
-		e    *dne.Engine
-		d    *dpu.DPU
-	}{
-		{"nodeA", "nodeB", r.ea, r.dpuA},
-		{"nodeB", "nodeA", r.eb, r.dpuB},
-	}
-	for _, side := range sides {
-		ns, peer, e, d := side.node, side.peer, side.e, side.d
+	for si, side := range r.sides() {
+		ns, peer, e, d := string(side.node), side.peer, side.e, side.d
 
 		worker, keeper := e.WorkerCore(), e.KeeperCore()
 		reg.Rate("dne.worker_util", func() float64 { return worker.BusyTime().Seconds() }, "node", ns)
@@ -84,16 +73,12 @@ func rigTelemetry(o Opts, r *dneRig, tenants []string, stats map[string]*echoCli
 		}, "node", ns)
 		reg.Gauge("fabric.backlog_bytes", func() float64 { return r.net.LinkBacklogBytes(id) }, "node", ns)
 
-		poolIdx := 0
-		if ns == "nodeB" {
-			poolIdx = 1
-		}
 		for _, tn := range tenants {
 			tn := tn
 			srq := e.SRQ(tn)
 			reg.Gauge("dne.srq_posted", func() float64 { return float64(srq.Posted()) },
 				"node", ns, "tenant", tn)
-			pool := r.pools[tn][poolIdx]
+			pool := r.pools[tn][si] // sides and pools are both [nodeA, nodeB]
 			reg.Gauge("pool.in_use", func() float64 { return float64(pool.InUse()) },
 				"node", ns, "tenant", tn)
 			// Conn pools appear only once setup's handshakes finish; the

@@ -270,8 +270,27 @@ func TestWatchdogBreachDumps(t *testing.T) {
 		t.Fatalf("violation %+v", violations[0])
 	}
 
-	// The breach handler wrote a chrome trace and a text report.
-	matches, err := filepath.Glob(filepath.Join(dir, "breach-001-impossible.*"))
+	// The breach handler writes a chrome trace and then a text report on
+	// the engine goroutine after it records the violation, so wait (within
+	// the same deadline) until both are there and non-empty: the .txt is
+	// created only once the .trace.json is closed.
+	written := func(paths []string) bool {
+		for _, m := range paths {
+			if fi, err := os.Stat(m); err != nil || fi.Size() == 0 {
+				return false
+			}
+		}
+		return true
+	}
+	var matches []string
+	var err error
+	for {
+		matches, err = filepath.Glob(filepath.Join(dir, "breach-001-impossible.*"))
+		if err == nil && len(matches) == 2 && written(matches) || !time.Now().Before(deadline) {
+			break
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 	if err != nil || len(matches) != 2 {
 		t.Fatalf("breach dump files: %v (err %v)", matches, err)
 	}
