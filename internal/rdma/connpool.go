@@ -19,6 +19,9 @@ type ConnPool struct {
 
 	conns []*QP // local ends toward the peer
 	rnic  *RNIC // the local RNIC every conn shares
+	// activeQPs counts conns whose active flag is set; it changes only
+	// where a pool flips one (Pick, activate, Shrink).
+	activeQPs int
 	// errorsSeen is rnic.qpErrors at this pool's last Repair scan.
 	errorsSeen uint64
 
@@ -62,9 +65,13 @@ func EstablishPair(eng *sim.Engine, p *params.Params, tenant string, a, b *RNIC,
 			qa, qb := Connect(a, b, tenant, srqA, srqB, cqA, cqB)
 			if i >= poolA.minActive {
 				qa.deactivate()
+			} else {
+				poolA.activeQPs++
 			}
 			if i >= poolB.minActive {
 				qb.deactivate()
+			} else {
+				poolB.activeQPs++
 			}
 			poolA.conns = append(poolA.conns, qa)
 			poolB.conns = append(poolB.conns, qb)
@@ -101,7 +108,9 @@ func (cp *ConnPool) Pick() *QP {
 		// All shadows: activate the first synchronously (costs show up as
 		// QPActivateTime before it can carry traffic).
 		idle.active = true
+		cp.activeQPs++
 		cp.activations++
+		cp.rnic.wake()
 		return idle
 	}
 	if best.outstanding >= cp.congestion && idle != nil {
@@ -113,30 +122,27 @@ func (cp *ConnPool) Pick() *QP {
 // activate brings a shadow QP back after the activation delay.
 func (cp *ConnPool) activate(qp *QP) {
 	cp.activations++
-	qp.active = true      // reserve so concurrent Picks don't double-activate
+	qp.active = true // reserve so concurrent Picks don't double-activate
+	cp.activeQPs++
 	qp.outstanding += 1e6 // poisoned until ready
 	cp.eng.After(cp.p.QPActivateTime, func() {
 		qp.outstanding -= 1e6
 	})
+	cp.rnic.wake()
 }
 
 // Shrink deactivates idle connections above the floor. The DNE core thread
 // calls this periodically; it is the "deactivates RC connections in
 // proportion to the load" half of §3.3.
 func (cp *ConnPool) Shrink() int {
-	active := 0
-	for _, qp := range cp.conns {
-		if qp.active {
-			active++
-		}
-	}
 	n := 0
 	for _, qp := range cp.conns {
-		if active-n <= cp.minActive {
+		if cp.activeQPs <= cp.minActive {
 			break
 		}
 		if qp.active && qp.outstanding == 0 {
 			qp.deactivate()
+			cp.activeQPs--
 			cp.deactivations++
 			n++
 		}
@@ -214,16 +220,8 @@ func (cp *ConnPool) ErroredCount() int {
 // Repairs reports lifetime connection re-establishments.
 func (cp *ConnPool) Repairs() uint64 { return cp.repairs }
 
-// ActiveCount reports currently active QPs.
-func (cp *ConnPool) ActiveCount() int {
-	n := 0
-	for _, qp := range cp.conns {
-		if qp.active {
-			n++
-		}
-	}
-	return n
-}
+// ActiveCount reports currently active QPs, in O(1).
+func (cp *ConnPool) ActiveCount() int { return cp.activeQPs }
 
 // Size reports total pooled connections.
 func (cp *ConnPool) Size() int { return len(cp.conns) }

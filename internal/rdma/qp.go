@@ -103,6 +103,7 @@ func (qp *QP) ForceError() {
 	}
 	qp.errored = true
 	qp.rnic.qpErrors++
+	qp.rnic.wake()
 	qp.rnic.cache.evict(qp.id)
 }
 
@@ -254,6 +255,7 @@ func (st *wrState) check() {
 		if !qp.errored {
 			qp.errored = true
 			r.qpErrors++
+			r.wake()
 		}
 		r.cache.evict(qp.id)
 		st.done = true // tombstone: late copies must not double-complete
@@ -388,7 +390,9 @@ func (f *recvFlow) dma() {
 	recv.Seq = d.Seq
 	recv.Trace = d.Trace
 	recv.Msg = d.Msg
-	dst.srq.consumed++
+	if dst.srq.consumed++; dst.srq.consumed == 1 {
+		r.wake()
+	}
 	dst.cq.push(CQE{WRID: r.wrID(), Op: OpRecv, Status: StatusOK, Bytes: int(d.Len), QP: dst, Desc: recv})
 	// RC ack completes the sender after one propagation delay.
 	r.eng.After(r.p.FabricPropagation, f.ackFn)

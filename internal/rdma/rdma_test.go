@@ -1,6 +1,7 @@
 package rdma
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -422,6 +423,136 @@ func TestConnPoolActivatesUnderCongestion(t *testing.T) {
 	n := pa.Shrink()
 	if n == 0 || pa.ActiveCount() != 1 {
 		t.Fatalf("shrink removed %d, active now %d", n, pa.ActiveCount())
+	}
+}
+
+// TestConnPoolActiveCountMatchesScan holds the counted ActiveCount to a
+// scan of the pool's QPs: both pools of an EstablishPair go through random
+// sequences of loaded Picks (bursts that activate shadows), Shrink,
+// ForceError, Repair and QP Reset, with time passing between steps.
+func TestConnPoolActiveCountMatchesScan(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		r := newRig(t, seed)
+		var pools [2]*ConnPool
+		EstablishPair(r.eng, r.p, "t", r.ra, r.rb, 6, r.srqA, r.srqB, r.cqA, r.cqB, func(a, b *ConnPool) {
+			pools = [2]*ConnPool{a, b}
+		})
+		r.eng.Run()
+		postRecvs(t, r.poolA, r.srqA, 128)
+		postRecvs(t, r.poolB, r.srqB, 128)
+		src := [2]*mempool.Pool{r.poolA, r.poolB}
+		// drain recycles a side's completions: send sources back to the
+		// pool, landed receive buffers back to the SRQ.
+		drain := func(cq *CQ, pool *mempool.Pool, srq *SRQ) {
+			for _, e := range cq.Poll(0) {
+				switch e.Op {
+				case OpSend:
+					if err := pool.Put(e.Desc.Buf, "cli"); err != nil {
+						t.Fatal(err)
+					}
+				case OpRecv:
+					srq.PostRecv(mempool.Descriptor{Tenant: "t", Buf: e.Desc.Buf})
+				}
+			}
+		}
+		rng := rand.New(rand.NewSource(seed))
+		check := func(step int, op string) {
+			t.Helper()
+			for side, cp := range pools {
+				n := 0
+				for _, qp := range cp.Conns() {
+					if qp.Active() {
+						n++
+					}
+				}
+				if got := cp.ActiveCount(); got != n {
+					t.Fatalf("seed %d step %d (%s): pool %d ActiveCount = %d, a scan finds %d", seed, step, op, side, got, n)
+				}
+			}
+		}
+		check(-1, "establish")
+		for step := 0; step < 300; step++ {
+			side := rng.Intn(2)
+			cp := pools[side]
+			var op string
+			switch rng.Intn(6) {
+			case 0, 1:
+				op = "pick"
+				for i := rng.Intn(12) + 1; i > 0; i-- {
+					b, err := src[side].Get("cli")
+					if err != nil {
+						break // every source buffer is in flight
+					}
+					cp.Pick().PostSend(mempool.Descriptor{Tenant: "t", Buf: b, Len: 256})
+				}
+			case 2:
+				op = "shrink"
+				cp.Shrink()
+			case 3:
+				op = "force-error"
+				cp.ForceError(rng.Intn(3))
+			case 4:
+				op = "repair"
+				cp.Repair()
+			case 5:
+				op = "reset"
+				if qp := cp.Conns()[rng.Intn(cp.Size())]; qp.Errored() {
+					qp.Reset()
+				}
+			}
+			check(step, op)
+			r.eng.RunUntil(r.eng.Now() + time.Duration(rng.Intn(200))*time.Microsecond)
+			drain(r.cqA, r.poolA, r.srqA)
+			drain(r.cqB, r.poolB, r.srqB)
+			check(step, "run")
+		}
+	}
+}
+
+// TestKeeperWakeSources pins when the RNIC's keeper hook fires: once when
+// an SRQ's consumed count leaves 0 (not again until ConsumedReset), on a
+// shadow activation, and when a QP errors, forced or by retry exhaustion.
+func TestKeeperWakeSources(t *testing.T) {
+	r := newRig(t, 1)
+	var pool *ConnPool
+	EstablishPair(r.eng, r.p, "t", r.ra, r.rb, 4, r.srqA, r.srqB, r.cqA, r.cqB, func(a, _ *ConnPool) { pool = a })
+	r.eng.Run()
+	wakesA, wakesB := 0, 0
+	r.ra.SetKeeperWake(func() { wakesA++ })
+	r.rb.SetKeeperWake(func() { wakesB++ })
+	postRecvs(t, r.poolB, r.srqB, 32)
+	send := func(n int) {
+		for i := 0; i < n; i++ {
+			b, err := r.poolA.Get("cli")
+			if err != nil {
+				t.Fatal(err)
+			}
+			pool.Pick().PostSend(mempool.Descriptor{Tenant: "t", Buf: b, Len: 64})
+		}
+	}
+	send(3)
+	r.eng.Run()
+	if wakesA != 0 || wakesB != 1 {
+		t.Fatalf("three receives woke A %d and B %d times, want 0 and 1", wakesA, wakesB)
+	}
+	r.srqB.ConsumedReset()
+	send(9) // the ninth Pick finds the active QP congested
+	if wakesA != 1 || pool.Activations() != 1 {
+		t.Fatalf("activation: A woke %d times with %d activations, want 1 and 1", wakesA, pool.Activations())
+	}
+	r.eng.Run()
+	if wakesB != 2 {
+		t.Fatalf("receives after ConsumedReset woke B %d times in all, want 2", wakesB)
+	}
+	pool.ForceError(1)
+	if wakesA != 2 {
+		t.Fatalf("forced error: A woke %d times in all, want 2", wakesA)
+	}
+	r.net.SetDown("nodeB", true)
+	send(1)
+	r.eng.Run()
+	if wakesA != 3 {
+		t.Fatalf("retry exhaustion: A woke %d times in all, want 3", wakesA)
 	}
 }
 

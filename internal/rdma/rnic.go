@@ -405,6 +405,10 @@ type RNIC struct {
 	// qpErrors counts QP transitions into the error state (forced or
 	// retry exceeded); ConnPool.Repair skips its scan while it is unchanged.
 	qpErrors uint64
+
+	// keeperWake, when bound, learns that a maintenance round has work
+	// again (SetKeeperWake).
+	keeperWake func()
 }
 
 // NewRNIC attaches a new RNIC for node to the network.
@@ -425,6 +429,21 @@ func NewRNIC(eng *sim.Engine, p *params.Params, node fabric.NodeID, net *fabric.
 
 // Node reports the RNIC's node.
 func (r *RNIC) Node() fabric.NodeID { return r.node }
+
+// SetKeeperWake binds fn as the RNIC's keeper hook: it runs, in engine
+// context, whenever state a maintenance round acts on leaves its idle
+// value — a receive consumes the first buffer of an SRQ since its last
+// ConsumedReset, a connection pool activates a shadow QP, or a QP enters
+// the error state. A keeper that sleeps while it has nothing to do (the DNE
+// core thread) wakes on it. One hook per RNIC; nil unbinds.
+func (r *RNIC) SetKeeperWake(fn func()) { r.keeperWake = fn }
+
+// wake calls the keeper hook, if one is bound.
+func (r *RNIC) wake() {
+	if r.keeperWake != nil {
+		r.keeperWake()
+	}
+}
 
 // RegisterMR registers pool as a memory region on this RNIC. The pool's
 // pages pin MTT entries; overflowing the translation cache taxes every WR.
