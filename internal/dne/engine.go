@@ -117,6 +117,10 @@ type Engine struct {
 	ports     map[string]*FnPort
 	portSeq   []*FnPort
 	poolSeq   []*rdma.ConnPool
+	// activeFloor sums the pools' active QPs when they were installed, the
+	// floors their Shrink keeps. No pool drops below its floor, so the
+	// pools' active QPs sum to activeFloor exactly when none is above it.
+	activeFloor int
 	// ready holds one bit per attached port, in portSeq order: a delivery
 	// to the port sets it and an ingest pull that finds the port empty
 	// clears it, so a clear bit means an empty port and ingest skips it.
@@ -223,13 +227,18 @@ type workerState struct {
 	passFn, sentFn, rxRanFn, rxLandFn, rxPushFn, ingestedFn, txRouteFn, txPostFn, txSentFn, dmaLandedFn func()
 }
 
-// keeperState is the core thread's position within a replenish round.
+// keeperState is the core thread's position within a replenish round, and
+// whether it sleeps between rounds (see keeperStep).
 type keeperState struct {
-	initial          bool // the first round pre-posts InitialRQ per tenant
-	ten, nTens       int  // next tenant / tenants registered when the round began
-	ts               *tenantState
-	want, posted     int // the batch waiting on the keeper core
-	round            int
+	initial      bool // the first round pre-posts InitialRQ per tenant
+	armed        bool // a round is queued or running, so a wake has nothing to do
+	ten, nTens   int  // next tenant / tenants registered when the round began
+	ts           *tenantState
+	want, posted int // the batch waiting on the keeper core
+	round        int
+	// due is the grid instant where the next round runs: the last round's
+	// end plus ReplenishEvery, then every ReplenishEvery while asleep.
+	due              time.Duration
 	postedFn, tickFn func()
 }
 
@@ -451,13 +460,19 @@ func (e *Engine) SetRoute(fn string, node fabric.NodeID) {
 }
 
 // AddConnPool installs an established RC connection pool toward remote for
-// tenant, which must already be added.
+// tenant, which must already be added. The pool must be on the engine's
+// RNIC, whose keeper hook wakes the core thread, and as EstablishPair hands
+// it over: its active QPs are the floor its Shrink keeps.
 func (e *Engine) AddConnPool(remote fabric.NodeID, tenant string, cp *rdma.ConnPool) {
 	ts := e.tenants[tenant]
 	if ts == nil {
 		panic(fmt.Sprintf("dne: connection pool for unregistered tenant %q", tenant))
 	}
+	if cp.Conns()[0].RNIC() != e.rnic {
+		panic(fmt.Sprintf("dne: connection pool of tenant %q is not on node %s's RNIC", tenant, e.cfg.Node))
+	}
 	e.poolSeq = append(e.poolSeq, cp)
+	e.activeFloor += cp.ActiveCount()
 	e.poolByNT[e.internNode(remote)][ts.id] = cp
 }
 
@@ -549,6 +564,8 @@ func (e *Engine) Start() {
 	w.dmaLandedFn = e.dmaLanded
 	k := &e.k
 	k.postedFn, k.tickFn = e.keeperPosted, e.keeperTick
+	k.armed = true
+	e.rnic.SetKeeperWake(e.keeperWake)
 	e.eng.Immediate(w.passFn)
 	e.eng.Immediate(e.keeperStart)
 }
@@ -899,8 +916,10 @@ func (e *Engine) releaseBuffer(d mempool.Descriptor) {
 
 // keeperStart is the DNE core thread's first round (§3.2): it pre-posts
 // every tenant's receive buffers. Later rounds (keeperTick) replenish each
-// tenant's SRQ to match consumed CQEs (§3.5.2) every ReplenishEvery and
-// periodically shrink idle connection pools (§3.3).
+// tenant's SRQ to match consumed CQEs (§3.5.2) every ReplenishEvery,
+// periodically shrink idle connection pools (§3.3) and repair errored QPs.
+// A round that would change nothing is not run: the keeper sleeps until the
+// RNIC's keeper hook reports work (keeperWake).
 func (e *Engine) keeperStart() {
 	e.k.initial = true
 	e.keeperTick()
@@ -913,7 +932,9 @@ func (e *Engine) keeperTick() {
 
 // keeperStep walks the round's remaining tenants. A tenant whose batch
 // posted waits on the keeper core for the posting cost; the round ends by
-// shrinking and repairing pools and arming the next round.
+// shrinking and repairing pools and arming the next round one
+// ReplenishEvery later — unless that round would be a no-op, in which case
+// the keeper sleeps and keeperWake arms the round on the same grid.
 func (e *Engine) keeperStep() {
 	k := &e.k
 	for k.ten < k.nTens {
@@ -937,7 +958,10 @@ func (e *Engine) keeperStep() {
 			ts.rqDebt = n
 		}
 	}
+	k.due = e.eng.Now() + e.cfg.ReplenishEvery
 	if k.initial {
+		// The first regular round always runs: its repair pass covers QPs
+		// that errored before Start bound the keeper hook.
 		k.initial = false
 	} else {
 		k.round++
@@ -950,8 +974,56 @@ func (e *Engine) keeperStep() {
 		for _, cp := range e.poolSeq {
 			cp.Repair()
 		}
+		if e.keeperIdle() {
+			k.armed = false
+			return
+		}
 	}
-	e.eng.After(e.cfg.ReplenishEvery, k.tickFn)
+	e.eng.At(k.due, k.tickFn)
+}
+
+// keeperIdle reports whether the next round would change nothing: no
+// tenant has consumed RQ slots or replenish debt, and no pool holds more
+// active QPs than its floor, so neither a replenish nor a shrink would act.
+// The round's repair pass just ran, so every pool has scanned the RNIC's
+// QP errors up to now. Each condition can only break through the RNIC's
+// keeper hook: a receive into an empty consumed count, an activation, or a
+// QP error.
+func (e *Engine) keeperIdle() bool {
+	for _, ts := range e.tenantSeq {
+		if ts.srq.Consumed() != 0 || ts.rqDebt != 0 {
+			return false
+		}
+	}
+	active := 0
+	for _, cp := range e.poolSeq {
+		active += cp.ActiveCount()
+	}
+	return active == e.activeFloor
+}
+
+// keeperWake is the RNIC's keeper hook. A sleeping keeper arms the round an
+// always-armed keeper would run next, at the first grid instant due +
+// i·ReplenishEvery strictly after now. Every grid instant up to now held a
+// round that would have found nothing to do, so those only advance the
+// round count, which keeps shrinks on the same rounds. An always-armed
+// round at exactly now would have been queued a period before the event
+// that woke the keeper, so it would have fired first and found nothing.
+// While a round is queued or running the wake is a no-op: the round's end
+// checks for work again.
+func (e *Engine) keeperWake() {
+	k := &e.k
+	if k.armed {
+		return
+	}
+	k.armed = true
+	every := e.cfg.ReplenishEvery
+	if now := e.eng.Now(); now >= k.due {
+		skipped := (now-k.due)/every + 1
+		k.round += int(skipped)
+		k.due += skipped * every
+	}
+	e.eng.At(k.due, k.tickFn)
 }
 
 // keeperPosted settles a tenant's batch once its posting cost is paid. The
