@@ -9,6 +9,7 @@
 //	nadino-bench -run fig13,fig14 -quick
 //	nadino-bench -run resilience # chaos-driven res-* suite
 //	nadino-bench -run res-storm,res-recovery,res-tenant
+//	nadino-bench -run resilience,clone-chaos   # groups expand inside a list; repeats run once
 //	nadino-bench -run fabric     # multi-node gateway fabric: placement + failover
 //	nadino-bench -run fabric-shard -trace   # per-hop gw.queue/gw.hop attribution
 //	nadino-bench -run clone      # speculative clone/hedge tail-cutting sweep
@@ -44,7 +45,7 @@ import (
 )
 
 func main() {
-	run := flag.String("run", "all", "comma-separated experiment IDs, 'all' (paper artifacts), 'ablations', 'resilience' (res-*), 'fabric' (fabric-*), 'clone' (clone-*), or 'everything'")
+	run := flag.String("run", "all", "comma-separated experiment IDs and groups: 'all' (paper artifacts), 'ablations', 'resilience' (res-*), 'fabric' (fabric-*), 'clone' (clone-*), 'everything'; an experiment selected twice runs once")
 	quick := flag.Bool("quick", false, "shrink measurement windows and sweeps")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	parallel := flag.Int("parallel", 1, "workers sharding each experiment's sweep points (0 = all cores, 1 = sequential); output is identical either way")
@@ -65,29 +66,10 @@ func main() {
 		return
 	}
 
-	var selected []experiments.Experiment
-	switch *run {
-	case "all":
-		selected = experiments.All()
-	case "everything":
-		selected = experiments.AllWithAblations()
-	case "ablations":
-		selected = experiments.Ablations()
-	case "resilience":
-		selected = experiments.Resilience()
-	case "fabric":
-		selected = experiments.Fabric()
-	case "clone":
-		selected = experiments.Speculation()
-	default:
-		for _, id := range strings.Split(*run, ",") {
-			e, ok := experiments.Lookup(strings.TrimSpace(id))
-			if !ok {
-				fmt.Fprintf(os.Stderr, "nadino-bench: unknown experiment %q (try -list)\n", id)
-				os.Exit(2)
-			}
-			selected = append(selected, e)
-		}
+	selected, err := selectExperiments(*run)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "nadino-bench: %v (try -list)\n", err)
+		os.Exit(2)
 	}
 
 	opts := experiments.Opts{Quick: *quick, Seed: *seed, Parallel: experiments.Parallelism(*parallel),
@@ -192,4 +174,40 @@ func main() {
 			fmt.Printf("  %s\n", p)
 		}
 	}
+}
+
+// groups are the names -run expands to several experiments.
+var groups = map[string]func() []experiments.Experiment{
+	"all":        experiments.All,
+	"everything": experiments.AllWithAblations,
+	"ablations":  experiments.Ablations,
+	"resilience": experiments.Resilience,
+	"fabric":     experiments.Fabric,
+	"clone":      experiments.Speculation,
+}
+
+// selectExperiments resolves -run's comma list in order: a group name
+// expands in place, any other entry must be an experiment ID, and an
+// experiment selected twice runs once, where it first appears.
+func selectExperiments(run string) ([]experiments.Experiment, error) {
+	var out []experiments.Experiment
+	seen := make(map[string]bool)
+	for _, name := range strings.Split(run, ",") {
+		name = strings.TrimSpace(name)
+		var es []experiments.Experiment
+		if g, ok := groups[name]; ok {
+			es = g()
+		} else if e, ok := experiments.Lookup(name); ok {
+			es = []experiments.Experiment{e}
+		} else {
+			return nil, fmt.Errorf("unknown experiment %q", name)
+		}
+		for _, e := range es {
+			if !seen[e.ID] {
+				seen[e.ID] = true
+				out = append(out, e)
+			}
+		}
+	}
+	return out, nil
 }
