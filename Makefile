@@ -40,17 +40,19 @@ check: vet race
 # (BenchmarkScaleSweep: 100k-1M concurrent clients per point, wall-clock
 # ns/op and events/sec) and archives everything as BENCH_sim.json for
 # cross-commit comparison. The human-readable output goes to stderr. The
-# microbenchmarks run in five rounds over the whole set, with the
-# host-speed reference (cmd/benchjson's BenchmarkHostSpeed, a fixed
-# standard-library workload) timed before each package and after the last
-# round; benchjson rescales each result by the reference readings around
-# it and archives its median over the rounds with the minimum and maximum
-# beside it. Rounds, not back-to-back repeats (-count): the host's speed
-# drifts in phases of seconds to minutes, and a benchmark's consecutive
-# repeats fall in one phase. BenchmarkEndToEndEcho and the scale sweep run
-# after the last reference reading and are archived as measured. Each
-# scale point is deterministic for the fixed seed, so -benchtime 1x is
-# exact.
+# microbenchmarks and the scale sweep run in five rounds over the whole
+# set, with the host-speed reference (cmd/benchjson's BenchmarkHostSpeed,
+# a fixed standard-library workload) timed before each package and after
+# the last round; benchjson rescales each result's ns/op by the reference
+# readings around it and archives its median over the rounds with the
+# minimum and maximum beside it, and the median of each custom metric
+# (the sweep's events/sec, as measured). Rounds, not back-to-back repeats
+# (-count): the host's speed drifts in phases of seconds to minutes, and a
+# benchmark's consecutive repeats fall in one phase. Each scale point runs
+# once per round (-benchtime 1x): its simulation is deterministic for the
+# fixed seed, so only its virtual-time columns are exact, and its wall
+# clock is one reading per round. BenchmarkEndToEndEcho runs after the
+# last reference reading and is archived as measured.
 bench:
 	( ref() { $(GO) test -run '^$$' -bench 'BenchmarkHostSpeed$$' -benchtime 300ms ./cmd/benchjson/ ; } ; \
 	  for round in 1 2 3 4 5; do \
@@ -61,9 +63,9 @@ bench:
 	  ref ; $(GO) test -run '^$$' -bench 'BenchmarkGatewayForward$$|BenchmarkChainCrossNode$$' -benchmem ./internal/gateway/ ; \
 	  ref ; $(GO) test -run '^$$' -bench 'BenchmarkFlightRecord$$' -benchmem ./internal/flightrec/ ; \
 	  ref ; $(GO) test -run '^$$' -bench 'BenchmarkCloneFanout$$' -benchmem ./internal/speculate/ ; \
+	  ref ; $(GO) test -run '^$$' -bench 'BenchmarkScaleSweep' -benchtime 1x -timeout 30m ./internal/experiments/ ; \
 	  done ; ref ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkEndToEndEcho$$' -benchmem -benchtime 5x . ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkScaleSweep' -benchtime 1x -timeout 30m ./internal/experiments/ ) | $(GO) run ./cmd/benchjson > BENCH_sim.json
+	  $(GO) test -run '^$$' -bench 'BenchmarkEndToEndEcho$$' -benchmem -benchtime 5x . ) | $(GO) run ./cmd/benchjson > BENCH_sim.json
 
 # GATED is the gated microbenchmark set, shared by bench-gate and
 # bench-pair, as one package=regexp entry per package: the event-core
