@@ -25,7 +25,7 @@ type fuyaoEngine struct {
 	core     *sim.Processor // engine core (TX + completions)
 	pollCore *sim.Processor // receiver polling core (burns a core, §4.3.1)
 
-	inbox *ipc.SKMsg
+	inbox *ipc.Chan
 	work  *sim.Signal
 
 	rdmaPool *mempool.Pool // RDMA-only landing pool
@@ -205,7 +205,7 @@ func (e *fuyaoEngine) loop() {
 			}
 			e.next++
 			e.txd = d
-			e.core.Run(e.inbox.InterruptCost(backlog), e.ingestedFn)
+			e.core.Run(ipc.InterruptCost(e.c.P, backlog), e.ingestedFn)
 			return
 		case fyCQ:
 			for i, m := 0, e.cq.PollInto(e.cqeBuf); i < m; i++ {

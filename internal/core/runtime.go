@@ -649,7 +649,7 @@ func (r *receiver) loop() {
 			}
 			r.d = d
 			r.sp = d.Trace.Begin(trace.StageFnDeliver, f.name)
-			f.core.Run(f.localIn.WakeupCost()+c.P.SemTokenCost, r.recvdFn)
+			f.core.Run(c.P.SKMsgWakeup+c.P.SemTokenCost, r.recvdFn)
 			return
 		case rxTCP:
 			m, ok := f.tcpIn.TryGet()

@@ -490,8 +490,8 @@ func (e *Engine) ConnPool(remote fabric.NodeID, tenant string) *rdma.ConnPool {
 // and stats).
 func (e *Engine) ConnPools() []*rdma.ConnPool { return e.poolSeq }
 
-// AttachFunction creates the descriptor channel between a host function and
-// the engine: a Comch endpoint for the DPU-hosted engine, an SK_MSG socket
+// AttachFunction creates the descriptor channels between a host function
+// and the engine: a Comch pair for the DPU-hosted engine, an SK_MSG socket
 // pair for the CPU-hosted CNE.
 func (e *Engine) AttachFunction(fn, tenant string) *FnPort {
 	if _, ok := e.ports[fn]; ok {
@@ -508,10 +508,12 @@ func (e *Engine) AttachFunction(fn, tenant string) *FnPort {
 		e.work.Pulse()
 	}
 	if e.cfg.Loc == OnDPU {
-		fp.comch = dpu.NewEndpoint(e.eng, e.p, e.cfg.Channel, i, fn, tenant, wake)
+		m := e.cfg.Channel
+		fp.toEngine, fp.toFn = dpu.NewComch(e.eng, e.p, m, wake)
+		fp.sendCost, fp.wakeCost = m.SendCost(e.p), m.HostWakeupCost(e.p)
 	} else {
-		fp.toEngine = ipc.NewSKMsg(e.eng, e.p, wake)
-		fp.toFn = ipc.NewSKMsg(e.eng, e.p, nil)
+		fp.toEngine, fp.toFn = ipc.NewSKMsg(e.eng, e.p, wake), ipc.NewSKMsg(e.eng, e.p, nil)
+		fp.sendCost, fp.wakeCost = e.p.SKMsgSendCost, e.p.SKMsgWakeup
 	}
 	e.ports[fn] = fp
 	e.portSeq = append(e.portSeq, fp)
@@ -880,7 +882,7 @@ func (e *Engine) rxLand() {
 	}
 	e.rxCount++
 	w.fp = fp
-	if cost := fp.engineSidePushCost(); cost > 0 {
+	if cost := fp.sendCost; cost > 0 {
 		e.worker.Run(cost, w.rxPushFn)
 		return
 	}
@@ -890,7 +892,7 @@ func (e *Engine) rxLand() {
 func (e *Engine) rxPush() {
 	w := &e.w
 	w.sp.End()
-	w.fp.engineSidePush(w.d)
+	w.fp.toFn.Send(w.d)
 	e.next()
 }
 

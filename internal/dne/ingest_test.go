@@ -74,7 +74,7 @@ func TestIngestVisitsReadyPortsInOrder(t *testing.T) {
 		i := ctx.(int)
 		if len(order) == 0 {
 			// The first TX of the pass: ingest is over for the four.
-			lateHeld = r.ports[70].comch.PendingFromHost() == 1
+			lateHeld = r.ports[70].toEngine.Pending() == 1
 			lateReady = r.readyBit(70)
 			emptiedClear = !r.readyBit(0) && !r.readyBit(63) && !r.readyBit(64) && !r.readyBit(69)
 		}

@@ -4,24 +4,27 @@ import (
 	"fmt"
 	"time"
 
-	"nadino/internal/dpu"
 	"nadino/internal/ipc"
 	"nadino/internal/mempool"
 	"nadino/internal/trace"
 )
 
 // FnPort is a function's descriptor channel to the node's network engine:
-// a DOCA Comch endpoint when the engine is on the DPU, an SK_MSG socket
-// pair when it is the CPU-hosted CNE. It is the only way a function touches
-// the RDMA data plane — the isolation boundary of §3.3.
+// a DOCA Comch pair when the engine is on the DPU, an SK_MSG socket pair
+// when it is the CPU-hosted CNE. Either way it is two ipc.Chan, and only
+// the costs depend on which. It is the only way a function touches the
+// RDMA data plane — the isolation boundary of §3.3.
 type FnPort struct {
 	fn     string
 	tenant string
 	engine *Engine
 
-	comch    *dpu.Endpoint
-	toEngine *ipc.SKMsg // fn -> CNE
-	toFn     *ipc.SKMsg // CNE -> fn
+	toEngine, toFn *ipc.Chan
+	// sendCost is what a side pays per descriptor it ships (the
+	// function's core to send, the engine core to push) and wakeCost what
+	// the function's core pays per descriptor it receives; both are fixed
+	// when the function attaches.
+	sendCost, wakeCost time.Duration
 
 	// Send fast-path caches: the resolved tenant state (lazily bound, since
 	// tenants may register after AttachFunction), the function's owner
@@ -63,71 +66,46 @@ func (fp *FnPort) SendBegin(d *mempool.Descriptor) (time.Duration, trace.SpanRef
 	if err := ts.pool.Transfer(d.Buf, fp.fnOwner, fp.engine.engOwner); err != nil {
 		return 0, trace.SpanRef{}, err
 	}
-	sp := d.Trace.Begin(trace.StagePortSend, fp.fn)
-	if fp.comch != nil {
-		return fp.comch.SendCost(), sp, nil
-	}
-	return fp.toEngine.SendCost(), sp, nil
+	return fp.sendCost, d.Trace.Begin(trace.StagePortSend, fp.fn), nil
 }
 
 // SendEnd closes the port-send span and ships d to the engine once the
 // send cost is paid.
 func (fp *FnPort) SendEnd(d mempool.Descriptor, sp trace.SpanRef) {
 	sp.End()
-	if fp.comch != nil {
-		fp.comch.SendToDNE(d)
-		return
-	}
 	fp.toEngine.Send(d)
 }
 
 // NotifyRecv parks fn until the engine delivers a descriptor for this
 // function, for a port TryRecv just found empty (see sim.Queue.Notify). fn
 // takes the descriptor with TryRecv; its buffer is owned by the function.
-func (fp *FnPort) NotifyRecv(fn func()) {
-	if fp.comch != nil {
-		fp.comch.NotifyOnHost(fn)
-		return
-	}
-	fp.toFn.Notify(fn)
-}
+func (fp *FnPort) NotifyRecv(fn func()) { fp.toFn.Notify(fn) }
 
 // Received opens a received descriptor's port-receive span and returns the
 // channel wakeup cost the function's core pays before the span ends.
 // charge is false when the wakeup is free (busy-polled Comch-P), where no
-// cost is charged at all.
+// cost is charged at all; the CNE's SK_MSG wakeup is always charged.
 func (fp *FnPort) Received(d *mempool.Descriptor) (sp trace.SpanRef, cost time.Duration, charge bool) {
-	sp = d.Trace.Begin(trace.StagePortRecv, fp.fn)
-	if fp.comch != nil {
-		cost = fp.comch.HostWakeupCost()
-		return sp, cost, cost > 0
-	}
-	return sp, fp.toFn.WakeupCost(), true
+	charge = fp.wakeCost > 0 || fp.engine.cfg.Loc == OnCPU
+	return d.Trace.Begin(trace.StagePortRecv, fp.fn), fp.wakeCost, charge
 }
 
 // TryRecv takes a delivered descriptor without blocking, if one is there.
-func (fp *FnPort) TryRecv() (mempool.Descriptor, bool) {
-	if fp.comch != nil {
-		return fp.comch.TryRecvOnHost()
-	}
-	return fp.toFn.TryRecv()
-}
+func (fp *FnPort) TryRecv() (mempool.Descriptor, bool) { return fp.toFn.TryRecv() }
 
 // PinsHostCore reports whether this channel burns a host core on polling.
 func (fp *FnPort) PinsHostCore() bool {
-	return fp.comch != nil && fp.comch.PinsHostCore()
+	return fp.engine.cfg.Loc == OnDPU && fp.engine.cfg.Channel.PinsHostCore()
 }
 
 // engineSidePull fetches one pending fn->engine descriptor plus the cost
 // the engine core must pay to ingest it: the Comch progress-engine share on
 // the DPU, or the backlog-scaled interrupt cost on the CNE.
 func (fp *FnPort) engineSidePull() (mempool.Descriptor, time.Duration, bool) {
-	if fp.comch != nil {
-		d, ok := fp.comch.TryRecvFromHost()
-		if !ok {
-			return mempool.Descriptor{}, 0, false
-		}
-		return d, fp.comch.DNERecvCost(len(fp.engine.ports)), true
+	e := fp.engine
+	if e.cfg.Loc == OnDPU {
+		d, ok := fp.toEngine.TryRecv()
+		return d, e.cfg.Channel.DNERecvCost(e.p, len(e.ports)), ok
 	}
 	// Interrupt pressure scales with how loaded the engine already is:
 	// each SK_MSG arrival preempts in-progress engine work (softirq,
@@ -135,28 +113,7 @@ func (fp *FnPort) engineSidePull() (mempool.Descriptor, time.Duration, bool) {
 	// backlog builds — the receive-livelock dynamic that throttles the
 	// CNE at high concurrency (§4.3) and that the DNE's hardware-polled
 	// Comch input never pays.
-	backlog := fp.toEngine.Pending() + fp.engine.sched.Pending()
+	backlog := fp.toEngine.Pending() + e.sched.Pending()
 	d, ok := fp.toEngine.TryRecv()
-	if !ok {
-		return mempool.Descriptor{}, 0, false
-	}
-	return d, fp.toEngine.InterruptCost(backlog), true
-}
-
-// engineSidePushCost is the engine-side cost of pushing one descriptor to
-// the function.
-func (fp *FnPort) engineSidePushCost() time.Duration {
-	if fp.comch != nil {
-		return fp.comch.SendCost()
-	}
-	return fp.toFn.SendCost()
-}
-
-// engineSidePush ships a descriptor engine -> function.
-func (fp *FnPort) engineSidePush(d mempool.Descriptor) {
-	if fp.comch != nil {
-		fp.comch.SendToHost(d)
-		return
-	}
-	fp.toFn.Send(d)
+	return d, ipc.InterruptCost(e.p, backlog), ok
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"nadino/internal/fabric"
+	"nadino/internal/ipc"
 	"nadino/internal/mempool"
 	"nadino/internal/params"
 	"nadino/internal/sim"
@@ -90,30 +91,30 @@ func TestComchRoundTripLatencyOrdering(t *testing.T) {
 		eng := sim.NewEngine(1)
 		defer eng.Stop()
 		work := sim.NewSignal(eng)
-		ep := NewEndpoint(eng, p, mode, 0, "fn", "t", work.Pulse)
+		h2d, d2h := NewComch(eng, p, mode, work.Pulse)
 		hostCore := sim.NewProcessor(eng, "host", p.HostCoreSpeed)
 		dpuCore := sim.NewProcessor(eng, "dpu", p.DPUCoreSpeed)
 		var rtt time.Duration
 		var await, serve func()
 		await = func() {
-			if _, ok := ep.TryRecvOnHost(); !ok {
-				ep.NotifyOnHost(await)
+			if _, ok := d2h.TryRecv(); !ok {
+				d2h.Notify(await)
 				return
 			}
-			hostCore.Run(ep.HostWakeupCost(), func() { rtt = eng.Now() })
+			hostCore.Run(mode.HostWakeupCost(p), func() { rtt = eng.Now() })
 		}
-		hostCore.Run(ep.SendCost(), func() {
-			ep.SendToDNE(mempool.Descriptor{Tenant: "t"})
+		hostCore.Run(mode.SendCost(p), func() {
+			h2d.Send(mempool.Descriptor{Tenant: "t"})
 			await()
 		})
 		serve = func() {
-			d, ok := ep.TryRecvFromHost()
+			d, ok := h2d.TryRecv()
 			if !ok {
 				work.Notify(serve)
 				return
 			}
-			dpuCore.Run(ep.DNERecvCost(1)+500*time.Nanosecond, func() {
-				ep.SendToHost(d)
+			dpuCore.Run(mode.DNERecvCost(p, 1)+500*time.Nanosecond, func() {
+				d2h.Send(d)
 				serve()
 			})
 		}
@@ -143,27 +144,21 @@ func TestComchRoundTripLatencyOrdering(t *testing.T) {
 
 func TestComchPProgressEngineScalesWithEndpoints(t *testing.T) {
 	p := params.Default()
-	eng := sim.NewEngine(1)
-	defer eng.Stop()
-	ep := NewEndpoint(eng, p, ComchP, 0, "fn", "t", nil)
-	one := ep.DNERecvCost(1)
-	ten := ep.DNERecvCost(10)
+	one := ComchP.DNERecvCost(p, 1)
+	ten := ComchP.DNERecvCost(p, 10)
 	if ten <= one {
 		t.Fatalf("progress engine cost flat: 1 ep = %v, 10 eps = %v", one, ten)
 	}
-	if e := NewEndpoint(eng, p, ComchE, 0, "fn", "t", nil); e.DNERecvCost(10) != e.DNERecvCost(1) {
+	if ComchE.DNERecvCost(p, 10) != ComchE.DNERecvCost(p, 1) {
 		t.Fatal("Comch-E recv cost should not scale with endpoints")
 	}
 }
 
 func TestComchPinsHostCore(t *testing.T) {
-	p := params.Default()
-	eng := sim.NewEngine(1)
-	defer eng.Stop()
-	if !NewEndpoint(eng, p, ComchP, 0, "f", "t", nil).PinsHostCore() {
+	if !ComchP.PinsHostCore() {
 		t.Fatal("Comch-P must pin a host core")
 	}
-	if NewEndpoint(eng, p, ComchE, 0, "f", "t", nil).PinsHostCore() {
+	if ComchE.PinsHostCore() {
 		t.Fatal("Comch-E must not pin a host core")
 	}
 }
@@ -172,14 +167,14 @@ func TestEndpointFIFO(t *testing.T) {
 	p := params.Default()
 	eng := sim.NewEngine(1)
 	defer eng.Stop()
-	ep := NewEndpoint(eng, p, ComchE, 0, "fn", "t", nil)
+	h2d, _ := NewComch(eng, p, ComchE, nil)
 	for i := 0; i < 5; i++ {
-		ep.SendToDNE(mempool.Descriptor{Seq: uint64(i)})
+		h2d.Send(mempool.Descriptor{Seq: uint64(i)})
 	}
 	var got []uint64
 	eng.After(time.Millisecond, func() {
 		for {
-			d, ok := ep.TryRecvFromHost()
+			d, ok := h2d.TryRecv()
 			if !ok {
 				break
 			}
@@ -195,8 +190,79 @@ func TestEndpointFIFO(t *testing.T) {
 			t.Fatalf("out of order: %v", got)
 		}
 	}
-	toDNE, _ := ep.Stats()
-	if toDNE != 5 {
-		t.Fatalf("stats toDNE = %d", toDNE)
+	if h2d.Sent() != 5 {
+		t.Fatalf("sent = %d", h2d.Sent())
+	}
+}
+
+// TestChannelModeCosts holds each channel variant's cost model to its
+// parameters: the delivery latency of both channels NewComch returns (and
+// the wake hook on the host -> DPU one only), the send and host-wakeup
+// costs, the DNE receive cost at one and at ten endpoints, and whether the
+// variant pins a host core.
+func TestChannelModeCosts(t *testing.T) {
+	p := params.Default()
+	for _, tc := range []struct {
+		mode                ChannelMode
+		name                string
+		latency, send, wake time.Duration
+		recv1, recv10       time.Duration
+		pins                bool
+	}{
+		{ComchE, "Comch-E", p.ComchEDeliver, p.ComchSendCost, p.ComchEWakeup, 0, 0, false},
+		{ComchP, "Comch-P", p.ComchPDeliver, p.ComchSendCost, 0, p.ComchPPerEndpoint, 10 * p.ComchPPerEndpoint, true},
+		{ChannelTCP, "TCP", p.LoopbackTCPRTT / 2, p.LoopbackTCPCost, p.LoopbackTCPCost, p.LoopbackTCPCost, p.LoopbackTCPCost, false},
+	} {
+		m := tc.mode
+		if m.String() != tc.name {
+			t.Errorf("%d: String() = %q, want %q", m, m, tc.name)
+		}
+		if got := m.SendCost(p); got != tc.send {
+			t.Errorf("%v: send cost %v, want %v", m, got, tc.send)
+		}
+		if got := m.HostWakeupCost(p); got != tc.wake {
+			t.Errorf("%v: host wakeup cost %v, want %v", m, got, tc.wake)
+		}
+		if got := m.DNERecvCost(p, 1); got != tc.recv1 {
+			t.Errorf("%v: DNE receive cost at 1 endpoint %v, want %v", m, got, tc.recv1)
+		}
+		if got := m.DNERecvCost(p, 10); got != tc.recv10 {
+			t.Errorf("%v: DNE receive cost at 10 endpoints %v, want %v", m, got, tc.recv10)
+		}
+		if m.PinsHostCore() != tc.pins {
+			t.Errorf("%v: PinsHostCore = %v, want %v", m, m.PinsHostCore(), tc.pins)
+		}
+
+		eng := sim.NewEngine(1)
+		var woke, toDNE, toHost time.Duration
+		wakes := 0
+		h2d, d2h := NewComch(eng, p, m, func() { wakes, woke = wakes+1, eng.Now() })
+		const at = time.Microsecond
+		eng.At(at, func() {
+			h2d.Send(mempool.Descriptor{})
+			d2h.Send(mempool.Descriptor{})
+		})
+		// arrival records when c's first descriptor is taken.
+		arrival := func(c *ipc.Chan, got *time.Duration) {
+			var rx func()
+			rx = func() {
+				if _, ok := c.TryRecv(); !ok {
+					c.Notify(rx)
+					return
+				}
+				*got = eng.Now()
+			}
+			eng.Immediate(rx)
+		}
+		arrival(h2d, &toDNE)
+		arrival(d2h, &toHost)
+		eng.Run()
+		eng.Stop()
+		if want := at + tc.latency; toDNE != want || toHost != want {
+			t.Errorf("%v: host->DPU took at %v, DPU->host at %v, want both at %v", m, toDNE, toHost, want)
+		}
+		if wakes != 1 || woke != at+tc.latency {
+			t.Errorf("%v: wake ran %d times, last at %v, want once at %v", m, wakes, woke, at+tc.latency)
+		}
 	}
 }

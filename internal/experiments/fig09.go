@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"nadino/internal/dpu"
+	"nadino/internal/ipc"
 	"nadino/internal/mempool"
 	"nadino/internal/params"
 	"nadino/internal/sim"
@@ -31,19 +32,20 @@ func runComch(p *params.Params, seed int64, mode dpu.ChannelMode, n int, dur tim
 	defer eng.Stop()
 	work := sim.NewSignal(eng)
 	dpuCore := sim.NewProcessor(eng, "dne-core", p.DPUNetSpeed)
-	eps := make([]*dpu.Endpoint, n)
-	for i := range eps {
-		eps[i] = dpu.NewEndpoint(eng, p, mode, i, fmt.Sprintf("fn%d", i), "t", work.Pulse)
+	h2d, d2h := make([]*ipc.Chan, n), make([]*ipc.Chan, n)
+	for i := range h2d {
+		h2d[i], d2h[i] = dpu.NewComch(eng, p, mode, work.Pulse)
 	}
 	// Single-core engine: busy-poll all endpoints, echo descriptors.
+	serveCost := mode.DNERecvCost(p, n) + 500*time.Nanosecond
 	var poll func()
 	ep, did := 0, false
 	poll = func() {
-		for ; ep < len(eps); ep++ {
-			if d, ok := eps[ep].TryRecvFromHost(); ok {
+		for ; ep < n; ep++ {
+			if d, ok := h2d[ep].TryRecv(); ok {
 				did = true
-				dpuCore.Run(eps[ep].DNERecvCost(n)+500*time.Nanosecond, func() {
-					eps[ep].SendToHost(d)
+				dpuCore.Run(serveCost, func() {
+					d2h[ep].Send(d)
 					poll()
 				})
 				return
@@ -60,27 +62,29 @@ func runComch(p *params.Params, seed int64, mode dpu.ChannelMode, n int, dur tim
 	eng.Immediate(poll)
 	l := newEchoLoad(eng, n)
 	sends := make([]func(), n)
-	for i, ep := range eps {
+	send, wake := mode.SendCost(p), mode.HostWakeupCost(p)
+	for i := range sends {
 		// Comch-P pins one host core per function; the others share
 		// event-driven cores (modeled per function for simplicity).
 		core, c := sim.NewProcessor(eng, fmt.Sprintf("host%d", i), p.HostCoreSpeed), &l.clients[i]
+		in, out := d2h[i], h2d[i]
 		var await func()
 		await = func() {
-			if _, ok := ep.TryRecvOnHost(); !ok {
-				ep.NotifyOnHost(await)
+			if _, ok := in.TryRecv(); !ok {
+				in.Notify(await)
 				return
 			}
-			if w := ep.HostWakeupCost(); w > 0 {
-				core.Run(w, c.doneFn)
+			if wake > 0 {
+				core.Run(wake, c.doneFn)
 				return
 			}
 			c.done()
 		}
 		sent := func() {
-			ep.SendToDNE(mempool.Descriptor{Tenant: "t"})
+			out.Send(mempool.Descriptor{Tenant: "t"})
 			await()
 		}
-		sends[i] = func() { core.Run(ep.SendCost(), sent) }
+		sends[i] = func() { core.Run(send, sent) }
 	}
 	l.send = func(c *echoClient, _ mempool.Buffer) { sends[c.i]() }
 	l.start(nil)

@@ -1,7 +1,9 @@
-// Package ipc models NADINO's intra-node descriptor channel: eBPF SK_MSG
-// handoff between local sockets (§3.5.3). The semaphore token that moves
-// buffer ownership along a function chain (§3.5.1) rides with each
-// descriptor; senders charge it as params.SemTokenCost.
+// Package ipc models NADINO's descriptor channels: eBPF SK_MSG handoff
+// between local sockets (§3.5.3) and, with its cost model in package dpu,
+// DOCA Comch between a function and the DPU (§3.5.4). Both are a Chan. The
+// semaphore token that moves buffer ownership along a function chain
+// (§3.5.1) rides with each descriptor; senders charge it as
+// params.SemTokenCost.
 package ipc
 
 import (
@@ -9,108 +11,98 @@ import (
 
 	"nadino/internal/mempool"
 	"nadino/internal/params"
+	"nadino/internal/ring"
 	"nadino/internal/sim"
 	"nadino/internal/trace"
 )
 
-// SKMsg is a unidirectional SK_MSG descriptor channel between two local
-// endpoints. Transmission bypasses the kernel protocol stack; the receiver
-// is woken through epoll (interrupt-driven), which is cheap per message but
-// becomes a storm when one consumer (a CPU-hosted network engine) fronts
-// many functions.
-type SKMsg struct {
-	eng *sim.Engine
-	p   *params.Params
-	q   *sim.Queue[mempool.Descriptor]
-	// wake optionally runs after every delivery: an event-loop consumer's
-	// hook (the CNE marks the port ready and wakes its loop).
+// Chan is a one-way descriptor channel: a descriptor sent on it reaches
+// the receiver's queue a fixed latency later. Every descriptor on one
+// channel takes that same latency, which never changes after
+// construction, so deliveries fire in send order: Send pushes the
+// descriptor onto an in-flight FIFO and schedules one delivery event bound
+// once, and each delivery moves the oldest in-flight descriptor to the
+// receive queue. A descriptor spends its transit and its wait in the
+// receive queue in one trace stage, opened by Send and closed by TryRecv.
+// Costs are the sender's and receiver's to charge on their own cores.
+type Chan struct {
+	eng     *sim.Engine
+	latency time.Duration
+	stage   string
+	actor   string
+	// wake, when set, runs after every delivery, in the delivering event:
+	// an event-loop consumer's hook (the DNE or CNE marks the port ready
+	// and wakes its loop).
 	wake      func()
-	delivered uint64
-
-	// freeDel pools delivery timer nodes so Send's per-descriptor After()
-	// does not allocate a fresh closure per message.
-	freeDel []*skDelivery
+	inflight  ring.Deque[mempool.Descriptor]
+	q         *sim.Queue[mempool.Descriptor]
+	deliverFn func()
+	sent      uint64
 }
 
-// skDelivery is a pooled in-flight descriptor; fn is bound once.
-type skDelivery struct {
-	c  *SKMsg
-	d  mempool.Descriptor
-	fn func()
+// NewChan returns a channel whose descriptors arrive latency after Send,
+// traced as stage by actor. wake, if not nil, runs after each delivery.
+func NewChan(eng *sim.Engine, latency time.Duration, stage, actor string, wake func()) *Chan {
+	c := &Chan{eng: eng, latency: latency, stage: stage, actor: actor, wake: wake,
+		q: sim.NewQueue[mempool.Descriptor](eng, 0)}
+	c.deliverFn = c.deliver
+	return c
 }
 
-func (c *SKMsg) allocDelivery(d mempool.Descriptor) *skDelivery {
-	var dv *skDelivery
-	if n := len(c.freeDel); n > 0 {
-		dv = c.freeDel[n-1]
-		c.freeDel = c.freeDel[:n-1]
-	} else {
-		dv = &skDelivery{c: c}
-		dv.fn = dv.run
+// NewSKMsg returns an SK_MSG channel between two local endpoints.
+// Transmission bypasses the kernel protocol stack: the sender pays
+// params.SKMsgSendCost and the descriptor arrives after
+// params.SKMsgDeliver. The receiver is woken through epoll
+// (interrupt-driven, params.SKMsgWakeup per descriptor), which is cheap
+// per message but becomes a storm when one consumer (a CPU-hosted network
+// engine) fronts many functions; that consumer pays InterruptCost instead.
+func NewSKMsg(eng *sim.Engine, p *params.Params, wake func()) *Chan {
+	return NewChan(eng, p.SKMsgDeliver, trace.StageSKMsg, "skmsg", wake)
+}
+
+// InterruptCost is the softirq cost a shared engine (CNE) pays to ingest
+// one SK_MSG descriptor given its current backlog: interrupt pressure makes
+// each message more expensive as the queue deepens, throttling the CNE at
+// high concurrency (§4.3). Hardware-polled engines (DNE) never pay this.
+func InterruptCost(p *params.Params, backlog int) time.Duration {
+	cost := p.SKMsgInterruptBase + time.Duration(backlog)*p.SKMsgInterruptSlope
+	if cost > p.SKMsgInterruptCap {
+		cost = p.SKMsgInterruptCap
 	}
-	dv.d = d
-	return dv
+	return cost
 }
 
-func (dv *skDelivery) run() {
-	c := dv.c
-	d := dv.d
-	dv.d = mempool.Descriptor{}
-	c.freeDel = append(c.freeDel, dv)
-	c.delivered++
-	c.q.TryPut(d)
+// Send ships a descriptor; it arrives after the channel's latency.
+func (c *Chan) Send(d mempool.Descriptor) {
+	c.sent++
+	d.Trace.BeginStage(c.stage, c.actor)
+	c.inflight.PushBack(d)
+	c.eng.After(c.latency, c.deliverFn)
+}
+
+func (c *Chan) deliver() {
+	c.q.TryPut(c.inflight.PopFront())
 	if c.wake != nil {
 		c.wake()
 	}
 }
 
-// NewSKMsg creates a channel. wake, if not nil, runs after each delivery,
-// in the delivering event.
-func NewSKMsg(eng *sim.Engine, p *params.Params, wake func()) *SKMsg {
-	return &SKMsg{eng: eng, p: p, q: sim.NewQueue[mempool.Descriptor](eng, 0), wake: wake}
-}
-
-// SendCost is the sender-side CPU cost per descriptor.
-func (c *SKMsg) SendCost() time.Duration { return c.p.SKMsgSendCost }
-
-// WakeupCost is the receiver-side epoll wakeup CPU cost per descriptor.
-func (c *SKMsg) WakeupCost() time.Duration { return c.p.SKMsgWakeup }
-
-// InterruptCost is the softirq cost a shared engine (CNE) pays to ingest
-// one descriptor given its current backlog: interrupt pressure makes each
-// message more expensive as the queue deepens, throttling the CNE at high
-// concurrency (§4.3). Hardware-polled engines (DNE) never pay this.
-func (c *SKMsg) InterruptCost(backlog int) time.Duration {
-	cost := c.p.SKMsgInterruptBase + time.Duration(backlog)*c.p.SKMsgInterruptSlope
-	if cost > c.p.SKMsgInterruptCap {
-		cost = c.p.SKMsgInterruptCap
-	}
-	return cost
-}
-
-// Send ships a descriptor; it arrives after the SK_MSG delivery latency.
-// The caller pays SendCost on its own core first.
-func (c *SKMsg) Send(d mempool.Descriptor) {
-	d.Trace.BeginStage(trace.StageSKMsg, "skmsg")
-	c.eng.After(c.p.SKMsgDeliver, c.allocDelivery(d).fn)
-}
-
 // Notify parks fn until a descriptor arrives, for a channel TryRecv just
-// found empty (see sim.Queue.Notify); fn takes it with TryRecv. The
-// receiver pays WakeupCost on its own core afterwards.
-func (c *SKMsg) Notify(fn func()) { c.q.Notify(fn) }
+// found empty (see sim.Queue.Notify); fn takes it with TryRecv.
+func (c *Chan) Notify(fn func()) { c.q.Notify(fn) }
 
-// TryRecv is the non-blocking receive used by event loops.
-func (c *SKMsg) TryRecv() (mempool.Descriptor, bool) {
+// TryRecv takes the oldest delivered descriptor without blocking.
+func (c *Chan) TryRecv() (mempool.Descriptor, bool) {
 	d, ok := c.q.TryGet()
 	if ok {
-		d.Trace.EndStage(trace.StageSKMsg)
+		d.Trace.EndStage(c.stage)
 	}
 	return d, ok
 }
 
-// Pending reports queued descriptors (the CNE's interrupt backlog).
-func (c *SKMsg) Pending() int { return c.q.Len() }
+// Pending reports delivered descriptors not yet taken (the CNE's interrupt
+// backlog).
+func (c *Chan) Pending() int { return c.q.Len() }
 
-// Delivered reports lifetime deliveries.
-func (c *SKMsg) Delivered() uint64 { return c.delivered }
+// Sent reports lifetime sends.
+func (c *Chan) Sent() uint64 { return c.sent }
