@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"nadino/internal/speculate"
 	"nadino/internal/telemetry"
@@ -19,10 +18,8 @@ import (
 // scraper touches them, once per period.
 func (c *Cluster) Instrument(reg *telemetry.Registry) {
 	eng := c.Eng
-	// build_info and uptime by both clocks, per exposition convention. The
-	// wall-clock uptime is the one deliberately nondeterministic series a
-	// rig exports; everything else stays a pure function of the seed.
-	reg.BuildInfo(eng.Now, time.Now())
+	// build_info and virtual-clock uptime, per exposition convention.
+	reg.BuildInfo(eng.Now)
 	reg.Gauge("sim.pending", func() float64 { return float64(eng.Pending()) })
 
 	gw := c.gw

@@ -2,6 +2,9 @@ package experiments
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 
 	"nadino/internal/telemetry"
@@ -66,5 +69,50 @@ func TestTelemetryDeterminism(t *testing.T) {
 	if !bytes.Equal(a, c) {
 		d := firstDiff(a, c)
 		t.Fatalf("parallel telemetry run diverged at byte %d:\nseq: %q\npar: %q", d, excerpt(a, d), excerpt(c, d))
+	}
+}
+
+// TestTelemetryExportsRegenerate runs clone-chaos in quick mode twice and
+// exports each run with telemetry.ExportDir, as nadino-bench -telemetry
+// does: every file of the two directories (Prometheus exposition, series
+// CSV and JSON, summary, Chrome counters and dashboard) must be
+// byte-identical, so no rig may export a wall-clock series.
+func TestTelemetryExportsRegenerate(t *testing.T) {
+	export := func() (string, []string) {
+		var profiles []telemetry.Profile
+		o := Opts{Quick: true, Seed: 1, Telemetry: true}
+		o.TelemetrySink = func(name string, sc *telemetry.Scraper) {
+			profiles = append(profiles, telemetry.Profile{Name: name, Scraper: sc})
+		}
+		RunCloneChaos(o)
+		dir := t.TempDir()
+		written, err := telemetry.ExportDir(dir, profiles)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names := make([]string, len(written))
+		for i, p := range written {
+			names[i] = filepath.Base(p)
+		}
+		return dir, names
+	}
+	dirA, a := export()
+	dirB, b := export()
+	if !slices.Equal(a, b) || len(a) == 0 {
+		t.Fatalf("exported files differ between runs:\n%v\n%v", a, b)
+	}
+	for _, name := range a {
+		x, err := os.ReadFile(filepath.Join(dirA, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		y, err := os.ReadFile(filepath.Join(dirB, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(x, y) {
+			d := firstDiff(x, y)
+			t.Fatalf("%s diverged at byte %d:\n1st: %q\n2nd: %q", name, d, excerpt(x, d), excerpt(y, d))
+		}
 	}
 }

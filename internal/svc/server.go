@@ -121,6 +121,13 @@ func New(clu *core.Cluster, opts Options) (*Server, error) {
 
 	s.reg = telemetry.NewRegistry()
 	clu.Instrument(s.reg)
+	// The daemon's wall-clock uptime, beside Instrument's virtual one.
+	// Only the daemon registers it, so rig exports stay a function of
+	// their seed.
+	wallStart := time.Now()
+	s.reg.Gauge("process.uptime_seconds", func() float64 {
+		return time.Since(wallStart).Seconds()
+	}, "clock", "wall")
 	s.reg.SetHelp("svc.pacer_lag_seconds", "How far virtual time trails its wall-derived target.")
 	s.reg.Gauge("svc.pacer_lag_seconds", func() float64 { return s.pacer.Lag().Seconds() })
 	s.reg.SetHelp("svc.invoked", "Requests accepted through /invoke and the built-in generator.")
@@ -206,9 +213,6 @@ func (s *Server) Addr() string {
 // background. The returned error covers bind failures only; serve-loop
 // errors surface through Shutdown.
 func (s *Server) Start() error {
-	// build_info + uptime by both clocks ride the same registry. The
-	// registry already carries the cluster's virtual-uptime pair from
-	// Instrument, so only wall-anchored serving metadata is added here.
 	ln, err := net.Listen("tcp", s.opts.Addr)
 	if err != nil {
 		return fmt.Errorf("svc: listen %s: %w", s.opts.Addr, err)

@@ -256,21 +256,17 @@ func (r *Registry) Len() int {
 var BuildVersion = "dev"
 
 // BuildInfo registers the conventional `build_info` gauge (constant 1,
-// version/goversion labels) plus `process.uptime_seconds` gauges for both
-// clocks: virtual (how far the simulation has advanced) and wall (how long
-// the process has been up). Every rig and the nadino-svc daemon call this
-// once so dashboards can join series against the emitting build.
-func (r *Registry) BuildInfo(virtualNow func() time.Duration, wallStart time.Time) {
+// version/goversion labels) plus the `process.uptime_seconds` gauge for
+// the virtual clock (how far the simulation has advanced). Every rig and
+// the nadino-svc daemon call this once so dashboards can join series
+// against the emitting build. A rig's exports stay a pure function of its
+// seed; nadino-svc adds the wall-clock uptime itself.
+func (r *Registry) BuildInfo(virtualNow func() time.Duration) {
 	r.SetHelp("build_info", "Constant 1; labels carry the NADINO build and Go runtime version.")
 	r.SetHelp("process.uptime_seconds", "Process uptime by clock: virtual simulation time or wall time.")
 	r.Gauge("build_info", func() float64 { return 1 },
 		"version", BuildVersion, "goversion", runtime.Version())
-	if virtualNow != nil {
-		r.Gauge("process.uptime_seconds", func() float64 {
-			return virtualNow().Seconds()
-		}, "clock", "virtual")
-	}
 	r.Gauge("process.uptime_seconds", func() float64 {
-		return time.Since(wallStart).Seconds()
-	}, "clock", "wall")
+		return virtualNow().Seconds()
+	}, "clock", "virtual")
 }
