@@ -74,9 +74,8 @@ const scrapePeriod = 2 * time.Millisecond
 func NewRig(sc Scenario) *Rig {
 	tracer := trace.New(nil)
 	tracer.SetLimit(0)
-	cfg := sc.Config()
-	cfg.Tracer = tracer
-	c := core.NewCluster(cfg)
+	c := core.NewCluster(sc.Config())
+	c.SetTracer(tracer)
 	r := &Rig{
 		sc:       sc,
 		c:        c,
