@@ -227,12 +227,13 @@ svc-smoke:
 # engine, the ownership-checked mempool, the RDMA transport, the DNE and
 # its descriptor channels (ipc, dpu), the gateway fabric, speculation,
 # ingress and the cluster core, the observability pipeline (telemetry,
-# trace, flight recorder, nadino-svc), and the simulation fuzzer itself.
+# trace, flight recorder, nadino-svc), the fault injector (chaos), and the
+# simulation fuzzer itself.
 COVER_FLOOR := 70
 COVER_PKGS  := ./internal/sim/ ./internal/mempool/ ./internal/rdma/ ./internal/dne/ \
 	./internal/gateway/ ./internal/speculate/ ./internal/ingress/ ./internal/core/ \
 	./internal/telemetry/ ./internal/trace/ ./internal/flightrec/ ./internal/svc/ \
-	./internal/simtest/ ./internal/ipc/ ./internal/dpu/
+	./internal/simtest/ ./internal/ipc/ ./internal/dpu/ ./internal/chaos/
 
 # cover runs the floor packages with -cover and fails if any falls below
 # $(COVER_FLOOR)% statement coverage.

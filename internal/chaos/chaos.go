@@ -100,43 +100,13 @@ func (in *Injector) RegisterCores(name string, cores ...*sim.Processor) {
 	in.cores[name] = append(in.cores[name], cores...)
 }
 
-func (in *Injector) staller(name string) Staller {
-	s, ok := in.stallers[name]
-	if !ok {
-		panic(fmt.Sprintf("chaos: no staller registered as %q", name))
-	}
-	return s
-}
-
-func (in *Injector) restarter(name string) Restarter {
-	r, ok := in.restarters[name]
-	if !ok {
-		panic(fmt.Sprintf("chaos: no gateway registered as %q", name))
-	}
-	return r
-}
-
-func (in *Injector) qpTargets(name string) []QPErrorTarget {
-	provide, ok := in.qps[name]
-	if !ok {
-		panic(fmt.Sprintf("chaos: no QP set registered as %q", name))
-	}
-	return provide()
-}
-
-func (in *Injector) coreSet(name string) []*sim.Processor {
-	cs, ok := in.cores[name]
-	if !ok || len(cs) == 0 {
-		panic(fmt.Sprintf("chaos: no cores registered as %q", name))
-	}
-	return cs
-}
-
 // Fault is one injectable failure mode. Apply takes effect immediately (in
 // engine context) and returns the revert closure, or nil when there is
 // nothing to undo (the fault is instantaneous or self-clearing). window is
 // the event's For duration — faults like DMAStall and GatewayRestart
-// consume it directly instead of scheduling a revert.
+// consume it directly instead of scheduling a revert. Only Install's
+// events call Apply, and Install has checked every name the fault looks
+// up.
 type Fault interface {
 	Label() string
 	Apply(in *Injector, window time.Duration) (revert func())
@@ -155,8 +125,12 @@ type Event struct {
 type Schedule []Event
 
 // Install arms every event on the engine. Call before (or during) the run;
-// events in the past panic, matching the engine's scheduling contract.
+// events in the past panic, matching the engine's scheduling contract, and
+// so does a schedule Check refuses, before any event is armed.
 func (in *Injector) Install(s Schedule) {
+	if err := in.Check(s); err != nil {
+		panic(err)
+	}
 	for _, ev := range s {
 		ev := ev
 		in.eng.At(ev.At, func() {
@@ -172,6 +146,51 @@ func (in *Injector) Install(s Schedule) {
 			}
 		})
 	}
+}
+
+// Check reports the first name in s the injector cannot resolve: a node
+// the fabric does not attach, or a target no Register call named. Install
+// refuses such a schedule, so a mistyped name fails when the schedule is
+// installed instead of when its event fires.
+func (in *Injector) Check(s Schedule) error {
+	for i, ev := range s {
+		var nodes []fabric.NodeID
+		target, known := "", true
+		switch f := ev.Fault.(type) {
+		case LinkDown:
+			nodes = []fabric.NodeID{f.From, f.To}
+		case LinkLoss:
+			nodes = []fabric.NodeID{f.From, f.To}
+		case LinkJitter:
+			nodes = []fabric.NodeID{f.From, f.To}
+		case NodeDown:
+			nodes = []fabric.NodeID{f.Node}
+		case Partition:
+			nodes = append(append(nodes, f.A...), f.B...)
+		case NodeCrash:
+			nodes = []fabric.NodeID{f.Node}
+			if f.QPs != "" {
+				target, known = f.QPs, in.qps[f.QPs] != nil
+			}
+		case DMAStall:
+			target, known = f.Target, in.stallers[f.Target] != nil
+		case SlowCores:
+			target, known = f.Target, len(in.cores[f.Target]) > 0
+		case QPError:
+			target, known = f.Target, in.qps[f.Target] != nil
+		case GatewayRestart:
+			target, known = f.Target, in.restarters[f.Target] != nil
+		}
+		for _, id := range nodes {
+			if !in.net.Has(id) {
+				return fmt.Errorf("chaos: event %d (%s): unknown node %q", i, ev.Fault.Label(), id)
+			}
+		}
+		if !known {
+			return fmt.Errorf("chaos: event %d (%s): no target registered as %q", i, ev.Fault.Label(), target)
+		}
+	}
+	return nil
 }
 
 // SetFlightRecorder routes apply/revert events into the flight recorder

@@ -1,7 +1,9 @@
 package chaos
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -180,16 +182,73 @@ func TestComponentFaults(t *testing.T) {
 	}
 }
 
+// TestMissingTargetPanics: a schedule naming an unregistered target panics
+// at Install, before any of its events is armed.
 func TestMissingTargetPanics(t *testing.T) {
 	eng, net := newNet(t, 1, "a", "b")
 	in := NewInjector(eng, net, 1)
-	in.Install(Schedule{{At: 0, For: time.Millisecond, Fault: DMAStall{Target: "ghost"}}})
 	defer func() {
 		if recover() == nil {
-			t.Fatal("unregistered staller did not panic")
+			t.Fatal("unregistered staller did not panic at Install")
+		}
+		if n := eng.Pending(); n != 0 {
+			t.Fatalf("refused schedule armed %d events", n)
 		}
 	}()
-	eng.Run()
+	in.Install(Schedule{
+		{At: 0, Fault: NodeDown{Node: "a"}},
+		{At: 0, For: time.Millisecond, Fault: DMAStall{Target: "ghost"}},
+	})
+}
+
+// TestCheckNamesFirstUnknown: Check accepts a schedule whose every node and
+// target resolves, and otherwise names the first name that does not, for
+// each fault kind.
+func TestCheckNamesFirstUnknown(t *testing.T) {
+	eng, net := newNet(t, 1, "a", "b")
+	in := NewInjector(eng, net, 1)
+	in.RegisterStaller("dma@a", &fakeStaller{})
+	in.RegisterGateway("ingress", &fakeRestarter{})
+	in.RegisterQPs("qp@a", func() []QPErrorTarget { return nil })
+	in.RegisterCores("cores@a", sim.NewProcessor(eng, "c0", 1.0))
+	ok := Schedule{
+		{Fault: LinkDown{From: "a", To: "b"}},
+		{Fault: LinkLoss{From: "b", To: "a", Prob: 0.1}},
+		{Fault: LinkJitter{From: "a", To: "b"}},
+		{Fault: NodeDown{Node: "b"}},
+		{Fault: Partition{A: []fabric.NodeID{"a"}, B: []fabric.NodeID{"b"}}},
+		{Fault: NodeCrash{Node: "b", QPs: "qp@a"}},
+		{Fault: NodeCrash{Node: "b"}},
+		{Fault: DMAStall{Target: "dma@a"}},
+		{Fault: SlowCores{Target: "cores@a", Factor: 0.5}},
+		{Fault: QPError{Target: "qp@a"}},
+		{Fault: GatewayRestart{Target: "ingress"}},
+	}
+	if err := in.Check(ok); err != nil {
+		t.Fatalf("Check refused a resolvable schedule: %v", err)
+	}
+	for _, tc := range []struct {
+		fault   Fault
+		unknown string
+	}{
+		{LinkDown{From: "a", To: "z"}, `"z"`},
+		{LinkLoss{From: "z", To: "a"}, `"z"`},
+		{LinkJitter{From: "a", To: "z"}, `"z"`},
+		{NodeDown{Node: "z"}, `"z"`},
+		{Partition{A: []fabric.NodeID{"a"}, B: []fabric.NodeID{"b", "z"}}, `"z"`},
+		{NodeCrash{Node: "z", QPs: "qp@a"}, `"z"`},
+		{NodeCrash{Node: "b", QPs: "qp@z"}, `"qp@z"`},
+		{DMAStall{Target: "dma@z"}, `"dma@z"`},
+		{SlowCores{Target: "cores@z", Factor: 0.5}, `"cores@z"`},
+		{QPError{Target: "qp@z"}, `"qp@z"`},
+		{GatewayRestart{Target: "nope"}, `"nope"`},
+	} {
+		err := in.Check(append(ok[:len(ok):len(ok)], Event{Fault: tc.fault}))
+		if err == nil || !strings.Contains(err.Error(), tc.unknown) ||
+			!strings.Contains(err.Error(), fmt.Sprintf("event %d", len(ok))) {
+			t.Errorf("%s: Check = %v, want event %d naming %s", tc.fault.Label(), err, len(ok), tc.unknown)
+		}
+	}
 }
 
 func TestNodeCrashErrorsQPsOnRestart(t *testing.T) {

@@ -112,7 +112,7 @@ func (f NodeCrash) Apply(in *Injector, _ time.Duration) func() {
 	return func() {
 		in.net.SetDown(f.Node, false)
 		if f.QPs != "" {
-			for _, t := range in.qpTargets(f.QPs) {
+			for _, t := range in.qps[f.QPs]() {
 				t.ForceError(0)
 			}
 		}
@@ -128,7 +128,7 @@ type DMAStall struct {
 func (f DMAStall) Label() string { return fmt.Sprintf("dma-stall(%s)", f.Target) }
 
 func (f DMAStall) Apply(in *Injector, window time.Duration) func() {
-	in.staller(f.Target).Stall(window)
+	in.stallers[f.Target].Stall(window)
 	return nil
 }
 
@@ -148,7 +148,7 @@ func (f SlowCores) Apply(in *Injector, _ time.Duration) func() {
 	if f.Factor <= 0 {
 		panic(fmt.Sprintf("chaos: slow-cores factor %v must be positive", f.Factor))
 	}
-	cores := in.coreSet(f.Target)
+	cores := in.cores[f.Target]
 	orig := make([]float64, len(cores))
 	for i, c := range cores {
 		orig[i] = c.Speed()
@@ -172,7 +172,7 @@ type QPError struct {
 func (f QPError) Label() string { return fmt.Sprintf("qp-error(%s n=%d)", f.Target, f.Count) }
 
 func (f QPError) Apply(in *Injector, _ time.Duration) func() {
-	for _, t := range in.qpTargets(f.Target) {
+	for _, t := range in.qps[f.Target]() {
 		t.ForceError(f.Count)
 	}
 	return nil
@@ -188,7 +188,7 @@ type GatewayRestart struct {
 func (f GatewayRestart) Label() string { return fmt.Sprintf("gateway-restart(%s)", f.Target) }
 
 func (f GatewayRestart) Apply(in *Injector, window time.Duration) func() {
-	in.restarter(f.Target).InjectRestart(window)
+	in.restarters[f.Target].InjectRestart(window)
 	return nil
 }
 

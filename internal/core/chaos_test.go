@@ -12,9 +12,9 @@ import (
 
 // TestClusterChaosTargets drives the full NADINO stack through a mixed
 // fault schedule built from the standard cluster targets: a node blip, a
-// SoC DMA stall, a forced-QP-error round, and an ingress restart. The
-// cluster must keep completing chains after everything clears, and the
-// fault surfaces must each report they were hit.
+// SoC DMA stall, a forced-QP-error round, an ingress restart and a
+// slow-cores window. The cluster must keep completing chains after
+// everything clears, and the fault surfaces must each report they were hit.
 func TestClusterChaosTargets(t *testing.T) {
 	c := NewCluster(testConfig(NadinoDNE))
 	t.Cleanup(c.Eng.Stop)
@@ -28,6 +28,11 @@ func TestClusterChaosTargets(t *testing.T) {
 		{At: base + 40*time.Millisecond, For: 2 * time.Millisecond, Fault: chaos.GatewayRestart{Target: "ingress"}},
 		{At: base + 60*time.Millisecond, For: 5 * time.Millisecond, Fault: chaos.SlowCores{Target: "cores@node2", Factor: 0.5}},
 	})
+	// The slow-cores window reaches node2's engine cores (the DPU's cores).
+	worker := c.Engine("node2").WorkerCore()
+	var slowed, restored float64
+	c.Eng.At(base+62*time.Millisecond, func() { slowed = worker.Speed() })
+	c.Eng.At(base+66*time.Millisecond, func() { restored = worker.Speed() })
 
 	closedLoop(c, 4)
 	c.Eng.RunUntil(300 * time.Millisecond)
@@ -58,6 +63,10 @@ func TestClusterChaosTargets(t *testing.T) {
 	if stalled != 3*time.Millisecond {
 		t.Fatalf("stall time %v, want 3ms", stalled)
 	}
+	if slowed != 0.5*c.P.DPUNetSpeed || restored != c.P.DPUNetSpeed {
+		t.Fatalf("node2 worker speed %v inside the slow window and %v after, want %v and %v",
+			slowed, restored, 0.5*c.P.DPUNetSpeed, c.P.DPUNetSpeed)
+	}
 	if c.Gateway().InjectedRestarts() != 1 {
 		t.Fatalf("gateway restarts = %d, want 1", c.Gateway().InjectedRestarts())
 	}
@@ -73,6 +82,52 @@ func TestClusterChaosTargets(t *testing.T) {
 		if cp.ErroredCount() != 0 {
 			t.Fatal("QP still errored at end of run")
 		}
+	}
+}
+
+// TestSlowCoresSlowTheEngine: "cores@<node>" is the node engine's worker
+// and keeper. A slow-cores window sets both to Factor of their speed inside
+// the window and back after it, and the same seeded run without the fault
+// differs in the node's worker busy time or in the chains completed inside
+// the window.
+func TestSlowCoresSlowTheEngine(t *testing.T) {
+	type window struct {
+		busy      time.Duration
+		completed uint64
+	}
+	run := func(slow bool) window {
+		c := NewCluster(testConfig(NadinoDNE))
+		t.Cleanup(c.Eng.Stop)
+		worker, keeper := c.Engine("node2").WorkerCore(), c.Engine("node2").KeeperCore()
+		speed := c.P.DPUNetSpeed
+		lo, hi := c.P.QPSetupTime+10*time.Millisecond, c.P.QPSetupTime+20*time.Millisecond
+		if slow {
+			const factor = 0.25
+			c.NewChaos(1).Install(chaos.Schedule{{At: lo, For: hi - lo,
+				Fault: chaos.SlowCores{Target: "cores@node2", Factor: factor}}})
+			check := func(at time.Duration, want float64) {
+				c.Eng.At(at, func() {
+					if worker.Speed() != want || keeper.Speed() != want {
+						t.Errorf("at %v: worker speed %v, keeper %v, want %v",
+							at, worker.Speed(), keeper.Speed(), want)
+					}
+				})
+			}
+			check(lo-time.Millisecond, speed)
+			check(lo+time.Millisecond, factor*speed)
+			check(hi+time.Millisecond, speed)
+		}
+		closedLoop(c, 8)
+		var w window
+		c.Eng.At(lo, func() { w.busy, w.completed = worker.BusyTime(), c.Completed.Total() })
+		c.Eng.At(hi, func() { w.busy, w.completed = worker.BusyTime()-w.busy, c.Completed.Total()-w.completed })
+		c.Eng.RunUntil(hi + 5*time.Millisecond)
+		return w
+	}
+	clean, slowed := run(false), run(true)
+	t.Logf("window: clean %+v, slowed %+v", clean, slowed)
+	if clean == slowed {
+		t.Fatalf("slowing node2's cores changed nothing in the window: %+v", clean)
 	}
 }
 

@@ -257,7 +257,7 @@ func (c *Cluster) addNode(name string) {
 		name:  fabric.NodeID(name),
 		reg:   mempool.NewRegistry(name),
 		pools: make(map[string]*mempool.Pool),
-		dpu:   dpu.New(c.Eng, c.P, fabric.NodeID(name), c.net, 2),
+		dpu:   dpu.New(c.Eng, c.P, fabric.NodeID(name), c.net),
 	}
 	// Each tenant's shared-memory agent creates its pool under its own
 	// file-prefix (§3.4.1).
@@ -272,7 +272,7 @@ func (c *Cluster) addNode(name string) {
 	case NadinoDNE:
 		n.engine = dne.New(c.Eng, c.P, dne.Config{
 			Node: n.name, Mode: dne.OffPath, Loc: dne.OnDPU,
-			Sched: dne.SchedDWRR, Channel: dpu.ComchE,
+			Sched: dne.SchedDWRR,
 		}, n.dpu, nil, nil)
 	case NadinoCNE:
 		worker := sim.NewProcessor(c.Eng, name+"/cne", c.P.HostCoreSpeed)
@@ -462,46 +462,54 @@ func (c *Cluster) Gateways() []*gateway.Gateway {
 func (c *Cluster) Net() *fabric.Network { return c.net }
 
 // NewChaos builds a fault injector over the whole cluster with every
-// standard target registered: the gateway as "ingress", and per node the
-// SoC DMA as "dma@<node>", the DPU ARM cores as "cores@<node>", the node
-// engine's RC connection pools as "qp@<node>", and the node's crash set as
-// "crash@<node>" (QP targets are lazy providers — pools only exist once
-// setup completes). Non-NADINO systems register no QP targets for nodes
-// without an engine.
+// standard target registered: the gateway as "ingress"; per node
+// RegisterNodeTargets's set, and on nodes with an engine the node's crash
+// set as "crash@<node>"; on nodes with a gateway tier its links as
+// "gw-qp@<node>" and its core as "gw-cores@<node>" (QP targets are lazy
+// providers — pools only exist once setup completes).
 func (c *Cluster) NewChaos(seed int64) *chaos.Injector {
 	in := chaos.NewInjector(c.Eng, c.net, seed)
 	in.RegisterGateway("ingress", c.gw)
-	for _, n := range c.nodeSeq {
-		node := n
-		in.RegisterStaller("dma@"+string(node.name), node.dpu.SoCDMA())
-		in.RegisterCores("cores@"+string(node.name), node.dpu.Cores()...)
+	for _, node := range c.nodeSeq {
+		RegisterNodeTargets(in, node.dpu, node.engine)
 		if node.engine != nil {
-			in.RegisterQPs("qp@"+string(node.name), func() []chaos.QPErrorTarget {
-				pools := node.engine.ConnPools()
-				ts := make([]chaos.QPErrorTarget, len(pools))
-				for i, cp := range pools {
-					ts[i] = cp
-				}
-				return ts
-			})
 			in.RegisterQPs("crash@"+string(node.name), func() []chaos.QPErrorTarget {
 				return c.crashSet(node)
 			})
 		}
-		if node.gw != nil {
-			g := node.gw
+		if g := node.gw; g != nil {
 			in.RegisterQPs("gw-qp@"+string(node.name), func() []chaos.QPErrorTarget {
-				pools := g.Links()
-				ts := make([]chaos.QPErrorTarget, len(pools))
-				for i, cp := range pools {
-					ts[i] = cp
-				}
-				return ts
+				return qpTargets(g.Links())
 			})
 			in.RegisterCores("gw-cores@"+string(node.name), g.Core())
 		}
 	}
 	return in
+}
+
+// RegisterNodeTargets registers one node's standard fault targets on in:
+// its SoC DMA as "dma@<node>" and, when the node runs a network engine e,
+// the engine's worker and keeper cores as "cores@<node>" (the DPU's ARM
+// cores for the DNE, pinned host cores for the CNE) and its RC connection
+// pools as "qp@<node>". Cluster.NewChaos and the micro-rigs register every
+// node through it.
+func RegisterNodeTargets(in *chaos.Injector, d *dpu.DPU, e *dne.Engine) {
+	ns := string(d.Node())
+	in.RegisterStaller("dma@"+ns, d.SoCDMA())
+	if e == nil {
+		return
+	}
+	in.RegisterCores("cores@"+ns, e.WorkerCore(), e.KeeperCore())
+	in.RegisterQPs("qp@"+ns, func() []chaos.QPErrorTarget { return qpTargets(e.ConnPools()) })
+}
+
+// qpTargets views RC connection pools as QP error targets.
+func qpTargets(pools []*rdma.ConnPool) []chaos.QPErrorTarget {
+	ts := make([]chaos.QPErrorTarget, len(pools))
+	for i, cp := range pools {
+		ts[i] = cp
+	}
+	return ts
 }
 
 // crashSet is every RC pool that loses its QP state when node n reboots
@@ -510,14 +518,9 @@ func (c *Cluster) NewChaos(seed int64) *chaos.Injector {
 // node's engine and gateway pools toward n, and the ingress backend's pools
 // toward n.
 func (c *Cluster) crashSet(n *Node) []chaos.QPErrorTarget {
-	var ts []chaos.QPErrorTarget
-	for _, cp := range n.engine.ConnPools() {
-		ts = append(ts, cp)
-	}
+	ts := qpTargets(n.engine.ConnPools())
 	if n.gw != nil {
-		for _, cp := range n.gw.Links() {
-			ts = append(ts, cp)
-		}
+		ts = append(ts, qpTargets(n.gw.Links())...)
 	}
 	for _, other := range c.nodeSeq {
 		if other == n {

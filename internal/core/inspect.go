@@ -83,14 +83,13 @@ func (c *Cluster) Ingress() (v IngressView, ok bool) {
 }
 
 // Processors returns every processor the cluster runs, each labelled by
-// its Name: per node the DPU cores, the engine's worker and keeper, the
-// gateway core and any system-specific cores; then every function core;
-// then the ingress worker cores. Autoscaling appends instances and workers,
-// so the list only grows.
+// its Name: per node the engine's worker and keeper (the DPU's cores for
+// the DNE), the gateway core and any system-specific cores; then every
+// function core; then the ingress worker cores. Autoscaling appends
+// instances and workers, so the list only grows.
 func (c *Cluster) Processors() []*sim.Processor {
 	var out []*sim.Processor
 	for _, n := range c.nodeSeq {
-		out = append(out, n.dpu.Cores()...)
 		if n.engine != nil {
 			out = append(out, n.engine.WorkerCore(), n.engine.KeeperCore())
 		}

@@ -623,45 +623,34 @@ func (c *Cluster) startReceiver(f *Function, kind rxKind) {
 // the channel until one arrives.
 func (r *receiver) loop() {
 	c, f := r.c, r.f
-	for {
-		switch r.kind {
-		case rxPort:
-			d, ok := f.port.TryRecv()
-			if !ok {
-				f.port.NotifyRecv(r.loopFn)
-				return
-			}
-			sp, cost, charge := f.port.Received(&d)
-			if charge {
-				r.d, r.sp = d, sp
-				f.core.Run(cost, r.recvdFn)
-				return
-			}
-			sp.End()
-			if !r.deliver(d) {
-				return
-			}
-		case rxShm:
-			d, ok := f.localIn.TryRecv()
-			if !ok {
-				f.localIn.Notify(r.loopFn)
-				return
-			}
-			r.d = d
-			r.sp = d.Trace.Begin(trace.StageFnDeliver, f.name)
-			f.core.Run(c.P.SKMsgWakeup+c.P.SemTokenCost, r.recvdFn)
-			return
-		case rxTCP:
-			m, ok := f.tcpIn.TryGet()
-			if !ok {
-				f.tcpIn.Notify(r.loopFn)
-				return
-			}
-			r.m = m
-			r.sp = m.Trace.Begin(r.st.TraceStage(), f.name)
-			f.core.Run(transport.RecvCost(c.P, r.st, m.Bytes), r.tcpRecvdFn)
+	switch r.kind {
+	case rxPort:
+		d, ok := f.port.TryRecv()
+		if !ok {
+			f.port.NotifyRecv(r.loopFn)
 			return
 		}
+		sp, cost := f.port.Received(&d)
+		r.d, r.sp = d, sp
+		f.core.Run(cost, r.recvdFn)
+	case rxShm:
+		d, ok := f.localIn.TryRecv()
+		if !ok {
+			f.localIn.Notify(r.loopFn)
+			return
+		}
+		r.d = d
+		r.sp = d.Trace.Begin(trace.StageFnDeliver, f.name)
+		f.core.Run(c.P.SKMsgWakeup+c.P.SemTokenCost, r.recvdFn)
+	case rxTCP:
+		m, ok := f.tcpIn.TryGet()
+		if !ok {
+			f.tcpIn.Notify(r.loopFn)
+			return
+		}
+		r.m = m
+		r.sp = m.Trace.Begin(r.st.TraceStage(), f.name)
+		f.core.Run(transport.RecvCost(c.P, r.st, m.Bytes), r.tcpRecvdFn)
 	}
 }
 

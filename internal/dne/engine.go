@@ -65,13 +65,16 @@ func OwnerEngine(node fabric.NodeID) mempool.Owner {
 	return mempool.Owner("dne@" + string(node))
 }
 
+// comch is the DPU-hosted engine's host channel: event-driven DOCA Comch
+// (§3.5.4). Fig. 9's rig builds the other variants with dpu.NewComch.
+const comch = dpu.ComchE
+
 // Config assembles an engine.
 type Config struct {
-	Node    fabric.NodeID
-	Mode    Mode
-	Loc     Location
-	Sched   SchedulerKind
-	Channel dpu.ChannelMode
+	Node  fabric.NodeID
+	Mode  Mode
+	Loc   Location
+	Sched SchedulerKind
 	// QuantumUnit is the DWRR byte quantum per unit weight (default 2KB).
 	QuantumUnit int
 	// ReplenishEvery is the core thread's RQ replenish period.
@@ -242,9 +245,10 @@ type keeperState struct {
 	postedFn, tickFn func()
 }
 
-// New assembles an engine. For OnDPU, d supplies the cores, SoC DMA and
-// integrated RNIC; for OnCPU, d still supplies the node's RNIC (the DPU
-// stays in NIC mode) while the loop runs on hostCore.
+// New assembles an engine. For OnDPU it runs on two of the DPU's ARM cores,
+// which it creates, and d supplies the SoC DMA and integrated RNIC; for
+// OnCPU, d still supplies the node's RNIC (the DPU stays in NIC mode)
+// while the loop runs on hostCore and the keeper on hostKeeper.
 func New(eng *sim.Engine, p *params.Params, cfg Config, d *dpu.DPU, hostCore, hostKeeper *sim.Processor) *Engine {
 	if cfg.QuantumUnit == 0 {
 		cfg.QuantumUnit = 2048
@@ -508,9 +512,8 @@ func (e *Engine) AttachFunction(fn, tenant string) *FnPort {
 		e.work.Pulse()
 	}
 	if e.cfg.Loc == OnDPU {
-		m := e.cfg.Channel
-		fp.toEngine, fp.toFn = dpu.NewComch(e.eng, e.p, m, wake)
-		fp.sendCost, fp.wakeCost = m.SendCost(e.p), m.HostWakeupCost(e.p)
+		fp.toEngine, fp.toFn = dpu.NewComch(e.eng, e.p, comch, wake)
+		fp.sendCost, fp.wakeCost = comch.SendCost(e.p), comch.HostWakeupCost(e.p)
 	} else {
 		fp.toEngine, fp.toFn = ipc.NewSKMsg(e.eng, e.p, wake), ipc.NewSKMsg(e.eng, e.p, nil)
 		fp.sendCost, fp.wakeCost = e.p.SKMsgSendCost, e.p.SKMsgWakeup

@@ -48,11 +48,11 @@ func newPairRig(t *testing.T, seed int64, p *params.Params, opts ...rigOpt) *pai
 	eng := sim.NewEngine(seed)
 	t.Cleanup(eng.Stop)
 	net := fabric.New(eng, p)
-	dA := dpu.New(eng, p, "nodeA", net, 2)
-	dB := dpu.New(eng, p, "nodeB", net, 2)
+	dA := dpu.New(eng, p, "nodeA", net)
+	dB := dpu.New(eng, p, "nodeB", net)
 
-	cfgA := Config{Node: "nodeA", Channel: dpu.ComchE}
-	cfgB := Config{Node: "nodeB", Channel: dpu.ComchE}
+	cfgA := Config{Node: "nodeA"}
+	cfgB := Config{Node: "nodeB"}
 	for _, o := range opts {
 		o(&cfgA, &cfgB)
 	}
@@ -129,12 +129,7 @@ func recvOn(fp *FnPort, core *sim.Processor, then func(mempool.Descriptor)) {
 		fp.NotifyRecv(func() { recvOn(fp, core, then) })
 		return
 	}
-	sp, cost, charge := fp.Received(&d)
-	if !charge {
-		sp.End()
-		then(d)
-		return
-	}
+	sp, cost := fp.Received(&d)
 	core.Run(cost, func() {
 		sp.End()
 		then(d)
@@ -330,24 +325,37 @@ func TestEngineOwnershipViolationSurfaceable(t *testing.T) {
 	}
 }
 
-func TestComchPPortPinsCore(t *testing.T) {
+// TestDPUCoresAreWimpy: the DPU's ARM cores are the DPU-hosted engine's
+// worker and keeper, and both run reference work at DPUNetSpeed, slower
+// than a host core; the CPU-hosted engine runs on the host cores it is
+// given.
+func TestDPUCoresAreWimpy(t *testing.T) {
 	p := params.Default()
-	eng := sim.NewEngine(9)
+	eng := sim.NewEngine(1)
 	defer eng.Stop()
 	net := fabric.New(eng, p)
-	d := dpu.New(eng, p, "nodeX", net, 2)
-	e := New(eng, p, Config{Node: "nodeX", Channel: dpu.ComchP}, d, nil, nil)
-	pool := mempool.NewPool("t", 1024, 16, p.HugepageSize)
-	e.AddTenant("t", pool, 1)
-	fp := e.AttachFunction("fn", "t")
-	if !fp.PinsHostCore() {
-		t.Fatal("Comch-P port must pin a host core")
+	e := New(eng, p, Config{Node: "nodeA"}, dpu.New(eng, p, "nodeA", net), nil, nil)
+	host := sim.NewProcessor(eng, "host", p.HostCoreSpeed)
+	var hostDone, workerDone, keeperDone time.Duration
+	host.Run(10*time.Microsecond, func() { hostDone = eng.Now() })
+	e.WorkerCore().Run(10*time.Microsecond, func() { workerDone = eng.Now() })
+	e.KeeperCore().Run(10*time.Microsecond, func() { keeperDone = eng.Now() })
+	eng.Run()
+	if workerDone != keeperDone {
+		t.Fatalf("worker took %v, keeper %v: want one DPU core speed", workerDone, keeperDone)
 	}
-	if _, ok := fp.TryRecv(); ok {
-		t.Fatal("TryRecv on empty port succeeded")
+	if ratio := float64(workerDone) / float64(hostDone); ratio < 1.1 || ratio > 1.5 {
+		t.Fatalf("DPU core slowdown = %.2f, want ~1.25 (near par on verbs work, Fig. 6)", ratio)
 	}
-	if fp.Fn() != "fn" {
-		t.Fatalf("Fn = %q", fp.Fn())
+	if e.WorkerCore().Name() != "nodeA/dne-worker" || e.KeeperCore().Name() != "nodeA/dne-keeper" {
+		t.Fatalf("DPU cores named %q and %q", e.WorkerCore().Name(), e.KeeperCore().Name())
+	}
+
+	worker := sim.NewProcessor(eng, "cne", p.HostCoreSpeed)
+	keeper := sim.NewProcessor(eng, "cne-k", p.HostCoreSpeed)
+	cne := New(eng, p, Config{Node: "nodeB", Loc: OnCPU}, dpu.New(eng, p, "nodeB", net), worker, keeper)
+	if cne.WorkerCore() != worker || cne.KeeperCore() != keeper {
+		t.Fatal("the CNE does not run on the host cores it was given")
 	}
 }
 
@@ -356,9 +364,15 @@ func TestAttachDuplicateFunctionPanics(t *testing.T) {
 	eng := sim.NewEngine(9)
 	defer eng.Stop()
 	net := fabric.New(eng, p)
-	d := dpu.New(eng, p, "nodeX", net, 2)
-	e := New(eng, p, Config{Node: "nodeX", Channel: dpu.ComchE}, d, nil, nil)
-	e.AttachFunction("fn", "t")
+	d := dpu.New(eng, p, "nodeX", net)
+	e := New(eng, p, Config{Node: "nodeX"}, d, nil, nil)
+	fp := e.AttachFunction("fn", "t")
+	if fp.Fn() != "fn" {
+		t.Fatalf("Fn = %q", fp.Fn())
+	}
+	if _, ok := fp.TryRecv(); ok {
+		t.Fatal("TryRecv on empty port succeeded")
+	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("duplicate attach did not panic")

@@ -23,16 +23,21 @@ type ingestRig struct {
 	ports []*FnPort
 }
 
-func newIngestRig(tb testing.TB, ch dpu.ChannelMode, n int) *ingestRig {
+func newIngestRig(tb testing.TB, loc Location, n int) *ingestRig {
 	tb.Helper()
 	p := params.Default()
 	eng := sim.NewEngine(1)
 	tb.Cleanup(eng.Stop)
 	net := fabric.New(eng, p)
-	d := dpu.New(eng, p, "nodeA", net, 2)
+	d := dpu.New(eng, p, "nodeA", net)
+	var worker, keeper *sim.Processor
+	if loc == OnCPU {
+		worker = sim.NewProcessor(eng, "cne", p.HostCoreSpeed)
+		keeper = sim.NewProcessor(eng, "cne-k", p.HostCoreSpeed)
+	}
 	r := &ingestRig{
 		eng:  eng,
-		e:    New(eng, p, Config{Node: "nodeA", Channel: ch, InitialRQ: 1}, d, nil, nil),
+		e:    New(eng, p, Config{Node: "nodeA", Loc: loc, InitialRQ: 1}, d, worker, keeper),
 		pool: mempool.NewPool(rigTenant, 4096, 64, p.HugepageSize),
 	}
 	r.e.AddTenant(rigTenant, r.pool, 1)
@@ -63,11 +68,11 @@ func (r *ingestRig) readyBit(i int) bool { return r.e.ready[i>>6]&(1<<(i&63)) !=
 // TestIngestVisitsReadyPortsInOrder fences the ready-port mask across two
 // words: descriptors that reach ports 69, 0, 64 and 63 at one instant are
 // ingested in index order, each port's bit is clear once a pull found it
-// empty, and a port attached while the pass is ingesting (Comch-P charges
-// each pull, so ingest spans virtual time) waits for the next pass even
-// though a descriptor reached it mid-pass.
+// empty, and a port attached while the pass is ingesting (the CNE charges
+// each SK_MSG pull, so ingest spans virtual time) waits for the next pass
+// even though a descriptor reached it mid-pass.
 func TestIngestVisitsReadyPortsInOrder(t *testing.T) {
-	r := newIngestRig(t, dpu.ComchP, 70)
+	r := newIngestRig(t, OnCPU, 70)
 	var order []int
 	var lateHeld, lateReady, emptiedClear bool
 	r.e.SetDropHook(func(ctx any) {
@@ -86,9 +91,9 @@ func TestIngestVisitsReadyPortsInOrder(t *testing.T) {
 			r.send(t, i, &mempool.Msg{Dst: "nowhere", Ctx: i})
 		}
 	})
-	// The four land at at+ComchPDeliver and the pass starts ingesting;
+	// The four land at at+SKMsgDeliver and the pass starts ingesting;
 	// 1 ns later a new port attaches and is sent to.
-	arrive := at + params.Default().ComchPDeliver
+	arrive := at + params.Default().SKMsgDeliver
 	r.eng.At(arrive+time.Nanosecond, func() {
 		if r.e.w.stage != stageIngest {
 			t.Errorf("pass at stage %d when port 70 attaches, want ingest", r.e.w.stage)
@@ -120,7 +125,7 @@ func TestIngestVisitsReadyPortsInOrder(t *testing.T) {
 // a route, and the drop hook sends the next). ns/op is per descriptor;
 // the loop allocates nothing (0 allocs/op).
 func BenchmarkDNEIngest(b *testing.B) {
-	r := newIngestRig(b, dpu.ComchE, 16)
+	r := newIngestRig(b, OnDPU, 16)
 	m := &mempool.Msg{Dst: "nowhere"}
 	left := b.N
 	r.e.SetDropHook(func(any) {

@@ -127,13 +127,13 @@ func newKeeperWorld(t *testing.T) *keeperWorld {
 	eng := sim.NewEngine(5)
 	t.Cleanup(eng.Stop)
 	net := fabric.New(eng, p)
-	dA := dpu.New(eng, p, "nodeA", net, 2)
-	dB := dpu.New(eng, p, "nodeB", net, 2)
+	dA := dpu.New(eng, p, "nodeA", net)
+	dB := dpu.New(eng, p, "nodeB", net)
 	w := &keeperWorld{
 		eng: eng,
 		p:   p,
-		ea:  New(eng, p, Config{Node: "nodeA", Channel: dpu.ComchE, InitialRQ: 32}, dA, nil, nil),
-		eb:  New(eng, p, Config{Node: "nodeB", Channel: dpu.ComchE, InitialRQ: 32}, dB, nil, nil),
+		ea:  New(eng, p, Config{Node: "nodeA", InitialRQ: 32}, dA, nil, nil),
+		eb:  New(eng, p, Config{Node: "nodeB", InitialRQ: 32}, dB, nil, nil),
 	}
 	for _, ts := range keeperTenants {
 		w.ea.AddTenant(ts, mempool.NewPool(ts, 4096, 256, p.HugepageSize), 1)

@@ -83,29 +83,21 @@ func (fp *FnPort) NotifyRecv(fn func()) { fp.toFn.Notify(fn) }
 
 // Received opens a received descriptor's port-receive span and returns the
 // channel wakeup cost the function's core pays before the span ends.
-// charge is false when the wakeup is free (busy-polled Comch-P), where no
-// cost is charged at all; the CNE's SK_MSG wakeup is always charged.
-func (fp *FnPort) Received(d *mempool.Descriptor) (sp trace.SpanRef, cost time.Duration, charge bool) {
-	charge = fp.wakeCost > 0 || fp.engine.cfg.Loc == OnCPU
-	return d.Trace.Begin(trace.StagePortRecv, fp.fn), fp.wakeCost, charge
+func (fp *FnPort) Received(d *mempool.Descriptor) (trace.SpanRef, time.Duration) {
+	return d.Trace.Begin(trace.StagePortRecv, fp.fn), fp.wakeCost
 }
 
 // TryRecv takes a delivered descriptor without blocking, if one is there.
 func (fp *FnPort) TryRecv() (mempool.Descriptor, bool) { return fp.toFn.TryRecv() }
 
-// PinsHostCore reports whether this channel burns a host core on polling.
-func (fp *FnPort) PinsHostCore() bool {
-	return fp.engine.cfg.Loc == OnDPU && fp.engine.cfg.Channel.PinsHostCore()
-}
-
 // engineSidePull fetches one pending fn->engine descriptor plus the cost
-// the engine core must pay to ingest it: the Comch progress-engine share on
-// the DPU, or the backlog-scaled interrupt cost on the CNE.
+// the engine core must pay to ingest it: Comch-E's receive cost on the DPU,
+// or the backlog-scaled interrupt cost on the CNE.
 func (fp *FnPort) engineSidePull() (mempool.Descriptor, time.Duration, bool) {
 	e := fp.engine
 	if e.cfg.Loc == OnDPU {
 		d, ok := fp.toEngine.TryRecv()
-		return d, e.cfg.Channel.DNERecvCost(e.p, len(e.ports)), ok
+		return d, comch.DNERecvCost(e.p, len(e.ports)), ok
 	}
 	// Interrupt pressure scales with how loaded the engine already is:
 	// each SK_MSG arrival preempts in-progress engine work (softirq,

@@ -1,11 +1,11 @@
-// Package dpu models the NVIDIA BlueField-2 SoC: wimpy ARM cores, the slow
-// SoC DMA engine that makes on-path offloading expensive (§4.1.1), the
-// integrated RNIC, cross-processor memory mapping (DOCA mmap, §3.4.2), and
-// the DOCA Comch host<->DPU descriptor channels (§3.5.4).
+// Package dpu models the NVIDIA BlueField-2 SoC: the slow SoC DMA engine
+// that makes on-path offloading expensive (§4.1.1), the integrated RNIC,
+// cross-processor memory mapping (DOCA mmap, §3.4.2), and the DOCA Comch
+// host<->DPU descriptor channels (§3.5.4). Its ARM cores are the network
+// engine's worker and keeper, which dne.New creates.
 package dpu
 
 import (
-	"fmt"
 	"time"
 
 	"nadino/internal/fabric"
@@ -16,38 +16,22 @@ import (
 
 // DPU is one BlueField-2 attached to a worker node.
 type DPU struct {
-	eng   *sim.Engine
-	p     *params.Params
-	node  fabric.NodeID
-	cores []*sim.Processor
-	soc   *DMAEngine
-	rnic  *rdma.RNIC
+	node fabric.NodeID
+	soc  *DMAEngine
+	rnic *rdma.RNIC
 }
 
-// New creates a DPU for node with n ARM cores, attaching its integrated
-// RNIC to the fabric.
-func New(eng *sim.Engine, p *params.Params, node fabric.NodeID, net *fabric.Network, nCores int) *DPU {
-	d := &DPU{
-		eng:  eng,
-		p:    p,
+// New creates a DPU for node, attaching its integrated RNIC to the fabric.
+func New(eng *sim.Engine, p *params.Params, node fabric.NodeID, net *fabric.Network) *DPU {
+	return &DPU{
 		node: node,
 		soc:  NewDMAEngine(eng, p),
 		rnic: rdma.NewRNIC(eng, p, node, net),
 	}
-	for i := 0; i < nCores; i++ {
-		d.cores = append(d.cores, sim.NewProcessor(eng, fmt.Sprintf("%s/dpu%d", node, i), p.DPUCoreSpeed))
-	}
-	return d
 }
 
 // Node reports the host node this DPU is plugged into.
 func (d *DPU) Node() fabric.NodeID { return d.node }
-
-// Core returns ARM core i.
-func (d *DPU) Core(i int) *sim.Processor { return d.cores[i] }
-
-// Cores returns all ARM cores.
-func (d *DPU) Cores() []*sim.Processor { return d.cores }
 
 // RNIC returns the integrated ConnectX RNIC.
 func (d *DPU) RNIC() *rdma.RNIC { return d.rnic }

@@ -17,23 +17,7 @@ func newDPU(t *testing.T) (*sim.Engine, *params.Params, *DPU) {
 	eng := sim.NewEngine(1)
 	t.Cleanup(eng.Stop)
 	net := fabric.New(eng, p)
-	return eng, p, New(eng, p, "node1", net, 2)
-}
-
-func TestDPUCoresAreWimpy(t *testing.T) {
-	eng, p, d := newDPU(t)
-	var hostDone, dpuDone time.Duration
-	host := sim.NewProcessor(eng, "host", p.HostCoreSpeed)
-	host.Run(10*time.Microsecond, func() { hostDone = eng.Now() })
-	d.Core(0).Run(10*time.Microsecond, func() { dpuDone = eng.Now() })
-	eng.Run()
-	if dpuDone <= hostDone {
-		t.Fatalf("DPU core (%v) not slower than host core (%v)", dpuDone, hostDone)
-	}
-	ratio := float64(dpuDone) / float64(hostDone)
-	if ratio < 1.8 || ratio > 3.0 {
-		t.Fatalf("DPU slowdown ratio = %.2f, want ~2.2x", ratio)
-	}
+	return eng, p, New(eng, p, "node1", net)
 }
 
 func TestSoCDMASmallOpLatency(t *testing.T) {
@@ -93,7 +77,7 @@ func TestComchRoundTripLatencyOrdering(t *testing.T) {
 		work := sim.NewSignal(eng)
 		h2d, d2h := NewComch(eng, p, mode, work.Pulse)
 		hostCore := sim.NewProcessor(eng, "host", p.HostCoreSpeed)
-		dpuCore := sim.NewProcessor(eng, "dpu", p.DPUCoreSpeed)
+		dpuCore := sim.NewProcessor(eng, "dne-worker", p.DPUNetSpeed)
 		var rtt time.Duration
 		var await, serve func()
 		await = func() {

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"nadino/internal/chaos"
+	"nadino/internal/core"
 	"nadino/internal/dne"
 	"nadino/internal/fabric"
 	"nadino/internal/mempool"
@@ -22,22 +23,12 @@ import (
 // load drains, each tenant pool must hold exactly its posted RQ ring.
 
 // rigInjector builds a chaos injector over a dneRig with the standard
-// targets registered: per node the SoC DMA ("dma@<node>"), the DPU ARM
-// cores ("cores@<node>") and all conn pools ("qp@<node>"); per tenant the
-// tenant's own pools on each node ("qp@<node>/<tenant>").
+// targets registered: per node core.RegisterNodeTargets's set; per tenant
+// the tenant's own pools on each node ("qp@<node>/<tenant>").
 func rigInjector(r *dneRig, seed int64, tenants []string) *chaos.Injector {
 	in := chaos.NewInjector(r.eng, r.net, seed)
 	for _, side := range r.sides() {
-		in.RegisterStaller("dma@"+string(side.node), side.d.SoCDMA())
-		in.RegisterCores("cores@"+string(side.node), side.d.Cores()...)
-		in.RegisterQPs("qp@"+string(side.node), func() []chaos.QPErrorTarget {
-			pools := side.e.ConnPools()
-			ts := make([]chaos.QPErrorTarget, len(pools))
-			for i, cp := range pools {
-				ts[i] = cp
-			}
-			return ts
-		})
+		core.RegisterNodeTargets(in, side.d, side.e)
 		for _, tn := range tenants {
 			in.RegisterQPs(fmt.Sprintf("qp@%s/%s", side.node, tn), func() []chaos.QPErrorTarget {
 				return []chaos.QPErrorTarget{side.e.ConnPool(side.peer, tn)}

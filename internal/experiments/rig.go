@@ -64,13 +64,13 @@ func newDNERig(p *params.Params, seed int64, mode dne.Mode, sched dne.SchedulerK
 		eng:   eng,
 		p:     p,
 		net:   net,
-		dpuA:  dpu.New(eng, p, "nodeA", net, 2),
-		dpuB:  dpu.New(eng, p, "nodeB", net, 2),
+		dpuA:  dpu.New(eng, p, "nodeA", net),
+		dpuB:  dpu.New(eng, p, "nodeB", net),
 		pools: make(map[string][2]*mempool.Pool),
 		ready: sim.NewQueue[struct{}](eng, 0),
 	}
-	cfgA := dne.Config{Node: "nodeA", Mode: mode, Sched: sched, Channel: dpu.ComchE}
-	cfgB := dne.Config{Node: "nodeB", Mode: mode, Sched: sched, Channel: dpu.ComchE}
+	cfgA := dne.Config{Node: "nodeA", Mode: mode, Sched: sched}
+	cfgB := dne.Config{Node: "nodeB", Mode: mode, Sched: sched}
 	for _, mod := range cfgMods {
 		mod(&cfgA)
 		mod(&cfgB)
@@ -192,12 +192,8 @@ func (r *portReceiver) recv() {
 		r.port.NotifyRecv(r.recvFn)
 		return
 	}
-	sp, cost, charge := r.port.Received(&d)
+	sp, cost := r.port.Received(&d)
 	r.d, r.sp = d, sp
-	if !charge {
-		r.got()
-		return
-	}
 	r.core.Run(cost, r.gotFn)
 }
 

@@ -59,3 +59,29 @@ func TestEchoRigsReturnBuffers(t *testing.T) {
 		})
 	}
 }
+
+// TestOffPathLeavesSoCDMAIdle: an off-path engine moves only descriptors
+// (the RNIC DMAs payloads straight into host pools), so an echo run leaves
+// both SoCs' DMA engines without a transfer, while an on-path one stages
+// every payload through them. That is why a "dma@<node>" stall changes
+// nothing in res-storm, clone-chaos or the simulation fuzzer, whose
+// engines all run off-path.
+func TestOffPathLeavesSoCDMAIdle(t *testing.T) {
+	for _, mode := range []dne.Mode{dne.OffPath, dne.OnPath} {
+		p := params.Default()
+		r := newDNERig(p, 1, mode, dne.SchedFCFS, []tenantSpec{{name: "t", weight: 1}})
+		st := r.startEchoClients("t", 4, 1024, func(time.Duration) bool { return true })
+		r.eng.RunUntil(p.QPSetupTime + 2*time.Millisecond)
+		r.eng.Stop()
+		if st.count == 0 {
+			t.Fatalf("mode %d: no echo completed", mode)
+		}
+		ops := r.dpuA.SoCDMA().Ops() + r.dpuB.SoCDMA().Ops()
+		if mode == dne.OffPath && ops != 0 {
+			t.Errorf("off-path echo issued %d SoC DMA transfers, want 0", ops)
+		}
+		if mode == dne.OnPath && ops == 0 {
+			t.Error("on-path echo issued no SoC DMA transfer")
+		}
+	}
+}

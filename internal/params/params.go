@@ -17,15 +17,12 @@ type Params struct {
 
 	// HostCoreSpeed is the Xeon Gold 6148 reference core (3.7 GHz max).
 	HostCoreSpeed float64
-	// DPUCoreSpeed models a BlueField-2 ARM A72 core (2.5 GHz, lower IPC)
-	// on general-purpose compute. "its core is much less capable than the
-	// CPU core" (§4.3.1).
-	DPUCoreSpeed float64
-	// DPUNetSpeed is the ARM core's relative speed on verbs/descriptor
-	// work (doorbells, CQE handling, 16 B descriptor shuffling): these are
-	// MMIO- and memory-bound, so the gap to x86 is small — Fig. 6 shows
-	// "the performance overhead incurred by executing RDMA primitives
-	// directly on the wimpy DPU cores is minimal".
+	// DPUNetSpeed is a BlueField-2 ARM A72 core's relative speed on the
+	// only work the DPU's cores run, the network engine's verbs and
+	// descriptor handling (doorbells, CQE handling, 16 B descriptor
+	// shuffling): it is MMIO- and memory-bound, so the gap to x86 is small
+	// — Fig. 6 shows "the performance overhead incurred by executing RDMA
+	// primitives directly on the wimpy DPU cores is minimal".
 	DPUNetSpeed float64
 
 	// ---- RDMA fabric (ConnectX-6 RNICs, 200 Gbps switch) ----
@@ -240,7 +237,6 @@ type Params struct {
 func Default() *Params {
 	return &Params{
 		HostCoreSpeed: 1.0,
-		DPUCoreSpeed:  0.45, // 2.5 GHz A72 vs 3.7 GHz Xeon, plus IPC gap
 		DPUNetSpeed:   0.80, // verbs/descriptor work: near-par (Fig. 6)
 
 		FabricBandwidth:   25e9, // 200 Gbps

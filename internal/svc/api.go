@@ -77,7 +77,8 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 
 // handleChaos hot-installs a fault schedule: POST the chaos wire format
 // (times relative to receipt) and it is shifted to the engine's now and
-// armed.
+// armed. A schedule naming a node or target the cluster does not have is
+// refused whole.
 func (s *Server) handleChaos(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		apiError(w, http.StatusMethodNotAllowed, "POST a chaos schedule (see internal/chaos wire format)")
@@ -92,13 +93,17 @@ func (s *Server) handleChaos(w http.ResponseWriter, r *http.Request) {
 		apiError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	var installed int
 	s.pacer.Do(func() {
-		s.inj.Install(sched.Shift(s.clu.Eng.Now()))
-		s.rec.Record(flightrec.KindMark, s.markActor, int64(len(sched)), 0)
-		installed = len(sched)
+		if err = s.inj.Check(sched); err == nil {
+			s.inj.Install(sched.Shift(s.clu.Eng.Now()))
+			s.rec.Record(flightrec.KindMark, s.markActor, int64(len(sched)), 0)
+		}
 	})
-	writeJSON(w, http.StatusOK, map[string]int{"installed": installed})
+	if err != nil {
+		apiError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	writeJSON(w, http.StatusOK, map[string]int{"installed": len(sched)})
 }
 
 // handleTenants lists tenant weights (GET) or re-weights one (POST

@@ -9,11 +9,12 @@ import (
 	"testing"
 	"time"
 
+	"nadino/internal/chaos"
 	"nadino/internal/core"
 )
 
 // apiPaths are the management endpoints that take a JSON POST body.
-var apiPaths = []string{"/api/v1/tenants", "/api/v1/reroute", "/api/v1/watchdog"}
+var apiPaths = []string{"/api/v1/tenants", "/api/v1/reroute", "/api/v1/watchdog", "/api/v1/chaos"}
 
 // fuzzServer is a daemon around a two-tenant, gateway-tier cluster driven
 // to readiness, never started: handlers run in-process through its mux.
@@ -63,9 +64,11 @@ func (s *Server) post(path string, body []byte) *httptest.ResponseRecorder {
 	return rr
 }
 
-// FuzzManagementAPI feeds arbitrary POST bodies to the tenants, reroute and
-// watchdog handlers of one daemon. Properties: no panic and no 5xx; a 400
-// leaves weights, routes and rules exactly as they were; an accepted
+// FuzzManagementAPI feeds arbitrary POST bodies to the tenants, reroute,
+// watchdog and chaos handlers of one daemon. Properties: no panic and no
+// 5xx; a 400 leaves weights, routes and rules exactly as they were and arms
+// no event; running the engine past the last event of any body that parses
+// as a chaos schedule, accepted or refused, does not panic; an accepted
 // re-weight stays within [1, core.MaxTenantWeight]; an accepted rule's
 // window never opens or closes before now.
 func FuzzManagementAPI(f *testing.F) {
@@ -83,6 +86,20 @@ func FuzzManagementAPI(f *testing.F) {
 	f.Add(uint8(2), []byte(`{"name":"bad","series":"x","op":"!="}`))
 	f.Add(uint8(2), []byte(`not json`))
 	f.Add(uint8(2), []byte(`{"name":"`+strings.Repeat("n", maxRuleKeyLen+1)+`","series":"cluster.goodput","op":"<","bound":1}`))
+	for _, fault := range []string{
+		`{"kind":"slow-cores","target":"cores@node2","factor":0.5}`,
+		`{"kind":"dma-stall","target":"dma@node1"}`,
+		`{"kind":"node-crash","node":"node2","qps":"crash@node2"}`,
+		`{"kind":"dma-stall","target":"dma@nowhere"}`,
+		`{"kind":"slow-cores","target":"cores@nowhere","factor":0.5}`,
+		`{"kind":"qp-error","target":"qp@nowhere"}`,
+		`{"kind":"gateway-restart","target":"nope"}`,
+		`{"kind":"link-down","from":"nowhere","to":"elsewhere"}`,
+		`{"kind":"node-down","node":"nowhere"}`,
+		`{"kind":"node-crash","node":"nowhere"}`,
+	} {
+		f.Add(uint8(3), []byte(`{"events":[{"at_ms":1,"for_ms":2,"fault":`+fault+`}]}`))
+	}
 
 	s := fuzzServer()
 	f.Cleanup(s.clu.Eng.Stop)
@@ -90,6 +107,8 @@ func FuzzManagementAPI(f *testing.F) {
 		path := apiPaths[int(which)%len(apiPaths)]
 		before := s.mgmtState()
 		nRules := len(s.dog.Rules())
+		pending := s.clu.Eng.Pending()
+		now := s.clu.Eng.Now()
 		rr := s.post(path, body)
 		if rr.Code >= 500 {
 			t.Fatalf("POST %s %q: %d %s", path, body, rr.Code, rr.Body)
@@ -99,9 +118,21 @@ func FuzzManagementAPI(f *testing.F) {
 				t.Fatalf("POST %s %q answered 400 but changed state:\n--- before\n%s--- after\n%s",
 					path, body, before, after)
 			}
+			if n := s.clu.Eng.Pending(); n != pending {
+				t.Fatalf("POST %s %q answered 400 but armed %d events", path, body, n-pending)
+			}
+		}
+		if path == "/api/v1/chaos" {
+			sched, _ := chaos.ParseSchedule(body)
+			var end time.Duration
+			for _, ev := range sched {
+				end = max(end, ev.At+ev.For)
+			}
+			s.clu.Eng.RunUntil(now + end + time.Nanosecond)
+		}
+		if rr.Code == http.StatusBadRequest {
 			return
 		}
-		now := s.clu.Eng.Now()
 		for _, ts := range s.clu.TenantWeights() {
 			if ts.Weight < 1 || ts.Weight > core.MaxTenantWeight {
 				t.Fatalf("POST %s %q left tenant %s at weight %d", path, body, ts.Name, ts.Weight)
