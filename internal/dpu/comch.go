@@ -100,7 +100,3 @@ func (m ChannelMode) DNERecvCost(p *params.Params, endpoints int) time.Duration 
 		return p.LoopbackTCPCost
 	}
 }
-
-// PinsHostCore reports whether the host function must dedicate a core to
-// busy-polling the channel (Comch-P's practicality problem).
-func (m ChannelMode) PinsHostCore() bool { return m == ComchP }

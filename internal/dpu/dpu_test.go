@@ -138,15 +138,6 @@ func TestComchPProgressEngineScalesWithEndpoints(t *testing.T) {
 	}
 }
 
-func TestComchPinsHostCore(t *testing.T) {
-	if !ComchP.PinsHostCore() {
-		t.Fatal("Comch-P must pin a host core")
-	}
-	if ComchE.PinsHostCore() {
-		t.Fatal("Comch-E must not pin a host core")
-	}
-}
-
 func TestEndpointFIFO(t *testing.T) {
 	p := params.Default()
 	eng := sim.NewEngine(1)
@@ -182,8 +173,7 @@ func TestEndpointFIFO(t *testing.T) {
 // TestChannelModeCosts holds each channel variant's cost model to its
 // parameters: the delivery latency of both channels NewComch returns (and
 // the wake hook on the host -> DPU one only), the send and host-wakeup
-// costs, the DNE receive cost at one and at ten endpoints, and whether the
-// variant pins a host core.
+// costs, and the DNE receive cost at one and at ten endpoints.
 func TestChannelModeCosts(t *testing.T) {
 	p := params.Default()
 	for _, tc := range []struct {
@@ -191,11 +181,10 @@ func TestChannelModeCosts(t *testing.T) {
 		name                string
 		latency, send, wake time.Duration
 		recv1, recv10       time.Duration
-		pins                bool
 	}{
-		{ComchE, "Comch-E", p.ComchEDeliver, p.ComchSendCost, p.ComchEWakeup, 0, 0, false},
-		{ComchP, "Comch-P", p.ComchPDeliver, p.ComchSendCost, 0, p.ComchPPerEndpoint, 10 * p.ComchPPerEndpoint, true},
-		{ChannelTCP, "TCP", p.LoopbackTCPRTT / 2, p.LoopbackTCPCost, p.LoopbackTCPCost, p.LoopbackTCPCost, p.LoopbackTCPCost, false},
+		{ComchE, "Comch-E", p.ComchEDeliver, p.ComchSendCost, p.ComchEWakeup, 0, 0},
+		{ComchP, "Comch-P", p.ComchPDeliver, p.ComchSendCost, 0, p.ComchPPerEndpoint, 10 * p.ComchPPerEndpoint},
+		{ChannelTCP, "TCP", p.LoopbackTCPRTT / 2, p.LoopbackTCPCost, p.LoopbackTCPCost, p.LoopbackTCPCost, p.LoopbackTCPCost},
 	} {
 		m := tc.mode
 		if m.String() != tc.name {
@@ -212,9 +201,6 @@ func TestChannelModeCosts(t *testing.T) {
 		}
 		if got := m.DNERecvCost(p, 10); got != tc.recv10 {
 			t.Errorf("%v: DNE receive cost at 10 endpoints %v, want %v", m, got, tc.recv10)
-		}
-		if m.PinsHostCore() != tc.pins {
-			t.Errorf("%v: PinsHostCore = %v, want %v", m, m.PinsHostCore(), tc.pins)
 		}
 
 		eng := sim.NewEngine(1)
