@@ -12,13 +12,14 @@ import (
 )
 
 // allocsPerRequestBound fences the data path's allocations per boutique
-// request. The tree before descriptor records read 33.16 allocs/request
-// here (1,239 requests in the window, the same on every run); records live
-// inside each message's msgCtx, so the count did not move, and the bound
-// is that reading plus 2% (33.82). A record allocated beside msgCtx
-// instead of inside it adds one allocation per message (14-16 per request)
-// and fails it.
-const allocsPerRequestBound = 33.16 * 1.02
+// request. Each request allocates one ingress exchange and one invocation
+// record per call, its entry included (home-query makes six nested calls,
+// place-order seven): 8.31 allocs/request here (1,239 requests in the
+// window, the same on every run). The bound is that reading plus 2%
+// (8.48), so one more allocation per request fails it — a per-request
+// closure at the ingress, a trace name built without a tracer, or an
+// invocation split back into its contexts (three more per call).
+const allocsPerRequestBound = 8.31 * 1.02
 
 // TestAllocsPerRequest counts heap allocations per completed request on
 // the boutique app: 32 closed-loop clients (home-query and place-order

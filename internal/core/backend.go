@@ -128,38 +128,40 @@ func (b *rdmaBackend) post(t *beTenant, n int) {
 	}
 }
 
+// ingressInvocation returns the record of the entry invocation that x's
+// request starts.
+func ingressInvocation(x *ingress.Exchange, ch *chain) *invocation {
+	inv := &invocation{reqCtx: reqCtx{
+		Chain: x.Chain, Calls: ch.Calls, RespBytes: ch.RespBytes, Ingress: x,
+	}}
+	if x.Group != nil {
+		inv.Spec = x.Group.Killed
+	}
+	return inv
+}
+
 // Forward implements ingress.Backend: inject the request at the chain's
 // entry function over two-sided RDMA. The gateway worker already paid the
 // conversion costs; this is the wire side. Requests arriving while the
 // cluster is still establishing its RC pools wait at the ingress.
-func (b *rdmaBackend) Forward(req ingress.Request, done func(ingress.Response)) {
+func (b *rdmaBackend) Forward(x *ingress.Exchange) {
 	if !b.c.isReady {
-		b.c.Eng.After(time.Millisecond, func() { b.Forward(req, done) })
+		b.c.Eng.After(time.Millisecond, func() { b.Forward(x) })
 		return
 	}
-	spec, ok := b.c.chains[req.Chain]
-	if !ok {
-		panic(fmt.Sprintf("core: ingress request for unknown chain %q", req.Chain))
-	}
-	entry := b.c.resolveInstance(spec.Entry)
-	t := b.tenant(b.c.chainTenant(spec))
+	ch := x.Ctx.(*chain)
+	entry := b.c.resolveInstance(ch.Entry)
+	t := b.tenant(ch.tenant)
 	buf, err := t.cache.Get()
 	if err != nil {
 		b.drops++
 		return
 	}
-	rc := &reqCtx{
-		Chain: req.Chain, Calls: spec.Calls, RespBytes: spec.RespBytes,
-		IngressDone: done, Stamp: req.Stamp,
-	}
-	if req.Group != nil {
-		rc.Spec = req.Group.Killed
-	}
-	mc := &msgCtx{Kind: kindRequest, Req: rc}
+	inv := ingressInvocation(x, ch)
 	d := mempool.Descriptor{
-		Tenant: t.name, Buf: buf, Len: int32(req.Bytes),
-		Trace: req.Trace,
-		Msg:   mc.record("ingress", entry.name, rc.Spec),
+		Tenant: t.name, Buf: buf, Len: int32(x.Bytes),
+		Trace: x.Trace,
+		Msg:   inv.request("ingress", entry.name, inv.Spec),
 	}
 	entry.noteInflight()
 	cp := t.conns[string(entry.node.name)]
@@ -200,8 +202,8 @@ func (b *rdmaBackend) poll() {
 					d := &cqe.Desc
 					d.Trace.EndStage(trace.StageRDMACQ)
 					mc, ok := d.Msg.Ctx.(*msgCtx)
-					if !ok || mc.IngressDone == nil {
-						panic("core: ingress received response without done callback")
+					if !ok || mc.Inv.Ingress == nil {
+						panic("core: ingress received response to no ingress request")
 					}
 					if err := t.pool.Transfer(d.Buf, rqOwner, ingressOwner); err != nil {
 						panic(fmt.Sprintf("core: ingress recv ownership: %v", err))
@@ -209,7 +211,8 @@ func (b *rdmaBackend) poll() {
 					if err := t.cache.Put(d.Buf); err != nil {
 						panic(fmt.Sprintf("core: ingress recv recycle: %v", err))
 					}
-					mc.IngressDone(ingressResponse(cqe.Bytes, mc.Stamp))
+					x := mc.Inv.Ingress
+					x.Done(ingressResponse(cqe.Bytes, x.Stamp))
 				}
 			}
 		}
@@ -235,31 +238,22 @@ func (b *tcpBackend) start() {}
 
 // Forward implements ingress.Backend. Requests arriving during cluster
 // bring-up wait at the ingress.
-func (b *tcpBackend) Forward(req ingress.Request, done func(ingress.Response)) {
+func (b *tcpBackend) Forward(x *ingress.Exchange) {
 	if !b.c.isReady {
-		b.c.Eng.After(time.Millisecond, func() { b.Forward(req, done) })
+		b.c.Eng.After(time.Millisecond, func() { b.Forward(x) })
 		return
 	}
-	spec, ok := b.c.chains[req.Chain]
-	if !ok {
-		panic(fmt.Sprintf("core: ingress request for unknown chain %q", req.Chain))
-	}
-	entry := b.c.resolveInstance(spec.Entry)
-	rc := &reqCtx{
-		Chain: req.Chain, Calls: spec.Calls, RespBytes: spec.RespBytes,
-		IngressDone: done, Stamp: req.Stamp,
-	}
-	if req.Group != nil {
-		// TCP baselines carry no descriptor through a TX gate, so the
-		// only mid-plane kill site is the function's inbox dequeue.
-		rc.Spec = req.Group.Killed
-	}
-	mc := &msgCtx{Kind: kindRequest, Req: rc}
-	mc.record("ingress", entry.name, nil)
+	ch := x.Ctx.(*chain)
+	entry := b.c.resolveInstance(ch.Entry)
+	// TCP baselines carry no descriptor through a TX gate, so the only
+	// mid-plane kill site is the function's inbox dequeue, which reads the
+	// invocation's probe; the message record carries none.
+	inv := ingressInvocation(x, ch)
+	inv.request("ingress", entry.name, nil)
 	entry.noteInflight()
 	t0 := b.c.Eng.Now()
 	b.c.Eng.After(b.c.tcpTransit(b.c.workerStack()), func() {
-		req.Trace.Record(trace.StageTransit, "wire", t0, b.c.Eng.Now())
-		entry.tcpIn.TryPut(tcpMsg{Bytes: req.Bytes, Ctx: mc, Trace: req.Trace})
+		x.Trace.Record(trace.StageTransit, "wire", t0, b.c.Eng.Now())
+		entry.tcpIn.TryPut(tcpMsg{Bytes: x.Bytes, Ctx: &inv.req, Trace: x.Trace})
 	})
 }

@@ -128,6 +128,17 @@ type tcpMsg struct {
 	Trace *trace.Req
 }
 
+// chain is one chain as the cluster serves it: its spec, the tenant that
+// owns it, the name its request traces carry and its latency histogram.
+// Each request carries its chain through the ingress (ingress.Request.Ctx),
+// so neither the backend nor the reply accounting looks it up by name.
+type chain struct {
+	ChainSpec
+	tenant    string
+	traceName string
+	lat       *metrics.Hist
+}
+
 // Cluster is the assembled system under test.
 type Cluster struct {
 	Eng *sim.Engine
@@ -140,7 +151,7 @@ type Cluster struct {
 	fns     map[string]*Function
 	fnSeq   []*Function // declaration order: map walks are nondeterministic
 	groups  map[string]*FnGroup
-	chains  map[string]*ChainSpec
+	chains  map[string]*chain
 	tenants []TenantSpec
 	// crossTenantCopies counts sidecar-enforced copies between tenants.
 	crossTenantCopies uint64
@@ -212,15 +223,21 @@ func NewCluster(cfg Config) *Cluster {
 		nodes:        make(map[string]*Node),
 		fns:          make(map[string]*Function),
 		groups:       make(map[string]*FnGroup),
-		chains:       make(map[string]*ChainSpec),
+		chains:       make(map[string]*chain),
 		ChainLatency: make(map[string]*metrics.Hist),
 		Completed:    metrics.NewMeter(),
 	}
 	c.tenants = tenants
-	for i := range cfg.Chains {
-		ch := cfg.Chains[i]
-		c.chains[ch.Name] = &ch
-		c.ChainLatency[ch.Name] = metrics.NewHist()
+	for _, spec := range cfg.Chains {
+		ch := &chain{
+			ChainSpec: spec, tenant: spec.Tenant,
+			traceName: "chain/" + spec.Name, lat: metrics.NewHist(),
+		}
+		if ch.tenant == "" {
+			ch.tenant = cfg.Tenant
+		}
+		c.chains[spec.Name] = ch
+		c.ChainLatency[spec.Name] = ch.lat
 	}
 
 	nodeNames := cfg.Nodes
@@ -411,14 +428,15 @@ func (c *Cluster) buildIngress() {
 		icfg.InitialWorkers, icfg.MaxWorkers = 1, 1
 	}
 	c.gw = ingress.New(c.Eng, c.P, icfg, backend)
+	c.gw.SetReplyHook(c.completed)
 }
 
-// chainTenant resolves a chain's owning tenant.
-func (c *Cluster) chainTenant(spec *ChainSpec) string {
-	if spec.Tenant != "" {
-		return spec.Tenant
-	}
-	return c.cfg.Tenant
+// completed books a response that reached its client: the completion
+// count, its chain's latency and its request trace.
+func (c *Cluster) completed(x *ingress.Exchange, resp ingress.Response) {
+	c.Completed.Inc(1)
+	x.Ctx.(*chain).lat.Observe(c.Eng.Now() - resp.Stamp)
+	x.Trace.Finish()
 }
 
 // SetTracer installs (or, with nil, removes) the request tracer: with one
@@ -719,27 +737,19 @@ func (c *Cluster) SubmitChain(chain string, client int, reply func(ingress.Respo
 // SubmitChainSpec is SubmitChain with per-request speculation overrides:
 // clone > 0 overrides the gateway policy's clone factor, hedge > 0 forces a
 // hedged retry with that deadline floor (trace replays carry both).
-func (c *Cluster) SubmitChainSpec(chain string, client int, clone int, hedge time.Duration, reply func(ingress.Response)) {
-	spec, ok := c.chains[chain]
+func (c *Cluster) SubmitChainSpec(name string, client int, clone int, hedge time.Duration, reply func(ingress.Response)) {
+	ch, ok := c.chains[name]
 	if !ok {
-		panic(fmt.Sprintf("core: unknown chain %q", chain))
+		panic(fmt.Sprintf("core: unknown chain %q", name))
 	}
-	now := c.Eng.Now()
-	tr := c.tracer.StartRequest("chain/" + chain)
 	c.gw.Submit(ingress.Request{
-		Client: client, Chain: chain,
-		Bytes: spec.ReqBytes, RespBytes: spec.RespBytes,
-		Stamp: now,
-		Trace: tr,
+		Client: client, Chain: name,
+		Bytes: ch.ReqBytes, RespBytes: ch.RespBytes,
+		Stamp: c.Eng.Now(),
+		Reply: reply,
+		Trace: c.tracer.StartRequest(ch.traceName),
 		Clone: clone,
 		Hedge: hedge,
-		Reply: func(r ingress.Response) {
-			c.Completed.Inc(1)
-			c.ChainLatency[chain].Observe(c.Eng.Now() - r.Stamp)
-			tr.Finish()
-			if reply != nil {
-				reply(r)
-			}
-		},
+		Ctx:   ch,
 	})
 }

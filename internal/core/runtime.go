@@ -30,7 +30,7 @@ type handler struct {
 
 	// The request in service; rc is nil while the handler is idle.
 	reqBuf mempool.Buffer
-	rc     *reqCtx
+	rc     *invocation
 	tr     *trace.Req
 	sp     trace.SpanRef
 	calls  []Call // nested calls not yet issued
@@ -73,10 +73,10 @@ func (h *handler) next() {
 		tr := d.Trace
 		tr.EndStage(trace.StageFnQueue)
 		mc, ok := d.Msg.Ctx.(*msgCtx)
-		if !ok || mc.Kind != kindRequest || mc.Req == nil {
+		if !ok || mc.Kind != kindRequest {
 			panic(fmt.Sprintf("core: %s received malformed request descriptor", f.name))
 		}
-		if mc.Req.Spec != nil && mc.Req.Spec() {
+		if mc.Inv.Spec != nil && mc.Inv.Spec() {
 			// A clone whose group already won elsewhere: kill it at the
 			// dequeue boundary — return the buffer, skip the cold start and
 			// the application work entirely.
@@ -88,7 +88,7 @@ func (h *handler) next() {
 			c.specFnKills++
 			continue
 		}
-		h.reqBuf, h.rc, h.tr = d.Buf, mc.Req, tr
+		h.reqBuf, h.rc, h.tr = d.Buf, mc.Inv, tr
 		if f.spec.ColdStart > 0 && (h.lastServed < 0 || c.Eng.Now()-h.lastServed > f.spec.KeepWarm) {
 			// Container boot: wall-clock delay, not core time.
 			h.sp = tr.Begin(trace.StageFnColdstart, f.name)
@@ -237,8 +237,8 @@ type callOp struct {
 	tr    *trace.Req
 	cc    *callCtx
 	h     *handler
-	// Reply: the request answered.
-	rc *reqCtx
+	// Reply: the invocation answered.
+	rc *invocation
 
 	// The message being sent (see send) and its open span.
 	d      mempool.Descriptor
@@ -310,15 +310,16 @@ func (op *callOp) invokeBuf() {
 		return
 	}
 	f, call := op.f, op.call
-	op.cc = &callCtx{}
-	mc := &msgCtx{Kind: kindRequest, Req: &reqCtx{
+	inv := &invocation{reqCtx: reqCtx{
 		Chain: op.chain, Calls: call.Calls, RespBytes: call.RespBytes,
-		ReplyTo: f.name, Call: op.cc,
+		ReplyTo: f.name,
 	}}
+	inv.Call = &inv.call
+	op.cc = inv.Call
 	d := mempool.Descriptor{
 		Tenant: f.tenant, Buf: op.buf.buf, Len: int32(call.ReqBytes),
 		Trace: op.tr,
-		Msg:   mc.record(f.name, call.Callee, nil),
+		Msg:   inv.request(f.name, call.Callee, nil),
 	}
 	op.sent = op.invokeSentFn
 	if op.send(call.Callee, d) {
@@ -359,10 +360,10 @@ func (op *callOp) replied() {
 
 // respond sends the invocation result upstream: to the calling function, or
 // back to the ingress gateway for entry functions.
-func (op *callOp) respond(rc *reqCtx, tr *trace.Req) {
+func (op *callOp) respond(rc *invocation, tr *trace.Req) {
 	op.rc, op.tr, op.err = rc, tr, nil
 	f := op.f
-	if rc.IngressDone != nil && f.port == nil {
+	if rc.Ingress != nil && f.port == nil {
 		// Deferred conversion: the worker terminates TCP outbound too.
 		st := op.c.workerStack()
 		op.sp = tr.Begin(st.TraceStage(), f.name)
@@ -391,8 +392,8 @@ func (op *callOp) replyBuf() {
 		return
 	}
 	op.sent = op.replySentFn
-	if rc.IngressDone != nil {
-		mc := &msgCtx{Kind: kindResponse, IngressDone: rc.IngressDone, Stamp: rc.Stamp}
+	mc := rc.reply()
+	if rc.Ingress != nil {
 		d := mempool.Descriptor{
 			Tenant: f.tenant, Buf: op.buf.buf, Len: int32(rc.RespBytes),
 			Trace: op.tr,
@@ -406,7 +407,6 @@ func (op *callOp) replyBuf() {
 		}
 		return
 	}
-	mc := &msgCtx{Kind: kindResponse, Call: rc.Call}
 	d := mempool.Descriptor{
 		Tenant: f.tenant, Buf: op.buf.buf, Len: int32(rc.RespBytes),
 		Trace: op.tr,
@@ -432,11 +432,11 @@ func (op *callOp) replySent() {
 func (op *callOp) tcpSent() {
 	op.sp.End()
 	c, rc, tr := op.c, op.rc, op.tr
-	done, bytes, stamp := rc.IngressDone, rc.RespBytes, rc.Stamp
+	x, bytes := rc.Ingress, rc.RespBytes
 	t0 := c.Eng.Now()
 	c.Eng.After(c.tcpTransit(c.workerStack()), func() {
 		tr.Record(trace.StageTransit, "wire", t0, c.Eng.Now())
-		done(ingressResponse(bytes, stamp))
+		x.Done(ingressResponse(bytes, x.Stamp))
 	})
 	op.finish()
 }
@@ -751,7 +751,7 @@ func (c *Cluster) demux(f *Function, d mempool.Descriptor) {
 		d.Trace.BeginStage(trace.StageFnQueue, f.name)
 		f.inbox.TryPut(d)
 	case kindResponse:
-		cc := mc.Call
+		cc := mc.Inv.Call
 		if cc == nil {
 			panic(fmt.Sprintf("core: %s received response with no caller", f.name))
 		}
@@ -779,11 +779,7 @@ func (c *Cluster) dropped(ctx any) {
 	if !ok {
 		return
 	}
-	cc := mc.Call
-	if mc.Kind == kindRequest && mc.Req != nil {
-		cc = mc.Req.Call
-	}
-	if cc != nil {
+	if cc := mc.Inv.Call; cc != nil {
 		cc.fail()
 	}
 }

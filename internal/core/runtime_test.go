@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -193,4 +194,97 @@ func TestPoolSqueezeStrandsNoHandler(t *testing.T) {
 type heldBuf struct {
 	pool *mempool.Pool
 	buf  mempool.Buffer
+}
+
+// TestDuplicateRequestRepliesTwice hands one nested call's request to its
+// callee twice, as a gateway retry that delivered it twice does. The
+// callee replies twice: the first reply fills the invocation record's own
+// context, and the second takes a fresh one, so the first reply's record
+// is never rewritten while it may still be in flight. The caller takes
+// the first reply; the second finds the call done and is recycled.
+func TestDuplicateRequestRepliesTwice(t *testing.T) {
+	c := NewCluster(Config{
+		System: NadinoDNE,
+		Nodes:  []string{"node1"},
+		Functions: []FunctionSpec{
+			{Name: "a", Node: "node1", Service: time.Microsecond},
+			{Name: "b", Node: "node1", Service: 5 * time.Microsecond},
+		},
+		Chains: []ChainSpec{{Name: "ab", Entry: "a", ReqBytes: 64, RespBytes: 64,
+			Calls: []Call{{Callee: "b", ReqBytes: 64, RespBytes: 64}}}},
+		Seed: 1,
+	})
+	defer c.Eng.Stop()
+	for !c.Ready() {
+		c.Eng.RunFor(time.Millisecond)
+	}
+	c.Eng.RunFor(time.Millisecond) // every receiver and handler parked
+	fa, fb := c.fns["a"], c.fns["b"]
+	pool := fa.node.pool(fa.tenant)
+	inUse := pool.InUse()
+
+	// a calls b; while a pays the send cost, its op holds the request.
+	op := &callOp{}
+	op.init(c, fa)
+	returned := 0
+	op.then = func() { returned++ }
+	op.invoke(Call{Callee: "b", ReqBytes: 64, RespBytes: 64}, "ab", nil)
+	req := op.d
+	inv := req.Msg.Ctx.(*msgCtx).Inv
+	// The second copy: the same record, landed in a buffer of b's.
+	buf, err := pool.Get(fb.owner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dup := req
+	dup.Buf = buf
+	fb.inflight++
+	fb.localIn.Send(dup)
+
+	// Watch b's handlers: each reply sits in its handler's op while the
+	// send cost is paid.
+	type record struct {
+		src, dst string
+		ctx      any
+	}
+	var replies []*mempool.Msg
+	var first record
+	for end := c.Eng.Now() + 200*time.Microsecond; c.Eng.Now() < end; {
+		c.Eng.RunFor(10 * time.Nanosecond)
+		for _, h := range fb.handlers {
+			m := h.op.d.Msg
+			if m == nil || slices.Contains(replies, m) {
+				continue
+			}
+			replies = append(replies, m)
+			if len(replies) == 1 {
+				first = record{m.Src, m.Dst, m.Ctx}
+			}
+		}
+	}
+	if len(replies) != 2 {
+		t.Fatalf("b built %d distinct reply records, want 2", len(replies))
+	}
+	if replies[0] != &inv.rep.msg {
+		t.Fatal("the first reply does not use the invocation's own reply context")
+	}
+	if got := (record{replies[0].Src, replies[0].Dst, replies[0].Ctx}); got != first || got != (record{"b", "a", &inv.rep}) {
+		t.Fatalf("first reply's record %+v after the second reply, want %+v", got, first)
+	}
+	if mc := replies[1].Ctx.(*msgCtx); mc == &inv.rep || mc.Inv != inv || mc.Kind != kindResponse {
+		t.Fatalf("second reply's context %p (record's own %p) answers %p, want a fresh one for %p", mc, &inv.rep, mc.Inv, inv)
+	}
+	if returned != 1 || op.err != nil || !inv.call.done || inv.call.failed {
+		t.Fatalf("caller resumed %d times, err %v, call done %v failed %v; want one clean reply", returned, op.err, inv.call.done, inv.call.failed)
+	}
+	if fb.inflight != 0 {
+		t.Fatalf("b has %d requests in flight, want 0", fb.inflight)
+	}
+	// Both request buffers, the taken reply and the late one are back.
+	if got := pool.InUse(); got != inUse {
+		t.Fatalf("%d buffers in use, want %d", got, inUse)
+	}
+	if err := pool.Audit(); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -184,17 +184,16 @@ func (cc *callCtx) fail() {
 	cc.settle(mempool.Buffer{}, true)
 }
 
-// reqCtx travels with a request descriptor and tells the invoked function
-// what to do and where to respond.
+// reqCtx tells the invoked function what to do and where to respond.
 type reqCtx struct {
 	Chain     string
 	Calls     []Call // nested calls this invocation must perform
 	RespBytes int
 	ReplyTo   string   // function to respond to; "" when ingress-originated
 	Call      *callCtx // caller's rendezvous (function-to-function calls)
-	// IngressDone delivers the final response to the ingress gateway.
-	IngressDone func(ingress.Response)
-	Stamp       time.Duration
+	// Ingress is the ingress exchange an ingress-originated invocation
+	// answers; its request stamp rides back on the response.
+	Ingress *ingress.Exchange
 	// Spec is the speculation cancellation probe for cloned requests
 	// (speculate.Group.Killed); nil on unspeculated requests and on
 	// nested calls — a clone that starts executing runs its call tree to
@@ -202,16 +201,43 @@ type reqCtx struct {
 	Spec func() bool
 }
 
-// msgCtx is the Ctx payload carried by every descriptor in the cluster.
-// It holds its message's descriptor record too, so a message costs one
-// allocation.
+// invocation is one call's record: the request's reqCtx, the caller's
+// rendezvous, and the message contexts of the request and of its reply, so
+// a call costs one allocation. Every descriptor of the call points into
+// it. Nothing pools it: a duplicated request or a late drop notice can
+// outlive the call, and only the collector knows when the last copy is
+// gone.
+type invocation struct {
+	reqCtx
+	call     callCtx // the caller's rendezvous; Call points here on nested calls
+	req, rep msgCtx
+}
+
+// request fills the request's message context and returns its
+// descriptor record.
+func (inv *invocation) request(src, dst string, spec func() bool) *mempool.Msg {
+	inv.req = msgCtx{Kind: kindRequest, Inv: inv}
+	return inv.req.record(src, dst, spec)
+}
+
+// reply returns a context for a reply to inv: the record's own the first
+// time, and a fresh one for a second reply (the callee saw the request
+// twice), so a reply still in flight keeps its record.
+func (inv *invocation) reply() *msgCtx {
+	mc := &inv.rep
+	if mc.Inv != nil {
+		mc = &msgCtx{}
+	}
+	*mc = msgCtx{Kind: kindResponse, Inv: inv}
+	return mc
+}
+
+// msgCtx is the Ctx payload carried by every descriptor in the cluster: a
+// request or a reply of one invocation. It holds its message's descriptor
+// record too.
 type msgCtx struct {
 	Kind msgKind
-	Req  *reqCtx  // kindRequest
-	Call *callCtx // kindResponse: the rendezvous the waiting caller parks on
-	// IngressDone set on responses headed back to the ingress.
-	IngressDone func(ingress.Response)
-	Stamp       time.Duration
+	Inv  *invocation
 	// msg is the message's write-once descriptor record; its Ctx points
 	// back to this msgCtx.
 	msg mempool.Msg

@@ -29,17 +29,14 @@ type EchoBackendConfig struct {
 	Concurrency int
 }
 
-// EchoBackend implements Backend with a modeled worker node.
+// EchoBackend implements Backend with a modeled worker node. Requests and
+// responses cross the ingress<->worker transit on two fixed-latency legs.
 type EchoBackend struct {
-	eng *sim.Engine
-	p   *params.Params
-	cfg EchoBackendConfig
-	q   *sim.Queue[echoJob]
-}
-
-type echoJob struct {
-	req  Request
-	done func(Response)
+	eng     *sim.Engine
+	p       *params.Params
+	cfg     EchoBackendConfig
+	q       *sim.Queue[*Exchange]
+	in, out leg
 }
 
 // echoServer is one function instance on its own core, as an engine
@@ -48,7 +45,7 @@ type echoJob struct {
 type echoServer struct {
 	b               *EchoBackend
 	core            *sim.Processor
-	job             echoJob
+	job             *Exchange
 	serveFn, doneFn func()
 }
 
@@ -58,7 +55,11 @@ func NewEchoBackend(eng *sim.Engine, p *params.Params, cfg EchoBackendConfig) *E
 	if cfg.Concurrency <= 0 {
 		cfg.Concurrency = 1
 	}
-	b := &EchoBackend{eng: eng, p: p, cfg: cfg, q: sim.NewQueue[echoJob](eng, 0)}
+	b := &EchoBackend{eng: eng, p: p, cfg: cfg, q: sim.NewQueue[*Exchange](eng, 0)}
+	b.in.init(eng, cfg.Transit, func(x *Exchange) { b.q.TryPut(x) })
+	b.out.init(eng, cfg.Transit, func(x *Exchange) {
+		x.Done(Response{ID: x.ID, Bytes: x.RespBytes, Stamp: x.Stamp})
+	})
 	for i := 0; i < cfg.Concurrency; i++ {
 		s := &echoServer{b: b, core: sim.NewProcessor(eng, fmt.Sprintf("echo-backend/%d", i), p.HostCoreSpeed)}
 		s.serveFn, s.doneFn = s.serve, s.done
@@ -68,21 +69,17 @@ func NewEchoBackend(eng *sim.Engine, p *params.Params, cfg EchoBackendConfig) *E
 }
 
 // Forward implements Backend.
-func (b *EchoBackend) Forward(req Request, done func(Response)) {
-	b.eng.After(b.cfg.Transit, func() {
-		b.q.TryPut(echoJob{req: req, done: done})
-	})
-}
+func (b *EchoBackend) Forward(x *Exchange) { b.in.send(x) }
 
 // serve takes the next job and runs it on the server's core.
 func (s *echoServer) serve() {
 	b, p := s.b, s.b.p
-	j, ok := b.q.TryGet()
+	x, ok := b.q.TryGet()
 	if !ok {
 		b.q.Notify(s.serveFn)
 		return
 	}
-	s.job = j
+	s.job = x
 	if b.cfg.UseRDMA {
 		// DNE delivered a descriptor; the function wakes via Comch,
 		// serves, and hands the response descriptor back.
@@ -91,19 +88,17 @@ func (s *echoServer) serve() {
 	}
 	// Deferred conversion: the worker terminates TCP and parses HTTP
 	// before the function runs, then does it again outbound.
-	s.core.Run(transport.RecvCost(p, b.cfg.WorkerStack, j.req.Bytes)+
+	s.core.Run(transport.RecvCost(p, b.cfg.WorkerStack, x.Bytes)+
 		transport.HTTPCost(p)+
 		b.cfg.Service+
-		transport.SendCost(p, b.cfg.WorkerStack, j.req.RespBytes), s.doneFn)
+		transport.SendCost(p, b.cfg.WorkerStack, x.RespBytes), s.doneFn)
 }
 
 // done sends the response back over the transit and takes the next job.
 func (s *echoServer) done() {
-	req, done := s.job.req, s.job.done
-	s.job = echoJob{}
-	s.b.eng.After(s.b.cfg.Transit, func() {
-		done(Response{ID: req.ID, Bytes: req.RespBytes, Stamp: req.Stamp})
-	})
+	x := s.job
+	s.job = nil
+	s.b.out.send(x)
 	s.serve()
 }
 

@@ -92,7 +92,7 @@ func TestOpenLoopGeneratesWithoutResponses(t *testing.T) {
 // blackholeBackend accepts requests and never responds.
 type blackholeBackend struct{}
 
-func (blackholeBackend) Forward(ingress.Request, func(ingress.Response)) {}
+func (blackholeBackend) Forward(*ingress.Exchange) {}
 
 func TestStop(t *testing.T) {
 	eng, gw := newGateway(t)
